@@ -3,8 +3,8 @@
 Each criterion is a function returning a CheckResult with pass/fail, the
 measured numbers and the pinned tolerances, so the validate subcommand and
 the test suite share one implementation.  Criteria are independent and may
-be run individually; a few are deliberately slow (the thermal consistency
-check dominates at a few minutes).
+be run individually; the thermal consistency check is deliberately slow
+(1.5 minutes of Wigner sums over 200k- and 800k-trajectory ensembles).
 """
 
 from __future__ import annotations
@@ -18,14 +18,14 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import signatures as sig
-from .engine import (EnsembleResult, apply_phase_correction, protocol_channel,
-                     reference_gain, run_ensemble, write_gain)
+from .engine import (EnsembleResult, apply_phase_correction, reference_gain,
+                     run_ensemble, write_gain)
 from .experiments import (DEFAULT_GAMMA_M, ExperimentConfig, oracle_query,
                           run_point, write_run_artifacts)
-from .model import GridAxis, GridField, ProtocolSchedule, SystemParams, derive_rates
+from .model import ProtocolSchedule, SystemParams, derive_rates
 from .modes import (ModeFunctionSpec, coupler_ode_residual, kappa_source,
                     transfer_amplitude, u_exp_approx, u_in)
-from .oracle import channel_wigner, decohered_density
+from .oracle import decohered_density
 from .sampling import SamplerConfig, sample_cat
 
 __all__ = ["CheckResult", "CRITERIA", "run_criteria"]
@@ -105,18 +105,6 @@ def _protocol_coherence(alpha0: float, params: SystemParams, t_store: float) -> 
     """
     eta = transfer_amplitude(params) ** 4 * math.exp(-2.0 * params.gamma_m * t_store)
     return math.exp(-2.0 * alpha0 * alpha0 * (1.0 - eta))
-
-
-def _protocol_negativity(config: ExperimentConfig) -> float:
-    """Negativity of the input cat sent through the protocol's exact channel,
-    on the Wigner grid that run_point uses for the same configuration."""
-    gain, noise_var = protocol_channel(config.system_params(), config.schedule())
-    grid = sig.default_wigner_grid(config.alpha0, config.wigner_h, config.wigner_pad)
-    values = channel_wigner(grid.x[:, None] + 1j * grid.y[None, :], config.alpha0,
-                            abs(gain), noise_var)
-    axes = (GridAxis(float(grid.x[0]), float(grid.x[-1]), grid.h, "re_alpha"),
-            GridAxis(float(grid.y[0]), float(grid.y[-1]), grid.h, "im_alpha"))
-    return sig.wigner_negativity(GridField(axes=axes, values=values))
 
 
 def _corrected_ensemble(config: ExperimentConfig):
@@ -260,8 +248,8 @@ def _check_thermal_consistency(workers: int) -> tuple[bool, list, dict]:
         se = point.scalars["sampling_error"]
         # the simulated cat also decoheres in the write and read windows, so
         # the reference is the whole protocol; storage-only is printed beside it
-        delta_pr = _protocol_negativity(cfg)
-        z = (delta - delta_pr) / se
+        delta_pr = point.scalars["negativity_protocol"]
+        z = point.scalars["z_protocol"]
         z_storage = (delta - delta_or) / se
         ok = abs(delta - delta_pr) <= THERMAL_SIGMAS * se
         measured["points"].append({"t_rel": t_rel, "sim": delta, "protocol": delta_pr,

@@ -24,7 +24,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, metavar="U64",
                         help="master RNG seed (overrides config)")
     parser.add_argument("--workers", type=int, metavar="N",
-                        help="integration worker threads")
+                        help="accepted for compatibility; has no effect")
     parser.add_argument("--out", metavar="DIR",
                         help="artifact output directory")
     parser.add_argument("--dry-run", action="store_true",

@@ -3,22 +3,23 @@
 The positive-P equations of motion are linear Langevin equations for the
 doubled phase-space variables (alpha, alpha+, beta, beta+).  The
 deterministic part is advanced with classical fourth-order Runge-Kutta; the
-mechanical thermal noise enters as one additive increment per step.  Two
-paths are provided: ``run_protocol`` integrates a single trajectory step by
-step, and ``run_ensemble`` advances whole trajectory blocks as numpy arrays,
-replacing the long free-storage segment by its exact aggregate (the
-per-step recursion is linear, so the compound decay factor and the summed
-Gaussian noise are computed in closed form with identical statistics,
-including the Runge-Kutta discretisation factor).  ``protocol_channel``
-condenses the same linear map into the gain and added-noise variance of
-the whole protocol, without sampling.
+mechanical thermal noise enters as one additive increment per step.  Since
+the recursion is linear with additive Gaussian noise, the retrieved
+amplitude of every trajectory is exactly alpha_out = G alpha_in + N with one
+circular Gaussian N.  ``protocol_channel`` computes the gain G and the
+variance E|N|^2 without sampling (the RK4 discretisation included), and
+``run_ensemble`` samples the ensemble from that channel in O(n), one normal
+pair per trajectory.  ``reference_gain`` runs the deterministic recursion in
+scalar arithmetic.  ``run_protocol`` integrates a single trajectory step by
+step; the private block integrator (``_run_block``) steps whole trajectory
+blocks as numpy arrays and is kept as the reference the sampled ensemble is
+tested against.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,6 +31,7 @@ from .modes import ModeFunctionSpec, u_in, u_out
 from .sampling import RNG_BLOCK_SIZE, block_stream, sample_thermal
 
 __all__ = [
+    "ENGINE_VERSION",
     "DriveContext",
     "EnsembleResult",
     "g_of_t",
@@ -45,6 +47,11 @@ __all__ = [
     "apply_phase_correction",
     "rk4_decay_factor",
 ]
+
+# Names the random numbers a configuration draws; part of every config
+# fingerprint, so it changes whenever the same configuration would give
+# different results.
+ENGINE_VERSION = "gaussian-channel-1"
 
 
 def g_of_t(t, schedule: ProtocolSchedule, g_eff: float):
@@ -362,14 +369,18 @@ def _run_block(a_in, a_in_p, params, schedule, tables, stream):
 
 
 def run_ensemble(samples: list[WeightedSample], params: SystemParams,
-                 schedule: ProtocolSchedule, master_seed: int,
-                 workers: int = 1, block_size: int = RNG_BLOCK_SIZE) -> EnsembleResult:
-    """Integrate every trajectory of a weighted ensemble.
+                 schedule: ProtocolSchedule, master_seed: int) -> EnsembleResult:
+    """Sample every trajectory of a weighted ensemble from the protocol channel.
 
-    Trajectories are processed in fixed-size blocks, each with its own
-    counter-based stream keyed by (master_seed, block index); the reduction
-    order is by block index, so the result is independent of the worker
-    count.
+    With (G, noise_var) from ``protocol_channel`` each trajectory gets
+    alpha_out = G alpha_in + N and alpha_out_plus = conj(G) alpha_in_plus
+    + conj(N), N = sqrt(noise_var) (x + iy)/sqrt(2) with one standard normal
+    pair (x, y) per trajectory.  This is the stepped process in
+    distribution, RK4 discretisation included.  The pairs come in blocks of
+    RNG_BLOCK_SIZE trajectories, each from the counter-based stream keyed by
+    (master_seed, block index), so a trajectory's noise depends only on the
+    seed and its position; the time step changes the scale, not the draw.
+    A noiseless channel consumes no randomness.
     """
     n = len(samples)
     a_in = np.array([s.alpha_in for s in samples], dtype=np.complex128)
@@ -377,50 +388,84 @@ def run_ensemble(samples: list[WeightedSample], params: SystemParams,
     weight = np.array([s.weight for s in samples])
     branch = np.array([s.branch for s in samples])
 
-    spec = ModeFunctionSpec.for_params(params, schedule.t_store)
-    tables = _make_tables(params, schedule, spec)
-    out = np.empty(n, dtype=np.complex128)
-    out_p = np.empty(n, dtype=np.complex128)
+    gain, noise_var = protocol_channel(params, schedule)
+    if not (cmath.isfinite(gain) and math.isfinite(noise_var)):
+        raise FloatingPointError("non-finite protocol channel; check parameters")
+    noise = np.zeros(n, dtype=np.complex128)
+    if noise_var > 0:
+        scale = math.sqrt(noise_var / 2.0)
+        for block, lo in enumerate(range(0, n, RNG_BLOCK_SIZE)):
+            hi = min(lo + RNG_BLOCK_SIZE, n)
+            xy = block_stream(master_seed, block).standard_normal((2, hi - lo))
+            noise[lo:hi] = scale * (xy[0] + 1j * xy[1])
+    return EnsembleResult(alpha_out=gain * a_in + noise,
+                          alpha_out_plus=gain.conjugate() * a_in_p + np.conj(noise),
+                          weight=weight, branch=branch)
 
-    blocks = [(b, slice(b * block_size, min((b + 1) * block_size, n)))
-              for b in range((n + block_size - 1) // block_size)]
 
-    def work(item):
-        idx, sl = item
-        stream = block_stream(master_seed, idx)
-        acc, acc_p = _run_block(a_in[sl], a_in_p[sl], params, schedule, tables, stream)
-        out[sl] = acc
-        out_p[sl] = acc_p
+def _rk4_pair(a: complex, b: complex, params: SystemParams, dt: float,
+              d0: complex, dh: complex, d1: complex) -> tuple[complex, complex]:
+    """One noiseless RK4 step of (alpha, beta) under unit drive amplitude.
 
-    if workers <= 1 or len(blocks) == 1:
-        for item in blocks:
-            work(item)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, blocks))
+    Scalar twin of the alpha/beta half of ``_coupled_span``, written with
+    the same operations in the same order, so that a one-element block of
+    the stepped integrator gives the same numbers.
+    """
+    go, gm, g = params.gamma_o, params.gamma_m, params.g_eff
+    half = 0.5 * dt
+    k1a = -go * a - 1j * g * b + d0
+    k1b = -gm * b - 1j * g * a
+    a2 = a + half * k1a
+    b2 = b + half * k1b
+    k2a = -go * a2 - 1j * g * b2 + dh
+    k2b = -gm * b2 - 1j * g * a2
+    a3 = a + half * k2a
+    b3 = b + half * k2b
+    k3a = -go * a3 - 1j * g * b3 + dh
+    k3b = -gm * b3 - 1j * g * a3
+    a4 = a + dt * k3a
+    b4 = b + dt * k3b
+    k4a = -go * a4 - 1j * g * b4 + d1
+    k4b = -gm * b4 - 1j * g * a4
+    sixth = dt / 6.0
+    return (a + sixth * (k1a + 2.0 * (k2a + k3a) + k4a),
+            b + sixth * (k1b + 2.0 * (k2b + k3b) + k4b))
 
-    if not (np.all(np.isfinite(out)) and np.all(np.isfinite(out_p))):
-        raise FloatingPointError("non-finite trajectory output; check parameters")
-    return EnsembleResult(alpha_out=out, alpha_out_plus=out_p, weight=weight, branch=branch)
+
+def _write_pass(params: SystemParams, schedule: ProtocolSchedule,
+                tables: _DriveTables) -> tuple[complex, complex]:
+    """(alpha, beta) at t = 0 for a unit coherent input, no start and no noise."""
+    d_grid, d_mid = tables.d_grid.tolist(), tables.d_mid.tolist()
+    a = b = 0j
+    for k in range(schedule.n_write):
+        a, b = _rk4_pair(a, b, params, schedule.dt, d_grid[k], d_mid[k], d_grid[k + 1])
+    return a, b
 
 
 def reference_gain(params: SystemParams, schedule: ProtocolSchedule) -> complex:
     """Complex coherent-state gain of the full protocol.
 
-    Runs one deterministic trajectory with unit input amplitude, no thermal
-    start and no noise; the modulus is the write-store-read amplitude
+    One deterministic pass with unit input amplitude, no thermal start and
+    no noise, in scalar complex arithmetic: the RK4 recursion of the write
+    window, the storage aggregate and the read window with its trapezoidal
+    output projection, over the same drive and projection tables as the
+    stepped ensemble.  The modulus is the write-store-read amplitude
     efficiency and the argument fixes the overall phase convention of the
     retrieved mode.
     """
-    quiet = SystemParams(gamma_o=params.gamma_o, gamma_ext=params.gamma_ext,
-                         gamma_int=params.gamma_int, gamma_m=params.gamma_m,
-                         g_eff=params.g_eff, n_th_mech=0.0, n_init_mech=0.0)
-    spec = ModeFunctionSpec.for_params(quiet, schedule.t_store)
-    tables = _make_tables(quiet, schedule, spec)
-    one = np.ones(1, dtype=np.complex128)
-    stream = block_stream(0, 0)  # never consumed: noiseless
-    acc, _ = _run_block(one, one, quiet, schedule, tables, stream)
-    return complex(acc[0])
+    spec = ModeFunctionSpec.for_params(params, schedule.t_store)
+    tables = _make_tables(params, schedule, spec)
+    a, b = _write_pass(params, schedule, tables)
+    if schedule.n_store > 0:
+        r_o, r_m, _ = _storage_aggregate(params, schedule.dt, schedule.n_store)
+        a, b = a * r_o, b * r_m
+    sq = math.sqrt(2.0 * params.gamma_ext)
+    uo_grid, trap = tables.uo_grid.tolist(), tables.trap.tolist()
+    acc = trap[0] * uo_grid[0] * sq * a
+    for k in range(schedule.n_read):
+        a, b = _rk4_pair(a, b, params, schedule.dt, 0j, 0j, 0j)
+        acc = acc + trap[k + 1] * uo_grid[k + 1] * sq * a
+    return acc
 
 
 def protocol_channel(params: SystemParams,
@@ -433,9 +478,13 @@ def protocol_channel(params: SystemParams,
     the 2x2 RK4 step matrix of (alpha, beta) carries the output projection
     of the read window back through the storage aggregate and the write
     window, and every kick contributes the squared beta weight it lands
-    on.  The RK4 discretisation enters exactly as in ``run_ensemble``.
+    on.  The RK4 discretisation enters exactly as in the stepped process.
+    Without bath noise and initial occupation noise_var is 0 at once.
     """
     gain = reference_gain(params, schedule)
+    nu_sq = 2.0 * params.gamma_m * params.n_th_mech * schedule.dt
+    if nu_sq == 0 and params.n_init_mech == 0:
+        return gain, 0.0
     spec = ModeFunctionSpec.for_params(params, schedule.t_store)
     tables = _make_tables(params, schedule, spec)
     proj = math.sqrt(2.0 * params.gamma_ext) * tables.trap * tables.uo_grid
@@ -457,7 +506,6 @@ def protocol_channel(params: SystemParams,
     for _ in range(schedule.n_write):
         kicks += abs(lam[1]) ** 2
         lam = step_t @ lam
-    nu_sq = 2.0 * params.gamma_m * params.n_th_mech * schedule.dt
     return gain, float(nu_sq * kicks + params.n_init_mech * abs(lam[1]) ** 2)
 
 
@@ -467,19 +515,8 @@ def write_gain(params: SystemParams, schedule: ProtocolSchedule) -> complex:
     Single-pass counterpart of reference_gain: only the write window is
     integrated, so the modulus measures the in-coupling efficiency alone.
     """
-    quiet = SystemParams(gamma_o=params.gamma_o, gamma_ext=params.gamma_ext,
-                         gamma_int=params.gamma_int, gamma_m=params.gamma_m,
-                         g_eff=params.g_eff, n_th_mech=0.0, n_init_mech=0.0)
-    spec = ModeFunctionSpec.for_params(quiet, schedule.t_store)
-    tables = _make_tables(quiet, schedule, spec)
-    one = np.ones(1, dtype=np.complex128)
-    zeros = np.zeros(1, dtype=np.complex128)
-    stream = block_stream(0, 0)  # never consumed: noiseless
-    _, _, b, _, _, _ = _coupled_span(zeros.copy(), zeros.copy(), zeros.copy(),
-                                     zeros.copy(), quiet, schedule.dt,
-                                     schedule.n_write, tables.d_grid, tables.d_mid,
-                                     one, one, 0.0, stream)
-    return complex(b[0])
+    spec = ModeFunctionSpec.for_params(params, schedule.t_store)
+    return _write_pass(params, schedule, _make_tables(params, schedule, spec))[1]
 
 
 def apply_phase_correction(results: EnsembleResult, gain: complex) -> EnsembleResult:

@@ -15,6 +15,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -22,10 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from . import oracle
-from .engine import (EnsembleResult, apply_phase_correction, reference_gain,
-                     run_ensemble, write_gain)
-from .model import (CatParams, GridField, ProtocolSchedule, SystemParams,
-                    derive_rates, parse_storage_time)
+from .engine import (ENGINE_VERSION, EnsembleResult, apply_phase_correction,
+                     protocol_channel, reference_gain, run_ensemble)
+from .model import (CatParams, GridAxis, GridField, ProtocolSchedule,
+                    SystemParams, derive_rates, parse_storage_time)
 from .modes import default_write_duration, transfer_amplitude
 from .sampling import SamplerConfig, sample_cat
 from . import signatures as sig
@@ -44,6 +45,7 @@ __all__ = [
     "run_sweep",
     "oracle_query",
     "oracle_negativity",
+    "protocol_negativity",
 ]
 
 # Reference device: 17.5 Hz mechanical linewidth against a 170 kHz cavity.
@@ -52,6 +54,9 @@ DEFAULT_SEED = 846290731
 
 KNOWN_SIGNATURES = ("p_distribution", "wigner", "negativity", "density", "p_variance")
 SWEEP_FIELDS = ("t_store", "alpha0", "n_bar", "gamma_int")
+# Beyond this the cat overlap exp(-2 alpha0^2) underflows to zero and the
+# off-diagonal branch weights are lost (see sampling.branch_weights).
+ALPHA0_MAX = 19.3
 
 
 class ConfigError(ValueError):
@@ -109,6 +114,7 @@ class ExperimentConfig:
         self.system_params()
         self.cat_params()
         self.schedule()
+        _check_alpha0(self.alpha0)
         for name in self.signatures:
             if name not in KNOWN_SIGNATURES:
                 raise ConfigError(f"unknown signature {name!r}")
@@ -119,10 +125,19 @@ class ExperimentConfig:
                 raise ConfigError(f"cannot sweep over {axis_field!r}")
             if len(values) == 0:
                 raise ConfigError(f"sweep axis {axis_field!r} has no values")
+            if axis_field == "alpha0":
+                for value in values:
+                    _check_alpha0(value)
         if self.n_samples < 1:
             raise ConfigError("n_samples must be positive")
         if self.workers < 1:
             raise ConfigError("workers must be positive")
+
+
+def _check_alpha0(alpha0: float) -> None:
+    if abs(alpha0) > ALPHA0_MAX:
+        raise ConfigError(f"|alpha0| = {abs(alpha0):g} exceeds {ALPHA0_MAX}, where "
+                          "the cat overlap exp(-2 alpha0^2) underflows")
 
 
 def _preset_table1() -> ExperimentConfig:
@@ -298,12 +313,14 @@ def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
 def config_fingerprint(config: ExperimentConfig) -> str:
     """Digest of everything that determines the output numbers.
 
-    The worker count and output directory are excluded on purpose: results
-    are worker-count independent by construction.
+    The engine version is part of it, so results of an engine that draws
+    different numbers are never reused.  The worker count and output
+    directory are excluded on purpose: they do not change the results.
     """
     payload = dataclasses.asdict(config)
     payload.pop("workers")
     payload.pop("out_dir")
+    payload["engine_version"] = ENGINE_VERSION
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -313,6 +330,18 @@ def oracle_negativity(alpha0: float, t_store: float, n_bar: float, gamma_m: floa
     """Negativity of the ideal decohered cat evaluated on the same grid."""
     ofield = oracle.evolved_wigner_field(grid.x, grid.y, t_store, alpha0, n_bar, gamma_m)
     return sig.wigner_negativity(ofield)
+
+
+def protocol_negativity(alpha0: float, params: SystemParams, schedule: ProtocolSchedule,
+                        grid: sig.WignerGrid) -> float:
+    """Negativity of the input cat sent through the protocol's exact Gaussian
+    channel (``engine.protocol_channel``), evaluated on the same grid."""
+    gain, noise_var = protocol_channel(params, schedule)
+    values = oracle.channel_wigner(grid.x[:, None] + 1j * grid.y[None, :], alpha0,
+                                   abs(gain), noise_var)
+    axes = (GridAxis(float(grid.x[0]), float(grid.x[-1]), grid.h, "re_alpha"),
+            GridAxis(float(grid.y[0]), float(grid.y[-1]), grid.h, "im_alpha"))
+    return sig.wigner_negativity(GridField(axes=axes, values=values))
 
 
 @dataclass
@@ -341,8 +370,7 @@ def _point_core(config: ExperimentConfig, want_fields: bool) -> PointResult:
     samples = sample_cat(SamplerConfig(cat=cat, n_samples=config.n_samples,
                                        master_seed=config.master_seed,
                                        stratified=config.stratified))
-    ens = run_ensemble(samples, params, schedule, config.master_seed,
-                       workers=config.workers)
+    ens = run_ensemble(samples, params, schedule, config.master_seed)
     gain = reference_gain(params, schedule)
     ens = apply_phase_correction(ens, gain)
 
@@ -389,6 +417,13 @@ def _point_core(config: ExperimentConfig, want_fields: bool) -> PointResult:
         if "negativity" in sigs and config.gamma_int == 0 and config.n_init == 0:
             scalars["negativity_oracle"] = oracle_negativity(
                 config.alpha0, schedule.t_store, config.n_bar, config.gamma_m, wgrid)
+        if "negativity" in sigs and scalars["noisy"]:
+            scalars["negativity_protocol"] = protocol_negativity(
+                config.alpha0, params, schedule, wgrid)
+            se = scalars.get("sampling_error", 0.0)
+            if se > 0:
+                scalars["z_protocol"] = (scalars["negativity"]
+                                         - scalars["negativity_protocol"]) / se
         if "wigner" in sigs and want_fields:
             fields["wigner"] = wfield
     if "density" in sigs:
@@ -412,9 +447,11 @@ def run_point(config: ExperimentConfig, want_fields: bool = True) -> PointResult
     The time-step component is a Richardson estimate from one rerun at
     2*dt: fourth-order global error means the doubled-step result is about
     sixteen times worse, so the difference over fifteen estimates the fine
-    -step error.  For noisy runs a fresh noise realisation enters the
-    difference, so the estimate carries a sampling floor; the components
-    are reported separately so this stays visible.
+    -step error.  Both runs draw the same noise (each trajectory's normal
+    pair depends only on the seed and its position), scaled by each run's
+    own channel variance, so the difference holds no sampling noise and
+    the estimate has no sampling floor.  The sampling and time-step
+    components are reported separately.
     """
     config.validate()
     point = _point_core(config, want_fields)
@@ -448,6 +485,24 @@ def _sha256_of(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write text to a temporary file in the same directory, then rename it
+    over path, so that an interrupted write never leaves a partial file."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    with tmp.open("w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
+def _read_checkpoint(path: Path) -> dict | None:
+    """A checkpoint row, or None when it is missing or unreadable."""
+    try:
+        row = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError):
+        return None
+    return row if isinstance(row, dict) else None
+
+
 def write_run_artifacts(config: ExperimentConfig, point: PointResult,
                         out_dir, wall_time_s: float) -> dict:
     """Write field CSV/JSON files plus the run manifest; returns the manifest."""
@@ -469,10 +524,10 @@ def write_run_artifacts(config: ExperimentConfig, point: PointResult,
         "config_sha256": fingerprint,
         "scalars": {k: _json_safe(v) for k, v in point.scalars.items()},
         "artifacts": artifacts,
+        "engine_version": ENGINE_VERSION,
         "wall_time_s": round(wall_time_s, 3),
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True),
-                                       encoding="utf-8")
+    _write_atomic(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True))
     return manifest
 
 
@@ -506,7 +561,8 @@ def sweep_points(config: ExperimentConfig) -> list[tuple[dict, ExperimentConfig]
     return points
 
 
-_SWEEP_SCALAR_COLUMNS = ("negativity", "negativity_oracle", "sampling_error",
+_SWEEP_SCALAR_COLUMNS = ("negativity", "negativity_oracle", "negativity_protocol",
+                         "z_protocol", "sampling_error",
                          "time_step_error", "error_quadrature_sum",
                          "p_variance_in", "p_variance_out", "mean_weight",
                          "reference_gain_abs", "wigner_norm")
@@ -516,7 +572,9 @@ def run_sweep(config: ExperimentConfig, out_dir, progress=None) -> list[dict]:
     """Run every sweep point, checkpointing each as it completes.
 
     A checkpoint is reused only when its configuration fingerprint matches,
-    so edits to the config invalidate stale points automatically.
+    so edits to the config (or a new engine version) invalidate stale points
+    automatically; an unreadable checkpoint is recomputed.  Checkpoints and
+    outputs are written atomically.
     """
     out = Path(out_dir)
     ckpt_dir = out / "checkpoints"
@@ -526,11 +584,9 @@ def run_sweep(config: ExperimentConfig, out_dir, progress=None) -> list[dict]:
     for index, (labels, sub) in enumerate(points):
         sub_fp = config_fingerprint(sub)
         ckpt = ckpt_dir / f"point_{index:04d}.json"
-        row = None
-        if ckpt.exists():
-            cached = json.loads(ckpt.read_text(encoding="utf-8"))
-            if cached.get("config_sha256") == sub_fp:
-                row = cached
+        row = _read_checkpoint(ckpt)
+        if row is not None and row.get("config_sha256") != sub_fp:
+            row = None
         if row is None:
             start = time.perf_counter()
             point = run_point(sub, want_fields=False)
@@ -541,7 +597,7 @@ def run_sweep(config: ExperimentConfig, out_dir, progress=None) -> list[dict]:
                 "config_sha256": sub_fp,
                 "wall_time_s": round(time.perf_counter() - start, 3),
             }
-            ckpt.write_text(json.dumps(row, sort_keys=True), encoding="utf-8")
+            _write_atomic(ckpt, json.dumps(row, sort_keys=True))
         if progress is not None:
             progress(f"point {index + 1}/{len(points)} "
                      + " ".join(f"{k}={v:g}" for k, v in row["labels"].items()))
@@ -550,16 +606,15 @@ def run_sweep(config: ExperimentConfig, out_dir, progress=None) -> list[dict]:
     axis_names = [axis_field for axis_field, _ in config.sweep]
     fingerprint = config_fingerprint(config)
     csv_path = out / "sweep.csv"
-    with csv_path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# manifest_sha256 = {fingerprint}\n")
-        header = axis_names + [c for c in _SWEEP_SCALAR_COLUMNS]
-        fh.write(",".join(header) + "\r\n")
-        for row in rows:
-            cells = [repr(float(row["labels"][a])) for a in axis_names]
-            for col in _SWEEP_SCALAR_COLUMNS:
-                value = row["scalars"].get(col, "")
-                cells.append(repr(float(value)) if value != "" else "")
-            fh.write(",".join(cells) + "\r\n")
+    lines = [f"# manifest_sha256 = {fingerprint}\n",
+             ",".join(axis_names + list(_SWEEP_SCALAR_COLUMNS)) + "\r\n"]
+    for row in rows:
+        cells = [repr(float(row["labels"][a])) for a in axis_names]
+        for col in _SWEEP_SCALAR_COLUMNS:
+            value = row["scalars"].get(col, "")
+            cells.append(repr(float(value)) if value != "" else "")
+        lines.append(",".join(cells) + "\r\n")
+    _write_atomic(csv_path, "".join(lines))
 
     manifest = {
         "config": {k: _json_safe(v) for k, v in dataclasses.asdict(config).items()},
@@ -567,9 +622,9 @@ def run_sweep(config: ExperimentConfig, out_dir, progress=None) -> list[dict]:
         "axes": {axis_field: list(values) for axis_field, values in config.sweep},
         "rows": rows,
         "artifacts": {"sweep": {"csv": csv_path.name, "sha256": _sha256_of(csv_path)}},
+        "engine_version": ENGINE_VERSION,
     }
-    (out / "sweep_manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
+    _write_atomic(out / "sweep_manifest.json", json.dumps(manifest, indent=2, sort_keys=True))
     return rows
 
 

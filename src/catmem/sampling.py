@@ -27,8 +27,8 @@ __all__ = [
     "RNG_BLOCK_SIZE",
 ]
 
-# trajectories per counter-based RNG stream; fixed so that results do not
-# depend on how work is split across workers
+# trajectories per counter-based RNG stream; fixed so that a trajectory's
+# draws depend only on the seed and its index
 RNG_BLOCK_SIZE = 4096
 
 

@@ -1,15 +1,18 @@
 """Configuration parsing, presets, and the command-line interface."""
 
+import dataclasses
 import hashlib
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
 from catmem.acceptance import run_criteria
 from catmem.cli import main
 from catmem.experiments import (ConfigError, ExperimentConfig, PRESETS,
-                                config_fingerprint, parse_config_text, preset)
+                                config_fingerprint, load_config,
+                                parse_config_text, preset, run_sweep)
 
 TINY_RUN = """\
 # small smoke configuration
@@ -75,6 +78,16 @@ def test_fingerprint_ignores_execution_knobs():
         ExperimentConfig(workers=7, out_dir="elsewhere"))
     assert config_fingerprint(base) != config_fingerprint(
         ExperimentConfig(alpha0=2.5))
+
+
+def test_alpha0_beyond_overlap_underflow_rejected():
+    # exp(-2 alpha0^2) underflows to zero just above alpha0 = 19.3
+    ExperimentConfig(alpha0=19.3).validate()
+    for alpha0 in (19.4, -19.4):
+        with pytest.raises(ConfigError, match="underflows"):
+            ExperimentConfig(alpha0=alpha0).validate()
+    with pytest.raises(ConfigError, match="underflows"):
+        parse_config_text("sweep.alpha0 = 2, 19.4\n")
 
 
 def test_presets_resolve_and_validate():
@@ -216,3 +229,38 @@ def test_sweep_checkpoints_resume(tmp_path, capsys):
     assert os.stat(ckpts[0]).st_mtime_ns != stamps[0]
     assert json.loads(ckpts[0].read_text())["config_sha256"] != "0" * 64
     assert csv_path.read_bytes() == first_bytes
+
+
+def _stepped_engine_fingerprint(config):
+    # config_fingerprint as it was before the engine version joined it
+    payload = dataclasses.asdict(config)
+    payload.pop("workers")
+    payload.pop("out_dir")
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("damage", ["old_engine", "truncated"])
+def test_sweep_recomputes_bad_checkpoint(tmp_path, damage):
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text(TINY_SWEEP)
+    config = load_config(cfg_path)
+    out = tmp_path / "sweep_out"
+    first = run_sweep(config, out)
+    ckpt = out / "checkpoints" / "point_0000.json"
+    text = ckpt.read_text()
+    if damage == "old_engine":
+        # a finished point of the stepped engine, whose numbers differ
+        old = json.loads(text)
+        old["config_sha256"] = _stepped_engine_fingerprint(replace(config, sweep=(),
+                                                                   alpha0=1.0))
+        old["scalars"]["p_variance_out"] = -1.0
+        ckpt.write_text(json.dumps(old))
+    else:
+        # an interrupted write: a resume used to raise JSONDecodeError here
+        ckpt.write_text(text[:len(text) // 2])
+    rows = run_sweep(config, out)
+    assert rows[0]["scalars"] == first[0]["scalars"]
+    assert json.loads(ckpt.read_text()) == first[0] | {"wall_time_s": rows[0]["wall_time_s"]}
+    assert sorted(p.name for p in (out / "checkpoints").iterdir()) == [
+        "point_0000.json", "point_0001.json"]

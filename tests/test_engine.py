@@ -1,4 +1,9 @@
-"""Protocol integrator: stepper accuracy, noise statistics, reproducibility."""
+"""Protocol integrator: stepper accuracy, noise statistics, reproducibility.
+
+The private block integrator (``engine._run_block``) steps every trajectory
+and is the reference that the channel-sampled ``run_ensemble`` and the
+scalar ``reference_gain`` are checked against.
+"""
 
 import cmath
 import math
@@ -16,7 +21,7 @@ from catmem.model import (CatParams, PhaseSpaceState, ProtocolSchedule,
                           SystemParams, WeightedSample)
 from catmem.modes import (ModeFunctionSpec, default_write_duration,
                           transfer_amplitude)
-from catmem.sampling import SamplerConfig, block_stream, sample_cat
+from catmem.sampling import RNG_BLOCK_SIZE, SamplerConfig, block_stream, sample_cat
 
 GM = 17.5 / 170e3
 
@@ -35,6 +40,30 @@ def schedule_for(params, t_store, dt=0.1):
 def cat_samples(alpha0, n, seed=0):
     return sample_cat(SamplerConfig(cat=CatParams.make(alpha0), n_samples=n,
                                     master_seed=seed))
+
+
+def stepped_ensemble(samples, p, sched, master_seed):
+    # the reference: every trajectory stepped through the write and read
+    # windows, in RNG_BLOCK_SIZE blocks with one stream per block
+    a_in = np.array([s.alpha_in for s in samples], dtype=np.complex128)
+    a_in_p = np.array([s.alpha_in_plus for s in samples], dtype=np.complex128)
+    tables = engine._make_tables(p, sched, ModeFunctionSpec.for_params(p, sched.t_store))
+    out = np.empty_like(a_in)
+    out_p = np.empty_like(a_in)
+    for block, lo in enumerate(range(0, len(samples), RNG_BLOCK_SIZE)):
+        sl = slice(lo, lo + RNG_BLOCK_SIZE)
+        out[sl], out_p[sl] = engine._run_block(a_in[sl], a_in_p[sl], p, sched, tables,
+                                               block_stream(master_seed, block))
+    return engine.EnsembleResult(alpha_out=out, alpha_out_plus=out_p,
+                                 weight=np.array([s.weight for s in samples]),
+                                 branch=np.array([s.branch for s in samples]))
+
+
+def stepped_gain(p, sched):
+    quiet = default_params(gamma_m=p.gamma_m, g_eff=p.g_eff, gamma_int=p.gamma_int)
+    return complex(stepped_ensemble(
+        [WeightedSample(alpha_in=1.0, alpha_in_plus=1.0, weight=1.0, branch="++")],
+        quiet, sched, master_seed=0).alpha_out[0])
 
 
 def test_coupling_window():
@@ -168,16 +197,6 @@ def test_free_storage_thermal_variance():
     assert np.array_equal(bp, np.conj(b))
 
 
-def test_worker_count_invariance():
-    p = default_params(n_th_mech=2.0)
-    sched = schedule_for(p, 10.0)
-    samples = cat_samples(2.0, 8192)
-    one = run_ensemble(samples, p, sched, master_seed=5, workers=1)
-    three = run_ensemble(samples, p, sched, master_seed=5, workers=3)
-    assert np.array_equal(one.alpha_out, three.alpha_out)
-    assert np.array_equal(one.alpha_out_plus, three.alpha_out_plus)
-
-
 def test_seed_determinism_and_sensitivity():
     p = default_params(n_th_mech=2.0)
     sched = schedule_for(p, 10.0)
@@ -203,12 +222,12 @@ def test_protocol_adds_expected_thermal_occupation():
                                   abs=0.01)
 
 
-def assert_channel_residual(p, sched, n=16384, seed=11):
-    # stepped ensemble against the channel: alpha_out - G alpha_in is circular
+def assert_channel_residual(p, sched, run=stepped_ensemble, n=16384, seed=11):
+    # an ensemble against the channel: alpha_out - G alpha_in is circular
     # Gaussian noise with variance noise_var, each moment within 4 se
     gain, noise_var = protocol_channel(p, sched)
     samples = cat_samples(2.0, n)
-    res = run_ensemble(samples, p, sched, master_seed=seed)
+    res = run(samples, p, sched, seed)
     r = res.alpha_out - gain * np.array([s.alpha_in for s in samples])
     mean = np.mean(r)
     assert abs(mean) <= 4.0 * math.sqrt(np.mean(np.abs(r - mean) ** 2) / n)
@@ -225,9 +244,15 @@ def test_protocol_channel_gain_is_reference_gain():
     assert protocol_channel(p, sched)[0] == reference_gain(p, sched)
 
 
-def test_protocol_channel_quiet_without_occupation():
+def test_protocol_channel_quiet_without_occupation(monkeypatch):
     p = default_params()
-    assert protocol_channel(p, schedule_for(p, 0.02 / GM))[1] == 0.0
+    sched = schedule_for(p, 0.02 / GM)
+    monkeypatch.setattr(engine, "block_stream", None)  # draws no random numbers
+    assert protocol_channel(p, sched)[1] == 0.0
+    samples = cat_samples(2.0, 8)
+    res = run_ensemble(samples, p, sched, master_seed=0)
+    gain = reference_gain(p, sched)
+    assert np.array_equal(res.alpha_out, gain * np.array([s.alpha_in for s in samples]))
 
 
 def test_protocol_channel_matches_stepped_ensemble():
@@ -235,6 +260,54 @@ def test_protocol_channel_matches_stepped_ensemble():
     p = default_params(n_th_mech=2.0)
     noise_var = assert_channel_residual(p, schedule_for(p, 0.02 / GM))
     assert noise_var == pytest.approx(0.079920, abs=1e-6)
+
+
+def test_run_ensemble_samples_the_channel():
+    # the fig10 point again, now sampled from the channel itself
+    p = default_params(n_th_mech=2.0)
+    sched = schedule_for(p, 0.02 / GM)
+    assert_channel_residual(p, sched, run=run_ensemble)
+    samples = cat_samples(2.0, 64)
+    res = run_ensemble(samples, p, sched, master_seed=3)
+    gain = reference_gain(p, sched)
+    a_in = np.array([s.alpha_in for s in samples])
+    r = res.alpha_out - gain * a_in
+    r_plus = res.alpha_out_plus - gain.conjugate() * np.array([s.alpha_in_plus
+                                                                for s in samples])
+    # the plus column carries the conjugate noise: exactly on the diagonal
+    # branches; on the off-diagonal ones G a_in enters with the opposite sign,
+    # so the two sums round differently, by at most one ulp of alpha_out
+    diag = res.branch == np.array([b[0] + b[0] for b in res.branch])
+    assert np.array_equal(r_plus[diag], np.conj(r[diag]))
+    ulp = np.spacing(np.abs(gain * a_in) + np.abs(r))
+    assert np.all(np.abs(r_plus - np.conj(r)) <= 2.0 * ulp)
+
+
+def test_reference_gain_is_stepped_gain():
+    # the scalar pass against a one-trajectory stepped block, at the fig10
+    # point and at criterion 7's oscillatory parameters
+    p = default_params(n_th_mech=2.0)
+    cases = [(p, schedule_for(p, 0.02 / GM))]
+    cases += [(default_params(), ProtocolSchedule.make(20.0, 0.8, dt))
+              for dt in (0.2, 0.1, 0.05)]
+    for params, sched in cases:
+        gain = reference_gain(params, sched)
+        assert gain == pytest.approx(stepped_gain(params, sched), rel=1e-12, abs=0.0)
+
+
+def test_time_steps_share_the_noise_draw():
+    # the dt and 2 dt runs of one seed scale the same normal pairs
+    p = default_params(n_th_mech=2.0)
+    samples = cat_samples(2.0, 2 * RNG_BLOCK_SIZE + 8)
+    a_in = np.array([s.alpha_in for s in samples])
+    etas = []
+    for dt in (0.1, 0.2):
+        sched = schedule_for(p, 10.0, dt=dt)
+        gain, noise_var = protocol_channel(p, sched)
+        res = run_ensemble(samples, p, sched, master_seed=4)
+        etas.append((res.alpha_out - gain * a_in) / math.sqrt(noise_var))
+    assert np.allclose(etas[0], etas[1], rtol=0.0, atol=1e-12)
+    assert np.std(etas[0]) == pytest.approx(1.0, abs=0.05)
 
 
 def test_protocol_channel_includes_thermal_start():
