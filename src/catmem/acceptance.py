@@ -3,8 +3,9 @@
 Each criterion is a function returning a CheckResult with pass/fail, the
 measured numbers and the pinned tolerances, so the validate subcommand and
 the test suite share one implementation.  Criteria are independent and may
-be run individually; the thermal consistency check is deliberately slow
-(1.5 minutes of Wigner sums over 200k- and 800k-trajectory ensembles).
+be run individually; the thermal consistency check is the slow one (about
+45 s of Wigner sums and jackknives over 200k- and 800k-trajectory
+ensembles on two cores).
 """
 
 from __future__ import annotations
@@ -118,14 +119,14 @@ def _corrected_ensemble(config: ExperimentConfig):
     return samples, apply_phase_correction(ens, reference_gain(params, schedule))
 
 
-def _check_table_reproduction(workers: int) -> tuple[bool, list, dict]:
+def _check_table_reproduction() -> tuple[bool, list, dict]:
     lines: list = []
     measured: dict = {"input": [], "readout": []}
     passed = True
     start = time.perf_counter()
     base = ExperimentConfig(t_store=(0.5 * math.log(2.0)) / DEFAULT_GAMMA_M,
                             signatures=("p_variance",), n_samples=4,
-                            time_step_check=False, workers=workers)
+                            time_step_check=False)
     for alpha0, v_in, v_out in zip(TABLE_ALPHAS, TABLE_INPUT_VARIANCE,
                                    TABLE_READOUT_VARIANCE):
         point = run_point(replace(base, alpha0=alpha0), want_fields=False)
@@ -146,7 +147,7 @@ def _check_table_reproduction(workers: int) -> tuple[bool, list, dict]:
     return passed, lines, measured
 
 
-def _check_death_bounds(workers: int) -> tuple[bool, list, dict]:
+def _check_death_bounds() -> tuple[bool, list, dict]:
     lines: list = []
     passed = True
     t0 = oracle_query("t_positive", {"n_bar": 0.0, "gamma": 1.0})["t_positive"]
@@ -158,12 +159,12 @@ def _check_death_bounds(workers: int) -> tuple[bool, list, dict]:
     return passed, lines, {"t_zero": t0, "t_two": t2}
 
 
-def _check_oracle_agreement(workers: int) -> tuple[bool, list, dict]:
+def _check_oracle_agreement() -> tuple[bool, list, dict]:
     lines: list = []
     measured: dict = {"points": []}
     passed = True
     base = ExperimentConfig(signatures=("negativity",), n_samples=4,
-                            time_step_check=False, workers=workers)
+                            time_step_check=False)
     for alpha0 in AGREEMENT_ALPHAS:
         for t_rel in AGREEMENT_TIMES:
             cfg = replace(base, alpha0=alpha0, t_store=t_rel / DEFAULT_GAMMA_M)
@@ -186,11 +187,11 @@ def _check_oracle_agreement(workers: int) -> tuple[bool, list, dict]:
     return passed, lines, measured
 
 
-def _check_fringe_death(workers: int) -> tuple[bool, list, dict]:
+def _check_fringe_death() -> tuple[bool, list, dict]:
     lines: list = []
     passed = True
     base = ExperimentConfig(alpha0=FRINGE_ALPHA, signatures=("p_distribution",),
-                            n_samples=4, time_step_check=False, workers=workers)
+                            n_samples=4, time_step_check=False)
     vis = {}
     for t_rel in (0.02, DEATH_TIME_ZERO):
         point = run_point(replace(base, t_store=t_rel / DEFAULT_GAMMA_M))
@@ -214,7 +215,7 @@ def _check_fringe_death(workers: int) -> tuple[bool, list, dict]:
                            "storage_only_coherence": storage_only}
 
 
-def _check_transfer(workers: int) -> tuple[bool, list, dict]:
+def _check_transfer() -> tuple[bool, list, dict]:
     lines: list = []
     passed = True
     params = SystemParams.make(0.95, 0.05, gamma_m=DEFAULT_GAMMA_M, g_eff=0.6)
@@ -231,13 +232,13 @@ def _check_transfer(workers: int) -> tuple[bool, list, dict]:
     return passed, lines, {"single": single, "full": full}
 
 
-def _check_thermal_consistency(workers: int) -> tuple[bool, list, dict]:
+def _check_thermal_consistency() -> tuple[bool, list, dict]:
     lines: list = []
     measured: dict = {"points": []}
     passed = True
     base = ExperimentConfig(alpha0=2.0, n_bar=2.0, n_samples=THERMAL_SAMPLES,
                             jackknife_blocks=1000, signatures=("negativity",),
-                            time_step_check=False, workers=workers)
+                            time_step_check=False)
     se_at_ratio_time = None
     ratio_time = THERMAL_TIMES[1]
     for t_rel in THERMAL_TIMES:
@@ -272,7 +273,7 @@ def _check_thermal_consistency(workers: int) -> tuple[bool, list, dict]:
     return passed, lines, measured
 
 
-def _check_mode_functions(workers: int) -> tuple[bool, list, dict]:
+def _check_mode_functions() -> tuple[bool, list, dict]:
     lines: list = []
     measured: dict = {}
     passed = True
@@ -311,12 +312,12 @@ def _check_mode_functions(workers: int) -> tuple[bool, list, dict]:
     return passed, lines, measured
 
 
-def _check_density_persistence(workers: int) -> tuple[bool, list, dict]:
+def _check_density_persistence() -> tuple[bool, list, dict]:
     lines: list = []
     passed = True
     cfg = ExperimentConfig(alpha0=5.0, t_store=DEATH_TIME_ZERO / DEFAULT_GAMMA_M,
                            signatures=("density",), n_samples=4,
-                           time_step_check=False, workers=workers)
+                           time_step_check=False)
     point = run_point(cfg)
     fld = point.fields["density"]
     a = fld.axes[0].points()
@@ -366,13 +367,13 @@ def _check_density_persistence(workers: int) -> tuple[bool, list, dict]:
                            "full_log_ratio": full_ratio}
 
 
-def _check_estimator_sanity(workers: int) -> tuple[bool, list, dict]:
+def _check_estimator_sanity() -> tuple[bool, list, dict]:
     lines: list = []
     measured: dict = {}
     passed = True
 
     cfg = ExperimentConfig(alpha0=2.0, t_store=0.02 / DEFAULT_GAMMA_M,
-                           signatures=(), n_samples=4, workers=workers)
+                           signatures=(), n_samples=4)
     samples, ens = _corrected_ensemble(cfg)
 
     wgrid = sig.default_wigner_grid(cfg.alpha0)
@@ -426,12 +427,9 @@ def _check_estimator_sanity(workers: int) -> tuple[bool, list, dict]:
 
     first = artifact_hashes(repro_cfg)
     second = artifact_hashes(repro_cfg)
-    threaded = artifact_hashes(replace(repro_cfg, workers=3))
     reseeded = artifact_hashes(replace(repro_cfg, master_seed=repro_cfg.master_seed + 1))
     passed &= _record(lines, first == second,
                       "identical config and seed give byte-identical artifacts")
-    passed &= _record(lines, first == threaded,
-                      "worker count does not change the artifacts")
     passed &= _record(lines, first["negativity"] != reseeded["negativity"],
                       "changing the seed changes the thermal result")
     return passed, lines, measured
@@ -450,7 +448,7 @@ CRITERIA = (
 )
 
 
-def run_criteria(numbers=None, workers: int = 1, progress=None) -> list[CheckResult]:
+def run_criteria(numbers=None, progress=None) -> list[CheckResult]:
     """Run the selected (default: all) criteria and collect the results."""
     wanted = set(numbers) if numbers is not None else {n for n, _, _ in CRITERIA}
     results = []
@@ -458,7 +456,7 @@ def run_criteria(numbers=None, workers: int = 1, progress=None) -> list[CheckRes
         if number not in wanted:
             continue
         start = time.perf_counter()
-        passed, lines, measured = func(workers)
+        passed, lines, measured = func()
         # clauses compare numpy scalars; validate.json needs a plain bool
         result = CheckResult(number=number, name=name, passed=bool(passed),
                              runtime_s=time.perf_counter() - start,

@@ -23,8 +23,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="named parameter set to start from")
     parser.add_argument("--seed", type=int, metavar="U64",
                         help="master RNG seed (overrides config)")
-    parser.add_argument("--workers", type=int, metavar="N",
-                        help="accepted for compatibility; has no effect")
     parser.add_argument("--out", metavar="DIR",
                         help="artifact output directory")
     parser.add_argument("--dry-run", action="store_true",
@@ -40,8 +38,6 @@ def _resolve(args) -> ExperimentConfig:
         if not 0 <= args.seed < 2 ** 64:
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
         overrides["master_seed"] = args.seed
-    if args.workers is not None:
-        overrides["workers"] = args.workers
     if args.out is not None:
         overrides["out_dir"] = args.out
     config = replace(base, **overrides) if overrides else base
@@ -136,14 +132,13 @@ def _cmd_validate(args) -> int:
         for number, name, _ in CRITERIA:
             print(f"  {number}. {name}")
         return 0
-    workers = args.workers if args.workers else 1
 
     def progress(result):
         print(result.summary())
         for line in result.lines:
             print("    " + line)
 
-    results = run_criteria(workers=workers, progress=progress)
+    results = run_criteria(progress=progress)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -180,7 +175,6 @@ def main(argv=None) -> int:
     p_oracle.set_defaults(func=_cmd_oracle)
 
     p_val = sub.add_parser("validate", help="run the acceptance criteria")
-    p_val.add_argument("--workers", type=int, metavar="N")
     p_val.add_argument("--out", metavar="DIR", help="also write validate.json")
     p_val.add_argument("--dry-run", action="store_true",
                        help="list the criteria without running them")

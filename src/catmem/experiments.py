@@ -54,9 +54,12 @@ DEFAULT_SEED = 846290731
 
 KNOWN_SIGNATURES = ("p_distribution", "wigner", "negativity", "density", "p_variance")
 SWEEP_FIELDS = ("t_store", "alpha0", "n_bar", "gamma_int")
-# Beyond this the cat overlap exp(-2 alpha0^2) underflows to zero and the
-# off-diagonal branch weights are lost (see sampling.branch_weights).
-ALPHA0_MAX = 19.3
+# The largest one-decimal alpha0 whose cat overlap exp(-2 alpha0^2) is a
+# normal double.  Beyond it the overlap and the off-diagonal branch weight
+# are subnormal, losing digits, and then zero (see sampling.branch_weights),
+# while the kernels' exp(2 |G alpha0|^2) factors head for overflow: at 19.3
+# the Wigner estimate and the oracle return NaN.
+ALPHA0_MAX = 18.8
 
 
 class ConfigError(ValueError):
@@ -85,7 +88,6 @@ class ExperimentConfig:
     n_samples: int = 4
     stratified: bool = True
     master_seed: int = DEFAULT_SEED
-    workers: int = 1
     signatures: tuple = ("p_distribution", "wigner", "negativity", "p_variance")
     quad_theta: float = math.pi / 2.0
     quad_step: float = 0.01
@@ -130,14 +132,12 @@ class ExperimentConfig:
                     _check_alpha0(value)
         if self.n_samples < 1:
             raise ConfigError("n_samples must be positive")
-        if self.workers < 1:
-            raise ConfigError("workers must be positive")
 
 
 def _check_alpha0(alpha0: float) -> None:
     if abs(alpha0) > ALPHA0_MAX:
-        raise ConfigError(f"|alpha0| = {abs(alpha0):g} exceeds {ALPHA0_MAX}, where "
-                          "the cat overlap exp(-2 alpha0^2) underflows")
+        raise ConfigError(f"|alpha0| = {abs(alpha0):g} exceeds {ALPHA0_MAX}, beyond "
+                          "which the cat overlap exp(-2 alpha0^2) underflows")
 
 
 def _preset_table1() -> ExperimentConfig:
@@ -207,7 +207,7 @@ def preset(name: str) -> ExperimentConfig:
 _FLOAT_FIELDS = ("gamma_ext", "gamma_int", "gamma_m", "g_eff", "n_bar", "n_init",
                  "alpha0", "dt", "quad_theta", "quad_step", "wigner_h",
                  "wigner_pad", "density_step")
-_INT_FIELDS = ("n_samples", "master_seed", "workers", "jackknife_blocks")
+_INT_FIELDS = ("n_samples", "master_seed", "jackknife_blocks")
 _BOOL_FIELDS = ("stratified", "time_step_check")
 
 
@@ -314,11 +314,10 @@ def config_fingerprint(config: ExperimentConfig) -> str:
     """Digest of everything that determines the output numbers.
 
     The engine version is part of it, so results of an engine that draws
-    different numbers are never reused.  The worker count and output
-    directory are excluded on purpose: they do not change the results.
+    different numbers are never reused.  The output directory is excluded
+    on purpose: it does not change the results.
     """
     payload = dataclasses.asdict(config)
-    payload.pop("workers")
     payload.pop("out_dir")
     payload["engine_version"] = ENGINE_VERSION
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -414,16 +413,6 @@ def _point_core(config: ExperimentConfig, want_fields: bool) -> PointResult:
                     scalars["sampling_error"] = 0.0
         scalars["wigner_norm"] = wfield.meta["norm"]
         scalars["wigner_max_imag_residual"] = wfield.meta["max_imag_residual"]
-        if "negativity" in sigs and config.gamma_int == 0 and config.n_init == 0:
-            scalars["negativity_oracle"] = oracle_negativity(
-                config.alpha0, schedule.t_store, config.n_bar, config.gamma_m, wgrid)
-        if "negativity" in sigs and scalars["noisy"]:
-            scalars["negativity_protocol"] = protocol_negativity(
-                config.alpha0, params, schedule, wgrid)
-            se = scalars.get("sampling_error", 0.0)
-            if se > 0:
-                scalars["z_protocol"] = (scalars["negativity"]
-                                         - scalars["negativity_protocol"]) / se
         if "wigner" in sigs and want_fields:
             fields["wigner"] = wfield
     if "density" in sigs:
@@ -441,6 +430,24 @@ def _point_core(config: ExperimentConfig, want_fields: bool) -> PointResult:
     return PointResult(scalars=scalars, fields=fields)
 
 
+def _add_references(config: ExperimentConfig, scalars: dict) -> None:
+    """Closed-form negativities on the run's Wigner grid, with the z-score
+    against the protocol reference."""
+    params = config.system_params()
+    schedule = config.schedule()
+    wgrid = sig.default_wigner_grid(config.alpha0, config.wigner_h, config.wigner_pad)
+    if config.gamma_int == 0 and config.n_init == 0:
+        scalars["negativity_oracle"] = oracle_negativity(
+            config.alpha0, schedule.t_store, config.n_bar, config.gamma_m, wgrid)
+    if scalars["noisy"]:
+        scalars["negativity_protocol"] = protocol_negativity(
+            config.alpha0, params, schedule, wgrid)
+        se = scalars.get("sampling_error", 0.0)
+        if se > 0:
+            scalars["z_protocol"] = (scalars["negativity"]
+                                     - scalars["negativity_protocol"]) / se
+
+
 def run_point(config: ExperimentConfig, want_fields: bool = True) -> PointResult:
     """Run one point, optionally with a doubled-step rerun for the error bar.
 
@@ -451,10 +458,13 @@ def run_point(config: ExperimentConfig, want_fields: bool = True) -> PointResult
     pair depends only on the seed and its position), scaled by each run's
     own channel variance, so the difference holds no sampling noise and
     the estimate has no sampling floor.  The sampling and time-step
-    components are reported separately.
+    components are reported separately.  The closed-form references are
+    computed for the fine run only; the rerun contributes its negativity.
     """
     config.validate()
     point = _point_core(config, want_fields)
+    if "negativity" in config.signatures:
+        _add_references(config, point.scalars)
     if config.time_step_check and "negativity" in config.signatures:
         coarse_cfg = replace(config, dt=2.0 * config.dt, time_step_check=False,
                              signatures=("negativity",), sweep=(),

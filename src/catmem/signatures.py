@@ -2,11 +2,16 @@
 
 Every estimator is a weighted mean of an analytically continued coherent
 -state kernel over the doubled phase-space output amplitudes.  The kernels
-are evaluated by completing the square, which keeps the exponents bounded
-where the raw factors would overflow and makes each kernel separable in the
-grid coordinates; the ensemble sums then reduce to chunked matrix products.
-Imaginary parts cancel over symmetric branches and are reported as
-residual diagnostics rather than silently dropped.
+are evaluated by completing the square, which makes each kernel separable
+in the grid coordinates; the ensemble sums then reduce to chunked matrix
+products.  The Wigner kernel is evaluated in real arithmetic: per sample a
+real Gaussian factor per axis times a phase, so samples whose means are
+real (the diagonal branches) enter one real product only.  The
+delete-block jackknife forms the kernel sums of many blocks in one batched
+product.  Imaginary parts cancel over symmetric branches and are reported
+as residual diagnostics rather than silently dropped.  The factors stay
+finite for |alpha0| up to ``experiments.ALPHA0_MAX``, where the cat
+overlap is still a normal double.
 """
 
 from __future__ import annotations
@@ -40,6 +45,11 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _CHUNK = 16384  # samples per evaluation chunk, keeps temporaries cache-sized
+# Wigner kernel tables: samples per chunk are sized so that one factor
+# table holds about _TABLE_CELLS values (2 MB), and a batch of jackknife
+# block sums about _FIELD_CELLS grid cells
+_TABLE_CELLS = 1 << 18
+_FIELD_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -157,23 +167,96 @@ def p_distribution(results, grid: QuadratureGrid) -> GridField:
                            "max_imag_residual": float(np.max(np.abs(np.imag(total))))})
 
 
-def _wigner_sum(u, v, w, xs, ys, sample_range=None) -> np.ndarray:
-    """Unnormalised complex kernel sum over (part of) the ensemble.
+def _kernel_tables(u, v, w, xs, ys):
+    """Real factor tables of the Wigner kernel, one row per sample.
 
-    The Gaussian kernel factorises into complete squares along Re alpha and
-    Im alpha, so the sum over samples is a matrix product of the two
-    factor tables.
+    With mu_x = (u + v)/2 = c + i d and mu_y = i (v - u)/2 = a + i b, a
+    sample's kernel is fx(x) fy(y) with
+    fx = w exp(-2 (x - c)^2 + 2 d^2) e^{4 i d (x - c)} and
+    fy = exp(-2 (y - a)^2 + 2 b^2) e^{4 i b (y - a)}.
+    Returns (cx, cy, phased, sx, sy): the real parts cx, cy on every row;
+    the indices `phased` of the rows where d or b is nonzero; and the
+    imaginary parts sx, sy on those rows only, sx being None when every d
+    is zero.  Summed over samples, the real part of the kernel is
+    cx^T cy - sx^T sy and the imaginary part sx^T cy[phased] + cx[phased]^T sy.
     """
-    lo_all, hi_all = (0, u.size) if sample_range is None else sample_range
     mu_x = 0.5 * (u + v)
     mu_y = 0.5j * (v - u)
-    total = np.zeros((xs.size, ys.size), dtype=np.complex128)
-    for lo in range(lo_all, hi_all, _CHUNK):
-        sl = slice(lo, min(lo + _CHUNK, hi_all))
-        fx = np.exp(-2.0 * (xs[None, :] - mu_x[sl, None]) ** 2) * w[sl, None]
-        fy = np.exp(-2.0 * (ys[None, :] - mu_y[sl, None]) ** 2)
-        total += fx.T @ fy
-    return total
+    dev_x, cx = _gaussian_table(mu_x, xs)
+    cx *= w[:, None]
+    dev_y, cy = _gaussian_table(mu_y, ys)
+    d, b = mu_x.imag, mu_y.imag
+    phased = np.flatnonzero((d != 0.0) | (b != 0.0))
+    sx = None
+    if np.any(d[phased]):
+        sx = _rotate(cx, phased, 4.0 * d[phased, None] * dev_x[phased])
+    sy = _rotate(cy, phased, 4.0 * b[phased, None] * dev_y[phased])
+    return cx, cy, phased, sx, sy
+
+
+def _table_rows(xs, ys) -> int:
+    return max(1, _TABLE_CELLS // max(xs.size, ys.size))
+
+
+def _gaussian_table(mu: np.ndarray, axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(axis - Re mu, |exp(-2 (axis - mu)^2)|) with one row per sample."""
+    dev = axis[None, :] - mu.real[:, None]
+    mag = dev * dev
+    mag -= (mu.imag * mu.imag)[:, None]
+    mag *= -2.0
+    np.exp(mag, out=mag)
+    return dev, mag
+
+
+def _rotate(table: np.ndarray, rows: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """Multiply table[rows] by e^{i phase}: the cosine part in place, the sine
+    part returned.
+
+    Both come from t = tan(phase/2) as cos = (1 - t^2)/(1 + t^2) and
+    sin = 2t/(1 + t^2), within an ulp of np.cos and np.sin; one np.tan
+    costs a fraction of those two calls.
+    """
+    t = np.tan(0.5 * phase)
+    t_sq = t * t
+    scale = table[rows] / (1.0 + t_sq)
+    table[rows] = scale * (1.0 - t_sq)
+    scale *= 2.0 * t
+    return scale
+
+
+def _wigner_sum(u, v, w, xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalised kernel sum over the ensemble: (real part, imaginary part).
+
+    The Gaussian kernel factorises into complete squares along Re alpha and
+    Im alpha, so the sum over samples is a few real matrix products of the
+    factor tables; rows whose means are real (the diagonal branches) enter
+    only the one real product.
+    """
+    re = np.zeros((xs.size, ys.size))
+    im = np.zeros((xs.size, ys.size))
+    chunk = _table_rows(xs, ys)
+    for lo in range(0, u.size, chunk):
+        sl = slice(lo, lo + chunk)
+        cx, cy, phased, sx, sy = _kernel_tables(u[sl], v[sl], w[sl], xs, ys)
+        re += cx.T @ cy
+        if phased.size:
+            im += cx[phased].T @ sy
+        if sx is not None:
+            re -= sx.T @ sy
+            im += sx.T @ cy[phased]
+    return re, im
+
+
+def _wigner_field(re: np.ndarray, im: np.ndarray, count: int, grid: WignerGrid) -> GridField:
+    """Normalised Wigner field of a kernel sum over `count` samples."""
+    scale = 2.0 / (math.pi * count)
+    values = re * scale
+    axes = (GridAxis(float(grid.x[0]), float(grid.x[-1]), grid.h, "re_alpha"),
+            GridAxis(float(grid.y[0]), float(grid.y[-1]), grid.h, "im_alpha"))
+    return GridField(axes=axes, values=values,
+                     meta={"kind": "wigner", "h": grid.h,
+                           "norm": float(np.trapezoid(np.trapezoid(values, dx=grid.h), dx=grid.h)),
+                           "max_imag_residual": float(np.max(np.abs(im))) * scale})
 
 
 def wigner_estimate(results, grid: WignerGrid) -> GridField:
@@ -181,14 +264,8 @@ def wigner_estimate(results, grid: WignerGrid) -> GridField:
     u, v, w = _columns(results)
     if u.size == 0:
         raise ValueError("empty ensemble")
-    total = _wigner_sum(u, v, w, grid.x, grid.y) * (2.0 / (math.pi * u.size))
-    values = np.real(total)
-    axes = (GridAxis(float(grid.x[0]), float(grid.x[-1]), grid.h, "re_alpha"),
-            GridAxis(float(grid.y[0]), float(grid.y[-1]), grid.h, "im_alpha"))
-    return GridField(axes=axes, values=values,
-                     meta={"kind": "wigner", "h": grid.h,
-                           "norm": float(np.trapezoid(np.trapezoid(values, dx=grid.h), dx=grid.h)),
-                           "max_imag_residual": float(np.max(np.abs(np.imag(total))))})
+    re, im = _wigner_sum(u, v, w, grid.x, grid.y)
+    return _wigner_field(re, im, u.size, grid)
 
 
 def wigner_negativity(field: GridField) -> float:
@@ -201,33 +278,71 @@ def wigner_negativity(field: GridField) -> float:
     return float(np.trapezoid(np.trapezoid(neg, dx=h2), dx=h1))
 
 
-def _balanced_blocks(n: int, branch: np.ndarray, n_blocks: int) -> list[np.ndarray]:
-    """Index blocks with equal counts per branch when the layout allows it.
+def _trapezoid_weights(size: int, step: float) -> np.ndarray:
+    weights = np.full(size, step)
+    weights[[0, -1]] = 0.5 * step
+    return weights
+
+
+def _jackknife_blocks(n: int, branch: np.ndarray, n_blocks: int) -> tuple[np.ndarray, np.ndarray]:
+    """Delete-block index matrix, one row per block, and the block sizes.
 
     Stratified ensembles come branch-major (four equal contiguous runs); a
     block then takes matching sub-slices of each run so that deleting it
     keeps the mean weight at one.  Other layouts fall back to contiguous
-    blocks.
+    blocks whose sizes differ by at most one; the shorter rows are padded
+    with the index n, which the caller maps to a zero-weight sample.
     """
     quarter = n // 4
     branch_major = (n % 4 == 0 and quarter > 0
-                    and all(len(set(branch[q * quarter:(q + 1) * quarter])) == 1
-                            for q in range(4)))
+                    and all(np.all(branch[q * quarter:(q + 1) * quarter]
+                                   == branch[q * quarter]) for q in range(4)))
     if branch_major and quarter % n_blocks == 0:
         per = quarter // n_blocks
-        return [np.concatenate([np.arange(q * quarter + j * per, q * quarter + (j + 1) * per)
-                                for q in range(4)])
-                for j in range(n_blocks)]
+        rows = (quarter * np.arange(4)[None, :, None]
+                + per * np.arange(n_blocks)[:, None, None]
+                + np.arange(per)[None, None, :]).reshape(n_blocks, 4 * per)
+        return rows, np.full(n_blocks, 4 * per)
     edges = np.linspace(0, n, n_blocks + 1, dtype=int)
-    return [np.arange(edges[j], edges[j + 1]) for j in range(n_blocks)]
+    sizes = np.diff(edges)
+    rows = edges[:-1, None] + np.arange(sizes.max())[None, :]
+    rows[rows >= edges[1:, None]] = n
+    return rows, sizes
+
+
+def _block_sums(u, v, w, xs, ys, rows: np.ndarray) -> np.ndarray:
+    """Real kernel sums of a batch of blocks, shape (blocks, x, y).
+
+    rows is the (blocks, size) index matrix; one batched matrix product
+    over the blocks replaces a kernel sum per block.
+    """
+    n_b, size = rows.shape
+    flat = rows.ravel()
+    cx, cy, phased, sx, sy = _kernel_tables(u[flat], v[flat], w[flat], xs, ys)
+    sums = np.matmul(cx.reshape(n_b, size, -1).transpose(0, 2, 1),
+                     cy.reshape(n_b, size, -1))
+    if sx is not None:
+        # each block's imaginary rows in order, padded with zero rows to the
+        # largest count in the batch
+        block = phased // size
+        counts = np.bincount(block, minlength=n_b)
+        slot = np.arange(phased.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        sx_b = np.zeros((n_b, counts.max(), xs.size))
+        sy_b = np.zeros((n_b, counts.max(), ys.size))
+        sx_b[block, slot] = sx
+        sy_b[block, slot] = sy
+        sums -= np.matmul(sx_b.transpose(0, 2, 1), sy_b)
+    return sums
 
 
 def negativity_with_error(results, grid: WignerGrid, n_blocks: int = 100) -> dict:
     """Negativity plus delete-block jackknife standard error.
 
     Two passes over the ensemble: the first accumulates the full kernel
-    sum, the second re-evaluates each block's contribution and forms the
-    leave-one-block-out negativities.
+    sum, the second the real kernel sums of every block, in batches of
+    blocks by one batched matrix product each.  A leave-one-block-out
+    negativity is then the trapezoid-weighted sum of max(block - full, 0),
+    scaled to the remaining sample count.
     """
     u, v, w = _columns(results)
     n = u.size
@@ -236,31 +351,31 @@ def negativity_with_error(results, grid: WignerGrid, n_blocks: int = 100) -> dic
     branch = results.branch if isinstance(results, EnsembleResult) else \
         np.array([r.branch for r in results])
     n_blocks = min(n_blocks, n)
-    blocks = _balanced_blocks(n, branch, n_blocks)
+    if n_blocks < 2:
+        raise ValueError("the jackknife needs at least two blocks")
+    rows, sizes = _jackknife_blocks(n, branch, n_blocks)
 
-    total = _wigner_sum(u, v, w, grid.x, grid.y)
-    axes = (GridAxis(float(grid.x[0]), float(grid.x[-1]), grid.h, "re_alpha"),
-            GridAxis(float(grid.y[0]), float(grid.y[-1]), grid.h, "im_alpha"))
-
-    def neg_of(raw: np.ndarray, count: int) -> float:
-        values = np.real(raw) * (2.0 / (math.pi * count))
-        return wigner_negativity(GridField(axes=axes, values=values))
-
-    values = np.real(total) * (2.0 / (math.pi * n))
-    residual = float(np.max(np.abs(np.imag(total)))) * 2.0 / (math.pi * n)
-    field = GridField(axes=axes, values=values,
-                      meta={"kind": "wigner", "h": grid.h,
-                            "norm": float(np.trapezoid(np.trapezoid(values, dx=grid.h), dx=grid.h)),
-                            "max_imag_residual": residual})
+    re, im = _wigner_sum(u, v, w, grid.x, grid.y)
+    field = _wigner_field(re, im, n, grid)
     delta = wigner_negativity(field)
-    loo = np.empty(len(blocks))
-    for j, idx in enumerate(blocks):
-        part = _wigner_sum(u[idx], v[idx], w[idx], grid.x, grid.y)
-        loo[j] = neg_of(total - part, n - idx.size)
-    j_count = len(blocks)
-    se = math.sqrt((j_count - 1) / j_count * float(np.sum((loo - np.mean(loo)) ** 2)))
-    return {"negativity": delta, "jackknife_se": se, "n_blocks": j_count,
-            "field": field, "max_imag_residual": residual}
+
+    # index n is the zero-weight padding sample of short blocks
+    u_pad, v_pad = np.append(u, 0.0), np.append(v, 0.0)
+    w_pad = np.append(w, 0.0)
+    weights = np.outer(_trapezoid_weights(grid.x.size, grid.h),
+                       _trapezoid_weights(grid.y.size, grid.h)).ravel()
+    batch = max(1, min(_FIELD_CELLS // re.size,
+                       _table_rows(grid.x, grid.y) // rows.shape[1]))
+    loo = np.empty(n_blocks)
+    for lo in range(0, n_blocks, batch):
+        sums = _block_sums(u_pad, v_pad, w_pad, grid.x, grid.y, rows[lo:lo + batch])
+        sums -= re
+        np.maximum(sums, 0.0, out=sums)
+        loo[lo:lo + batch] = sums.reshape(sums.shape[0], -1) @ weights
+    loo *= 2.0 / (math.pi * (n - sizes))
+    se = math.sqrt((n_blocks - 1) / n_blocks * float(np.sum((loo - np.mean(loo)) ** 2)))
+    return {"negativity": delta, "jackknife_se": se, "n_blocks": n_blocks,
+            "field": field, "max_imag_residual": field.meta["max_imag_residual"]}
 
 
 def reconstruct_density(results, a_grid: np.ndarray, b_grid: np.ndarray) -> GridField:

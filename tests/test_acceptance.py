@@ -14,7 +14,7 @@ from catmem.acceptance import CRITERIA, run_criteria
 
 @pytest.fixture(scope="module")
 def results():
-    out = run_criteria(workers=1)
+    out = run_criteria()
     return {r.number: r for r in out}
 
 

@@ -8,11 +8,13 @@ from dataclasses import replace
 
 import pytest
 
-from catmem.acceptance import run_criteria
+from catmem.acceptance import WIGNER_NORM_TOL, run_criteria
 from catmem.cli import main
-from catmem.experiments import (ConfigError, ExperimentConfig, PRESETS,
-                                config_fingerprint, load_config,
-                                parse_config_text, preset, run_sweep)
+from catmem.experiments import (ALPHA0_MAX, ConfigError, ExperimentConfig,
+                                PRESETS, config_fingerprint, load_config,
+                                parse_config_text, preset,
+                                protocol_negativity, run_point, run_sweep)
+from catmem.signatures import default_wigner_grid
 
 TINY_RUN = """\
 # small smoke configuration
@@ -75,19 +77,31 @@ def test_parse_sweep_axes():
 def test_fingerprint_ignores_execution_knobs():
     base = ExperimentConfig()
     assert config_fingerprint(base) == config_fingerprint(
-        ExperimentConfig(workers=7, out_dir="elsewhere"))
+        ExperimentConfig(out_dir="elsewhere"))
     assert config_fingerprint(base) != config_fingerprint(
         ExperimentConfig(alpha0=2.5))
 
 
 def test_alpha0_beyond_overlap_underflow_rejected():
-    # exp(-2 alpha0^2) underflows to zero just above alpha0 = 19.3
-    ExperimentConfig(alpha0=19.3).validate()
-    for alpha0 in (19.4, -19.4):
+    # exp(-2 alpha0^2) is a normal double up to alpha0 = 18.8, subnormal above
+    ExperimentConfig(alpha0=18.8).validate()
+    for alpha0 in (18.9, -18.9):
         with pytest.raises(ConfigError, match="underflows"):
             ExperimentConfig(alpha0=alpha0).validate()
     with pytest.raises(ConfigError, match="underflows"):
-        parse_config_text("sweep.alpha0 = 2, 19.4\n")
+        parse_config_text("sweep.alpha0 = 2, 18.9\n")
+
+
+def test_run_point_at_alpha0_bound_matches_protocol_reference():
+    # beyond the bound the kernel and oracle exponentials overflow against an
+    # underflowed weight, and the Wigner scalars turn NaN
+    cfg = ExperimentConfig(alpha0=ALPHA0_MAX, signatures=("negativity",))
+    scalars = run_point(cfg, want_fields=False).scalars
+    assert abs(scalars["wigner_norm"] - 1.0) <= WIGNER_NORM_TOL
+    reference = protocol_negativity(ALPHA0_MAX, cfg.system_params(), cfg.schedule(),
+                                    default_wigner_grid(ALPHA0_MAX))
+    assert reference > 0.0
+    assert scalars["negativity"] == pytest.approx(reference, rel=1e-10, abs=0.0)
 
 
 def test_presets_resolve_and_validate():
@@ -234,7 +248,6 @@ def test_sweep_checkpoints_resume(tmp_path, capsys):
 def _stepped_engine_fingerprint(config):
     # config_fingerprint as it was before the engine version joined it
     payload = dataclasses.asdict(config)
-    payload.pop("workers")
     payload.pop("out_dir")
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()

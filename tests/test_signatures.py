@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catmem.engine import EnsembleResult
-from catmem.model import CatParams, GridAxis
+from catmem.model import CatParams, GridAxis, GridField
 from catmem.oracle import (cat_variance, evolved_wigner_field, ideal_P_p,
                            ideal_P_x)
 from catmem.sampling import SamplerConfig, sample_cat
@@ -226,3 +228,109 @@ def test_field_norm_and_validation():
         p_distribution([], grid)
     with pytest.raises(ValueError):
         wigner_negativity(field)
+    with pytest.raises(ValueError):
+        negativity_with_error(input_ensemble(2.0), default_wigner_grid(2.0), n_blocks=1)
+
+
+def complex_wigner_sum(u, v, w, xs, ys):
+    """Reference: the kernel sum in complex arithmetic, one table per factor."""
+    mu_x = 0.5 * (u + v)
+    mu_y = 0.5j * (v - u)
+    fx = np.exp(-2.0 * (xs[None, :] - mu_x[:, None]) ** 2) * w[:, None]
+    fy = np.exp(-2.0 * (ys[None, :] - mu_y[:, None]) ** 2)
+    return fx.T @ fy
+
+
+def _column(n, elements):
+    return st.lists(elements, min_size=n, max_size=n).map(np.array)
+
+
+@st.composite
+def kernel_ensembles(draw):
+    """Samples with complex means mu_x = c + i d and mu_y = a + i b; some rows
+    real, so that real and phased rows share a chunk."""
+    n = draw(st.integers(1, 24))
+    centre = st.floats(-3.0, 3.0)
+    c, a = draw(_column(n, centre)), draw(_column(n, centre))
+    d = draw(_column(n, st.floats(-1.0, 1.0).filter(lambda x: x != 0.0)))
+    b = draw(_column(n, st.floats(-2.5, 2.5).filter(lambda x: x != 0.0)))
+    real_x = draw(_column(n, st.booleans()))
+    real_y = draw(_column(n, st.booleans()))
+    d[real_x] = 0.0
+    b[real_y] = 0.0
+    w = draw(_column(n, st.floats(0.01, 2.0)))
+    mu_x, mu_y = c + 1j * d, a + 1j * b
+    return mu_x + 1j * mu_y, mu_x - 1j * mu_y, w
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_ensembles())
+def test_real_kernel_matches_complex_sum(ensemble):
+    u, v, w = ensemble
+    axis = 0.05 * np.arange(-60, 61)
+    grid = WignerGrid(x=axis, y=axis, h=0.05)
+    field = wigner_estimate(EnsembleResult(u, v, w, np.array(["+-"] * u.size)), grid)
+    ref = complex_wigner_sum(u, v, w, axis, axis) * (2.0 / (math.pi * u.size))
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(field.values - ref.real)) <= 1e-12 * scale
+    assert field.meta["max_imag_residual"] == pytest.approx(
+        np.max(np.abs(ref.imag)), rel=1e-12, abs=1e-12 * scale)
+
+
+def _reference_blocks(n, branch, n_blocks):
+    """Delete-block layout: matching sub-slices of four branch-major runs, or
+    contiguous blocks."""
+    quarter = n // 4
+    if (n % 4 == 0 and quarter % n_blocks == 0
+            and all(len(set(branch[q * quarter:(q + 1) * quarter])) == 1
+                    for q in range(4))):
+        per = quarter // n_blocks
+        return [np.concatenate([np.arange(q * quarter + j * per, q * quarter + (j + 1) * per)
+                                for q in range(4)]) for j in range(n_blocks)]
+    edges = np.linspace(0, n, n_blocks + 1, dtype=int)
+    return [np.arange(edges[j], edges[j + 1]) for j in range(n_blocks)]
+
+
+def loop_jackknife(ens, grid, n_blocks):
+    """Reference: one complex kernel sum and one negativity per deleted block."""
+    u, v, w = ens.alpha_out, ens.alpha_out_plus, ens.weight
+    n = u.size
+    total = complex_wigner_sum(u, v, w, grid.x, grid.y).real
+    axes = (GridAxis(float(grid.x[0]), float(grid.x[-1]), grid.h, "re_alpha"),
+            GridAxis(float(grid.y[0]), float(grid.y[-1]), grid.h, "im_alpha"))
+    loo = []
+    for idx in _reference_blocks(n, ens.branch, n_blocks):
+        part = complex_wigner_sum(u[idx], v[idx], w[idx], grid.x, grid.y).real
+        values = (total - part) * (2.0 / (math.pi * (n - idx.size)))
+        loo.append(wigner_negativity(GridField(axes=axes, values=values)))
+    loo = np.array(loo)
+    return math.sqrt((n_blocks - 1) / n_blocks * float(np.sum((loo - loo.mean()) ** 2)))
+
+
+def noisy_channel_ensemble(n, seed=7):
+    """Input cat through a complex gain and circular noise, like a thermal run
+    before its phase correction: the off-diagonal rows have complex mu_x and
+    mu_y."""
+    ens = input_ensemble(2.0, n=n)
+    rng = np.random.default_rng(seed)
+    noise = 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    gain = 0.9 * np.exp(0.3j)
+    return EnsembleResult(alpha_out=gain * ens.alpha_out + noise,
+                          alpha_out_plus=np.conj(gain) * ens.alpha_out_plus + np.conj(noise),
+                          weight=ens.weight, branch=ens.branch)
+
+
+@pytest.mark.parametrize("layout", ["branch_major", "permuted", "unequal_contiguous"])
+def test_jackknife_matches_block_loop(layout):
+    ens = noisy_channel_ensemble(192)
+    if layout == "permuted":
+        order = np.random.default_rng(3).permutation(192)
+    else:
+        order = np.arange(190 if layout == "unequal_contiguous" else 192)
+    ens = EnsembleResult(ens.alpha_out[order], ens.alpha_out_plus[order],
+                         ens.weight[order], ens.branch[order])
+    grid = default_wigner_grid(2.0)
+    out = negativity_with_error(ens, grid, n_blocks=12)
+    assert out["n_blocks"] == 12
+    assert out["jackknife_se"] > 0.0
+    assert out["jackknife_se"] == pytest.approx(loop_jackknife(ens, grid, 12), rel=1e-12)
