@@ -200,11 +200,6 @@ class EnsembleResult:
     def __len__(self) -> int:
         return self.alpha_out.size
 
-    def as_trajectories(self) -> list[TrajectoryResult]:
-        return [TrajectoryResult(complex(a), complex(ap), float(w), str(b))
-                for a, ap, w, b in zip(self.alpha_out, self.alpha_out_plus,
-                                       self.weight, self.branch)]
-
 
 def rk4_decay_factor(x: float) -> float:
     """Amplification factor of one RK4 step for y' = lambda y with x = lambda dt."""

@@ -25,8 +25,8 @@ import numpy as np
 from . import oracle
 from .engine import (ENGINE_VERSION, EnsembleResult, apply_phase_correction,
                      protocol_channel, reference_gain, run_ensemble)
-from .model import (CatParams, GridAxis, GridField, ProtocolSchedule,
-                    SystemParams, derive_rates, parse_storage_time)
+from .model import (CatParams, ProtocolSchedule, SystemParams,
+                    derive_rates, parse_storage_time)
 from .modes import default_write_duration, transfer_amplitude
 from .sampling import SamplerConfig, sample_cat
 from . import signatures as sig
@@ -336,11 +336,8 @@ def protocol_negativity(alpha0: float, params: SystemParams, schedule: ProtocolS
     """Negativity of the input cat sent through the protocol's exact Gaussian
     channel (``engine.protocol_channel``), evaluated on the same grid."""
     gain, noise_var = protocol_channel(params, schedule)
-    values = oracle.channel_wigner(grid.x[:, None] + 1j * grid.y[None, :], alpha0,
-                                   abs(gain), noise_var)
-    axes = (GridAxis(float(grid.x[0]), float(grid.x[-1]), grid.h, "re_alpha"),
-            GridAxis(float(grid.y[0]), float(grid.y[-1]), grid.h, "im_alpha"))
-    return sig.wigner_negativity(GridField(axes=axes, values=values))
+    return sig.wigner_negativity(
+        oracle.channel_wigner_field(grid.x, grid.y, alpha0, abs(gain), noise_var))
 
 
 @dataclass
@@ -359,19 +356,25 @@ def _as_input_ensemble(samples) -> EnsembleResult:
         branch=np.array([s.branch for s in samples]))
 
 
-def _point_core(config: ExperimentConfig, want_fields: bool) -> PointResult:
-    """One resolved run: sample, integrate, phase-correct, estimate."""
+def _corrected_ensemble(config: ExperimentConfig) -> tuple[list, EnsembleResult, complex]:
+    """Sample the input cat, send it through the protocol and phase-correct:
+    (input samples, output ensemble, reference gain)."""
     params = config.system_params()
-    cat = config.cat_params()
     schedule = config.schedule()
-    rates = derive_rates(params)
-
-    samples = sample_cat(SamplerConfig(cat=cat, n_samples=config.n_samples,
+    samples = sample_cat(SamplerConfig(cat=config.cat_params(), n_samples=config.n_samples,
                                        master_seed=config.master_seed,
                                        stratified=config.stratified))
     ens = run_ensemble(samples, params, schedule, config.master_seed)
     gain = reference_gain(params, schedule)
-    ens = apply_phase_correction(ens, gain)
+    return samples, apply_phase_correction(ens, gain), gain
+
+
+def _point_core(config: ExperimentConfig, want_fields: bool) -> PointResult:
+    """One resolved run: sample, integrate, phase-correct, estimate."""
+    params = config.system_params()
+    schedule = config.schedule()
+    rates = derive_rates(params)
+    samples, ens, gain = _corrected_ensemble(config)
 
     inputs = _as_input_ensemble(samples)
     in_moments = sig.quadrature_moments(inputs)
@@ -459,18 +462,18 @@ def run_point(config: ExperimentConfig, want_fields: bool = True) -> PointResult
     own channel variance, so the difference holds no sampling noise and
     the estimate has no sampling floor.  The sampling and time-step
     components are reported separately.  The closed-form references are
-    computed for the fine run only; the rerun contributes its negativity.
+    computed for the fine run only; the rerun contributes its negativity
+    alone (``signatures.negativity_estimate``, the real kernel sum).
     """
     config.validate()
     point = _point_core(config, want_fields)
     if "negativity" in config.signatures:
         _add_references(config, point.scalars)
     if config.time_step_check and "negativity" in config.signatures:
-        coarse_cfg = replace(config, dt=2.0 * config.dt, time_step_check=False,
-                             signatures=("negativity",), sweep=(),
-                             jackknife_blocks=0)
-        coarse = _point_core(coarse_cfg, want_fields=False)
-        ts_err = abs(point.scalars["negativity"] - coarse.scalars["negativity"]) / 15.0
+        _, coarse, _ = _corrected_ensemble(replace(config, dt=2.0 * config.dt))
+        wgrid = sig.default_wigner_grid(config.alpha0, config.wigner_h, config.wigner_pad)
+        ts_err = abs(point.scalars["negativity"]
+                     - sig.negativity_estimate(coarse, wgrid)) / 15.0
         point.scalars["time_step_error"] = ts_err
         samp = point.scalars.get("sampling_error", 0.0)
         point.scalars["error_quadrature_sum"] = math.hypot(samp, ts_err)

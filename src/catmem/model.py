@@ -258,6 +258,18 @@ class GridAxis:
         return round((self.stop - self.start) / self.step) + 1
 
 
+def _float_texts(values) -> list[str]:
+    """repr of every value as a float, in C order.
+
+    Fields are symmetric, so each distinct value is formatted once.  Values
+    are told apart by bit pattern: -0.0 equals 0.0 but has its own repr.
+    """
+    flat = np.asarray(values, dtype=float).ravel()
+    bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
+    texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    return texts[inverse].tolist()
+
+
 @dataclass
 class GridField:
     """Values sampled on a 1-D or 2-D uniform grid, with diagnostics in meta."""
@@ -272,32 +284,50 @@ class GridField:
             raise ValueError(f"values shape {self.values.shape} does not match axes {shape}")
 
     def to_csv(self, path) -> None:
-        """Write rows of axis coordinates plus value; '.' decimal, ',' separator."""
-        path = Path(path)
-        coords = [ax.points() for ax in self.axes]
-        with path.open("w", newline="", encoding="utf-8") as fh:
+        """Write rows of axis coordinates plus value; '.' decimal, ',' separator.
+
+        The bytes are fixed, because run manifests hash them:
+
+        - with ``manifest_sha256`` in meta, a first line
+          ``# manifest_sha256 = <hex>`` ending in LF;
+        - a header row of the axis tags and ``value``, as the csv module's
+          excel dialect writes it;
+        - one row per grid point in C order (the last axis varies fastest):
+          the coordinates, then the value, each the shortest repr of the
+          float that round-trips (``repr(float)``: ``0.1``, ``-0.0``,
+          ``5e-324``, ``nan``, ``inf``), separated by commas;
+        - every row, the header included, ends in CRLF.
+        """
+        if len(self.axes) not in (1, 2):
+            raise ValueError("only 1-D and 2-D fields are serialised")
+        coords = [_float_texts(ax.points()) for ax in self.axes]
+        values = _float_texts(self.values)
+        with Path(path).open("w", newline="", encoding="utf-8") as fh:
             if "manifest_sha256" in self.meta:
                 fh.write(f"# manifest_sha256 = {self.meta['manifest_sha256']}\n")
-            writer = csv.writer(fh)
-            writer.writerow([ax.tag for ax in self.axes] + ["value"])
-            if len(self.axes) == 1:
-                for x, v in zip(coords[0], self.values):
-                    writer.writerow([repr(float(x)), repr(float(v))])
-            elif len(self.axes) == 2:
-                for i, x in enumerate(coords[0]):
-                    for j, y in enumerate(coords[1]):
-                        writer.writerow([repr(float(x)), repr(float(y)),
-                                         repr(float(self.values[i, j]))])
+            # the header is the only row whose cells (the tags) may need quoting
+            csv.writer(fh).writerow([ax.tag for ax in self.axes] + ["value"])
+            if len(coords) == 1:
+                fh.write("".join([f"{x},{v}\r\n" for x, v in zip(coords[0], values)]))
             else:
-                raise ValueError("only 1-D and 2-D fields are serialised")
+                ys = coords[1]
+                for i, x in enumerate(coords[0]):
+                    row = values[i * len(ys):(i + 1) * len(ys)]
+                    fh.write("".join([f"{x},{y},{v}\r\n" for y, v in zip(ys, row)]))
 
     def to_json(self, path) -> None:
-        payload = {
-            "axes": [dataclasses.asdict(ax) for ax in self.axes],
-            "values": np.asarray(self.values, dtype=float).ravel().tolist(),
-            "meta": {k: v for k, v in self.meta.items()},
-        }
-        Path(path).write_text(json.dumps(payload), encoding="utf-8")
+        """Write ``{"axes": [...], "values": [...], "meta": {...}}`` byte for
+        byte as ``json.dumps`` writes it, values flattened in C order."""
+        flat = np.asarray(self.values, dtype=float).ravel()
+        if np.all(np.isfinite(flat)):
+            values = "[" + ", ".join(_float_texts(flat)) + "]"
+        else:
+            # JSON spells non-finite values NaN and Infinity, repr nan and inf
+            values = json.dumps(flat.tolist())
+        axes = json.dumps([dataclasses.asdict(ax) for ax in self.axes])
+        meta = json.dumps(dict(self.meta))
+        Path(path).write_text(f'{{"axes": {axes}, "values": {values}, "meta": {meta}}}',
+                              encoding="utf-8")
 
     @classmethod
     def from_json(cls, path) -> "GridField":

@@ -25,6 +25,7 @@ __all__ = [
     "ideal_wigner",
     "evolved_wigner",
     "channel_wigner",
+    "channel_wigner_field",
     "evolved_wigner_field",
     "cat_variance",
     "decohered_density",
@@ -87,6 +88,14 @@ def ideal_wigner(alpha, alpha0: float):
     return evolved_wigner(alpha, 0.0, alpha0, 0.0, 1.0)
 
 
+def _damping_channel(t: float, n_bar: float, gamma: float) -> tuple[float, float]:
+    """(gain, added noise) of damping at rate gamma into a bath of n_bar for t."""
+    if t < 0:
+        raise ValueError("t must be non-negative")
+    decay = math.exp(-gamma * t)
+    return decay, n_bar * (1.0 - decay * decay)
+
+
 def evolved_wigner(alpha, t: float, alpha0: float, n_bar: float, gamma: float):
     """Wigner function of the cat after damped, possibly thermal, evolution.
 
@@ -96,10 +105,7 @@ def evolved_wigner(alpha, t: float, alpha0: float, n_bar: float, gamma: float):
     t = 0.  This is ``channel_wigner`` with gain e^{-gamma t} and added
     noise n_bar (1 - e^{-2 gamma t}).
     """
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    decay = math.exp(-gamma * t)
-    return channel_wigner(alpha, alpha0, decay, n_bar * (1.0 - decay * decay))
+    return channel_wigner(alpha, alpha0, *_damping_channel(t, n_bar, gamma))
 
 
 def channel_wigner(alpha, alpha0: float, gain: float, noise_var: float):
@@ -112,23 +118,57 @@ def channel_wigner(alpha, alpha0: float, gain: float, noise_var: float):
     the input overlap e^{-2 alpha0^2}, so the coherence coefficient is
     exp(-2 alpha0^2 (1 - gain^2)).
     """
-    if noise_var < 0:
-        raise ValueError("noise_var must be non-negative")
     a_arr = np.asarray(alpha, dtype=complex)
-    a0 = float(alpha0)
-    broad = 1.0 + 2.0 * noise_var
-    ab = a0 * gain
-    overlap = math.exp(-2.0 * a0 * a0)  # <alpha0|-alpha0> for real alpha0
-    minus = a_arr - ab
-    plus = a_arr + ab
-    terms = (np.exp(-2.0 * np.conj(minus) * minus / broad)
-             + np.exp(-2.0 * np.conj(plus) * plus / broad)
-             + overlap * np.exp(-2.0 * np.conj(minus) * plus / broad)
-             + overlap * np.exp(-2.0 * np.conj(plus) * minus / broad))
-    vals = np.real(terms) * 2.0 / (math.pi * _cat_norm(a0) * broad)
+    vals = _channel_wigner_xy(a_arr.real, a_arr.imag, alpha0, gain, noise_var)
     if np.ndim(alpha) == 0:
         return float(vals)
     return vals
+
+
+def _channel_wigner_xy(x, y, alpha0: float, gain: float, noise_var: float):
+    """``channel_wigner`` at alpha = x + i y for real x and y that broadcast.
+
+    With b = gain * alpha0 and B = 1 + 2 noise_var the function separates:
+    the hills are (e^{-2(x-b)^2/B} + e^{-2(x+b)^2/B}) e^{-2y^2/B} and the
+    interference terms overlap * e^{-2(x^2+y^2-b^2)/B} 2cos(4by/B).  The
+    overlap e^{-2 alpha0^2} is folded into the x exponent, which stays
+    <= 0 for gain <= 1, so nothing overflows up to
+    ``experiments.ALPHA0_MAX``.  A column x and a row y give a grid as
+    outer products.
+    """
+    if noise_var < 0:
+        raise ValueError("noise_var must be non-negative")
+    a0 = float(alpha0)
+    broad = 1.0 + 2.0 * noise_var
+    ab = a0 * gain
+    hills_x = np.exp(-2.0 * (x - ab) ** 2 / broad) + np.exp(-2.0 * (x + ab) ** 2 / broad)
+    fringe_x = np.exp(-2.0 * (x * x - ab * ab) / broad - 2.0 * a0 * a0)
+    gauss_y = np.exp(-2.0 * y * y / broad)
+    fringe_y = 2.0 * gauss_y * np.cos(4.0 * ab * y / broad)
+    return (hills_x * gauss_y + fringe_x * fringe_y) * (2.0 / (math.pi * _cat_norm(a0) * broad))
+
+
+def _as_axis(grid, tag: str) -> GridAxis:
+    if isinstance(grid, GridAxis):
+        return grid
+    arr = np.asarray(grid, dtype=float)
+    return GridAxis(start=float(arr[0]), stop=float(arr[-1]),
+                    step=float(arr[1] - arr[0]), tag=tag)
+
+
+def channel_wigner_field(grid_x, grid_y, alpha0: float, gain: float,
+                         noise_var: float) -> GridField:
+    """Tabulate ``channel_wigner`` on a (Re alpha, Im alpha) grid.
+
+    Axes may be GridAxis objects or plain uniform coordinate arrays.
+    """
+    ax_x = _as_axis(grid_x, "re_alpha")
+    ax_y = _as_axis(grid_y, "im_alpha")
+    vals = _channel_wigner_xy(ax_x.points()[:, None], ax_y.points()[None, :],
+                              alpha0, gain, noise_var)
+    return GridField(axes=(ax_x, ax_y), values=vals,
+                     meta={"kind": "wigner_oracle", "alpha0": alpha0, "gain": gain,
+                           "noise_var": noise_var})
 
 
 def evolved_wigner_field(grid_x, grid_y, t: float,
@@ -137,22 +177,10 @@ def evolved_wigner_field(grid_x, grid_y, t: float,
 
     Axes may be GridAxis objects or plain uniform coordinate arrays.
     """
-    def as_axis(grid, tag):
-        if isinstance(grid, GridAxis):
-            return grid
-        arr = np.asarray(grid, dtype=float)
-        return GridAxis(start=float(arr[0]), stop=float(arr[-1]),
-                        step=float(arr[1] - arr[0]), tag=tag)
-
-    ax_x = as_axis(grid_x, "re_alpha")
-    ax_y = as_axis(grid_y, "im_alpha")
-    xs = ax_x.points()
-    ys = ax_y.points()
-    alpha = xs[:, None] + 1j * ys[None, :]
-    vals = evolved_wigner(alpha, t, alpha0, n_bar, gamma)
-    return GridField(axes=(ax_x, ax_y), values=vals,
-                     meta={"kind": "wigner_oracle", "t": t, "alpha0": alpha0,
-                           "n_bar": n_bar, "gamma": gamma})
+    field = channel_wigner_field(grid_x, grid_y, alpha0, *_damping_channel(t, n_bar, gamma))
+    field.meta = {"kind": "wigner_oracle", "t": t, "alpha0": alpha0,
+                  "n_bar": n_bar, "gamma": gamma}
+    return field
 
 
 def cat_variance(alpha0: float) -> float:

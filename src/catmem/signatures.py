@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import EnsembleResult
-from .model import GridAxis, GridField, TrajectoryResult
+from .model import GridAxis, GridField
 
 __all__ = [
     "QuadratureGrid",
@@ -34,6 +34,7 @@ __all__ = [
     "p_distribution",
     "wigner_estimate",
     "wigner_negativity",
+    "negativity_estimate",
     "negativity_with_error",
     "reconstruct_density",
     "quadrature_moments",
@@ -109,18 +110,11 @@ def default_density_axis(alpha0: float, step: float = 0.1) -> np.ndarray:
     return _symmetric_axis(abs(alpha0) + 2.0, step)
 
 
-def _columns(results) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Normalise list-of-trajectories or EnsembleResult to (u, v, w) arrays."""
-    if isinstance(results, EnsembleResult):
-        return results.alpha_out, results.alpha_out_plus, results.weight
-    if len(results) == 0:
-        raise ValueError("empty ensemble")
-    if isinstance(results[0], TrajectoryResult):
-        u = np.array([r.alpha_out for r in results], dtype=np.complex128)
-        v = np.array([r.alpha_out_plus for r in results], dtype=np.complex128)
-        w = np.array([r.weight for r in results])
-        return u, v, w
-    raise TypeError("results must be TrajectoryResult list or EnsembleResult")
+def _columns(results: EnsembleResult) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (u, v, w) = (alpha_out, alpha_out_plus, weight) columns."""
+    if not isinstance(results, EnsembleResult):
+        raise TypeError("results must be an EnsembleResult")
+    return results.alpha_out, results.alpha_out_plus, results.weight
 
 
 def quadrature_kernel(x, theta: float, alpha: complex, alpha_plus: complex):
@@ -224,26 +218,29 @@ def _rotate(table: np.ndarray, rows: np.ndarray, phase: np.ndarray) -> np.ndarra
     return scale
 
 
-def _wigner_sum(u, v, w, xs, ys) -> tuple[np.ndarray, np.ndarray]:
+def _wigner_sum(u, v, w, xs, ys, imaginary: bool = True):
     """Unnormalised kernel sum over the ensemble: (real part, imaginary part).
 
     The Gaussian kernel factorises into complete squares along Re alpha and
     Im alpha, so the sum over samples is a few real matrix products of the
     factor tables; rows whose means are real (the diagonal branches) enter
-    only the one real product.
+    only the one real product.  With imaginary=False the imaginary part is
+    not evaluated and returned as None; the real part is the same, bit for
+    bit.
     """
     re = np.zeros((xs.size, ys.size))
-    im = np.zeros((xs.size, ys.size))
+    im = np.zeros((xs.size, ys.size)) if imaginary else None
     chunk = _table_rows(xs, ys)
     for lo in range(0, u.size, chunk):
         sl = slice(lo, lo + chunk)
         cx, cy, phased, sx, sy = _kernel_tables(u[sl], v[sl], w[sl], xs, ys)
         re += cx.T @ cy
-        if phased.size:
+        if imaginary and phased.size:
             im += cx[phased].T @ sy
         if sx is not None:
             re -= sx.T @ sy
-            im += sx.T @ cy[phased]
+            if imaginary:
+                im += sx.T @ cy[phased]
     return re, im
 
 
@@ -272,10 +269,25 @@ def wigner_negativity(field: GridField) -> float:
     """Integrated negative volume: trapezoidal quadrature of max(-W, 0)."""
     if len(field.axes) != 2:
         raise ValueError("negativity needs a 2-D field")
-    neg = np.maximum(-field.values, 0.0)
-    h1 = field.axes[0].step
-    h2 = field.axes[1].step
+    return _negative_volume(field.values, field.axes[0].step, field.axes[1].step)
+
+
+def _negative_volume(values: np.ndarray, h1: float, h2: float) -> float:
+    neg = np.maximum(-values, 0.0)
     return float(np.trapezoid(np.trapezoid(neg, dx=h2), dx=h1))
+
+
+def negativity_estimate(results, grid: WignerGrid) -> float:
+    """Negativity of the Wigner estimate from the real kernel sum alone.
+
+    Equals ``wigner_negativity(wigner_estimate(results, grid))`` bit for bit,
+    without the imaginary sums and the field's diagnostics.
+    """
+    u, v, w = _columns(results)
+    if u.size == 0:
+        raise ValueError("empty ensemble")
+    re, _ = _wigner_sum(u, v, w, grid.x, grid.y, imaginary=False)
+    return _negative_volume(re * (2.0 / (math.pi * u.size)), grid.h, grid.h)
 
 
 def _trapezoid_weights(size: int, step: float) -> np.ndarray:
@@ -348,12 +360,10 @@ def negativity_with_error(results, grid: WignerGrid, n_blocks: int = 100) -> dic
     n = u.size
     if n == 0:
         raise ValueError("empty ensemble")
-    branch = results.branch if isinstance(results, EnsembleResult) else \
-        np.array([r.branch for r in results])
     n_blocks = min(n_blocks, n)
     if n_blocks < 2:
         raise ValueError("the jackknife needs at least two blocks")
-    rows, sizes = _jackknife_blocks(n, branch, n_blocks)
+    rows, sizes = _jackknife_blocks(n, results.branch, n_blocks)
 
     re, im = _wigner_sum(u, v, w, grid.x, grid.y)
     field = _wigner_field(re, im, n, grid)

@@ -104,6 +104,18 @@ def test_run_point_at_alpha0_bound_matches_protocol_reference():
     assert scalars["negativity"] == pytest.approx(reference, rel=1e-10, abs=0.0)
 
 
+def test_time_step_rerun_negativity_is_the_estimate_negativity():
+    # the 2*dt rerun evaluates only the real kernel sum; its negativity must
+    # equal that of a full Wigner estimate at 2*dt bit for bit
+    cfg = ExperimentConfig(alpha0=2.0, n_bar=2.0, n_samples=400, jackknife_blocks=10,
+                           signatures=("negativity",))
+    scalars = run_point(cfg, want_fields=False).scalars
+    coarse = replace(cfg, dt=2.0 * cfg.dt, jackknife_blocks=0, time_step_check=False)
+    coarse_negativity = run_point(coarse, want_fields=False).scalars["negativity"]
+    assert scalars["time_step_error"] > 0.0
+    assert scalars["time_step_error"] == abs(scalars["negativity"] - coarse_negativity) / 15.0
+
+
 def test_presets_resolve_and_validate():
     for name in PRESETS:
         cfg = preset(name)

@@ -1,10 +1,19 @@
 """Parameter containers, derived rates and grid plumbing."""
 
+import csv
+import dataclasses
+import json
 import math
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from catmem.experiments import preset, run_point
 from catmem.model import (CatParams, GridAxis, GridField, ProtocolSchedule,
                           SystemParams, WeightedSample, derive_rates,
                           mechanical_rate_from_hz, parse_storage_time)
@@ -128,6 +137,107 @@ def test_grid_field_csv_layout(tmp_path):
     assert lines[1] == "x,value"
     assert len(lines) == 5
     assert lines[2].split(",") == ["0.0", "1.0"]
+
+
+def reference_csv(fld, path):
+    """The CSV writer as first written: csv.writer, repr(float(.)) per cell."""
+    coords = [ax.points() for ax in fld.axes]
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        if "manifest_sha256" in fld.meta:
+            fh.write(f"# manifest_sha256 = {fld.meta['manifest_sha256']}\n")
+        writer = csv.writer(fh)
+        writer.writerow([ax.tag for ax in fld.axes] + ["value"])
+        if len(fld.axes) == 1:
+            for x, v in zip(coords[0], fld.values):
+                writer.writerow([repr(float(x)), repr(float(v))])
+        else:
+            for i, x in enumerate(coords[0]):
+                for j, y in enumerate(coords[1]):
+                    writer.writerow([repr(float(x)), repr(float(y)),
+                                     repr(float(fld.values[i, j]))])
+
+
+def reference_json(fld, path):
+    """The JSON writer as first written: one json.dumps of the payload."""
+    payload = {
+        "axes": [dataclasses.asdict(ax) for ax in fld.axes],
+        "values": np.asarray(fld.values, dtype=float).ravel().tolist(),
+        "meta": {k: v for k, v in fld.meta.items()},
+    }
+    Path(path).write_text(json.dumps(payload), encoding="utf-8")
+
+
+def assert_writers_match_reference(fld):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        fld.to_csv(out / "new.csv")
+        reference_csv(fld, out / "ref.csv")
+        assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
+        fld.to_json(out / "new.json")
+        reference_json(fld, out / "ref.json")
+        assert (out / "new.json").read_bytes() == (out / "ref.json").read_bytes()
+
+
+# values whose text is easy to get wrong: signed zeros (equal as floats,
+# different reprs), non-finite values (JSON spells them differently),
+# subnormals, and values that repeat within a field
+SPECIAL_VALUES = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                  2.2250738585072014e-308, 1.1125369292536007e-308, 0.1, 1e16, -2.5]
+
+
+@st.composite
+def grid_fields(draw):
+    def axis(tag):
+        n = draw(st.integers(1, 9))
+        start = draw(st.floats(-5.0, 5.0))
+        step = draw(st.sampled_from([0.05, 0.1, 0.25, 1.0]))
+        return GridAxis(start, start + step * (n - 1), step, tag)
+
+    tags = st.sampled_from(["x", "re_alpha", "a,b", 'q"t'])
+    axes = tuple(axis(draw(tags)) for _ in range(draw(st.integers(1, 2))))
+    size = math.prod(ax.size for ax in axes)
+    value = st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats())
+    values = np.array(draw(st.lists(value, min_size=size, max_size=size)), dtype=float)
+    meta = {"kind": "demo", "norm": draw(st.floats(allow_nan=False))}
+    if draw(st.booleans()):
+        meta["manifest_sha256"] = "ab" * 32
+    return GridField(axes=axes, values=values.reshape([ax.size for ax in axes]), meta=meta)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_fields())
+def test_writers_match_reference_bytes(fld):
+    assert_writers_match_reference(fld)
+
+
+def test_signed_zero_and_non_finite_text(tmp_path):
+    ax = GridAxis(0.0, 4.0, 1.0, "x")
+    fld = GridField(axes=(ax,), values=np.array([0.0, -0.0, math.nan, math.inf, 0.0]))
+    fld.to_csv(tmp_path / "f.csv")
+    fld.to_json(tmp_path / "f.json")
+    rows = tmp_path.joinpath("f.csv").read_bytes().split(b"\r\n")
+    assert [r.split(b",")[1] for r in rows[1:-1]] == [b"0.0", b"-0.0", b"nan", b"inf", b"0.0"]
+    assert '"values": [0.0, -0.0, NaN, Infinity, 0.0]' in tmp_path.joinpath("f.json").read_text()
+    assert_writers_match_reference(fld)
+
+
+def test_writers_match_reference_on_run_fields():
+    config = replace(preset("fig5"), signatures=("p_distribution", "wigner", "negativity",
+                                                  "density", "p_variance"))
+    fields = run_point(config).fields
+    assert set(fields) == {"p_distribution", "wigner", "density"}
+    for fld in fields.values():
+        fld.meta["manifest_sha256"] = "cd" * 32
+        assert_writers_match_reference(fld)
+
+
+def test_three_dimensional_csv_rejected_before_writing(tmp_path):
+    ax = GridAxis(0.0, 1.0, 1.0, "x")
+    fld = GridField(axes=(ax, ax, ax), values=np.zeros((2, 2, 2)))
+    path = tmp_path / "cube.csv"
+    with pytest.raises(ValueError):
+        fld.to_csv(path)
+    assert not path.exists()
 
 
 def test_mechanical_rate_from_hz():

@@ -7,7 +7,8 @@ import pytest
 from scipy.special import gammaln
 
 from catmem.oracle import (DecoherenceParams, cat_char_normal, cat_variance,
-                           channel_wigner, decohered_density,
+                           channel_wigner, channel_wigner_field,
+                           decohered_density,
                            evolve_characteristic, evolved_wigner,
                            evolved_wigner_field, ideal_P_p,
                            ideal_P_x, ideal_wigner, q_parameter, t_p_bound,
@@ -62,6 +63,41 @@ def test_channel_wigner_generalises_damping(t, n_bar):
                          n_bar * (1.0 - math.exp(-2.0 * gamma * t)))
     assert np.max(np.abs(got - evolved_wigner(alpha, t, 2.0, n_bar, gamma))) < 1e-12
     assert np.trapezoid(np.trapezoid(got, dx=0.05), dx=0.05) == pytest.approx(1.0, abs=1e-6)
+
+
+def complex_channel_wigner(alpha, alpha0, gain, noise_var):
+    """Reference: the four Gaussian terms of the channel cat in complex
+    arithmetic, with the overlap as a separate factor."""
+    broad = 1.0 + 2.0 * noise_var
+    ab = alpha0 * gain
+    overlap = math.exp(-2.0 * alpha0 * alpha0)
+    minus, plus = alpha - ab, alpha + ab
+    terms = (np.exp(-2.0 * np.conj(minus) * minus / broad)
+             + np.exp(-2.0 * np.conj(plus) * plus / broad)
+             + overlap * np.exp(-2.0 * np.conj(minus) * plus / broad)
+             + overlap * np.exp(-2.0 * np.conj(plus) * minus / broad))
+    norm = 2.0 * (1.0 + overlap)
+    return np.real(terms) * 2.0 / (math.pi * norm * broad)
+
+
+@pytest.mark.parametrize("alpha0,gain,noise_var", [
+    (2.0, 0.9, 0.3), (5.0, 0.7068, 0.0), (18.8, 1.0, 0.0), (18.8, 0.98, 0.08)])
+def test_channel_wigner_matches_complex_form(alpha0, gain, noise_var):
+    # exponents reach 2 alpha0^2 ~ 700 at the alpha0 bound, so both forms
+    # carry about 700 ulp of relative error there
+    x = 0.05 * np.arange(-math.ceil((alpha0 + 4.0) / 0.05), math.ceil((alpha0 + 4.0) / 0.05) + 1)
+    alpha = x[:, None] + 1j * x[None, :]
+    ref = complex_channel_wigner(alpha, alpha0, gain, noise_var)
+    peak = np.max(np.abs(ref))
+    assert np.all(np.isfinite(ref))
+    got = channel_wigner(alpha, alpha0, gain, noise_var)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * peak
+    field = channel_wigner_field(x, x, alpha0, gain, noise_var)
+    alpha = field.axes[0].points()[:, None] + 1j * field.axes[1].points()[None, :]
+    ref = complex_channel_wigner(alpha, alpha0, gain, noise_var)
+    assert np.max(np.abs(field.values - ref)) <= 1e-12 * peak
+    assert channel_wigner(0.3 - 0.2j, alpha0, gain, noise_var) == pytest.approx(
+        complex_channel_wigner(0.3 - 0.2j, alpha0, gain, noise_var), rel=1e-12)
 
 
 @pytest.mark.parametrize("t,n_bar", [(0.0, 0.0), (0.15, 0.0), (0.25, 1.5)])

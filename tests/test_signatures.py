@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catmem import signatures
 from catmem.engine import EnsembleResult
 from catmem.model import CatParams, GridAxis, GridField
 from catmem.oracle import (cat_variance, evolved_wigner_field, ideal_P_p,
@@ -16,7 +17,8 @@ from catmem.signatures import (QuadratureGrid, WignerGrid,
                                default_density_axis, default_quadrature_grid,
                                default_wigner_grid, field_norm,
                                fringe_visibility, is_mixture_falsified,
-                               negativity_with_error, p_distribution,
+                               negativity_estimate, negativity_with_error,
+                               p_distribution,
                                p_variance, quadrature_moments,
                                reconstruct_density, wigner_estimate,
                                wigner_negativity)
@@ -224,7 +226,11 @@ def test_field_norm_and_validation():
     grid = default_quadrature_grid(2.0, theta=math.pi / 2)
     field = p_distribution(input_ensemble(2.0), grid)
     assert field_norm(field) == pytest.approx(field.meta["norm"])
+    empty = EnsembleResult(np.zeros(0, complex), np.zeros(0, complex), np.zeros(0),
+                           np.zeros(0, dtype="<U2"))
     with pytest.raises(ValueError):
+        p_distribution(empty, grid)
+    with pytest.raises(TypeError):
         p_distribution([], grid)
     with pytest.raises(ValueError):
         wigner_negativity(field)
@@ -334,3 +340,15 @@ def test_jackknife_matches_block_loop(layout):
     assert out["n_blocks"] == 12
     assert out["jackknife_se"] > 0.0
     assert out["jackknife_se"] == pytest.approx(loop_jackknife(ens, grid, 12), rel=1e-12)
+
+
+@pytest.mark.parametrize("table_cells", [1 << 18, 4096])
+def test_negativity_estimate_is_field_negativity_bitwise(monkeypatch, table_cells):
+    # the real kernel sum alone, chunked as the full estimate chunks it (4096
+    # cells gives 16-row chunks), so the two negativities agree exactly
+    monkeypatch.setattr(signatures, "_TABLE_CELLS", table_cells)
+    ens = noisy_channel_ensemble(192)
+    grid = default_wigner_grid(2.0)
+    neg = negativity_estimate(ens, grid)
+    assert neg > 0.0
+    assert neg == wigner_negativity(wigner_estimate(ens, grid))
