@@ -9,8 +9,8 @@ from .modes import (ModeFunctionSpec, default_write_duration,
 from .sampling import (RNG_BLOCK_SIZE, SamplerConfig, block_stream,
                        branch_weights, sample_cat, sample_thermal,
                        verify_cat_moments)
-from .engine import (EnsembleResult, apply_phase_correction, reference_gain,
-                     run_ensemble, run_protocol, write_gain)
+from .engine import (EnsembleResult, reference_gain, run_ensemble,
+                     run_protocol, write_gain)
 from .signatures import (QuadratureGrid, WignerGrid, default_quadrature_grid,
                          default_wigner_grid, is_mixture_falsified,
                          negativity_with_error, p_distribution, p_variance,

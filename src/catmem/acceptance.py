@@ -4,7 +4,7 @@ Each criterion is a function returning a CheckResult with pass/fail, the
 measured numbers and the pinned tolerances, so the validate subcommand and
 the test suite share one implementation.  Criteria are independent and may
 be run individually; the thermal consistency check is the slow one (about
-45 s of Wigner sums and jackknives over 200k- and 800k-trajectory
+25 s of Wigner sums and jackknives over 200k- and 800k-trajectory
 ensembles on two cores).
 """
 
@@ -16,13 +16,11 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import signatures as sig
-from .engine import (EnsembleResult, apply_phase_correction, reference_gain,
-                     run_ensemble, write_gain)
-from .experiments import (DEFAULT_GAMMA_M, ExperimentConfig, oracle_query,
-                          run_point, write_run_artifacts)
+from .engine import EnsembleResult, reference_gain, write_gain
+from .experiments import (DEFAULT_GAMMA_M, ExperimentConfig, _corrected_ensemble,
+                          oracle_query, run_point, write_run_artifacts)
 from .model import ProtocolSchedule, SystemParams, derive_rates
 from .modes import (ModeFunctionSpec, coupler_ode_residual, kappa_source,
                     transfer_amplitude, u_exp_approx, u_in)
@@ -106,17 +104,6 @@ def _protocol_coherence(alpha0: float, params: SystemParams, t_store: float) -> 
     """
     eta = transfer_amplitude(params) ** 4 * math.exp(-2.0 * params.gamma_m * t_store)
     return math.exp(-2.0 * alpha0 * alpha0 * (1.0 - eta))
-
-
-def _corrected_ensemble(config: ExperimentConfig):
-    """Sampled inputs and the phase-corrected output ensemble of one run."""
-    params = config.system_params()
-    schedule = config.schedule()
-    samples = sample_cat(SamplerConfig(cat=config.cat_params(),
-                                       n_samples=config.n_samples,
-                                       master_seed=config.master_seed))
-    ens = run_ensemble(samples, params, schedule, config.master_seed)
-    return samples, apply_phase_correction(ens, reference_gain(params, schedule))
 
 
 def _check_table_reproduction() -> tuple[bool, list, dict]:
@@ -274,6 +261,10 @@ def _check_thermal_consistency() -> tuple[bool, list, dict]:
 
 
 def _check_mode_functions() -> tuple[bool, list, dict]:
+    # imported here, not at module level: scipy.integrate would be most of
+    # the import time of every `catmem` command
+    from scipy.integrate import quad
+
     lines: list = []
     measured: dict = {}
     passed = True

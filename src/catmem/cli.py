@@ -10,7 +10,6 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from .acceptance import CRITERIA, run_criteria
 from .experiments import (ConfigError, ExperimentConfig, PRESETS, load_config,
                           oracle_query, preset, run_point, run_sweep,
                           sweep_points, write_run_artifacts)
@@ -127,6 +126,9 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    # imported here so that `run` and `sweep` skip the acceptance module and scipy
+    from .acceptance import CRITERIA, run_criteria
+
     if args.dry_run:
         print("acceptance criteria:")
         for number, name, _ in CRITERIA:

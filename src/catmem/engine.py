@@ -9,11 +9,12 @@ amplitude of every trajectory is exactly alpha_out = G alpha_in + N with one
 circular Gaussian N.  ``protocol_channel`` computes the gain G and the
 variance E|N|^2 without sampling (the RK4 discretisation included), and
 ``run_ensemble`` samples the ensemble from that channel in O(n), one normal
-pair per trajectory.  ``reference_gain`` runs the deterministic recursion in
-scalar arithmetic.  ``run_protocol`` integrates a single trajectory step by
-step; the private block integrator (``_run_block``) steps whole trajectory
-blocks as numpy arrays and is kept as the reference the sampled ensemble is
-tested against.
+pair per trajectory, in the frame where the gain is real and positive.
+``reference_gain`` runs the deterministic recursion in scalar arithmetic.
+``run_protocol`` integrates a single trajectory step by step; the private
+block integrator (``_run_block``) steps whole trajectory blocks as numpy
+arrays and is kept as the reference the sampled ensemble is tested
+against.
 """
 
 from __future__ import annotations
@@ -44,14 +45,13 @@ __all__ = [
     "reference_gain",
     "protocol_channel",
     "write_gain",
-    "apply_phase_correction",
     "rk4_decay_factor",
 ]
 
 # Names the random numbers a configuration draws; part of every config
 # fingerprint, so it changes whenever the same configuration would give
 # different results.
-ENGINE_VERSION = "gaussian-channel-1"
+ENGINE_VERSION = "gaussian-channel-2"
 
 
 def g_of_t(t, schedule: ProtocolSchedule, g_eff: float):
@@ -190,12 +190,18 @@ def run_protocol(sample: WeightedSample, beta_init: complex, params: SystemParam
 
 @dataclass
 class EnsembleResult:
-    """Column-oriented trajectory results for estimator consumption."""
+    """Column-oriented trajectory results for estimator consumption.
+
+    gain and noise_var are the protocol channel (``protocol_channel``) that
+    ``run_ensemble`` sampled the columns from; None for hand-built columns.
+    """
 
     alpha_out: np.ndarray
     alpha_out_plus: np.ndarray
     weight: np.ndarray
     branch: np.ndarray
+    gain: Optional[complex] = None
+    noise_var: Optional[float] = None
 
     def __len__(self) -> int:
         return self.alpha_out.size
@@ -365,13 +371,19 @@ def _run_block(a_in, a_in_p, params, schedule, tables, stream):
 
 def run_ensemble(samples: list[WeightedSample], params: SystemParams,
                  schedule: ProtocolSchedule, master_seed: int) -> EnsembleResult:
-    """Sample every trajectory of a weighted ensemble from the protocol channel.
+    """Sample every trajectory of a weighted ensemble from the protocol channel,
+    phase-corrected.
 
-    With (G, noise_var) from ``protocol_channel`` each trajectory gets
-    alpha_out = G alpha_in + N and alpha_out_plus = conj(G) alpha_in_plus
-    + conj(N), N = sqrt(noise_var) (x + iy)/sqrt(2) with one standard normal
-    pair (x, y) per trajectory.  This is the stepped process in
-    distribution, RK4 discretisation included.  The pairs come in blocks of
+    With (G, noise_var) from one ``protocol_channel`` evaluation, the
+    stepped process gives alpha_out = G alpha_in + N in distribution, RK4
+    discretisation included, with N = sqrt(noise_var) (x + iy)/sqrt(2) and
+    one standard normal pair (x, y) per trajectory.  The ensemble is
+    returned in the frame where the coherent-input gain is real and
+    positive: alpha_out = |G| alpha_in + e^{-i arg G} N and alpha_out_plus
+    = |G| alpha_in_plus + conj(e^{-i arg G} N).  Formed this way, a real
+    input keeps mu_x = (alpha_out + alpha_out_plus)/2 exactly real on every
+    row, so the Wigner kernel takes its real path.  The channel travels
+    with the result (``gain``, ``noise_var``).  The pairs come in blocks of
     RNG_BLOCK_SIZE trajectories, each from the counter-based stream keyed by
     (master_seed, block index), so a trajectory's noise depends only on the
     seed and its position; the time step changes the scale, not the draw.
@@ -386,16 +398,19 @@ def run_ensemble(samples: list[WeightedSample], params: SystemParams,
     gain, noise_var = protocol_channel(params, schedule)
     if not (cmath.isfinite(gain) and math.isfinite(noise_var)):
         raise FloatingPointError("non-finite protocol channel; check parameters")
+    if gain == 0:
+        raise ValueError("zero reference gain; cannot fix the output phase")
     noise = np.zeros(n, dtype=np.complex128)
     if noise_var > 0:
-        scale = math.sqrt(noise_var / 2.0)
+        scale = math.sqrt(noise_var / 2.0) * cmath.exp(-1j * cmath.phase(gain))
         for block, lo in enumerate(range(0, n, RNG_BLOCK_SIZE)):
             hi = min(lo + RNG_BLOCK_SIZE, n)
             xy = block_stream(master_seed, block).standard_normal((2, hi - lo))
             noise[lo:hi] = scale * (xy[0] + 1j * xy[1])
-    return EnsembleResult(alpha_out=gain * a_in + noise,
-                          alpha_out_plus=gain.conjugate() * a_in_p + np.conj(noise),
-                          weight=weight, branch=branch)
+    g_abs = abs(gain)
+    return EnsembleResult(alpha_out=g_abs * a_in + noise,
+                          alpha_out_plus=g_abs * a_in_p + np.conj(noise),
+                          weight=weight, branch=branch, gain=gain, noise_var=noise_var)
 
 
 def _rk4_pair(a: complex, b: complex, params: SystemParams, dt: float,
@@ -512,14 +527,3 @@ def write_gain(params: SystemParams, schedule: ProtocolSchedule) -> complex:
     """
     spec = ModeFunctionSpec.for_params(params, schedule.t_store)
     return _write_pass(params, schedule, _make_tables(params, schedule, spec))[1]
-
-
-def apply_phase_correction(results: EnsembleResult, gain: complex) -> EnsembleResult:
-    """Rotate outputs so the coherent-input gain becomes real and positive."""
-    if gain == 0:
-        raise ValueError("zero reference gain; cannot fix the output phase")
-    phase = cmath.phase(gain)
-    rot = cmath.exp(-1j * phase)
-    return EnsembleResult(alpha_out=results.alpha_out * rot,
-                          alpha_out_plus=results.alpha_out_plus * np.conj(rot),
-                          weight=results.weight, branch=results.branch)

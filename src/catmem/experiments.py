@@ -1,12 +1,13 @@
 """Experiment configuration, presets and artifact-producing pipelines.
 
 A run resolves a flat configuration into parameter objects, samples the
-input cat, integrates the ensemble, applies the coherent-reference phase
-correction and evaluates the requested signatures.  Sweeps repeat that over
-one or two parameter axes with per-point checkpoints so interrupted long
-jobs resume.  Artifacts are CSV fields plus a JSON manifest; every CSV
-embeds the fingerprint of the resolved configuration so the numbers in it
-can be traced back to exactly one parameter set.
+input cat, sends it through the protocol channel in the frame where the
+coherent-input gain is real (the phase correction) and evaluates the
+requested signatures.  Sweeps repeat that over one or two parameter axes
+with per-point checkpoints so interrupted long jobs resume.  Artifacts are
+CSV fields plus a JSON manifest; every CSV embeds the fingerprint of the
+resolved configuration so the numbers in it can be traced back to exactly
+one parameter set.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import oracle
-from .engine import (ENGINE_VERSION, EnsembleResult, apply_phase_correction,
-                     protocol_channel, reference_gain, run_ensemble)
+from .engine import ENGINE_VERSION, EnsembleResult, run_ensemble
 from .model import (CatParams, ProtocolSchedule, SystemParams,
                     derive_rates, parse_storage_time)
 from .modes import default_write_duration, transfer_amplitude
@@ -331,11 +331,11 @@ def oracle_negativity(alpha0: float, t_store: float, n_bar: float, gamma_m: floa
     return sig.wigner_negativity(ofield)
 
 
-def protocol_negativity(alpha0: float, params: SystemParams, schedule: ProtocolSchedule,
+def protocol_negativity(alpha0: float, gain: complex, noise_var: float,
                         grid: sig.WignerGrid) -> float:
     """Negativity of the input cat sent through the protocol's exact Gaussian
-    channel (``engine.protocol_channel``), evaluated on the same grid."""
-    gain, noise_var = protocol_channel(params, schedule)
+    channel (gain, noise_var) from ``engine.protocol_channel``, evaluated on
+    the same grid."""
     return sig.wigner_negativity(
         oracle.channel_wigner_field(grid.x, grid.y, alpha0, abs(gain), noise_var))
 
@@ -356,25 +356,24 @@ def _as_input_ensemble(samples) -> EnsembleResult:
         branch=np.array([s.branch for s in samples]))
 
 
-def _corrected_ensemble(config: ExperimentConfig) -> tuple[list, EnsembleResult, complex]:
-    """Sample the input cat, send it through the protocol and phase-correct:
-    (input samples, output ensemble, reference gain)."""
-    params = config.system_params()
-    schedule = config.schedule()
+def _corrected_ensemble(config: ExperimentConfig) -> tuple[list, EnsembleResult]:
+    """Sample the input cat and send it through the protocol channel,
+    phase-corrected: (input samples, output ensemble).  The one place a run
+    forms its ensemble; the channel rides on the ensemble."""
     samples = sample_cat(SamplerConfig(cat=config.cat_params(), n_samples=config.n_samples,
                                        master_seed=config.master_seed,
                                        stratified=config.stratified))
-    ens = run_ensemble(samples, params, schedule, config.master_seed)
-    gain = reference_gain(params, schedule)
-    return samples, apply_phase_correction(ens, gain), gain
+    return samples, run_ensemble(samples, config.system_params(), config.schedule(),
+                                 config.master_seed)
 
 
-def _point_core(config: ExperimentConfig, want_fields: bool) -> PointResult:
-    """One resolved run: sample, integrate, phase-correct, estimate."""
+def _point_core(config: ExperimentConfig, samples: list, ens: EnsembleResult,
+                want_fields: bool) -> PointResult:
+    """Estimate the requested signatures of one corrected ensemble."""
     params = config.system_params()
     schedule = config.schedule()
     rates = derive_rates(params)
-    samples, ens, gain = _corrected_ensemble(config)
+    gain = ens.gain
 
     inputs = _as_input_ensemble(samples)
     in_moments = sig.quadrature_moments(inputs)
@@ -433,10 +432,10 @@ def _point_core(config: ExperimentConfig, want_fields: bool) -> PointResult:
     return PointResult(scalars=scalars, fields=fields)
 
 
-def _add_references(config: ExperimentConfig, scalars: dict) -> None:
+def _add_references(config: ExperimentConfig, ens: EnsembleResult, scalars: dict) -> None:
     """Closed-form negativities on the run's Wigner grid, with the z-score
-    against the protocol reference."""
-    params = config.system_params()
+    against the protocol reference (the channel the ensemble was sampled
+    from)."""
     schedule = config.schedule()
     wgrid = sig.default_wigner_grid(config.alpha0, config.wigner_h, config.wigner_pad)
     if config.gamma_int == 0 and config.n_init == 0:
@@ -444,7 +443,7 @@ def _add_references(config: ExperimentConfig, scalars: dict) -> None:
             config.alpha0, schedule.t_store, config.n_bar, config.gamma_m, wgrid)
     if scalars["noisy"]:
         scalars["negativity_protocol"] = protocol_negativity(
-            config.alpha0, params, schedule, wgrid)
+            config.alpha0, ens.gain, ens.noise_var, wgrid)
         se = scalars.get("sampling_error", 0.0)
         if se > 0:
             scalars["z_protocol"] = (scalars["negativity"]
@@ -462,15 +461,19 @@ def run_point(config: ExperimentConfig, want_fields: bool = True) -> PointResult
     own channel variance, so the difference holds no sampling noise and
     the estimate has no sampling floor.  The sampling and time-step
     components are reported separately.  The closed-form references are
-    computed for the fine run only; the rerun contributes its negativity
-    alone (``signatures.negativity_estimate``, the real kernel sum).
+    computed for the fine run only, from the channel its ensemble was
+    sampled from; the rerun contributes its negativity alone
+    (``signatures.negativity_estimate``, the real kernel sum).  Each run
+    evaluates its protocol channel once.
     """
     config.validate()
-    point = _point_core(config, want_fields)
+    samples, ens = _corrected_ensemble(config)
+    point = _point_core(config, samples, ens, want_fields)
     if "negativity" in config.signatures:
-        _add_references(config, point.scalars)
+        _add_references(config, ens, point.scalars)
+    del samples, ens  # the rerun below does not need the fine ensemble
     if config.time_step_check and "negativity" in config.signatures:
-        _, coarse, _ = _corrected_ensemble(replace(config, dt=2.0 * config.dt))
+        _, coarse = _corrected_ensemble(replace(config, dt=2.0 * config.dt))
         wgrid = sig.default_wigner_grid(config.alpha0, config.wigner_h, config.wigner_pad)
         ts_err = abs(point.scalars["negativity"]
                      - sig.negativity_estimate(coarse, wgrid)) / 15.0

@@ -6,10 +6,13 @@ are evaluated by completing the square, which makes each kernel separable
 in the grid coordinates; the ensemble sums then reduce to chunked matrix
 products.  The Wigner kernel is evaluated in real arithmetic: per sample a
 real Gaussian factor per axis times a phase, so samples whose means are
-real (the diagonal branches) enter one real product only.  The
-delete-block jackknife forms the kernel sums of many blocks in one batched
-product.  Imaginary parts cancel over symmetric branches and are reported
-as residual diagnostics rather than silently dropped.  The factors stay
+real (the diagonal branches) enter one real product only, and an ensemble
+whose mu_x are all real (a real cat in the phase-corrected frame of
+``engine.run_ensemble``) needs no x phase at all.  Each kernel-sum call
+allocates its factor tables and products once and reuses them for every
+chunk.  The delete-block jackknife forms the kernel sums of many blocks in
+one batched product.  Imaginary parts cancel over symmetric branches and
+are reported as residual diagnostics rather than silently dropped.  The factors stay
 finite for |alpha0| up to ``experiments.ALPHA0_MAX``, where the cat
 overlap is still a normal double.
 """
@@ -161,7 +164,28 @@ def p_distribution(results, grid: QuadratureGrid) -> GridField:
                            "max_imag_residual": float(np.max(np.abs(np.imag(total))))})
 
 
-def _kernel_tables(u, v, w, xs, ys):
+class _Workspace:
+    """Work buffers of the Wigner kernel, allocated once per kernel-sum call.
+
+    Each chunk of at most `rows` samples writes its factor tables into the
+    leading rows of the same flat buffers, so a call allocates them once
+    however many chunks it takes.  A buffer is allocated on first use: the
+    x sine table of an ensemble with real mu_x never is.
+    """
+
+    def __init__(self, rows: int, xs: np.ndarray, ys: np.ndarray):
+        self._cells = rows * max(xs.size, ys.size)
+        self._flat: dict = {}
+
+    def table(self, name: str, rows: int, cols: int) -> np.ndarray:
+        """The C-contiguous (rows, cols) head of buffer `name`."""
+        flat = self._flat.get(name)
+        if flat is None:
+            flat = self._flat[name] = np.empty(self._cells)
+        return flat[:rows * cols].reshape(rows, cols)
+
+
+def _kernel_tables(u, v, w, xs, ys, work: _Workspace | None = None):
     """Real factor tables of the Wigner kernel, one row per sample.
 
     With mu_x = (u + v)/2 = c + i d and mu_y = i (v - u)/2 = a + i b, a
@@ -173,18 +197,25 @@ def _kernel_tables(u, v, w, xs, ys):
     imaginary parts sx, sy on those rows only, sx being None when every d
     is zero.  Summed over samples, the real part of the kernel is
     cx^T cy - sx^T sy and the imaginary part sx^T cy[phased] + cx[phased]^T sy.
+    The tables are views into `work` (a fresh one when None), valid until
+    its next use.
     """
+    n = u.size
+    if work is None:
+        work = _Workspace(n, xs, ys)
     mu_x = 0.5 * (u + v)
     mu_y = 0.5j * (v - u)
-    dev_x, cx = _gaussian_table(mu_x, xs)
+    dev_x, cx = _gaussian_table(mu_x, xs, work.table("dev_x", n, xs.size),
+                                work.table("cx", n, xs.size))
     cx *= w[:, None]
-    dev_y, cy = _gaussian_table(mu_y, ys)
+    dev_y, cy = _gaussian_table(mu_y, ys, work.table("dev_y", n, ys.size),
+                                work.table("cy", n, ys.size))
     d, b = mu_x.imag, mu_y.imag
     phased = np.flatnonzero((d != 0.0) | (b != 0.0))
     sx = None
     if np.any(d[phased]):
-        sx = _rotate(cx, phased, 4.0 * d[phased, None] * dev_x[phased])
-    sy = _rotate(cy, phased, 4.0 * b[phased, None] * dev_y[phased])
+        sx = _rotate(cx, phased, 4.0 * d[phased], dev_x, work, "sx")
+    sy = _rotate(cy, phased, 4.0 * b[phased], dev_y, work, "sy")
     return cx, cy, phased, sx, sy
 
 
@@ -192,55 +223,80 @@ def _table_rows(xs, ys) -> int:
     return max(1, _TABLE_CELLS // max(xs.size, ys.size))
 
 
-def _gaussian_table(mu: np.ndarray, axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(axis - Re mu, |exp(-2 (axis - mu)^2)|) with one row per sample."""
-    dev = axis[None, :] - mu.real[:, None]
-    mag = dev * dev
+def _gaussian_table(mu: np.ndarray, axis: np.ndarray, dev: np.ndarray,
+                    mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(axis - Re mu, |exp(-2 (axis - mu)^2)|) with one row per sample,
+    written into dev and mag."""
+    np.subtract(axis[None, :], mu.real[:, None], out=dev)
+    np.multiply(dev, dev, out=mag)
     mag -= (mu.imag * mu.imag)[:, None]
     mag *= -2.0
     np.exp(mag, out=mag)
     return dev, mag
 
 
-def _rotate(table: np.ndarray, rows: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """Multiply table[rows] by e^{i phase}: the cosine part in place, the sine
-    part returned.
+def _rotate(table: np.ndarray, rows: np.ndarray, rate: np.ndarray, dev: np.ndarray,
+            work: _Workspace, name: str) -> np.ndarray:
+    """Multiply table[rows] by e^{i phase}, phase = rate dev[rows] (one rate
+    per row): the cosine part in place, the sine part returned in buffer
+    `name`.
 
     Both come from t = tan(phase/2) as cos = (1 - t^2)/(1 + t^2) and
     sin = 2t/(1 + t^2), within an ulp of np.cos and np.sin; one np.tan
-    costs a fraction of those two calls.
+    costs a fraction of those two calls.  The buffers "tan", "tan_sq" and
+    "ratio" are scratch, free again on return.
     """
-    t = np.tan(0.5 * phase)
-    t_sq = t * t
-    scale = table[rows] / (1.0 + t_sq)
-    table[rows] = scale * (1.0 - t_sq)
-    scale *= 2.0 * t
+    shape = (rows.size, table.shape[1])
+    t = work.table("tan", *shape)
+    np.take(dev, rows, axis=0, out=t, mode="clip")
+    t *= rate[:, None]
+    t *= 0.5
+    np.tan(t, out=t)
+    t_sq = np.multiply(t, t, out=work.table("tan_sq", *shape))
+    scale = np.take(table, rows, axis=0, out=work.table(name, *shape), mode="clip")
+    ratio = np.add(t_sq, 1.0, out=work.table("ratio", *shape))
+    scale /= ratio
+    np.subtract(1.0, t_sq, out=ratio)
+    ratio *= scale
+    table[rows] = ratio
+    t *= 2.0
+    scale *= t
     return scale
 
 
-def _wigner_sum(u, v, w, xs, ys, imaginary: bool = True):
+def _wigner_sum(u, v, w, xs, ys, imaginary: bool = True, work: _Workspace | None = None):
     """Unnormalised kernel sum over the ensemble: (real part, imaginary part).
 
     The Gaussian kernel factorises into complete squares along Re alpha and
     Im alpha, so the sum over samples is a few real matrix products of the
     factor tables; rows whose means are real (the diagonal branches) enter
-    only the one real product.  With imaginary=False the imaginary part is
-    not evaluated and returned as None; the real part is the same, bit for
-    bit.
+    only the one real product, and a chunk whose mu_x are all real skips
+    the sine tables of x and their two products.  With imaginary=False the
+    imaginary part is not evaluated and returned as None; the real part is
+    the same, bit for bit.  Every chunk reuses the tables of `work` (one is
+    allocated when None) and one product buffer.
     """
     re = np.zeros((xs.size, ys.size))
     im = np.zeros((xs.size, ys.size)) if imaginary else None
+    prod = np.empty((xs.size, ys.size))
     chunk = _table_rows(xs, ys)
+    if work is None:
+        work = _Workspace(min(chunk, u.size), xs, ys)
     for lo in range(0, u.size, chunk):
         sl = slice(lo, lo + chunk)
-        cx, cy, phased, sx, sy = _kernel_tables(u[sl], v[sl], w[sl], xs, ys)
-        re += cx.T @ cy
+        cx, cy, phased, sx, sy = _kernel_tables(u[sl], v[sl], w[sl], xs, ys, work)
+        re += np.matmul(cx.T, cy, out=prod)
         if imaginary and phased.size:
-            im += cx[phased].T @ sy
+            # the rotation scratch is free again: gather the phased rows there
+            cx_p = np.take(cx, phased, axis=0, mode="clip",
+                           out=work.table("ratio", phased.size, xs.size))
+            im += np.matmul(cx_p.T, sy, out=prod)
         if sx is not None:
-            re -= sx.T @ sy
+            re -= np.matmul(sx.T, sy, out=prod)
             if imaginary:
-                im += sx.T @ cy[phased]
+                cy_p = np.take(cy, phased, axis=0, mode="clip",
+                               out=work.table("tan", phased.size, ys.size))
+                im += np.matmul(sx.T, cy_p, out=prod)
     return re, im
 
 
@@ -322,17 +378,19 @@ def _jackknife_blocks(n: int, branch: np.ndarray, n_blocks: int) -> tuple[np.nda
     return rows, sizes
 
 
-def _block_sums(u, v, w, xs, ys, rows: np.ndarray) -> np.ndarray:
+def _block_sums(u, v, w, xs, ys, rows: np.ndarray, work: _Workspace,
+                out: np.ndarray) -> np.ndarray:
     """Real kernel sums of a batch of blocks, shape (blocks, x, y).
 
     rows is the (blocks, size) index matrix; one batched matrix product
-    over the blocks replaces a kernel sum per block.
+    over the blocks replaces a kernel sum per block.  The tables live in
+    `work` and the sums in the leading blocks of `out`.
     """
     n_b, size = rows.shape
     flat = rows.ravel()
-    cx, cy, phased, sx, sy = _kernel_tables(u[flat], v[flat], w[flat], xs, ys)
+    cx, cy, phased, sx, sy = _kernel_tables(u[flat], v[flat], w[flat], xs, ys, work)
     sums = np.matmul(cx.reshape(n_b, size, -1).transpose(0, 2, 1),
-                     cy.reshape(n_b, size, -1))
+                     cy.reshape(n_b, size, -1), out=out[:n_b])
     if sx is not None:
         # each block's imaginary rows in order, padded with zero rows to the
         # largest count in the batch
@@ -354,7 +412,8 @@ def negativity_with_error(results, grid: WignerGrid, n_blocks: int = 100) -> dic
     sum, the second the real kernel sums of every block, in batches of
     blocks by one batched matrix product each.  A leave-one-block-out
     negativity is then the trapezoid-weighted sum of max(block - full, 0),
-    scaled to the remaining sample count.
+    scaled to the remaining sample count.  Both passes share one set of
+    table buffers, and every batch one block-sum buffer.
     """
     u, v, w = _columns(results)
     n = u.size
@@ -364,21 +423,26 @@ def negativity_with_error(results, grid: WignerGrid, n_blocks: int = 100) -> dic
     if n_blocks < 2:
         raise ValueError("the jackknife needs at least two blocks")
     rows, sizes = _jackknife_blocks(n, results.branch, n_blocks)
+    xs, ys = grid.x, grid.y
+    chunk = _table_rows(xs, ys)
+    batch = min(n_blocks, max(1, min(_FIELD_CELLS // (xs.size * ys.size),
+                                     chunk // rows.shape[1])))
+    work = _Workspace(max(min(chunk, n), batch * rows.shape[1]), xs, ys)
 
-    re, im = _wigner_sum(u, v, w, grid.x, grid.y)
+    re, im = _wigner_sum(u, v, w, xs, ys, work=work)
     field = _wigner_field(re, im, n, grid)
     delta = wigner_negativity(field)
 
     # index n is the zero-weight padding sample of short blocks
     u_pad, v_pad = np.append(u, 0.0), np.append(v, 0.0)
     w_pad = np.append(w, 0.0)
-    weights = np.outer(_trapezoid_weights(grid.x.size, grid.h),
-                       _trapezoid_weights(grid.y.size, grid.h)).ravel()
-    batch = max(1, min(_FIELD_CELLS // re.size,
-                       _table_rows(grid.x, grid.y) // rows.shape[1]))
+    weights = np.outer(_trapezoid_weights(xs.size, grid.h),
+                       _trapezoid_weights(ys.size, grid.h)).ravel()
+    block_sums = np.empty((batch, xs.size, ys.size))
     loo = np.empty(n_blocks)
     for lo in range(0, n_blocks, batch):
-        sums = _block_sums(u_pad, v_pad, w_pad, grid.x, grid.y, rows[lo:lo + batch])
+        sums = _block_sums(u_pad, v_pad, w_pad, xs, ys, rows[lo:lo + batch], work,
+                           block_sums)
         sums -= re
         np.maximum(sums, 0.0, out=sums)
         loo[lo:lo + batch] = sums.reshape(sums.shape[0], -1) @ weights

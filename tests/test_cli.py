@@ -4,12 +4,18 @@ import dataclasses
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import catmem
+from catmem import engine
 from catmem.acceptance import WIGNER_NORM_TOL, run_criteria
 from catmem.cli import main
+from catmem.engine import protocol_channel
 from catmem.experiments import (ALPHA0_MAX, ConfigError, ExperimentConfig,
                                 PRESETS, config_fingerprint, load_config,
                                 parse_config_text, preset,
@@ -98,7 +104,8 @@ def test_run_point_at_alpha0_bound_matches_protocol_reference():
     cfg = ExperimentConfig(alpha0=ALPHA0_MAX, signatures=("negativity",))
     scalars = run_point(cfg, want_fields=False).scalars
     assert abs(scalars["wigner_norm"] - 1.0) <= WIGNER_NORM_TOL
-    reference = protocol_negativity(ALPHA0_MAX, cfg.system_params(), cfg.schedule(),
+    reference = protocol_negativity(ALPHA0_MAX,
+                                    *protocol_channel(cfg.system_params(), cfg.schedule()),
                                     default_wigner_grid(ALPHA0_MAX))
     assert reference > 0.0
     assert scalars["negativity"] == pytest.approx(reference, rel=1e-10, abs=0.0)
@@ -114,6 +121,38 @@ def test_time_step_rerun_negativity_is_the_estimate_negativity():
     coarse_negativity = run_point(coarse, want_fields=False).scalars["negativity"]
     assert scalars["time_step_error"] > 0.0
     assert scalars["time_step_error"] == abs(scalars["negativity"] - coarse_negativity) / 15.0
+
+
+def test_run_point_evaluates_each_channel_once(monkeypatch):
+    # the fine run's channel serves its ensemble and its protocol reference;
+    # the 2*dt rerun evaluates its own
+    calls = []
+    original = engine.reference_gain
+
+    def counted(params, schedule):
+        calls.append(schedule.dt)
+        return original(params, schedule)
+
+    monkeypatch.setattr(engine, "reference_gain", counted)
+    cfg = ExperimentConfig(alpha0=2.0, n_bar=2.0, n_samples=400, jackknife_blocks=10,
+                           signatures=("negativity",))
+    scalars = run_point(cfg, want_fields=False).scalars
+    assert "negativity_protocol" in scalars and "time_step_error" in scalars
+    assert calls == [cfg.dt, 2.0 * cfg.dt]
+
+
+def test_cli_import_skips_scipy_integrate():
+    # `catmem run` and `catmem sweep` do not pay for the acceptance module's
+    # scipy import; `catmem validate` imports it when it runs
+    src = str(Path(catmem.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = ("import sys, catmem.cli; "
+            "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate imported'; "
+            "assert 'catmem.acceptance' not in sys.modules, 'acceptance imported'")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
 
 
 def test_presets_resolve_and_validate():

@@ -2,18 +2,21 @@
 
 The private block integrator (``engine._run_block``) steps every trajectory
 and is the reference that the channel-sampled ``run_ensemble`` and the
-scalar ``reference_gain`` are checked against.
+scalar ``reference_gain`` are checked against.  ``run_ensemble`` returns the
+phase-corrected frame, where the coherent-input gain is |G|; the stepped
+reference is rotated into that frame by the phase of its own gain.
 """
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from catmem import engine
-from catmem.engine import (DriveContext, apply_phase_correction, g_of_t,
+from catmem import engine, experiments
+from catmem.engine import (DriveContext, g_of_t,
                            noise_increment, protocol_channel, reference_gain,
                            rk4_decay_factor, run_ensemble, run_protocol,
                            step_rk4, write_gain)
@@ -42,7 +45,7 @@ def cat_samples(alpha0, n, seed=0):
                                     master_seed=seed))
 
 
-def stepped_ensemble(samples, p, sched, master_seed):
+def stepped_outputs(samples, p, sched, master_seed):
     # the reference: every trajectory stepped through the write and read
     # windows, in RNG_BLOCK_SIZE blocks with one stream per block
     a_in = np.array([s.alpha_in for s in samples], dtype=np.complex128)
@@ -54,16 +57,23 @@ def stepped_ensemble(samples, p, sched, master_seed):
         sl = slice(lo, lo + RNG_BLOCK_SIZE)
         out[sl], out_p[sl] = engine._run_block(a_in[sl], a_in_p[sl], p, sched, tables,
                                                block_stream(master_seed, block))
-    return engine.EnsembleResult(alpha_out=out, alpha_out_plus=out_p,
-                                 weight=np.array([s.weight for s in samples]),
-                                 branch=np.array([s.branch for s in samples]))
+    return out, out_p
 
 
 def stepped_gain(p, sched):
     quiet = default_params(gamma_m=p.gamma_m, g_eff=p.g_eff, gamma_int=p.gamma_int)
-    return complex(stepped_ensemble(
+    return complex(stepped_outputs(
         [WeightedSample(alpha_in=1.0, alpha_in_plus=1.0, weight=1.0, branch="++")],
-        quiet, sched, master_seed=0).alpha_out[0])
+        quiet, sched, master_seed=0)[0][0])
+
+
+def stepped_ensemble(samples, p, sched, master_seed):
+    # the stepped reference in the phase-corrected frame
+    out, out_p = stepped_outputs(samples, p, sched, master_seed)
+    rot = cmath.exp(-1j * cmath.phase(stepped_gain(p, sched)))
+    return engine.EnsembleResult(alpha_out=out * rot, alpha_out_plus=out_p * rot.conjugate(),
+                                 weight=np.array([s.weight for s in samples]),
+                                 branch=np.array([s.branch for s in samples]))
 
 
 def test_coupling_window():
@@ -148,11 +158,12 @@ def test_batch_matches_stepwise_integration():
     samples = cat_samples(2.0, 8)
     batch = run_ensemble(samples, p, sched, master_seed=0)
     rng = block_stream(0, 0)  # noiseless: stream never consumed
+    rot = cmath.exp(-1j * cmath.phase(stepped_gain(p, sched)))
     for k, s in enumerate(samples):
         single = run_protocol(s, 0j, p, sched, rng)
-        assert batch.alpha_out[k] == pytest.approx(single.alpha_out, rel=1e-10)
-        assert batch.alpha_out_plus[k] == pytest.approx(single.alpha_out_plus,
-                                                        rel=1e-10)
+        assert batch.alpha_out[k] == pytest.approx(single.alpha_out * rot, rel=1e-10)
+        assert batch.alpha_out_plus[k] == pytest.approx(
+            single.alpha_out_plus * rot.conjugate(), rel=1e-10)
 
 
 def test_reference_gain_closed_form():
@@ -215,7 +226,6 @@ def test_protocol_adds_expected_thermal_occupation():
     sched = schedule_for(p, t_store)
     samples = cat_samples(1e-6, 8192)
     res = run_ensemble(samples, p, sched, master_seed=9)
-    res = apply_phase_correction(res, reference_gain(p, sched))
     n_add = float(np.average((res.alpha_out_plus * res.alpha_out).real,
                              weights=res.weight))
     assert n_add == pytest.approx(2.0 * (1.0 - math.exp(-2.0 * GM * t_store)),
@@ -223,12 +233,13 @@ def test_protocol_adds_expected_thermal_occupation():
 
 
 def assert_channel_residual(p, sched, run=stepped_ensemble, n=16384, seed=11):
-    # an ensemble against the channel: alpha_out - G alpha_in is circular
-    # Gaussian noise with variance noise_var, each moment within 4 se
+    # a phase-corrected ensemble against the channel: alpha_out - |G| alpha_in
+    # is circular Gaussian noise with variance noise_var, each moment within
+    # 4 se
     gain, noise_var = protocol_channel(p, sched)
     samples = cat_samples(2.0, n)
     res = run(samples, p, sched, seed)
-    r = res.alpha_out - gain * np.array([s.alpha_in for s in samples])
+    r = res.alpha_out - abs(gain) * np.array([s.alpha_in for s in samples])
     mean = np.mean(r)
     assert abs(mean) <= 4.0 * math.sqrt(np.mean(np.abs(r - mean) ** 2) / n)
     pseudo = np.mean(r * r)
@@ -252,7 +263,8 @@ def test_protocol_channel_quiet_without_occupation(monkeypatch):
     samples = cat_samples(2.0, 8)
     res = run_ensemble(samples, p, sched, master_seed=0)
     gain = reference_gain(p, sched)
-    assert np.array_equal(res.alpha_out, gain * np.array([s.alpha_in for s in samples]))
+    assert np.array_equal(res.alpha_out,
+                          abs(gain) * np.array([s.alpha_in for s in samples]))
 
 
 def test_protocol_channel_matches_stepped_ensemble():
@@ -270,13 +282,14 @@ def test_run_ensemble_samples_the_channel():
     samples = cat_samples(2.0, 64)
     res = run_ensemble(samples, p, sched, master_seed=3)
     gain = reference_gain(p, sched)
+    assert (res.gain, res.noise_var) == protocol_channel(p, sched)
     a_in = np.array([s.alpha_in for s in samples])
-    r = res.alpha_out - gain * a_in
-    r_plus = res.alpha_out_plus - gain.conjugate() * np.array([s.alpha_in_plus
-                                                                for s in samples])
+    r = res.alpha_out - abs(gain) * a_in
+    r_plus = res.alpha_out_plus - abs(gain) * np.array([s.alpha_in_plus
+                                                         for s in samples])
     # the plus column carries the conjugate noise: exactly on the diagonal
-    # branches; on the off-diagonal ones G a_in enters with the opposite sign,
-    # so the two sums round differently, by at most one ulp of alpha_out
+    # branches; on the off-diagonal ones |G| a_in enters with the opposite
+    # sign, so the two sums round differently, by at most one ulp of alpha_out
     diag = res.branch == np.array([b[0] + b[0] for b in res.branch])
     assert np.array_equal(r_plus[diag], np.conj(r[diag]))
     ulp = np.spacing(np.abs(gain * a_in) + np.abs(r))
@@ -305,7 +318,9 @@ def test_time_steps_share_the_noise_draw():
         sched = schedule_for(p, 10.0, dt=dt)
         gain, noise_var = protocol_channel(p, sched)
         res = run_ensemble(samples, p, sched, master_seed=4)
-        etas.append((res.alpha_out - gain * a_in) / math.sqrt(noise_var))
+        # undo the phase correction of the noise to recover the normal pairs
+        rot = cmath.exp(-1j * cmath.phase(gain))
+        etas.append((res.alpha_out - abs(gain) * a_in) / (math.sqrt(noise_var) * rot))
     assert np.allclose(etas[0], etas[1], rtol=0.0, atol=1e-12)
     assert np.std(etas[0]) == pytest.approx(1.0, abs=0.05)
 
@@ -327,12 +342,37 @@ def test_unstable_step_reports_nonfinite():
         run_ensemble(cat_samples(1.0, 4), p, sched, master_seed=0)
 
 
-def test_phase_correction():
-    res = engine.EnsembleResult(alpha_out=np.array([1j]), alpha_out_plus=np.array([-1j]),
-                                weight=np.array([1.0]), branch=np.array(["++"]))
-    fixed = apply_phase_correction(res, 2j)
-    # conjugate pairs stay conjugate: the plus column rotates the other way
-    assert fixed.alpha_out[0] == pytest.approx(1.0)
-    assert fixed.alpha_out_plus[0] == pytest.approx(1.0)
+def test_phase_correction(monkeypatch):
+    # a channel with gain 2i: the corrected frame has gain 2, and the noise
+    # turns by -pi/2 (the plus column the other way, so pairs stay conjugate)
+    p = default_params(n_th_mech=2.0)
+    sched = schedule_for(p, 10.0)
+    samples = [WeightedSample(alpha_in=1j, alpha_in_plus=-1j, weight=1.0, branch="++")]
+    monkeypatch.setattr(engine, "protocol_channel", lambda params, schedule: (2j, 0.5))
+    fixed = run_ensemble(samples, p, sched, master_seed=0)
+    x, y = block_stream(0, 0).standard_normal((2, 1))
+    noise = 0.5 * (x[0] + 1j * y[0]) * -1j
+    assert fixed.alpha_out[0] == pytest.approx(2j + noise, rel=1e-15)
+    assert fixed.alpha_out_plus[0] == pytest.approx(-2j + noise.conjugate(), rel=1e-15)
+    assert fixed.gain == 2j and fixed.noise_var == 0.5
+    monkeypatch.setattr(engine, "protocol_channel", lambda params, schedule: (0j, 0.5))
     with pytest.raises(ValueError):
-        apply_phase_correction(res, 0.0)
+        run_ensemble(samples, p, sched, master_seed=0)
+
+
+@pytest.mark.parametrize("n_bar", [0.0, 2.0])
+def test_corrected_ensemble_is_exactly_real(n_bar):
+    # for real alpha0 mu_x = (alpha_out + alpha_out_plus)/2 is real on every
+    # row, at dt and 2 dt, so the Wigner kernel builds no x sine table
+    from catmem.signatures import _kernel_tables, default_wigner_grid
+
+    grid = default_wigner_grid(2.0)
+    base = experiments.ExperimentConfig(alpha0=2.0, n_bar=n_bar, n_samples=8192)
+    for config in (base, dataclasses.replace(base, dt=2.0 * base.dt)):
+        _, ens = experiments._corrected_ensemble(config)
+        mu_x = 0.5 * (ens.alpha_out + ens.alpha_out_plus)
+        assert np.all(mu_x.imag == 0.0)
+        rows = slice(None, None, 16)  # every branch, off-diagonal ones included
+        _, _, phased, sx, _ = _kernel_tables(ens.alpha_out[rows], ens.alpha_out_plus[rows],
+                                             ens.weight[rows], grid.x, grid.y)
+        assert sx is None and phased.size > 0

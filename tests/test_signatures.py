@@ -352,3 +352,142 @@ def test_negativity_estimate_is_field_negativity_bitwise(monkeypatch, table_cell
     neg = negativity_estimate(ens, grid)
     assert neg > 0.0
     assert neg == wigner_negativity(wigner_estimate(ens, grid))
+
+
+# -- the kernel as it was before its work buffers were reused: every chunk
+# allocates fresh tables and products.  The buffered kernel must give the
+# same bits.
+
+def _alloc_gaussian_table(mu, axis):
+    dev = axis[None, :] - mu.real[:, None]
+    mag = dev * dev
+    mag -= (mu.imag * mu.imag)[:, None]
+    mag *= -2.0
+    np.exp(mag, out=mag)
+    return dev, mag
+
+
+def _alloc_rotate(table, rows, phase):
+    t = np.tan(0.5 * phase)
+    t_sq = t * t
+    scale = table[rows] / (1.0 + t_sq)
+    table[rows] = scale * (1.0 - t_sq)
+    scale *= 2.0 * t
+    return scale
+
+
+def _alloc_kernel_tables(u, v, w, xs, ys):
+    mu_x = 0.5 * (u + v)
+    mu_y = 0.5j * (v - u)
+    dev_x, cx = _alloc_gaussian_table(mu_x, xs)
+    cx *= w[:, None]
+    dev_y, cy = _alloc_gaussian_table(mu_y, ys)
+    d, b = mu_x.imag, mu_y.imag
+    phased = np.flatnonzero((d != 0.0) | (b != 0.0))
+    sx = None
+    if np.any(d[phased]):
+        sx = _alloc_rotate(cx, phased, 4.0 * d[phased, None] * dev_x[phased])
+    sy = _alloc_rotate(cy, phased, 4.0 * b[phased, None] * dev_y[phased])
+    return cx, cy, phased, sx, sy
+
+
+def _alloc_wigner_sum(u, v, w, xs, ys, imaginary=True):
+    re = np.zeros((xs.size, ys.size))
+    im = np.zeros((xs.size, ys.size)) if imaginary else None
+    chunk = max(1, signatures._TABLE_CELLS // max(xs.size, ys.size))
+    for lo in range(0, u.size, chunk):
+        sl = slice(lo, lo + chunk)
+        cx, cy, phased, sx, sy = _alloc_kernel_tables(u[sl], v[sl], w[sl], xs, ys)
+        re += cx.T @ cy
+        if imaginary and phased.size:
+            im += cx[phased].T @ sy
+        if sx is not None:
+            re -= sx.T @ sy
+            if imaginary:
+                im += sx.T @ cy[phased]
+    return re, im
+
+
+def _alloc_block_sums(u, v, w, xs, ys, rows):
+    n_b, size = rows.shape
+    flat = rows.ravel()
+    cx, cy, phased, sx, sy = _alloc_kernel_tables(u[flat], v[flat], w[flat], xs, ys)
+    sums = np.matmul(cx.reshape(n_b, size, -1).transpose(0, 2, 1),
+                     cy.reshape(n_b, size, -1))
+    if sx is not None:
+        block = phased // size
+        counts = np.bincount(block, minlength=n_b)
+        slot = np.arange(phased.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        sx_b = np.zeros((n_b, counts.max(), xs.size))
+        sy_b = np.zeros((n_b, counts.max(), ys.size))
+        sx_b[block, slot] = sx
+        sy_b[block, slot] = sy
+        sums -= np.matmul(sx_b.transpose(0, 2, 1), sy_b)
+    return sums
+
+
+def _alloc_negativity_with_error(ens, grid, n_blocks):
+    u, v, w = ens.alpha_out, ens.alpha_out_plus, ens.weight
+    n = u.size
+    rows, sizes = signatures._jackknife_blocks(n, ens.branch, n_blocks)
+    re, im = _alloc_wigner_sum(u, v, w, grid.x, grid.y)
+    values = re * (2.0 / (math.pi * n))
+    delta = signatures._negative_volume(values, grid.h, grid.h)
+    u_pad, v_pad = np.append(u, 0.0), np.append(v, 0.0)
+    w_pad = np.append(w, 0.0)
+    weights = np.outer(signatures._trapezoid_weights(grid.x.size, grid.h),
+                       signatures._trapezoid_weights(grid.y.size, grid.h)).ravel()
+    chunk = max(1, signatures._TABLE_CELLS // max(grid.x.size, grid.y.size))
+    batch = max(1, min(signatures._FIELD_CELLS // re.size, chunk // rows.shape[1]))
+    loo = np.empty(n_blocks)
+    for lo in range(0, n_blocks, batch):
+        sums = _alloc_block_sums(u_pad, v_pad, w_pad, grid.x, grid.y, rows[lo:lo + batch])
+        sums -= re
+        np.maximum(sums, 0.0, out=sums)
+        loo[lo:lo + batch] = sums.reshape(sums.shape[0], -1) @ weights
+    loo *= 2.0 / (math.pi * (n - sizes))
+    se = math.sqrt((n_blocks - 1) / n_blocks * float(np.sum((loo - np.mean(loo)) ** 2)))
+    return delta, se, values, im
+
+
+def corrected_channel_ensemble(n):
+    """A thermal fig10-like run, phase-corrected: every mu_x exactly real."""
+    from catmem.experiments import ExperimentConfig, _corrected_ensemble
+    return _corrected_ensemble(ExperimentConfig(alpha0=2.0, n_bar=2.0, n_samples=n))[1]
+
+
+@pytest.mark.parametrize("kind", ["corrected", "complex"])
+def test_buffered_kernel_is_bitwise_the_allocating_kernel(monkeypatch, kind):
+    # 3000 table cells make 24-row chunks on the 121-point grid and 37-row
+    # chunks on the 61 x 81 one, so n = 190 (and n = 192 on the second grid)
+    # ends on a short chunk.  n = 192 keeps the four branch runs, whose 16
+    # jackknife blocks take 3 rows of each; n = 190 gets padded contiguous
+    # blocks of 11 or 12 rows.  15 000 field cells batch the blocks one at a
+    # time on the first grid and three at a time on the second, the last
+    # batch holding one block.
+    monkeypatch.setattr(signatures, "_TABLE_CELLS", 3000)
+    monkeypatch.setattr(signatures, "_FIELD_CELLS", 15_000)
+    ens = corrected_channel_ensemble(192) if kind == "corrected" \
+        else noisy_channel_ensemble(192)
+    grids = [WignerGrid(x=0.05 * np.arange(-60, 61), y=0.05 * np.arange(-60, 61), h=0.05),
+             WignerGrid(x=0.05 * np.arange(-30, 31), y=0.05 * np.arange(-40, 41), h=0.05)]
+    for n in (192, 190):
+        part = EnsembleResult(ens.alpha_out[:n], ens.alpha_out_plus[:n], ens.weight[:n],
+                              ens.branch[:n])
+        u, v, w = part.alpha_out, part.alpha_out_plus, part.weight
+        for grid in grids:  # consecutive calls on two grid sizes
+            for imaginary in (True, False):
+                got = signatures._wigner_sum(u, v, w, grid.x, grid.y, imaginary=imaginary)
+                ref = _alloc_wigner_sum(u, v, w, grid.x, grid.y, imaginary=imaginary)
+                assert np.array_equal(got[0], ref[0])
+                assert (got[1] is None) == (not imaginary)
+                if imaginary:
+                    assert np.array_equal(got[1], ref[1])
+            delta, se, values, im = _alloc_negativity_with_error(part, grid, 16)
+            assert negativity_estimate(part, grid) == delta
+            out = negativity_with_error(part, grid, n_blocks=16)
+            assert out["negativity"] == delta
+            assert out["jackknife_se"] == se and se > 0.0
+            assert np.array_equal(out["field"].values, values)
+            assert out["max_imag_residual"] == float(np.max(np.abs(im))) * (
+                2.0 / (math.pi * n))
