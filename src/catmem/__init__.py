@@ -1,16 +1,13 @@
 """Positive-P phase-space simulator for a cat-state optomechanical memory."""
 
-from .model import (CatParams, DerivedRates, GridAxis, GridField,
-                    PhaseSpaceState, ProtocolSchedule, SystemParams,
-                    TrajectoryResult, WeightedSample, derive_rates,
+from .model import (CatParams, DerivedRates, EnsembleResult, GridAxis,
+                    GridField, ProtocolSchedule, SystemParams, derive_rates,
                     parse_storage_time)
 from .modes import (ModeFunctionSpec, default_write_duration,
                     transfer_amplitude, u_in, u_out)
 from .sampling import (RNG_BLOCK_SIZE, SamplerConfig, block_stream,
-                       branch_weights, sample_cat, sample_thermal,
-                       verify_cat_moments)
-from .engine import (EnsembleResult, reference_gain, run_ensemble,
-                     run_protocol, write_gain)
+                       branch_weights, sample_cat)
+from .engine import reference_gain, run_ensemble, write_gain
 from .signatures import (QuadratureGrid, WignerGrid, default_quadrature_grid,
                          default_wigner_grid, is_mixture_falsified,
                          negativity_with_error, p_distribution, p_variance,

@@ -18,10 +18,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import signatures as sig
-from .engine import EnsembleResult, reference_gain, write_gain
+from .engine import reference_gain, write_gain
 from .experiments import (DEFAULT_GAMMA_M, ExperimentConfig, _corrected_ensemble,
                           oracle_query, run_point, write_run_artifacts)
-from .model import ProtocolSchedule, SystemParams, derive_rates
+from .model import EnsembleResult, ProtocolSchedule, SystemParams, derive_rates
 from .modes import (ModeFunctionSpec, coupler_ode_residual, kappa_source,
                     transfer_amplitude, u_exp_approx, u_in)
 from .oracle import decohered_density
@@ -365,7 +365,7 @@ def _check_estimator_sanity() -> tuple[bool, list, dict]:
 
     cfg = ExperimentConfig(alpha0=2.0, t_store=0.02 / DEFAULT_GAMMA_M,
                            signatures=(), n_samples=4)
-    samples, ens = _corrected_ensemble(cfg)
+    inputs, ens = _corrected_ensemble(cfg)
 
     wgrid = sig.default_wigner_grid(cfg.alpha0)
     wfield = sig.wigner_estimate(ens, wgrid)
@@ -394,11 +394,10 @@ def _check_estimator_sanity() -> tuple[bool, list, dict]:
     passed &= _record(lines, ok_range,
                       f"negativities {deltas} lie in [0, 1]")
 
-    weights = [s.weight for s in samples]
-    mean_w = math.fsum(weights) / len(weights)
+    mean_w = math.fsum(inputs.weight) / len(inputs)
     big = sample_cat(SamplerConfig(cat=cfg.cat_params(), n_samples=4096,
                                    master_seed=cfg.master_seed))
-    mean_w_big = math.fsum(s.weight for s in big) / len(big)
+    mean_w_big = math.fsum(big.weight) / len(big)
     measured["mean_weights"] = [mean_w, mean_w_big]
     passed &= _record(lines, mean_w == 1.0 and mean_w_big == 1.0,
                       f"stratified mean weights {mean_w!r}, {mean_w_big!r} == 1.0")

@@ -34,8 +34,6 @@ def _resolve(args) -> ExperimentConfig:
         base = load_config(args.config, base)
     overrides = {}
     if args.seed is not None:
-        if not 0 <= args.seed < 2 ** 64:
-            raise ConfigError("seed must fit in an unsigned 64-bit integer")
         overrides["master_seed"] = args.seed
     if args.out is not None:
         overrides["out_dir"] = args.out

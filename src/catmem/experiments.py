@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import oracle
-from .engine import ENGINE_VERSION, EnsembleResult, run_ensemble
-from .model import (CatParams, ProtocolSchedule, SystemParams,
+from .engine import ENGINE_VERSION, run_ensemble
+from .model import (CatParams, EnsembleResult, ProtocolSchedule, SystemParams,
                     derive_rates, parse_storage_time)
 from .modes import default_write_duration, transfer_amplitude
 from .sampling import SamplerConfig, sample_cat
@@ -113,10 +113,9 @@ class ExperimentConfig:
         return ProtocolSchedule.make(t_w, self.t_store, self.dt)
 
     def validate(self) -> None:
-        self.system_params()
-        self.cat_params()
-        self.schedule()
-        _check_alpha0(self.alpha0)
+        """Build every parameter object and grid a run builds, here and at
+        every sweep point, so that a bad value fails as a ConfigError before
+        any work starts."""
         for name in self.signatures:
             if name not in KNOWN_SIGNATURES:
                 raise ConfigError(f"unknown signature {name!r}")
@@ -127,11 +126,21 @@ class ExperimentConfig:
                 raise ConfigError(f"cannot sweep over {axis_field!r}")
             if len(values) == 0:
                 raise ConfigError(f"sweep axis {axis_field!r} has no values")
-            if axis_field == "alpha0":
-                for value in values:
-                    _check_alpha0(value)
-        if self.n_samples < 1:
-            raise ConfigError("n_samples must be positive")
+        if self.jackknife_blocks < 2:
+            raise ConfigError("jackknife_blocks must be at least 2")
+        _check_alpha0(self.alpha0)
+        try:
+            SamplerConfig(cat=self.cat_params(), n_samples=self.n_samples,
+                          master_seed=self.master_seed, stratified=self.stratified)
+            self.schedule()  # builds the system parameters too
+            sig.default_quadrature_grid(self.alpha0, self.quad_theta, self.quad_step)
+            sig.default_wigner_grid(self.alpha0, self.wigner_h, self.wigner_pad)
+            sig.default_density_axis(self.alpha0, self.density_step)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        if self.sweep:
+            for _, sub in sweep_points(self):
+                sub.validate()
 
 
 def _check_alpha0(alpha0: float) -> None:
@@ -211,6 +220,18 @@ _INT_FIELDS = ("n_samples", "master_seed", "jackknife_blocks")
 _BOOL_FIELDS = ("stratified", "time_step_check")
 
 
+def _parse_number(raw: str, key: str, line: int, gamma_m: float | None = None) -> float:
+    """A finite float; with gamma_m, a storage time that may take the '/Gm' form."""
+    try:
+        value = float(raw) if gamma_m is None else parse_storage_time(raw, gamma_m)
+    except ValueError as exc:
+        detail = f"expected a number for {key}, got {raw!r}" if gamma_m is None else str(exc)
+        raise ConfigError(detail, line) from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {raw!r}", line)
+    return value
+
+
 def _parse_bool(raw: str, line: int) -> bool:
     low = raw.strip().lower()
     if low in ("true", "yes", "1"):
@@ -248,10 +269,7 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None) -> Experi
             storage_entries.append((lineno, key, value))
             continue
         if key in _FLOAT_FIELDS:
-            try:
-                updates[key] = float(value)
-            except ValueError:
-                raise ConfigError(f"expected a number for {key}, got {value!r}", lineno) from None
+            updates[key] = _parse_number(value, key, lineno)
         elif key in _INT_FIELDS:
             try:
                 updates[key] = int(value)
@@ -260,7 +278,8 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None) -> Experi
         elif key in _BOOL_FIELDS:
             updates[key] = _parse_bool(value, lineno)
         elif key == "t_write":
-            updates[key] = None if value.lower() in ("auto", "none") else float(value)
+            updates[key] = (None if value.lower() in ("auto", "none")
+                            else _parse_number(value, key, lineno))
         elif key == "signatures":
             if value.lower() in ("", "none"):
                 updates[key] = ()
@@ -278,10 +297,7 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None) -> Experi
     gamma_m = updates.get("gamma_m", config.gamma_m)
     for lineno, key, value in storage_entries:
         if key == "t_store":
-            try:
-                updates[key] = parse_storage_time(value, gamma_m)
-            except ValueError as exc:
-                raise ConfigError(str(exc), lineno) from None
+            updates[key] = _parse_number(value, key, lineno, gamma_m)
             continue
         axis_field = key[len("sweep."):]
         if axis_field not in SWEEP_FIELDS:
@@ -289,13 +305,8 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None) -> Experi
         parts = [v.strip() for v in value.split(",") if v.strip()]
         if not parts:
             raise ConfigError(f"sweep axis {axis_field!r} has no values", lineno)
-        try:
-            if axis_field == "t_store":
-                vals = tuple(parse_storage_time(p, gamma_m) for p in parts)
-            else:
-                vals = tuple(float(p) for p in parts)
-        except ValueError as exc:
-            raise ConfigError(str(exc), lineno) from None
+        axis_gamma_m = gamma_m if axis_field == "t_store" else None
+        vals = tuple(_parse_number(p, key, lineno, axis_gamma_m) for p in parts)
         if axis_field not in sweep_axes:
             sweep_order.append(axis_field)
         sweep_axes[axis_field] = vals
@@ -348,26 +359,18 @@ class PointResult:
     fields: dict = field(default_factory=dict)
 
 
-def _as_input_ensemble(samples) -> EnsembleResult:
-    return EnsembleResult(
-        alpha_out=np.array([s.alpha_in for s in samples], dtype=np.complex128),
-        alpha_out_plus=np.array([s.alpha_in_plus for s in samples], dtype=np.complex128),
-        weight=np.array([s.weight for s in samples]),
-        branch=np.array([s.branch for s in samples]))
-
-
-def _corrected_ensemble(config: ExperimentConfig) -> tuple[list, EnsembleResult]:
+def _corrected_ensemble(config: ExperimentConfig) -> tuple[EnsembleResult, EnsembleResult]:
     """Sample the input cat and send it through the protocol channel,
-    phase-corrected: (input samples, output ensemble).  The one place a run
+    phase-corrected: (input ensemble, output ensemble).  The one place a run
     forms its ensemble; the channel rides on the ensemble."""
-    samples = sample_cat(SamplerConfig(cat=config.cat_params(), n_samples=config.n_samples,
-                                       master_seed=config.master_seed,
-                                       stratified=config.stratified))
-    return samples, run_ensemble(samples, config.system_params(), config.schedule(),
-                                 config.master_seed)
+    inputs = sample_cat(SamplerConfig(cat=config.cat_params(), n_samples=config.n_samples,
+                                      master_seed=config.master_seed,
+                                      stratified=config.stratified))
+    return inputs, run_ensemble(inputs, config.system_params(), config.schedule(),
+                                config.master_seed)
 
 
-def _point_core(config: ExperimentConfig, samples: list, ens: EnsembleResult,
+def _point_core(config: ExperimentConfig, inputs: EnsembleResult, ens: EnsembleResult,
                 want_fields: bool) -> PointResult:
     """Estimate the requested signatures of one corrected ensemble."""
     params = config.system_params()
@@ -375,7 +378,6 @@ def _point_core(config: ExperimentConfig, samples: list, ens: EnsembleResult,
     rates = derive_rates(params)
     gain = ens.gain
 
-    inputs = _as_input_ensemble(samples)
     in_moments = sig.quadrature_moments(inputs)
     scalars: dict = {
         "mean_weight": in_moments["mean_weight"],
@@ -400,7 +402,7 @@ def _point_core(config: ExperimentConfig, samples: list, ens: EnsembleResult,
     if need_wigner:
         wgrid = sig.default_wigner_grid(config.alpha0, config.wigner_h,
                                         config.wigner_pad)
-        if "negativity" in sigs and scalars["noisy"] and config.jackknife_blocks >= 2:
+        if "negativity" in sigs and scalars["noisy"]:
             jack = sig.negativity_with_error(ens, wgrid,
                                              n_blocks=config.jackknife_blocks)
             wfield = jack.pop("field")
@@ -467,23 +469,22 @@ def run_point(config: ExperimentConfig, want_fields: bool = True) -> PointResult
     evaluates its protocol channel once.
     """
     config.validate()
-    samples, ens = _corrected_ensemble(config)
-    point = _point_core(config, samples, ens, want_fields)
+    inputs, ens = _corrected_ensemble(config)
+    point = _point_core(config, inputs, ens, want_fields)
     if "negativity" in config.signatures:
         _add_references(config, ens, point.scalars)
-    del samples, ens  # the rerun below does not need the fine ensemble
+    del inputs, ens  # the rerun below does not need the fine ensemble
     if config.time_step_check and "negativity" in config.signatures:
         _, coarse = _corrected_ensemble(replace(config, dt=2.0 * config.dt))
         wgrid = sig.default_wigner_grid(config.alpha0, config.wigner_h, config.wigner_pad)
         ts_err = abs(point.scalars["negativity"]
                      - sig.negativity_estimate(coarse, wgrid)) / 15.0
         point.scalars["time_step_error"] = ts_err
-        samp = point.scalars.get("sampling_error", 0.0)
-        point.scalars["error_quadrature_sum"] = math.hypot(samp, ts_err)
+        point.scalars["error_quadrature_sum"] = math.hypot(
+            point.scalars["sampling_error"], ts_err)
     elif "negativity" in config.signatures:
-        samp = point.scalars.get("sampling_error", 0.0)
         point.scalars["time_step_error"] = 0.0
-        point.scalars["error_quadrature_sum"] = samp
+        point.scalars["error_quadrature_sum"] = point.scalars["sampling_error"]
     return point
 
 

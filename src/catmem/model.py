@@ -15,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -23,9 +24,7 @@ __all__ = [
     "DerivedRates",
     "CatParams",
     "ProtocolSchedule",
-    "WeightedSample",
-    "PhaseSpaceState",
-    "TrajectoryResult",
+    "EnsembleResult",
     "GridAxis",
     "GridField",
     "derive_rates",
@@ -185,59 +184,26 @@ class ProtocolSchedule:
 BRANCHES = ("++", "--", "+-", "-+")
 
 
-@dataclass(frozen=True)
-class WeightedSample:
-    """One importance-sampled input: phase-space pair plus weight.
-
-    Diagonal branches (++/--) keep alpha_in_plus = conj(alpha_in); the
-    off-diagonal branches (+-/-+) carry alpha_in_plus = -conj(alpha_in) and a
-    weight suppressed by the cat overlap.
-    """
-
-    alpha_in: complex
-    alpha_in_plus: complex
-    weight: float
-    branch: str
-
-    def __post_init__(self):
-        if self.branch not in BRANCHES:
-            raise ValueError(f"unknown branch {self.branch!r}")
-        if self.weight <= 0:
-            raise ValueError("weight must be positive")
-
-
 @dataclass
-class PhaseSpaceState:
-    """Doubled phase-space point (alpha, alpha+, beta, beta+).
+class EnsembleResult:
+    """Weighted trajectory ensemble as columns, one row per trajectory.
 
-    The plus variables are independent of the unplussed ones in general; they
-    coincide with complex conjugates only on diagonal-branch trajectories.
+    branch holds each row's label from BRANCHES.  ``sampling.sample_cat``
+    returns the input ensemble in this layout (alpha_out = alpha_in, the
+    ensemble before any evolution); ``engine.run_ensemble`` returns the
+    retrieved one, with the protocol channel it was sampled from in gain
+    and noise_var.  Both are None for any other ensemble.
     """
 
-    alpha: complex
-    alpha_plus: complex
-    beta: complex
-    beta_plus: complex
+    alpha_out: np.ndarray
+    alpha_out_plus: np.ndarray
+    weight: np.ndarray
+    branch: np.ndarray
+    gain: Optional[complex] = None
+    noise_var: Optional[float] = None
 
-    def scaled(self, c: float) -> "PhaseSpaceState":
-        return PhaseSpaceState(c * self.alpha, c * self.alpha_plus,
-                               c * self.beta, c * self.beta_plus)
-
-    def shifted(self, other: "PhaseSpaceState", c: float = 1.0) -> "PhaseSpaceState":
-        return PhaseSpaceState(self.alpha + c * other.alpha,
-                               self.alpha_plus + c * other.alpha_plus,
-                               self.beta + c * other.beta,
-                               self.beta_plus + c * other.beta_plus)
-
-
-@dataclass(frozen=True)
-class TrajectoryResult:
-    """Projected output-mode amplitudes for one trajectory."""
-
-    alpha_out: complex
-    alpha_out_plus: complex
-    weight: float
-    branch: str = ""
+    def __len__(self) -> int:
+        return self.alpha_out.size
 
 
 @dataclass(frozen=True)

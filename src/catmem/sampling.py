@@ -1,4 +1,4 @@
-"""Importance sampling of the cat-state input and thermal mechanical starts.
+"""Importance sampling of the cat-state input.
 
 The even cat admits an exact positive phase-space density over four branch
 points: the two diagonal pairs at (+-alpha0, +-conj(alpha0)) and the two
@@ -15,14 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BRANCHES, CatParams, WeightedSample
+from .model import BRANCHES, CatParams, EnsembleResult
 
 __all__ = [
     "SamplerConfig",
     "branch_weights",
     "sample_cat",
-    "sample_thermal",
-    "verify_cat_moments",
     "block_stream",
     "RNG_BLOCK_SIZE",
 ]
@@ -69,66 +67,33 @@ def branch_weights(cat: CatParams) -> tuple[float, float]:
     return w_diag, w_off
 
 
-def _branch_sample(cat: CatParams, branch: str, w_diag: float, w_off: float) -> WeightedSample:
-    a0 = complex(cat.alpha0)
-    ket = a0 if branch[0] == "+" else -a0
-    bra = a0 if branch[1] == "+" else -a0  # this is alpha_in_plus^* in ket space
-    weight = w_diag if branch[0] == branch[1] else w_off
-    return WeightedSample(alpha_in=ket, alpha_in_plus=bra.conjugate(),
-                          weight=weight, branch=branch)
+def sample_cat(config: SamplerConfig) -> EnsembleResult:
+    """Draw the weighted input ensemble as columns.
 
-
-def sample_cat(config: SamplerConfig) -> list[WeightedSample]:
-    """Draw the weighted input ensemble.
-
-    Stratified mode assigns exactly n/4 samples per branch, ordered as the
-    ++ block, then --, +-, -+.  Unstratified mode draws branches uniformly
-    from the master-seeded stream (mean weight then fluctuates).
+    The result is the ensemble before any evolution: alpha_out holds
+    alpha_in = +-alpha0 and alpha_out_plus holds alpha_in_plus =
+    conj(+-alpha0), each row with the diagonal or off-diagonal weight of
+    its branch.  Stratified mode assigns exactly n/4 rows per branch,
+    ordered as the ++ block, then --, +-, -+.  Unstratified mode draws
+    branches uniformly from the master-seeded stream (mean weight then
+    fluctuates).
     """
     w_diag, w_off = branch_weights(config.cat)
+    a0 = complex(config.cat.alpha0)
+    amp = {"+": a0, "-": -a0}
     if config.stratified:
-        per = config.n_samples // 4
-        out: list[WeightedSample] = []
-        for branch in BRANCHES:
-            s = _branch_sample(config.cat, branch, w_diag, w_off)
-            out.extend([s] * per)
-        return out
-    rng = np.random.Generator(np.random.Philox(key=np.array([config.master_seed, 0], dtype=np.uint64)))
-    picks = rng.integers(0, 4, size=config.n_samples)
-    return [_branch_sample(config.cat, BRANCHES[k], w_diag, w_off) for k in picks]
-
-
-def sample_thermal(n_occupation: float, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Thermal phase-space starts for the mechanical mode.
-
-    Returns an array of shape (count,) of complex beta values with
-    <|beta|^2> = n_occupation and <beta^2> = 0; the conjugate variable is
-    beta* on every trajectory.  Zero occupation gives exact zeros without
-    consuming randomness.
-    """
-    if n_occupation < 0:
-        raise ValueError("occupation must be non-negative")
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    if n_occupation == 0:
-        return np.zeros(count, dtype=np.complex128)
-    scale = math.sqrt(n_occupation / 2.0)
-    xy = rng.standard_normal((2, count))
-    return scale * (xy[0] + 1j * xy[1])
-
-
-def verify_cat_moments(samples: list[WeightedSample]) -> dict:
-    """Weighted input moments used for cross-checks against Fock-space values."""
-    w = np.array([s.weight for s in samples])
-    a = np.array([s.alpha_in for s in samples])
-    ap = np.array([s.alpha_in_plus for s in samples])
-    n = len(samples)
-    return {
-        "mean_weight": math.fsum(s.weight for s in samples) / n,
-        "a": complex(np.sum(w * a) / n),
-        "a_sq": complex(np.sum(w * a * a) / n),
-        "adag_a": complex(np.sum(w * ap * a) / n),
-    }
+        picks = np.repeat(np.arange(4), config.n_samples // 4)
+    else:
+        rng = np.random.Generator(np.random.Philox(
+            key=np.array([config.master_seed, 0], dtype=np.uint64)))
+        picks = rng.integers(0, 4, size=config.n_samples)
+    # the four branch atoms in BRANCHES order, indexed by each row's branch;
+    # the plus variable is the conjugate of the bra amplitude
+    return EnsembleResult(
+        alpha_out=np.array([amp[b[0]] for b in BRANCHES])[picks],
+        alpha_out_plus=np.array([amp[b[1]].conjugate() for b in BRANCHES])[picks],
+        weight=np.array([w_diag if b[0] == b[1] else w_off for b in BRANCHES])[picks],
+        branch=np.array(BRANCHES)[picks])
 
 
 def block_stream(master_seed: int, block_index: int) -> np.random.Generator:

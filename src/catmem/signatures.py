@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import EnsembleResult
-from .model import GridAxis, GridField
+from .model import EnsembleResult, GridAxis, GridField
 
 __all__ = [
     "QuadratureGrid",
@@ -94,6 +93,8 @@ class WignerGrid:
 
 
 def _symmetric_axis(extent: float, step: float) -> np.ndarray:
+    if not step > 0:
+        raise ValueError(f"grid step must be positive, got {step!r}")
     n = math.ceil(extent / step)
     return step * np.arange(-n, n + 1)
 

@@ -17,10 +17,10 @@ from catmem.acceptance import WIGNER_NORM_TOL, run_criteria
 from catmem.cli import main
 from catmem.engine import protocol_channel
 from catmem.experiments import (ALPHA0_MAX, ConfigError, ExperimentConfig,
-                                PRESETS, config_fingerprint, load_config,
-                                parse_config_text, preset,
+                                PRESETS, _corrected_ensemble, config_fingerprint,
+                                load_config, parse_config_text, preset,
                                 protocol_negativity, run_point, run_sweep)
-from catmem.signatures import default_wigner_grid
+from catmem.signatures import default_wigner_grid, wigner_estimate, wigner_negativity
 
 TINY_RUN = """\
 # small smoke configuration
@@ -64,11 +64,41 @@ def test_parse_comments_and_blank_lines():
     ("signatures = wigner, nope\n", "line 1"),
     ("sweep.dt = 0.1, 0.2\n", "line 1"),
     ("stratified = maybe\n", "line 1"),
+    ("t_write = abc\n", "line 1"),
+    ("alpha0 = nan\n", "line 1"),
+    ("dt = 0.1\nsweep.alpha0 = 1, inf\n", "line 2"),
+    ("t_store = nan/Gm\n", "line 1"),
 ])
 def test_parse_errors_carry_line_numbers(text, fragment):
     with pytest.raises(ConfigError) as err:
         parse_config_text(text)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("command,text", [
+    ("run", "n_samples = 6"),
+    ("run", "n_samples = 2"),
+    ("run", "master_seed = -1"),
+    ("run", "wigner_h = 0.1"),
+    ("run", "dt = 0.7"),
+    ("run", "t_write = abc"),
+    ("run", "quad_step = 0"),
+    ("run", "density_step = 0"),
+    ("run", "alpha0 = nan"),
+    ("run", "n_bar = 1\njackknife_blocks = 1"),
+    ("sweep", "sweep.n_bar = -1, 2"),
+    ("sweep", "sweep.alpha0 = 0, 2"),
+])
+def test_bad_config_values_are_config_errors(tmp_path, capsys, command, text):
+    # caught before any work: otherwise the run raises a traceback deep in
+    # the engine, writes NaN scalars (alpha0 = nan) or reports a noisy point
+    # with a zero error bar (jackknife_blocks = 1)
+    path = tmp_path / "bad.cfg"
+    path.write_text(text + "\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_parse_sweep_axes():
@@ -117,8 +147,9 @@ def test_time_step_rerun_negativity_is_the_estimate_negativity():
     cfg = ExperimentConfig(alpha0=2.0, n_bar=2.0, n_samples=400, jackknife_blocks=10,
                            signatures=("negativity",))
     scalars = run_point(cfg, want_fields=False).scalars
-    coarse = replace(cfg, dt=2.0 * cfg.dt, jackknife_blocks=0, time_step_check=False)
-    coarse_negativity = run_point(coarse, want_fields=False).scalars["negativity"]
+    _, coarse = _corrected_ensemble(replace(cfg, dt=2.0 * cfg.dt))
+    grid = default_wigner_grid(cfg.alpha0, cfg.wigner_h, cfg.wigner_pad)
+    coarse_negativity = wigner_negativity(wigner_estimate(coarse, grid))
     assert scalars["time_step_error"] > 0.0
     assert scalars["time_step_error"] == abs(scalars["negativity"] - coarse_negativity) / 15.0
 

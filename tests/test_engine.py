@@ -1,8 +1,11 @@
-"""Protocol integrator: stepper accuracy, noise statistics, reproducibility.
+"""Protocol channel and ensemble sampler against a stepped reference.
 
-The private block integrator (``engine._run_block``) steps every trajectory
-and is the reference that the channel-sampled ``run_ensemble`` and the
-scalar ``reference_gain`` are checked against.  ``run_ensemble`` returns the
+No trajectory is stepped in the package: ``run_ensemble`` samples the
+ensemble from the protocol's exact Gaussian channel (``protocol_channel``).
+The reference here steps every trajectory, one RK4 step plus one
+mechanical kick at a time, through the write, storage and read windows.  It
+shares the engine's drive and projection tables but not its storage
+aggregate, so it checks that too.  ``run_ensemble`` returns the
 phase-corrected frame, where the coherent-input gain is |G|; the stepped
 reference is rotated into that frame by the phase of its own gain.
 """
@@ -16,12 +19,9 @@ import pytest
 from scipy.linalg import expm
 
 from catmem import engine, experiments
-from catmem.engine import (DriveContext, g_of_t,
-                           noise_increment, protocol_channel, reference_gain,
-                           rk4_decay_factor, run_ensemble, run_protocol,
-                           step_rk4, write_gain)
-from catmem.model import (CatParams, PhaseSpaceState, ProtocolSchedule,
-                          SystemParams, WeightedSample)
+from catmem.engine import (protocol_channel, reference_gain, rk4_decay_factor,
+                           run_ensemble, write_gain)
+from catmem.model import CatParams, EnsembleResult, ProtocolSchedule, SystemParams
 from catmem.modes import (ModeFunctionSpec, default_write_duration,
                           transfer_amplitude)
 from catmem.sampling import RNG_BLOCK_SIZE, SamplerConfig, block_stream, sample_cat
@@ -45,63 +45,215 @@ def cat_samples(alpha0, n, seed=0):
                                     master_seed=seed))
 
 
-def stepped_outputs(samples, p, sched, master_seed):
-    # the reference: every trajectory stepped through the write and read
-    # windows, in RNG_BLOCK_SIZE blocks with one stream per block
-    a_in = np.array([s.alpha_in for s in samples], dtype=np.complex128)
-    a_in_p = np.array([s.alpha_in_plus for s in samples], dtype=np.complex128)
+def inputs_of(alpha_in, alpha_in_plus, branch):
+    # a hand-built input ensemble of unit weights
+    return EnsembleResult(alpha_out=np.array(alpha_in, dtype=np.complex128),
+                          alpha_out_plus=np.array(alpha_in_plus, dtype=np.complex128),
+                          weight=np.ones(len(branch)), branch=np.array(branch))
+
+
+# -- the stepped reference ---------------------------------------------------
+
+def sample_thermal(n_occupation, count, rng):
+    """Thermal starts: count complex beta with <|beta|^2> = n_occupation and
+    <beta^2> = 0.  Zero occupation gives exact zeros and draws nothing."""
+    if n_occupation < 0:
+        raise ValueError("occupation must be non-negative")
+    if count < 0:
+        raise ValueError("count must be non-negative")
+    if n_occupation == 0:
+        return np.zeros(count, dtype=np.complex128)
+    xy = rng.standard_normal((2, count))
+    return math.sqrt(n_occupation / 2.0) * (xy[0] + 1j * xy[1])
+
+
+def kick(b, bp, nu, rng):
+    """One mechanical noise kick of standard deviation nu, conjugate on bp."""
+    if nu == 0:
+        return b, bp
+    xy = rng.standard_normal((2, b.size))
+    eta = (xy[0] + 1j * xy[1]) / math.sqrt(2.0)
+    return b + nu * eta, bp + nu * np.conj(eta)
+
+
+def stepped_span(a, ap, b, bp, params, dt, n_steps, d_grid, d_mid, a_in, a_in_p,
+                 nu, rng, uo_grid=None, trap=None, sq=0.0):
+    """Step a trajectory block through a constant-g window, one RK4 step and
+    one mechanical kick of standard deviation nu at a time.
+
+    Optionally applies the mode-matched drive (write) and accumulates the
+    output projection on the fly (read).  Returns the state and, when
+    projecting, the running output integrals.
+    """
+    go, gm, g = params.gamma_o, params.gamma_m, params.g_eff
+    half = 0.5 * dt
+    acc = acc_p = None
+    if uo_grid is not None:
+        acc = trap[0] * uo_grid[0] * sq * a
+        acc_p = trap[0] * np.conj(uo_grid[0]) * sq * ap
+
+    for k in range(n_steps):
+        if d_grid is not None:
+            d0, dh, d1 = d_grid[k], d_mid[k], d_grid[k + 1]
+        else:
+            d0 = dh = d1 = 0.0j
+
+        k1a = -go * a - 1j * g * b + d0 * a_in
+        k1ap = -go * ap + 1j * g * bp + d0.conjugate() * a_in_p
+        k1b = -gm * b - 1j * g * a
+        k1bp = -gm * bp + 1j * g * ap
+
+        a2 = a + half * k1a
+        ap2 = ap + half * k1ap
+        b2 = b + half * k1b
+        bp2 = bp + half * k1bp
+        k2a = -go * a2 - 1j * g * b2 + dh * a_in
+        k2ap = -go * ap2 + 1j * g * bp2 + dh.conjugate() * a_in_p
+        k2b = -gm * b2 - 1j * g * a2
+        k2bp = -gm * bp2 + 1j * g * ap2
+
+        a3 = a + half * k2a
+        ap3 = ap + half * k2ap
+        b3 = b + half * k2b
+        bp3 = bp + half * k2bp
+        k3a = -go * a3 - 1j * g * b3 + dh * a_in
+        k3ap = -go * ap3 + 1j * g * bp3 + dh.conjugate() * a_in_p
+        k3b = -gm * b3 - 1j * g * a3
+        k3bp = -gm * bp3 + 1j * g * ap3
+
+        a4 = a + dt * k3a
+        ap4 = ap + dt * k3ap
+        b4 = b + dt * k3b
+        bp4 = bp + dt * k3bp
+        k4a = -go * a4 - 1j * g * b4 + d1 * a_in
+        k4ap = -go * ap4 + 1j * g * bp4 + d1.conjugate() * a_in_p
+        k4b = -gm * b4 - 1j * g * a4
+        k4bp = -gm * bp4 + 1j * g * ap4
+
+        sixth = dt / 6.0
+        a = a + sixth * (k1a + 2.0 * (k2a + k3a) + k4a)
+        ap = ap + sixth * (k1ap + 2.0 * (k2ap + k3ap) + k4ap)
+        b = b + sixth * (k1b + 2.0 * (k2b + k3b) + k4b)
+        bp = bp + sixth * (k1bp + 2.0 * (k2bp + k3bp) + k4bp)
+
+        b, bp = kick(b, bp, nu, rng)
+
+        if uo_grid is not None:
+            w = trap[k + 1]
+            acc = acc + w * uo_grid[k + 1] * sq * a
+            acc_p = acc_p + w * np.conj(uo_grid[k + 1]) * sq * ap
+
+    return a, ap, b, bp, acc, acc_p
+
+
+def stepped_storage(a, ap, b, bp, params, dt, n_steps, nu, rng):
+    """Step the uncoupled storage window, one RK4 step and one kick at a time.
+
+    With g = 0 and no drive every variable decays on its own, so an RK4 step
+    adds a fixed multiple of it: the increment of y' = lambda y over one step
+    from y = 1, taken from the four RK4 stages.
+    """
+    def increment(lam):
+        k1 = lam
+        k2 = lam * (1.0 + 0.5 * dt * k1)
+        k3 = lam * (1.0 + 0.5 * dt * k2)
+        k4 = lam * (1.0 + dt * k3)
+        return dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+
+    d_o, d_m = increment(-params.gamma_o), increment(-params.gamma_m)
+    for _ in range(n_steps):
+        a, ap = a + d_o * a, ap + d_o * ap
+        b, bp = kick(b + d_m * b, bp + d_m * bp, nu, rng)
+    return a, ap, b, bp
+
+
+def stepped_block(a_in, a_in_p, params, schedule, tables, stream):
+    """Output-mode amplitudes of one trajectory block, every window stepped."""
+    n = a_in.size
+    dt = schedule.dt
+    nu = math.sqrt(2.0 * params.gamma_m * params.n_th_mech * dt) \
+        if params.gamma_m > 0 and params.n_th_mech > 0 else 0.0
+    beta0 = sample_thermal(params.n_init_mech, n, stream)
+    a = np.zeros(n, dtype=np.complex128)
+    ap = np.zeros(n, dtype=np.complex128)
+    b = beta0.astype(np.complex128)
+    bp = np.conj(beta0)
+
+    a, ap, b, bp, _, _ = stepped_span(a, ap, b, bp, params, dt, schedule.n_write,
+                                      tables.d_grid, tables.d_mid, a_in, a_in_p,
+                                      nu, stream)
+    a, ap, b, bp = stepped_storage(a, ap, b, bp, params, dt, schedule.n_store, nu, stream)
+    _, _, _, _, acc, acc_p = stepped_span(a, ap, b, bp, params, dt, schedule.n_read,
+                                          None, None, a_in, a_in_p, nu, stream,
+                                          uo_grid=tables.uo_grid, trap=tables.trap,
+                                          sq=math.sqrt(2.0 * params.gamma_ext))
+    return acc, acc_p
+
+
+def stepped_outputs(inputs, p, sched, master_seed):
+    # every trajectory stepped, in RNG_BLOCK_SIZE blocks with one stream per
+    # block
+    a_in, a_in_p = inputs.alpha_out, inputs.alpha_out_plus
     tables = engine._make_tables(p, sched, ModeFunctionSpec.for_params(p, sched.t_store))
     out = np.empty_like(a_in)
     out_p = np.empty_like(a_in)
-    for block, lo in enumerate(range(0, len(samples), RNG_BLOCK_SIZE)):
+    for block, lo in enumerate(range(0, len(inputs), RNG_BLOCK_SIZE)):
         sl = slice(lo, lo + RNG_BLOCK_SIZE)
-        out[sl], out_p[sl] = engine._run_block(a_in[sl], a_in_p[sl], p, sched, tables,
-                                               block_stream(master_seed, block))
+        out[sl], out_p[sl] = stepped_block(a_in[sl], a_in_p[sl], p, sched, tables,
+                                           block_stream(master_seed, block))
     return out, out_p
 
 
 def stepped_gain(p, sched):
     quiet = default_params(gamma_m=p.gamma_m, g_eff=p.g_eff, gamma_int=p.gamma_int)
-    return complex(stepped_outputs(
-        [WeightedSample(alpha_in=1.0, alpha_in_plus=1.0, weight=1.0, branch="++")],
-        quiet, sched, master_seed=0)[0][0])
+    return complex(stepped_outputs(inputs_of([1.0], [1.0], ["++"]), quiet, sched,
+                                   master_seed=0)[0][0])
 
 
-def stepped_ensemble(samples, p, sched, master_seed):
+def stepped_ensemble(inputs, p, sched, master_seed):
     # the stepped reference in the phase-corrected frame
-    out, out_p = stepped_outputs(samples, p, sched, master_seed)
+    out, out_p = stepped_outputs(inputs, p, sched, master_seed)
     rot = cmath.exp(-1j * cmath.phase(stepped_gain(p, sched)))
-    return engine.EnsembleResult(alpha_out=out * rot, alpha_out_plus=out_p * rot.conjugate(),
-                                 weight=np.array([s.weight for s in samples]),
-                                 branch=np.array([s.branch for s in samples]))
+    return EnsembleResult(alpha_out=out * rot, alpha_out_plus=out_p * rot.conjugate(),
+                          weight=inputs.weight, branch=inputs.branch)
 
 
-def test_coupling_window():
-    sched = ProtocolSchedule.make(2.0, 1.0, 0.1)
-    assert g_of_t(-1.0, sched, 0.6) == 0.6
-    assert g_of_t(0.5, sched, 0.6) == 0.0
-    assert g_of_t(1.5, sched, 0.6) == 0.6
-    assert g_of_t(3.5, sched, 0.6) == 0.0
-    assert g_of_t(-2.5, sched, 0.6) == 0.0
+def test_thermal_moments():
+    rng = block_stream(3, 0)
+    beta = sample_thermal(1.7, 200_000, rng)
+    n_est = float(np.mean(np.abs(beta) ** 2))
+    assert n_est == pytest.approx(1.7, abs=0.02)
+    assert abs(np.mean(beta)) < 0.01
+    assert abs(np.mean(beta ** 2)) < 0.02
 
+
+def test_thermal_zero_occupation_consumes_no_randomness():
+    rng = block_stream(5, 1)
+    zeros = sample_thermal(0.0, 16, rng)
+    assert np.all(zeros == 0.0)
+    fresh = block_stream(5, 1)
+    assert rng.standard_normal() == fresh.standard_normal()
+
+
+def test_thermal_validation():
+    rng = block_stream(0, 0)
+    with pytest.raises(ValueError):
+        sample_thermal(-0.1, 4, rng)
+    with pytest.raises(ValueError):
+        sample_thermal(1.0, -1, rng)
+
+
+# -- the engine --------------------------------------------------------------
 
 def test_step_matches_matrix_exponential():
-    # constant-g, no pump: one RK4 step against expm of the generator
+    # constant g, no drive: one RK4 step of (alpha, beta) against expm of
+    # the generator
     p = default_params()
-    A = np.array([[-p.gamma_o, 0, -1j * p.g_eff, 0],
-                  [0, -p.gamma_o, 0, 1j * p.g_eff],
-                  [-1j * p.g_eff, 0, -p.gamma_m, 0],
-                  [0, 1j * p.g_eff, 0, -p.gamma_m]])
-    spec = ModeFunctionSpec.for_params(p, 0.0)
-    sched = ProtocolSchedule.make(2.0, 0.0, 0.1)
-    ctx = DriveContext(alpha_in=0j, alpha_in_plus=0j, mode_spec=spec,
-                       schedule=sched, params=p, g_override=0.6)
-    state = PhaseSpaceState(0.3 + 0.1j, 0.3 - 0.1j, -0.2 + 0.4j, -0.2 - 0.4j)
-    out = step_rk4(state, 5.0, 0.1, ctx, block_stream(0, 0))  # pump is zero at t=5
-    got = np.array([out.alpha, out.alpha_plus, out.beta, out.beta_plus])
-    ref = expm(A * 0.1) @ np.array([state.alpha, state.alpha_plus,
-                                    state.beta, state.beta_plus])
-    assert np.max(np.abs(got - ref)) < 1e-8
+    A = np.array([[-p.gamma_o, -1j * p.g_eff],
+                  [-1j * p.g_eff, -p.gamma_m]])
+    state = np.array([0.3 + 0.1j, -0.2 + 0.4j])
+    got = np.array(engine._rk4_pair(state[0], state[1], p, 0.1, 0j, 0j, 0j))
+    assert np.max(np.abs(got - expm(A * 0.1) @ state)) < 1e-8
 
 
 def test_decay_factor_is_fourth_order():
@@ -111,59 +263,32 @@ def test_decay_factor_is_fourth_order():
     assert err1 / err2 > 25.0  # fifth-order local error: factor 32 per halving
 
 
-def test_noise_increment_statistics():
-    p = default_params(n_th_mech=1.5)
-    rng = block_stream(1, 0)
-    draws = [noise_increment(0.1, p, rng) for _ in range(20000)]
-    db = np.array([d.beta for d in draws])
-    assert all(d.alpha == 0 and d.alpha_plus == 0 for d in draws[:100])
-    assert all(d.beta_plus == d.beta.conjugate() for d in draws[:100])
-    var = float(np.mean(np.abs(db) ** 2))
-    assert var == pytest.approx(2.0 * p.gamma_m * 1.5 * 0.1, rel=0.03)
-    assert abs(np.mean(db)) < 3e-4
-
-
-def test_noise_increment_quiet_without_occupation():
-    p = default_params()
-    rng = block_stream(1, 0)
-    d = noise_increment(0.1, p, rng)
-    assert d.beta == 0 and d.beta_plus == 0
-    assert rng.standard_normal() == block_stream(1, 0).standard_normal()
-
-
 def test_trajectory_conjugacy_by_branch():
     p = default_params()
     sched = schedule_for(p, 10.0)
-    rng = block_stream(0, 0)
-    diag = WeightedSample(alpha_in=2.0, alpha_in_plus=2.0, weight=1.0, branch="++")
-    off = WeightedSample(alpha_in=2.0, alpha_in_plus=-2.0, weight=0.1, branch="+-")
-    r_diag = run_protocol(diag, 0j, p, sched, rng)
-    r_off = run_protocol(off, 0j, p, sched, rng)
-    assert r_diag.alpha_out_plus == pytest.approx(r_diag.alpha_out.conjugate())
-    assert r_off.alpha_out_plus == pytest.approx(-r_off.alpha_out.conjugate())
+    out, out_p = stepped_outputs(inputs_of([2.0, 2.0], [2.0, -2.0], ["++", "+-"]),
+                                 p, sched, master_seed=0)
+    assert out_p[0] == pytest.approx(out[0].conjugate())
+    assert out_p[1] == pytest.approx(-out[1].conjugate())
 
 
 def test_output_linear_in_input():
     p = default_params()
     sched = schedule_for(p, 10.0)
-    samples = [WeightedSample(alpha_in=a, alpha_in_plus=a, weight=1.0, branch="++")
-               for a in (1.0, 2.5)]
-    res = run_ensemble(samples, p, sched, master_seed=0)
+    res = run_ensemble(inputs_of([1.0, 2.5], [1.0, 2.5], ["++", "++"]), p, sched,
+                       master_seed=0)
     assert res.alpha_out[1] == pytest.approx(2.5 * res.alpha_out[0], rel=1e-12)
 
 
 def test_batch_matches_stepwise_integration():
+    # noiseless: the sampled ensemble is the stepped one up to rounding
     p = default_params()
     sched = schedule_for(p, 10.0)
-    samples = cat_samples(2.0, 8)
-    batch = run_ensemble(samples, p, sched, master_seed=0)
-    rng = block_stream(0, 0)  # noiseless: stream never consumed
-    rot = cmath.exp(-1j * cmath.phase(stepped_gain(p, sched)))
-    for k, s in enumerate(samples):
-        single = run_protocol(s, 0j, p, sched, rng)
-        assert batch.alpha_out[k] == pytest.approx(single.alpha_out * rot, rel=1e-10)
-        assert batch.alpha_out_plus[k] == pytest.approx(
-            single.alpha_out_plus * rot.conjugate(), rel=1e-10)
+    inputs = cat_samples(2.0, 8)
+    batch = run_ensemble(inputs, p, sched, master_seed=0)
+    stepped = stepped_ensemble(inputs, p, sched, master_seed=0)
+    assert batch.alpha_out == pytest.approx(stepped.alpha_out, rel=1e-10)
+    assert batch.alpha_out_plus == pytest.approx(stepped.alpha_out_plus, rel=1e-10)
 
 
 def test_reference_gain_closed_form():
@@ -196,25 +321,27 @@ def test_storage_decay_rate():
 
 
 def test_free_storage_thermal_variance():
-    # aggregated storage noise against the continuum Ornstein-Uhlenbeck variance
+    # stepped storage noise against the engine's aggregate variance, and that
+    # against the continuum Ornstein-Uhlenbeck variance
     p = SystemParams.make(1.0, gamma_m=0.01, g_eff=0.6, n_th_mech=1.0)
-    dt, n_steps = 0.1, 500
+    dt, n_steps, n = 0.1, 500, 16384
     nu = math.sqrt(2.0 * p.gamma_m * p.n_th_mech * dt)
-    z = np.zeros(100_000, dtype=np.complex128)
-    _, _, b, bp = engine._free_storage(z.copy(), z.copy(), z.copy(), z.copy(),
-                                       p, dt, n_steps, nu, block_stream(2, 0))
-    occupancy = float(np.mean(np.abs(b) ** 2))
-    assert occupancy == pytest.approx(1.0 - math.exp(-2.0 * 0.01 * 50.0), abs=0.01)
+    aggregate = nu ** 2 * engine._storage_aggregate(p, dt, n_steps)[2]
+    assert aggregate == pytest.approx(1.0 - math.exp(-2.0 * 0.01 * 50.0), abs=0.01)
+    z = np.zeros(n, dtype=np.complex128)
+    _, _, b, bp = stepped_storage(z, z, z, z, p, dt, n_steps, nu, block_stream(2, 0))
+    occupancy = np.abs(b) ** 2
+    assert abs(np.mean(occupancy) - aggregate) <= 4.0 * np.std(occupancy) / math.sqrt(n)
     assert np.array_equal(bp, np.conj(b))
 
 
 def test_seed_determinism_and_sensitivity():
     p = default_params(n_th_mech=2.0)
     sched = schedule_for(p, 10.0)
-    samples = cat_samples(2.0, 64)
-    a = run_ensemble(samples, p, sched, master_seed=5)
-    b = run_ensemble(samples, p, sched, master_seed=5)
-    c = run_ensemble(samples, p, sched, master_seed=6)
+    inputs = cat_samples(2.0, 64)
+    a = run_ensemble(inputs, p, sched, master_seed=5)
+    b = run_ensemble(inputs, p, sched, master_seed=5)
+    c = run_ensemble(inputs, p, sched, master_seed=6)
     assert np.array_equal(a.alpha_out, b.alpha_out)
     assert not np.array_equal(a.alpha_out, c.alpha_out)
 
@@ -224,8 +351,7 @@ def test_protocol_adds_expected_thermal_occupation():
     p = default_params(n_th_mech=2.0)
     t_store = 0.02 / GM
     sched = schedule_for(p, t_store)
-    samples = cat_samples(1e-6, 8192)
-    res = run_ensemble(samples, p, sched, master_seed=9)
+    res = run_ensemble(cat_samples(1e-6, 8192), p, sched, master_seed=9)
     n_add = float(np.average((res.alpha_out_plus * res.alpha_out).real,
                              weights=res.weight))
     assert n_add == pytest.approx(2.0 * (1.0 - math.exp(-2.0 * GM * t_store)),
@@ -237,9 +363,9 @@ def assert_channel_residual(p, sched, run=stepped_ensemble, n=16384, seed=11):
     # is circular Gaussian noise with variance noise_var, each moment within
     # 4 se
     gain, noise_var = protocol_channel(p, sched)
-    samples = cat_samples(2.0, n)
-    res = run(samples, p, sched, seed)
-    r = res.alpha_out - abs(gain) * np.array([s.alpha_in for s in samples])
+    inputs = cat_samples(2.0, n)
+    res = run(inputs, p, sched, seed)
+    r = res.alpha_out - abs(gain) * inputs.alpha_out
     mean = np.mean(r)
     assert abs(mean) <= 4.0 * math.sqrt(np.mean(np.abs(r - mean) ** 2) / n)
     pseudo = np.mean(r * r)
@@ -260,11 +386,10 @@ def test_protocol_channel_quiet_without_occupation(monkeypatch):
     sched = schedule_for(p, 0.02 / GM)
     monkeypatch.setattr(engine, "block_stream", None)  # draws no random numbers
     assert protocol_channel(p, sched)[1] == 0.0
-    samples = cat_samples(2.0, 8)
-    res = run_ensemble(samples, p, sched, master_seed=0)
+    inputs = cat_samples(2.0, 8)
+    res = run_ensemble(inputs, p, sched, master_seed=0)
     gain = reference_gain(p, sched)
-    assert np.array_equal(res.alpha_out,
-                          abs(gain) * np.array([s.alpha_in for s in samples]))
+    assert np.array_equal(res.alpha_out, abs(gain) * inputs.alpha_out)
 
 
 def test_protocol_channel_matches_stepped_ensemble():
@@ -279,20 +404,18 @@ def test_run_ensemble_samples_the_channel():
     p = default_params(n_th_mech=2.0)
     sched = schedule_for(p, 0.02 / GM)
     assert_channel_residual(p, sched, run=run_ensemble)
-    samples = cat_samples(2.0, 64)
-    res = run_ensemble(samples, p, sched, master_seed=3)
+    inputs = cat_samples(2.0, 64)
+    res = run_ensemble(inputs, p, sched, master_seed=3)
     gain = reference_gain(p, sched)
     assert (res.gain, res.noise_var) == protocol_channel(p, sched)
-    a_in = np.array([s.alpha_in for s in samples])
-    r = res.alpha_out - abs(gain) * a_in
-    r_plus = res.alpha_out_plus - abs(gain) * np.array([s.alpha_in_plus
-                                                         for s in samples])
+    r = res.alpha_out - abs(gain) * inputs.alpha_out
+    r_plus = res.alpha_out_plus - abs(gain) * inputs.alpha_out_plus
     # the plus column carries the conjugate noise: exactly on the diagonal
     # branches; on the off-diagonal ones |G| a_in enters with the opposite
     # sign, so the two sums round differently, by at most one ulp of alpha_out
     diag = res.branch == np.array([b[0] + b[0] for b in res.branch])
     assert np.array_equal(r_plus[diag], np.conj(r[diag]))
-    ulp = np.spacing(np.abs(gain * a_in) + np.abs(r))
+    ulp = np.spacing(np.abs(gain * inputs.alpha_out) + np.abs(r))
     assert np.all(np.abs(r_plus - np.conj(r)) <= 2.0 * ulp)
 
 
@@ -311,16 +434,16 @@ def test_reference_gain_is_stepped_gain():
 def test_time_steps_share_the_noise_draw():
     # the dt and 2 dt runs of one seed scale the same normal pairs
     p = default_params(n_th_mech=2.0)
-    samples = cat_samples(2.0, 2 * RNG_BLOCK_SIZE + 8)
-    a_in = np.array([s.alpha_in for s in samples])
+    inputs = cat_samples(2.0, 2 * RNG_BLOCK_SIZE + 8)
     etas = []
     for dt in (0.1, 0.2):
         sched = schedule_for(p, 10.0, dt=dt)
         gain, noise_var = protocol_channel(p, sched)
-        res = run_ensemble(samples, p, sched, master_seed=4)
+        res = run_ensemble(inputs, p, sched, master_seed=4)
         # undo the phase correction of the noise to recover the normal pairs
         rot = cmath.exp(-1j * cmath.phase(gain))
-        etas.append((res.alpha_out - abs(gain) * a_in) / (math.sqrt(noise_var) * rot))
+        etas.append((res.alpha_out - abs(gain) * inputs.alpha_out)
+                    / (math.sqrt(noise_var) * rot))
     assert np.allclose(etas[0], etas[1], rtol=0.0, atol=1e-12)
     assert np.std(etas[0]) == pytest.approx(1.0, abs=0.05)
 
@@ -347,9 +470,9 @@ def test_phase_correction(monkeypatch):
     # turns by -pi/2 (the plus column the other way, so pairs stay conjugate)
     p = default_params(n_th_mech=2.0)
     sched = schedule_for(p, 10.0)
-    samples = [WeightedSample(alpha_in=1j, alpha_in_plus=-1j, weight=1.0, branch="++")]
+    inputs = inputs_of([1j], [-1j], ["++"])
     monkeypatch.setattr(engine, "protocol_channel", lambda params, schedule: (2j, 0.5))
-    fixed = run_ensemble(samples, p, sched, master_seed=0)
+    fixed = run_ensemble(inputs, p, sched, master_seed=0)
     x, y = block_stream(0, 0).standard_normal((2, 1))
     noise = 0.5 * (x[0] + 1j * y[0]) * -1j
     assert fixed.alpha_out[0] == pytest.approx(2j + noise, rel=1e-15)
@@ -357,7 +480,7 @@ def test_phase_correction(monkeypatch):
     assert fixed.gain == 2j and fixed.noise_var == 0.5
     monkeypatch.setattr(engine, "protocol_channel", lambda params, schedule: (0j, 0.5))
     with pytest.raises(ValueError):
-        run_ensemble(samples, p, sched, master_seed=0)
+        run_ensemble(inputs, p, sched, master_seed=0)
 
 
 @pytest.mark.parametrize("n_bar", [0.0, 2.0])

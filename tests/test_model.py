@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from catmem.experiments import preset, run_point
 from catmem.model import (CatParams, GridAxis, GridField, ProtocolSchedule,
-                          SystemParams, WeightedSample, derive_rates,
+                          SystemParams, derive_rates,
                           mechanical_rate_from_hz, parse_storage_time)
 
 GM = 17.5 / 170e3
@@ -89,14 +89,6 @@ def test_schedule_rejects_bad_grids():
         ProtocolSchedule(t_write=1.0, t_store=0.0, t_read=2.0, dt=0.1)
     with pytest.raises(ValueError):
         ProtocolSchedule(t_write=1.05, t_store=0.0, t_read=1.05, dt=0.1)
-
-
-def test_weighted_sample_validation():
-    WeightedSample(alpha_in=2.0, alpha_in_plus=2.0, weight=1.0, branch="++")
-    with pytest.raises(ValueError):
-        WeightedSample(alpha_in=2.0, alpha_in_plus=2.0, weight=0.0, branch="++")
-    with pytest.raises(ValueError):
-        WeightedSample(alpha_in=2.0, alpha_in_plus=2.0, weight=1.0, branch="xx")
 
 
 def test_grid_axis_points():

@@ -1,4 +1,4 @@
-"""Importance sampling of the cat input and the thermal starts."""
+"""Importance sampling of the cat input."""
 
 import math
 
@@ -8,7 +8,7 @@ from scipy.special import gammaln
 
 from catmem.model import BRANCHES, CatParams
 from catmem.sampling import (SamplerConfig, block_stream, branch_weights,
-                             sample_cat, sample_thermal, verify_cat_moments)
+                             sample_cat)
 
 
 def fock_cat_moments(alpha0, cutoff=60):
@@ -26,11 +26,22 @@ def fock_cat_moments(alpha0, cutoff=60):
     }
 
 
+def verify_cat_moments(inputs):
+    """Weighted input moments, for cross-checks against Fock-space values."""
+    w, a, ap = inputs.weight, inputs.alpha_out, inputs.alpha_out_plus
+    n = len(inputs)
+    return {
+        "a": complex(np.sum(w * a) / n),
+        "a_sq": complex(np.sum(w * a * a) / n),
+        "adag_a": complex(np.sum(w * ap * a) / n),
+    }
+
+
 @pytest.mark.parametrize("alpha0", [1.0, 2.0, 3.0])
 def test_weighted_moments_match_fock_oracle(alpha0):
-    samples = sample_cat(SamplerConfig(cat=CatParams.make(alpha0), n_samples=4,
-                                       master_seed=0))
-    got = verify_cat_moments(samples)
+    inputs = sample_cat(SamplerConfig(cat=CatParams.make(alpha0), n_samples=4,
+                                      master_seed=0))
+    got = verify_cat_moments(inputs)
     want = fock_cat_moments(alpha0)
     assert got["a"] == pytest.approx(want["a"], abs=1e-12)
     assert got["a_sq"].real == pytest.approx(want["a_sq"], rel=1e-12)
@@ -41,9 +52,9 @@ def test_weighted_moments_match_fock_oracle(alpha0):
 @pytest.mark.parametrize("alpha0", [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
 @pytest.mark.parametrize("n_samples", [4, 4096])
 def test_mean_weight_exactly_one(alpha0, n_samples):
-    samples = sample_cat(SamplerConfig(cat=CatParams.make(alpha0),
-                                       n_samples=n_samples, master_seed=0))
-    mean = math.fsum(s.weight for s in samples) / n_samples
+    inputs = sample_cat(SamplerConfig(cat=CatParams.make(alpha0),
+                                      n_samples=n_samples, master_seed=0))
+    mean = math.fsum(inputs.weight) / n_samples
     assert mean == 1.0
 
 
@@ -71,15 +82,13 @@ def test_branch_weights_underflow_rejected():
 
 
 def test_stratified_layout():
-    samples = sample_cat(SamplerConfig(cat=CatParams.make(2.0), n_samples=8,
-                                       master_seed=0))
-    assert [s.branch for s in samples] == ["++", "++", "--", "--",
-                                           "+-", "+-", "-+", "-+"]
-    for s in samples:
-        sign_ket = 1.0 if s.branch[0] == "+" else -1.0
-        sign_bra = 1.0 if s.branch[1] == "+" else -1.0
-        assert s.alpha_in == sign_ket * 2.0
-        assert s.alpha_in_plus == sign_bra * 2.0
+    inputs = sample_cat(SamplerConfig(cat=CatParams.make(2.0), n_samples=8,
+                                      master_seed=0))
+    assert inputs.branch.tolist() == ["++", "++", "--", "--", "+-", "+-", "-+", "-+"]
+    sign = {"+": 1.0, "-": -1.0}
+    assert inputs.alpha_out.tolist() == [sign[b[0]] * 2.0 for b in inputs.branch]
+    assert inputs.alpha_out_plus.tolist() == [sign[b[1]] * 2.0 for b in inputs.branch]
+    assert inputs.gain is None and inputs.noise_var is None
 
 
 def test_stratified_needs_multiple_of_four():
@@ -93,35 +102,46 @@ def test_stratified_needs_multiple_of_four():
 def test_unstratified_reproducible():
     cfg = SamplerConfig(cat=CatParams.make(2.0), n_samples=400, master_seed=7,
                         stratified=False)
-    first = [s.branch for s in sample_cat(cfg)]
-    second = [s.branch for s in sample_cat(cfg)]
+    first = sample_cat(cfg).branch.tolist()
+    second = sample_cat(cfg).branch.tolist()
     assert first == second
     assert set(first) == set(BRANCHES)
 
 
-def test_thermal_moments():
-    rng = block_stream(3, 0)
-    beta = sample_thermal(1.7, 200_000, rng)
-    n_est = float(np.mean(np.abs(beta) ** 2))
-    assert n_est == pytest.approx(1.7, abs=0.02)
-    assert abs(np.mean(beta)) < 0.01
-    assert abs(np.mean(beta ** 2)) < 0.02
+def list_sampler(config):
+    """Reference sampler: one (alpha_in, alpha_in_plus, weight, branch) tuple
+    per row in Python complex arithmetic, stacked into columns.  The column
+    sampler must match it bit for bit, signed zeros included."""
+    w_diag, w_off = branch_weights(config.cat)
+
+    def row(branch):
+        a0 = complex(config.cat.alpha0)
+        ket = a0 if branch[0] == "+" else -a0
+        bra = a0 if branch[1] == "+" else -a0
+        return ket, bra.conjugate(), w_diag if branch[0] == branch[1] else w_off, branch
+
+    if config.stratified:
+        rows = [row(b) for b in BRANCHES for _ in range(config.n_samples // 4)]
+    else:
+        rng = np.random.Generator(np.random.Philox(
+            key=np.array([config.master_seed, 0], dtype=np.uint64)))
+        rows = [row(BRANCHES[k]) for k in rng.integers(0, 4, size=config.n_samples)]
+    a, ap, w, branch = zip(*rows)
+    return (np.array(a, dtype=np.complex128), np.array(ap, dtype=np.complex128),
+            np.array(w), np.array(branch))
 
 
-def test_thermal_zero_occupation_consumes_no_randomness():
-    rng = block_stream(5, 1)
-    zeros = sample_thermal(0.0, 16, rng)
-    assert np.all(zeros == 0.0)
-    fresh = block_stream(5, 1)
-    assert rng.standard_normal() == fresh.standard_normal()
-
-
-def test_thermal_validation():
-    rng = block_stream(0, 0)
-    with pytest.raises(ValueError):
-        sample_thermal(-0.1, 4, rng)
-    with pytest.raises(ValueError):
-        sample_thermal(1.0, -1, rng)
+@pytest.mark.parametrize("alpha0", [2.0, 5.0, 18.8, -3.0, 1.5 + 0.7j, 3 - 2j, 2j])
+@pytest.mark.parametrize("stratified,n_samples", [(True, 16), (False, 401)])
+def test_columns_match_list_sampler_bitwise(alpha0, stratified, n_samples):
+    cfg = SamplerConfig(cat=CatParams.make(alpha0), n_samples=n_samples, master_seed=7,
+                        stratified=stratified)
+    got = sample_cat(cfg)
+    a, ap, w, branch = list_sampler(cfg)
+    assert np.array_equal(got.alpha_out.view(np.uint64), a.view(np.uint64))
+    assert np.array_equal(got.alpha_out_plus.view(np.uint64), ap.view(np.uint64))
+    assert np.array_equal(got.weight.view(np.uint64), w.view(np.uint64))
+    assert got.branch.dtype == branch.dtype and np.array_equal(got.branch, branch)
 
 
 def test_block_streams_keyed_by_seed_and_block():

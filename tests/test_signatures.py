@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catmem import signatures
-from catmem.engine import EnsembleResult
-from catmem.model import CatParams, GridAxis, GridField
+from catmem.model import CatParams, EnsembleResult, GridAxis, GridField
 from catmem.oracle import (cat_variance, evolved_wigner_field, ideal_P_p,
                            ideal_P_x)
 from catmem.sampling import SamplerConfig, sample_cat
@@ -29,15 +28,10 @@ FINE_NEGATIVITY = 0.2937501161
 
 
 def input_ensemble(alpha0, n=4, seed=11):
-    """Cat sampler output repackaged as a zero-evolution ensemble."""
+    """The cat sampler's input ensemble: the state before any evolution."""
     cfg = SamplerConfig(cat=CatParams.make(alpha0=alpha0), n_samples=n,
                         master_seed=seed)
-    samples = sample_cat(cfg)
-    return EnsembleResult(
-        alpha_out=np.array([s.alpha_in for s in samples]),
-        alpha_out_plus=np.array([s.alpha_in_plus for s in samples]),
-        weight=np.array([s.weight for s in samples]),
-        branch=np.array([s.branch for s in samples]))
+    return sample_cat(cfg)
 
 
 def test_quadrature_grid_rejects_nonuniform():
