@@ -16,7 +16,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -26,7 +25,7 @@ import numpy as np
 from . import oracle
 from .engine import ENGINE_VERSION, run_ensemble
 from .model import (CatParams, EnsembleResult, ProtocolSchedule, SystemParams,
-                    derive_rates, parse_storage_time)
+                    derive_rates, open_atomic, parse_storage_time)
 from .modes import default_write_duration, transfer_amplitude
 from .sampling import SamplerConfig, sample_cat
 from . import signatures as sig
@@ -498,17 +497,14 @@ def _json_safe(value):
     return value
 
 
-def _sha256_of(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    """Write text to a temporary file in the same directory, then rename it
-    over path, so that an interrupted write never leaves a partial file."""
-    tmp = path.with_name(f".{path.name}.tmp")
-    with tmp.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+def _write_atomic(path: Path, text: str) -> str:
+    """Write text as UTF-8 through ``open_atomic``, so that an interrupted
+    write never leaves a partial file; returns the SHA-256 hex digest of
+    the bytes written."""
+    data = text.encode("utf-8")
+    with open_atomic(path) as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def _read_checkpoint(path: Path) -> dict | None:
@@ -522,7 +518,15 @@ def _read_checkpoint(path: Path) -> dict | None:
 
 def write_run_artifacts(config: ExperimentConfig, point: PointResult,
                         out_dir, wall_time_s: float) -> dict:
-    """Write field CSV/JSON files plus the run manifest; returns the manifest."""
+    """Write each field's CSV and JSON, then the run manifest; returns the
+    manifest.
+
+    Every file is written to a temporary file and renamed into place
+    (``model.open_atomic``).  The byte format of the field files is the
+    one ``GridField.write_files`` states; each field's CSV carries the
+    configuration fingerprint in its first line, and its manifest
+    ``sha256`` is the digest of the CSV bytes as they were written.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     fingerprint = config_fingerprint(config)
@@ -530,11 +534,8 @@ def write_run_artifacts(config: ExperimentConfig, point: PointResult,
     artifacts = {}
     for name, fld in point.fields.items():
         fld.meta["manifest_sha256"] = fingerprint
-        csv_path = out / f"{name}.csv"
-        fld.to_csv(csv_path)
-        fld.to_json(out / f"{name}.json")
-        artifacts[name] = {"csv": csv_path.name, "json": f"{name}.json",
-                           "sha256": _sha256_of(csv_path)}
+        digest = fld.write_files(out / f"{name}.csv", out / f"{name}.json")
+        artifacts[name] = {"csv": f"{name}.csv", "json": f"{name}.json", "sha256": digest}
 
     manifest = {
         "config": {k: _json_safe(v) for k, v in dataclasses.asdict(config).items()},
@@ -631,14 +632,14 @@ def run_sweep(config: ExperimentConfig, out_dir, progress=None) -> list[dict]:
             value = row["scalars"].get(col, "")
             cells.append(repr(float(value)) if value != "" else "")
         lines.append(",".join(cells) + "\r\n")
-    _write_atomic(csv_path, "".join(lines))
+    csv_digest = _write_atomic(csv_path, "".join(lines))
 
     manifest = {
         "config": {k: _json_safe(v) for k, v in dataclasses.asdict(config).items()},
         "config_sha256": fingerprint,
         "axes": {axis_field: list(values) for axis_field, values in config.sweep},
         "rows": rows,
-        "artifacts": {"sweep": {"csv": csv_path.name, "sha256": _sha256_of(csv_path)}},
+        "artifacts": {"sweep": {"csv": csv_path.name, "sha256": csv_digest}},
         "engine_version": ENGINE_VERSION,
     }
     _write_atomic(out / "sweep_manifest.json", json.dumps(manifest, indent=2, sort_keys=True))

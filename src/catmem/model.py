@@ -11,8 +11,12 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
+import io
 import json
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -29,6 +33,7 @@ __all__ = [
     "GridField",
     "derive_rates",
     "mechanical_rate_from_hz",
+    "open_atomic",
     "parse_storage_time",
 ]
 
@@ -224,8 +229,9 @@ class GridAxis:
         return round((self.stop - self.start) / self.step) + 1
 
 
-def _float_texts(values) -> list[str]:
-    """repr of every value as a float, in C order.
+def _distinct_texts(values) -> tuple[np.ndarray, np.ndarray]:
+    """repr of every distinct value as a float, and the index of each value's
+    text among them, in C order.
 
     Fields are symmetric, so each distinct value is formatted once.  Values
     are told apart by bit pattern: -0.0 equals 0.0 but has its own repr.
@@ -233,7 +239,29 @@ def _float_texts(values) -> list[str]:
     flat = np.asarray(values, dtype=float).ravel()
     bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
     texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-    return texts[inverse].tolist()
+    return texts, inverse
+
+
+# JSON spells the non-finite values that repr writes as nan, inf and -inf
+_JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# values per JSON write, so no file's whole text is held in memory
+_JSON_PIECE = 4096
+
+
+@contextmanager
+def open_atomic(path):
+    """Open a temporary file beside path for binary writing and rename it
+    over path when the block ends; if the block raises, remove it instead.
+    An interrupted write never leaves a partial file at path."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with tmp.open("wb") as fh:
+            yield fh
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    os.replace(tmp, path)
 
 
 @dataclass
@@ -249,10 +277,15 @@ class GridField:
         if tuple(self.values.shape) != shape:
             raise ValueError(f"values shape {self.values.shape} does not match axes {shape}")
 
-    def to_csv(self, path) -> None:
-        """Write rows of axis coordinates plus value; '.' decimal, ',' separator.
+    def write_files(self, csv_path, json_path) -> str:
+        """Write the field as CSV and as JSON; return the SHA-256 hex digest
+        of the CSV bytes written.
 
-        The bytes are fixed, because run manifests hash them:
+        Each distinct value is formatted once, for both files.  Both files
+        are written to temporary files and renamed into place only when
+        both are complete (``open_atomic``).  The bytes are fixed, because
+        run manifests hash them.  The CSV, UTF-8 with '.' decimals and ','
+        separators:
 
         - with ``manifest_sha256`` in meta, a first line
           ``# manifest_sha256 = <hex>`` ending in LF;
@@ -263,37 +296,50 @@ class GridField:
           float that round-trips (``repr(float)``: ``0.1``, ``-0.0``,
           ``5e-324``, ``nan``, ``inf``), separated by commas;
         - every row, the header included, ends in CRLF.
+
+        The JSON is ``{"axes": [...], "values": [...], "meta": {...}}`` byte
+        for byte as ``json.dumps`` writes it, values flattened in C order
+        (non-finite values spelled ``NaN``, ``Infinity``, ``-Infinity``).
         """
         if len(self.axes) not in (1, 2):
             raise ValueError("only 1-D and 2-D fields are serialised")
-        coords = [_float_texts(ax.points()) for ax in self.axes]
-        values = _float_texts(self.values)
-        with Path(path).open("w", newline="", encoding="utf-8") as fh:
-            if "manifest_sha256" in self.meta:
-                fh.write(f"# manifest_sha256 = {self.meta['manifest_sha256']}\n")
-            # the header is the only row whose cells (the tags) may need quoting
-            csv.writer(fh).writerow([ax.tag for ax in self.axes] + ["value"])
-            if len(coords) == 1:
-                fh.write("".join([f"{x},{v}\r\n" for x, v in zip(coords[0], values)]))
-            else:
-                ys = coords[1]
-                for i, x in enumerate(coords[0]):
-                    row = values[i * len(ys):(i + 1) * len(ys)]
-                    fh.write("".join([f"{x},{y},{v}\r\n" for y, v in zip(ys, row)]))
+        coords = [[repr(v) for v in ax.points().tolist()] for ax in self.axes]
+        texts, inverse = _distinct_texts(self.values)
+        json_texts = texts
+        if not np.all(np.isfinite(self.values)):
+            json_texts = np.array([_JSON_SPELLING.get(t, t) for t in texts.tolist()],
+                                  dtype=object)
+        header = io.StringIO()
+        if "manifest_sha256" in self.meta:
+            header.write(f"# manifest_sha256 = {self.meta['manifest_sha256']}\n")
+        # the header is the only row whose cells (the tags) may need quoting
+        csv.writer(header).writerow([ax.tag for ax in self.axes] + ["value"])
+        digest = hashlib.sha256()
+        with open_atomic(csv_path) as csv_fh, open_atomic(json_path) as json_fh:
+            def put_csv(text: str) -> None:
+                data = text.encode("utf-8")
+                csv_fh.write(data)
+                digest.update(data)
 
-    def to_json(self, path) -> None:
-        """Write ``{"axes": [...], "values": [...], "meta": {...}}`` byte for
-        byte as ``json.dumps`` writes it, values flattened in C order."""
-        flat = np.asarray(self.values, dtype=float).ravel()
-        if np.all(np.isfinite(flat)):
-            values = "[" + ", ".join(_float_texts(flat)) + "]"
-        else:
-            # JSON spells non-finite values NaN and Infinity, repr nan and inf
-            values = json.dumps(flat.tolist())
-        axes = json.dumps([dataclasses.asdict(ax) for ax in self.axes])
-        meta = json.dumps(dict(self.meta))
-        Path(path).write_text(f'{{"axes": {axes}, "values": {values}, "meta": {meta}}}',
-                              encoding="utf-8")
+            put_csv(header.getvalue())
+            if len(coords) == 1:
+                values = texts[inverse].tolist()
+                put_csv("".join([f"{x},{v}\r\n" for x, v in zip(coords[0], values)]))
+            else:
+                ny = len(coords[1])
+                y_cells = [f",{y}," for y in coords[1]]
+                for i, x in enumerate(coords[0]):
+                    row = texts[inverse[i * ny:(i + 1) * ny]].tolist()
+                    cells = [y + v for y, v in zip(y_cells, row)]
+                    put_csv(x + ("\r\n" + x).join(cells) + "\r\n")
+
+            axes = json.dumps([dataclasses.asdict(ax) for ax in self.axes])
+            json_fh.write(f'{{"axes": {axes}, "values": ['.encode("utf-8"))
+            for k in range(0, inverse.size, _JSON_PIECE):
+                piece = ", ".join(json_texts[inverse[k:k + _JSON_PIECE]].tolist())
+                json_fh.write(((", " if k else "") + piece).encode("utf-8"))
+            json_fh.write(f'], "meta": {json.dumps(dict(self.meta))}}}'.encode("utf-8"))
+        return digest.hexdigest()
 
     @classmethod
     def from_json(cls, path) -> "GridField":

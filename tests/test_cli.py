@@ -285,8 +285,11 @@ def test_run_writes_consistent_artifacts(tmp_path, capsys):
     csv_path = out1 / "p_distribution.csv"
     first = csv_path.read_text().splitlines()[0]
     assert first == f"# manifest_sha256 = {manifest['config_sha256']}"
-    digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
-    assert manifest["artifacts"]["p_distribution"]["sha256"] == digest
+    assert set(manifest["artifacts"]) == {"p_distribution"}
+    for info in manifest["artifacts"].values():
+        assert info["sha256"] == hashlib.sha256((out1 / info["csv"]).read_bytes()).hexdigest()
+    assert sorted(p.name for p in out1.iterdir()) == [
+        "manifest.json", "p_distribution.csv", "p_distribution.json"]
 
     # a rerun of the same configuration is byte-identical
     out2 = tmp_path / "out2"
@@ -306,6 +309,10 @@ def test_sweep_checkpoints_resume(tmp_path, capsys):
     header = csv_path.read_text().splitlines()[1]
     assert header.startswith("alpha0,negativity,")
     first_bytes = csv_path.read_bytes()
+    manifest = json.loads((out / "sweep_manifest.json").read_text())
+    assert manifest["artifacts"]["sweep"] == {
+        "csv": "sweep.csv", "sha256": hashlib.sha256(first_bytes).hexdigest()}
+    assert not [p for p in out.rglob("*") if p.name.endswith(".tmp")]
     ckpts = sorted((out / "checkpoints").iterdir())
     assert [p.name for p in ckpts] == ["point_0000.json", "point_0001.json"]
     stamps = [os.stat(p).st_mtime_ns for p in ckpts]

@@ -2,9 +2,11 @@
 
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catmem.experiments import preset, run_point
+from catmem import model
+from catmem.experiments import PointResult, preset, run_point, write_run_artifacts
 from catmem.model import (CatParams, GridAxis, GridField, ProtocolSchedule,
                           SystemParams, derive_rates,
                           mechanical_rate_from_hz, parse_storage_time)
@@ -111,7 +114,7 @@ def test_grid_field_json_round_trip(tmp_path):
     fld = GridField(axes=(ax, ay), values=np.arange(9.0).reshape(3, 3),
                     meta={"kind": "demo", "norm": 1.25})
     path = tmp_path / "field.json"
-    fld.to_json(path)
+    fld.write_files(tmp_path / "field.csv", path)
     back = GridField.from_json(path)
     assert back.axes == fld.axes
     assert np.array_equal(back.values, fld.values)
@@ -123,7 +126,7 @@ def test_grid_field_csv_layout(tmp_path):
     fld = GridField(axes=(ax,), values=np.array([1.0, 2.0, 3.0]),
                     meta={"manifest_sha256": "abc123"})
     path = tmp_path / "field.csv"
-    fld.to_csv(path)
+    fld.write_files(path, tmp_path / "field.json")
     lines = path.read_text().splitlines()
     assert lines[0] == "# manifest_sha256 = abc123"
     assert lines[1] == "x,value"
@@ -162,12 +165,15 @@ def reference_json(fld, path):
 def assert_writers_match_reference(fld):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
-        fld.to_csv(out / "new.csv")
+        digest = fld.write_files(out / "new.csv", out / "new.json")
         reference_csv(fld, out / "ref.csv")
-        assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
-        fld.to_json(out / "new.json")
         reference_json(fld, out / "ref.json")
+        csv_bytes = (out / "new.csv").read_bytes()
+        assert csv_bytes == (out / "ref.csv").read_bytes()
+        assert digest == hashlib.sha256(csv_bytes).hexdigest()
         assert (out / "new.json").read_bytes() == (out / "ref.json").read_bytes()
+        assert sorted(p.name for p in out.iterdir()) == ["new.csv", "new.json",
+                                                         "ref.csv", "ref.json"]
 
 
 # values whose text is easy to get wrong: signed zeros (equal as floats,
@@ -205,31 +211,91 @@ def test_writers_match_reference_bytes(fld):
 def test_signed_zero_and_non_finite_text(tmp_path):
     ax = GridAxis(0.0, 4.0, 1.0, "x")
     fld = GridField(axes=(ax,), values=np.array([0.0, -0.0, math.nan, math.inf, 0.0]))
-    fld.to_csv(tmp_path / "f.csv")
-    fld.to_json(tmp_path / "f.json")
+    fld.write_files(tmp_path / "f.csv", tmp_path / "f.json")
     rows = tmp_path.joinpath("f.csv").read_bytes().split(b"\r\n")
     assert [r.split(b",")[1] for r in rows[1:-1]] == [b"0.0", b"-0.0", b"nan", b"inf", b"0.0"]
     assert '"values": [0.0, -0.0, NaN, Infinity, 0.0]' in tmp_path.joinpath("f.json").read_text()
     assert_writers_match_reference(fld)
 
 
-def test_writers_match_reference_on_run_fields():
+@pytest.fixture(scope="module")
+def fig5_run():
     config = replace(preset("fig5"), signatures=("p_distribution", "wigner", "negativity",
                                                   "density", "p_variance"))
-    fields = run_point(config).fields
+    return config, run_point(config)
+
+
+def test_writers_match_reference_on_run_fields(fig5_run):
+    fields = fig5_run[1].fields
     assert set(fields) == {"p_distribution", "wigner", "density"}
     for fld in fields.values():
         fld.meta["manifest_sha256"] = "cd" * 32
         assert_writers_match_reference(fld)
 
 
+def test_writer_memory_stays_below_file_sizes(fig5_run, tmp_path):
+    # the writer streams both files; holding either whole text (or the CSV
+    # text and its bytes) would take more than the two files together
+    fld = fig5_run[1].fields["wigner"]
+    assert fld.values.shape == (361, 361)
+    csv_path, json_path = tmp_path / "w.csv", tmp_path / "w.json"
+    tracemalloc.start()
+    try:
+        fld.write_files(csv_path, json_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < csv_path.stat().st_size + json_path.stat().st_size
+
+
+class _FailingDigest:
+    """A sha256 stand-in that raises on its third update: inside the rows
+    of the first 2-D field, after its header and first row are written."""
+
+    def __init__(self):
+        self.updates = 0
+        self.digest = hashlib.sha256()
+
+    def update(self, data):
+        self.updates += 1
+        if self.updates == 3:
+            raise OSError("write failed")
+        self.digest.update(data)
+
+    def hexdigest(self):
+        return self.digest.hexdigest()
+
+
+def test_interrupted_field_write_keeps_previous_run(fig5_run, tmp_path, monkeypatch):
+    config, point = fig5_run
+    write_run_artifacts(config, point, tmp_path, 0.0)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert set(before) == {"manifest.json", "p_distribution.csv", "p_distribution.json",
+                           "wigner.csv", "wigner.json", "density.csv", "density.json"}
+
+    halved = PointResult(scalars=point.scalars, fields={
+        name: GridField(fld.axes, 0.5 * fld.values, dict(fld.meta))
+        for name, fld in point.fields.items()})
+    monkeypatch.setattr(model, "hashlib", type("hashlib", (), {"sha256": _FailingDigest}))
+    with pytest.raises(OSError):
+        write_run_artifacts(config, halved, tmp_path, 0.0)
+
+    after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert set(after) == set(before)
+    # the 1-D field before it was written in full; the field that failed and
+    # everything after it keep the previous run's bytes
+    assert after["p_distribution.csv"] != before["p_distribution.csv"]
+    for name in ("wigner.csv", "wigner.json", "density.csv", "density.json",
+                 "manifest.json"):
+        assert after[name] == before[name]
+
+
 def test_three_dimensional_csv_rejected_before_writing(tmp_path):
     ax = GridAxis(0.0, 1.0, 1.0, "x")
     fld = GridField(axes=(ax, ax, ax), values=np.zeros((2, 2, 2)))
-    path = tmp_path / "cube.csv"
     with pytest.raises(ValueError):
-        fld.to_csv(path)
-    assert not path.exists()
+        fld.write_files(tmp_path / "cube.csv", tmp_path / "cube.json")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_mechanical_rate_from_hz():
