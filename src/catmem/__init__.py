@@ -7,12 +7,11 @@ from .modes import (ModeFunctionSpec, default_write_duration,
                     transfer_amplitude, u_in, u_out)
 from .sampling import (RNG_BLOCK_SIZE, SamplerConfig, block_stream,
                        branch_weights, sample_cat)
-from .engine import reference_gain, run_ensemble, write_gain
+from .engine import protocol_channel, run_ensemble, write_gain
 from .signatures import (QuadratureGrid, WignerGrid, default_quadrature_grid,
                          default_wigner_grid, is_mixture_falsified,
                          negativity_with_error, p_distribution, p_variance,
-                         quadrature_kernel, reconstruct_density,
-                         wigner_estimate, wigner_negativity)
+                         reconstruct_density, wigner_estimate, wigner_negativity)
 from .oracle import (DecoherenceParams, cat_variance, decohered_density,
                      evolve_characteristic, evolved_wigner, ideal_P_p,
                      ideal_P_x, ideal_wigner, q_parameter, t_p_bound,

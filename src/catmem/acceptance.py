@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import signatures as sig
-from .engine import reference_gain, write_gain
+from .engine import protocol_channel, write_gain
 from .experiments import (DEFAULT_GAMMA_M, ExperimentConfig, _corrected_ensemble,
                           oracle_query, run_point, write_run_artifacts)
 from .model import EnsembleResult, ProtocolSchedule, SystemParams, derive_rates
@@ -209,7 +209,7 @@ def _check_transfer() -> tuple[bool, list, dict]:
     t_w = 10.0 / derive_rates(params).gamma_bar.real
     schedule = ProtocolSchedule.make(t_w, 0.0, 0.1)
     single = abs(write_gain(params, schedule))
-    full = abs(reference_gain(params, schedule))
+    full = abs(protocol_channel(params, schedule)[0])
     passed &= _record(lines, abs(single - TRANSFER_SINGLE) <= TRANSFER_SINGLE_TOL,
                       f"single-pass gain {single:.5f} vs {TRANSFER_SINGLE} "
                       f"+- {TRANSFER_SINGLE_TOL}")
@@ -292,7 +292,7 @@ def _check_mode_functions() -> tuple[bool, list, dict]:
     gains = {}
     for dt in (0.2, 0.1, 0.05):
         schedule = ProtocolSchedule.make(20.0, 0.8, dt)
-        gains[dt] = reference_gain(oscillatory, schedule)
+        gains[dt] = protocol_channel(oscillatory, schedule)[0]
     coarse = abs(gains[0.2] - gains[0.1])
     fine = abs(gains[0.1] - gains[0.05])
     factor = coarse / fine

@@ -6,21 +6,22 @@ doubled phase-space variables (alpha, alpha+, beta, beta+), discretised
 with classical fourth-order Runge-Kutta steps, each followed by one
 additive mechanical noise increment.  Since the recursion is linear with
 additive Gaussian noise, the retrieved amplitude of every trajectory is
-exactly alpha_out = G alpha_in + N with one circular Gaussian N.
-``protocol_channel`` computes the gain G and the variance E|N|^2 without
-sampling (the RK4 discretisation included), and ``run_ensemble`` samples
-the ensemble from that channel in O(n), one normal pair per trajectory, in
-the frame where the gain is real and positive.  ``reference_gain`` runs
-the deterministic recursion in scalar arithmetic.  No trajectory is
-stepped here; the test suite keeps the one stepped integrator, the
-reference that the channel and the sampled ensemble are checked against.
+exactly alpha_out = G alpha_in + N with one circular Gaussian N.  One RK4
+step is one affine map of (alpha, beta) and the drive (``_step``), and
+``protocol_channel`` walks the weights of the output projection back
+through it once to get both the gain G and the variance E|N|^2, without
+sampling and with the RK4 discretisation included.  ``run_ensemble``
+samples the ensemble from that channel in O(n), one normal pair per
+trajectory, in the frame where the gain is real and positive.  No
+trajectory is stepped here; the test suite keeps the one stepped
+integrator, the reference that the channel and the sampled ensemble are
+checked against.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,55 +32,54 @@ from .sampling import RNG_BLOCK_SIZE, block_stream
 __all__ = [
     "ENGINE_VERSION",
     "run_ensemble",
-    "reference_gain",
     "protocol_channel",
     "write_gain",
-    "rk4_decay_factor",
 ]
 
 # Names the random numbers a configuration draws; part of every config
 # fingerprint, so it changes whenever the same configuration would give
 # different results.
-ENGINE_VERSION = "gaussian-channel-2"
+ENGINE_VERSION = "gaussian-channel-3"
 
 
-def rk4_decay_factor(x: float) -> float:
-    """Amplification factor of one RK4 step for y' = lambda y with x = lambda dt."""
-    return 1.0 + x + x * x / 2.0 + x ** 3 / 6.0 + x ** 4 / 24.0
-
-
-@dataclass
-class _DriveTables:
-    """Window-sampled drive and projection values shared by all trajectories."""
-
-    d_grid: np.ndarray    # sqrt(2 gamma_ext) u_in at write grid times, length n_write+1
-    d_mid: np.ndarray     # same at write step midpoints, length n_write
-    uo_grid: np.ndarray   # u_out at read grid times, length n_read+1
-    trap: np.ndarray      # trapezoid weights including dt, length n_read+1
-
-
-def _make_tables(params: SystemParams, schedule: ProtocolSchedule,
-                 spec: ModeFunctionSpec) -> _DriveTables:
-    sq = math.sqrt(2.0 * params.gamma_ext)
-    tw = -schedule.t_write + schedule.dt * np.arange(schedule.n_write + 1)
-    tr = schedule.t_store + schedule.dt * np.arange(schedule.n_read + 1)
-    trap = np.full(schedule.n_read + 1, schedule.dt)
-    trap[0] *= 0.5
-    trap[-1] *= 0.5
-    return _DriveTables(d_grid=sq * u_in(tw, spec),
-                        d_mid=sq * u_in(tw[:-1] + 0.5 * schedule.dt, spec),
-                        uo_grid=u_out(tr, spec), trap=trap)
+def _rk4_increment(x: float) -> float:
+    """Increment of one RK4 step for y' = lambda y from y = 1, with x = lambda dt:
+    the step's amplification factor minus 1."""
+    return x + x * x / 2.0 + x ** 3 / 6.0 + x ** 4 / 24.0
 
 
 def _storage_aggregate(params: SystemParams, dt: float,
                        n_steps: int) -> tuple[float, float, float]:
     """Compound optical and mechanical factors of n_steps uncoupled RK4 steps,
-    and the summed variance of the unit mechanical noise kicks they carry."""
-    r_o = rk4_decay_factor(-params.gamma_o * dt) ** n_steps
-    r_m1 = rk4_decay_factor(-params.gamma_m * dt)
-    r_m = r_m1 ** n_steps
-    var_sum = float(n_steps) if r_m1 == 1.0 else (1.0 - r_m1 ** (2 * n_steps)) / (1.0 - r_m1 ** 2)
-    return r_o, r_m, var_sum
+    and the summed variance of the unit mechanical noise kicks they carry.
+
+    The powers go through log1p of the step increment, so a factor within an
+    ulp of 1 raised to a large power keeps its accuracy.
+    """
+    log_o = math.log1p(_rk4_increment(-params.gamma_o * dt))
+    log_m = math.log1p(_rk4_increment(-params.gamma_m * dt))
+    var_sum = float(n_steps) if log_m == 0.0 else \
+        math.expm1(2.0 * n_steps * log_m) / math.expm1(2.0 * log_m)
+    return math.exp(n_steps * log_o), math.exp(n_steps * log_m), var_sum
+
+
+def _step(params: SystemParams, dt: float) -> tuple[list, list, list, list]:
+    """One RK4 step of (alpha, beta) as an affine map of the state and the drive.
+
+    With x = (alpha, beta), x' = A x + d(t) e and e = (1, 0), one step from
+    x at t is x' = M x + m0 d(t) + mh d(t + dt/2) + m1 d(t + dt), where
+    H = dt A, M = I + H(I + H/2(I + H/3(I + H/4))), m0 = dt/6 (I + H + H^2/2
+    + H^3/4) e, mh = dt/6 (4I + 2H + H^2/2) e and m1 = dt/6 e.  Returned as
+    nested lists of Python complex scalars: M row by row, then m0, mh, m1.
+    """
+    h = dt * np.array([[-params.gamma_o, -1j * params.g_eff],
+                       [-1j * params.g_eff, -params.gamma_m]])
+    eye = np.eye(2)
+    h2 = h @ h
+    m = eye + h @ (eye + h @ (eye + h @ (eye + h / 4.0) / 3.0) / 2.0)
+    m0 = dt / 6.0 * (eye + h + h2 / 2.0 + h2 @ h / 4.0)[:, 0]
+    mh = dt / 6.0 * (4.0 * eye + 2.0 * h + h2 / 2.0)[:, 0]
+    return m.tolist(), m0.tolist(), mh.tolist(), [dt / 6.0 + 0j, 0j]
 
 
 def run_ensemble(inputs: EnsembleResult, params: SystemParams,
@@ -92,25 +92,25 @@ def run_ensemble(inputs: EnsembleResult, params: SystemParams,
     alpha_in_plus.  With (G, noise_var) from one ``protocol_channel``
     evaluation, the stepped process gives alpha_out = G alpha_in + N in
     distribution, RK4 discretisation included, with N = sqrt(noise_var)
-    (x + iy)/sqrt(2) and one standard normal pair (x, y) per trajectory.  The ensemble is returned in the frame where the
-    coherent-input gain is real and positive: alpha_out = |G| alpha_in +
-    e^{-i arg G} N and alpha_out_plus = |G| alpha_in_plus + conj(e^{-i arg
-    G} N).  Formed this way, a real input keeps mu_x = (alpha_out +
-    alpha_out_plus)/2 exactly real on every row, so the Wigner kernel takes
-    its real path.  The weight and branch columns are the input's, and the
-    channel travels with the result (``gain``, ``noise_var``).  The pairs
-    come in blocks of RNG_BLOCK_SIZE trajectories, each from the
-    counter-based stream keyed by (master_seed, block index), so a
-    trajectory's noise depends only on the seed and its position; the time
-    step changes the scale, not the draw.  A noiseless channel consumes no
-    randomness.
+    (x + iy)/sqrt(2) and one standard normal pair (x, y) per trajectory.
+    The ensemble is returned in the frame where the coherent-input gain is
+    real and positive: alpha_out = |G| alpha_in + e^{-i arg G} N and
+    alpha_out_plus = |G| alpha_in_plus + conj(e^{-i arg G} N).  Formed this
+    way, a real input keeps mu_x = (alpha_out + alpha_out_plus)/2 exactly
+    real on every row, so the Wigner kernel takes its real path.  The weight
+    and branch columns are the input's, and the channel travels with the
+    result (``gain``, ``noise_var``).  The pairs come in blocks of
+    RNG_BLOCK_SIZE trajectories, each from the counter-based stream keyed
+    by (master_seed, block index), so a trajectory's noise depends only on
+    the seed and its position; the time step changes the scale, not the
+    draw.  A noiseless channel consumes no randomness.
     """
     n = len(inputs)
     gain, noise_var = protocol_channel(params, schedule)
     if not (cmath.isfinite(gain) and math.isfinite(noise_var)):
         raise FloatingPointError("non-finite protocol channel; check parameters")
     if gain == 0:
-        raise ValueError("zero reference gain; cannot fix the output phase")
+        raise ValueError("zero protocol gain; cannot fix the output phase")
     noise = np.zeros(n, dtype=np.complex128)
     if noise_var > 0:
         scale = math.sqrt(noise_var / 2.0) * cmath.exp(-1j * cmath.phase(gain))
@@ -125,117 +125,83 @@ def run_ensemble(inputs: EnsembleResult, params: SystemParams,
                           gain=gain, noise_var=noise_var)
 
 
-def _rk4_pair(a: complex, b: complex, params: SystemParams, dt: float,
-              d0: complex, dh: complex, d1: complex) -> tuple[complex, complex]:
-    """One noiseless RK4 step of (alpha, beta) under unit drive amplitude.
+def _write_walk(params: SystemParams, schedule: ProtocolSchedule,
+                spec: ModeFunctionSpec, step: tuple, la: complex,
+                lb: complex) -> tuple[complex, float, complex]:
+    """Walk the weights (la, lb) of (alpha, beta) at t = 0 back through the
+    write window's RK4 steps (``step``, from ``_step``), for a unit coherent
+    input and no start.
 
-    The stepped reference of the test suite writes the same operations in
-    the same order, so a one-trajectory noiseless block of it gives the
-    same numbers.
+    Returns the gain: the weighted sum of the state the drive leaves at
+    t = 0, one term lambda_{k+1} . c_k per step, with c_k the step's drive
+    part m0 d_k + mh d_{k+1/2} + m1 d_{k+1} and d = sqrt(2 gamma_ext) u_in.
+    Also returns the sum of squared beta weights over the window's unit
+    kicks, and the beta weight of the start at t = -t_write.
     """
-    go, gm, g = params.gamma_o, params.gamma_m, params.g_eff
-    half = 0.5 * dt
-    k1a = -go * a - 1j * g * b + d0
-    k1b = -gm * b - 1j * g * a
-    a2 = a + half * k1a
-    b2 = b + half * k1b
-    k2a = -go * a2 - 1j * g * b2 + dh
-    k2b = -gm * b2 - 1j * g * a2
-    a3 = a + half * k2a
-    b3 = b + half * k2b
-    k3a = -go * a3 - 1j * g * b3 + dh
-    k3b = -gm * b3 - 1j * g * a3
-    a4 = a + dt * k3a
-    b4 = b + dt * k3b
-    k4a = -go * a4 - 1j * g * b4 + d1
-    k4b = -gm * b4 - 1j * g * a4
-    sixth = dt / 6.0
-    return (a + sixth * (k1a + 2.0 * (k2a + k3a) + k4a),
-            b + sixth * (k1b + 2.0 * (k2b + k3b) + k4b))
-
-
-def _write_pass(params: SystemParams, schedule: ProtocolSchedule,
-                tables: _DriveTables) -> tuple[complex, complex]:
-    """(alpha, beta) at t = 0 for a unit coherent input, no start and no noise."""
-    d_grid, d_mid = tables.d_grid.tolist(), tables.d_mid.tolist()
-    a = b = 0j
-    for k in range(schedule.n_write):
-        a, b = _rk4_pair(a, b, params, schedule.dt, d_grid[k], d_mid[k], d_grid[k + 1])
-    return a, b
-
-
-def reference_gain(params: SystemParams, schedule: ProtocolSchedule) -> complex:
-    """Complex coherent-state gain of the full protocol.
-
-    One deterministic pass with unit input amplitude, no thermal start and
-    no noise, in scalar complex arithmetic: the RK4 recursion of the write
-    window, the storage aggregate and the read window with its trapezoidal
-    output projection, over the drive and projection tables of
-    ``_make_tables``.  The modulus is the write-store-read amplitude
-    efficiency and the argument fixes the overall phase convention of the
-    retrieved mode.
-    """
-    spec = ModeFunctionSpec.for_params(params, schedule.t_store)
-    tables = _make_tables(params, schedule, spec)
-    a, b = _write_pass(params, schedule, tables)
-    if schedule.n_store > 0:
-        r_o, r_m, _ = _storage_aggregate(params, schedule.dt, schedule.n_store)
-        a, b = a * r_o, b * r_m
+    dt = schedule.dt
+    m, m0, mh, m1 = step
+    (m00, m01), (m10, m11) = m
+    tw = -schedule.t_write + dt * np.arange(schedule.n_write + 1)
     sq = math.sqrt(2.0 * params.gamma_ext)
-    uo_grid, trap = tables.uo_grid.tolist(), tables.trap.tolist()
-    acc = trap[0] * uo_grid[0] * sq * a
-    for k in range(schedule.n_read):
-        a, b = _rk4_pair(a, b, params, schedule.dt, 0j, 0j, 0j)
-        acc = acc + trap[k + 1] * uo_grid[k + 1] * sq * a
-    return acc
+    d_grid, d_mid = sq * u_in(tw, spec), sq * u_in(tw[:-1] + 0.5 * dt, spec)
+    drive = (np.outer(d_grid[:-1], m0) + np.outer(d_mid, mh)
+             + np.outer(d_grid[1:], m1)).tolist()
+    gain, kicks = 0j, 0.0
+    # |lb|^2 as re^2 + im^2: abs(lb) ** 2 raises OverflowError once |lb|
+    # passes 1e154, and an unstable step must end in the non-finite check
+    for ca, cb in reversed(drive):
+        kicks += lb.real * lb.real + lb.imag * lb.imag  # the step's kick lands on its end
+        gain += la * ca + lb * cb
+        la, lb = m00 * la + m10 * lb, m01 * la + m11 * lb
+    return gain, kicks, lb
 
 
 def protocol_channel(params: SystemParams,
                      schedule: ProtocolSchedule) -> tuple[complex, float]:
     """The ensemble path as a linear Gaussian channel: alpha_out = gain alpha_in + N.
 
-    gain is ``reference_gain``.  noise_var = E|N|^2 is the variance of the
-    additive noise that the mechanical kicks and the thermal start put on
-    alpha_out, computed without sampling: one backward (adjoint) pass over
-    the 2x2 RK4 step matrix of (alpha, beta) carries the output projection
-    of the read window back through the storage aggregate and the write
-    window, and every kick contributes the squared beta weight it lands
-    on.  The RK4 discretisation enters exactly as in the stepped process.
-    Without bath noise and initial occupation noise_var is 0 at once.
+    One backward (adjoint) pass: the weights of (alpha, beta) in alpha_out
+    start at the trapezoidal output projection of the last read point and
+    are walked back through the RK4 steps of the read window, the storage
+    aggregate and the write window.  Each write step adds its drive part to
+    the gain, the complex coherent-state gain of the whole protocol, whose
+    modulus is the write-store-read amplitude efficiency and whose argument
+    fixes the phase convention of the retrieved mode.  Each mechanical kick
+    adds the squared beta weight it lands on to noise_var = E|N|^2, and the
+    thermal start the squared beta weight at t = -t_write; without bath
+    noise and initial occupation noise_var comes out exactly 0.  The RK4
+    discretisation enters exactly as in the stepped process.
     """
-    gain = reference_gain(params, schedule)
-    nu_sq = 2.0 * params.gamma_m * params.n_th_mech * schedule.dt
-    if nu_sq == 0 and params.n_init_mech == 0:
-        return gain, 0.0
+    dt = schedule.dt
     spec = ModeFunctionSpec.for_params(params, schedule.t_store)
-    tables = _make_tables(params, schedule, spec)
-    proj = math.sqrt(2.0 * params.gamma_ext) * tables.trap * tables.uo_grid
-    h = schedule.dt * np.array([[-params.gamma_o, -1j * params.g_eff],
-                                [-1j * params.g_eff, -params.gamma_m]])
-    eye = np.eye(2)
-    step_t = (eye + h @ (eye + h @ (eye + h @ (eye + h / 4.0) / 3.0) / 2.0)).T
+    step = _step(params, dt)
+    (m00, m01), (m10, m11) = step[0]
+    tr = schedule.t_store + dt * np.arange(schedule.n_read + 1)
+    trap = np.full(schedule.n_read + 1, dt)
+    trap[0] *= 0.5
+    trap[-1] *= 0.5
+    proj = (math.sqrt(2.0 * params.gamma_ext) * trap * u_out(tr, spec)).tolist()
 
-    # weights of (alpha, beta) in alpha_out, walked back from the last read point
-    lam = np.array([proj[-1], 0.0j])
+    la, lb = proj[-1], 0j
     kicks = 0.0  # sum of squared beta weights over the unit kicks
-    for k in range(schedule.n_read - 1, -1, -1):
-        kicks += abs(lam[1]) ** 2  # the kick of read step k lands on point k+1
-        lam = step_t @ lam + np.array([proj[k], 0.0])
+    for w in reversed(proj[:-1]):
+        kicks += lb.real * lb.real + lb.imag * lb.imag  # the step's kick lands on its end
+        la, lb = m00 * la + m10 * lb + w, m01 * la + m11 * lb
     if schedule.n_store > 0:
-        r_o, r_m, var_sum = _storage_aggregate(params, schedule.dt, schedule.n_store)
-        kicks += abs(lam[1]) ** 2 * var_sum
-        lam = lam * np.array([r_o, r_m])
-    for _ in range(schedule.n_write):
-        kicks += abs(lam[1]) ** 2
-        lam = step_t @ lam
-    return gain, float(nu_sq * kicks + params.n_init_mech * abs(lam[1]) ** 2)
+        r_o, r_m, var_sum = _storage_aggregate(params, dt, schedule.n_store)
+        kicks += (lb.real * lb.real + lb.imag * lb.imag) * var_sum
+        la, lb = la * r_o, lb * r_m
+    gain, write_kicks, lb = _write_walk(params, schedule, spec, step, la, lb)
+    nu_sq = 2.0 * params.gamma_m * params.n_th_mech * dt
+    start = params.n_init_mech * (lb.real * lb.real + lb.imag * lb.imag)
+    return gain, float(nu_sq * (kicks + write_kicks) + start)
 
 
 def write_gain(params: SystemParams, schedule: ProtocolSchedule) -> complex:
     """Mechanical amplitude stored at t = 0 for a unit coherent input.
 
-    Single-pass counterpart of reference_gain: only the write window is
-    integrated, so the modulus measures the in-coupling efficiency alone.
+    The write-window walk of ``protocol_channel`` started from the weights
+    (0, 1), so the modulus measures the in-coupling efficiency alone.
     """
     spec = ModeFunctionSpec.for_params(params, schedule.t_store)
-    return _write_pass(params, schedule, _make_tables(params, schedule, spec))[1]
+    return _write_walk(params, schedule, spec, _step(params, schedule.dt), 0j, 1.0 + 0j)[0]

@@ -533,8 +533,7 @@ def write_run_artifacts(config: ExperimentConfig, point: PointResult,
 
     artifacts = {}
     for name, fld in point.fields.items():
-        fld.meta["manifest_sha256"] = fingerprint
-        digest = fld.write_files(out / f"{name}.csv", out / f"{name}.json")
+        digest = fld.write_files(out / f"{name}.csv", out / f"{name}.json", fingerprint)
         artifacts[name] = {"csv": f"{name}.csv", "json": f"{name}.json", "sha256": digest}
 
     manifest = {

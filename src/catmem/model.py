@@ -32,7 +32,6 @@ __all__ = [
     "GridAxis",
     "GridField",
     "derive_rates",
-    "mechanical_rate_from_hz",
     "open_atomic",
     "parse_storage_time",
 ]
@@ -277,7 +276,8 @@ class GridField:
         if tuple(self.values.shape) != shape:
             raise ValueError(f"values shape {self.values.shape} does not match axes {shape}")
 
-    def write_files(self, csv_path, json_path) -> str:
+    def write_files(self, csv_path, json_path,
+                    manifest_sha256: str | None = None) -> str:
         """Write the field as CSV and as JSON; return the SHA-256 hex digest
         of the CSV bytes written.
 
@@ -287,7 +287,7 @@ class GridField:
         run manifests hash them.  The CSV, UTF-8 with '.' decimals and ','
         separators:
 
-        - with ``manifest_sha256`` in meta, a first line
+        - with a ``manifest_sha256`` fingerprint given, a first line
           ``# manifest_sha256 = <hex>`` ending in LF;
         - a header row of the axis tags and ``value``, as the csv module's
           excel dialect writes it;
@@ -299,7 +299,9 @@ class GridField:
 
         The JSON is ``{"axes": [...], "values": [...], "meta": {...}}`` byte
         for byte as ``json.dumps`` writes it, values flattened in C order
-        (non-finite values spelled ``NaN``, ``Infinity``, ``-Infinity``).
+        (non-finite values spelled ``NaN``, ``Infinity``, ``-Infinity``);
+        a fingerprint given goes into the written meta under
+        ``manifest_sha256``.  ``self.meta`` is left as it is.
         """
         if len(self.axes) not in (1, 2):
             raise ValueError("only 1-D and 2-D fields are serialised")
@@ -310,8 +312,10 @@ class GridField:
             json_texts = np.array([_JSON_SPELLING.get(t, t) for t in texts.tolist()],
                                   dtype=object)
         header = io.StringIO()
-        if "manifest_sha256" in self.meta:
-            header.write(f"# manifest_sha256 = {self.meta['manifest_sha256']}\n")
+        meta = dict(self.meta)
+        if manifest_sha256 is not None:
+            header.write(f"# manifest_sha256 = {manifest_sha256}\n")
+            meta["manifest_sha256"] = manifest_sha256
         # the header is the only row whose cells (the tags) may need quoting
         csv.writer(header).writerow([ax.tag for ax in self.axes] + ["value"])
         digest = hashlib.sha256()
@@ -338,7 +342,7 @@ class GridField:
             for k in range(0, inverse.size, _JSON_PIECE):
                 piece = ", ".join(json_texts[inverse[k:k + _JSON_PIECE]].tolist())
                 json_fh.write(((", " if k else "") + piece).encode("utf-8"))
-            json_fh.write(f'], "meta": {json.dumps(dict(self.meta))}}}'.encode("utf-8"))
+            json_fh.write(f'], "meta": {json.dumps(meta)}}}'.encode("utf-8"))
         return digest.hexdigest()
 
     @classmethod
@@ -348,13 +352,6 @@ class GridField:
         shape = tuple(ax.size for ax in axes)
         values = np.array(payload["values"], dtype=float).reshape(shape)
         return cls(axes=axes, values=values, meta=payload.get("meta", {}))
-
-
-def mechanical_rate_from_hz(gamma_m_hz: float, gamma_o_hz: float) -> float:
-    """Nondimensionalise a mechanical linewidth against the optical one."""
-    if gamma_o_hz <= 0:
-        raise ValueError("optical rate must be positive")
-    return gamma_m_hz / gamma_o_hz
 
 
 def parse_storage_time(text: str, gamma_m: float) -> float:

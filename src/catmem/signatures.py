@@ -32,7 +32,6 @@ __all__ = [
     "default_quadrature_grid",
     "default_wigner_grid",
     "default_density_axis",
-    "quadrature_kernel",
     "p_distribution",
     "wigner_estimate",
     "wigner_negativity",
@@ -119,22 +118,6 @@ def _columns(results: EnsembleResult) -> tuple[np.ndarray, np.ndarray, np.ndarra
     if not isinstance(results, EnsembleResult):
         raise TypeError("results must be an EnsembleResult")
     return results.alpha_out, results.alpha_out_plus, results.weight
-
-
-def quadrature_kernel(x, theta: float, alpha: complex, alpha_plus: complex):
-    """Single-sample quadrature density, analytically continued.
-
-    Completing the square collapses the kernel to
-    exp(-(x - c/sqrt(2))^2)/sqrt(pi) with c = e^{-i theta} alpha
-    + e^{i theta} alpha_plus; the real part is the density (exactly real for
-    conjugate pairs).
-    """
-    c = np.exp(-1j * theta) * alpha + np.exp(1j * theta) * alpha_plus
-    vals = np.exp(-((np.asarray(x, dtype=float) - c / _SQRT2) ** 2)) / math.sqrt(math.pi)
-    out = np.real(vals)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
 
 
 def p_distribution(results, grid: QuadratureGrid) -> GridField:

@@ -158,13 +158,13 @@ def test_run_point_evaluates_each_channel_once(monkeypatch):
     # the fine run's channel serves its ensemble and its protocol reference;
     # the 2*dt rerun evaluates its own
     calls = []
-    original = engine.reference_gain
+    original = engine.protocol_channel
 
     def counted(params, schedule):
         calls.append(schedule.dt)
         return original(params, schedule)
 
-    monkeypatch.setattr(engine, "reference_gain", counted)
+    monkeypatch.setattr(engine, "protocol_channel", counted)
     cfg = ExperimentConfig(alpha0=2.0, n_bar=2.0, n_samples=400, jackknife_blocks=10,
                            signatures=("negativity",))
     scalars = run_point(cfg, want_fields=False).scalars

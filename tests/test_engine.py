@@ -4,14 +4,16 @@ No trajectory is stepped in the package: ``run_ensemble`` samples the
 ensemble from the protocol's exact Gaussian channel (``protocol_channel``).
 The reference here steps every trajectory, one RK4 step plus one
 mechanical kick at a time, through the write, storage and read windows.  It
-shares the engine's drive and projection tables but not its storage
-aggregate, so it checks that too.  ``run_ensemble`` returns the
+samples the drive and the output projection on the engine's time grid, and
+steps the storage window instead of using the engine's storage aggregate,
+so it checks that too.  ``run_ensemble`` returns the
 phase-corrected frame, where the coherent-input gain is |G|; the stepped
 reference is rotated into that frame by the phase of its own gain.
 """
 
 import cmath
 import dataclasses
+import decimal
 import math
 
 import numpy as np
@@ -19,11 +21,10 @@ import pytest
 from scipy.linalg import expm
 
 from catmem import engine, experiments
-from catmem.engine import (protocol_channel, reference_gain, rk4_decay_factor,
-                           run_ensemble, write_gain)
+from catmem.engine import protocol_channel, run_ensemble, write_gain
 from catmem.model import CatParams, EnsembleResult, ProtocolSchedule, SystemParams
 from catmem.modes import (ModeFunctionSpec, default_write_duration,
-                          transfer_amplitude)
+                          transfer_amplitude, u_in, u_out)
 from catmem.sampling import RNG_BLOCK_SIZE, SamplerConfig, block_stream, sample_cat
 
 GM = 17.5 / 170e3
@@ -53,6 +54,21 @@ def inputs_of(alpha_in, alpha_in_plus, branch):
 
 
 # -- the stepped reference ---------------------------------------------------
+
+def drive_tables(params, schedule):
+    """The write drive sqrt(2 gamma_ext) u_in at the write grid points and
+    step midpoints, and u_out with its trapezoid weights at the read grid
+    points."""
+    spec = ModeFunctionSpec.for_params(params, schedule.t_store)
+    dt = schedule.dt
+    tw = -schedule.t_write + dt * np.arange(schedule.n_write + 1)
+    tr = schedule.t_store + dt * np.arange(schedule.n_read + 1)
+    trap = np.full(schedule.n_read + 1, dt)
+    trap[0] *= 0.5
+    trap[-1] *= 0.5
+    sq = math.sqrt(2.0 * params.gamma_ext)
+    return sq * u_in(tw, spec), sq * u_in(tw[:-1] + 0.5 * dt, spec), u_out(tr, spec), trap
+
 
 def sample_thermal(n_occupation, count, rng):
     """Thermal starts: count complex beta with <|beta|^2> = n_occupation and
@@ -169,6 +185,7 @@ def stepped_storage(a, ap, b, bp, params, dt, n_steps, nu, rng):
 
 def stepped_block(a_in, a_in_p, params, schedule, tables, stream):
     """Output-mode amplitudes of one trajectory block, every window stepped."""
+    d_grid, d_mid, uo_grid, trap = tables
     n = a_in.size
     dt = schedule.dt
     nu = math.sqrt(2.0 * params.gamma_m * params.n_th_mech * dt) \
@@ -180,12 +197,12 @@ def stepped_block(a_in, a_in_p, params, schedule, tables, stream):
     bp = np.conj(beta0)
 
     a, ap, b, bp, _, _ = stepped_span(a, ap, b, bp, params, dt, schedule.n_write,
-                                      tables.d_grid, tables.d_mid, a_in, a_in_p,
+                                      d_grid, d_mid, a_in, a_in_p,
                                       nu, stream)
     a, ap, b, bp = stepped_storage(a, ap, b, bp, params, dt, schedule.n_store, nu, stream)
     _, _, _, _, acc, acc_p = stepped_span(a, ap, b, bp, params, dt, schedule.n_read,
                                           None, None, a_in, a_in_p, nu, stream,
-                                          uo_grid=tables.uo_grid, trap=tables.trap,
+                                          uo_grid=uo_grid, trap=trap,
                                           sq=math.sqrt(2.0 * params.gamma_ext))
     return acc, acc_p
 
@@ -194,7 +211,7 @@ def stepped_outputs(inputs, p, sched, master_seed):
     # every trajectory stepped, in RNG_BLOCK_SIZE blocks with one stream per
     # block
     a_in, a_in_p = inputs.alpha_out, inputs.alpha_out_plus
-    tables = engine._make_tables(p, sched, ModeFunctionSpec.for_params(p, sched.t_store))
+    tables = drive_tables(p, sched)
     out = np.empty_like(a_in)
     out_p = np.empty_like(a_in)
     for block, lo in enumerate(range(0, len(inputs), RNG_BLOCK_SIZE)):
@@ -246,21 +263,55 @@ def test_thermal_validation():
 # -- the engine --------------------------------------------------------------
 
 def test_step_matches_matrix_exponential():
-    # constant g, no drive: one RK4 step of (alpha, beta) against expm of
-    # the generator
+    # constant g, no drive: the RK4 step matrix of (alpha, beta) against expm
+    # of the generator
     p = default_params()
     A = np.array([[-p.gamma_o, -1j * p.g_eff],
                   [-1j * p.g_eff, -p.gamma_m]])
     state = np.array([0.3 + 0.1j, -0.2 + 0.4j])
-    got = np.array(engine._rk4_pair(state[0], state[1], p, 0.1, 0j, 0j, 0j))
+    got = np.array(engine._step(p, 0.1)[0]) @ state
     assert np.max(np.abs(got - expm(A * 0.1) @ state)) < 1e-8
 
 
+def test_driven_step_is_one_stepped_step():
+    # the affine step against one step of the stepped reference, with
+    # distinct drive values at the start, the midpoint and the end
+    p = default_params()
+    dt = 0.1
+    m, m0, mh, m1 = (np.array(part) for part in engine._step(p, dt))
+    a, b = 0.3 + 0.1j, -0.2 + 0.4j
+    d0, dh, d1 = 0.7 - 0.2j, 0.5 + 0.3j, 0.2 + 0.6j
+    got = m @ np.array([a, b]) + m0 * d0 + mh * dh + m1 * d1
+    a1, _, b1, _, _, _ = stepped_span(np.array([a]), np.array([a.conjugate()]),
+                                      np.array([b]), np.array([b.conjugate()]),
+                                      p, dt, 1, [d0, d1], [dh], 1.0, 1.0, 0.0, None)
+    for value, ref in zip(got, (a1[0], b1[0])):
+        assert abs(value - ref) <= 1e-15 * abs(ref)
+
+
 def test_decay_factor_is_fourth_order():
-    err1 = abs(rk4_decay_factor(-0.1) - math.exp(-0.1))
-    err2 = abs(rk4_decay_factor(-0.05) - math.exp(-0.05))
+    err1 = abs(engine._rk4_increment(-0.1) - math.expm1(-0.1))
+    err2 = abs(engine._rk4_increment(-0.05) - math.expm1(-0.05))
     assert err1 < 1e-7
     assert err1 / err2 > 25.0  # fifth-order local error: factor 32 per halving
+
+
+@pytest.mark.parametrize("n_store", [1943, 8859, 33670])
+def test_storage_aggregate_matches_decimal(n_store):
+    # the storage times 0.02, 0.0912 and 0.3466/Gm at dt = 0.1: the
+    # mechanical factor and the kick variance sum against 40-digit
+    # arithmetic on the same step factor
+    p = default_params()
+    dt = 0.1
+    _, r_m, var_sum = engine._storage_aggregate(p, dt, n_store)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        x = decimal.Decimal(-p.gamma_m * dt)
+        factor = 1 + x + x ** 2 / 2 + x ** 3 / 6 + x ** 4 / 24
+        r_ref = float(factor ** n_store)
+        var_ref = float((1 - factor ** (2 * n_store)) / (1 - factor ** 2))
+    assert abs(r_m - r_ref) <= 1e-14 * r_ref
+    assert abs(var_sum - var_ref) <= 1e-14 * var_ref
 
 
 def test_trajectory_conjugacy_by_branch():
@@ -294,8 +345,8 @@ def test_batch_matches_stepwise_integration():
 def test_reference_gain_closed_form():
     p = default_params()
     t_store = 0.5 * math.log(2.0) / GM
-    gain = reference_gain(p, schedule_for(p, t_store))
     sched = schedule_for(p, t_store)
+    gain = protocol_channel(p, sched)[0]
     expected = math.exp(-GM * sched.t_store) * transfer_amplitude(p) ** 2
     assert abs(gain) == pytest.approx(expected, abs=1e-5)
     assert abs(gain) == pytest.approx(0.706833, abs=1e-5)
@@ -315,8 +366,8 @@ def test_write_gain_matches_transfer_amplitude():
 def test_storage_decay_rate():
     # the transfer factors cancel in the ratio, leaving pure mechanical decay
     p = default_params()
-    g1 = reference_gain(p, schedule_for(p, 10.0))
-    g2 = reference_gain(p, schedule_for(p, 60.0))
+    g1 = protocol_channel(p, schedule_for(p, 10.0))[0]
+    g2 = protocol_channel(p, schedule_for(p, 60.0))[0]
     assert abs(g2) / abs(g1) == pytest.approx(math.exp(-GM * 50.0), rel=1e-10)
 
 
@@ -375,20 +426,14 @@ def assert_channel_residual(p, sched, run=stepped_ensemble, n=16384, seed=11):
     return noise_var
 
 
-def test_protocol_channel_gain_is_reference_gain():
-    p = default_params(n_th_mech=2.0, n_init_mech=0.5)
-    sched = schedule_for(p, 10.0)
-    assert protocol_channel(p, sched)[0] == reference_gain(p, sched)
-
-
 def test_protocol_channel_quiet_without_occupation(monkeypatch):
     p = default_params()
     sched = schedule_for(p, 0.02 / GM)
     monkeypatch.setattr(engine, "block_stream", None)  # draws no random numbers
-    assert protocol_channel(p, sched)[1] == 0.0
+    gain, noise_var = protocol_channel(p, sched)
+    assert noise_var == 0.0
     inputs = cat_samples(2.0, 8)
     res = run_ensemble(inputs, p, sched, master_seed=0)
-    gain = reference_gain(p, sched)
     assert np.array_equal(res.alpha_out, abs(gain) * inputs.alpha_out)
 
 
@@ -406,7 +451,7 @@ def test_run_ensemble_samples_the_channel():
     assert_channel_residual(p, sched, run=run_ensemble)
     inputs = cat_samples(2.0, 64)
     res = run_ensemble(inputs, p, sched, master_seed=3)
-    gain = reference_gain(p, sched)
+    gain = res.gain
     assert (res.gain, res.noise_var) == protocol_channel(p, sched)
     r = res.alpha_out - abs(gain) * inputs.alpha_out
     r_plus = res.alpha_out_plus - abs(gain) * inputs.alpha_out_plus
@@ -420,15 +465,25 @@ def test_run_ensemble_samples_the_channel():
 
 
 def test_reference_gain_is_stepped_gain():
-    # the scalar pass against a one-trajectory stepped block, at the fig10
-    # point and at criterion 7's oscillatory parameters
+    # the channel's gain against a one-trajectory stepped block, at the
+    # fig10 point and at criterion 7's oscillatory parameters
     p = default_params(n_th_mech=2.0)
     cases = [(p, schedule_for(p, 0.02 / GM))]
     cases += [(default_params(), ProtocolSchedule.make(20.0, 0.8, dt))
               for dt in (0.2, 0.1, 0.05)]
     for params, sched in cases:
-        gain = reference_gain(params, sched)
+        gain = protocol_channel(params, sched)[0]
         assert gain == pytest.approx(stepped_gain(params, sched), rel=1e-12, abs=0.0)
+
+
+def test_protocol_gain_is_stepped_gain_over_long_storage():
+    # the storage aggregate keeps its accuracy over thousands of steps: the
+    # fig10 points at 0.02 and 0.0912/Gm, to rounding
+    p = default_params(n_th_mech=2.0)
+    for t_rel in (0.02, 0.0912):
+        sched = schedule_for(p, t_rel / GM)
+        gain = protocol_channel(p, sched)[0]
+        assert gain == pytest.approx(stepped_gain(p, sched), rel=1e-14, abs=0.0)
 
 
 def test_time_steps_share_the_noise_draw():

@@ -1,5 +1,6 @@
 """Parameter containers, derived rates and grid plumbing."""
 
+import copy
 import csv
 import dataclasses
 import hashlib
@@ -18,8 +19,7 @@ from hypothesis import strategies as st
 from catmem import model
 from catmem.experiments import PointResult, preset, run_point, write_run_artifacts
 from catmem.model import (CatParams, GridAxis, GridField, ProtocolSchedule,
-                          SystemParams, derive_rates,
-                          mechanical_rate_from_hz, parse_storage_time)
+                          SystemParams, derive_rates, parse_storage_time)
 
 GM = 17.5 / 170e3
 
@@ -123,23 +123,25 @@ def test_grid_field_json_round_trip(tmp_path):
 
 def test_grid_field_csv_layout(tmp_path):
     ax = GridAxis(0.0, 1.0, 0.5, "x")
-    fld = GridField(axes=(ax,), values=np.array([1.0, 2.0, 3.0]),
-                    meta={"manifest_sha256": "abc123"})
+    fld = GridField(axes=(ax,), values=np.array([1.0, 2.0, 3.0]), meta={"kind": "demo"})
     path = tmp_path / "field.csv"
-    fld.write_files(path, tmp_path / "field.json")
+    fld.write_files(path, tmp_path / "field.json", "abc123")
     lines = path.read_text().splitlines()
     assert lines[0] == "# manifest_sha256 = abc123"
     assert lines[1] == "x,value"
     assert len(lines) == 5
     assert lines[2].split(",") == ["0.0", "1.0"]
+    written = json.loads(tmp_path.joinpath("field.json").read_text())["meta"]
+    assert written == {"kind": "demo", "manifest_sha256": "abc123"}
+    assert fld.meta == {"kind": "demo"}
 
 
-def reference_csv(fld, path):
+def reference_csv(fld, path, fingerprint):
     """The CSV writer as first written: csv.writer, repr(float(.)) per cell."""
     coords = [ax.points() for ax in fld.axes]
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        if "manifest_sha256" in fld.meta:
-            fh.write(f"# manifest_sha256 = {fld.meta['manifest_sha256']}\n")
+        if fingerprint is not None:
+            fh.write(f"# manifest_sha256 = {fingerprint}\n")
         writer = csv.writer(fh)
         writer.writerow([ax.tag for ax in fld.axes] + ["value"])
         if len(fld.axes) == 1:
@@ -152,22 +154,26 @@ def reference_csv(fld, path):
                                      repr(float(fld.values[i, j]))])
 
 
-def reference_json(fld, path):
-    """The JSON writer as first written: one json.dumps of the payload."""
+def reference_json(fld, path, fingerprint):
+    """The JSON writer as first written: one json.dumps of the payload, the
+    fingerprint stored into meta."""
+    meta = dict(fld.meta)
+    if fingerprint is not None:
+        meta["manifest_sha256"] = fingerprint
     payload = {
         "axes": [dataclasses.asdict(ax) for ax in fld.axes],
         "values": np.asarray(fld.values, dtype=float).ravel().tolist(),
-        "meta": {k: v for k, v in fld.meta.items()},
+        "meta": meta,
     }
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
 
-def assert_writers_match_reference(fld):
+def assert_writers_match_reference(fld, fingerprint=None):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
-        digest = fld.write_files(out / "new.csv", out / "new.json")
-        reference_csv(fld, out / "ref.csv")
-        reference_json(fld, out / "ref.json")
+        digest = fld.write_files(out / "new.csv", out / "new.json", fingerprint)
+        reference_csv(fld, out / "ref.csv", fingerprint)
+        reference_json(fld, out / "ref.json", fingerprint)
         csv_bytes = (out / "new.csv").read_bytes()
         assert csv_bytes == (out / "ref.csv").read_bytes()
         assert digest == hashlib.sha256(csv_bytes).hexdigest()
@@ -197,15 +203,15 @@ def grid_fields(draw):
     value = st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats())
     values = np.array(draw(st.lists(value, min_size=size, max_size=size)), dtype=float)
     meta = {"kind": "demo", "norm": draw(st.floats(allow_nan=False))}
-    if draw(st.booleans()):
-        meta["manifest_sha256"] = "ab" * 32
-    return GridField(axes=axes, values=values.reshape([ax.size for ax in axes]), meta=meta)
+    fingerprint = "ab" * 32 if draw(st.booleans()) else None
+    fld = GridField(axes=axes, values=values.reshape([ax.size for ax in axes]), meta=meta)
+    return fld, fingerprint
 
 
 @settings(max_examples=150, deadline=None)
 @given(grid_fields())
-def test_writers_match_reference_bytes(fld):
-    assert_writers_match_reference(fld)
+def test_writers_match_reference_bytes(case):
+    assert_writers_match_reference(*case)
 
 
 def test_signed_zero_and_non_finite_text(tmp_path):
@@ -229,8 +235,18 @@ def test_writers_match_reference_on_run_fields(fig5_run):
     fields = fig5_run[1].fields
     assert set(fields) == {"p_distribution", "wigner", "density"}
     for fld in fields.values():
-        fld.meta["manifest_sha256"] = "cd" * 32
-        assert_writers_match_reference(fld)
+        assert_writers_match_reference(fld, "cd" * 32)
+
+
+def test_write_run_artifacts_leaves_meta_alone(fig5_run, tmp_path):
+    # the fingerprint goes into the written files, not into the caller's fields
+    config, point = fig5_run
+    before = {name: copy.deepcopy(fld.meta) for name, fld in point.fields.items()}
+    manifest = write_run_artifacts(config, point, tmp_path, 0.0)
+    assert {name: fld.meta for name, fld in point.fields.items()} == before
+    for name, meta in before.items():
+        written = json.loads(tmp_path.joinpath(f"{name}.json").read_text())["meta"]
+        assert written == {**meta, "manifest_sha256": manifest["config_sha256"]}
 
 
 def test_writer_memory_stays_below_file_sizes(fig5_run, tmp_path):
@@ -296,12 +312,6 @@ def test_three_dimensional_csv_rejected_before_writing(tmp_path):
     with pytest.raises(ValueError):
         fld.write_files(tmp_path / "cube.csv", tmp_path / "cube.json")
     assert list(tmp_path.iterdir()) == []
-
-
-def test_mechanical_rate_from_hz():
-    assert mechanical_rate_from_hz(17.5, 170e3) == pytest.approx(GM)
-    with pytest.raises(ValueError):
-        mechanical_rate_from_hz(17.5, 0.0)
 
 
 def test_parse_storage_time_forms():
