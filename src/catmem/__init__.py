@@ -1,12 +1,11 @@
 """Positive-P phase-space simulator for a cat-state optomechanical memory."""
 
-from .model import (CatParams, DerivedRates, EnsembleResult, GridAxis,
-                    GridField, ProtocolSchedule, SystemParams, derive_rates,
+from .model import (DerivedRates, EnsembleResult, GridAxis, GridField,
+                    ProtocolSchedule, SystemParams, derive_rates,
                     parse_storage_time)
 from .modes import (ModeFunctionSpec, default_write_duration,
                     transfer_amplitude, u_in, u_out)
-from .sampling import (RNG_BLOCK_SIZE, SamplerConfig, block_stream,
-                       branch_weights, sample_cat)
+from .sampling import RNG_BLOCK_SIZE, block_stream, branch_weights, sample_cat
 from .engine import protocol_channel, run_ensemble, write_gain
 from .signatures import (QuadratureGrid, WignerGrid, default_quadrature_grid,
                          default_wigner_grid, is_mixture_falsified,
@@ -14,8 +13,7 @@ from .signatures import (QuadratureGrid, WignerGrid, default_quadrature_grid,
                          reconstruct_density, wigner_estimate, wigner_negativity)
 from .oracle import (DecoherenceParams, cat_variance, decohered_density,
                      evolve_characteristic, evolved_wigner, ideal_P_p,
-                     ideal_P_x, ideal_wigner, q_parameter, t_p_bound,
-                     t_positive)
+                     ideal_P_x, q_parameter, t_p_bound, t_positive)
 from .experiments import (ExperimentConfig, PRESETS, load_config, preset,
                           run_point, run_sweep)
 

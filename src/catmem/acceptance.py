@@ -25,7 +25,7 @@ from .model import EnsembleResult, ProtocolSchedule, SystemParams, derive_rates
 from .modes import (ModeFunctionSpec, coupler_ode_residual, kappa_source,
                     transfer_amplitude, u_exp_approx, u_in)
 from .oracle import decohered_density
-from .sampling import SamplerConfig, sample_cat
+from .sampling import sample_cat
 
 __all__ = ["CheckResult", "CRITERIA", "run_criteria"]
 
@@ -205,7 +205,7 @@ def _check_fringe_death() -> tuple[bool, list, dict]:
 def _check_transfer() -> tuple[bool, list, dict]:
     lines: list = []
     passed = True
-    params = SystemParams.make(0.95, 0.05, gamma_m=DEFAULT_GAMMA_M, g_eff=0.6)
+    params = SystemParams(0.95, 0.05, gamma_m=DEFAULT_GAMMA_M, g_eff=0.6)
     t_w = 10.0 / derive_rates(params).gamma_bar.real
     schedule = ProtocolSchedule.make(t_w, 0.0, 0.1)
     single = abs(write_gain(params, schedule))
@@ -269,8 +269,8 @@ def _check_mode_functions() -> tuple[bool, list, dict]:
     measured: dict = {}
     passed = True
 
-    oscillatory = SystemParams.make(1.0, 0.0, gamma_m=DEFAULT_GAMMA_M, g_eff=0.6)
-    overdamped = SystemParams.make(1.0, 0.0, gamma_m=0.0, g_eff=0.3)
+    oscillatory = SystemParams(1.0, 0.0, gamma_m=DEFAULT_GAMMA_M, g_eff=0.6)
+    overdamped = SystemParams(1.0, 0.0, gamma_m=0.0, g_eff=0.3)
     for label, params in (("oscillatory", oscillatory), ("overdamped", overdamped)):
         spec = ModeFunctionSpec.for_params(params, t_store=1.0)
         norm, _ = quad(lambda t: abs(u_in(t, spec)) ** 2, -np.inf, 0.0, limit=400)
@@ -395,8 +395,7 @@ def _check_estimator_sanity() -> tuple[bool, list, dict]:
                       f"negativities {deltas} lie in [0, 1]")
 
     mean_w = math.fsum(inputs.weight) / len(inputs)
-    big = sample_cat(SamplerConfig(cat=cfg.cat_params(), n_samples=4096,
-                                   master_seed=cfg.master_seed))
+    big = sample_cat(cfg.alpha0, 4096)
     mean_w_big = math.fsum(big.weight) / len(big)
     measured["mean_weights"] = [mean_w, mean_w_big]
     passed &= _record(lines, mean_w == 1.0 and mean_w_big == 1.0,

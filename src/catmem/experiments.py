@@ -24,10 +24,10 @@ import numpy as np
 
 from . import oracle
 from .engine import ENGINE_VERSION, run_ensemble
-from .model import (CatParams, EnsembleResult, ProtocolSchedule, SystemParams,
-                    derive_rates, open_atomic, parse_storage_time)
+from .model import (EnsembleResult, ProtocolSchedule, SystemParams, derive_rates,
+                    open_atomic, parse_storage_time)
 from .modes import default_write_duration, transfer_amplitude
-from .sampling import SamplerConfig, sample_cat
+from .sampling import sample_cat
 from . import signatures as sig
 
 __all__ = [
@@ -85,7 +85,6 @@ class ExperimentConfig:
     t_write: float | None = None  # None: ten retrieval lifetimes
     dt: float = 0.1
     n_samples: int = 4
-    stratified: bool = True
     master_seed: int = DEFAULT_SEED
     signatures: tuple = ("p_distribution", "wigner", "negativity", "p_variance")
     quad_theta: float = math.pi / 2.0
@@ -99,12 +98,9 @@ class ExperimentConfig:
     out_dir: str = "artifacts"
 
     def system_params(self) -> SystemParams:
-        return SystemParams.make(self.gamma_ext, self.gamma_int,
-                                 gamma_m=self.gamma_m, g_eff=self.g_eff,
-                                 n_th_mech=self.n_bar, n_init_mech=self.n_init)
-
-    def cat_params(self) -> CatParams:
-        return CatParams.make(self.alpha0)
+        return SystemParams(self.gamma_ext, self.gamma_int,
+                            gamma_m=self.gamma_m, g_eff=self.g_eff,
+                            n_th_mech=self.n_bar, n_init_mech=self.n_init)
 
     def schedule(self) -> ProtocolSchedule:
         params = self.system_params()
@@ -127,10 +123,13 @@ class ExperimentConfig:
                 raise ConfigError(f"sweep axis {axis_field!r} has no values")
         if self.jackknife_blocks < 2:
             raise ConfigError("jackknife_blocks must be at least 2")
+        if self.n_samples < 4 or self.n_samples % 4 != 0:
+            raise ConfigError("n_samples must be a positive multiple of 4, one "
+                              "quarter per branch")
+        if not 0 <= self.master_seed < 2 ** 64:
+            raise ConfigError("master_seed must fit in 64 bits")
         _check_alpha0(self.alpha0)
         try:
-            SamplerConfig(cat=self.cat_params(), n_samples=self.n_samples,
-                          master_seed=self.master_seed, stratified=self.stratified)
             self.schedule()  # builds the system parameters too
             sig.default_quadrature_grid(self.alpha0, self.quad_theta, self.quad_step)
             sig.default_wigner_grid(self.alpha0, self.wigner_h, self.wigner_pad)
@@ -143,6 +142,9 @@ class ExperimentConfig:
 
 
 def _check_alpha0(alpha0: float) -> None:
+    if isinstance(alpha0, (complex, np.complexfloating)) or not (
+            math.isfinite(alpha0) and alpha0 != 0):
+        raise ConfigError(f"alpha0 must be real, finite and nonzero, got {alpha0!r}")
     if abs(alpha0) > ALPHA0_MAX:
         raise ConfigError(f"|alpha0| = {abs(alpha0):g} exceeds {ALPHA0_MAX}, beyond "
                           "which the cat overlap exp(-2 alpha0^2) underflows")
@@ -216,7 +218,7 @@ _FLOAT_FIELDS = ("gamma_ext", "gamma_int", "gamma_m", "g_eff", "n_bar", "n_init"
                  "alpha0", "dt", "quad_theta", "quad_step", "wigner_h",
                  "wigner_pad", "density_step")
 _INT_FIELDS = ("n_samples", "master_seed", "jackknife_blocks")
-_BOOL_FIELDS = ("stratified", "time_step_check")
+_BOOL_FIELDS = ("time_step_check",)
 
 
 def _parse_number(raw: str, key: str, line: int, gamma_m: float | None = None) -> float:
@@ -362,9 +364,7 @@ def _corrected_ensemble(config: ExperimentConfig) -> tuple[EnsembleResult, Ensem
     """Sample the input cat and send it through the protocol channel,
     phase-corrected: (input ensemble, output ensemble).  The one place a run
     forms its ensemble; the channel rides on the ensemble."""
-    inputs = sample_cat(SamplerConfig(cat=config.cat_params(), n_samples=config.n_samples,
-                                      master_seed=config.master_seed,
-                                      stratified=config.stratified))
+    inputs = sample_cat(config.alpha0, config.n_samples)
     return inputs, run_ensemble(inputs, config.system_params(), config.schedule(),
                                 config.master_seed)
 
@@ -383,7 +383,7 @@ def _point_core(config: ExperimentConfig, inputs: EnsembleResult, ens: EnsembleR
         "reference_gain_abs": abs(gain),
         "reference_gain_phase": math.atan2(gain.imag, gain.real),
         "transfer_amplitude_analytic": transfer_amplitude(params),
-        "p_variance_in": sig.p_variance(inputs),
+        "p_variance_in": in_moments["p_variance"],
         "t_write_resolved": schedule.t_write,
         "t_store_resolved": schedule.t_store,
         "dt": schedule.dt,
@@ -423,7 +423,7 @@ def _point_core(config: ExperimentConfig, inputs: EnsembleResult, ens: EnsembleR
         fields["density"] = sig.reconstruct_density(ens, axis, axis)
     if "p_variance" in sigs:
         out_moments = sig.quadrature_moments(ens)
-        scalars["p_variance_out"] = sig.p_variance(ens)
+        scalars["p_variance_out"] = out_moments["p_variance"]
         scalars["mixture_falsified"] = sig.is_mixture_falsified(scalars["p_variance_out"])
         scalars["p_moment_imag_residual"] = max(
             abs(out_moments["p_mean"].imag), abs(out_moments["p_sq"].imag))
@@ -666,9 +666,9 @@ def oracle_query(name: str, params: dict) -> dict:
     if name == "transfer_amplitude":
         gamma_int = float(params.get("gamma_int", 0.0))
         gamma_ext = float(params.get("gamma_ext", 1.0 - gamma_int))
-        sys_params = SystemParams.make(gamma_ext, gamma_int,
-                                       gamma_m=float(params.get("gamma_m", DEFAULT_GAMMA_M)),
-                                       g_eff=float(params.get("g_eff", 0.6)))
+        sys_params = SystemParams(gamma_ext, gamma_int,
+                                  gamma_m=float(params.get("gamma_m", DEFAULT_GAMMA_M)),
+                                  g_eff=float(params.get("g_eff", 0.6)))
         return {"transfer_amplitude": transfer_amplitude(sys_params)}
     if name == "negativity":
         t = float(params.get("t", 0.0))

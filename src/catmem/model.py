@@ -4,7 +4,8 @@ All rates are dimensionless: time is measured in units of the inverse total
 optical damping rate, so gamma_o = 1 by construction.  The optomechanical
 system is an optical cavity mode coupled to a mechanical mode through a
 switchable beam-splitter interaction; the input field carries an even cat
-state in a single exponential-sinh temporal mode.
+state of one real amplitude alpha0 in a single exponential-sinh temporal
+mode.
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ import dataclasses
 import hashlib
 import io
 import json
-import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -26,7 +26,6 @@ import numpy as np
 __all__ = [
     "SystemParams",
     "DerivedRates",
-    "CatParams",
     "ProtocolSchedule",
     "EnsembleResult",
     "GridAxis",
@@ -36,24 +35,19 @@ __all__ = [
     "parse_storage_time",
 ]
 
-# Relative slack used when checking closure relations between floats that are
-# supposed to agree exactly up to rounding.
-_REL_TOL = 1e-12
-
-
 @dataclass(frozen=True)
 class SystemParams:
     """Dimensionless system rates.
 
-    gamma_o is the total optical damping and must equal gamma_ext + gamma_int.
+    gamma_o, the total optical damping, is gamma_ext + gamma_int.
     n_th_mech is the mechanical bath occupation driving the Langevin noise;
     n_init_mech is the occupation of the initial mechanical thermal state,
     which may differ (a pre-cooled oscillator in a warm bath).
     """
 
-    gamma_o: float
     gamma_ext: float
-    gamma_int: float
+    gamma_int: float = 0.0
+    _: KW_ONLY
     gamma_m: float
     g_eff: float
     n_th_mech: float = 0.0
@@ -62,8 +56,6 @@ class SystemParams:
     def __post_init__(self):
         if self.gamma_ext < 0 or self.gamma_int < 0:
             raise ValueError("damping channel rates must be non-negative")
-        if abs(self.gamma_o - (self.gamma_ext + self.gamma_int)) > _REL_TOL * max(self.gamma_o, 1.0):
-            raise ValueError("gamma_o must equal gamma_ext + gamma_int")
         if not 0 <= self.gamma_m < self.gamma_o:
             raise ValueError("gamma_m must satisfy 0 <= gamma_m < gamma_o")
         if self.g_eff < 0:
@@ -71,13 +63,9 @@ class SystemParams:
         if self.n_th_mech < 0 or self.n_init_mech < 0:
             raise ValueError("thermal occupations must be non-negative")
 
-    @classmethod
-    def make(cls, gamma_ext: float, gamma_int: float = 0.0, *, gamma_m: float,
-             g_eff: float, n_th_mech: float = 0.0, n_init_mech: float = 0.0) -> "SystemParams":
-        """Build params with gamma_o closed from the channel rates."""
-        return cls(gamma_o=gamma_ext + gamma_int, gamma_ext=gamma_ext,
-                   gamma_int=gamma_int, gamma_m=gamma_m, g_eff=g_eff,
-                   n_th_mech=n_th_mech, n_init_mech=n_init_mech)
+    @property
+    def gamma_o(self) -> float:
+        return self.gamma_ext + self.gamma_int
 
 
 @dataclass(frozen=True)
@@ -111,37 +99,17 @@ def derive_rates(params: SystemParams) -> DerivedRates:
 
 
 @dataclass(frozen=True)
-class CatParams:
-    """Even cat state (|alpha0> + |-alpha0>)/sqrt(norm) on the input mode."""
-
-    alpha0: complex
-    norm: float
-
-    def __post_init__(self):
-        if abs(self.alpha0) == 0:
-            raise ValueError("alpha0 must be nonzero")
-        expected = 2.0 * (1.0 + math.exp(-2.0 * abs(self.alpha0) ** 2))
-        if abs(self.norm - expected) > 1e-9:
-            raise ValueError("norm inconsistent with alpha0")
-
-    @classmethod
-    def make(cls, alpha0: complex) -> "CatParams":
-        a = complex(alpha0)
-        return cls(alpha0=a, norm=2.0 * (1.0 + math.exp(-2.0 * abs(a) ** 2)))
-
-
-@dataclass(frozen=True)
 class ProtocolSchedule:
     """Write/store/read timing on a uniform integration grid.
 
-    The write window is [-t_write, 0], storage (0, t_store), read
-    [t_store, t_store + t_read].  All durations are integer multiples of dt;
-    use ``make`` to snap requested durations onto the grid.
+    The write window is [-t_write, 0], storage (0, t_store), and the read
+    window [t_store, t_store + t_write] mirrors the write window.  Both
+    durations are integer multiples of dt; use ``make`` to snap requested
+    durations onto the grid.
     """
 
     t_write: float
     t_store: float
-    t_read: float
     dt: float
 
     def __post_init__(self):
@@ -150,11 +118,9 @@ class ProtocolSchedule:
         if self.dt > 0.5:
             # Shannon-style guard in units of 1/gamma_o
             raise ValueError("dt must not exceed 1/(2 gamma_o)")
-        if self.t_write <= 0 or self.t_read <= 0 or self.t_store < 0:
+        if self.t_write <= 0 or self.t_store < 0:
             raise ValueError("window durations must be positive (storage may be zero)")
-        if self.t_read != self.t_write:
-            raise ValueError("read window must mirror the write window")
-        for name in ("t_write", "t_store", "t_read"):
+        for name in ("t_write", "t_store"):
             value = getattr(self, name)
             steps = value / self.dt
             if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
@@ -165,7 +131,7 @@ class ProtocolSchedule:
         """Snap durations to the grid; the read window mirrors the write."""
         n_w = max(1, round(t_write / dt))
         n_s = max(0, round(t_store / dt))
-        return cls(t_write=n_w * dt, t_store=n_s * dt, t_read=n_w * dt, dt=dt)
+        return cls(t_write=n_w * dt, t_store=n_s * dt, dt=dt)
 
     @property
     def n_write(self) -> int:
@@ -177,11 +143,7 @@ class ProtocolSchedule:
 
     @property
     def n_read(self) -> int:
-        return round(self.t_read / self.dt)
-
-    @property
-    def t_final(self) -> float:
-        return self.t_store + self.t_read
+        return self.n_write
 
 
 # branch labels, in stratified sampling order

@@ -22,7 +22,6 @@ __all__ = [
     "DecoherenceParams",
     "ideal_P_x",
     "ideal_P_p",
-    "ideal_wigner",
     "evolved_wigner",
     "channel_wigner",
     "channel_wigner_field",
@@ -81,11 +80,6 @@ def ideal_P_p(p, alpha0: float):
     if np.ndim(p) == 0:
         return float(vals)
     return vals
-
-
-def ideal_wigner(alpha, alpha0: float):
-    """Wigner function of the even cat: two hills plus central fringes."""
-    return evolved_wigner(alpha, 0.0, alpha0, 0.0, 1.0)
 
 
 def _damping_channel(t: float, n_bar: float, gamma: float) -> tuple[float, float]:

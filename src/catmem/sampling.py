@@ -1,24 +1,24 @@
 """Importance sampling of the cat-state input.
 
-The even cat admits an exact positive phase-space density over four branch
-points: the two diagonal pairs at (+-alpha0, +-conj(alpha0)) and the two
+The even cat (|alpha0> + |-alpha0>)/sqrt(norm), with one real amplitude
+alpha0, admits an exact positive phase-space density over four branch
+points: the two diagonal pairs at (+-alpha0, +-alpha0) and the two
 off-diagonal pairs where the plus variable flips sign.  Sampling from the
 flat four-branch reference and carrying the density ratio as a weight makes
-the diagonal weight 2/(1+e^{-2|alpha0|^2}) and the off-diagonal weight its
-complement to two, so the mean weight is one by construction.
+the diagonal weight 2/(1+e^{-2 alpha0^2}) and the off-diagonal weight its
+complement to two.  The ensemble is stratified, n/4 rows per branch, so the
+mean weight is exactly one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BRANCHES, CatParams, EnsembleResult
+from .model import BRANCHES, EnsembleResult
 
 __all__ = [
-    "SamplerConfig",
     "branch_weights",
     "sample_cat",
     "block_stream",
@@ -30,23 +30,7 @@ __all__ = [
 RNG_BLOCK_SIZE = 4096
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    cat: CatParams
-    n_samples: int
-    master_seed: int
-    stratified: bool = True
-
-    def __post_init__(self):
-        if self.n_samples < 4:
-            raise ValueError("need at least four samples, one per branch")
-        if self.stratified and self.n_samples % 4 != 0:
-            raise ValueError("stratified sampling needs n_samples divisible by 4")
-        if not 0 <= self.master_seed < 2 ** 64:
-            raise ValueError("master_seed must fit in 64 bits")
-
-
-def branch_weights(cat: CatParams) -> tuple[float, float]:
+def branch_weights(alpha0: float) -> tuple[float, float]:
     """(diagonal, off-diagonal) importance weights.
 
     For moderate cats the off-diagonal weight is 2 - w_diag, exact in
@@ -56,7 +40,7 @@ def branch_weights(cat: CatParams) -> tuple[float, float]:
     directly; the pair sum is then off by under half an ulp of one in the
     mean, which still rounds to an exact mean weight of one.
     """
-    q = math.exp(-2.0 * abs(cat.alpha0) ** 2)
+    q = math.exp(-2.0 * abs(alpha0) ** 2)
     if q == 0.0:
         raise ValueError("cat overlap underflows; off-diagonal weight lost")
     w_diag = 2.0 / (1.0 + q)
@@ -67,26 +51,25 @@ def branch_weights(cat: CatParams) -> tuple[float, float]:
     return w_diag, w_off
 
 
-def sample_cat(config: SamplerConfig) -> EnsembleResult:
+def sample_cat(alpha0: float, n_samples: int) -> EnsembleResult:
     """Draw the weighted input ensemble as columns.
 
     The result is the ensemble before any evolution: alpha_out holds
     alpha_in = +-alpha0 and alpha_out_plus holds alpha_in_plus =
     conj(+-alpha0), each row with the diagonal or off-diagonal weight of
-    its branch.  Stratified mode assigns exactly n/4 rows per branch,
-    ordered as the ++ block, then --, +-, -+.  Unstratified mode draws
-    branches uniformly from the master-seeded stream (mean weight then
-    fluctuates).
+    its branch.  Exactly n/4 rows go to each branch, ordered as the ++
+    block, then --, +-, -+ (``BRANCHES``).  alpha0 must be real, finite and
+    nonzero, and n_samples a positive multiple of 4.
     """
-    w_diag, w_off = branch_weights(config.cat)
-    a0 = complex(config.cat.alpha0)
+    if isinstance(alpha0, (complex, np.complexfloating)) or not (
+            math.isfinite(alpha0) and alpha0 != 0):
+        raise ValueError(f"alpha0 must be real, finite and nonzero, got {alpha0!r}")
+    if n_samples < 4 or n_samples % 4 != 0:
+        raise ValueError(f"n_samples must be a positive multiple of 4, got {n_samples!r}")
+    w_diag, w_off = branch_weights(alpha0)
+    a0 = complex(alpha0)
     amp = {"+": a0, "-": -a0}
-    if config.stratified:
-        picks = np.repeat(np.arange(4), config.n_samples // 4)
-    else:
-        rng = np.random.Generator(np.random.Philox(
-            key=np.array([config.master_seed, 0], dtype=np.uint64)))
-        picks = rng.integers(0, 4, size=config.n_samples)
+    picks = np.repeat(np.arange(4), n_samples // 4)
     # the four branch atoms in BRANCHES order, indexed by each row's branch;
     # the plus variable is the conjugate of the bra amplitude
     return EnsembleResult(

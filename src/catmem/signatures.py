@@ -5,11 +5,12 @@ Every estimator is a weighted mean of an analytically continued coherent
 are evaluated by completing the square, which makes each kernel separable
 in the grid coordinates; the ensemble sums then reduce to chunked matrix
 products.  The Wigner kernel is evaluated in real arithmetic: per sample a
-real Gaussian factor per axis times a phase, so samples whose means are
-real (the diagonal branches) enter one real product only, and an ensemble
-whose mu_x are all real (a real cat in the phase-corrected frame of
-``engine.run_ensemble``) needs no x phase at all.  Each kernel-sum call
-allocates its factor tables and products once and reuses them for every
+real Gaussian factor in Re alpha times a Gaussian factor with a phase in
+Im alpha, so samples whose means are real (the diagonal branches) enter
+one real product only.  It needs every mu_x = (alpha_out + alpha_out_plus)/2
+real, as a real cat keeps it on every row in the phase-corrected frame of
+``engine.run_ensemble``, and raises ValueError otherwise.  Each kernel-sum
+call allocates its factor tables and products once and reuses them for every
 chunk.  The delete-block jackknife forms the kernel sums of many blocks in
 one batched product.  Imaginary parts cancel over symmetric branches and
 are reported as residual diagnostics rather than silently dropped.  The factors stay
@@ -42,7 +43,6 @@ __all__ = [
     "p_variance",
     "is_mixture_falsified",
     "fringe_visibility",
-    "field_norm",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -153,8 +153,7 @@ class _Workspace:
 
     Each chunk of at most `rows` samples writes its factor tables into the
     leading rows of the same flat buffers, so a call allocates them once
-    however many chunks it takes.  A buffer is allocated on first use: the
-    x sine table of an ensemble with real mu_x never is.
+    however many chunks it takes.  A buffer is allocated on first use.
     """
 
     def __init__(self, rows: int, xs: np.ndarray, ys: np.ndarray):
@@ -172,35 +171,33 @@ class _Workspace:
 def _kernel_tables(u, v, w, xs, ys, work: _Workspace | None = None):
     """Real factor tables of the Wigner kernel, one row per sample.
 
-    With mu_x = (u + v)/2 = c + i d and mu_y = i (v - u)/2 = a + i b, a
-    sample's kernel is fx(x) fy(y) with
-    fx = w exp(-2 (x - c)^2 + 2 d^2) e^{4 i d (x - c)} and
-    fy = exp(-2 (y - a)^2 + 2 b^2) e^{4 i b (y - a)}.
-    Returns (cx, cy, phased, sx, sy): the real parts cx, cy on every row;
-    the indices `phased` of the rows where d or b is nonzero; and the
-    imaginary parts sx, sy on those rows only, sx being None when every d
-    is zero.  Summed over samples, the real part of the kernel is
-    cx^T cy - sx^T sy and the imaginary part sx^T cy[phased] + cx[phased]^T sy.
-    The tables are views into `work` (a fresh one when None), valid until
-    its next use.
+    With a real mu_x = (u + v)/2 = c and mu_y = i (v - u)/2 = a + i b, a
+    sample's kernel is fx(x) fy(y) with fx = w exp(-2 (x - c)^2) and
+    fy = exp(-2 (y - a)^2 + 2 b^2) e^{4 i b (y - a)}.  Returns
+    (cx, cy, phased, sy): fx and the real part cy of fy on every row; the
+    indices `phased` of the rows where b is nonzero; and the imaginary part
+    sy of fy on those rows only.  Summed over samples, the real part of the
+    kernel is cx^T cy and the imaginary part cx[phased]^T sy.  Raises
+    ValueError when any mu_x is not real.  The tables are views into `work`
+    (a fresh one when None), valid until its next use.
     """
     n = u.size
+    mu_x = 0.5 * (u + v)
+    if np.any(mu_x.imag):
+        raise ValueError("the Wigner kernel needs a real mu_x = (alpha_out + "
+                         "alpha_out_plus)/2 on every row")
     if work is None:
         work = _Workspace(n, xs, ys)
-    mu_x = 0.5 * (u + v)
     mu_y = 0.5j * (v - u)
-    dev_x, cx = _gaussian_table(mu_x, xs, work.table("dev_x", n, xs.size),
+    _, cx = _gaussian_table(mu_x, xs, work.table("dev_x", n, xs.size),
                                 work.table("cx", n, xs.size))
     cx *= w[:, None]
     dev_y, cy = _gaussian_table(mu_y, ys, work.table("dev_y", n, ys.size),
                                 work.table("cy", n, ys.size))
-    d, b = mu_x.imag, mu_y.imag
-    phased = np.flatnonzero((d != 0.0) | (b != 0.0))
-    sx = None
-    if np.any(d[phased]):
-        sx = _rotate(cx, phased, 4.0 * d[phased], dev_x, work, "sx")
+    b = mu_y.imag
+    phased = np.flatnonzero(b)
     sy = _rotate(cy, phased, 4.0 * b[phased], dev_y, work, "sy")
-    return cx, cy, phased, sx, sy
+    return cx, cy, phased, sy
 
 
 def _table_rows(xs, ys) -> int:
@@ -252,10 +249,9 @@ def _wigner_sum(u, v, w, xs, ys, imaginary: bool = True, work: _Workspace | None
     """Unnormalised kernel sum over the ensemble: (real part, imaginary part).
 
     The Gaussian kernel factorises into complete squares along Re alpha and
-    Im alpha, so the sum over samples is a few real matrix products of the
+    Im alpha, so the sum over samples is two real matrix products of the
     factor tables; rows whose means are real (the diagonal branches) enter
-    only the one real product, and a chunk whose mu_x are all real skips
-    the sine tables of x and their two products.  With imaginary=False the
+    only the one for the real part.  With imaginary=False the
     imaginary part is not evaluated and returned as None; the real part is
     the same, bit for bit.  Every chunk reuses the tables of `work` (one is
     allocated when None) and one product buffer.
@@ -268,19 +264,13 @@ def _wigner_sum(u, v, w, xs, ys, imaginary: bool = True, work: _Workspace | None
         work = _Workspace(min(chunk, u.size), xs, ys)
     for lo in range(0, u.size, chunk):
         sl = slice(lo, lo + chunk)
-        cx, cy, phased, sx, sy = _kernel_tables(u[sl], v[sl], w[sl], xs, ys, work)
+        cx, cy, phased, sy = _kernel_tables(u[sl], v[sl], w[sl], xs, ys, work)
         re += np.matmul(cx.T, cy, out=prod)
         if imaginary and phased.size:
             # the rotation scratch is free again: gather the phased rows there
             cx_p = np.take(cx, phased, axis=0, mode="clip",
                            out=work.table("ratio", phased.size, xs.size))
             im += np.matmul(cx_p.T, sy, out=prod)
-        if sx is not None:
-            re -= np.matmul(sx.T, sy, out=prod)
-            if imaginary:
-                cy_p = np.take(cy, phased, axis=0, mode="clip",
-                               out=work.table("tan", phased.size, ys.size))
-                im += np.matmul(sx.T, cy_p, out=prod)
     return re, im
 
 
@@ -372,21 +362,9 @@ def _block_sums(u, v, w, xs, ys, rows: np.ndarray, work: _Workspace,
     """
     n_b, size = rows.shape
     flat = rows.ravel()
-    cx, cy, phased, sx, sy = _kernel_tables(u[flat], v[flat], w[flat], xs, ys, work)
-    sums = np.matmul(cx.reshape(n_b, size, -1).transpose(0, 2, 1),
+    cx, cy, _, _ = _kernel_tables(u[flat], v[flat], w[flat], xs, ys, work)
+    return np.matmul(cx.reshape(n_b, size, -1).transpose(0, 2, 1),
                      cy.reshape(n_b, size, -1), out=out[:n_b])
-    if sx is not None:
-        # each block's imaginary rows in order, padded with zero rows to the
-        # largest count in the batch
-        block = phased // size
-        counts = np.bincount(block, minlength=n_b)
-        slot = np.arange(phased.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        sx_b = np.zeros((n_b, counts.max(), xs.size))
-        sy_b = np.zeros((n_b, counts.max(), ys.size))
-        sx_b[block, slot] = sx
-        sy_b[block, slot] = sy
-        sums -= np.matmul(sx_b.transpose(0, 2, 1), sy_b)
-    return sums
 
 
 def negativity_with_error(results, grid: WignerGrid, n_blocks: int = 100) -> dict:
@@ -468,7 +446,13 @@ def reconstruct_density(results, a_grid: np.ndarray, b_grid: np.ndarray) -> Grid
 
 
 def quadrature_moments(results) -> dict:
-    """Weighted first and second moments of the doubled output amplitudes."""
+    """Weighted first and second moments of the doubled output amplitudes,
+    and the p variance they give.
+
+    The p mean and second moment are real up to branch-cancelling residuals,
+    which stay in "p_mean" and "p_sq"; "p_variance" is formed from their
+    real parts.
+    """
     u, v, w = _columns(results)
     n = u.size
     if n == 0:
@@ -483,18 +467,13 @@ def quadrature_moments(results) -> dict:
     p_sq = -0.5 * (m_aa + m_apap - 2.0 * m_apa - 1.0)
     return {"a": m_a, "a_plus": m_ap, "a_sq": m_aa, "a_plus_sq": m_apap,
             "adag_a": m_apa, "p_mean": p_mean, "p_sq": p_sq,
+            "p_variance": float(p_sq.real - p_mean.real ** 2),
             "mean_weight": float(np.sum(w) / n)}
 
 
 def p_variance(results) -> float:
-    """Variance of the p quadrature from weighted moments.
-
-    The mean and second moment are real up to branch-cancelling residuals;
-    the residual magnitudes ride along in quadrature_moments for callers
-    that want them.
-    """
-    m = quadrature_moments(results)
-    return float(m["p_sq"].real - m["p_mean"].real ** 2)
+    """Variance of the p quadrature: the "p_variance" of quadrature_moments."""
+    return quadrature_moments(results)["p_variance"]
 
 
 def is_mixture_falsified(variance: float) -> bool:
@@ -523,10 +502,3 @@ def fringe_visibility(field: GridField, alpha_bar: float) -> float:
     bottom = field.values[trough_idx] / math.exp(-xs[trough_idx] ** 2)
     return float((top - bottom) / (top + bottom))
 
-
-def field_norm(field: GridField) -> float:
-    """Trapezoidal integral of a 1-D or 2-D field."""
-    if len(field.axes) == 1:
-        return float(np.trapezoid(field.values, dx=field.axes[0].step))
-    return float(np.trapezoid(np.trapezoid(field.values, dx=field.axes[1].step),
-                              dx=field.axes[0].step))

@@ -64,6 +64,7 @@ def test_parse_comments_and_blank_lines():
     ("signatures = wigner, nope\n", "line 1"),
     ("sweep.dt = 0.1, 0.2\n", "line 1"),
     ("stratified = maybe\n", "line 1"),
+    ("time_step_check = maybe\n", "line 1"),
     ("t_write = abc\n", "line 1"),
     ("alpha0 = nan\n", "line 1"),
     ("dt = 0.1\nsweep.alpha0 = 1, inf\n", "line 2"),
@@ -99,6 +100,25 @@ def test_bad_config_values_are_config_errors(tmp_path, capsys, command, text):
     assert main([command, "--config", str(path), "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_stratified_key_is_unknown(tmp_path, capsys):
+    # every run samples n/4 rows per branch; there is no layout to choose
+    path = tmp_path / "old.cfg"
+    path.write_text("stratified = true\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out), "--dry-run"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "unknown key 'stratified'" in err
+    assert not out.exists()
+
+
+def test_alpha0_must_be_real_and_nonzero():
+    for alpha0 in (0.0, -0.0, 2.0 + 0.5j, 2.0 + 0j, complex(0.0, 2.0), float("nan")):
+        with pytest.raises(ConfigError, match="alpha0 must be real, finite and nonzero"):
+            ExperimentConfig(alpha0=alpha0).validate()
+    with pytest.raises(ConfigError, match="alpha0 must be real"):
+        parse_config_text("alpha0 = 0\n")
 
 
 def test_parse_sweep_axes():

@@ -22,10 +22,10 @@ from scipy.linalg import expm
 
 from catmem import engine, experiments
 from catmem.engine import protocol_channel, run_ensemble, write_gain
-from catmem.model import CatParams, EnsembleResult, ProtocolSchedule, SystemParams
+from catmem.model import EnsembleResult, ProtocolSchedule, SystemParams
 from catmem.modes import (ModeFunctionSpec, default_write_duration,
                           transfer_amplitude, u_in, u_out)
-from catmem.sampling import RNG_BLOCK_SIZE, SamplerConfig, block_stream, sample_cat
+from catmem.sampling import RNG_BLOCK_SIZE, block_stream, sample_cat
 
 GM = 17.5 / 170e3
 
@@ -34,16 +34,11 @@ def default_params(**kwargs):
     base = dict(gamma_m=GM, g_eff=0.6, n_th_mech=0.0, n_init_mech=0.0)
     base.update(kwargs)
     gamma_int = base.pop("gamma_int", 0.0)
-    return SystemParams.make(1.0 - gamma_int, gamma_int, **base)
+    return SystemParams(1.0 - gamma_int, gamma_int, **base)
 
 
 def schedule_for(params, t_store, dt=0.1):
     return ProtocolSchedule.make(default_write_duration(params), t_store, dt)
-
-
-def cat_samples(alpha0, n, seed=0):
-    return sample_cat(SamplerConfig(cat=CatParams.make(alpha0), n_samples=n,
-                                    master_seed=seed))
 
 
 def inputs_of(alpha_in, alpha_in_plus, branch):
@@ -335,7 +330,7 @@ def test_batch_matches_stepwise_integration():
     # noiseless: the sampled ensemble is the stepped one up to rounding
     p = default_params()
     sched = schedule_for(p, 10.0)
-    inputs = cat_samples(2.0, 8)
+    inputs = sample_cat(2.0, 8)
     batch = run_ensemble(inputs, p, sched, master_seed=0)
     stepped = stepped_ensemble(inputs, p, sched, master_seed=0)
     assert batch.alpha_out == pytest.approx(stepped.alpha_out, rel=1e-10)
@@ -374,7 +369,7 @@ def test_storage_decay_rate():
 def test_free_storage_thermal_variance():
     # stepped storage noise against the engine's aggregate variance, and that
     # against the continuum Ornstein-Uhlenbeck variance
-    p = SystemParams.make(1.0, gamma_m=0.01, g_eff=0.6, n_th_mech=1.0)
+    p = SystemParams(1.0, gamma_m=0.01, g_eff=0.6, n_th_mech=1.0)
     dt, n_steps, n = 0.1, 500, 16384
     nu = math.sqrt(2.0 * p.gamma_m * p.n_th_mech * dt)
     aggregate = nu ** 2 * engine._storage_aggregate(p, dt, n_steps)[2]
@@ -389,7 +384,7 @@ def test_free_storage_thermal_variance():
 def test_seed_determinism_and_sensitivity():
     p = default_params(n_th_mech=2.0)
     sched = schedule_for(p, 10.0)
-    inputs = cat_samples(2.0, 64)
+    inputs = sample_cat(2.0, 64)
     a = run_ensemble(inputs, p, sched, master_seed=5)
     b = run_ensemble(inputs, p, sched, master_seed=5)
     c = run_ensemble(inputs, p, sched, master_seed=6)
@@ -402,7 +397,7 @@ def test_protocol_adds_expected_thermal_occupation():
     p = default_params(n_th_mech=2.0)
     t_store = 0.02 / GM
     sched = schedule_for(p, t_store)
-    res = run_ensemble(cat_samples(1e-6, 8192), p, sched, master_seed=9)
+    res = run_ensemble(sample_cat(1e-6, 8192), p, sched, master_seed=9)
     n_add = float(np.average((res.alpha_out_plus * res.alpha_out).real,
                              weights=res.weight))
     assert n_add == pytest.approx(2.0 * (1.0 - math.exp(-2.0 * GM * t_store)),
@@ -414,7 +409,7 @@ def assert_channel_residual(p, sched, run=stepped_ensemble, n=16384, seed=11):
     # is circular Gaussian noise with variance noise_var, each moment within
     # 4 se
     gain, noise_var = protocol_channel(p, sched)
-    inputs = cat_samples(2.0, n)
+    inputs = sample_cat(2.0, n)
     res = run(inputs, p, sched, seed)
     r = res.alpha_out - abs(gain) * inputs.alpha_out
     mean = np.mean(r)
@@ -432,7 +427,7 @@ def test_protocol_channel_quiet_without_occupation(monkeypatch):
     monkeypatch.setattr(engine, "block_stream", None)  # draws no random numbers
     gain, noise_var = protocol_channel(p, sched)
     assert noise_var == 0.0
-    inputs = cat_samples(2.0, 8)
+    inputs = sample_cat(2.0, 8)
     res = run_ensemble(inputs, p, sched, master_seed=0)
     assert np.array_equal(res.alpha_out, abs(gain) * inputs.alpha_out)
 
@@ -449,7 +444,7 @@ def test_run_ensemble_samples_the_channel():
     p = default_params(n_th_mech=2.0)
     sched = schedule_for(p, 0.02 / GM)
     assert_channel_residual(p, sched, run=run_ensemble)
-    inputs = cat_samples(2.0, 64)
+    inputs = sample_cat(2.0, 64)
     res = run_ensemble(inputs, p, sched, master_seed=3)
     gain = res.gain
     assert (res.gain, res.noise_var) == protocol_channel(p, sched)
@@ -489,7 +484,7 @@ def test_protocol_gain_is_stepped_gain_over_long_storage():
 def test_time_steps_share_the_noise_draw():
     # the dt and 2 dt runs of one seed scale the same normal pairs
     p = default_params(n_th_mech=2.0)
-    inputs = cat_samples(2.0, 2 * RNG_BLOCK_SIZE + 8)
+    inputs = sample_cat(2.0, 2 * RNG_BLOCK_SIZE + 8)
     etas = []
     for dt in (0.1, 0.2):
         sched = schedule_for(p, 10.0, dt=dt)
@@ -517,7 +512,7 @@ def test_unstable_step_reports_nonfinite():
     p = default_params(g_eff=40.0)
     sched = ProtocolSchedule.make(50.0, 0.0, 0.1)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError):
-        run_ensemble(cat_samples(1.0, 4), p, sched, master_seed=0)
+        run_ensemble(sample_cat(1.0, 4), p, sched, master_seed=0)
 
 
 def test_phase_correction(monkeypatch):
@@ -541,7 +536,7 @@ def test_phase_correction(monkeypatch):
 @pytest.mark.parametrize("n_bar", [0.0, 2.0])
 def test_corrected_ensemble_is_exactly_real(n_bar):
     # for real alpha0 mu_x = (alpha_out + alpha_out_plus)/2 is real on every
-    # row, at dt and 2 dt, so the Wigner kernel builds no x sine table
+    # row, at dt and 2 dt, so the Wigner kernel accepts the ensemble
     from catmem.signatures import _kernel_tables, default_wigner_grid
 
     grid = default_wigner_grid(2.0)
@@ -551,6 +546,6 @@ def test_corrected_ensemble_is_exactly_real(n_bar):
         mu_x = 0.5 * (ens.alpha_out + ens.alpha_out_plus)
         assert np.all(mu_x.imag == 0.0)
         rows = slice(None, None, 16)  # every branch, off-diagonal ones included
-        _, _, phased, sx, _ = _kernel_tables(ens.alpha_out[rows], ens.alpha_out_plus[rows],
-                                             ens.weight[rows], grid.x, grid.y)
-        assert sx is None and phased.size > 0
+        _, _, phased, _ = _kernel_tables(ens.alpha_out[rows], ens.alpha_out_plus[rows],
+                                         ens.weight[rows], grid.x, grid.y)
+        assert phased.size > 0

@@ -18,24 +18,28 @@ from hypothesis import strategies as st
 
 from catmem import model
 from catmem.experiments import PointResult, preset, run_point, write_run_artifacts
-from catmem.model import (CatParams, GridAxis, GridField, ProtocolSchedule,
-                          SystemParams, derive_rates, parse_storage_time)
+from catmem.model import (GridAxis, GridField, ProtocolSchedule, SystemParams,
+                          derive_rates, parse_storage_time)
 
 GM = 17.5 / 170e3
 
 
 def test_system_params_closure():
-    p = SystemParams.make(0.95, 0.05, gamma_m=GM, g_eff=0.6)
-    assert p.gamma_o == pytest.approx(1.0)
+    p = SystemParams(0.95, 0.05, gamma_m=GM, g_eff=0.6)
+    assert p.gamma_o == 0.95 + 0.05
     assert p.gamma_ext == 0.95 and p.gamma_int == 0.05
+    assert SystemParams(1.0, gamma_m=GM, g_eff=0.6).gamma_int == 0.0
+    with pytest.raises(TypeError):
+        SystemParams(1.0, 0.0, GM, 0.6)  # the rates after gamma_int are keyword-only
+    with pytest.raises(TypeError):
+        SystemParams(gamma_o=1.0, gamma_ext=1.0, gamma_m=GM, g_eff=0.6)
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(gamma_o=1.0, gamma_ext=0.8, gamma_int=0.1, gamma_m=GM, g_eff=0.6),
-    dict(gamma_o=1.0, gamma_ext=1.0, gamma_int=0.0, gamma_m=1.5, g_eff=0.6),
-    dict(gamma_o=1.0, gamma_ext=1.0, gamma_int=0.0, gamma_m=GM, g_eff=-0.1),
-    dict(gamma_o=1.0, gamma_ext=1.0, gamma_int=0.0, gamma_m=GM, g_eff=0.6,
-         n_th_mech=-1.0),
+    dict(gamma_ext=1.1, gamma_int=-0.1, gamma_m=GM, g_eff=0.6),
+    dict(gamma_ext=1.0, gamma_int=0.0, gamma_m=1.5, g_eff=0.6),
+    dict(gamma_ext=1.0, gamma_int=0.0, gamma_m=GM, g_eff=-0.1),
+    dict(gamma_ext=1.0, gamma_int=0.0, gamma_m=GM, g_eff=0.6, n_th_mech=-1.0),
 ])
 def test_system_params_rejects_inconsistent(kwargs):
     with pytest.raises(ValueError):
@@ -43,7 +47,7 @@ def test_system_params_rejects_inconsistent(kwargs):
 
 
 def test_derived_rates_identities():
-    p = SystemParams.make(1.0, gamma_m=GM, g_eff=0.6)
+    p = SystemParams(1.0, gamma_m=GM, g_eff=0.6)
     d = derive_rates(p)
     assert d.gamma_plus + d.gamma_minus == pytest.approx(p.gamma_o)
     assert d.gamma_plus - d.gamma_minus == pytest.approx(p.gamma_m)
@@ -53,7 +57,7 @@ def test_derived_rates_identities():
 
 def test_derived_rates_oscillatory_branch():
     # strong coupling: m purely imaginary with positive imaginary part
-    p = SystemParams.make(1.0, gamma_m=GM, g_eff=0.6)
+    p = SystemParams(1.0, gamma_m=GM, g_eff=0.6)
     m = derive_rates(p).m_rate
     assert m.real == 0.0
     assert m.imag == pytest.approx(0.3317400607991, rel=1e-12)
@@ -61,37 +65,28 @@ def test_derived_rates_oscillatory_branch():
 
 def test_derived_rates_overdamped_branch():
     # weak coupling: m real non-negative
-    p = SystemParams.make(1.0, gamma_m=0.0, g_eff=0.3)
+    p = SystemParams(1.0, gamma_m=0.0, g_eff=0.3)
     m = derive_rates(p).m_rate
     assert m.imag == 0.0
     assert m.real == pytest.approx(math.sqrt(0.25 - 0.09))
-
-
-def test_cat_params_norm():
-    c = CatParams.make(2.0)
-    assert c.norm == pytest.approx(2.0 * (1.0 + math.exp(-8.0)))
-    with pytest.raises(ValueError):
-        CatParams(alpha0=2.0, norm=2.0)
-    with pytest.raises(ValueError):
-        CatParams.make(0.0)
 
 
 def test_schedule_snapping():
     s = ProtocolSchedule.make(1.97, 0.33, 0.1)
     assert s.t_write == pytest.approx(2.0)
     assert s.t_store == pytest.approx(0.3)
-    assert s.t_read == s.t_write
     assert (s.n_write, s.n_store, s.n_read) == (20, 3, 20)
-    assert s.t_final == pytest.approx(s.t_store + s.t_read)
 
 
 def test_schedule_rejects_bad_grids():
     with pytest.raises(ValueError):
-        ProtocolSchedule(t_write=1.0, t_store=0.0, t_read=1.0, dt=0.6)
+        ProtocolSchedule(t_write=1.0, t_store=0.0, dt=0.6)
     with pytest.raises(ValueError):
-        ProtocolSchedule(t_write=1.0, t_store=0.0, t_read=2.0, dt=0.1)
+        ProtocolSchedule(t_write=0.0, t_store=0.0, dt=0.1)
     with pytest.raises(ValueError):
-        ProtocolSchedule(t_write=1.05, t_store=0.0, t_read=1.05, dt=0.1)
+        ProtocolSchedule(t_write=1.05, t_store=0.0, dt=0.1)
+    with pytest.raises(ValueError):
+        ProtocolSchedule(t_write=1.0, t_store=0.25, dt=0.1)
 
 
 def test_grid_axis_points():

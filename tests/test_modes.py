@@ -15,7 +15,7 @@ GM = 17.5 / 170e3
 
 
 def spec_for(g_eff, gamma_m=GM, gamma_int=0.0, t_store=0.0):
-    p = SystemParams.make(1.0 - gamma_int, gamma_int, gamma_m=gamma_m, g_eff=g_eff)
+    p = SystemParams(1.0 - gamma_int, gamma_int, gamma_m=gamma_m, g_eff=g_eff)
     return ModeFunctionSpec.for_params(p, t_store)
 
 
@@ -102,15 +102,15 @@ def test_coupler_residual_rejects_vanishing_mode():
 
 
 def test_transfer_amplitude_values():
-    p_lossy = SystemParams.make(0.95, 0.05, gamma_m=GM, g_eff=0.6)
+    p_lossy = SystemParams(0.95, 0.05, gamma_m=GM, g_eff=0.6)
     assert transfer_amplitude(p_lossy) == pytest.approx(0.974490, abs=5e-7)
-    p_clean = SystemParams.make(1.0, gamma_m=GM, g_eff=0.6)
+    p_clean = SystemParams(1.0, gamma_m=GM, g_eff=0.6)
     assert transfer_amplitude(p_clean) == pytest.approx(0.999806, abs=5e-7)
     assert transfer_amplitude(p_clean) <= 1.0
 
 
 def test_critical_coupling_rejected():
-    p = SystemParams.make(1.0, gamma_m=0.0, g_eff=0.5)  # m = 0 exactly
+    p = SystemParams(1.0, gamma_m=0.0, g_eff=0.5)  # m = 0 exactly
     with pytest.raises(ValueError):
         transfer_amplitude(p)
     with pytest.raises(ValueError):
@@ -118,8 +118,8 @@ def test_critical_coupling_rejected():
 
 
 def test_default_write_duration():
-    p = SystemParams.make(1.0, gamma_m=GM, g_eff=0.6)
+    p = SystemParams(1.0, gamma_m=GM, g_eff=0.6)
     assert default_write_duration(p) == pytest.approx(19.99794, abs=1e-4)
-    flat = SystemParams.make(1.0, gamma_m=0.0, g_eff=0.0)
+    flat = SystemParams(1.0, gamma_m=0.0, g_eff=0.0)
     with pytest.raises(ValueError):
         default_write_duration(flat)

@@ -11,7 +11,7 @@ from catmem.oracle import (DecoherenceParams, cat_char_normal, cat_variance,
                            decohered_density,
                            evolve_characteristic, evolved_wigner,
                            evolved_wigner_field, ideal_P_p,
-                           ideal_P_x, ideal_wigner, q_parameter, t_p_bound,
+                           ideal_P_x, q_parameter, t_p_bound,
                            t_positive)
 
 
@@ -37,12 +37,6 @@ def test_p_distribution_fringes():
     trough = math.pi / (2.0 * math.sqrt(2.0) * alpha0)
     assert ideal_P_p(trough, alpha0) == pytest.approx(0.0, abs=1e-15)
     assert ideal_P_p(0.0, alpha0) > ideal_P_p(0.1, alpha0)
-
-
-def test_ideal_wigner_is_t_zero_limit():
-    alpha = 0.3 - 0.7j
-    assert ideal_wigner(alpha, 2.0) == pytest.approx(
-        evolved_wigner(alpha, 0.0, 2.0, 0.0, 1.0), rel=1e-14)
 
 
 @pytest.mark.parametrize("t,n_bar", [(0.0, 0.0), (0.2, 0.0), (0.1, 2.0), (0.7, 1.0)])

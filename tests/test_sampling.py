@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from catmem.model import BRANCHES, CatParams
-from catmem.sampling import (SamplerConfig, block_stream, branch_weights,
-                             sample_cat)
+from catmem.model import BRANCHES
+from catmem.sampling import block_stream, branch_weights, sample_cat
 
 
 def fock_cat_moments(alpha0, cutoff=60):
@@ -39,8 +38,7 @@ def verify_cat_moments(inputs):
 
 @pytest.mark.parametrize("alpha0", [1.0, 2.0, 3.0])
 def test_weighted_moments_match_fock_oracle(alpha0):
-    inputs = sample_cat(SamplerConfig(cat=CatParams.make(alpha0), n_samples=4,
-                                      master_seed=0))
+    inputs = sample_cat(alpha0, 4)
     got = verify_cat_moments(inputs)
     want = fock_cat_moments(alpha0)
     assert got["a"] == pytest.approx(want["a"], abs=1e-12)
@@ -52,14 +50,13 @@ def test_weighted_moments_match_fock_oracle(alpha0):
 @pytest.mark.parametrize("alpha0", [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
 @pytest.mark.parametrize("n_samples", [4, 4096])
 def test_mean_weight_exactly_one(alpha0, n_samples):
-    inputs = sample_cat(SamplerConfig(cat=CatParams.make(alpha0),
-                                      n_samples=n_samples, master_seed=0))
+    inputs = sample_cat(alpha0, n_samples)
     mean = math.fsum(inputs.weight) / n_samples
     assert mean == 1.0
 
 
 def test_branch_weights_small_cat_exact_difference():
-    w_diag, w_off = branch_weights(CatParams.make(2.0))
+    w_diag, w_off = branch_weights(2.0)
     q = math.exp(-8.0)
     assert w_diag == 2.0 / (1.0 + q)
     assert w_off == 2.0 - w_diag                      # exact float difference
@@ -69,7 +66,7 @@ def test_branch_weights_small_cat_exact_difference():
 
 def test_branch_weights_large_cat_direct_formula():
     # w_diag rounds to 2.0 here, so the difference form would return zero
-    w_diag, w_off = branch_weights(CatParams.make(5.0))
+    w_diag, w_off = branch_weights(5.0)
     q = math.exp(-50.0)
     assert w_off == 2.0 * q / (1.0 + q)
     assert w_off > 0.0
@@ -78,12 +75,11 @@ def test_branch_weights_large_cat_direct_formula():
 
 def test_branch_weights_underflow_rejected():
     with pytest.raises(ValueError):
-        branch_weights(CatParams.make(20.0))
+        branch_weights(20.0)
 
 
 def test_stratified_layout():
-    inputs = sample_cat(SamplerConfig(cat=CatParams.make(2.0), n_samples=8,
-                                      master_seed=0))
+    inputs = sample_cat(2.0, 8)
     assert inputs.branch.tolist() == ["++", "++", "--", "--", "+-", "+-", "-+", "-+"]
     sign = {"+": 1.0, "-": -1.0}
     assert inputs.alpha_out.tolist() == [sign[b[0]] * 2.0 for b in inputs.branch]
@@ -92,52 +88,42 @@ def test_stratified_layout():
 
 
 def test_stratified_needs_multiple_of_four():
-    with pytest.raises(ValueError):
-        SamplerConfig(cat=CatParams.make(2.0), n_samples=6, master_seed=0)
-    with pytest.raises(ValueError):
-        SamplerConfig(cat=CatParams.make(2.0), n_samples=2, master_seed=0,
-                      stratified=False)
+    for n_samples in (0, 2, 6):
+        with pytest.raises(ValueError, match="multiple of 4"):
+            sample_cat(2.0, n_samples)
 
 
-def test_unstratified_reproducible():
-    cfg = SamplerConfig(cat=CatParams.make(2.0), n_samples=400, master_seed=7,
-                        stratified=False)
-    first = sample_cat(cfg).branch.tolist()
-    second = sample_cat(cfg).branch.tolist()
-    assert first == second
-    assert set(first) == set(BRANCHES)
+@pytest.mark.parametrize("alpha0", [1.5 + 0.7j, 2j, 2.0 + 0j, np.complex128(2.0),
+                                    0.0, -0.0, math.nan, math.inf],
+                         ids=["complex", "imaginary", "complex_real", "complex128",
+                              "zero", "negative_zero", "nan", "inf"])
+def test_sample_cat_needs_real_finite_nonzero_alpha0(alpha0):
+    with pytest.raises(ValueError, match="alpha0"):
+        sample_cat(alpha0, 4)
 
 
-def list_sampler(config):
+def list_sampler(alpha0, n_samples):
     """Reference sampler: one (alpha_in, alpha_in_plus, weight, branch) tuple
     per row in Python complex arithmetic, stacked into columns.  The column
     sampler must match it bit for bit, signed zeros included."""
-    w_diag, w_off = branch_weights(config.cat)
+    w_diag, w_off = branch_weights(alpha0)
 
     def row(branch):
-        a0 = complex(config.cat.alpha0)
+        a0 = complex(alpha0)
         ket = a0 if branch[0] == "+" else -a0
         bra = a0 if branch[1] == "+" else -a0
         return ket, bra.conjugate(), w_diag if branch[0] == branch[1] else w_off, branch
 
-    if config.stratified:
-        rows = [row(b) for b in BRANCHES for _ in range(config.n_samples // 4)]
-    else:
-        rng = np.random.Generator(np.random.Philox(
-            key=np.array([config.master_seed, 0], dtype=np.uint64)))
-        rows = [row(BRANCHES[k]) for k in rng.integers(0, 4, size=config.n_samples)]
+    rows = [row(b) for b in BRANCHES for _ in range(n_samples // 4)]
     a, ap, w, branch = zip(*rows)
     return (np.array(a, dtype=np.complex128), np.array(ap, dtype=np.complex128),
             np.array(w), np.array(branch))
 
 
-@pytest.mark.parametrize("alpha0", [2.0, 5.0, 18.8, -3.0, 1.5 + 0.7j, 3 - 2j, 2j])
-@pytest.mark.parametrize("stratified,n_samples", [(True, 16), (False, 401)])
-def test_columns_match_list_sampler_bitwise(alpha0, stratified, n_samples):
-    cfg = SamplerConfig(cat=CatParams.make(alpha0), n_samples=n_samples, master_seed=7,
-                        stratified=stratified)
-    got = sample_cat(cfg)
-    a, ap, w, branch = list_sampler(cfg)
+@pytest.mark.parametrize("alpha0", [2.0, 5.0, 18.8, -3.0])
+def test_columns_match_list_sampler_bitwise(alpha0):
+    got = sample_cat(alpha0, 16)
+    a, ap, w, branch = list_sampler(alpha0, 16)
     assert np.array_equal(got.alpha_out.view(np.uint64), a.view(np.uint64))
     assert np.array_equal(got.alpha_out_plus.view(np.uint64), ap.view(np.uint64))
     assert np.array_equal(got.weight.view(np.uint64), w.view(np.uint64))

@@ -8,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catmem import signatures
-from catmem.model import CatParams, EnsembleResult, GridAxis, GridField
+from catmem.model import EnsembleResult, GridAxis, GridField
 from catmem.oracle import (cat_variance, evolved_wigner_field, ideal_P_p,
                            ideal_P_x)
-from catmem.sampling import SamplerConfig, sample_cat
+from catmem.sampling import sample_cat
 from catmem.signatures import (QuadratureGrid, WignerGrid,
                                default_density_axis, default_quadrature_grid,
-                               default_wigner_grid, field_norm,
-                               fringe_visibility, is_mixture_falsified,
+                               default_wigner_grid, fringe_visibility, is_mixture_falsified,
                                negativity_estimate, negativity_with_error,
                                p_distribution,
                                p_variance, quadrature_moments,
@@ -27,11 +26,9 @@ from catmem.signatures import (QuadratureGrid, WignerGrid,
 FINE_NEGATIVITY = 0.2937501161
 
 
-def input_ensemble(alpha0, n=4, seed=11):
+def input_ensemble(alpha0, n=4):
     """The cat sampler's input ensemble: the state before any evolution."""
-    cfg = SamplerConfig(cat=CatParams.make(alpha0=alpha0), n_samples=n,
-                        master_seed=seed)
-    return sample_cat(cfg)
+    return sample_cat(alpha0, n)
 
 
 def test_quadrature_grid_rejects_nonuniform():
@@ -219,7 +216,6 @@ def test_chunked_sums_match_small_ensemble():
 def test_field_norm_and_validation():
     grid = default_quadrature_grid(2.0, theta=math.pi / 2)
     field = p_distribution(input_ensemble(2.0), grid)
-    assert field_norm(field) == pytest.approx(field.meta["norm"])
     empty = EnsembleResult(np.zeros(0, complex), np.zeros(0, complex), np.zeros(0),
                            np.zeros(0, dtype="<U2"))
     with pytest.raises(ValueError):
@@ -247,20 +243,18 @@ def _column(n, elements):
 
 @st.composite
 def kernel_ensembles(draw):
-    """Samples with complex means mu_x = c + i d and mu_y = a + i b; some rows
-    real, so that real and phased rows share a chunk."""
+    """Samples with real means mu_x = c and complex mu_y = a + i b; some rows
+    with a real mu_y, so that real and phased rows share a chunk."""
     n = draw(st.integers(1, 24))
     centre = st.floats(-3.0, 3.0)
     c, a = draw(_column(n, centre)), draw(_column(n, centre))
-    d = draw(_column(n, st.floats(-1.0, 1.0).filter(lambda x: x != 0.0)))
     b = draw(_column(n, st.floats(-2.5, 2.5).filter(lambda x: x != 0.0)))
-    real_x = draw(_column(n, st.booleans()))
-    real_y = draw(_column(n, st.booleans()))
-    d[real_x] = 0.0
-    b[real_y] = 0.0
+    b[draw(_column(n, st.booleans()))] = 0.0
     w = draw(_column(n, st.floats(0.01, 2.0)))
-    mu_x, mu_y = c + 1j * d, a + 1j * b
-    return mu_x + 1j * mu_y, mu_x - 1j * mu_y, w
+    mu_y = a + 1j * b
+    u, v = c + 1j * mu_y, c - 1j * mu_y
+    assert not np.any((u + v).imag)  # mu_x exactly real, as the kernel needs
+    return u, v, w
 
 
 @settings(max_examples=60, deadline=None)
@@ -308,16 +302,29 @@ def loop_jackknife(ens, grid, n_blocks):
 
 
 def noisy_channel_ensemble(n, seed=7):
-    """Input cat through a complex gain and circular noise, like a thermal run
-    before its phase correction: the off-diagonal rows have complex mu_x and
-    mu_y."""
+    """Input cat through a real gain and circular noise, like a thermal run in
+    its phase-corrected frame: mu_x is real on every row, and the off-diagonal
+    rows have a complex mu_y."""
     ens = input_ensemble(2.0, n=n)
     rng = np.random.default_rng(seed)
     noise = 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    gain = 0.9 * np.exp(0.3j)
-    return EnsembleResult(alpha_out=gain * ens.alpha_out + noise,
-                          alpha_out_plus=np.conj(gain) * ens.alpha_out_plus + np.conj(noise),
+    return EnsembleResult(alpha_out=0.9 * ens.alpha_out + noise,
+                          alpha_out_plus=0.9 * ens.alpha_out_plus + np.conj(noise),
                           weight=ens.weight, branch=ens.branch)
+
+
+def test_kernel_rejects_complex_mu_x():
+    # a complex gain leaves mu_x complex on the off-diagonal rows; the real
+    # kernel has no term for it, so every estimator built on it refuses
+    ens = input_ensemble(2.0, n=8)
+    gain = 0.9 * np.exp(0.3j)
+    turned = EnsembleResult(alpha_out=gain * ens.alpha_out,
+                            alpha_out_plus=np.conj(gain) * ens.alpha_out_plus,
+                            weight=ens.weight, branch=ens.branch)
+    grid = default_wigner_grid(2.0)
+    for estimate in (wigner_estimate, negativity_estimate, negativity_with_error):
+        with pytest.raises(ValueError, match="real mu_x"):
+            estimate(turned, grid)
 
 
 @pytest.mark.parametrize("layout", ["branch_major", "permuted", "unequal_contiguous"])
@@ -373,16 +380,13 @@ def _alloc_rotate(table, rows, phase):
 def _alloc_kernel_tables(u, v, w, xs, ys):
     mu_x = 0.5 * (u + v)
     mu_y = 0.5j * (v - u)
-    dev_x, cx = _alloc_gaussian_table(mu_x, xs)
+    _, cx = _alloc_gaussian_table(mu_x, xs)
     cx *= w[:, None]
     dev_y, cy = _alloc_gaussian_table(mu_y, ys)
-    d, b = mu_x.imag, mu_y.imag
-    phased = np.flatnonzero((d != 0.0) | (b != 0.0))
-    sx = None
-    if np.any(d[phased]):
-        sx = _alloc_rotate(cx, phased, 4.0 * d[phased, None] * dev_x[phased])
+    b = mu_y.imag
+    phased = np.flatnonzero(b != 0.0)
     sy = _alloc_rotate(cy, phased, 4.0 * b[phased, None] * dev_y[phased])
-    return cx, cy, phased, sx, sy
+    return cx, cy, phased, sy
 
 
 def _alloc_wigner_sum(u, v, w, xs, ys, imaginary=True):
@@ -391,33 +395,19 @@ def _alloc_wigner_sum(u, v, w, xs, ys, imaginary=True):
     chunk = max(1, signatures._TABLE_CELLS // max(xs.size, ys.size))
     for lo in range(0, u.size, chunk):
         sl = slice(lo, lo + chunk)
-        cx, cy, phased, sx, sy = _alloc_kernel_tables(u[sl], v[sl], w[sl], xs, ys)
+        cx, cy, phased, sy = _alloc_kernel_tables(u[sl], v[sl], w[sl], xs, ys)
         re += cx.T @ cy
         if imaginary and phased.size:
             im += cx[phased].T @ sy
-        if sx is not None:
-            re -= sx.T @ sy
-            if imaginary:
-                im += sx.T @ cy[phased]
     return re, im
 
 
 def _alloc_block_sums(u, v, w, xs, ys, rows):
     n_b, size = rows.shape
     flat = rows.ravel()
-    cx, cy, phased, sx, sy = _alloc_kernel_tables(u[flat], v[flat], w[flat], xs, ys)
-    sums = np.matmul(cx.reshape(n_b, size, -1).transpose(0, 2, 1),
+    cx, cy, _, _ = _alloc_kernel_tables(u[flat], v[flat], w[flat], xs, ys)
+    return np.matmul(cx.reshape(n_b, size, -1).transpose(0, 2, 1),
                      cy.reshape(n_b, size, -1))
-    if sx is not None:
-        block = phased // size
-        counts = np.bincount(block, minlength=n_b)
-        slot = np.arange(phased.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        sx_b = np.zeros((n_b, counts.max(), xs.size))
-        sy_b = np.zeros((n_b, counts.max(), ys.size))
-        sx_b[block, slot] = sx
-        sy_b[block, slot] = sy
-        sums -= np.matmul(sx_b.transpose(0, 2, 1), sy_b)
-    return sums
 
 
 def _alloc_negativity_with_error(ens, grid, n_blocks):
@@ -450,7 +440,7 @@ def corrected_channel_ensemble(n):
     return _corrected_ensemble(ExperimentConfig(alpha0=2.0, n_bar=2.0, n_samples=n))[1]
 
 
-@pytest.mark.parametrize("kind", ["corrected", "complex"])
+@pytest.mark.parametrize("kind", ["corrected", "noisy"])
 def test_buffered_kernel_is_bitwise_the_allocating_kernel(monkeypatch, kind):
     # 3000 table cells make 24-row chunks on the 121-point grid and 37-row
     # chunks on the 61 x 81 one, so n = 190 (and n = 192 on the second grid)
