@@ -112,8 +112,7 @@ def _check_table_reproduction() -> tuple[bool, list, dict]:
     passed = True
     start = time.perf_counter()
     base = ExperimentConfig(t_store=(0.5 * math.log(2.0)) / DEFAULT_GAMMA_M,
-                            signatures=("p_variance",), n_samples=4,
-                            time_step_check=False)
+                            signatures=("p_variance",), n_samples=4)
     for alpha0, v_in, v_out in zip(TABLE_ALPHAS, TABLE_INPUT_VARIANCE,
                                    TABLE_READOUT_VARIANCE):
         point = run_point(replace(base, alpha0=alpha0), want_fields=False)
@@ -150,8 +149,7 @@ def _check_oracle_agreement() -> tuple[bool, list, dict]:
     lines: list = []
     measured: dict = {"points": []}
     passed = True
-    base = ExperimentConfig(signatures=("negativity",), n_samples=4,
-                            time_step_check=False)
+    base = ExperimentConfig(signatures=("negativity",), n_samples=4)
     for alpha0 in AGREEMENT_ALPHAS:
         for t_rel in AGREEMENT_TIMES:
             cfg = replace(base, alpha0=alpha0, t_store=t_rel / DEFAULT_GAMMA_M)
@@ -178,7 +176,7 @@ def _check_fringe_death() -> tuple[bool, list, dict]:
     lines: list = []
     passed = True
     base = ExperimentConfig(alpha0=FRINGE_ALPHA, signatures=("p_distribution",),
-                            n_samples=4, time_step_check=False)
+                            n_samples=4)
     vis = {}
     for t_rel in (0.02, DEATH_TIME_ZERO):
         point = run_point(replace(base, t_store=t_rel / DEFAULT_GAMMA_M))
@@ -224,8 +222,7 @@ def _check_thermal_consistency() -> tuple[bool, list, dict]:
     measured: dict = {"points": []}
     passed = True
     base = ExperimentConfig(alpha0=2.0, n_bar=2.0, n_samples=THERMAL_SAMPLES,
-                            jackknife_blocks=1000, signatures=("negativity",),
-                            time_step_check=False)
+                            jackknife_blocks=1000, signatures=("negativity",))
     se_at_ratio_time = None
     ratio_time = THERMAL_TIMES[1]
     for t_rel in THERMAL_TIMES:
@@ -307,8 +304,7 @@ def _check_density_persistence() -> tuple[bool, list, dict]:
     lines: list = []
     passed = True
     cfg = ExperimentConfig(alpha0=5.0, t_store=DEATH_TIME_ZERO / DEFAULT_GAMMA_M,
-                           signatures=("density",), n_samples=4,
-                           time_step_check=False)
+                           signatures=("density",), n_samples=4)
     point = run_point(cfg)
     fld = point.fields["density"]
     a = fld.axes[0].points()
@@ -385,8 +381,7 @@ def _check_estimator_sanity() -> tuple[bool, list, dict]:
 
     delta = sig.wigner_negativity(wfield)
     thermal_cfg = replace(cfg, n_bar=2.0, n_samples=8192,
-                          signatures=("negativity",), time_step_check=False,
-                          jackknife_blocks=16)
+                          signatures=("negativity",), jackknife_blocks=16)
     thermal = run_point(thermal_cfg, want_fields=False)
     deltas = {"noiseless": delta, "thermal": thermal.scalars["negativity"]}
     measured["negativities"] = deltas
@@ -403,7 +398,7 @@ def _check_estimator_sanity() -> tuple[bool, list, dict]:
 
     repro_cfg = replace(cfg, n_bar=0.5, n_samples=4096,
                         signatures=("p_distribution", "wigner", "negativity"),
-                        time_step_check=False, jackknife_blocks=8)
+                        jackknife_blocks=8)
 
     def artifact_hashes(config) -> dict:
         with tempfile.TemporaryDirectory() as tmp:

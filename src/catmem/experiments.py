@@ -3,11 +3,13 @@
 A run resolves a flat configuration into parameter objects, samples the
 input cat, sends it through the protocol channel in the frame where the
 coherent-input gain is real (the phase correction) and evaluates the
-requested signatures.  Sweeps repeat that over one or two parameter axes
-with per-point checkpoints so interrupted long jobs resume.  Artifacts are
-CSV fields plus a JSON manifest; every CSV embeds the fingerprint of the
-resolved configuration so the numbers in it can be traced back to exactly
-one parameter set.
+requested signatures, with closed-form references and a time-step error
+taken from the channel at half the step, not from a second Monte Carlo
+pass.  Sweeps repeat that over one or two parameter axes with per-point
+checkpoints that carry their own digest, so interrupted long jobs resume.
+Artifacts are CSV fields plus a JSON manifest; every CSV embeds the
+fingerprint of the resolved configuration so the numbers in it can be
+traced back to exactly one parameter set.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import oracle
+from . import engine, oracle
 from .engine import ENGINE_VERSION, run_ensemble
 from .model import (EnsembleResult, ProtocolSchedule, SystemParams, derive_rates,
                     open_atomic, parse_storage_time)
@@ -93,7 +95,6 @@ class ExperimentConfig:
     wigner_pad: float = 4.0
     density_step: float = 0.1
     jackknife_blocks: int = 100
-    time_step_check: bool = True
     sweep: tuple = ()  # ((field, (values, ...)), ...), at most two axes
     out_dir: str = "artifacts"
 
@@ -186,7 +187,7 @@ def _preset_fig10() -> ExperimentConfig:
 def _preset_fig11() -> ExperimentConfig:
     times = tuple(x / DEFAULT_GAMMA_M for x in (0.02, 0.05, 0.0912, 0.15, 0.25, 0.3466))
     return ExperimentConfig(
-        alpha0=2.0, n_samples=200_000, jackknife_blocks=100, time_step_check=False,
+        alpha0=2.0, n_samples=200_000, jackknife_blocks=100,
         signatures=("negativity",),
         sweep=(("n_bar", (0.0, 1.0, 2.0, 3.0, 4.0)), ("t_store", times)),
     )
@@ -218,7 +219,6 @@ _FLOAT_FIELDS = ("gamma_ext", "gamma_int", "gamma_m", "g_eff", "n_bar", "n_init"
                  "alpha0", "dt", "quad_theta", "quad_step", "wigner_h",
                  "wigner_pad", "density_step")
 _INT_FIELDS = ("n_samples", "master_seed", "jackknife_blocks")
-_BOOL_FIELDS = ("time_step_check",)
 
 
 def _parse_number(raw: str, key: str, line: int, gamma_m: float | None = None) -> float:
@@ -231,15 +231,6 @@ def _parse_number(raw: str, key: str, line: int, gamma_m: float | None = None) -
     if not math.isfinite(value):
         raise ConfigError(f"{key} must be finite, got {raw!r}", line)
     return value
-
-
-def _parse_bool(raw: str, line: int) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "1"):
-        return True
-    if low in ("false", "no", "0"):
-        return False
-    raise ConfigError(f"expected a boolean, got {raw!r}", line)
 
 
 def parse_config_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
@@ -276,8 +267,6 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None) -> Experi
                 updates[key] = int(value)
             except ValueError:
                 raise ConfigError(f"expected an integer for {key}, got {value!r}", lineno) from None
-        elif key in _BOOL_FIELDS:
-            updates[key] = _parse_bool(value, lineno)
         elif key == "t_write":
             updates[key] = (None if value.lower() in ("auto", "none")
                             else _parse_number(value, key, lineno))
@@ -339,8 +328,8 @@ def config_fingerprint(config: ExperimentConfig) -> str:
 def oracle_negativity(alpha0: float, t_store: float, n_bar: float, gamma_m: float,
                       grid: sig.WignerGrid) -> float:
     """Negativity of the ideal decohered cat evaluated on the same grid."""
-    ofield = oracle.evolved_wigner_field(grid.x, grid.y, t_store, alpha0, n_bar, gamma_m)
-    return sig.wigner_negativity(ofield)
+    return oracle.channel_negativity(grid.x, grid.y, alpha0,
+                                     *oracle.damping_channel(t_store, n_bar, gamma_m))
 
 
 def protocol_negativity(alpha0: float, gain: complex, noise_var: float,
@@ -348,8 +337,7 @@ def protocol_negativity(alpha0: float, gain: complex, noise_var: float,
     """Negativity of the input cat sent through the protocol's exact Gaussian
     channel (gain, noise_var) from ``engine.protocol_channel``, evaluated on
     the same grid."""
-    return sig.wigner_negativity(
-        oracle.channel_wigner_field(grid.x, grid.y, alpha0, abs(gain), noise_var))
+    return oracle.channel_negativity(grid.x, grid.y, alpha0, abs(gain), noise_var)
 
 
 @dataclass
@@ -434,56 +422,51 @@ def _point_core(config: ExperimentConfig, inputs: EnsembleResult, ens: EnsembleR
 
 
 def _add_references(config: ExperimentConfig, ens: EnsembleResult, scalars: dict) -> None:
-    """Closed-form negativities on the run's Wigner grid, with the z-score
-    against the protocol reference (the channel the ensemble was sampled
-    from)."""
+    """Closed-form negativities on the run's Wigner grid, the z-score against
+    the protocol reference, and the time-step error of that reference.
+
+    ``negativity_protocol`` is s(dt), the negativity of the input cat sent
+    through the channel the ensemble was sampled from.  The channel is
+    evaluated once more on the same schedule at half the step (its grid
+    holds the snapped t_write and t_store), and the time-step error is the
+    first-order Richardson estimate 2 |s(dt) - s(dt/2)|.
+    """
     schedule = config.schedule()
     wgrid = sig.default_wigner_grid(config.alpha0, config.wigner_h, config.wigner_pad)
     if config.gamma_int == 0 and config.n_init == 0:
         scalars["negativity_oracle"] = oracle_negativity(
             config.alpha0, schedule.t_store, config.n_bar, config.gamma_m, wgrid)
-    if scalars["noisy"]:
-        scalars["negativity_protocol"] = protocol_negativity(
-            config.alpha0, ens.gain, ens.noise_var, wgrid)
-        se = scalars.get("sampling_error", 0.0)
-        if se > 0:
-            scalars["z_protocol"] = (scalars["negativity"]
-                                     - scalars["negativity_protocol"]) / se
+    reference = protocol_negativity(config.alpha0, ens.gain, ens.noise_var, wgrid)
+    half_step = ProtocolSchedule(schedule.t_write, schedule.t_store, schedule.dt / 2.0)
+    ts_err = 2.0 * abs(reference - protocol_negativity(
+        config.alpha0, *engine.protocol_channel(config.system_params(), half_step), wgrid))
+    se = scalars["sampling_error"]
+    scalars["negativity_protocol"] = reference
+    scalars["time_step_error"] = ts_err
+    scalars["error_quadrature_sum"] = math.hypot(se, ts_err)
+    if se > 0:
+        scalars["z_protocol"] = (scalars["negativity"] - reference) / se
 
 
 def run_point(config: ExperimentConfig, want_fields: bool = True) -> PointResult:
-    """Run one point, optionally with a doubled-step rerun for the error bar.
+    """Run one point: sample the input cat, send it through the protocol
+    channel and estimate the requested signatures.
 
-    The time-step component is a Richardson estimate from one rerun at
-    2*dt: fourth-order global error means the doubled-step result is about
-    sixteen times worse, so the difference over fifteen estimates the fine
-    -step error.  Both runs draw the same noise (each trajectory's normal
-    pair depends only on the seed and its position), scaled by each run's
-    own channel variance, so the difference holds no sampling noise and
-    the estimate has no sampling floor.  The sampling and time-step
-    components are reported separately.  The closed-form references are
-    computed for the fine run only, from the channel its ensemble was
-    sampled from; the rerun contributes its negativity alone
-    (``signatures.negativity_estimate``, the real kernel sum).  Each run
-    evaluates its protocol channel once.
+    With "negativity" requested the scalars also hold the closed-form
+    references and the error budget (``_add_references``): the sampling
+    error (the jackknife se, 0 on noiseless points), the time-step error and
+    their quadrature sum.  On a noiseless point the four weighted samples
+    carry the exact cat, so ``negativity_protocol`` matches the negativity
+    to rounding: a check of the estimator, not of the statistics.  The
+    time-step error needs no second ensemble: a run at another step draws
+    the same noise, so it would differ from this one by a fixed function of
+    the two channels.
     """
     config.validate()
     inputs, ens = _corrected_ensemble(config)
     point = _point_core(config, inputs, ens, want_fields)
     if "negativity" in config.signatures:
         _add_references(config, ens, point.scalars)
-    del inputs, ens  # the rerun below does not need the fine ensemble
-    if config.time_step_check and "negativity" in config.signatures:
-        _, coarse = _corrected_ensemble(replace(config, dt=2.0 * config.dt))
-        wgrid = sig.default_wigner_grid(config.alpha0, config.wigner_h, config.wigner_pad)
-        ts_err = abs(point.scalars["negativity"]
-                     - sig.negativity_estimate(coarse, wgrid)) / 15.0
-        point.scalars["time_step_error"] = ts_err
-        point.scalars["error_quadrature_sum"] = math.hypot(
-            point.scalars["sampling_error"], ts_err)
-    elif "negativity" in config.signatures:
-        point.scalars["time_step_error"] = 0.0
-        point.scalars["error_quadrature_sum"] = point.scalars["sampling_error"]
     return point
 
 
@@ -507,13 +490,28 @@ def _write_atomic(path: Path, text: str) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _read_checkpoint(path: Path) -> dict | None:
-    """A checkpoint row, or None when it is missing or unreadable."""
+def _row_digest(row: dict) -> str:
+    """SHA-256 of a sweep row's canonical JSON: every entry but its timing
+    and the digest itself."""
+    payload = {k: row[k] for k in ("index", "labels", "scalars", "config_sha256")}
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _read_checkpoint(path: Path, expected: dict) -> dict | None:
+    """The checkpoint row at path, or None unless it parses, holds exactly
+    the row keys, carries the digest of its own payload and agrees with
+    `expected` (the point's index, labels and config fingerprint)."""
     try:
         row = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError):
         return None
-    return row if isinstance(row, dict) else None
+    if not isinstance(row, dict) or row.keys() != expected.keys() | {
+            "scalars", "row_sha256", "wall_time_s"}:
+        return None
+    if any(row[k] != v for k, v in expected.items()) or row["row_sha256"] != _row_digest(row):
+        return None
+    return row
 
 
 def write_run_artifacts(config: ExperimentConfig, point: PointResult,
@@ -588,10 +586,11 @@ _SWEEP_SCALAR_COLUMNS = ("negativity", "negativity_oracle", "negativity_protocol
 def run_sweep(config: ExperimentConfig, out_dir, progress=None) -> list[dict]:
     """Run every sweep point, checkpointing each as it completes.
 
-    A checkpoint is reused only when its configuration fingerprint matches,
-    so edits to the config (or a new engine version) invalidate stale points
-    automatically; an unreadable checkpoint is recomputed.  Checkpoints and
-    outputs are written atomically.
+    A checkpoint is reused only when its configuration fingerprint, index
+    and labels match the point and its row digest matches its contents, so
+    edits to the config (or a new engine version) invalidate stale points
+    automatically, and an unreadable, incomplete or edited checkpoint is
+    recomputed.  Checkpoints and outputs are written atomically.
     """
     out = Path(out_dir)
     ckpt_dir = out / "checkpoints"
@@ -599,21 +598,18 @@ def run_sweep(config: ExperimentConfig, out_dir, progress=None) -> list[dict]:
     points = sweep_points(config)
     rows = []
     for index, (labels, sub) in enumerate(points):
-        sub_fp = config_fingerprint(sub)
+        expected = {"index": index,
+                    "labels": {k: _json_safe(v) for k, v in labels.items()},
+                    "config_sha256": config_fingerprint(sub)}
         ckpt = ckpt_dir / f"point_{index:04d}.json"
-        row = _read_checkpoint(ckpt)
-        if row is not None and row.get("config_sha256") != sub_fp:
-            row = None
+        row = _read_checkpoint(ckpt, expected)
         if row is None:
             start = time.perf_counter()
             point = run_point(sub, want_fields=False)
-            row = {
-                "index": index,
-                "labels": {k: _json_safe(v) for k, v in labels.items()},
-                "scalars": {k: _json_safe(v) for k, v in point.scalars.items()},
-                "config_sha256": sub_fp,
-                "wall_time_s": round(time.perf_counter() - start, 3),
-            }
+            row = expected | {
+                "scalars": {k: _json_safe(v) for k, v in point.scalars.items()}}
+            row["row_sha256"] = _row_digest(row)
+            row["wall_time_s"] = round(time.perf_counter() - start, 3)
             _write_atomic(ckpt, json.dumps(row, sort_keys=True))
         if progress is not None:
             progress(f"point {index + 1}/{len(points)} "

@@ -25,7 +25,8 @@ __all__ = [
     "evolved_wigner",
     "channel_wigner",
     "channel_wigner_field",
-    "evolved_wigner_field",
+    "channel_negativity",
+    "damping_channel",
     "cat_variance",
     "decohered_density",
     "q_parameter",
@@ -82,7 +83,7 @@ def ideal_P_p(p, alpha0: float):
     return vals
 
 
-def _damping_channel(t: float, n_bar: float, gamma: float) -> tuple[float, float]:
+def damping_channel(t: float, n_bar: float, gamma: float) -> tuple[float, float]:
     """(gain, added noise) of damping at rate gamma into a bath of n_bar for t."""
     if t < 0:
         raise ValueError("t must be non-negative")
@@ -99,7 +100,7 @@ def evolved_wigner(alpha, t: float, alpha0: float, n_bar: float, gamma: float):
     t = 0.  This is ``channel_wigner`` with gain e^{-gamma t} and added
     noise n_bar (1 - e^{-2 gamma t}).
     """
-    return channel_wigner(alpha, alpha0, *_damping_channel(t, n_bar, gamma))
+    return channel_wigner(alpha, alpha0, *damping_channel(t, n_bar, gamma))
 
 
 def channel_wigner(alpha, alpha0: float, gain: float, noise_var: float):
@@ -119,16 +120,16 @@ def channel_wigner(alpha, alpha0: float, gain: float, noise_var: float):
     return vals
 
 
-def _channel_wigner_xy(x, y, alpha0: float, gain: float, noise_var: float):
-    """``channel_wigner`` at alpha = x + i y for real x and y that broadcast.
+def _channel_factors(x, y, alpha0: float, gain: float, noise_var: float):
+    """The separable factors of ``channel_wigner``: (hills_x, fringe_x,
+    gauss_y, fringe_y, scale), with W = (hills_x gauss_y + fringe_x fringe_y)
+    scale.
 
-    With b = gain * alpha0 and B = 1 + 2 noise_var the function separates:
-    the hills are (e^{-2(x-b)^2/B} + e^{-2(x+b)^2/B}) e^{-2y^2/B} and the
-    interference terms overlap * e^{-2(x^2+y^2-b^2)/B} 2cos(4by/B).  The
-    overlap e^{-2 alpha0^2} is folded into the x exponent, which stays
-    <= 0 for gain <= 1, so nothing overflows up to
-    ``experiments.ALPHA0_MAX``.  A column x and a row y give a grid as
-    outer products.
+    With b = gain * alpha0 and B = 1 + 2 noise_var the hills are
+    (e^{-2(x-b)^2/B} + e^{-2(x+b)^2/B}) e^{-2y^2/B} and the interference
+    terms overlap * e^{-2(x^2+y^2-b^2)/B} 2cos(4by/B).  The overlap
+    e^{-2 alpha0^2} is folded into the x exponent, which stays <= 0 for
+    gain <= 1, so nothing overflows up to ``experiments.ALPHA0_MAX``.
     """
     if noise_var < 0:
         raise ValueError("noise_var must be non-negative")
@@ -139,7 +140,15 @@ def _channel_wigner_xy(x, y, alpha0: float, gain: float, noise_var: float):
     fringe_x = np.exp(-2.0 * (x * x - ab * ab) / broad - 2.0 * a0 * a0)
     gauss_y = np.exp(-2.0 * y * y / broad)
     fringe_y = 2.0 * gauss_y * np.cos(4.0 * ab * y / broad)
-    return (hills_x * gauss_y + fringe_x * fringe_y) * (2.0 / (math.pi * _cat_norm(a0) * broad))
+    return hills_x, fringe_x, gauss_y, fringe_y, 2.0 / (math.pi * _cat_norm(a0) * broad)
+
+
+def _channel_wigner_xy(x, y, alpha0: float, gain: float, noise_var: float):
+    """``channel_wigner`` at alpha = x + i y for real x and y that broadcast;
+    a column x and a row y give a grid as outer products."""
+    hills_x, fringe_x, gauss_y, fringe_y, scale = _channel_factors(
+        x, y, alpha0, gain, noise_var)
+    return (hills_x * gauss_y + fringe_x * fringe_y) * scale
 
 
 def _as_axis(grid, tag: str) -> GridAxis:
@@ -165,16 +174,28 @@ def channel_wigner_field(grid_x, grid_y, alpha0: float, gain: float,
                            "noise_var": noise_var})
 
 
-def evolved_wigner_field(grid_x, grid_y, t: float,
-                         alpha0: float, n_bar: float, gamma: float) -> GridField:
-    """Tabulate the evolved Wigner function on a (Re alpha, Im alpha) grid.
+def channel_negativity(grid_x, grid_y, alpha0: float, gain: float,
+                       noise_var: float) -> float:
+    """Negative volume of ``channel_wigner`` on a (Re alpha, Im alpha) grid:
+    the trapezoidal quadrature of max(-W, 0), bit for bit that of
+    ``signatures.wigner_negativity(channel_wigner_field(...))``.
 
-    Axes may be GridAxis objects or plain uniform coordinate arrays.
+    Since |fringe_y| <= 2 gauss_y, W >= gauss_y (hills_x - 2 fringe_x) scale,
+    so on every x column with hills_x >= 4 fringe_x W is positive and the
+    column adds exactly 0.  W is tabulated on the other columns only, the
+    band where it can be negative, and their y integrals are scattered into
+    the full column vector before the x integral.
     """
-    field = channel_wigner_field(grid_x, grid_y, alpha0, *_damping_channel(t, n_bar, gamma))
-    field.meta = {"kind": "wigner_oracle", "t": t, "alpha0": alpha0,
-                  "n_bar": n_bar, "gamma": gamma}
-    return field
+    ax_x = _as_axis(grid_x, "re_alpha")
+    ax_y = _as_axis(grid_y, "im_alpha")
+    hills_x, fringe_x, gauss_y, fringe_y, scale = _channel_factors(
+        ax_x.points(), ax_y.points(), alpha0, gain, noise_var)
+    band = np.flatnonzero(hills_x < 4.0 * fringe_x)
+    vals = (hills_x[band, None] * gauss_y[None, :]
+            + fringe_x[band, None] * fringe_y[None, :]) * scale
+    columns = np.zeros(hills_x.size)
+    columns[band] = np.trapezoid(np.maximum(-vals, 0.0), dx=ax_y.step)
+    return float(np.trapezoid(columns, dx=ax_x.step))
 
 
 def cat_variance(alpha0: float) -> float:

@@ -13,9 +13,11 @@ real, as a real cat keeps it on every row in the phase-corrected frame of
 call allocates its factor tables and products once and reuses them for every
 chunk.  The delete-block jackknife forms the kernel sums of many blocks in
 one batched product.  Imaginary parts cancel over symmetric branches and
-are reported as residual diagnostics rather than silently dropped.  The factors stay
-finite for |alpha0| up to ``experiments.ALPHA0_MAX``, where the cat
-overlap is still a normal double.
+are reported as residual diagnostics rather than silently dropped.  The
+factors stay finite for |alpha0| up to ``experiments.ALPHA0_MAX``, where
+the cat overlap is still a normal double.  The negativity's time-step
+error is not estimated here: ``experiments.run_point`` takes it from the
+closed-form channel negativity at dt and dt/2, so no ensemble is summed twice.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ __all__ = [
     "p_distribution",
     "wigner_estimate",
     "wigner_negativity",
-    "negativity_estimate",
     "negativity_with_error",
     "reconstruct_density",
     "quadrature_moments",
@@ -245,19 +246,17 @@ def _rotate(table: np.ndarray, rows: np.ndarray, rate: np.ndarray, dev: np.ndarr
     return scale
 
 
-def _wigner_sum(u, v, w, xs, ys, imaginary: bool = True, work: _Workspace | None = None):
+def _wigner_sum(u, v, w, xs, ys, work: _Workspace | None = None):
     """Unnormalised kernel sum over the ensemble: (real part, imaginary part).
 
     The Gaussian kernel factorises into complete squares along Re alpha and
     Im alpha, so the sum over samples is two real matrix products of the
     factor tables; rows whose means are real (the diagonal branches) enter
-    only the one for the real part.  With imaginary=False the
-    imaginary part is not evaluated and returned as None; the real part is
-    the same, bit for bit.  Every chunk reuses the tables of `work` (one is
-    allocated when None) and one product buffer.
+    only the one for the real part.  Every chunk reuses the tables of `work`
+    (one is allocated when None) and one product buffer.
     """
     re = np.zeros((xs.size, ys.size))
-    im = np.zeros((xs.size, ys.size)) if imaginary else None
+    im = np.zeros((xs.size, ys.size))
     prod = np.empty((xs.size, ys.size))
     chunk = _table_rows(xs, ys)
     if work is None:
@@ -266,7 +265,7 @@ def _wigner_sum(u, v, w, xs, ys, imaginary: bool = True, work: _Workspace | None
         sl = slice(lo, lo + chunk)
         cx, cy, phased, sy = _kernel_tables(u[sl], v[sl], w[sl], xs, ys, work)
         re += np.matmul(cx.T, cy, out=prod)
-        if imaginary and phased.size:
+        if phased.size:
             # the rotation scratch is free again: gather the phased rows there
             cx_p = np.take(cx, phased, axis=0, mode="clip",
                            out=work.table("ratio", phased.size, xs.size))
@@ -299,25 +298,9 @@ def wigner_negativity(field: GridField) -> float:
     """Integrated negative volume: trapezoidal quadrature of max(-W, 0)."""
     if len(field.axes) != 2:
         raise ValueError("negativity needs a 2-D field")
-    return _negative_volume(field.values, field.axes[0].step, field.axes[1].step)
-
-
-def _negative_volume(values: np.ndarray, h1: float, h2: float) -> float:
-    neg = np.maximum(-values, 0.0)
-    return float(np.trapezoid(np.trapezoid(neg, dx=h2), dx=h1))
-
-
-def negativity_estimate(results, grid: WignerGrid) -> float:
-    """Negativity of the Wigner estimate from the real kernel sum alone.
-
-    Equals ``wigner_negativity(wigner_estimate(results, grid))`` bit for bit,
-    without the imaginary sums and the field's diagnostics.
-    """
-    u, v, w = _columns(results)
-    if u.size == 0:
-        raise ValueError("empty ensemble")
-    re, _ = _wigner_sum(u, v, w, grid.x, grid.y, imaginary=False)
-    return _negative_volume(re * (2.0 / (math.pi * u.size)), grid.h, grid.h)
+    neg = np.maximum(-field.values, 0.0)
+    return float(np.trapezoid(np.trapezoid(neg, dx=field.axes[1].step),
+                              dx=field.axes[0].step))
 
 
 def _trapezoid_weights(size: int, step: float) -> np.ndarray:

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,10 +18,11 @@ from catmem.acceptance import WIGNER_NORM_TOL, run_criteria
 from catmem.cli import main
 from catmem.engine import protocol_channel
 from catmem.experiments import (ALPHA0_MAX, ConfigError, ExperimentConfig,
-                                PRESETS, _corrected_ensemble, config_fingerprint,
-                                load_config, parse_config_text, preset,
-                                protocol_negativity, run_point, run_sweep)
-from catmem.signatures import default_wigner_grid, wigner_estimate, wigner_negativity
+                                PRESETS, config_fingerprint, load_config,
+                                parse_config_text, preset, protocol_negativity,
+                                run_point, run_sweep, sweep_points)
+from catmem.model import ProtocolSchedule
+from catmem.signatures import default_wigner_grid
 
 TINY_RUN = """\
 # small smoke configuration
@@ -29,7 +31,6 @@ t_store = 0.02/Gm
 n_samples = 64
 dt = 0.1
 signatures = p_distribution, p_variance
-time_step_check = false
 """
 
 TINY_SWEEP = """\
@@ -37,7 +38,6 @@ sweep.alpha0 = 1.0, 2.0
 n_samples = 32
 dt = 0.1
 signatures = p_variance
-time_step_check = false
 """
 
 
@@ -113,6 +113,15 @@ def test_stratified_key_is_unknown(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_time_step_check_key_is_unknown(tmp_path, capsys):
+    # the time-step error comes from the channel at every negativity run;
+    # there is no rerun to switch off
+    path = tmp_path / "old.cfg"
+    path.write_text("time_step_check = false\n")
+    assert main(["run", "--config", str(path), "--dry-run"]) == 2
+    assert "unknown key 'time_step_check'" in capsys.readouterr().err
+
+
 def test_alpha0_must_be_real_and_nonzero():
     for alpha0 in (0.0, -0.0, 2.0 + 0.5j, 2.0 + 0j, complex(0.0, 2.0), float("nan")):
         with pytest.raises(ConfigError, match="alpha0 must be real, finite and nonzero"):
@@ -161,22 +170,61 @@ def test_run_point_at_alpha0_bound_matches_protocol_reference():
     assert scalars["negativity"] == pytest.approx(reference, rel=1e-10, abs=0.0)
 
 
-def test_time_step_rerun_negativity_is_the_estimate_negativity():
-    # the 2*dt rerun evaluates only the real kernel sum; its negativity must
-    # equal that of a full Wigner estimate at 2*dt bit for bit
+def _channel_negativity_at(cfg, dt):
+    """negativity_protocol of cfg's schedule evaluated at step dt."""
+    schedule = cfg.schedule()
+    channel = protocol_channel(cfg.system_params(),
+                               ProtocolSchedule(schedule.t_write, schedule.t_store, dt))
+    grid = default_wigner_grid(cfg.alpha0, cfg.wigner_h, cfg.wigner_pad)
+    return protocol_negativity(cfg.alpha0, *channel, grid)
+
+
+def test_time_step_error_is_the_channel_richardson_estimate():
+    # no second ensemble: the estimate is 2 |s(dt) - s(dt/2)| of the channel
+    # negativity s, on the schedule snapped at dt
     cfg = ExperimentConfig(alpha0=2.0, n_bar=2.0, n_samples=400, jackknife_blocks=10,
                            signatures=("negativity",))
     scalars = run_point(cfg, want_fields=False).scalars
-    _, coarse = _corrected_ensemble(replace(cfg, dt=2.0 * cfg.dt))
-    grid = default_wigner_grid(cfg.alpha0, cfg.wigner_h, cfg.wigner_pad)
-    coarse_negativity = wigner_negativity(wigner_estimate(coarse, grid))
+    fine = _channel_negativity_at(cfg, cfg.dt)
+    assert scalars["negativity_protocol"] == fine
     assert scalars["time_step_error"] > 0.0
-    assert scalars["time_step_error"] == abs(scalars["negativity"] - coarse_negativity) / 15.0
+    assert scalars["time_step_error"] == 2.0 * abs(fine - _channel_negativity_at(
+        cfg, cfg.dt / 2.0))
+    assert scalars["error_quadrature_sum"] == math.hypot(scalars["sampling_error"],
+                                                         scalars["time_step_error"])
+
+
+def test_time_step_error_brackets_the_direct_difference():
+    # against |s(dt) - s(dt/16)| at every fig10 point: the estimate may
+    # overshoot by up to 2x, never undershoot; where the direct difference
+    # vanishes (past the lifetime bound) so does the estimate.  The estimate
+    # depends on the channel alone, so a small ensemble gives the same value.
+    for _, sub in sweep_points(preset("fig10")):
+        sub = replace(sub, n_samples=400, jackknife_blocks=10)
+        estimate = run_point(sub, want_fields=False).scalars["time_step_error"]
+        direct = abs(_channel_negativity_at(sub, sub.dt)
+                     - _channel_negativity_at(sub, sub.dt / 16.0))
+        if direct == 0.0:
+            assert estimate == 0.0
+        else:
+            assert 0.99 * direct <= estimate <= 2.0 * direct
+
+
+def test_noiseless_rows_match_the_protocol_reference(tmp_path):
+    # four weighted points carry the exact cat, so a noiseless run's
+    # negativity is the channel's to rounding
+    for name in ("fig9", "fig12"):
+        rows = run_sweep(preset(name), tmp_path / name)
+        for row in rows:
+            s = row["scalars"]
+            assert s["sampling_error"] == 0.0
+            assert s["negativity"] == pytest.approx(s["negativity_protocol"],
+                                                    rel=1e-8, abs=0.0)
 
 
 def test_run_point_evaluates_each_channel_once(monkeypatch):
-    # the fine run's channel serves its ensemble and its protocol reference;
-    # the 2*dt rerun evaluates its own
+    # the run's channel serves its ensemble and its protocol reference; the
+    # time-step error adds one channel at dt/2
     calls = []
     original = engine.protocol_channel
 
@@ -189,7 +237,7 @@ def test_run_point_evaluates_each_channel_once(monkeypatch):
                            signatures=("negativity",))
     scalars = run_point(cfg, want_fields=False).scalars
     assert "negativity_protocol" in scalars and "time_step_error" in scalars
-    assert calls == [cfg.dt, 2.0 * cfg.dt]
+    assert calls == [cfg.dt, cfg.dt / 2.0]
 
 
 def test_cli_import_skips_scipy_integrate():
@@ -386,3 +434,34 @@ def test_sweep_recomputes_bad_checkpoint(tmp_path, damage):
     assert json.loads(ckpt.read_text()) == first[0] | {"wall_time_s": rows[0]["wall_time_s"]}
     assert sorted(p.name for p in (out / "checkpoints").iterdir()) == [
         "point_0000.json", "point_0001.json"]
+
+
+def test_sweep_recomputes_edited_checkpoint(tmp_path):
+    # a checkpoint whose numbers were edited no longer matches its row digest
+    config = replace(parse_config_text(TINY_SWEEP), signatures=("negativity",))
+    out = tmp_path / "sweep_out"
+    run_sweep(config, out)
+    first_csv = (out / "sweep.csv").read_bytes()
+    ckpt = out / "checkpoints" / "point_0000.json"
+    edited = json.loads(ckpt.read_text())
+    edited["scalars"]["negativity"] = 123.0
+    ckpt.write_text(json.dumps(edited))
+    rows = run_sweep(config, out)
+    assert rows[0]["scalars"]["negativity"] != 123.0
+    assert (out / "sweep.csv").read_bytes() == first_csv
+
+
+def test_sweep_recomputes_incomplete_checkpoint(tmp_path):
+    # a checkpoint with the right fingerprint but not the whole row is
+    # recomputed, not read for entries it does not hold
+    config = parse_config_text(TINY_SWEEP)
+    out = tmp_path / "sweep_out"
+    first = run_sweep(config, out)
+    first_csv = (out / "sweep.csv").read_bytes()
+    ckpt = out / "checkpoints" / "point_0001.json"
+    for partial in ({"config_sha256": first[1]["config_sha256"]},
+                    {k: v for k, v in first[1].items() if k != "scalars"}):
+        ckpt.write_text(json.dumps(partial))
+        rows = run_sweep(config, out)
+        assert rows[1]["scalars"] == first[1]["scalars"]
+        assert (out / "sweep.csv").read_bytes() == first_csv

@@ -4,15 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
+from catmem.engine import protocol_channel
+from catmem.experiments import ALPHA0_MAX, preset, sweep_points
+from catmem.model import ProtocolSchedule
 from catmem.oracle import (DecoherenceParams, cat_char_normal, cat_variance,
-                           channel_wigner, channel_wigner_field,
-                           decohered_density,
-                           evolve_characteristic, evolved_wigner,
-                           evolved_wigner_field, ideal_P_p,
+                           channel_negativity, channel_wigner, channel_wigner_field,
+                           damping_channel, decohered_density,
+                           evolve_characteristic, evolved_wigner, ideal_P_p,
                            ideal_P_x, q_parameter, t_p_bound,
                            t_positive)
+from catmem.signatures import default_wigner_grid, wigner_negativity
 
 
 def fock_occupation(alpha0, cutoff=60):
@@ -42,7 +47,7 @@ def test_p_distribution_fringes():
 @pytest.mark.parametrize("t,n_bar", [(0.0, 0.0), (0.2, 0.0), (0.1, 2.0), (0.7, 1.0)])
 def test_evolved_wigner_normalised(t, n_bar):
     x = np.arange(-161, 162) * 0.05
-    field = evolved_wigner_field(x, x, t, 2.0, n_bar, 1.0)
+    field = channel_wigner_field(x, x, 2.0, *damping_channel(t, n_bar, 1.0))
     norm = np.trapezoid(np.trapezoid(field.values, dx=0.05), dx=0.05)
     assert norm == pytest.approx(1.0, abs=1e-6)
 
@@ -94,12 +99,47 @@ def test_channel_wigner_matches_complex_form(alpha0, gain, noise_var):
         complex_channel_wigner(0.3 - 0.2j, alpha0, gain, noise_var), rel=1e-12)
 
 
+def field_negativity(x, y, alpha0, gain, noise_var):
+    return wigner_negativity(channel_wigner_field(x, y, alpha0, gain, noise_var))
+
+
+@pytest.mark.parametrize("name", ["fig5", "fig6", "fig9", "fig10", "fig11", "fig12"])
+def test_channel_negativity_is_field_negativity_on_preset_grids(name):
+    # bit for bit, for the protocol channel at dt and dt/2 and the
+    # storage-only damping channel, at every point of the preset
+    cfg = preset(name)
+    points = sweep_points(cfg) if cfg.sweep else [({}, cfg)]
+    for _, sub in points:
+        grid = default_wigner_grid(sub.alpha0, sub.wigner_h, sub.wigner_pad)
+        schedule = sub.schedule()
+        channels = [damping_channel(schedule.t_store, sub.n_bar, sub.gamma_m)]
+        for dt in (schedule.dt, schedule.dt / 2.0):
+            gain, noise_var = protocol_channel(
+                sub.system_params(), ProtocolSchedule(schedule.t_write, schedule.t_store, dt))
+            channels.append((abs(gain), noise_var))
+        for gain, noise_var in channels:
+            assert channel_negativity(grid.x, grid.y, sub.alpha0, gain, noise_var) == \
+                field_negativity(grid.x, grid.y, sub.alpha0, gain, noise_var)
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha0=st.floats(0.05, ALPHA0_MAX), gain=st.floats(0.01, 1.0),
+       noise_var=st.floats(0.0, 4.0))
+def test_channel_negativity_is_field_negativity(alpha0, gain, noise_var):
+    # noise past gain^2 - 1/2 (the lifetime bound) leaves no negative volume
+    grid = default_wigner_grid(alpha0)
+    band = channel_negativity(grid.x, grid.y, alpha0, gain, noise_var)
+    assert band == field_negativity(grid.x, grid.y, alpha0, gain, noise_var)
+    if noise_var >= gain * gain - 0.5:
+        assert band == 0.0
+
+
 @pytest.mark.parametrize("t,n_bar", [(0.0, 0.0), (0.15, 0.0), (0.25, 1.5)])
 def test_evolved_wigner_second_moment(t, n_bar):
     # symmetric-ordering moment: int W |alpha|^2 = <n>(t) + 1/2
     alpha0, gamma = 1.5, 1.0
     x = np.arange(-241, 242) * 0.05
-    field = evolved_wigner_field(x, x, t, alpha0, n_bar, gamma)
+    field = channel_wigner_field(x, x, alpha0, *damping_channel(t, n_bar, gamma))
     xx, yy = np.meshgrid(x, x, indexing="ij")
     moment = np.trapezoid(np.trapezoid(field.values * (xx ** 2 + yy ** 2),
                                        dx=0.05), dx=0.05)
@@ -182,7 +222,7 @@ def test_characteristic_matches_wigner_transform():
     alpha0, t, n_bar, gamma = 1.5, 0.25, 0.8, 1.0
     lam = 0.7 + 0.3j
     x = np.arange(-201, 202) * 0.05
-    field = evolved_wigner_field(x, x, t, alpha0, n_bar, gamma)
+    field = channel_wigner_field(x, x, alpha0, *damping_channel(t, n_bar, gamma))
     xx, yy = np.meshgrid(x, x, indexing="ij")
     alpha = xx + 1j * yy
     wave = np.exp(lam * np.conj(alpha) - np.conj(lam) * alpha)

@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 
 from catmem import signatures
 from catmem.model import EnsembleResult, GridAxis, GridField
-from catmem.oracle import (cat_variance, evolved_wigner_field, ideal_P_p,
+from catmem.oracle import (cat_variance, channel_wigner_field, ideal_P_p,
                            ideal_P_x)
 from catmem.sampling import sample_cat
 from catmem.signatures import (QuadratureGrid, WignerGrid,
                                default_density_axis, default_quadrature_grid,
                                default_wigner_grid, fringe_visibility, is_mixture_falsified,
-                               negativity_estimate, negativity_with_error,
-                               p_distribution,
+                               negativity_with_error, p_distribution,
                                p_variance, quadrature_moments,
                                reconstruct_density, wigner_estimate,
                                wigner_negativity)
@@ -77,7 +76,7 @@ def test_wigner_matches_ideal():
     grid = default_wigner_grid(2.0)
     field = wigner_estimate(input_ensemble(2.0), grid)
     assert [ax.tag for ax in field.axes] == ["re_alpha", "im_alpha"]
-    oracle = evolved_wigner_field(grid.x, grid.y, 0.0, 2.0, 0.0, 1.0)
+    oracle = channel_wigner_field(grid.x, grid.y, 2.0, 1.0, 0.0)
     assert np.max(np.abs(field.values - oracle.values)) < 1e-10
     assert field.meta["norm"] == pytest.approx(1.0, abs=1e-6)
 
@@ -96,7 +95,7 @@ def test_negativity_baselines():
 def test_negativity_matches_oracle_field_on_same_grid():
     grid = default_wigner_grid(2.0)
     sim = wigner_negativity(wigner_estimate(input_ensemble(2.0), grid))
-    ora = wigner_negativity(evolved_wigner_field(grid.x, grid.y, 0.0, 2.0, 0.0, 1.0))
+    ora = wigner_negativity(channel_wigner_field(grid.x, grid.y, 2.0, 1.0, 0.0))
     assert sim == pytest.approx(ora, abs=1e-10)
 
 
@@ -322,7 +321,7 @@ def test_kernel_rejects_complex_mu_x():
                             alpha_out_plus=np.conj(gain) * ens.alpha_out_plus,
                             weight=ens.weight, branch=ens.branch)
     grid = default_wigner_grid(2.0)
-    for estimate in (wigner_estimate, negativity_estimate, negativity_with_error):
+    for estimate in (wigner_estimate, negativity_with_error):
         with pytest.raises(ValueError, match="real mu_x"):
             estimate(turned, grid)
 
@@ -341,18 +340,6 @@ def test_jackknife_matches_block_loop(layout):
     assert out["n_blocks"] == 12
     assert out["jackknife_se"] > 0.0
     assert out["jackknife_se"] == pytest.approx(loop_jackknife(ens, grid, 12), rel=1e-12)
-
-
-@pytest.mark.parametrize("table_cells", [1 << 18, 4096])
-def test_negativity_estimate_is_field_negativity_bitwise(monkeypatch, table_cells):
-    # the real kernel sum alone, chunked as the full estimate chunks it (4096
-    # cells gives 16-row chunks), so the two negativities agree exactly
-    monkeypatch.setattr(signatures, "_TABLE_CELLS", table_cells)
-    ens = noisy_channel_ensemble(192)
-    grid = default_wigner_grid(2.0)
-    neg = negativity_estimate(ens, grid)
-    assert neg > 0.0
-    assert neg == wigner_negativity(wigner_estimate(ens, grid))
 
 
 # -- the kernel as it was before its work buffers were reused: every chunk
@@ -389,15 +376,15 @@ def _alloc_kernel_tables(u, v, w, xs, ys):
     return cx, cy, phased, sy
 
 
-def _alloc_wigner_sum(u, v, w, xs, ys, imaginary=True):
+def _alloc_wigner_sum(u, v, w, xs, ys):
     re = np.zeros((xs.size, ys.size))
-    im = np.zeros((xs.size, ys.size)) if imaginary else None
+    im = np.zeros((xs.size, ys.size))
     chunk = max(1, signatures._TABLE_CELLS // max(xs.size, ys.size))
     for lo in range(0, u.size, chunk):
         sl = slice(lo, lo + chunk)
         cx, cy, phased, sy = _alloc_kernel_tables(u[sl], v[sl], w[sl], xs, ys)
         re += cx.T @ cy
-        if imaginary and phased.size:
+        if phased.size:
             im += cx[phased].T @ sy
     return re, im
 
@@ -416,7 +403,8 @@ def _alloc_negativity_with_error(ens, grid, n_blocks):
     rows, sizes = signatures._jackknife_blocks(n, ens.branch, n_blocks)
     re, im = _alloc_wigner_sum(u, v, w, grid.x, grid.y)
     values = re * (2.0 / (math.pi * n))
-    delta = signatures._negative_volume(values, grid.h, grid.h)
+    delta = float(np.trapezoid(np.trapezoid(np.maximum(-values, 0.0), dx=grid.h),
+                               dx=grid.h))
     u_pad, v_pad = np.append(u, 0.0), np.append(v, 0.0)
     w_pad = np.append(w, 0.0)
     weights = np.outer(signatures._trapezoid_weights(grid.x.size, grid.h),
@@ -460,15 +448,11 @@ def test_buffered_kernel_is_bitwise_the_allocating_kernel(monkeypatch, kind):
                               ens.branch[:n])
         u, v, w = part.alpha_out, part.alpha_out_plus, part.weight
         for grid in grids:  # consecutive calls on two grid sizes
-            for imaginary in (True, False):
-                got = signatures._wigner_sum(u, v, w, grid.x, grid.y, imaginary=imaginary)
-                ref = _alloc_wigner_sum(u, v, w, grid.x, grid.y, imaginary=imaginary)
-                assert np.array_equal(got[0], ref[0])
-                assert (got[1] is None) == (not imaginary)
-                if imaginary:
-                    assert np.array_equal(got[1], ref[1])
+            got = signatures._wigner_sum(u, v, w, grid.x, grid.y)
+            ref = _alloc_wigner_sum(u, v, w, grid.x, grid.y)
+            assert np.array_equal(got[0], ref[0])
+            assert np.array_equal(got[1], ref[1])
             delta, se, values, im = _alloc_negativity_with_error(part, grid, 16)
-            assert negativity_estimate(part, grid) == delta
             out = negativity_with_error(part, grid, n_blocks=16)
             assert out["negativity"] == delta
             assert out["jackknife_se"] == se and se > 0.0
