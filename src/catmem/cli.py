@@ -69,9 +69,9 @@ def _cmd_run(args) -> int:
     manifest = write_run_artifacts(config, point, config.out_dir,
                                    time.perf_counter() - start)
     print(f"wrote {Path(config.out_dir) / 'manifest.json'}")
-    for key in ("negativity", "sampling_error", "time_step_error",
-                "error_quadrature_sum", "p_variance_in", "p_variance_out",
-                "mean_weight", "reference_gain_abs"):
+    for key in ("negativity", "sampling_error", "negativity_outside_band",
+                "time_step_error", "error_quadrature_sum", "p_variance_in",
+                "p_variance_out", "mean_weight", "reference_gain_abs"):
         if key in manifest["scalars"]:
             print(f"  {key} = {manifest['scalars'][key]:.6g}")
     return 0

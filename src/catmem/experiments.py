@@ -390,12 +390,14 @@ def _point_core(config: ExperimentConfig, inputs: EnsembleResult, ens: EnsembleR
         wgrid = sig.default_wigner_grid(config.alpha0, config.wigner_h,
                                         config.wigner_pad)
         if "negativity" in sigs and scalars["noisy"]:
-            jack = sig.negativity_with_error(ens, wgrid,
-                                             n_blocks=config.jackknife_blocks)
+            band = oracle.negativity_band(config.alpha0, gain, ens.noise_var)
+            jack = sig.negativity_with_error(ens, wgrid, n_blocks=config.jackknife_blocks,
+                                             band=band)
             wfield = jack.pop("field")
             scalars["negativity"] = jack["negativity"]
             scalars["sampling_error"] = jack["jackknife_se"]
             scalars["jackknife_blocks"] = jack["n_blocks"]
+            scalars["negativity_outside_band"] = jack["negativity_outside_band"]
         else:
             wfield = sig.wigner_estimate(ens, wgrid)
             if "negativity" in sigs:
@@ -455,12 +457,15 @@ def run_point(config: ExperimentConfig, want_fields: bool = True) -> PointResult
     With "negativity" requested the scalars also hold the closed-form
     references and the error budget (``_add_references``): the sampling
     error (the jackknife se, 0 on noiseless points), the time-step error and
-    their quadrature sum.  On a noiseless point the four weighted samples
-    carry the exact cat, so ``negativity_protocol`` matches the negativity
-    to rounding: a check of the estimator, not of the statistics.  The
-    time-step error needs no second ensemble: a run at another step draws
-    the same noise, so it would differ from this one by a fixed function of
-    the two channels.
+    their quadrature sum.  A noisy point forms the jackknife's block sums
+    only on the band of ``oracle.negativity_band`` and records the full
+    field's negative volume off that band as ``negativity_outside_band``,
+    so a band too narrow for the ensemble shows as a nonzero value.  On a
+    noiseless point the four weighted samples carry the exact cat, so
+    ``negativity_protocol`` matches the negativity to rounding: a check of
+    the estimator, not of the statistics.  The time-step error needs no
+    second ensemble: a run at another step draws the same noise, so it
+    would differ from this one by a fixed function of the two channels.
     """
     config.validate()
     inputs, ens = _corrected_ensemble(config)
@@ -577,7 +582,7 @@ def sweep_points(config: ExperimentConfig) -> list[tuple[dict, ExperimentConfig]
 
 
 _SWEEP_SCALAR_COLUMNS = ("negativity", "negativity_oracle", "negativity_protocol",
-                         "z_protocol", "sampling_error",
+                         "z_protocol", "sampling_error", "negativity_outside_band",
                          "time_step_error", "error_quadrature_sum",
                          "p_variance_in", "p_variance_out", "mean_weight",
                          "reference_gain_abs", "wigner_norm")
@@ -655,6 +660,9 @@ def oracle_query(name: str, params: dict) -> dict:
     if name == "q_parameter":
         t = float(params["t"])
         return {"q_parameter": oracle.q_parameter(t, n_bar, gamma)}
+    if name == "q_channel":
+        return {"q_channel": oracle.q_channel(float(params["gain"]),
+                                              float(params.get("noise_var", 0.0)))}
     if name == "decohered_density":
         t = float(params["t"])
         amp, coeff = oracle.decohered_density(t, alpha0, gamma)

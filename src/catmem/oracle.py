@@ -5,7 +5,9 @@ expressions.  The single-mode damping channel (rate gamma, reservoir
 occupation n_bar) models the storage stage of the memory, so gamma is
 usually bound to the mechanical linewidth when comparing with protocol
 runs.  ``channel_wigner`` takes a general (gain, added noise) pair, such as
-``engine.protocol_channel`` gives for the whole write/store/read protocol.
+``engine.protocol_channel`` gives for the whole write/store/read protocol;
+``q_channel`` and ``negativity_band`` say where, and whether, such a
+channel leaves the Wigner function room to be negative.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ __all__ = [
     "cat_variance",
     "decohered_density",
     "q_parameter",
+    "q_channel",
+    "negativity_band",
     "t_positive",
     "t_p_bound",
     "evolve_characteristic",
@@ -228,6 +232,58 @@ def q_parameter(t: float, n_bar: float, gamma: float) -> float:
     root is the negativity-lifetime bound.
     """
     return 0.5 - (1.0 + n_bar) * (1.0 - math.exp(-2.0 * gamma * t))
+
+
+def q_channel(gain: complex, noise_var: float) -> float:
+    """Gaussian-smoothing margin |gain|^2 - 1/2 - noise_var of a
+    phase-insensitive channel.
+
+    In Wigner units the channel adds noise noise_var + (1 - |gain|^2)/2;
+    once that reaches |gain|^2/2 the output Wigner function is a Gaussian
+    smoothing of the scaled input's Q function, so the Wigner function of
+    any input stays non-negative exactly while this margin is <= 0.  For
+    the damping channel it is ``q_parameter``.
+    """
+    return abs(gain) ** 2 - 0.5 - noise_var
+
+
+def _negativity_edge(alpha0: float, gain: complex, noise_var: float) -> float:
+    """x* = (B/4b) arccosh(exp(4b^2/B - 2 alpha0^2)) with b = |gain| alpha0
+    and B = 1 + 2 noise_var, or 0 when ``q_channel`` <= 0.
+
+    W >= gauss_y (hills_x - 2 fringe_x) scale in ``_channel_factors``, and
+    that bound is >= 0 exactly when cosh(4bx/B) >= exp(4b^2/B - 2 alpha0^2),
+    so ``channel_wigner`` is non-negative on every column with |x| >= x*.
+    The exponent is a = 4 alpha0^2 q_channel / B, and arccosh(e^a) is taken
+    as a + log(1 + sqrt(1 - e^{-2a})), finite up to ``experiments.ALPHA0_MAX``.
+    """
+    q = q_channel(gain, noise_var)
+    if q <= 0.0:
+        return 0.0
+    a0 = abs(float(alpha0))
+    broad = 1.0 + 2.0 * noise_var
+    a = 4.0 * a0 * a0 * q / broad
+    return broad / (4.0 * abs(gain) * a0) * (a + math.log1p(math.sqrt(-math.expm1(-2.0 * a))))
+
+
+def negativity_band(alpha0: float, gain: complex, noise_var: float) -> float:
+    """Half-width of the Re alpha band that holds the negative values of a
+    Wigner estimate of the even cat sent through the channel (gain,
+    noise_var): x* + sqrt(B) while ``q_channel`` > 0, with x* from
+    ``_negativity_edge`` and B = 1 + 2 noise_var; inf once it is <= 0.
+
+    The margin sqrt(B) is two widths sqrt(B)/2 of the channel's Wigner
+    kernel, the reach of the sampling noise past x*; it is a fixed rule of
+    the channel, not a setting.  Past the bound the channel's W has no
+    negative region at all, and an estimate's negative volume is sampling
+    noise in the low tails of the field, which reach every column of a
+    grid, so the band is the whole axis.
+    """
+    if noise_var < 0:
+        raise ValueError("noise_var must be non-negative")
+    if q_channel(gain, noise_var) <= 0.0:
+        return math.inf
+    return _negativity_edge(alpha0, gain, noise_var) + math.sqrt(1.0 + 2.0 * noise_var)
 
 
 def t_positive(n_bar: float, gamma: float) -> float:

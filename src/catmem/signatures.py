@@ -12,12 +12,15 @@ real, as a real cat keeps it on every row in the phase-corrected frame of
 ``engine.run_ensemble``, and raises ValueError otherwise.  Each kernel-sum
 call allocates its factor tables and products once and reuses them for every
 chunk.  The delete-block jackknife forms the kernel sums of many blocks in
-one batched product.  Imaginary parts cancel over symmetric branches and
-are reported as residual diagnostics rather than silently dropped.  The
-factors stay finite for |alpha0| up to ``experiments.ALPHA0_MAX``, where
-the cat overlap is still a normal double.  The negativity's time-step
-error is not estimated here: ``experiments.run_point`` takes it from the
-closed-form channel negativity at dt and dt/2, so no ensemble is summed twice.
+one batched product, on the band of Re alpha columns where the Wigner
+function can be negative when given one (``oracle.negativity_band``), and
+reports the full field's negative volume off that band as its guard.
+Imaginary parts cancel over symmetric branches and are reported as
+residual diagnostics rather than silently dropped.  The factors stay
+finite for |alpha0| up to ``experiments.ALPHA0_MAX``, where the cat overlap
+is still a normal double.  The negativity's time-step error is not
+estimated here: ``experiments.run_point`` takes it from the closed-form
+channel negativity at dt and dt/2, so no ensemble is summed twice.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ _SQRT2 = math.sqrt(2.0)
 _CHUNK = 16384  # samples per evaluation chunk, keeps temporaries cache-sized
 # Wigner kernel tables: samples per chunk are sized so that one factor
 # table holds about _TABLE_CELLS values (2 MB), and a batch of jackknife
-# block sums about _FIELD_CELLS grid cells
+# block sums at most _FIELD_CELLS grid cells (fewer on a band of columns)
 _TABLE_CELLS = 1 << 18
 _FIELD_CELLS = 1 << 20
 
@@ -346,19 +349,39 @@ def _block_sums(u, v, w, xs, ys, rows: np.ndarray, work: _Workspace,
     n_b, size = rows.shape
     flat = rows.ravel()
     cx, cy, _, _ = _kernel_tables(u[flat], v[flat], w[flat], xs, ys, work)
-    return np.matmul(cx.reshape(n_b, size, -1).transpose(0, 2, 1),
-                     cy.reshape(n_b, size, -1), out=out[:n_b])
+    return np.matmul(cx.reshape(n_b, size, xs.size).transpose(0, 2, 1),
+                     cy.reshape(n_b, size, ys.size), out=out[:n_b])
 
 
-def negativity_with_error(results, grid: WignerGrid, n_blocks: int = 100) -> dict:
+def _band_columns(xs: np.ndarray, band: float | None) -> slice:
+    """The slice of the monotone axis xs with |x| <= band; all of it for None."""
+    if band is None:
+        return slice(0, xs.size)
+    if not band >= 0:
+        raise ValueError(f"band must be a non-negative half-width, got {band!r}")
+    inside = np.flatnonzero(np.abs(xs) <= band)
+    return slice(int(inside[0]), int(inside[-1]) + 1) if inside.size else slice(0, 0)
+
+
+def negativity_with_error(results, grid: WignerGrid, n_blocks: int = 100,
+                          band: float | None = None) -> dict:
     """Negativity plus delete-block jackknife standard error.
 
     Two passes over the ensemble: the first accumulates the full kernel
-    sum, the second the real kernel sums of every block, in batches of
-    blocks by one batched matrix product each.  A leave-one-block-out
-    negativity is then the trapezoid-weighted sum of max(block - full, 0),
-    scaled to the remaining sample count.  Both passes share one set of
-    table buffers, and every batch one block-sum buffer.
+    sum on the whole grid, which gives the field and the negativity; the
+    second the real kernel sums of every block, in batches of blocks by one
+    batched matrix product each.  A leave-one-block-out negativity is then
+    the trapezoid-weighted sum of max(block - full, 0), scaled to the
+    remaining sample count.  Both passes share one set of table buffers,
+    and every batch one block-sum buffer.
+
+    With a band (``oracle.negativity_band``) the block sums, their
+    max(block - full, 0) and their weights are formed only on the columns
+    with |Re alpha| <= band, where the Wigner function can be negative;
+    None keeps the whole grid.  Off the band the leave-one-out fields are
+    taken as positive, so "negativity_outside_band" reports the full
+    field's negative volume on the other columns: a band too narrow for
+    the ensemble shows there.
     """
     u, v, w = _columns(results)
     n = u.size
@@ -369,6 +392,8 @@ def negativity_with_error(results, grid: WignerGrid, n_blocks: int = 100) -> dic
         raise ValueError("the jackknife needs at least two blocks")
     rows, sizes = _jackknife_blocks(n, results.branch, n_blocks)
     xs, ys = grid.x, grid.y
+    cols = _band_columns(xs, band)
+    xs_band = xs[cols]
     chunk = _table_rows(xs, ys)
     batch = min(n_blocks, max(1, min(_FIELD_CELLS // (xs.size * ys.size),
                                      chunk // rows.shape[1])))
@@ -377,23 +402,26 @@ def negativity_with_error(results, grid: WignerGrid, n_blocks: int = 100) -> dic
     re, im = _wigner_sum(u, v, w, xs, ys, work=work)
     field = _wigner_field(re, im, n, grid)
     delta = wigner_negativity(field)
+    outside = np.trapezoid(np.maximum(-field.values, 0.0), dx=grid.h)
+    outside[cols] = 0.0
 
     # index n is the zero-weight padding sample of short blocks
     u_pad, v_pad = np.append(u, 0.0), np.append(v, 0.0)
     w_pad = np.append(w, 0.0)
-    weights = np.outer(_trapezoid_weights(xs.size, grid.h),
+    weights = np.outer(_trapezoid_weights(xs.size, grid.h)[cols],
                        _trapezoid_weights(ys.size, grid.h)).ravel()
-    block_sums = np.empty((batch, xs.size, ys.size))
+    block_sums = np.empty((batch, xs_band.size, ys.size))
     loo = np.empty(n_blocks)
     for lo in range(0, n_blocks, batch):
-        sums = _block_sums(u_pad, v_pad, w_pad, xs, ys, rows[lo:lo + batch], work,
+        sums = _block_sums(u_pad, v_pad, w_pad, xs_band, ys, rows[lo:lo + batch], work,
                            block_sums)
-        sums -= re
+        sums -= re[cols]
         np.maximum(sums, 0.0, out=sums)
         loo[lo:lo + batch] = sums.reshape(sums.shape[0], -1) @ weights
     loo *= 2.0 / (math.pi * (n - sizes))
     se = math.sqrt((n_blocks - 1) / n_blocks * float(np.sum((loo - np.mean(loo)) ** 2)))
     return {"negativity": delta, "jackknife_se": se, "n_blocks": n_blocks,
+            "negativity_outside_band": float(np.trapezoid(outside, dx=grid.h)),
             "field": field, "max_imag_residual": field.meta["max_imag_residual"]}
 
 

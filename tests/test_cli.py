@@ -20,7 +20,8 @@ from catmem.engine import protocol_channel
 from catmem.experiments import (ALPHA0_MAX, ConfigError, ExperimentConfig,
                                 PRESETS, config_fingerprint, load_config,
                                 parse_config_text, preset, protocol_negativity,
-                                run_point, run_sweep, sweep_points)
+                                run_point, run_sweep, sweep_points,
+                                write_run_artifacts)
 from catmem.model import ProtocolSchedule
 from catmem.signatures import default_wigner_grid
 
@@ -240,6 +241,35 @@ def test_run_point_evaluates_each_channel_once(monkeypatch):
     assert calls == [cfg.dt, cfg.dt / 2.0]
 
 
+def test_noisy_manifest_records_the_band_guard(tmp_path):
+    cfg = ExperimentConfig(alpha0=2.0, n_bar=2.0, n_samples=4000, jackknife_blocks=100,
+                           signatures=("negativity",))
+    point = run_point(cfg, want_fields=False)
+    manifest = write_run_artifacts(cfg, point, tmp_path, 0.0)
+    saved = json.loads((tmp_path / "manifest.json").read_text())["scalars"]
+    assert manifest["scalars"]["negativity_outside_band"] == \
+        saved["negativity_outside_band"] == point.scalars["negativity_outside_band"]
+    assert 0.0 <= saved["negativity_outside_band"] <= 1e-15
+
+
+def test_sweep_column_of_the_band_guard(tmp_path):
+    # a small fig10 sweep with a noiseless row added per time: the guard is
+    # a number on noisy rows and blank on noiseless ones
+    base = preset("fig10")
+    cfg = replace(base, n_samples=400, jackknife_blocks=10,
+                  sweep=(("n_bar", (0.0, 2.0)),) + base.sweep)
+    run_sweep(cfg, tmp_path)
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    header = lines[1].split(",")
+    col = header.index("negativity_outside_band")
+    for line in lines[2:]:
+        cells = line.split(",")
+        if float(cells[header.index("n_bar")]) == 0.0:
+            assert cells[col] == ""
+        else:
+            assert 0.0 <= float(cells[col]) <= 1e-15
+
+
 def test_cli_import_skips_scipy_integrate():
     # `catmem run` and `catmem sweep` do not pay for the acceptance module's
     # scipy import; `catmem validate` imports it when it runs
@@ -299,6 +329,9 @@ def test_oracle_queries(capsys):
     out = capsys.readouterr().out
     assert "amplitude = " in out and "coefficient = " in out
 
+    assert main(["oracle", "q_channel", "gain=0.9", "noise_var=0.1"]) == 0
+    assert "q_channel = 0.21\n" in capsys.readouterr().out
+
 
 def test_oracle_writes_json(tmp_path, capsys):
     out = tmp_path / "oracle_out"
@@ -315,6 +348,8 @@ def test_oracle_error_paths(capsys):
     assert main(["oracle", "q_parameter", "gamma=1"]) == 2  # missing t
     capsys.readouterr()
     assert main(["oracle", "t_positive", "gamma"]) == 2  # not key=value
+    capsys.readouterr()
+    assert main(["oracle", "q_channel", "noise_var=0.1"]) == 2  # missing gain
     capsys.readouterr()
 
 

@@ -11,12 +11,12 @@ from scipy.special import gammaln
 from catmem.engine import protocol_channel
 from catmem.experiments import ALPHA0_MAX, preset, sweep_points
 from catmem.model import ProtocolSchedule
-from catmem.oracle import (DecoherenceParams, cat_char_normal, cat_variance,
-                           channel_negativity, channel_wigner, channel_wigner_field,
-                           damping_channel, decohered_density,
+from catmem.oracle import (DecoherenceParams, _negativity_edge, cat_char_normal,
+                           cat_variance, channel_negativity, channel_wigner,
+                           channel_wigner_field, damping_channel, decohered_density,
                            evolve_characteristic, evolved_wigner, ideal_P_p,
-                           ideal_P_x, q_parameter, t_p_bound,
-                           t_positive)
+                           ideal_P_x, negativity_band, q_channel, q_parameter,
+                           t_p_bound, t_positive)
 from catmem.signatures import default_wigner_grid, wigner_negativity
 
 
@@ -185,6 +185,83 @@ def test_q_parameter_root_is_death_bound(n_bar):
     assert q_parameter(t_dead, n_bar, 1.0) == pytest.approx(0.0, abs=1e-12)
     assert q_parameter(0.5 * t_dead, n_bar, 1.0) > 0.0
     assert q_parameter(2.0 * t_dead, n_bar, 1.0) < 0.0
+
+
+@pytest.mark.parametrize("n_bar", [0.0, 0.5, 2.0, 4.0])
+@pytest.mark.parametrize("t", [0.0, 0.02, 0.0912, 0.3466, 2.0])
+def test_q_channel_is_q_parameter_of_damping(t, n_bar):
+    assert q_channel(*damping_channel(t, n_bar, 1.0)) == pytest.approx(
+        q_parameter(t, n_bar, 1.0), rel=0.0, abs=4e-15)
+
+
+def preset_channels(name):
+    """(alpha0, |G|, noise_var) of the protocol channel at every preset point."""
+    for _, sub in sweep_points(preset(name)):
+        gain, noise_var = protocol_channel(sub.system_params(), sub.schedule())
+        yield sub.alpha0, abs(gain), noise_var
+
+
+def assert_positive_past_edge(alpha0, gain, noise_var, h=0.01):
+    """Assert W >= 0 on every column past the edge x* and return (x, W, x*).
+
+    W is ``channel_wigner`` on x >= 0 past the hills, h apart, and on y
+    from 0 to half a fringe period pi B/(4b) in 200 steps: W is even in x
+    and y, and its sign follows cos(4by/B), which that y axis takes from 1
+    to -1.
+    """
+    broad = 1.0 + 2.0 * noise_var
+    b = gain * alpha0
+    x = h * np.arange(math.ceil((b + 3.0 * math.sqrt(broad)) / h) + 1)
+    y = np.linspace(0.0, math.pi * broad / (4.0 * b), 201)
+    values = channel_wigner_field(x, y, alpha0, gain, noise_var).values
+    edge = _negativity_edge(alpha0, gain, noise_var)
+    assert np.all(values[x > edge] >= 0.0)
+    return x, values, edge
+
+
+@pytest.mark.parametrize("name", ["fig10", "fig11"])
+def test_channel_wigner_is_positive_past_the_edge(name):
+    # and the edge is tight: W is negative on the columns just inside it
+    for alpha0, gain, noise_var in preset_channels(name):
+        x, values, edge = assert_positive_past_edge(alpha0, gain, noise_var)
+        negative = x[np.any(values < 0.0, axis=1)]
+        if q_channel(gain, noise_var) > 0.0:
+            assert edge - 0.02 <= negative.max() <= edge
+        else:
+            assert edge == 0.0 and negative.size == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha0=st.floats(0.05, ALPHA0_MAX), gain=st.floats(0.01, 1.0),
+       noise_var=st.floats(0.0, 4.0))
+def test_channel_wigner_is_positive_past_the_edge_everywhere(alpha0, gain, noise_var):
+    assert_positive_past_edge(alpha0, gain, noise_var)
+    # the edge closes, and the band opens to the whole axis, at the bound
+    past_bound = q_channel(gain, noise_var) <= 0.0
+    assert (_negativity_edge(alpha0, gain, noise_var) == 0.0) == past_bound
+    band = negativity_band(alpha0, gain, noise_var)
+    assert math.isinf(band) == past_bound
+    if not past_bound:
+        assert band == _negativity_edge(alpha0, gain, noise_var) + math.sqrt(
+            1.0 + 2.0 * noise_var)
+
+
+@pytest.mark.parametrize("gain, noise_var", [(1.0, 0.0), (0.999, 0.01), (0.9, 0.2)])
+def test_negativity_band_is_finite_at_the_largest_cat(gain, noise_var):
+    # arccosh(e^a) with a = 4 alpha0^2 q / B up to about 707: e^a overflows
+    edge = _negativity_edge(ALPHA0_MAX, gain, noise_var)
+    assert 0.0 < edge < math.inf
+    assert math.isfinite(negativity_band(ALPHA0_MAX, gain, noise_var))
+
+
+@pytest.mark.parametrize("alpha0, gain, noise_var", [(2.0, 0.98, 0.08), (5.0, 0.9, 0.1),
+                                                     (1.0, 0.75, 0.05), (0.3, 0.8, 0.0)])
+def test_negativity_edge_is_the_arccosh_formula(alpha0, gain, noise_var):
+    broad = 1.0 + 2.0 * noise_var
+    b = gain * alpha0
+    direct = broad / (4.0 * b) * math.acosh(math.exp(4.0 * b * b / broad
+                                                     - 2.0 * alpha0 * alpha0))
+    assert _negativity_edge(alpha0, gain, noise_var) == pytest.approx(direct, rel=1e-12)
 
 
 def test_death_bound_quoted_values():

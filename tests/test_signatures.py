@@ -1,6 +1,7 @@
 """Estimator checks against closed-form quantum signatures of the cat."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from catmem import signatures
 from catmem.model import EnsembleResult, GridAxis, GridField
 from catmem.oracle import (cat_variance, channel_wigner_field, ideal_P_p,
-                           ideal_P_x)
+                           ideal_P_x, negativity_band, q_channel)
 from catmem.sampling import sample_cat
 from catmem.signatures import (QuadratureGrid, WignerGrid,
                                default_density_axis, default_quadrature_grid,
@@ -397,29 +398,32 @@ def _alloc_block_sums(u, v, w, xs, ys, rows):
                      cy.reshape(n_b, size, -1))
 
 
-def _alloc_negativity_with_error(ens, grid, n_blocks):
+def _alloc_negativity_with_error(ens, grid, n_blocks, band=None):
     u, v, w = ens.alpha_out, ens.alpha_out_plus, ens.weight
     n = u.size
     rows, sizes = signatures._jackknife_blocks(n, ens.branch, n_blocks)
+    inside = np.ones(grid.x.size, bool) if band is None else np.abs(grid.x) <= band
+    xs = grid.x[inside]
     re, im = _alloc_wigner_sum(u, v, w, grid.x, grid.y)
     values = re * (2.0 / (math.pi * n))
-    delta = float(np.trapezoid(np.trapezoid(np.maximum(-values, 0.0), dx=grid.h),
-                               dx=grid.h))
+    columns = np.trapezoid(np.maximum(-values, 0.0), dx=grid.h)
+    delta = float(np.trapezoid(columns, dx=grid.h))
+    outside = float(np.trapezoid(np.where(inside, 0.0, columns), dx=grid.h))
     u_pad, v_pad = np.append(u, 0.0), np.append(v, 0.0)
     w_pad = np.append(w, 0.0)
-    weights = np.outer(signatures._trapezoid_weights(grid.x.size, grid.h),
+    weights = np.outer(signatures._trapezoid_weights(grid.x.size, grid.h)[inside],
                        signatures._trapezoid_weights(grid.y.size, grid.h)).ravel()
     chunk = max(1, signatures._TABLE_CELLS // max(grid.x.size, grid.y.size))
     batch = max(1, min(signatures._FIELD_CELLS // re.size, chunk // rows.shape[1]))
     loo = np.empty(n_blocks)
     for lo in range(0, n_blocks, batch):
-        sums = _alloc_block_sums(u_pad, v_pad, w_pad, grid.x, grid.y, rows[lo:lo + batch])
-        sums -= re
+        sums = _alloc_block_sums(u_pad, v_pad, w_pad, xs, grid.y, rows[lo:lo + batch])
+        sums -= re[inside]
         np.maximum(sums, 0.0, out=sums)
         loo[lo:lo + batch] = sums.reshape(sums.shape[0], -1) @ weights
     loo *= 2.0 / (math.pi * (n - sizes))
     se = math.sqrt((n_blocks - 1) / n_blocks * float(np.sum((loo - np.mean(loo)) ** 2)))
-    return delta, se, values, im
+    return delta, se, outside, values, im
 
 
 def corrected_channel_ensemble(n):
@@ -436,7 +440,8 @@ def test_buffered_kernel_is_bitwise_the_allocating_kernel(monkeypatch, kind):
     # jackknife blocks take 3 rows of each; n = 190 gets padded contiguous
     # blocks of 11 or 12 rows.  15 000 field cells batch the blocks one at a
     # time on the first grid and three at a time on the second, the last
-    # batch holding one block.
+    # batch holding one block.  The 0.8 band keeps 33 columns of each grid
+    # and the same batches.
     monkeypatch.setattr(signatures, "_TABLE_CELLS", 3000)
     monkeypatch.setattr(signatures, "_FIELD_CELLS", 15_000)
     ens = corrected_channel_ensemble(192) if kind == "corrected" \
@@ -452,10 +457,55 @@ def test_buffered_kernel_is_bitwise_the_allocating_kernel(monkeypatch, kind):
             ref = _alloc_wigner_sum(u, v, w, grid.x, grid.y)
             assert np.array_equal(got[0], ref[0])
             assert np.array_equal(got[1], ref[1])
-            delta, se, values, im = _alloc_negativity_with_error(part, grid, 16)
-            out = negativity_with_error(part, grid, n_blocks=16)
-            assert out["negativity"] == delta
-            assert out["jackknife_se"] == se and se > 0.0
-            assert np.array_equal(out["field"].values, values)
-            assert out["max_imag_residual"] == float(np.max(np.abs(im))) * (
-                2.0 / (math.pi * n))
+            for band in (None, 0.8):
+                delta, se, outside, values, im = _alloc_negativity_with_error(
+                    part, grid, 16, band)
+                out = negativity_with_error(part, grid, n_blocks=16, band=band)
+                assert out["negativity"] == delta
+                assert out["jackknife_se"] == se and se > 0.0
+                assert out["negativity_outside_band"] == outside
+                assert np.array_equal(out["field"].values, values)
+                assert out["max_imag_residual"] == float(np.max(np.abs(im))) * (
+                    2.0 / (math.pi * n))
+
+
+def noisy_preset_points():
+    """Every point of the fig10 and fig11 presets with a thermal bath, at 4k
+    samples and 100 jackknife blocks: (config, corrected ensemble)."""
+    from catmem.experiments import _corrected_ensemble, preset, sweep_points
+    for name in ("fig10", "fig11"):
+        for _, sub in sweep_points(preset(name)):
+            if sub.n_bar > 0:
+                sub = replace(sub, n_samples=4000, jackknife_blocks=100)
+                yield sub, _corrected_ensemble(sub)[1]
+
+
+def test_banded_jackknife_matches_the_whole_grid():
+    # the band of the run's channel leaves the field and the negativity
+    # bitwise alone and the se within its last digits; past the lifetime
+    # bound the band is the whole axis, so the se is bitwise that of the
+    # whole grid too
+    for cfg, ens in noisy_preset_points():
+        grid = default_wigner_grid(cfg.alpha0)
+        band = negativity_band(cfg.alpha0, ens.gain, ens.noise_var)
+        whole = negativity_with_error(ens, grid, n_blocks=100)
+        banded = negativity_with_error(ens, grid, n_blocks=100, band=band)
+        assert banded["negativity"] == whole["negativity"]
+        assert np.array_equal(banded["field"].values, whole["field"].values)
+        se = whole["jackknife_se"]
+        assert abs(banded["jackknife_se"] - se) <= 1e-6 * se + 1e-15
+        assert banded["negativity_outside_band"] <= 1e-15
+        assert whole["negativity_outside_band"] == 0.0
+        if q_channel(ens.gain, ens.noise_var) <= 0.0:
+            assert math.isinf(band) and banded["jackknife_se"] == se
+
+
+def test_too_narrow_band_shows_in_the_guard():
+    # a zero-width band keeps the x = 0 column only, at fig10 t = 0.02/Gm,
+    # where the negative volume reaches |x| = 0.88
+    cfg, ens = next(noisy_preset_points())
+    grid = default_wigner_grid(cfg.alpha0)
+    out = negativity_with_error(ens, grid, n_blocks=100, band=0.0)
+    assert 0.0 < out["negativity_outside_band"] < out["negativity"]
+    with pytest.raises(ValueError, match="band"):
+        negativity_with_error(ens, grid, n_blocks=100, band=-0.1)
