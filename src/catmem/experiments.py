@@ -342,10 +342,13 @@ def protocol_negativity(alpha0: float, gain: complex, noise_var: float,
 
 @dataclass
 class PointResult:
-    """Signature values for a single parameter point."""
+    """Signature values for a single parameter point, and the seconds its
+    passes took (``run_point``); the timings are not results, so they stay
+    out of the scalars."""
 
     scalars: dict
     fields: dict = field(default_factory=dict)
+    timings: dict = field(default_factory=dict)
 
 
 def _corrected_ensemble(config: ExperimentConfig) -> tuple[EnsembleResult, EnsembleResult]:
@@ -359,7 +362,8 @@ def _corrected_ensemble(config: ExperimentConfig) -> tuple[EnsembleResult, Ensem
 
 def _point_core(config: ExperimentConfig, inputs: EnsembleResult, ens: EnsembleResult,
                 want_fields: bool) -> PointResult:
-    """Estimate the requested signatures of one corrected ensemble."""
+    """Estimate the requested signatures of one corrected ensemble; the
+    timings hold the seconds of the Wigner full pass and the jackknife."""
     params = config.system_params()
     schedule = config.schedule()
     rates = derive_rates(params)
@@ -379,6 +383,7 @@ def _point_core(config: ExperimentConfig, inputs: EnsembleResult, ens: EnsembleR
         "noisy": bool(params.n_th_mech > 0 or params.n_init_mech > 0),
     }
     fields: dict = {}
+    timings: dict = {}
 
     sigs = config.signatures
     if "p_distribution" in sigs:
@@ -394,12 +399,16 @@ def _point_core(config: ExperimentConfig, inputs: EnsembleResult, ens: EnsembleR
             jack = sig.negativity_with_error(ens, wgrid, n_blocks=config.jackknife_blocks,
                                              band=band)
             wfield = jack.pop("field")
+            timings["wigner_s"] = jack["wigner_s"]
+            timings["jackknife_s"] = jack["jackknife_s"]
             scalars["negativity"] = jack["negativity"]
             scalars["sampling_error"] = jack["jackknife_se"]
             scalars["jackknife_blocks"] = jack["n_blocks"]
             scalars["negativity_outside_band"] = jack["negativity_outside_band"]
         else:
+            start = time.perf_counter()
             wfield = sig.wigner_estimate(ens, wgrid)
+            timings["wigner_s"] = time.perf_counter() - start
             if "negativity" in sigs:
                 scalars["negativity"] = sig.wigner_negativity(wfield)
                 if not scalars["noisy"]:
@@ -420,7 +429,7 @@ def _point_core(config: ExperimentConfig, inputs: EnsembleResult, ens: EnsembleR
 
     if not want_fields:
         fields = {}
-    return PointResult(scalars=scalars, fields=fields)
+    return PointResult(scalars=scalars, fields=fields, timings=timings)
 
 
 def _add_references(config: ExperimentConfig, ens: EnsembleResult, scalars: dict) -> None:
@@ -466,12 +475,21 @@ def run_point(config: ExperimentConfig, want_fields: bool = True) -> PointResult
     the estimator, not of the statistics.  The time-step error needs no
     second ensemble: a run at another step draws the same noise, so it
     would differ from this one by a fixed function of the two channels.
+
+    ``timings`` holds the seconds of the ensemble (sampling and channel),
+    of the Wigner full pass and the jackknife when they run, and of the
+    references.
     """
     config.validate()
+    start = time.perf_counter()
     inputs, ens = _corrected_ensemble(config)
+    ensemble_s = time.perf_counter() - start
     point = _point_core(config, inputs, ens, want_fields)
+    point.timings["ensemble_s"] = ensemble_s
     if "negativity" in config.signatures:
+        start = time.perf_counter()
         _add_references(config, ens, point.scalars)
+        point.timings["references_s"] = time.perf_counter() - start
     return point
 
 
@@ -529,7 +547,10 @@ def write_run_artifacts(config: ExperimentConfig, point: PointResult,
     one ``GridField.write_files`` states; each field's CSV carries the
     configuration fingerprint in its first line, and its manifest
     ``sha256`` is the digest of the CSV bytes as they were written.
+    ``timings`` holds the point's timings and ``artifact_io_s``, the
+    seconds spent writing the field files, all rounded to the microsecond.
     """
+    start = time.perf_counter()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     fingerprint = config_fingerprint(config)
@@ -538,6 +559,7 @@ def write_run_artifacts(config: ExperimentConfig, point: PointResult,
     for name, fld in point.fields.items():
         digest = fld.write_files(out / f"{name}.csv", out / f"{name}.json", fingerprint)
         artifacts[name] = {"csv": f"{name}.csv", "json": f"{name}.json", "sha256": digest}
+    timings = {**point.timings, "artifact_io_s": time.perf_counter() - start}
 
     manifest = {
         "config": {k: _json_safe(v) for k, v in dataclasses.asdict(config).items()},
@@ -546,6 +568,7 @@ def write_run_artifacts(config: ExperimentConfig, point: PointResult,
         "artifacts": artifacts,
         "engine_version": ENGINE_VERSION,
         "wall_time_s": round(wall_time_s, 3),
+        "timings": {k: round(v, 6) for k, v in timings.items()},
     }
     _write_atomic(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True))
     return manifest

@@ -11,10 +11,16 @@ one real product only.  It needs every mu_x = (alpha_out + alpha_out_plus)/2
 real, as a real cat keeps it on every row in the phase-corrected frame of
 ``engine.run_ensemble``, and raises ValueError otherwise.  Each kernel-sum
 call allocates its factor tables and products once and reuses them for every
-chunk.  The delete-block jackknife forms the kernel sums of many blocks in
-one batched product, on the band of Re alpha columns where the Wigner
-function can be negative when given one (``oracle.negativity_band``), and
-reports the full field's negative volume off that band as its guard.
+chunk.  With two or more usable CPUs and two or more chunks, one helper
+thread builds the next chunk's (or jackknife batch's) tables, element-wise
+numpy work only, while the calling thread runs the current one's matrix
+products.  Every BLAS call stays on the caller and the chunks are added in
+the same order, so the results have the same bits for any CPU count; no
+thread outlives the call.  The delete-block jackknife forms the kernel sums
+of many blocks in one batched product, on the band of Re alpha columns where
+the Wigner function can be negative when given one
+(``oracle.negativity_band``), and reports the full field's negative volume
+off that band as its guard.
 Imaginary parts cancel over symmetric branches and are reported as
 residual diagnostics rather than silently dropped.  The factors stay
 finite for |alpha0| up to ``experiments.ALPHA0_MAX``, where the cat overlap
@@ -25,7 +31,13 @@ channel negativity at dt and dt/2, so no ensemble is summed twice.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import os
+import threading
+import time
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,9 +167,15 @@ def p_distribution(results, grid: QuadratureGrid) -> GridField:
 class _Workspace:
     """Work buffers of the Wigner kernel, allocated once per kernel-sum call.
 
-    Each chunk of at most `rows` samples writes its factor tables into the
-    leading rows of the same flat buffers, so a call allocates them once
-    however many chunks it takes.  A buffer is allocated on first use.
+    Each chunk of samples, or batch of jackknife blocks, of at most `rows`
+    samples writes its factor tables into the leading rows of the same flat
+    buffers, so a call allocates them once however many it takes; a buffer
+    is allocated on first use.  The tables that the matrix products read,
+    cx, cy and sy, come in two slots (names suffixed 0 and 1): the helper
+    thread of ``_built`` fills one while the caller reads the other, and
+    without a helper only slot 0 is used.  Only the table builder writes
+    the rotation scratch "tan" and "ratio".  So a call holds at most eight
+    buffers.
     """
 
     def __init__(self, rows: int, xs: np.ndarray, ys: np.ndarray):
@@ -172,7 +190,7 @@ class _Workspace:
         return flat[:rows * cols].reshape(rows, cols)
 
 
-def _kernel_tables(u, v, w, xs, ys, work: _Workspace | None = None):
+def _kernel_tables(u, v, w, xs, ys, work: _Workspace | None = None, slot: int = 0):
     """Real factor tables of the Wigner kernel, one row per sample.
 
     With a real mu_x = (u + v)/2 = c and mu_y = i (v - u)/2 = a + i b, a
@@ -182,8 +200,8 @@ def _kernel_tables(u, v, w, xs, ys, work: _Workspace | None = None):
     indices `phased` of the rows where b is nonzero; and the imaginary part
     sy of fy on those rows only.  Summed over samples, the real part of the
     kernel is cx^T cy and the imaginary part cx[phased]^T sy.  Raises
-    ValueError when any mu_x is not real.  The tables are views into `work`
-    (a fresh one when None), valid until its next use.
+    ValueError when any mu_x is not real.  The tables are views into slot
+    `slot` of `work` (a fresh one when None), valid until its next use.
     """
     n = u.size
     mu_x = 0.5 * (u + v)
@@ -193,14 +211,12 @@ def _kernel_tables(u, v, w, xs, ys, work: _Workspace | None = None):
     if work is None:
         work = _Workspace(n, xs, ys)
     mu_y = 0.5j * (v - u)
-    _, cx = _gaussian_table(mu_x, xs, work.table("dev_x", n, xs.size),
-                                work.table("cx", n, xs.size))
+    cx = _gaussian_table(mu_x, xs, work.table(f"cx{slot}", n, xs.size))
     cx *= w[:, None]
-    dev_y, cy = _gaussian_table(mu_y, ys, work.table("dev_y", n, ys.size),
-                                work.table("cy", n, ys.size))
+    cy = _gaussian_table(mu_y, ys, work.table(f"cy{slot}", n, ys.size))
     b = mu_y.imag
     phased = np.flatnonzero(b)
-    sy = _rotate(cy, phased, 4.0 * b[phased], dev_y, work, "sy")
+    sy = _rotate(cy, phased, 4.0 * b[phased], ys, mu_y.real[phased], work, f"sy{slot}")
     return cx, cy, phased, sy
 
 
@@ -208,40 +224,38 @@ def _table_rows(xs, ys) -> int:
     return max(1, _TABLE_CELLS // max(xs.size, ys.size))
 
 
-def _gaussian_table(mu: np.ndarray, axis: np.ndarray, dev: np.ndarray,
-                    mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(axis - Re mu, |exp(-2 (axis - mu)^2)|) with one row per sample,
-    written into dev and mag."""
-    np.subtract(axis[None, :], mu.real[:, None], out=dev)
-    np.multiply(dev, dev, out=mag)
-    mag -= (mu.imag * mu.imag)[:, None]
-    mag *= -2.0
-    np.exp(mag, out=mag)
-    return dev, mag
+def _gaussian_table(mu: np.ndarray, axis: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """|exp(-2 (axis - mu)^2)| with one row per sample, computed in out."""
+    np.subtract(axis[None, :], mu.real[:, None], out=out)
+    np.multiply(out, out, out=out)
+    out -= (mu.imag * mu.imag)[:, None]
+    out *= -2.0
+    np.exp(out, out=out)
+    return out
 
 
-def _rotate(table: np.ndarray, rows: np.ndarray, rate: np.ndarray, dev: np.ndarray,
-            work: _Workspace, name: str) -> np.ndarray:
-    """Multiply table[rows] by e^{i phase}, phase = rate dev[rows] (one rate
-    per row): the cosine part in place, the sine part returned in buffer
-    `name`.
+def _rotate(table: np.ndarray, rows: np.ndarray, rate: np.ndarray, axis: np.ndarray,
+            centre: np.ndarray, work: _Workspace, name: str) -> np.ndarray:
+    """Multiply table[rows] by e^{i phase}, phase = rate (axis - centre) (one
+    rate and centre per row): the cosine part in place, the sine part
+    returned in buffer `name`.
 
     Both come from t = tan(phase/2) as cos = (1 - t^2)/(1 + t^2) and
     sin = 2t/(1 + t^2), within an ulp of np.cos and np.sin; one np.tan
-    costs a fraction of those two calls.  The buffers "tan", "tan_sq" and
-    "ratio" are scratch, free again on return.
+    costs a fraction of those two calls.  The buffers "tan" and "ratio" are
+    scratch, free again on return.
     """
     shape = (rows.size, table.shape[1])
-    t = work.table("tan", *shape)
-    np.take(dev, rows, axis=0, out=t, mode="clip")
+    t = np.subtract(axis[None, :], centre[:, None], out=work.table("tan", *shape))
     t *= rate[:, None]
     t *= 0.5
     np.tan(t, out=t)
-    t_sq = np.multiply(t, t, out=work.table("tan_sq", *shape))
     scale = np.take(table, rows, axis=0, out=work.table(name, *shape), mode="clip")
-    ratio = np.add(t_sq, 1.0, out=work.table("ratio", *shape))
+    ratio = np.multiply(t, t, out=work.table("ratio", *shape))
+    ratio += 1.0
     scale /= ratio
-    np.subtract(1.0, t_sq, out=ratio)
+    np.multiply(t, t, out=ratio)
+    np.subtract(1.0, ratio, out=ratio)
     ratio *= scale
     table[rows] = ratio
     t *= 2.0
@@ -249,31 +263,105 @@ def _rotate(table: np.ndarray, rows: np.ndarray, rate: np.ndarray, dev: np.ndarr
     return scale
 
 
-def _wigner_sum(u, v, w, xs, ys, work: _Workspace | None = None):
-    """Unnormalised kernel sum over the ensemble: (real part, imaginary part).
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _built(builds: list):
+    """Yield (slot, build(slot)) for each build in `builds`, in order.
+
+    With two or more builds and two or more usable CPUs, one helper thread
+    runs the builds, each into the slot the caller is not reading: build
+    k + 1 runs while the caller works on the tables of build k, which stay
+    valid until the caller asks for the next.  The helper does element-wise
+    numpy work only, which releases the GIL, so it overlaps the caller's
+    matrix products.  An exception in a build is raised to the caller when
+    it asks for that build's tables.  With one build or one usable CPU,
+    every build runs on the caller, into slot 0, when its tables are asked
+    for.  Close the generator (``contextlib.closing``) so that the helper is
+    joined however the caller's loop ends.
+    """
+    if len(builds) < 2 or _usable_cpus() < 2:
+        for build in builds:
+            yield 0, build(0)
+        return
+    free = threading.Semaphore(2)   # slots the helper may build into
+    ready = threading.Semaphore(0)  # builds the caller may take
+    stop = threading.Event()
+    done: list = [None] * len(builds)
+
+    def helper():
+        for k, build in enumerate(builds):
+            free.acquire()
+            if stop.is_set():
+                return
+            try:
+                done[k] = (build(k % 2), None)
+            except BaseException as exc:  # raised again on the caller
+                done[k] = (None, exc)
+                ready.release()
+                return
+            ready.release()
+
+    thread = threading.Thread(target=helper, name="catmem-kernel-tables")
+    thread.start()
+    try:
+        for k in range(len(builds)):
+            ready.acquire()
+            tables, exc = done[k]
+            done[k] = None
+            if exc is not None:
+                raise exc
+            yield k % 2, tables
+            free.release()
+    finally:
+        stop.set()
+        free.release()
+        thread.join()
+
+
+def _chunk_builds(u, v, w, xs, ys, work: _Workspace) -> list:
+    """One table build per chunk of `_table_rows` samples."""
+    chunk = _table_rows(xs, ys)
+    return [functools.partial(_kernel_tables, u[lo:lo + chunk], v[lo:lo + chunk],
+                              w[lo:lo + chunk], xs, ys, work)
+            for lo in range(0, u.size, chunk)]
+
+
+def _sum_chunks(built, count: int, xs, ys, work: _Workspace):
+    """Unnormalised kernel sum of the next `count` chunk tables of `built`:
+    (real part, imaginary part), the chunks added in order.
 
     The Gaussian kernel factorises into complete squares along Re alpha and
     Im alpha, so the sum over samples is two real matrix products of the
     factor tables; rows whose means are real (the diagonal branches) enter
-    only the one for the real part.  Every chunk reuses the tables of `work`
-    (one is allocated when None) and one product buffer.
+    only the one for the real part.  When a chunk holds such rows, its
+    phased rows of cx are gathered into its slot's cy buffer, free again
+    once the real part is formed.  Every chunk shares one product buffer.
     """
     re = np.zeros((xs.size, ys.size))
     im = np.zeros((xs.size, ys.size))
     prod = np.empty((xs.size, ys.size))
-    chunk = _table_rows(xs, ys)
-    if work is None:
-        work = _Workspace(min(chunk, u.size), xs, ys)
-    for lo in range(0, u.size, chunk):
-        sl = slice(lo, lo + chunk)
-        cx, cy, phased, sy = _kernel_tables(u[sl], v[sl], w[sl], xs, ys, work)
+    for slot, (cx, cy, phased, sy) in itertools.islice(built, count):
         re += np.matmul(cx.T, cy, out=prod)
         if phased.size:
-            # the rotation scratch is free again: gather the phased rows there
-            cx_p = np.take(cx, phased, axis=0, mode="clip",
-                           out=work.table("ratio", phased.size, xs.size))
-            im += np.matmul(cx_p.T, sy, out=prod)
+            if phased.size < cx.shape[0]:
+                cx = np.take(cx, phased, axis=0, mode="clip",
+                             out=work.table(f"cy{slot}", phased.size, xs.size))
+            im += np.matmul(cx.T, sy, out=prod)
     return re, im
+
+
+def _wigner_sum(u, v, w, xs, ys):
+    """Unnormalised kernel sum over the ensemble: (real part, imaginary part)."""
+    work = _Workspace(min(_table_rows(xs, ys), u.size), xs, ys)
+    chunks = _chunk_builds(u, v, w, xs, ys, work)
+    with closing(_built(chunks)) as built:
+        return _sum_chunks(built, len(chunks), xs, ys, work)
 
 
 def _wigner_field(re: np.ndarray, im: np.ndarray, count: int, grid: WignerGrid) -> GridField:
@@ -338,19 +426,20 @@ def _jackknife_blocks(n: int, branch: np.ndarray, n_blocks: int) -> tuple[np.nda
     return rows, sizes
 
 
-def _block_sums(u, v, w, xs, ys, rows: np.ndarray, work: _Workspace,
-                out: np.ndarray) -> np.ndarray:
-    """Real kernel sums of a batch of blocks, shape (blocks, x, y).
-
-    rows is the (blocks, size) index matrix; one batched matrix product
-    over the blocks replaces a kernel sum per block.  The tables live in
-    `work` and the sums in the leading blocks of `out`.
-    """
-    n_b, size = rows.shape
+def _batch_tables(u, v, w, xs, ys, work: _Workspace, rows: np.ndarray, slot: int):
+    """Kernel tables of a batch of blocks, block after block: the samples
+    of the (blocks, size) index matrix rows, built into `slot` of `work`."""
     flat = rows.ravel()
-    cx, cy, _, _ = _kernel_tables(u[flat], v[flat], w[flat], xs, ys, work)
-    return np.matmul(cx.reshape(n_b, size, xs.size).transpose(0, 2, 1),
-                     cy.reshape(n_b, size, ys.size), out=out[:n_b])
+    return _kernel_tables(u[flat], v[flat], w[flat], xs, ys, work, slot)
+
+
+def _block_sums(cx: np.ndarray, cy: np.ndarray, blocks: int, out: np.ndarray) -> np.ndarray:
+    """Real kernel sums of a batch of blocks from its tables, shape
+    (blocks, x, y), in the leading blocks of `out`: one batched matrix
+    product over the blocks replaces a kernel sum per block."""
+    size = cx.shape[0] // blocks
+    return np.matmul(cx.reshape(blocks, size, cx.shape[1]).transpose(0, 2, 1),
+                     cy.reshape(blocks, size, cy.shape[1]), out=out[:blocks])
 
 
 def _band_columns(xs: np.ndarray, band: float | None) -> slice:
@@ -372,8 +461,13 @@ def negativity_with_error(results, grid: WignerGrid, n_blocks: int = 100,
     second the real kernel sums of every block, in batches of blocks by one
     batched matrix product each.  A leave-one-block-out negativity is then
     the trapezoid-weighted sum of max(block - full, 0), scaled to the
-    remaining sample count.  Both passes share one set of table buffers,
-    and every batch one block-sum buffer.
+    remaining sample count.  Both passes share the table buffers of one
+    workspace, and every batch one block-sum buffer.  The tables of the
+    chunks and then of the batches are built one task ahead on the helper
+    thread of ``_built``, when one starts, so the first batch's tables are
+    ready as the full pass ends.  "wigner_s" and "jackknife_s" hold the
+    seconds from the call's start to the field and the negativity, and from
+    there to its end.
 
     With a band (``oracle.negativity_band``) the block sums, their
     max(block - full, 0) and their weights are formed only on the columns
@@ -383,6 +477,7 @@ def negativity_with_error(results, grid: WignerGrid, n_blocks: int = 100,
     field's negative volume on the other columns: a band too narrow for
     the ensemble shows there.
     """
+    start = time.perf_counter()
     u, v, w = _columns(results)
     n = u.size
     if n == 0:
@@ -399,30 +494,36 @@ def negativity_with_error(results, grid: WignerGrid, n_blocks: int = 100,
                                      chunk // rows.shape[1])))
     work = _Workspace(max(min(chunk, n), batch * rows.shape[1]), xs, ys)
 
-    re, im = _wigner_sum(u, v, w, xs, ys, work=work)
-    field = _wigner_field(re, im, n, grid)
-    delta = wigner_negativity(field)
-    outside = np.trapezoid(np.maximum(-field.values, 0.0), dx=grid.h)
-    outside[cols] = 0.0
-
     # index n is the zero-weight padding sample of short blocks
     u_pad, v_pad = np.append(u, 0.0), np.append(v, 0.0)
     w_pad = np.append(w, 0.0)
+    chunks = _chunk_builds(u, v, w, xs, ys, work)
+    batches = [functools.partial(_batch_tables, u_pad, v_pad, w_pad, xs_band, ys, work,
+                                 rows[lo:lo + batch])
+               for lo in range(0, n_blocks, batch)]
     weights = np.outer(_trapezoid_weights(xs.size, grid.h)[cols],
                        _trapezoid_weights(ys.size, grid.h)).ravel()
     block_sums = np.empty((batch, xs_band.size, ys.size))
     loo = np.empty(n_blocks)
-    for lo in range(0, n_blocks, batch):
-        sums = _block_sums(u_pad, v_pad, w_pad, xs_band, ys, rows[lo:lo + batch], work,
-                           block_sums)
-        sums -= re[cols]
-        np.maximum(sums, 0.0, out=sums)
-        loo[lo:lo + batch] = sums.reshape(sums.shape[0], -1) @ weights
+    with closing(_built(chunks + batches)) as built:
+        re, im = _sum_chunks(built, len(chunks), xs, ys, work)
+        field = _wigner_field(re, im, n, grid)
+        delta = wigner_negativity(field)
+        outside = np.trapezoid(np.maximum(-field.values, 0.0), dx=grid.h)
+        outside[cols] = 0.0
+        full_done = time.perf_counter()
+
+        for lo, (_, (cx, cy, _, _)) in zip(range(0, n_blocks, batch), built):
+            sums = _block_sums(cx, cy, min(batch, n_blocks - lo), block_sums)
+            sums -= re[cols]
+            np.maximum(sums, 0.0, out=sums)
+            loo[lo:lo + batch] = sums.reshape(sums.shape[0], -1) @ weights
     loo *= 2.0 / (math.pi * (n - sizes))
     se = math.sqrt((n_blocks - 1) / n_blocks * float(np.sum((loo - np.mean(loo)) ** 2)))
     return {"negativity": delta, "jackknife_se": se, "n_blocks": n_blocks,
             "negativity_outside_band": float(np.trapezoid(outside, dx=grid.h)),
-            "field": field, "max_imag_residual": field.meta["max_imag_residual"]}
+            "field": field, "max_imag_residual": field.meta["max_imag_residual"],
+            "wigner_s": full_done - start, "jackknife_s": time.perf_counter() - full_done}
 
 
 def reconstruct_density(results, a_grid: np.ndarray, b_grid: np.ndarray) -> GridField:

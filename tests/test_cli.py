@@ -252,6 +252,32 @@ def test_noisy_manifest_records_the_band_guard(tmp_path):
     assert 0.0 <= saved["negativity_outside_band"] <= 1e-15
 
 
+def test_manifest_timings_stay_out_of_the_results(tmp_path):
+    # two runs of one config repeat their scalars bit for bit; the seconds of
+    # each pass go to the manifest's timings only
+    cfg = ExperimentConfig(alpha0=2.0, n_bar=2.0, n_samples=400, jackknife_blocks=10,
+                           signatures=("wigner", "negativity"))
+    first, second = (write_run_artifacts(cfg, run_point(cfg), tmp_path / name, 0.0)
+                     for name in ("first", "second"))
+    assert first["scalars"] == second["scalars"]
+    for manifest in (first, second):
+        timings = manifest["timings"]
+        assert set(timings) == {"ensemble_s", "wigner_s", "jackknife_s", "references_s",
+                                "artifact_io_s"}
+        assert all(isinstance(t, float) and math.isfinite(t) and t >= 0.0
+                   for t in timings.values())
+        assert not set(timings) & set(manifest["scalars"])
+    assert (tmp_path / "first" / "wigner.csv").read_bytes() == \
+        (tmp_path / "second" / "wigner.csv").read_bytes()
+    saved = json.loads((tmp_path / "first" / "manifest.json").read_text())
+    assert saved["timings"] == first["timings"]
+    rows = run_sweep(replace(cfg, signatures=("negativity",),
+                             sweep=(("n_bar", (0.0, 2.0)),)), tmp_path / "sweep")
+    assert all("timings" not in row and "wigner_s" not in row["scalars"] for row in rows)
+    assert run_point(replace(cfg, n_bar=0.0)).timings.keys() == {
+        "ensemble_s", "wigner_s", "references_s"}
+
+
 def test_sweep_column_of_the_band_guard(tmp_path):
     # a small fig10 sweep with a noiseless row added per time: the guard is
     # a number on noisy rows and blank on noiseless ones

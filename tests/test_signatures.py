@@ -1,6 +1,8 @@
 """Estimator checks against closed-form quantum signatures of the cat."""
 
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -432,6 +434,54 @@ def corrected_channel_ensemble(n):
     return _corrected_ensemble(ExperimentConfig(alpha0=2.0, n_bar=2.0, n_samples=n))[1]
 
 
+_THREAD = threading.Thread
+
+
+def force_pipeline(monkeypatch, on: bool) -> list:
+    """Make the kernel see two usable CPUs (its helper thread may start) or
+    one (no helper); returns the list of names of the threads started."""
+    monkeypatch.setattr(signatures, "_usable_cpus", lambda: 2 if on else 1)
+    started = []
+
+    class Counted(_THREAD):
+        def start(self):
+            started.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return started
+
+
+def permuted(ens: EnsembleResult) -> EnsembleResult:
+    order = np.random.default_rng(3).permutation(ens.weight.size)
+    return EnsembleResult(ens.alpha_out[order], ens.alpha_out_plus[order],
+                          ens.weight[order], ens.branch[order])
+
+
+def assert_kernel_is_the_allocating_kernel(monkeypatch, part, grid, n_blocks):
+    """The kernel sum and negativity_with_error, on the whole grid and on a
+    0.8 band, with the helper thread and without it: every array and scalar
+    bitwise equal to the allocating reference."""
+    u, v, w = part.alpha_out, part.alpha_out_plus, part.weight
+    ref = _alloc_wigner_sum(u, v, w, grid.x, grid.y)
+    refs = {band: _alloc_negativity_with_error(part, grid, n_blocks, band)
+            for band in (None, 0.8)}
+    for on in (True, False):
+        started = force_pipeline(monkeypatch, on)
+        got = signatures._wigner_sum(u, v, w, grid.x, grid.y)
+        assert np.array_equal(got[0], ref[0])
+        assert np.array_equal(got[1], ref[1])
+        for band, (delta, se, outside, values, im) in refs.items():
+            out = negativity_with_error(part, grid, n_blocks=n_blocks, band=band)
+            assert out["negativity"] == delta
+            assert out["jackknife_se"] == se and se > 0.0
+            assert out["negativity_outside_band"] == outside
+            assert np.array_equal(out["field"].values, values)
+            assert out["max_imag_residual"] == float(np.max(np.abs(im))) * (
+                2.0 / (math.pi * u.size))
+        assert len(started) == (3 if on else 0)
+
+
 @pytest.mark.parametrize("kind", ["corrected", "noisy"])
 def test_buffered_kernel_is_bitwise_the_allocating_kernel(monkeypatch, kind):
     # 3000 table cells make 24-row chunks on the 121-point grid and 37-row
@@ -441,7 +491,8 @@ def test_buffered_kernel_is_bitwise_the_allocating_kernel(monkeypatch, kind):
     # blocks of 11 or 12 rows.  15 000 field cells batch the blocks one at a
     # time on the first grid and three at a time on the second, the last
     # batch holding one block.  The 0.8 band keeps 33 columns of each grid
-    # and the same batches.
+    # and the same batches.  Each case runs with the helper thread that
+    # builds the tables and without it.
     monkeypatch.setattr(signatures, "_TABLE_CELLS", 3000)
     monkeypatch.setattr(signatures, "_FIELD_CELLS", 15_000)
     ens = corrected_channel_ensemble(192) if kind == "corrected" \
@@ -451,22 +502,105 @@ def test_buffered_kernel_is_bitwise_the_allocating_kernel(monkeypatch, kind):
     for n in (192, 190):
         part = EnsembleResult(ens.alpha_out[:n], ens.alpha_out_plus[:n], ens.weight[:n],
                               ens.branch[:n])
-        u, v, w = part.alpha_out, part.alpha_out_plus, part.weight
         for grid in grids:  # consecutive calls on two grid sizes
-            got = signatures._wigner_sum(u, v, w, grid.x, grid.y)
-            ref = _alloc_wigner_sum(u, v, w, grid.x, grid.y)
-            assert np.array_equal(got[0], ref[0])
-            assert np.array_equal(got[1], ref[1])
-            for band in (None, 0.8):
-                delta, se, outside, values, im = _alloc_negativity_with_error(
-                    part, grid, 16, band)
-                out = negativity_with_error(part, grid, n_blocks=16, band=band)
-                assert out["negativity"] == delta
-                assert out["jackknife_se"] == se and se > 0.0
-                assert out["negativity_outside_band"] == outside
-                assert np.array_equal(out["field"].values, values)
-                assert out["max_imag_residual"] == float(np.max(np.abs(im))) * (
-                    2.0 / (math.pi * n))
+            assert_kernel_is_the_allocating_kernel(monkeypatch, part, grid, 16)
+
+
+@pytest.mark.parametrize("layout", ["straddle", "permuted", "one_block_per_batch"])
+def test_kernel_layouts_are_bitwise_the_allocating_kernel(monkeypatch, layout):
+    # straddle: 5000 table cells make 41-row chunks on the 121-point grid, so
+    # the chunk of rows 82-122 holds the last diagonal rows (0-95) and the
+    # first phased ones, and its phased rows of cx are gathered.  permuted:
+    # every chunk mixes the two.  one_block_per_batch: like a fig11 point,
+    # the 4 blocks of 48 rows each outgrow the 24-row chunks of 3000 cells,
+    # so every batch holds one block.
+    ens = corrected_channel_ensemble(192)
+    grid = WignerGrid(x=0.05 * np.arange(-60, 61), y=0.05 * np.arange(-60, 61), h=0.05)
+    cells, n_blocks = (3000, 4) if layout == "one_block_per_batch" else (5000, 16)
+    monkeypatch.setattr(signatures, "_TABLE_CELLS", cells)
+    if layout == "permuted":
+        ens = permuted(ens)
+    b = 0.5 * (ens.alpha_out_plus - ens.alpha_out).real  # Im mu_y
+    chunk = signatures._table_rows(grid.x, grid.y)
+    mixed = [np.any(b[lo:lo + chunk] == 0.0) and np.any(b[lo:lo + chunk] != 0.0)
+             for lo in range(0, 192, chunk)]
+    assert sum(mixed) == {"straddle": 1, "permuted": 5, "one_block_per_batch": 0}[layout]
+    if layout == "one_block_per_batch":
+        assert signatures._jackknife_blocks(192, ens.branch, n_blocks)[0].shape[1] > chunk
+    assert_kernel_is_the_allocating_kernel(monkeypatch, ens, grid, n_blocks)
+
+
+def test_concurrent_calls_with_fast_switching_are_bitwise(monkeypatch):
+    # four callers at once, each with its own helper thread, while the
+    # interpreter switches threads every microsecond: every call gives the
+    # bits of the kernel without a helper.  Permuted rows make every chunk
+    # gather its phased rows of cx while the helper builds the next one.
+    monkeypatch.setattr(signatures, "_TABLE_CELLS", 5000)
+    monkeypatch.setattr(signatures, "_FIELD_CELLS", 15_000)
+    ens = permuted(corrected_channel_ensemble(192))
+    grid = WignerGrid(x=0.05 * np.arange(-60, 61), y=0.05 * np.arange(-60, 61), h=0.05)
+    force_pipeline(monkeypatch, False)
+    ref = negativity_with_error(ens, grid, n_blocks=16)
+    started = force_pipeline(monkeypatch, True)
+    outs = [None] * 4
+
+    def call(i):
+        outs[i] = negativity_with_error(ens, grid, n_blocks=16)
+
+    callers = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert len(started) == 8  # four callers and their four helpers
+    for out in outs:
+        assert out["negativity"] == ref["negativity"]
+        assert out["jackknife_se"] == ref["jackknife_se"]
+        assert out["max_imag_residual"] == ref["max_imag_residual"]
+        assert np.array_equal(out["field"].values, ref["field"].values)
+
+
+def complex_mu_x_at_the_end(n=192):
+    """A corrected ensemble whose last row has a complex mu_x."""
+    ens = corrected_channel_ensemble(n)
+    u = ens.alpha_out.copy()
+    u[-1] += 0.1j
+    return EnsembleResult(u, ens.alpha_out_plus, ens.weight, ens.branch)
+
+
+@pytest.mark.parametrize("on", [True, False], ids=["pipelined", "serial"])
+def test_complex_mu_x_in_the_last_chunk_reaches_the_caller(monkeypatch, on):
+    # eight 24-row chunks: the helper thread builds the last one while the
+    # caller still sums earlier chunks, and its ValueError is raised to the
+    # caller; no thread is left running after the call, failed or not
+    monkeypatch.setattr(signatures, "_TABLE_CELLS", 3000)
+    grid = WignerGrid(x=0.05 * np.arange(-60, 61), y=0.05 * np.arange(-60, 61), h=0.05)
+    before = threading.active_count()
+    started = force_pipeline(monkeypatch, on)
+    bad = complex_mu_x_at_the_end()
+    for estimate in (wigner_estimate, negativity_with_error):
+        with pytest.raises(ValueError, match="real mu_x"):
+            estimate(bad, grid)
+        assert threading.active_count() == before
+    negativity_with_error(corrected_channel_ensemble(192), grid, n_blocks=16)
+    assert threading.active_count() == before
+    assert len(started) == (3 if on else 0)
+
+
+def test_small_noiseless_run_starts_no_thread(monkeypatch):
+    # a 4-sample ensemble is one chunk, so even with CPUs to spare the
+    # kernel builds its tables on the caller
+    from catmem.experiments import ExperimentConfig, run_point
+    started = force_pipeline(monkeypatch, True)
+    point = run_point(ExperimentConfig(alpha0=2.0, signatures=("wigner", "negativity")))
+    assert point.scalars["sampling_error"] == 0.0
+    assert started == []
 
 
 def noisy_preset_points():
