@@ -12,8 +12,8 @@ from .signatures import (QuadratureGrid, WignerGrid, default_quadrature_grid,
                          negativity_with_error, p_distribution, p_variance,
                          reconstruct_density, wigner_estimate, wigner_negativity)
 from .oracle import (DecoherenceParams, cat_variance, decohered_density,
-                     evolve_characteristic, evolved_wigner, ideal_P_p,
-                     ideal_P_x, q_parameter, t_p_bound, t_positive)
+                     evolve_characteristic, ideal_P_p, ideal_P_x, q_parameter,
+                     t_p_bound, t_positive)
 from .experiments import (ExperimentConfig, PRESETS, load_config, preset,
                           run_point, run_sweep)
 

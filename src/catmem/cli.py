@@ -10,8 +10,8 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from .experiments import (ConfigError, ExperimentConfig, PRESETS, load_config,
-                          oracle_query, preset, run_point, run_sweep,
+from .experiments import (ConfigError, ExperimentConfig, PRESETS, _write_atomic,
+                          load_config, oracle_query, preset, run_point, run_sweep,
                           sweep_points, write_run_artifacts)
 
 
@@ -117,9 +117,9 @@ def _cmd_oracle(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         safe = {k: (v if math.isfinite(v) else "inf") for k, v in values.items()}
-        (out / "oracle.json").write_text(
-            json.dumps({"query": args.query, "params": params, "values": safe},
-                       indent=2, sort_keys=True), encoding="utf-8")
+        _write_atomic(out / "oracle.json",
+                      json.dumps({"query": args.query, "params": params, "values": safe},
+                                 indent=2, sort_keys=True))
     return 0
 
 
@@ -145,8 +145,7 @@ def _cmd_validate(args) -> int:
         payload = [{"number": r.number, "name": r.name, "passed": r.passed,
                     "runtime_s": round(r.runtime_s, 3), "lines": r.lines}
                    for r in results]
-        (out / "validate.json").write_text(json.dumps(payload, indent=2),
-                                           encoding="utf-8")
+        _write_atomic(out / "validate.json", json.dumps(payload, indent=2))
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)} / {len(results)} criteria passed")
     return 1 if failed else 0

@@ -89,11 +89,6 @@ class ExperimentConfig:
     n_samples: int = 4
     master_seed: int = DEFAULT_SEED
     signatures: tuple = ("p_distribution", "wigner", "negativity", "p_variance")
-    quad_theta: float = math.pi / 2.0
-    quad_step: float = 0.01
-    wigner_h: float = 0.05
-    wigner_pad: float = 4.0
-    density_step: float = 0.1
     jackknife_blocks: int = 100
     sweep: tuple = ()  # ((field, (values, ...)), ...), at most two axes
     out_dir: str = "artifacts"
@@ -109,9 +104,10 @@ class ExperimentConfig:
         return ProtocolSchedule.make(t_w, self.t_store, self.dt)
 
     def validate(self) -> None:
-        """Build every parameter object and grid a run builds, here and at
-        every sweep point, so that a bad value fails as a ConfigError before
-        any work starts."""
+        """Build every parameter object a run builds, here and at every
+        sweep point, so that a bad value fails as a ConfigError before any
+        work starts.  The grids follow from alpha0 alone, which
+        ``_check_alpha0`` bounds."""
         for name in self.signatures:
             if name not in KNOWN_SIGNATURES:
                 raise ConfigError(f"unknown signature {name!r}")
@@ -132,9 +128,6 @@ class ExperimentConfig:
         _check_alpha0(self.alpha0)
         try:
             self.schedule()  # builds the system parameters too
-            sig.default_quadrature_grid(self.alpha0, self.quad_theta, self.quad_step)
-            sig.default_wigner_grid(self.alpha0, self.wigner_h, self.wigner_pad)
-            sig.default_density_axis(self.alpha0, self.density_step)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if self.sweep:
@@ -216,8 +209,7 @@ def preset(name: str) -> ExperimentConfig:
 
 
 _FLOAT_FIELDS = ("gamma_ext", "gamma_int", "gamma_m", "g_eff", "n_bar", "n_init",
-                 "alpha0", "dt", "quad_theta", "quad_step", "wigner_h",
-                 "wigner_pad", "density_step")
+                 "alpha0", "dt")
 _INT_FIELDS = ("n_samples", "master_seed", "jackknife_blocks")
 
 
@@ -361,9 +353,10 @@ def _corrected_ensemble(config: ExperimentConfig) -> tuple[EnsembleResult, Ensem
 
 
 def _point_core(config: ExperimentConfig, inputs: EnsembleResult, ens: EnsembleResult,
-                want_fields: bool) -> PointResult:
-    """Estimate the requested signatures of one corrected ensemble; the
-    timings hold the seconds of the Wigner full pass and the jackknife."""
+                wgrid: sig.WignerGrid, want_fields: bool) -> PointResult:
+    """Estimate the requested signatures of one corrected ensemble, the
+    Wigner ones on wgrid; the timings hold the seconds of the Wigner full
+    pass and the jackknife."""
     params = config.system_params()
     schedule = config.schedule()
     rates = derive_rates(params)
@@ -387,13 +380,10 @@ def _point_core(config: ExperimentConfig, inputs: EnsembleResult, ens: EnsembleR
 
     sigs = config.signatures
     if "p_distribution" in sigs:
-        grid = sig.default_quadrature_grid(config.alpha0, config.quad_theta,
-                                           config.quad_step)
+        grid = sig.default_quadrature_grid(config.alpha0, math.pi / 2.0)
         fields["p_distribution"] = sig.p_distribution(ens, grid)
     need_wigner = "wigner" in sigs or "negativity" in sigs
     if need_wigner:
-        wgrid = sig.default_wigner_grid(config.alpha0, config.wigner_h,
-                                        config.wigner_pad)
         if "negativity" in sigs and scalars["noisy"]:
             band = oracle.negativity_band(config.alpha0, gain, ens.noise_var)
             jack = sig.negativity_with_error(ens, wgrid, n_blocks=config.jackknife_blocks,
@@ -418,7 +408,7 @@ def _point_core(config: ExperimentConfig, inputs: EnsembleResult, ens: EnsembleR
         if "wigner" in sigs and want_fields:
             fields["wigner"] = wfield
     if "density" in sigs:
-        axis = sig.default_density_axis(config.alpha0, config.density_step)
+        axis = sig.default_density_axis(config.alpha0)
         fields["density"] = sig.reconstruct_density(ens, axis, axis)
     if "p_variance" in sigs:
         out_moments = sig.quadrature_moments(ens)
@@ -432,9 +422,11 @@ def _point_core(config: ExperimentConfig, inputs: EnsembleResult, ens: EnsembleR
     return PointResult(scalars=scalars, fields=fields, timings=timings)
 
 
-def _add_references(config: ExperimentConfig, ens: EnsembleResult, scalars: dict) -> None:
-    """Closed-form negativities on the run's Wigner grid, the z-score against
-    the protocol reference, and the time-step error of that reference.
+def _add_references(config: ExperimentConfig, ens: EnsembleResult, wgrid: sig.WignerGrid,
+                    scalars: dict) -> None:
+    """Closed-form negativities on the run's Wigner grid wgrid, the z-score
+    against the protocol reference, and the time-step error of that
+    reference.
 
     ``negativity_protocol`` is s(dt), the negativity of the input cat sent
     through the channel the ensemble was sampled from.  The channel is
@@ -443,7 +435,6 @@ def _add_references(config: ExperimentConfig, ens: EnsembleResult, scalars: dict
     first-order Richardson estimate 2 |s(dt) - s(dt/2)|.
     """
     schedule = config.schedule()
-    wgrid = sig.default_wigner_grid(config.alpha0, config.wigner_h, config.wigner_pad)
     if config.gamma_int == 0 and config.n_init == 0:
         scalars["negativity_oracle"] = oracle_negativity(
             config.alpha0, schedule.t_store, config.n_bar, config.gamma_m, wgrid)
@@ -484,11 +475,12 @@ def run_point(config: ExperimentConfig, want_fields: bool = True) -> PointResult
     start = time.perf_counter()
     inputs, ens = _corrected_ensemble(config)
     ensemble_s = time.perf_counter() - start
-    point = _point_core(config, inputs, ens, want_fields)
+    wgrid = sig.default_wigner_grid(config.alpha0)
+    point = _point_core(config, inputs, ens, wgrid, want_fields)
     point.timings["ensemble_s"] = ensemble_s
     if "negativity" in config.signatures:
         start = time.perf_counter()
-        _add_references(config, ens, point.scalars)
+        _add_references(config, ens, wgrid, point.scalars)
         point.timings["references_s"] = time.perf_counter() - start
     return point
 

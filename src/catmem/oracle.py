@@ -24,7 +24,6 @@ __all__ = [
     "DecoherenceParams",
     "ideal_P_x",
     "ideal_P_p",
-    "evolved_wigner",
     "channel_wigner",
     "channel_wigner_field",
     "channel_negativity",
@@ -93,18 +92,6 @@ def damping_channel(t: float, n_bar: float, gamma: float) -> tuple[float, float]
         raise ValueError("t must be non-negative")
     decay = math.exp(-gamma * t)
     return decay, n_bar * (1.0 - decay * decay)
-
-
-def evolved_wigner(alpha, t: float, alpha0: float, n_bar: float, gamma: float):
-    """Wigner function of the cat after damped, possibly thermal, evolution.
-
-    The hills shrink toward the origin at rate gamma while the interference
-    coefficient collapses much faster; a thermal reservoir additionally
-    broadens every term by the same factor.  Reduces to the ideal cat at
-    t = 0.  This is ``channel_wigner`` with gain e^{-gamma t} and added
-    noise n_bar (1 - e^{-2 gamma t}).
-    """
-    return channel_wigner(alpha, alpha0, *damping_channel(t, n_bar, gamma))
 
 
 def channel_wigner(alpha, alpha0: float, gain: float, noise_var: float):

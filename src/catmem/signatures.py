@@ -35,7 +35,6 @@ import functools
 import itertools
 import math
 import os
-import threading
 import time
 from contextlib import closing
 from dataclasses import dataclass
@@ -108,25 +107,27 @@ class WignerGrid:
 
 
 def _symmetric_axis(extent: float, step: float) -> np.ndarray:
-    if not step > 0:
-        raise ValueError(f"grid step must be positive, got {step!r}")
     n = math.ceil(extent / step)
     return step * np.arange(-n, n + 1)
 
 
-def default_quadrature_grid(alpha0: float, theta: float, step: float = 0.01) -> QuadratureGrid:
-    """Grid reaching past both hills: at least sqrt(2)|alpha0| + 5, never under 12."""
+def default_quadrature_grid(alpha0: float, theta: float) -> QuadratureGrid:
+    """Step 0.01, reaching past both hills: at least sqrt(2)|alpha0| + 5,
+    never under 12."""
     extent = max(12.0, _SQRT2 * abs(alpha0) + 5.0)
-    return QuadratureGrid(theta=theta, points=_symmetric_axis(extent, step))
+    return QuadratureGrid(theta=theta, points=_symmetric_axis(extent, 0.01))
 
 
-def default_wigner_grid(alpha0: float, h: float = 0.05, pad: float = 4.0) -> WignerGrid:
-    extent = abs(alpha0) + pad
-    return WignerGrid(x=_symmetric_axis(extent, h), y=_symmetric_axis(extent, h), h=h)
+def default_wigner_grid(alpha0: float) -> WignerGrid:
+    """Spacing 0.05, reaching |alpha0| + 4 along both axes."""
+    extent = abs(alpha0) + 4.0
+    return WignerGrid(x=_symmetric_axis(extent, 0.05), y=_symmetric_axis(extent, 0.05),
+                      h=0.05)
 
 
-def default_density_axis(alpha0: float, step: float = 0.1) -> np.ndarray:
-    return _symmetric_axis(abs(alpha0) + 2.0, step)
+def default_density_axis(alpha0: float) -> np.ndarray:
+    """Step 0.1, reaching |alpha0| + 2."""
+    return _symmetric_axis(abs(alpha0) + 2.0, 0.1)
 
 
 def _columns(results: EnsembleResult) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -289,39 +290,17 @@ def _built(builds: list):
         for build in builds:
             yield 0, build(0)
         return
-    free = threading.Semaphore(2)   # slots the helper may build into
-    ready = threading.Semaphore(0)  # builds the caller may take
-    stop = threading.Event()
-    done: list = [None] * len(builds)
+    # imported here, not at module level: the import takes milliseconds,
+    # which runs that start no helper need not pay
+    from concurrent.futures import ThreadPoolExecutor
 
-    def helper():
-        for k, build in enumerate(builds):
-            free.acquire()
-            if stop.is_set():
-                return
-            try:
-                done[k] = (build(k % 2), None)
-            except BaseException as exc:  # raised again on the caller
-                done[k] = (None, exc)
-                ready.release()
-                return
-            ready.release()
-
-    thread = threading.Thread(target=helper, name="catmem-kernel-tables")
-    thread.start()
-    try:
+    with ThreadPoolExecutor(1, thread_name_prefix="catmem-kernel-tables") as helper:
+        pending = helper.submit(builds[0], 0)
         for k in range(len(builds)):
-            ready.acquire()
-            tables, exc = done[k]
-            done[k] = None
-            if exc is not None:
-                raise exc
+            tables = pending.result()
+            if k + 1 < len(builds):
+                pending = helper.submit(builds[k + 1], (k + 1) % 2)
             yield k % 2, tables
-            free.release()
-    finally:
-        stop.set()
-        free.release()
-        thread.join()
 
 
 def _chunk_builds(u, v, w, xs, ys, work: _Workspace) -> list:
@@ -442,10 +421,8 @@ def _block_sums(cx: np.ndarray, cy: np.ndarray, blocks: int, out: np.ndarray) ->
                      cy.reshape(blocks, size, cy.shape[1]), out=out[:blocks])
 
 
-def _band_columns(xs: np.ndarray, band: float | None) -> slice:
-    """The slice of the monotone axis xs with |x| <= band; all of it for None."""
-    if band is None:
-        return slice(0, xs.size)
+def _band_columns(xs: np.ndarray, band: float) -> slice:
+    """The slice of the monotone axis xs with |x| <= band."""
     if not band >= 0:
         raise ValueError(f"band must be a non-negative half-width, got {band!r}")
     inside = np.flatnonzero(np.abs(xs) <= band)
@@ -453,7 +430,7 @@ def _band_columns(xs: np.ndarray, band: float | None) -> slice:
 
 
 def negativity_with_error(results, grid: WignerGrid, n_blocks: int = 100,
-                          band: float | None = None) -> dict:
+                          band: float = math.inf) -> dict:
     """Negativity plus delete-block jackknife standard error.
 
     Two passes over the ensemble: the first accumulates the full kernel
@@ -472,10 +449,10 @@ def negativity_with_error(results, grid: WignerGrid, n_blocks: int = 100,
     With a band (``oracle.negativity_band``) the block sums, their
     max(block - full, 0) and their weights are formed only on the columns
     with |Re alpha| <= band, where the Wigner function can be negative;
-    None keeps the whole grid.  Off the band the leave-one-out fields are
-    taken as positive, so "negativity_outside_band" reports the full
-    field's negative volume on the other columns: a band too narrow for
-    the ensemble shows there.
+    the default, inf, keeps the whole grid.  Off the band the
+    leave-one-out fields are taken as positive, so
+    "negativity_outside_band" reports the full field's negative volume on
+    the other columns: a band too narrow for the ensemble shows there.
     """
     start = time.perf_counter()
     u, v, w = _columns(results)

@@ -7,13 +7,14 @@ import math
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import catmem
-from catmem import engine
+from catmem import engine, experiments
 from catmem.acceptance import WIGNER_NORM_TOL, run_criteria
 from catmem.cli import main
 from catmem.engine import protocol_channel
@@ -81,11 +82,8 @@ def test_parse_errors_carry_line_numbers(text, fragment):
     ("run", "n_samples = 6"),
     ("run", "n_samples = 2"),
     ("run", "master_seed = -1"),
-    ("run", "wigner_h = 0.1"),
     ("run", "dt = 0.7"),
     ("run", "t_write = abc"),
-    ("run", "quad_step = 0"),
-    ("run", "density_step = 0"),
     ("run", "alpha0 = nan"),
     ("run", "n_bar = 1\njackknife_blocks = 1"),
     ("sweep", "sweep.n_bar = -1, 2"),
@@ -121,6 +119,19 @@ def test_time_step_check_key_is_unknown(tmp_path, capsys):
     path.write_text("time_step_check = false\n")
     assert main(["run", "--config", str(path), "--dry-run"]) == 2
     assert "unknown key 'time_step_check'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["quad_theta", "quad_step", "wigner_h", "wigner_pad",
+                                 "density_step"])
+def test_grid_keys_are_unknown(tmp_path, capsys, key):
+    # the grids follow from alpha0; there is no spacing, pad or angle to set
+    path = tmp_path / "old.cfg"
+    path.write_text(f"{key} = 0.1\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out), "--dry-run"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"unknown key '{key}'" in err
+    assert not out.exists()
 
 
 def test_alpha0_must_be_real_and_nonzero():
@@ -176,7 +187,7 @@ def _channel_negativity_at(cfg, dt):
     schedule = cfg.schedule()
     channel = protocol_channel(cfg.system_params(),
                                ProtocolSchedule(schedule.t_write, schedule.t_store, dt))
-    grid = default_wigner_grid(cfg.alpha0, cfg.wigner_h, cfg.wigner_pad)
+    grid = default_wigner_grid(cfg.alpha0)
     return protocol_negativity(cfg.alpha0, *channel, grid)
 
 
@@ -366,6 +377,37 @@ def test_oracle_writes_json(tmp_path, capsys):
     payload = json.loads((out / "oracle.json").read_text())
     assert payload["query"] == "cat_variance"
     assert payload["values"]["cat_variance"] == pytest.approx(0.26158, abs=1e-4)
+
+
+class _HalfWriter:
+    """A file stand-in that writes the first half of its data, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        self.fh.flush()
+        raise OSError("write failed")
+
+
+def test_interrupted_oracle_write_keeps_previous_json(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "oracle_out"
+    assert main(["oracle", "cat_variance", "alpha0=1", "--out", str(out)]) == 0
+    before = (out / "oracle.json").read_bytes()
+    real_open_atomic = experiments.open_atomic
+
+    @contextmanager
+    def failing_open_atomic(path):
+        with real_open_atomic(path) as fh:
+            yield _HalfWriter(fh)
+
+    monkeypatch.setattr(experiments, "open_atomic", failing_open_atomic)
+    with pytest.raises(OSError, match="write failed"):
+        main(["oracle", "cat_variance", "alpha0=2", "--out", str(out)])
+    capsys.readouterr()
+    assert sorted(p.name for p in out.iterdir()) == ["oracle.json"]
+    assert (out / "oracle.json").read_bytes() == before
 
 
 def test_oracle_error_paths(capsys):

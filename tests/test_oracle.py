@@ -14,9 +14,9 @@ from catmem.model import ProtocolSchedule
 from catmem.oracle import (DecoherenceParams, _negativity_edge, cat_char_normal,
                            cat_variance, channel_negativity, channel_wigner,
                            channel_wigner_field, damping_channel, decohered_density,
-                           evolve_characteristic, evolved_wigner, ideal_P_p,
-                           ideal_P_x, negativity_band, q_channel, q_parameter,
-                           t_p_bound, t_positive)
+                           evolve_characteristic, ideal_P_p, ideal_P_x,
+                           negativity_band, q_channel, q_parameter, t_p_bound,
+                           t_positive)
 from catmem.signatures import default_wigner_grid, wigner_negativity
 
 
@@ -60,7 +60,8 @@ def test_channel_wigner_generalises_damping(t, n_bar):
     alpha = x[:, None] + 1j * x[None, :]
     got = channel_wigner(alpha, 2.0, math.exp(-gamma * t),
                          n_bar * (1.0 - math.exp(-2.0 * gamma * t)))
-    assert np.max(np.abs(got - evolved_wigner(alpha, t, 2.0, n_bar, gamma))) < 1e-12
+    damped = channel_wigner(alpha, 2.0, *damping_channel(t, n_bar, gamma))
+    assert np.max(np.abs(got - damped)) < 1e-12
     assert np.trapezoid(np.trapezoid(got, dx=0.05), dx=0.05) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -110,7 +111,7 @@ def test_channel_negativity_is_field_negativity_on_preset_grids(name):
     cfg = preset(name)
     points = sweep_points(cfg) if cfg.sweep else [({}, cfg)]
     for _, sub in points:
-        grid = default_wigner_grid(sub.alpha0, sub.wigner_h, sub.wigner_pad)
+        grid = default_wigner_grid(sub.alpha0)
         schedule = sub.schedule()
         channels = [damping_channel(schedule.t_store, sub.n_bar, sub.gamma_m)]
         for dt in (schedule.dt, schedule.dt / 2.0):
@@ -152,7 +153,7 @@ def test_evolved_wigner_long_time_thermal():
     n_bar = 1.2
     broad = 1.0 + 2.0 * n_bar
     alpha = np.array([0.0, 0.4 + 0.2j, -1.0j])
-    got = evolved_wigner(alpha, 50.0, 2.0, n_bar, 1.0)
+    got = channel_wigner(alpha, 2.0, *damping_channel(50.0, n_bar, 1.0))
     want = 2.0 / (math.pi * broad) * np.exp(-2.0 * np.abs(alpha) ** 2 / broad)
     assert np.allclose(got, want, rtol=1e-10)
 
@@ -320,7 +321,7 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         DecoherenceParams(gamma=1.0, n_bar=-0.1)
     with pytest.raises(ValueError):
-        evolved_wigner(0.0, -0.1, 2.0, 0.0, 1.0)
+        channel_wigner(0.0, 2.0, *damping_channel(-0.1, 0.0, 1.0))
     with pytest.raises(ValueError):
         t_positive(-1.0, 1.0)
     with pytest.raises(ValueError):

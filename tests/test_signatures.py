@@ -400,11 +400,11 @@ def _alloc_block_sums(u, v, w, xs, ys, rows):
                      cy.reshape(n_b, size, -1))
 
 
-def _alloc_negativity_with_error(ens, grid, n_blocks, band=None):
+def _alloc_negativity_with_error(ens, grid, n_blocks, band):
     u, v, w = ens.alpha_out, ens.alpha_out_plus, ens.weight
     n = u.size
     rows, sizes = signatures._jackknife_blocks(n, ens.branch, n_blocks)
-    inside = np.ones(grid.x.size, bool) if band is None else np.abs(grid.x) <= band
+    inside = np.abs(grid.x) <= band
     xs = grid.x[inside]
     re, im = _alloc_wigner_sum(u, v, w, grid.x, grid.y)
     values = re * (2.0 / (math.pi * n))
@@ -465,7 +465,7 @@ def assert_kernel_is_the_allocating_kernel(monkeypatch, part, grid, n_blocks):
     u, v, w = part.alpha_out, part.alpha_out_plus, part.weight
     ref = _alloc_wigner_sum(u, v, w, grid.x, grid.y)
     refs = {band: _alloc_negativity_with_error(part, grid, n_blocks, band)
-            for band in (None, 0.8)}
+            for band in (math.inf, 0.8)}
     for on in (True, False):
         started = force_pipeline(monkeypatch, on)
         got = signatures._wigner_sum(u, v, w, grid.x, grid.y)
