@@ -123,6 +123,10 @@ class ExperimentConfig:
         if self.n_samples < 4 or self.n_samples % 4 != 0:
             raise ConfigError("n_samples must be a positive multiple of 4, one "
                               "quarter per branch")
+        if (self.n_bar > 0 or self.n_init > 0) and "negativity" in self.signatures \
+                and self.n_samples < 8:
+            raise ConfigError("a noisy negativity run needs n_samples >= 8, so that two "
+                              "jackknife blocks each hold a row of every branch")
         if not 0 <= self.master_seed < 2 ** 64:
             raise ConfigError("master_seed must fit in 64 bits")
         _check_alpha0(self.alpha0)
@@ -404,7 +408,8 @@ def _point_core(config: ExperimentConfig, inputs: EnsembleResult, ens: EnsembleR
                 if not scalars["noisy"]:
                     scalars["sampling_error"] = 0.0
         scalars["wigner_norm"] = wfield.meta["norm"]
-        scalars["wigner_max_imag_residual"] = wfield.meta["max_imag_residual"]
+        scalars["wigner_max_imag_residual_4th_node"] = \
+            wfield.meta["max_imag_residual_4th_node"]
         if "wigner" in sigs and want_fields:
             fields["wigner"] = wfield
     if "density" in sigs:
@@ -529,6 +534,29 @@ def _read_checkpoint(path: Path, expected: dict) -> dict | None:
     return row
 
 
+def _blas_setup() -> dict:
+    """The BLAS library numpy was built with, its thread count now and the
+    CPUs this process may use.  The thread count moves the last bits of
+    some results, so manifests record it beside them.  It is read from the
+    scipy-openblas that numpy wheels bundle, and is None for any other
+    BLAS."""
+    import ctypes  # here, not at module level: only manifest writers pay
+
+    from numpy._core import _multiarray_umath
+
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    try:
+        get = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_num_threads64_
+    except (AttributeError, OSError):
+        threads = None
+    else:
+        get.argtypes, get.restype = [], ctypes.c_int
+        threads = get()
+    return {"library": f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}",
+            "threads": threads,
+            "usable_cpus": sig._usable_cpus()}
+
+
 def write_run_artifacts(config: ExperimentConfig, point: PointResult,
                         out_dir, wall_time_s: float) -> dict:
     """Write each field's CSV and JSON, then the run manifest; returns the
@@ -540,7 +568,8 @@ def write_run_artifacts(config: ExperimentConfig, point: PointResult,
     configuration fingerprint in its first line, and its manifest
     ``sha256`` is the digest of the CSV bytes as they were written.
     ``timings`` holds the point's timings and ``artifact_io_s``, the
-    seconds spent writing the field files, all rounded to the microsecond.
+    seconds spent writing the field files, all rounded to the microsecond;
+    ``blas`` the BLAS setup (``_blas_setup``).  Neither is a result.
     """
     start = time.perf_counter()
     out = Path(out_dir)
@@ -561,6 +590,7 @@ def write_run_artifacts(config: ExperimentConfig, point: PointResult,
         "engine_version": ENGINE_VERSION,
         "wall_time_s": round(wall_time_s, 3),
         "timings": {k: round(v, 6) for k, v in timings.items()},
+        "blas": _blas_setup(),
     }
     _write_atomic(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True))
     return manifest
@@ -656,6 +686,7 @@ def run_sweep(config: ExperimentConfig, out_dir, progress=None) -> list[dict]:
         "rows": rows,
         "artifacts": {"sweep": {"csv": csv_path.name, "sha256": csv_digest}},
         "engine_version": ENGINE_VERSION,
+        "blas": _blas_setup(),
     }
     _write_atomic(out / "sweep_manifest.json", json.dumps(manifest, indent=2, sort_keys=True))
     return rows

@@ -7,9 +7,11 @@ in the grid coordinates; the ensemble sums then reduce to chunked matrix
 products.  The Wigner kernel is evaluated in real arithmetic: per sample a
 real Gaussian factor in Re alpha times a Gaussian factor with a phase in
 Im alpha, so samples whose means are real (the diagonal branches) enter
-one real product only.  It needs every mu_x = (alpha_out + alpha_out_plus)/2
-real, as a real cat keeps it on every row in the phase-corrected frame of
-``engine.run_ensemble``, and raises ValueError otherwise.  Each kernel-sum
+one real product only.  The phase factors come from angle addition, so
+the trigonometry runs per row and per column, not per cell.  It needs
+every mu_x = (alpha_out + alpha_out_plus)/2 real, as a real cat keeps it on
+every row in the phase-corrected frame of ``engine.run_ensemble``, and
+raises ValueError otherwise.  Each kernel-sum
 call allocates its factor tables and products once and reuses them for every
 chunk.  With two or more usable CPUs and two or more chunks, one helper
 thread builds the next chunk's (or jackknife batch's) tables, element-wise
@@ -22,7 +24,8 @@ the Wigner function can be negative when given one
 (``oracle.negativity_band``), and reports the full field's negative volume
 off that band as its guard.
 Imaginary parts cancel over symmetric branches and are reported as
-residual diagnostics rather than silently dropped.  The factors stay
+residual diagnostics rather than silently dropped; the Wigner kernel's is
+formed on every 4th node of both axes only.  The factors stay
 finite for |alpha0| up to ``experiments.ALPHA0_MAX``, where the cat overlap
 is still a normal double.  The negativity's time-step error is not
 estimated here: ``experiments.run_point`` takes it from the closed-form
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EnsembleResult, GridAxis, GridField
+from .model import BRANCHES, EnsembleResult, GridAxis, GridField
 
 __all__ = [
     "QuadratureGrid",
@@ -175,7 +178,7 @@ class _Workspace:
     cx, cy and sy, come in two slots (names suffixed 0 and 1): the helper
     thread of ``_built`` fills one while the caller reads the other, and
     without a helper only slot 0 is used.  Only the table builder writes
-    the rotation scratch "tan" and "ratio".  So a call holds at most eight
+    the phase scratch "angle0" and "angle1".  So a call holds at most eight
     buffers.
     """
 
@@ -191,18 +194,20 @@ class _Workspace:
         return flat[:rows * cols].reshape(rows, cols)
 
 
-def _kernel_tables(u, v, w, xs, ys, work: _Workspace | None = None, slot: int = 0):
+def _kernel_tables(u, v, w, xs, ys, work: _Workspace | None = None, slot: int = 0,
+                   sine: bool = True):
     """Real factor tables of the Wigner kernel, one row per sample.
 
     With a real mu_x = (u + v)/2 = c and mu_y = i (v - u)/2 = a + i b, a
     sample's kernel is fx(x) fy(y) with fx = w exp(-2 (x - c)^2) and
     fy = exp(-2 (y - a)^2 + 2 b^2) e^{4 i b (y - a)}.  Returns
     (cx, cy, phased, sy): fx and the real part cy of fy on every row; the
-    indices `phased` of the rows where b is nonzero; and the imaginary part
-    sy of fy on those rows only.  Summed over samples, the real part of the
-    kernel is cx^T cy and the imaginary part cx[phased]^T sy.  Raises
-    ValueError when any mu_x is not real.  The tables are views into slot
-    `slot` of `work` (a fresh one when None), valid until its next use.
+    indices `phased` of the rows where b is nonzero; and, with `sine`, the
+    imaginary part sy of fy on those rows and every 4th node of ys (None
+    without).  Summed over samples, the real part of the kernel is cx^T cy
+    and the imaginary part on every 4th node cx[phased][:, ::4]^T sy.
+    Raises ValueError when any mu_x is not real.  The tables are views into
+    slot `slot` of `work` (a fresh one when None), valid until its next use.
     """
     n = u.size
     mu_x = 0.5 * (u + v)
@@ -215,9 +220,9 @@ def _kernel_tables(u, v, w, xs, ys, work: _Workspace | None = None, slot: int = 
     cx = _gaussian_table(mu_x, xs, work.table(f"cx{slot}", n, xs.size))
     cx *= w[:, None]
     cy = _gaussian_table(mu_y, ys, work.table(f"cy{slot}", n, ys.size))
-    b = mu_y.imag
-    phased = np.flatnonzero(b)
-    sy = _rotate(cy, phased, 4.0 * b[phased], ys, mu_y.real[phased], work, f"sy{slot}")
+    phased = np.flatnonzero(mu_y.imag)
+    sy = _rotate(cy, phased, 4.0 * mu_y.imag[phased], ys, mu_y.real[phased], work,
+                 f"sy{slot}" if sine else None)
     return cx, cy, phased, sy
 
 
@@ -229,39 +234,68 @@ def _gaussian_table(mu: np.ndarray, axis: np.ndarray, out: np.ndarray) -> np.nda
     """|exp(-2 (axis - mu)^2)| with one row per sample, computed in out."""
     np.subtract(axis[None, :], mu.real[:, None], out=out)
     np.multiply(out, out, out=out)
-    out -= (mu.imag * mu.imag)[:, None]
+    if np.any(mu.imag):  # x - 0.0 is x: real means skip the pass
+        out -= (mu.imag * mu.imag)[:, None]
     out *= -2.0
     np.exp(out, out=out)
     return out
 
 
-def _rotate(table: np.ndarray, rows: np.ndarray, rate: np.ndarray, axis: np.ndarray,
-            centre: np.ndarray, work: _Workspace, name: str) -> np.ndarray:
-    """Multiply table[rows] by e^{i phase}, phase = rate (axis - centre) (one
-    rate and centre per row): the cosine part in place, the sine part
-    returned in buffer `name`.
+# The phased rows of one table share one column pair when every |rate|
+# lies within this relative distance of the least: four ulps of 1, where
+# one branch's rates spread by one ulp at the fig10 and fig11 points
+_RATE_TOL = 2.0 ** -50
 
-    Both come from t = tan(phase/2) as cos = (1 - t^2)/(1 + t^2) and
-    sin = 2t/(1 + t^2), within an ulp of np.cos and np.sin; one np.tan
-    costs a fraction of those two calls.  The buffers "tan" and "ratio" are
-    scratch, free again on return.
+
+def _angle_sum(first, second, f_row, s_row, work: _Workspace, shape) -> np.ndarray:
+    """first * f_row - second * s_row in scratch buffer "angle0", for column
+    tables first and second (one row, or one per row) and f_row, s_row one
+    value per row."""
+    out = np.multiply(first, f_row[:, None], out=work.table("angle0", *shape))
+    out -= np.multiply(second, s_row[:, None], out=work.table("angle1", *shape))
+    return out
+
+
+def _rotate(table: np.ndarray, rows: np.ndarray, rate: np.ndarray, axis: np.ndarray,
+            centre: np.ndarray, work: _Workspace, name: str | None) -> np.ndarray | None:
+    """Multiply table[rows] by e^{i phase}, phase = rate (axis - centre) (one
+    rate and centre per row): the cosine part in place and, given a buffer
+    `name`, the sine part on every 4th node of axis returned in it.
+
+    By angle addition with rho = |rate|, cos(phase) = cos(rho y) cos(rho a)
+    + sin(rho y) sin(rho a) and sin(phase) = sign(rate) (sin(rho y)
+    cos(rho a) - cos(rho y) sin(rho a)), y the axis and a the centre, so
+    the trigonometry runs per row and per column, not per cell, when the
+    rows share one rho.  They do when every rho lies within ``_RATE_TOL`` of
+    the least, as one branch's rates do up to rounding: the least then
+    serves every row, each row keeping its own cos(rho a) and sin(rho a).
+    Otherwise each row takes its own rho and column pair.  The buffers
+    "angle0" and "angle1" are scratch, free again on return.
     """
+    if rows.size == 0:
+        return None
+    rho = np.abs(rate)
+    if rho.max() <= rho.min() * (1.0 + _RATE_TOL):
+        rho = rho.min()[None]
+    angle = rho[:, None] * axis[None, :]
+    cos_y, sin_y = np.cos(angle), np.sin(angle)
+    angle = rho * centre
+    cos_a, sin_a = np.cos(angle), np.sin(angle)
+    sine = None
+    if name is not None:  # before the cosine part overwrites the Gaussian
+        sign = np.sign(rate)
+        sine = np.take(table[:, ::4], rows, axis=0, mode="clip",
+                       out=work.table(name, rows.size, axis[::4].size))
+        sine *= _angle_sum(sin_y[:, ::4], cos_y[:, ::4], sign * cos_a, sign * sin_a, work,
+                           sine.shape)
     shape = (rows.size, table.shape[1])
-    t = np.subtract(axis[None, :], centre[:, None], out=work.table("tan", *shape))
-    t *= rate[:, None]
-    t *= 0.5
-    np.tan(t, out=t)
-    scale = np.take(table, rows, axis=0, out=work.table(name, *shape), mode="clip")
-    ratio = np.multiply(t, t, out=work.table("ratio", *shape))
-    ratio += 1.0
-    scale /= ratio
-    np.multiply(t, t, out=ratio)
-    np.subtract(1.0, ratio, out=ratio)
-    ratio *= scale
-    table[rows] = ratio
-    t *= 2.0
-    scale *= t
-    return scale
+    cosine = _angle_sum(cos_y, -sin_y, cos_a, sin_a, work, shape)
+    if rows[-1] - rows[0] + 1 == rows.size:  # a contiguous run of rows
+        table[rows[0]:rows[-1] + 1] *= cosine
+    else:
+        cosine *= np.take(table, rows, axis=0, mode="clip", out=work.table("angle1", *shape))
+        table[rows] = cosine
+    return sine
 
 
 def _usable_cpus() -> int:
@@ -318,25 +352,28 @@ def _sum_chunks(built, count: int, xs, ys, work: _Workspace):
     The Gaussian kernel factorises into complete squares along Re alpha and
     Im alpha, so the sum over samples is two real matrix products of the
     factor tables; rows whose means are real (the diagonal branches) enter
-    only the one for the real part.  When a chunk holds such rows, its
-    phased rows of cx are gathered into its slot's cy buffer, free again
-    once the real part is formed.  Every chunk shares one product buffer.
+    only the one for the real part.  The imaginary part, a diagnostic that
+    vanishes in expectation, is formed on every 4th node of both axes only:
+    a chunk's phased rows of cx on every 4th column are gathered into its
+    slot's cy buffer, free again once the real part is formed.  Every chunk
+    shares one product buffer per part.
     """
     re = np.zeros((xs.size, ys.size))
-    im = np.zeros((xs.size, ys.size))
-    prod = np.empty((xs.size, ys.size))
+    im = np.zeros((xs[::4].size, ys[::4].size))
+    prod = np.empty(re.shape)
+    prod4 = np.empty(im.shape)
     for slot, (cx, cy, phased, sy) in itertools.islice(built, count):
         re += np.matmul(cx.T, cy, out=prod)
         if phased.size:
-            if phased.size < cx.shape[0]:
-                cx = np.take(cx, phased, axis=0, mode="clip",
-                             out=work.table(f"cy{slot}", phased.size, xs.size))
-            im += np.matmul(cx.T, sy, out=prod)
+            cx4 = np.take(cx[:, ::4], phased, axis=0, mode="clip",
+                          out=work.table(f"cy{slot}", phased.size, im.shape[0]))
+            im += np.matmul(cx4.T, sy, out=prod4)
     return re, im
 
 
 def _wigner_sum(u, v, w, xs, ys):
-    """Unnormalised kernel sum over the ensemble: (real part, imaginary part)."""
+    """Unnormalised kernel sum over the ensemble: (real part, imaginary part
+    on every 4th node)."""
     work = _Workspace(min(_table_rows(xs, ys), u.size), xs, ys)
     chunks = _chunk_builds(u, v, w, xs, ys, work)
     with closing(_built(chunks)) as built:
@@ -344,7 +381,8 @@ def _wigner_sum(u, v, w, xs, ys):
 
 
 def _wigner_field(re: np.ndarray, im: np.ndarray, count: int, grid: WignerGrid) -> GridField:
-    """Normalised Wigner field of a kernel sum over `count` samples."""
+    """Normalised Wigner field of a kernel sum over `count` samples; its
+    meta holds the largest |Im W| over every 4th node of both axes."""
     scale = 2.0 / (math.pi * count)
     values = re * scale
     axes = (GridAxis(float(grid.x[0]), float(grid.x[-1]), grid.h, "re_alpha"),
@@ -352,7 +390,7 @@ def _wigner_field(re: np.ndarray, im: np.ndarray, count: int, grid: WignerGrid) 
     return GridField(axes=axes, values=values,
                      meta={"kind": "wigner", "h": grid.h,
                            "norm": float(np.trapezoid(np.trapezoid(values, dx=grid.h), dx=grid.h)),
-                           "max_imag_residual": float(np.max(np.abs(im))) * scale})
+                           "max_imag_residual_4th_node": float(np.max(np.abs(im))) * scale})
 
 
 def wigner_estimate(results, grid: WignerGrid) -> GridField:
@@ -379,37 +417,43 @@ def _trapezoid_weights(size: int, step: float) -> np.ndarray:
     return weights
 
 
-def _jackknife_blocks(n: int, branch: np.ndarray, n_blocks: int) -> tuple[np.ndarray, np.ndarray]:
+def _jackknife_blocks(branch: np.ndarray, n_blocks: int) -> tuple[np.ndarray, np.ndarray]:
     """Delete-block index matrix, one row per block, and the block sizes.
 
-    Stratified ensembles come branch-major (four equal contiguous runs); a
-    block then takes matching sub-slices of each run so that deleting it
-    keeps the mean weight at one.  Other layouts fall back to contiguous
-    blocks whose sizes differ by at most one; the shorter rows are padded
-    with the index n, which the caller maps to a zero-weight sample.
+    Each branch's rows are split into n_blocks runs at ``np.linspace``
+    edges, and block b takes run b of every branch, in ``BRANCHES`` order.
+    Deleting a block then removes each branch in proportion to its rows, so
+    for equal branches the mean weight of what is left stays one, for any
+    sample count and row order.  n_blocks is cut to the smallest branch's
+    row count, so that every block takes rows of every branch.  Shorter
+    rows are padded with the index n, which the caller maps to a
+    zero-weight sample.
     """
-    quarter = n // 4
-    branch_major = (n % 4 == 0 and quarter > 0
-                    and all(np.all(branch[q * quarter:(q + 1) * quarter]
-                                   == branch[q * quarter]) for q in range(4)))
-    if branch_major and quarter % n_blocks == 0:
-        per = quarter // n_blocks
-        rows = (quarter * np.arange(4)[None, :, None]
-                + per * np.arange(n_blocks)[:, None, None]
-                + np.arange(per)[None, None, :]).reshape(n_blocks, 4 * per)
-        return rows, np.full(n_blocks, 4 * per)
-    edges = np.linspace(0, n, n_blocks + 1, dtype=int)
-    sizes = np.diff(edges)
-    rows = edges[:-1, None] + np.arange(sizes.max())[None, :]
-    rows[rows >= edges[1:, None]] = n
-    return rows, sizes
+    members = [np.flatnonzero(branch == label) for label in BRANCHES]
+    if sum(rows.size for rows in members) != branch.size:
+        raise ValueError(f"branch labels must come from {BRANCHES}")
+    members = [rows for rows in members if rows.size]
+    n_blocks = min([n_blocks] + [rows.size for rows in members])
+    if n_blocks < 2:
+        raise ValueError("the jackknife needs at least two blocks, and a row of "
+                         "every branch in each")
+    edges = [np.linspace(0, rows.size, n_blocks + 1, dtype=int) for rows in members]
+    runs = np.diff(edges, axis=1)  # (branch, block) run lengths
+    offsets = np.cumsum(runs, axis=0) - runs  # where each run starts in its block
+    sizes = runs.sum(axis=0)
+    blocks = np.full((n_blocks, sizes.max()), branch.size)
+    for rows, edge, run, offset in zip(members, edges, runs, offsets):
+        block = np.repeat(np.arange(n_blocks), run)
+        blocks[block, offset[block] + np.arange(rows.size) - edge[block]] = rows
+    return blocks, sizes
 
 
 def _batch_tables(u, v, w, xs, ys, work: _Workspace, rows: np.ndarray, slot: int):
-    """Kernel tables of a batch of blocks, block after block: the samples
-    of the (blocks, size) index matrix rows, built into `slot` of `work`."""
+    """Kernel cosine tables of a batch of blocks, block after block: the
+    samples of the (blocks, size) index matrix rows, built into `slot` of
+    `work`."""
     flat = rows.ravel()
-    return _kernel_tables(u[flat], v[flat], w[flat], xs, ys, work, slot)
+    return _kernel_tables(u[flat], v[flat], w[flat], xs, ys, work, slot, sine=False)
 
 
 def _block_sums(cx: np.ndarray, cy: np.ndarray, blocks: int, out: np.ndarray) -> np.ndarray:
@@ -444,7 +488,8 @@ def negativity_with_error(results, grid: WignerGrid, n_blocks: int = 100,
     thread of ``_built``, when one starts, so the first batch's tables are
     ready as the full pass ends.  "wigner_s" and "jackknife_s" hold the
     seconds from the call's start to the field and the negativity, and from
-    there to its end.
+    there to its end.  The blocks are stratified by branch
+    (``_jackknife_blocks``).
 
     With a band (``oracle.negativity_band``) the block sums, their
     max(block - full, 0) and their weights are formed only on the columns
@@ -459,10 +504,8 @@ def negativity_with_error(results, grid: WignerGrid, n_blocks: int = 100,
     n = u.size
     if n == 0:
         raise ValueError("empty ensemble")
-    n_blocks = min(n_blocks, n)
-    if n_blocks < 2:
-        raise ValueError("the jackknife needs at least two blocks")
-    rows, sizes = _jackknife_blocks(n, results.branch, n_blocks)
+    rows, sizes = _jackknife_blocks(results.branch, n_blocks)
+    n_blocks = rows.shape[0]
     xs, ys = grid.x, grid.y
     cols = _band_columns(xs, band)
     xs_band = xs[cols]
@@ -499,7 +542,8 @@ def negativity_with_error(results, grid: WignerGrid, n_blocks: int = 100,
     se = math.sqrt((n_blocks - 1) / n_blocks * float(np.sum((loo - np.mean(loo)) ** 2)))
     return {"negativity": delta, "jackknife_se": se, "n_blocks": n_blocks,
             "negativity_outside_band": float(np.trapezoid(outside, dx=grid.h)),
-            "field": field, "max_imag_residual": field.meta["max_imag_residual"],
+            "field": field,
+            "max_imag_residual_4th_node": field.meta["max_imag_residual_4th_node"],
             "wigner_s": full_done - start, "jackknife_s": time.perf_counter() - full_done}
 
 

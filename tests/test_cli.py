@@ -11,10 +11,11 @@ from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import catmem
-from catmem import engine, experiments
+from catmem import engine, experiments, signatures
 from catmem.acceptance import WIGNER_NORM_TOL, run_criteria
 from catmem.cli import main
 from catmem.engine import protocol_channel
@@ -86,13 +87,15 @@ def test_parse_errors_carry_line_numbers(text, fragment):
     ("run", "t_write = abc"),
     ("run", "alpha0 = nan"),
     ("run", "n_bar = 1\njackknife_blocks = 1"),
+    ("run", "n_bar = 1\nn_samples = 4"),
     ("sweep", "sweep.n_bar = -1, 2"),
     ("sweep", "sweep.alpha0 = 0, 2"),
 ])
 def test_bad_config_values_are_config_errors(tmp_path, capsys, command, text):
     # caught before any work: otherwise the run raises a traceback deep in
     # the engine, writes NaN scalars (alpha0 = nan) or reports a noisy point
-    # with a zero error bar (jackknife_blocks = 1)
+    # with a zero error bar (jackknife_blocks = 1) or no two blocks that
+    # each hold every branch (a noisy run of 4 samples)
     path = tmp_path / "bad.cfg"
     path.write_text(text + "\n")
     out = tmp_path / "out"
@@ -319,6 +322,42 @@ def test_cli_import_skips_scipy_integrate():
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
+
+
+def test_manifests_record_the_blas_setup(tmp_path):
+    # in a fresh process with OPENBLAS_NUM_THREADS=1, both manifests record
+    # the library, one BLAS thread and the usable CPUs; none of it enters
+    # the scalars, the fingerprint or the row digests
+    src = str(Path(catmem.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    run_cfg = tmp_path / "run.cfg"
+    run_cfg.write_text("n_bar = 2\nn_samples = 400\njackknife_blocks = 10\n"
+                       "signatures = negativity\n")
+    sweep_cfg = tmp_path / "sweep.cfg"
+    sweep_cfg.write_text("sweep.n_bar = 0, 2\nn_samples = 400\njackknife_blocks = 10\n"
+                         "signatures = negativity\n")
+    code = ("import sys; from catmem.cli import main; "
+            "assert main(['run', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0; "
+            "assert main(['sweep', '--config', sys.argv[3], '--out', sys.argv[4]]) == 0")
+    result = subprocess.run([sys.executable, "-c", code, str(run_cfg), str(tmp_path / "run"),
+                             str(sweep_cfg), str(tmp_path / "sweep")],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    run = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    sweep = json.loads((tmp_path / "sweep" / "sweep_manifest.json").read_text())
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    bundled = blas["name"] == "scipy-openblas"
+    for manifest in (run, sweep):
+        assert manifest["blas"] == {"library": f"{blas['name']} {blas['version']}",
+                                    "threads": 1 if bundled else None,
+                                    "usable_cpus": signatures._usable_cpus()}
+    assert "blas" not in run["scalars"]
+    assert run["config_sha256"] == config_fingerprint(
+        load_config(run_cfg, ExperimentConfig()))
+    for row in sweep["rows"]:
+        assert "blas" not in row and "blas" not in row["scalars"]
+        assert row["row_sha256"] == experiments._row_digest(row)
 
 
 def test_presets_resolve_and_validate():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catmem import signatures
-from catmem.model import EnsembleResult, GridAxis, GridField
+from catmem.model import BRANCHES, EnsembleResult, GridAxis, GridField
 from catmem.oracle import (cat_variance, channel_wigner_field, ideal_P_p,
                            ideal_P_x, negativity_band, q_channel)
 from catmem.sampling import sample_cat
@@ -269,22 +269,24 @@ def test_real_kernel_matches_complex_sum(ensemble):
     ref = complex_wigner_sum(u, v, w, axis, axis) * (2.0 / (math.pi * u.size))
     scale = np.max(np.abs(ref))
     assert np.max(np.abs(field.values - ref.real)) <= 1e-12 * scale
-    assert field.meta["max_imag_residual"] == pytest.approx(
-        np.max(np.abs(ref.imag)), rel=1e-12, abs=1e-12 * scale)
+    # the imaginary residual is taken on every 4th node of both axes
+    assert field.meta["max_imag_residual_4th_node"] == pytest.approx(
+        np.max(np.abs(ref.imag[::4, ::4])), rel=1e-12, abs=1e-12 * scale)
+    # unrelated rates take a column pair per row; the tables are bitwise
+    # those of the allocating reference
+    got = signatures._kernel_tables(u, v, w, axis, axis)
+    want = _alloc_kernel_tables(u, v, w, axis, axis)
+    for table, ref_table in zip(got, want[:3] if got[3] is None else want):
+        assert np.array_equal(table, ref_table)
 
 
 def _reference_blocks(n, branch, n_blocks):
-    """Delete-block layout: matching sub-slices of four branch-major runs, or
-    contiguous blocks."""
-    quarter = n // 4
-    if (n % 4 == 0 and quarter % n_blocks == 0
-            and all(len(set(branch[q * quarter:(q + 1) * quarter])) == 1
-                    for q in range(4))):
-        per = quarter // n_blocks
-        return [np.concatenate([np.arange(q * quarter + j * per, q * quarter + (j + 1) * per)
-                                for q in range(4)]) for j in range(n_blocks)]
-    edges = np.linspace(0, n, n_blocks + 1, dtype=int)
-    return [np.arange(edges[j], edges[j + 1]) for j in range(n_blocks)]
+    """Delete-block layout: each branch's rows, in BRANCHES order, cut into
+    n_blocks runs at linspace edges; block j takes run j of every branch."""
+    members = [np.flatnonzero(branch == label) for label in BRANCHES]
+    cuts = [np.linspace(0, rows.size, n_blocks + 1, dtype=int) for rows in members]
+    return [np.concatenate([rows[cut[j]:cut[j + 1]] for rows, cut in zip(members, cuts)])
+            for j in range(n_blocks)]
 
 
 def loop_jackknife(ens, grid, n_blocks):
@@ -345,6 +347,85 @@ def test_jackknife_matches_block_loop(layout):
     assert out["jackknife_se"] == pytest.approx(loop_jackknife(ens, grid, 12), rel=1e-12)
 
 
+
+@pytest.mark.parametrize("n,n_blocks", [(24000, 100), (192, 16), (64, 8)])
+def test_divisible_counts_keep_the_branch_major_blocks(n, n_blocks):
+    # when n/4 is a multiple of the block count, block j takes the j-th
+    # equal slice of each branch-major run, as before the layout admitted
+    # any sample count, so those runs keep the blocks they had
+    branch = sample_cat(2.0, n).branch
+    rows, sizes = signatures._jackknife_blocks(branch, n_blocks)
+    quarter = n // 4
+    per = quarter // n_blocks
+    expected = (quarter * np.arange(4)[None, :, None] + per * np.arange(n_blocks)[:, None, None]
+                + np.arange(per)[None, None, :]).reshape(n_blocks, 4 * per)
+    assert np.array_equal(rows, expected)
+    assert np.array_equal(sizes, np.full(n_blocks, 4 * per))
+
+
+def test_jackknife_blocks_take_every_branch_for_any_count():
+    # 24004 rows: 6001 per branch in runs of 60 or 61, so every block loses
+    # the same count of each branch and the padding index only pads
+    branch = sample_cat(2.0, 24004).branch
+    members = [np.flatnonzero(branch == label) for label in BRANCHES]
+    rows, sizes = signatures._jackknife_blocks(branch, 100)
+    for row, size in zip(rows, sizes):
+        taken = [np.intersect1d(row, branch_rows).size for branch_rows in members]
+        assert len(set(taken)) == 1 and sum(taken) == size
+        assert np.all(row[size:] == 24004)
+    assert np.array_equal(np.sort(rows[rows < 24004]), np.arange(24004))
+
+
+def test_sampling_error_does_not_depend_on_divisibility():
+    # 24004 samples do not split into 100 equal blocks per branch; the se
+    # must still match that of 24000 samples within sampling noise, where
+    # contiguous blocks inside one branch once read 8x too large
+    from catmem.experiments import ExperimentConfig, run_point
+    se = {n: run_point(ExperimentConfig(alpha0=2.0, n_bar=2.0, n_samples=n,
+                                        jackknife_blocks=100, signatures=("negativity",)),
+                       want_fields=False).scalars["sampling_error"]
+          for n in (24000, 24004)}
+    assert 0.8 <= se[24004] / se[24000] <= 1.25
+
+
+def rate_ensemble(b, seed=11):
+    """Rows with mu_x = 0, mu_y = a + i b (b given) and unit-scale weights;
+    mu_x = 0 keeps every b exact in the kernel's mu_y = i (v - u)/2."""
+    rng = np.random.default_rng(seed)
+    mu_y = rng.uniform(-1.5, 1.5, b.size) + 1j * b
+    w = rng.uniform(0.5, 1.5, b.size)
+    return EnsembleResult(1j * mu_y, -1j * mu_y, w, np.array(["+-"] * b.size))
+
+
+@pytest.mark.parametrize("signs", ["one_sign", "both_signs"])
+def test_rates_a_few_ulps_apart_share_one_column_pair(monkeypatch, signs):
+    # one branch's rates differ by rounding: rows 1-2 ulps apart, with one
+    # sign or both in one chunk, share one column pair cos(rho y), sin(rho y)
+    # and still match the complex kernel sum
+    b0 = 1.7
+    up = np.nextafter(b0, 2.0)
+    b = np.array([b0, up, np.nextafter(up, 2.0), 0.0] * 6)
+    if signs == "both_signs":
+        b[::2] *= -1.0
+    ens = rate_ensemble(b)
+    u, v, w = ens.alpha_out, ens.alpha_out_plus, ens.weight
+    assert np.array_equal((0.5j * (v - u)).imag, b)
+    axis = 0.05 * np.arange(-60, 61)
+    shared = signatures._kernel_tables(u, v, w, axis, axis)
+    for table, ref_table in zip(shared, _alloc_kernel_tables(u, v, w, axis, axis)):
+        assert np.array_equal(table, ref_table)
+    monkeypatch.setattr(signatures, "_RATE_TOL", 0.0)  # a column pair per row
+    assert not np.array_equal(signatures._kernel_tables(u, v, w, axis, axis)[1], shared[1])
+    monkeypatch.undo()
+    field = wigner_estimate(ens, WignerGrid(x=axis, y=axis, h=0.05))
+    ref = complex_wigner_sum(ens.alpha_out, ens.alpha_out_plus, ens.weight, axis, axis) \
+        * (2.0 / (math.pi * b.size))
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(field.values - ref.real)) <= 1e-12 * scale
+    assert field.meta["max_imag_residual_4th_node"] == pytest.approx(
+        np.max(np.abs(ref.imag[::4, ::4])), rel=1e-12, abs=1e-12 * scale)
+
+
 # -- the kernel as it was before its work buffers were reused: every chunk
 # allocates fresh tables and products.  The buffered kernel must give the
 # same bits.
@@ -358,13 +439,23 @@ def _alloc_gaussian_table(mu, axis):
     return dev, mag
 
 
-def _alloc_rotate(table, rows, phase):
-    t = np.tan(0.5 * phase)
-    t_sq = t * t
-    scale = table[rows] / (1.0 + t_sq)
-    table[rows] = scale * (1.0 - t_sq)
-    scale *= 2.0 * t
-    return scale
+def _alloc_rotate(table, rows, rate, axis, centre):
+    """Angle addition: cos(rate (y - a)) = cos(rho y) cos(rho a) + sin(rho y)
+    sin(rho a), with rho the least |rate| when every |rate| is within
+    _RATE_TOL of it and each row's own |rate| otherwise; the sine, on every
+    4th node, takes the sign of the rate."""
+    rho = np.abs(rate)
+    if rho.size and rho.max() <= rho.min() * (1.0 + signatures._RATE_TOL):
+        rho = np.full(rho.size, rho.min())
+    angle = rho[:, None] * axis[None, :]
+    cos_y, sin_y = np.cos(angle), np.sin(angle)
+    angle = rho * centre
+    cos_a, sin_a = np.cos(angle)[:, None], np.sin(angle)[:, None]
+    sign = np.sign(rate)[:, None]
+    gauss = table[rows]
+    sine = gauss[:, ::4] * (sin_y[:, ::4] * (sign * cos_a) - cos_y[:, ::4] * (sign * sin_a))
+    table[rows] = gauss * (cos_y * cos_a + sin_y * sin_a)
+    return sine
 
 
 def _alloc_kernel_tables(u, v, w, xs, ys):
@@ -372,23 +463,23 @@ def _alloc_kernel_tables(u, v, w, xs, ys):
     mu_y = 0.5j * (v - u)
     _, cx = _alloc_gaussian_table(mu_x, xs)
     cx *= w[:, None]
-    dev_y, cy = _alloc_gaussian_table(mu_y, ys)
+    _, cy = _alloc_gaussian_table(mu_y, ys)
     b = mu_y.imag
     phased = np.flatnonzero(b != 0.0)
-    sy = _alloc_rotate(cy, phased, 4.0 * b[phased, None] * dev_y[phased])
+    sy = _alloc_rotate(cy, phased, 4.0 * b[phased], ys, mu_y.real[phased])
     return cx, cy, phased, sy
 
 
 def _alloc_wigner_sum(u, v, w, xs, ys):
     re = np.zeros((xs.size, ys.size))
-    im = np.zeros((xs.size, ys.size))
+    im = np.zeros((xs[::4].size, ys[::4].size))
     chunk = max(1, signatures._TABLE_CELLS // max(xs.size, ys.size))
     for lo in range(0, u.size, chunk):
         sl = slice(lo, lo + chunk)
         cx, cy, phased, sy = _alloc_kernel_tables(u[sl], v[sl], w[sl], xs, ys)
         re += cx.T @ cy
         if phased.size:
-            im += cx[phased].T @ sy
+            im += np.ascontiguousarray(cx[phased][:, ::4]).T @ sy
     return re, im
 
 
@@ -403,7 +494,7 @@ def _alloc_block_sums(u, v, w, xs, ys, rows):
 def _alloc_negativity_with_error(ens, grid, n_blocks, band):
     u, v, w = ens.alpha_out, ens.alpha_out_plus, ens.weight
     n = u.size
-    rows, sizes = signatures._jackknife_blocks(n, ens.branch, n_blocks)
+    rows, sizes = signatures._jackknife_blocks(ens.branch, n_blocks)
     inside = np.abs(grid.x) <= band
     xs = grid.x[inside]
     re, im = _alloc_wigner_sum(u, v, w, grid.x, grid.y)
@@ -477,7 +568,7 @@ def assert_kernel_is_the_allocating_kernel(monkeypatch, part, grid, n_blocks):
             assert out["jackknife_se"] == se and se > 0.0
             assert out["negativity_outside_band"] == outside
             assert np.array_equal(out["field"].values, values)
-            assert out["max_imag_residual"] == float(np.max(np.abs(im))) * (
+            assert out["max_imag_residual_4th_node"] == float(np.max(np.abs(im))) * (
                 2.0 / (math.pi * u.size))
         assert len(started) == (3 if on else 0)
 
@@ -487,12 +578,12 @@ def test_buffered_kernel_is_bitwise_the_allocating_kernel(monkeypatch, kind):
     # 3000 table cells make 24-row chunks on the 121-point grid and 37-row
     # chunks on the 61 x 81 one, so n = 190 (and n = 192 on the second grid)
     # ends on a short chunk.  n = 192 keeps the four branch runs, whose 16
-    # jackknife blocks take 3 rows of each; n = 190 gets padded contiguous
-    # blocks of 11 or 12 rows.  15 000 field cells batch the blocks one at a
-    # time on the first grid and three at a time on the second, the last
-    # batch holding one block.  The 0.8 band keeps 33 columns of each grid
-    # and the same batches.  Each case runs with the helper thread that
-    # builds the tables and without it.
+    # jackknife blocks take 3 rows of each; at n = 190 the last branch has
+    # 46 rows, so the blocks take 2 or 3 of them and are padded to 12.
+    # 15 000 field cells batch the blocks one at a time on the first grid
+    # and three at a time on the second, the last batch holding one block.
+    # The 0.8 band keeps 33 columns of each grid and the same batches.  Each
+    # case runs with the helper thread that builds the tables and without it.
     monkeypatch.setattr(signatures, "_TABLE_CELLS", 3000)
     monkeypatch.setattr(signatures, "_FIELD_CELLS", 15_000)
     ens = corrected_channel_ensemble(192) if kind == "corrected" \
@@ -526,7 +617,7 @@ def test_kernel_layouts_are_bitwise_the_allocating_kernel(monkeypatch, layout):
              for lo in range(0, 192, chunk)]
     assert sum(mixed) == {"straddle": 1, "permuted": 5, "one_block_per_batch": 0}[layout]
     if layout == "one_block_per_batch":
-        assert signatures._jackknife_blocks(192, ens.branch, n_blocks)[0].shape[1] > chunk
+        assert signatures._jackknife_blocks(ens.branch, n_blocks)[0].shape[1] > chunk
     assert_kernel_is_the_allocating_kernel(monkeypatch, ens, grid, n_blocks)
 
 
@@ -562,7 +653,7 @@ def test_concurrent_calls_with_fast_switching_are_bitwise(monkeypatch):
     for out in outs:
         assert out["negativity"] == ref["negativity"]
         assert out["jackknife_se"] == ref["jackknife_se"]
-        assert out["max_imag_residual"] == ref["max_imag_residual"]
+        assert out["max_imag_residual_4th_node"] == ref["max_imag_residual_4th_node"]
         assert np.array_equal(out["field"].values, ref["field"].values)
 
 
