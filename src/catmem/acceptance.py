@@ -386,8 +386,8 @@ def _check_estimator_sanity() -> tuple[bool, list, dict]:
     deltas = {"noiseless": delta, "thermal": thermal.scalars["negativity"]}
     measured["negativities"] = deltas
     ok_range = all(0.0 <= d <= 1.0 for d in deltas.values())
-    passed &= _record(lines, ok_range,
-                      f"negativities {deltas} lie in [0, 1]")
+    shown = ", ".join(f"{k} {d:.6g}" for k, d in deltas.items())
+    passed &= _record(lines, ok_range, f"negativities {shown} lie in [0, 1]")
 
     mean_w = math.fsum(inputs.weight) / len(inputs)
     big = sample_cat(cfg.alpha0, 4096)

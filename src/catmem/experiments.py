@@ -557,19 +557,29 @@ def _blas_setup() -> dict:
             "usable_cpus": sig._usable_cpus()}
 
 
+def _manifest_head(config: ExperimentConfig, fingerprint: str) -> dict:
+    """The manifest entries of runs and sweeps alike: the configuration,
+    its fingerprint, the engine version and the BLAS setup."""
+    return {"config": {k: _json_safe(v) for k, v in dataclasses.asdict(config).items()},
+            "config_sha256": fingerprint,
+            "engine_version": ENGINE_VERSION,
+            "blas": _blas_setup()}
+
+
 def write_run_artifacts(config: ExperimentConfig, point: PointResult,
                         out_dir, wall_time_s: float) -> dict:
-    """Write each field's CSV and JSON, then the run manifest; returns the
-    manifest.
+    """Write each field's CSV, then the run manifest; returns the manifest.
 
     Every file is written to a temporary file and renamed into place
-    (``model.open_atomic``).  The byte format of the field files is the
-    one ``GridField.write_files`` states; each field's CSV carries the
-    configuration fingerprint in its first line, and its manifest
-    ``sha256`` is the digest of the CSV bytes as they were written.
-    ``timings`` holds the point's timings and ``artifact_io_s``, the
-    seconds spent writing the field files, all rounded to the microsecond;
-    ``blas`` the BLAS setup (``_blas_setup``).  Neither is a result.
+    (``model.open_atomic``); a CSV has the byte format ``GridField.write_csv``
+    states, with the configuration fingerprint in its first line.  Per
+    field, the manifest's ``artifacts`` hold the CSV's name, its
+    ``sha256`` as written, its ``axes`` (``GridAxis(**entry)`` rebuilds
+    each) and its ``meta`` (diagnostics such as the norm and imaginary
+    residual).  ``timings`` holds the point's timings and
+    ``artifact_io_s``, the seconds spent writing the field files, all
+    rounded to the microsecond; ``blas`` the BLAS setup (``_blas_setup``).
+    Neither is a result.
     """
     start = time.perf_counter()
     out = Path(out_dir)
@@ -578,19 +588,19 @@ def write_run_artifacts(config: ExperimentConfig, point: PointResult,
 
     artifacts = {}
     for name, fld in point.fields.items():
-        digest = fld.write_files(out / f"{name}.csv", out / f"{name}.json", fingerprint)
-        artifacts[name] = {"csv": f"{name}.csv", "json": f"{name}.json", "sha256": digest}
+        artifacts[name] = {
+            "csv": f"{name}.csv",
+            "sha256": fld.write_csv(out / f"{name}.csv", fingerprint),
+            "axes": [dataclasses.asdict(ax) for ax in fld.axes],
+            "meta": {k: _json_safe(v) for k, v in fld.meta.items()}}
     timings = {**point.timings, "artifact_io_s": time.perf_counter() - start}
 
     manifest = {
-        "config": {k: _json_safe(v) for k, v in dataclasses.asdict(config).items()},
-        "config_sha256": fingerprint,
+        **_manifest_head(config, fingerprint),
         "scalars": {k: _json_safe(v) for k, v in point.scalars.items()},
         "artifacts": artifacts,
-        "engine_version": ENGINE_VERSION,
         "wall_time_s": round(wall_time_s, 3),
         "timings": {k: round(v, 6) for k, v in timings.items()},
-        "blas": _blas_setup(),
     }
     _write_atomic(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True))
     return manifest
@@ -680,13 +690,10 @@ def run_sweep(config: ExperimentConfig, out_dir, progress=None) -> list[dict]:
     csv_digest = _write_atomic(csv_path, "".join(lines))
 
     manifest = {
-        "config": {k: _json_safe(v) for k, v in dataclasses.asdict(config).items()},
-        "config_sha256": fingerprint,
+        **_manifest_head(config, fingerprint),
         "axes": {axis_field: list(values) for axis_field, values in config.sweep},
         "rows": rows,
         "artifacts": {"sweep": {"csv": csv_path.name, "sha256": csv_digest}},
-        "engine_version": ENGINE_VERSION,
-        "blas": _blas_setup(),
     }
     _write_atomic(out / "sweep_manifest.json", json.dumps(manifest, indent=2, sort_keys=True))
     return rows
@@ -723,7 +730,5 @@ def oracle_query(name: str, params: dict) -> dict:
     if name == "negativity":
         t = float(params.get("t", 0.0))
         grid = sig.default_wigner_grid(alpha0)
-        return {"negativity": oracle_negativity(alpha0, t, n_bar,
-                                                float(params.get("gamma", DEFAULT_GAMMA_M)),
-                                                grid)}
+        return {"negativity": oracle_negativity(alpha0, t, n_bar, gamma, grid)}
     raise ConfigError(f"unknown oracle query {name!r}")

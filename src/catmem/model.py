@@ -11,10 +11,8 @@ mode.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import hashlib
 import io
-import json
 import os
 from contextlib import contextmanager
 from dataclasses import KW_ONLY, dataclass, field
@@ -203,12 +201,6 @@ def _distinct_texts(values) -> tuple[np.ndarray, np.ndarray]:
     return texts, inverse
 
 
-# JSON spells the non-finite values that repr writes as nan, inf and -inf
-_JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# values per JSON write, so no file's whole text is held in memory
-_JSON_PIECE = 4096
-
-
 @contextmanager
 def open_atomic(path):
     """Open a temporary file beside path for binary writing and rename it
@@ -238,16 +230,14 @@ class GridField:
         if tuple(self.values.shape) != shape:
             raise ValueError(f"values shape {self.values.shape} does not match axes {shape}")
 
-    def write_files(self, csv_path, json_path,
-                    manifest_sha256: str | None = None) -> str:
-        """Write the field as CSV and as JSON; return the SHA-256 hex digest
-        of the CSV bytes written.
+    def write_csv(self, path, manifest_sha256: str | None = None) -> str:
+        """Write the field as CSV; return the SHA-256 hex digest of the bytes
+        written.
 
-        Each distinct value is formatted once, for both files.  Both files
-        are written to temporary files and renamed into place only when
-        both are complete (``open_atomic``).  The bytes are fixed, because
-        run manifests hash them.  The CSV, UTF-8 with '.' decimals and ','
-        separators:
+        Each distinct value is formatted once.  The file is written to a
+        temporary file and renamed into place when complete
+        (``open_atomic``).  The bytes are fixed, because run manifests hash
+        them: UTF-8 with '.' decimals and ',' separators,
 
         - with a ``manifest_sha256`` fingerprint given, a first line
           ``# manifest_sha256 = <hex>`` ending in LF;
@@ -259,61 +249,37 @@ class GridField:
           ``5e-324``, ``nan``, ``inf``), separated by commas;
         - every row, the header included, ends in CRLF.
 
-        The JSON is ``{"axes": [...], "values": [...], "meta": {...}}`` byte
-        for byte as ``json.dumps`` writes it, values flattened in C order
-        (non-finite values spelled ``NaN``, ``Infinity``, ``-Infinity``);
-        a fingerprint given goes into the written meta under
-        ``manifest_sha256``.  ``self.meta`` is left as it is.
+        The meta and the ``GridAxis`` records are not in the file;
+        ``experiments.write_run_artifacts`` puts them in the run manifest.
         """
         if len(self.axes) not in (1, 2):
             raise ValueError("only 1-D and 2-D fields are serialised")
         coords = [[repr(v) for v in ax.points().tolist()] for ax in self.axes]
         texts, inverse = _distinct_texts(self.values)
-        json_texts = texts
-        if not np.all(np.isfinite(self.values)):
-            json_texts = np.array([_JSON_SPELLING.get(t, t) for t in texts.tolist()],
-                                  dtype=object)
         header = io.StringIO()
-        meta = dict(self.meta)
         if manifest_sha256 is not None:
             header.write(f"# manifest_sha256 = {manifest_sha256}\n")
-            meta["manifest_sha256"] = manifest_sha256
         # the header is the only row whose cells (the tags) may need quoting
         csv.writer(header).writerow([ax.tag for ax in self.axes] + ["value"])
         digest = hashlib.sha256()
-        with open_atomic(csv_path) as csv_fh, open_atomic(json_path) as json_fh:
-            def put_csv(text: str) -> None:
+        with open_atomic(path) as fh:
+            def put(text: str) -> None:
                 data = text.encode("utf-8")
-                csv_fh.write(data)
+                fh.write(data)
                 digest.update(data)
 
-            put_csv(header.getvalue())
+            put(header.getvalue())
             if len(coords) == 1:
                 values = texts[inverse].tolist()
-                put_csv("".join([f"{x},{v}\r\n" for x, v in zip(coords[0], values)]))
+                put("".join([f"{x},{v}\r\n" for x, v in zip(coords[0], values)]))
             else:
                 ny = len(coords[1])
                 y_cells = [f",{y}," for y in coords[1]]
                 for i, x in enumerate(coords[0]):
                     row = texts[inverse[i * ny:(i + 1) * ny]].tolist()
                     cells = [y + v for y, v in zip(y_cells, row)]
-                    put_csv(x + ("\r\n" + x).join(cells) + "\r\n")
-
-            axes = json.dumps([dataclasses.asdict(ax) for ax in self.axes])
-            json_fh.write(f'{{"axes": {axes}, "values": ['.encode("utf-8"))
-            for k in range(0, inverse.size, _JSON_PIECE):
-                piece = ", ".join(json_texts[inverse[k:k + _JSON_PIECE]].tolist())
-                json_fh.write(((", " if k else "") + piece).encode("utf-8"))
-            json_fh.write(f'], "meta": {json.dumps(meta)}}}'.encode("utf-8"))
+                    put(x + ("\r\n" + x).join(cells) + "\r\n")
         return digest.hexdigest()
-
-    @classmethod
-    def from_json(cls, path) -> "GridField":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        axes = tuple(GridAxis(**ax) for ax in payload["axes"])
-        shape = tuple(ax.size for ax in axes)
-        values = np.array(payload["values"], dtype=float).reshape(shape)
-        return cls(axes=axes, values=values, meta=payload.get("meta", {}))
 
 
 def parse_storage_time(text: str, gamma_m: float) -> float:

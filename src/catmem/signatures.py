@@ -58,7 +58,6 @@ __all__ = [
     "negativity_with_error",
     "reconstruct_density",
     "quadrature_moments",
-    "p_variance",
     "is_mixture_falsified",
     "fringe_visibility",
 ]
@@ -602,11 +601,6 @@ def quadrature_moments(results) -> dict:
             "adag_a": m_apa, "p_mean": p_mean, "p_sq": p_sq,
             "p_variance": float(p_sq.real - p_mean.real ** 2),
             "mean_weight": float(np.sum(w) / n)}
-
-
-def p_variance(results) -> float:
-    """Variance of the p quadrature: the "p_variance" of quadrature_moments."""
-    return quadrature_moments(results)["p_variance"]
 
 
 def is_mixture_falsified(variance: float) -> bool:

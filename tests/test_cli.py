@@ -409,6 +409,14 @@ def test_oracle_queries(capsys):
     assert "q_channel = 0.21\n" in capsys.readouterr().out
 
 
+def test_oracle_negativity_defaults_to_unit_gamma(capsys):
+    # like t_positive and q_parameter, t is in units of 1/gamma with gamma = 1
+    assert main(["oracle", "negativity", "alpha0=2", "n_bar=2", "t=0.02"]) == 0
+    assert capsys.readouterr().out == "negativity = 0.063949\n"
+    assert main(["oracle", "negativity", "alpha0=2", "n_bar=2", "t=0.0911608"]) == 0
+    assert capsys.readouterr().out == "negativity = 0\n"
+
+
 def test_oracle_writes_json(tmp_path, capsys):
     out = tmp_path / "oracle_out"
     assert main(["oracle", "cat_variance", "alpha0=1", "--out", str(out)]) == 0
@@ -480,6 +488,22 @@ def test_validate_results_serialise():
     assert json.loads(json.dumps({"passed": result.passed})) == {"passed": True}
 
 
+def test_run_writes_what_the_dry_run_lists(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_RUN.replace("signatures = p_distribution,",
+                                    "signatures = p_distribution, wigner, density,"))
+    assert main(["run", "--config", str(cfg), "--dry-run"]) == 0
+    listed = capsys.readouterr().out.split("artifacts: ")[1].strip().split(", ")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in out.iterdir()) == sorted(listed) == [
+        "density.csv", "manifest.json", "p_distribution.csv", "wigner.csv"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    for info in manifest["artifacts"].values():
+        assert set(info) == {"csv", "sha256", "axes", "meta"}
+
+
 def test_run_writes_consistent_artifacts(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(TINY_RUN)
@@ -498,8 +522,7 @@ def test_run_writes_consistent_artifacts(tmp_path, capsys):
     assert set(manifest["artifacts"]) == {"p_distribution"}
     for info in manifest["artifacts"].values():
         assert info["sha256"] == hashlib.sha256((out1 / info["csv"]).read_bytes()).hexdigest()
-    assert sorted(p.name for p in out1.iterdir()) == [
-        "manifest.json", "p_distribution.csv", "p_distribution.json"]
+    assert sorted(p.name for p in out1.iterdir()) == ["manifest.json", "p_distribution.csv"]
 
     # a rerun of the same configuration is byte-identical
     out2 = tmp_path / "out2"

@@ -2,7 +2,6 @@
 
 import copy
 import csv
-import dataclasses
 import hashlib
 import json
 import math
@@ -103,32 +102,36 @@ def test_grid_field_shape_checked():
         GridField(axes=(ax,), values=np.zeros(4))
 
 
-def test_grid_field_json_round_trip(tmp_path):
+def test_grid_field_manifest_round_trip(tmp_path):
+    # the manifest holds each field's axes and meta, its CSV the values
     ax = GridAxis(0.0, 1.0, 0.5, "x")
     ay = GridAxis(-1.0, 1.0, 1.0, "y")
-    fld = GridField(axes=(ax, ay), values=np.arange(9.0).reshape(3, 3),
-                    meta={"kind": "demo", "norm": 1.25})
-    path = tmp_path / "field.json"
-    fld.write_files(tmp_path / "field.csv", path)
-    back = GridField.from_json(path)
-    assert back.axes == fld.axes
-    assert np.array_equal(back.values, fld.values)
-    assert back.meta == fld.meta
+    values = np.array([[0.1, -0.0, 1 / 3], [5e-324, math.nan, math.inf],
+                       [-2.5, 1e16, 2.0 ** -1074 * 3]])
+    fld = GridField(axes=(ax, ay), values=values, meta={"kind": "demo", "norm": 1.25})
+    point = PointResult(scalars={}, fields={"demo": fld})
+    write_run_artifacts(preset("fig5"), point, tmp_path, 0.0)
+    entry = json.loads(tmp_path.joinpath("manifest.json").read_text())["artifacts"]["demo"]
+    assert tuple(GridAxis(**ax_entry) for ax_entry in entry["axes"]) == fld.axes
+    assert entry["meta"] == fld.meta
+    with tmp_path.joinpath(entry["csv"]).open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[2:]
+    back = np.array([float(row[-1]) for row in rows]).reshape(values.shape)
+    assert np.array_equal(back.view(np.uint64), values.view(np.uint64))
 
 
 def test_grid_field_csv_layout(tmp_path):
     ax = GridAxis(0.0, 1.0, 0.5, "x")
     fld = GridField(axes=(ax,), values=np.array([1.0, 2.0, 3.0]), meta={"kind": "demo"})
     path = tmp_path / "field.csv"
-    fld.write_files(path, tmp_path / "field.json", "abc123")
+    fld.write_csv(path, "abc123")
     lines = path.read_text().splitlines()
     assert lines[0] == "# manifest_sha256 = abc123"
     assert lines[1] == "x,value"
     assert len(lines) == 5
     assert lines[2].split(",") == ["0.0", "1.0"]
-    written = json.loads(tmp_path.joinpath("field.json").read_text())["meta"]
-    assert written == {"kind": "demo", "manifest_sha256": "abc123"}
     assert fld.meta == {"kind": "demo"}
+    assert [p.name for p in tmp_path.iterdir()] == ["field.csv"]
 
 
 def reference_csv(fld, path, fingerprint):
@@ -149,37 +152,20 @@ def reference_csv(fld, path, fingerprint):
                                      repr(float(fld.values[i, j]))])
 
 
-def reference_json(fld, path, fingerprint):
-    """The JSON writer as first written: one json.dumps of the payload, the
-    fingerprint stored into meta."""
-    meta = dict(fld.meta)
-    if fingerprint is not None:
-        meta["manifest_sha256"] = fingerprint
-    payload = {
-        "axes": [dataclasses.asdict(ax) for ax in fld.axes],
-        "values": np.asarray(fld.values, dtype=float).ravel().tolist(),
-        "meta": meta,
-    }
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
-
-
-def assert_writers_match_reference(fld, fingerprint=None):
+def assert_write_csv_matches_reference(fld, fingerprint=None):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
-        digest = fld.write_files(out / "new.csv", out / "new.json", fingerprint)
+        digest = fld.write_csv(out / "new.csv", fingerprint)
         reference_csv(fld, out / "ref.csv", fingerprint)
-        reference_json(fld, out / "ref.json", fingerprint)
         csv_bytes = (out / "new.csv").read_bytes()
         assert csv_bytes == (out / "ref.csv").read_bytes()
         assert digest == hashlib.sha256(csv_bytes).hexdigest()
-        assert (out / "new.json").read_bytes() == (out / "ref.json").read_bytes()
-        assert sorted(p.name for p in out.iterdir()) == ["new.csv", "new.json",
-                                                         "ref.csv", "ref.json"]
+        assert sorted(p.name for p in out.iterdir()) == ["new.csv", "ref.csv"]
 
 
 # values whose text is easy to get wrong: signed zeros (equal as floats,
-# different reprs), non-finite values (JSON spells them differently),
-# subnormals, and values that repeat within a field
+# different reprs), non-finite values, subnormals, and values that repeat
+# within a field
 SPECIAL_VALUES = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
                   2.2250738585072014e-308, 1.1125369292536007e-308, 0.1, 1e16, -2.5]
 
@@ -205,18 +191,17 @@ def grid_fields(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(grid_fields())
-def test_writers_match_reference_bytes(case):
-    assert_writers_match_reference(*case)
+def test_write_csv_matches_reference_bytes(case):
+    assert_write_csv_matches_reference(*case)
 
 
 def test_signed_zero_and_non_finite_text(tmp_path):
     ax = GridAxis(0.0, 4.0, 1.0, "x")
     fld = GridField(axes=(ax,), values=np.array([0.0, -0.0, math.nan, math.inf, 0.0]))
-    fld.write_files(tmp_path / "f.csv", tmp_path / "f.json")
+    fld.write_csv(tmp_path / "f.csv")
     rows = tmp_path.joinpath("f.csv").read_bytes().split(b"\r\n")
     assert [r.split(b",")[1] for r in rows[1:-1]] == [b"0.0", b"-0.0", b"nan", b"inf", b"0.0"]
-    assert '"values": [0.0, -0.0, NaN, Infinity, 0.0]' in tmp_path.joinpath("f.json").read_text()
-    assert_writers_match_reference(fld)
+    assert_write_csv_matches_reference(fld)
 
 
 @pytest.fixture(scope="module")
@@ -226,37 +211,37 @@ def fig5_run():
     return config, run_point(config)
 
 
-def test_writers_match_reference_on_run_fields(fig5_run):
+def test_write_csv_matches_reference_on_run_fields(fig5_run):
     fields = fig5_run[1].fields
     assert set(fields) == {"p_distribution", "wigner", "density"}
     for fld in fields.values():
-        assert_writers_match_reference(fld, "cd" * 32)
+        assert_write_csv_matches_reference(fld, "cd" * 32)
 
 
 def test_write_run_artifacts_leaves_meta_alone(fig5_run, tmp_path):
-    # the fingerprint goes into the written files, not into the caller's fields
+    # the fingerprint goes into the CSVs, not into the caller's fields or
+    # the manifest's copies of their meta
     config, point = fig5_run
     before = {name: copy.deepcopy(fld.meta) for name, fld in point.fields.items()}
-    manifest = write_run_artifacts(config, point, tmp_path, 0.0)
+    write_run_artifacts(config, point, tmp_path, 0.0)
     assert {name: fld.meta for name, fld in point.fields.items()} == before
-    for name, meta in before.items():
-        written = json.loads(tmp_path.joinpath(f"{name}.json").read_text())["meta"]
-        assert written == {**meta, "manifest_sha256": manifest["config_sha256"]}
+    written = json.loads(tmp_path.joinpath("manifest.json").read_text())["artifacts"]
+    assert {name: info["meta"] for name, info in written.items()} == before
 
 
 def test_writer_memory_stays_below_file_sizes(fig5_run, tmp_path):
-    # the writer streams both files; holding either whole text (or the CSV
-    # text and its bytes) would take more than the two files together
+    # the writer streams the CSV by rows; holding its whole text (or the
+    # text and its bytes) would take more than the file
     fld = fig5_run[1].fields["wigner"]
     assert fld.values.shape == (361, 361)
-    csv_path, json_path = tmp_path / "w.csv", tmp_path / "w.json"
+    csv_path = tmp_path / "w.csv"
     tracemalloc.start()
     try:
-        fld.write_files(csv_path, json_path)
+        fld.write_csv(csv_path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < csv_path.stat().st_size + json_path.stat().st_size
+    assert peak < csv_path.stat().st_size
 
 
 class _FailingDigest:
@@ -281,8 +266,7 @@ def test_interrupted_field_write_keeps_previous_run(fig5_run, tmp_path, monkeypa
     config, point = fig5_run
     write_run_artifacts(config, point, tmp_path, 0.0)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    assert set(before) == {"manifest.json", "p_distribution.csv", "p_distribution.json",
-                           "wigner.csv", "wigner.json", "density.csv", "density.json"}
+    assert set(before) == {"manifest.json", "p_distribution.csv", "wigner.csv", "density.csv"}
 
     halved = PointResult(scalars=point.scalars, fields={
         name: GridField(fld.axes, 0.5 * fld.values, dict(fld.meta))
@@ -296,8 +280,7 @@ def test_interrupted_field_write_keeps_previous_run(fig5_run, tmp_path, monkeypa
     # the 1-D field before it was written in full; the field that failed and
     # everything after it keep the previous run's bytes
     assert after["p_distribution.csv"] != before["p_distribution.csv"]
-    for name in ("wigner.csv", "wigner.json", "density.csv", "density.json",
-                 "manifest.json"):
+    for name in ("wigner.csv", "density.csv", "manifest.json"):
         assert after[name] == before[name]
 
 
@@ -305,7 +288,7 @@ def test_three_dimensional_csv_rejected_before_writing(tmp_path):
     ax = GridAxis(0.0, 1.0, 1.0, "x")
     fld = GridField(axes=(ax, ax, ax), values=np.zeros((2, 2, 2)))
     with pytest.raises(ValueError):
-        fld.write_files(tmp_path / "cube.csv", tmp_path / "cube.json")
+        fld.write_csv(tmp_path / "cube.csv")
     assert list(tmp_path.iterdir()) == []
 
 

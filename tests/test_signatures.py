@@ -18,8 +18,7 @@ from catmem.sampling import sample_cat
 from catmem.signatures import (QuadratureGrid, WignerGrid,
                                default_density_axis, default_quadrature_grid,
                                default_wigner_grid, fringe_visibility, is_mixture_falsified,
-                               negativity_with_error, p_distribution,
-                               p_variance, quadrature_moments,
+                               negativity_with_error, p_distribution, quadrature_moments,
                                reconstruct_density, wigner_estimate,
                                wigner_negativity)
 
@@ -166,7 +165,7 @@ def test_moments_match_fock_values(alpha0):
 
 
 def test_p_variance_beats_mixture_floor():
-    var = p_variance(input_ensemble(1.0))
+    var = quadrature_moments(input_ensemble(1.0))["p_variance"]
     assert var == pytest.approx(cat_variance(1.0), rel=1e-12)
     assert is_mixture_falsified(var)
     assert not is_mixture_falsified(0.5)
