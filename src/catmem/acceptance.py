@@ -115,7 +115,7 @@ def _check_table_reproduction() -> tuple[bool, list, dict]:
                             signatures=("p_variance",), n_samples=4)
     for alpha0, v_in, v_out in zip(TABLE_ALPHAS, TABLE_INPUT_VARIANCE,
                                    TABLE_READOUT_VARIANCE):
-        point = run_point(replace(base, alpha0=alpha0), want_fields=False)
+        point = run_point(replace(base, alpha0=alpha0))
         got_in = point.scalars["p_variance_in"]
         got_out = point.scalars["p_variance_out"]
         measured["input"].append(got_in)
@@ -153,7 +153,7 @@ def _check_oracle_agreement() -> tuple[bool, list, dict]:
     for alpha0 in AGREEMENT_ALPHAS:
         for t_rel in AGREEMENT_TIMES:
             cfg = replace(base, alpha0=alpha0, t_store=t_rel / DEFAULT_GAMMA_M)
-            point = run_point(cfg, want_fields=False)
+            point = run_point(cfg)
             delta = point.scalars["negativity"]
             delta_or = point.scalars["negativity_oracle"]
             tol = max(AGREEMENT_REL * delta_or, AGREEMENT_ABS)
@@ -227,7 +227,7 @@ def _check_thermal_consistency() -> tuple[bool, list, dict]:
     ratio_time = THERMAL_TIMES[1]
     for t_rel in THERMAL_TIMES:
         cfg = replace(base, t_store=t_rel / DEFAULT_GAMMA_M)
-        point = run_point(cfg, want_fields=False)
+        point = run_point(cfg)
         delta = point.scalars["negativity"]
         delta_or = point.scalars["negativity_oracle"]
         se = point.scalars["sampling_error"]
@@ -247,7 +247,7 @@ def _check_thermal_consistency() -> tuple[bool, list, dict]:
         if t_rel == ratio_time:
             se_at_ratio_time = se
     big = run_point(replace(base, t_store=ratio_time / DEFAULT_GAMMA_M,
-                            n_samples=4 * THERMAL_SAMPLES), want_fields=False)
+                            n_samples=4 * THERMAL_SAMPLES))
     se_big = big.scalars["sampling_error"]
     ratio = se_at_ratio_time / se_big
     measured["se_ratio"] = ratio
@@ -341,7 +341,7 @@ def _check_density_persistence() -> tuple[bool, list, dict]:
                          alpha_out_plus=ens.alpha_out_plus[off],
                          weight=ens.weight[off] * (np.count_nonzero(off) / len(ens)),
                          branch=ens.branch[off])
-    coh_anti = np.diagonal(np.fliplr(sig.reconstruct_density(coh, a, a).values))
+    coh_anti = np.diagonal(np.fliplr(sig.reconstruct_density(coh, fld.axes[0]).values))
     log_ratio = math.log(max(float(coh_anti[i_pos]), float(coh_anti[i_neg])) / diag_peak)
     closed = math.log(_protocol_coherence(cfg.alpha0, cfg.system_params(),
                                           cfg.schedule().t_store))
@@ -363,17 +363,18 @@ def _check_estimator_sanity() -> tuple[bool, list, dict]:
                            signatures=(), n_samples=4)
     inputs, ens = _corrected_ensemble(cfg)
 
-    wgrid = sig.default_wigner_grid(cfg.alpha0)
+    ax_x, ax_y = wgrid = sig.default_wigner_grid(cfg.alpha0)
     wfield = sig.wigner_estimate(ens, wgrid)
     norm = wfield.meta["norm"]
     measured["wigner_norm"] = norm
     passed &= _record(lines, abs(norm - 1.0) <= WIGNER_NORM_TOL,
                       f"Wigner norm {norm:.7f} within {WIGNER_NORM_TOL}")
 
-    quad_points = math.sqrt(2.0) * wgrid.x
-    qgrid = sig.QuadratureGrid(theta=0.0, points=quad_points)
-    p_x = sig.p_distribution(ens, qgrid)
-    marginal = np.trapezoid(wfield.values, dx=wgrid.h, axis=1) / math.sqrt(2.0)
+    root2 = math.sqrt(2.0)
+    quad = replace(ax_x, start=root2 * ax_x.start, stop=root2 * ax_x.stop,
+                   step=root2 * ax_x.step)
+    p_x = sig.p_distribution(ens, quad, 0.0)
+    marginal = np.trapezoid(wfield.values, dx=ax_y.step, axis=1) / root2
     worst = float(np.max(np.abs(p_x.values - marginal)))
     measured["marginal_mismatch"] = worst
     passed &= _record(lines, worst <= MARGINAL_TOL,
@@ -382,7 +383,7 @@ def _check_estimator_sanity() -> tuple[bool, list, dict]:
     delta = sig.wigner_negativity(wfield)
     thermal_cfg = replace(cfg, n_bar=2.0, n_samples=8192,
                           signatures=("negativity",), jackknife_blocks=16)
-    thermal = run_point(thermal_cfg, want_fields=False)
+    thermal = run_point(thermal_cfg)
     deltas = {"noiseless": delta, "thermal": thermal.scalars["negativity"]}
     measured["negativities"] = deltas
     ok_range = all(0.0 <= d <= 1.0 for d in deltas.values())

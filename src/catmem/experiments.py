@@ -26,8 +26,8 @@ import numpy as np
 
 from . import engine, oracle
 from .engine import ENGINE_VERSION, run_ensemble
-from .model import (EnsembleResult, ProtocolSchedule, SystemParams, derive_rates,
-                    open_atomic, parse_storage_time)
+from .model import (EnsembleResult, GridAxis, ProtocolSchedule, SystemParams,
+                    derive_rates, open_atomic, parse_storage_time)
 from .modes import default_write_duration, transfer_amplitude
 from .sampling import sample_cat
 from . import signatures as sig
@@ -322,18 +322,19 @@ def config_fingerprint(config: ExperimentConfig) -> str:
 
 
 def oracle_negativity(alpha0: float, t_store: float, n_bar: float, gamma_m: float,
-                      grid: sig.WignerGrid) -> float:
-    """Negativity of the ideal decohered cat evaluated on the same grid."""
-    return oracle.channel_negativity(grid.x, grid.y, alpha0,
+                      grid: tuple[GridAxis, GridAxis]) -> float:
+    """Negativity of the ideal decohered cat at the points of the Wigner
+    axes grid."""
+    return oracle.channel_negativity(*grid, alpha0,
                                      *oracle.damping_channel(t_store, n_bar, gamma_m))
 
 
 def protocol_negativity(alpha0: float, gain: complex, noise_var: float,
-                        grid: sig.WignerGrid) -> float:
+                        grid: tuple[GridAxis, GridAxis]) -> float:
     """Negativity of the input cat sent through the protocol's exact Gaussian
-    channel (gain, noise_var) from ``engine.protocol_channel``, evaluated on
-    the same grid."""
-    return oracle.channel_negativity(grid.x, grid.y, alpha0, abs(gain), noise_var)
+    channel (gain, noise_var) from ``engine.protocol_channel``, at the
+    points of the Wigner axes grid."""
+    return oracle.channel_negativity(*grid, alpha0, abs(gain), noise_var)
 
 
 @dataclass
@@ -357,7 +358,7 @@ def _corrected_ensemble(config: ExperimentConfig) -> tuple[EnsembleResult, Ensem
 
 
 def _point_core(config: ExperimentConfig, inputs: EnsembleResult, ens: EnsembleResult,
-                wgrid: sig.WignerGrid, want_fields: bool) -> PointResult:
+                wgrid: tuple[GridAxis, GridAxis]) -> PointResult:
     """Estimate the requested signatures of one corrected ensemble, the
     Wigner ones on wgrid; the timings hold the seconds of the Wigner full
     pass and the jackknife."""
@@ -384,10 +385,9 @@ def _point_core(config: ExperimentConfig, inputs: EnsembleResult, ens: EnsembleR
 
     sigs = config.signatures
     if "p_distribution" in sigs:
-        grid = sig.default_quadrature_grid(config.alpha0, math.pi / 2.0)
-        fields["p_distribution"] = sig.p_distribution(ens, grid)
-    need_wigner = "wigner" in sigs or "negativity" in sigs
-    if need_wigner:
+        fields["p_distribution"] = sig.p_distribution(
+            ens, sig.default_quadrature_axis(config.alpha0), math.pi / 2.0)
+    if "wigner" in sigs or "negativity" in sigs:
         if "negativity" in sigs and scalars["noisy"]:
             band = oracle.negativity_band(config.alpha0, gain, ens.noise_var)
             jack = sig.negativity_with_error(ens, wgrid, n_blocks=config.jackknife_blocks,
@@ -410,11 +410,10 @@ def _point_core(config: ExperimentConfig, inputs: EnsembleResult, ens: EnsembleR
         scalars["wigner_norm"] = wfield.meta["norm"]
         scalars["wigner_max_imag_residual_4th_node"] = \
             wfield.meta["max_imag_residual_4th_node"]
-        if "wigner" in sigs and want_fields:
+        if "wigner" in sigs:
             fields["wigner"] = wfield
     if "density" in sigs:
-        axis = sig.default_density_axis(config.alpha0)
-        fields["density"] = sig.reconstruct_density(ens, axis, axis)
+        fields["density"] = sig.reconstruct_density(ens, sig.default_density_axis(config.alpha0))
     if "p_variance" in sigs:
         out_moments = sig.quadrature_moments(ens)
         scalars["p_variance_out"] = out_moments["p_variance"]
@@ -422,16 +421,14 @@ def _point_core(config: ExperimentConfig, inputs: EnsembleResult, ens: EnsembleR
         scalars["p_moment_imag_residual"] = max(
             abs(out_moments["p_mean"].imag), abs(out_moments["p_sq"].imag))
 
-    if not want_fields:
-        fields = {}
     return PointResult(scalars=scalars, fields=fields, timings=timings)
 
 
-def _add_references(config: ExperimentConfig, ens: EnsembleResult, wgrid: sig.WignerGrid,
-                    scalars: dict) -> None:
-    """Closed-form negativities on the run's Wigner grid wgrid, the z-score
-    against the protocol reference, and the time-step error of that
-    reference.
+def _add_references(config: ExperimentConfig, ens: EnsembleResult,
+                    wgrid: tuple[GridAxis, GridAxis], scalars: dict) -> None:
+    """Closed-form negativities at the points of the run's Wigner axes
+    wgrid, the z-score against the protocol reference, and the time-step
+    error of that reference.
 
     ``negativity_protocol`` is s(dt), the negativity of the input cat sent
     through the channel the ensemble was sampled from.  The channel is
@@ -455,7 +452,7 @@ def _add_references(config: ExperimentConfig, ens: EnsembleResult, wgrid: sig.Wi
         scalars["z_protocol"] = (scalars["negativity"] - reference) / se
 
 
-def run_point(config: ExperimentConfig, want_fields: bool = True) -> PointResult:
+def run_point(config: ExperimentConfig) -> PointResult:
     """Run one point: sample the input cat, send it through the protocol
     channel and estimate the requested signatures.
 
@@ -466,11 +463,15 @@ def run_point(config: ExperimentConfig, want_fields: bool = True) -> PointResult
     only on the band of ``oracle.negativity_band`` and records the full
     field's negative volume off that band as ``negativity_outside_band``,
     so a band too narrow for the ensemble shows as a nonzero value.  On a
-    noiseless point the four weighted samples carry the exact cat, so
-    ``negativity_protocol`` matches the negativity to rounding: a check of
-    the estimator, not of the statistics.  The time-step error needs no
-    second ensemble: a run at another step draws the same noise, so it
-    would differ from this one by a fixed function of the two channels.
+    noiseless point the four weighted samples carry the exact cat, at the
+    points where ``negativity_protocol`` is evaluated, so the two differ by
+    rounding and by the off-diagonal weight's error, about 1e-8 relative at
+    alpha0 = 3 (``sampling.branch_weights``): they miss by 1.3e-10 there at
+    t = 0.02/Gm, by 7e-14 at alpha0 = 2 and by under 1e-15 relative at
+    alpha0 = 4 and 5.  A check of the estimator, not of the statistics.
+    The time-step error needs no second ensemble: a run at another step
+    draws the same noise, so it would differ from this one by a fixed
+    function of the two channels.
 
     ``timings`` holds the seconds of the ensemble (sampling and channel),
     of the Wigner full pass and the jackknife when they run, and of the
@@ -481,7 +482,7 @@ def run_point(config: ExperimentConfig, want_fields: bool = True) -> PointResult
     inputs, ens = _corrected_ensemble(config)
     ensemble_s = time.perf_counter() - start
     wgrid = sig.default_wigner_grid(config.alpha0)
-    point = _point_core(config, inputs, ens, wgrid, want_fields)
+    point = _point_core(config, inputs, ens, wgrid)
     point.timings["ensemble_s"] = ensemble_s
     if "negativity" in config.signatures:
         start = time.perf_counter()
@@ -665,7 +666,7 @@ def run_sweep(config: ExperimentConfig, out_dir, progress=None) -> list[dict]:
         row = _read_checkpoint(ckpt, expected)
         if row is None:
             start = time.perf_counter()
-            point = run_point(sub, want_fields=False)
+            point = run_point(sub)
             row = expected | {
                 "scalars": {k: _json_safe(v) for k, v in point.scalars.items()}}
             row["row_sha256"] = _row_digest(row)

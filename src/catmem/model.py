@@ -10,9 +10,7 @@ mode.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import os
 from contextlib import contextmanager
 from dataclasses import KW_ONLY, dataclass, field
@@ -172,32 +170,50 @@ class EnsembleResult:
 
 @dataclass(frozen=True)
 class GridAxis:
-    """Uniform axis for gridded output fields."""
+    """Uniform axis of gridded fields: the points step * k for the integers
+    k from start / step to stop / step; both ends must lie on the step's
+    lattice, to rounding.  Fields are evaluated at these points and their
+    CSVs list them, under the tag (e.g. "re_alpha"), which is not quoted."""
 
     start: float
     stop: float
     step: float
-    tag: str  # semantic label, e.g. "x_quadrature", "re_alpha"
+    tag: str
+
+    def __post_init__(self):
+        self.points()  # raises ValueError unless the ends lie on the lattice
 
     def points(self) -> np.ndarray:
-        n = round((self.stop - self.start) / self.step) + 1
-        return self.start + self.step * np.arange(n)
+        if self.step > 0:
+            ends = [end / self.step for end in (self.start, self.stop)]
+            if ends[0] <= ends[1] and all(
+                    np.isfinite(k) and abs(k - round(k)) <= 1e-9 * max(1.0, abs(k)) for k in ends):
+                return self.step * np.arange(round(ends[0]), round(ends[1]) + 1)
+        raise ValueError(f"axis ends {self.start!r}, {self.stop!r} are not in order on the "
+                         f"lattice of step {self.step!r}")
 
     @property
     def size(self) -> int:
-        return round((self.stop - self.start) / self.step) + 1
+        return self.points().size
 
 
 def _distinct_texts(values) -> tuple[np.ndarray, np.ndarray]:
-    """repr of every distinct value as a float, and the index of each value's
-    text among them, in C order.
+    """repr of every distinct value as a float, and the int32 index of each
+    value's text among them, in C order.
 
     Fields are symmetric, so each distinct value is formatted once.  Values
     are told apart by bit pattern: -0.0 equals 0.0 but has its own repr.
+    The sort's temporaries are freed before the texts are formatted.
     """
-    flat = np.asarray(values, dtype=float).ravel()
-    bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
-    texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    bits = np.asarray(values, dtype=float).ravel().view(np.uint64)
+    order = np.argsort(bits)
+    ordered = bits[order]
+    new = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    distinct = ordered[new]
+    inverse = np.empty(bits.size, dtype=np.int32)
+    inverse[order] = np.cumsum(new, dtype=np.int32) - 1
+    del order, ordered, new
+    texts = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
     return texts, inverse
 
 
@@ -241,8 +257,7 @@ class GridField:
 
         - with a ``manifest_sha256`` fingerprint given, a first line
           ``# manifest_sha256 = <hex>`` ending in LF;
-        - a header row of the axis tags and ``value``, as the csv module's
-          excel dialect writes it;
+        - a header row of the axis tags and ``value``, unquoted;
         - one row per grid point in C order (the last axis varies fastest):
           the coordinates, then the value, each the shortest repr of the
           float that round-trips (``repr(float)``: ``0.1``, ``-0.0``,
@@ -256,11 +271,8 @@ class GridField:
             raise ValueError("only 1-D and 2-D fields are serialised")
         coords = [[repr(v) for v in ax.points().tolist()] for ax in self.axes]
         texts, inverse = _distinct_texts(self.values)
-        header = io.StringIO()
-        if manifest_sha256 is not None:
-            header.write(f"# manifest_sha256 = {manifest_sha256}\n")
-        # the header is the only row whose cells (the tags) may need quoting
-        csv.writer(header).writerow([ax.tag for ax in self.axes] + ["value"])
+        header = "" if manifest_sha256 is None else f"# manifest_sha256 = {manifest_sha256}\n"
+        header += ",".join([ax.tag for ax in self.axes] + ["value"]) + "\r\n"
         digest = hashlib.sha256()
         with open_atomic(path) as fh:
             def put(text: str) -> None:
@@ -268,7 +280,7 @@ class GridField:
                 fh.write(data)
                 digest.update(data)
 
-            put(header.getvalue())
+            put(header)
             if len(coords) == 1:
                 values = texts[inverse].tolist()
                 put("".join([f"{x},{v}\r\n" for x, v in zip(coords[0], values)]))

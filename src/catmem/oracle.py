@@ -142,22 +142,10 @@ def _channel_wigner_xy(x, y, alpha0: float, gain: float, noise_var: float):
     return (hills_x * gauss_y + fringe_x * fringe_y) * scale
 
 
-def _as_axis(grid, tag: str) -> GridAxis:
-    if isinstance(grid, GridAxis):
-        return grid
-    arr = np.asarray(grid, dtype=float)
-    return GridAxis(start=float(arr[0]), stop=float(arr[-1]),
-                    step=float(arr[1] - arr[0]), tag=tag)
-
-
-def channel_wigner_field(grid_x, grid_y, alpha0: float, gain: float,
+def channel_wigner_field(ax_x: GridAxis, ax_y: GridAxis, alpha0: float, gain: float,
                          noise_var: float) -> GridField:
-    """Tabulate ``channel_wigner`` on a (Re alpha, Im alpha) grid.
-
-    Axes may be GridAxis objects or plain uniform coordinate arrays.
-    """
-    ax_x = _as_axis(grid_x, "re_alpha")
-    ax_y = _as_axis(grid_y, "im_alpha")
+    """Tabulate ``channel_wigner`` at the points of the (Re alpha, Im alpha)
+    axes."""
     vals = _channel_wigner_xy(ax_x.points()[:, None], ax_y.points()[None, :],
                               alpha0, gain, noise_var)
     return GridField(axes=(ax_x, ax_y), values=vals,
@@ -165,10 +153,10 @@ def channel_wigner_field(grid_x, grid_y, alpha0: float, gain: float,
                            "noise_var": noise_var})
 
 
-def channel_negativity(grid_x, grid_y, alpha0: float, gain: float,
+def channel_negativity(ax_x: GridAxis, ax_y: GridAxis, alpha0: float, gain: float,
                        noise_var: float) -> float:
-    """Negative volume of ``channel_wigner`` on a (Re alpha, Im alpha) grid:
-    the trapezoidal quadrature of max(-W, 0), bit for bit that of
+    """Negative volume of ``channel_wigner`` on the (Re alpha, Im alpha)
+    axes: the trapezoidal quadrature of max(-W, 0), bit for bit that of
     ``signatures.wigner_negativity(channel_wigner_field(...))``.
 
     Since |fringe_y| <= 2 gauss_y, W >= gauss_y (hills_x - 2 fringe_x) scale,
@@ -177,8 +165,6 @@ def channel_negativity(grid_x, grid_y, alpha0: float, gain: float,
     band where it can be negative, and their y integrals are scattered into
     the full column vector before the x integral.
     """
-    ax_x = _as_axis(grid_x, "re_alpha")
-    ax_y = _as_axis(grid_y, "im_alpha")
     hills_x, fringe_x, gauss_y, fringe_y, scale = _channel_factors(
         ax_x.points(), ax_y.points(), alpha0, gain, noise_var)
     band = np.flatnonzero(hills_x < 4.0 * fringe_x)

@@ -33,12 +33,15 @@ RNG_BLOCK_SIZE = 4096
 def branch_weights(alpha0: float) -> tuple[float, float]:
     """(diagonal, off-diagonal) importance weights.
 
-    For moderate cats the off-diagonal weight is 2 - w_diag, exact in
-    floating point (Sterbenz), so a stratified pair sums to exactly two.
-    For large cats that difference cancels catastrophically (w_diag sits
-    within a few ulps of two), so the overlap formula 2q/(1+q) is used
-    directly; the pair sum is then off by under half an ulp of one in the
-    mean, which still rounds to an exact mean weight of one.
+    For moderate cats the off-diagonal weight is 2 - w_diag, so a
+    stratified pair sums to exactly two: the subtraction is exact
+    (Sterbenz).  It carries w_diag's rounding, though, up to half an ulp of
+    2 absolute, which is large against a small weight: about 1e-8 relative
+    at alpha0 = 3, where w_off = 3.0e-8.  Where it passes 1e-6 relative,
+    as at alpha0 = 4, the difference has cancelled catastrophically, so the
+    overlap formula 2q/(1+q) is used directly;
+    the pair sum is then off by under half an ulp of one in the mean, which
+    still rounds to an exact mean weight of one.
     """
     q = math.exp(-2.0 * abs(alpha0) ** 2)
     if q == 0.0:

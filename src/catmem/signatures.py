@@ -40,16 +40,14 @@ import math
 import os
 import time
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
 from .model import BRANCHES, EnsembleResult, GridAxis, GridField
 
 __all__ = [
-    "QuadratureGrid",
-    "WignerGrid",
-    "default_quadrature_grid",
+    "default_quadrature_axis",
     "default_wigner_grid",
     "default_density_axis",
     "p_distribution",
@@ -71,65 +69,26 @@ _TABLE_CELLS = 1 << 18
 _FIELD_CELLS = 1 << 20
 
 
-@dataclass(frozen=True)
-class QuadratureGrid:
-    """Homodyne angle plus a uniform 1-D grid of quadrature values."""
-
-    theta: float
-    points: np.ndarray
-
-    def __post_init__(self):
-        if self.points.ndim != 1 or self.points.size < 2:
-            raise ValueError("need a 1-D grid with at least two points")
-        steps = np.diff(self.points)
-        if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-            raise ValueError("grid must be uniform")
-
-    @property
-    def step(self) -> float:
-        return float(self.points[1] - self.points[0])
-
-
-@dataclass(frozen=True)
-class WignerGrid:
-    """Uniform grid over (Re alpha, Im alpha) with spacing h <= 0.05."""
-
-    x: np.ndarray
-    y: np.ndarray
-    h: float
-
-    def __post_init__(self):
-        if self.h > 0.05 + 1e-12:
-            raise ValueError("Wigner grid spacing must not exceed 0.05")
-        for axis in (self.x, self.y):
-            if axis.ndim != 1 or axis.size < 2:
-                raise ValueError("axes must be 1-D with at least two points")
-            if not np.allclose(np.diff(axis), self.h, rtol=1e-9, atol=1e-12):
-                raise ValueError("axes must be uniform with spacing h")
-
-
-def _symmetric_axis(extent: float, step: float) -> np.ndarray:
+def _symmetric_axis(extent: float, step: float, tag: str) -> GridAxis:
     n = math.ceil(extent / step)
-    return step * np.arange(-n, n + 1)
+    return GridAxis(step * -n, step * n, step, tag)
 
 
-def default_quadrature_grid(alpha0: float, theta: float) -> QuadratureGrid:
+def default_quadrature_axis(alpha0: float) -> GridAxis:
     """Step 0.01, reaching past both hills: at least sqrt(2)|alpha0| + 5,
     never under 12."""
-    extent = max(12.0, _SQRT2 * abs(alpha0) + 5.0)
-    return QuadratureGrid(theta=theta, points=_symmetric_axis(extent, 0.01))
+    return _symmetric_axis(max(12.0, _SQRT2 * abs(alpha0) + 5.0), 0.01, "x_theta_quadrature")
 
 
-def default_wigner_grid(alpha0: float) -> WignerGrid:
-    """Spacing 0.05, reaching |alpha0| + 4 along both axes."""
+def default_wigner_grid(alpha0: float) -> tuple[GridAxis, GridAxis]:
+    """The (Re alpha, Im alpha) axes: step 0.05, reaching |alpha0| + 4."""
     extent = abs(alpha0) + 4.0
-    return WignerGrid(x=_symmetric_axis(extent, 0.05), y=_symmetric_axis(extent, 0.05),
-                      h=0.05)
+    return _symmetric_axis(extent, 0.05, "re_alpha"), _symmetric_axis(extent, 0.05, "im_alpha")
 
 
-def default_density_axis(alpha0: float) -> np.ndarray:
+def default_density_axis(alpha0: float) -> GridAxis:
     """Step 0.1, reaching |alpha0| + 2."""
-    return _symmetric_axis(abs(alpha0) + 2.0, 0.1)
+    return _symmetric_axis(abs(alpha0) + 2.0, 0.1, "coherent_a")
 
 
 def _columns(results: EnsembleResult) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -139,8 +98,9 @@ def _columns(results: EnsembleResult) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return results.alpha_out, results.alpha_out_plus, results.weight
 
 
-def p_distribution(results, grid: QuadratureGrid) -> GridField:
-    """Weighted quadrature distribution on the grid.
+def p_distribution(results, axis: GridAxis, theta: float) -> GridField:
+    """Weighted distribution of the quadrature at homodyne angle theta on
+    the axis.
 
     Integrates to one up to grid truncation for any mean-weight-one
     ensemble.
@@ -149,8 +109,8 @@ def p_distribution(results, grid: QuadratureGrid) -> GridField:
     n = u.size
     if n == 0:
         raise ValueError("empty ensemble")
-    xs = grid.points
-    shift = (np.exp(-1j * grid.theta) * u + np.exp(1j * grid.theta) * v) / _SQRT2
+    xs = axis.points()
+    shift = (np.exp(-1j * theta) * u + np.exp(1j * theta) * v) / _SQRT2
     total = np.zeros(xs.size, dtype=np.complex128)
     for lo in range(0, n, _CHUNK):
         sl = slice(lo, min(lo + _CHUNK, n))
@@ -158,11 +118,9 @@ def p_distribution(results, grid: QuadratureGrid) -> GridField:
         total += w[sl] @ kern
     total /= n * math.sqrt(math.pi)
     values = np.real(total)
-    axis = GridAxis(start=float(xs[0]), stop=float(xs[-1]), step=grid.step,
-                    tag="x_theta_quadrature")
-    norm = float(np.trapezoid(values, dx=grid.step))
+    norm = float(np.trapezoid(values, dx=axis.step))
     return GridField(axes=(axis,), values=values,
-                     meta={"kind": "quadrature_distribution", "theta": grid.theta,
+                     meta={"kind": "quadrature_distribution", "theta": theta,
                            "norm": norm,
                            "max_imag_residual": float(np.max(np.abs(np.imag(total))))})
 
@@ -379,25 +337,26 @@ def _wigner_sum(u, v, w, xs, ys):
         return _sum_chunks(built, len(chunks), xs, ys, work)
 
 
-def _wigner_field(re: np.ndarray, im: np.ndarray, count: int, grid: WignerGrid) -> GridField:
-    """Normalised Wigner field of a kernel sum over `count` samples; its
-    meta holds the largest |Im W| over every 4th node of both axes."""
+def _wigner_field(re: np.ndarray, im: np.ndarray, count: int,
+                  grid: tuple[GridAxis, GridAxis]) -> GridField:
+    """Normalised Wigner field on the axes grid of a kernel sum over `count`
+    samples; its meta holds the largest |Im W| over every 4th node of both axes."""
     scale = 2.0 / (math.pi * count)
     values = re * scale
-    axes = (GridAxis(float(grid.x[0]), float(grid.x[-1]), grid.h, "re_alpha"),
-            GridAxis(float(grid.y[0]), float(grid.y[-1]), grid.h, "im_alpha"))
-    return GridField(axes=axes, values=values,
-                     meta={"kind": "wigner", "h": grid.h,
-                           "norm": float(np.trapezoid(np.trapezoid(values, dx=grid.h), dx=grid.h)),
+    ax_x, ax_y = grid
+    return GridField(axes=grid, values=values,
+                     meta={"kind": "wigner", "h": ax_x.step,
+                           "norm": float(np.trapezoid(np.trapezoid(values, dx=ax_y.step),
+                                                      dx=ax_x.step)),
                            "max_imag_residual_4th_node": float(np.max(np.abs(im))) * scale})
 
 
-def wigner_estimate(results, grid: WignerGrid) -> GridField:
-    """Weighted Wigner-function estimate on the phase-space grid."""
+def wigner_estimate(results, grid: tuple[GridAxis, GridAxis]) -> GridField:
+    """Weighted Wigner-function estimate on the (Re alpha, Im alpha) axes."""
     u, v, w = _columns(results)
     if u.size == 0:
         raise ValueError("empty ensemble")
-    re, im = _wigner_sum(u, v, w, grid.x, grid.y)
+    re, im = _wigner_sum(u, v, w, grid[0].points(), grid[1].points())
     return _wigner_field(re, im, u.size, grid)
 
 
@@ -472,7 +431,7 @@ def _band_columns(xs: np.ndarray, band: float) -> slice:
     return slice(int(inside[0]), int(inside[-1]) + 1) if inside.size else slice(0, 0)
 
 
-def negativity_with_error(results, grid: WignerGrid, n_blocks: int = 100,
+def negativity_with_error(results, grid: tuple[GridAxis, GridAxis], n_blocks: int = 100,
                           band: float = math.inf) -> dict:
     """Negativity plus delete-block jackknife standard error.
 
@@ -505,7 +464,8 @@ def negativity_with_error(results, grid: WignerGrid, n_blocks: int = 100,
         raise ValueError("empty ensemble")
     rows, sizes = _jackknife_blocks(results.branch, n_blocks)
     n_blocks = rows.shape[0]
-    xs, ys = grid.x, grid.y
+    ax_x, ax_y = grid
+    xs, ys = ax_x.points(), ax_y.points()
     cols = _band_columns(xs, band)
     xs_band = xs[cols]
     chunk = _table_rows(xs, ys)
@@ -520,15 +480,15 @@ def negativity_with_error(results, grid: WignerGrid, n_blocks: int = 100,
     batches = [functools.partial(_batch_tables, u_pad, v_pad, w_pad, xs_band, ys, work,
                                  rows[lo:lo + batch])
                for lo in range(0, n_blocks, batch)]
-    weights = np.outer(_trapezoid_weights(xs.size, grid.h)[cols],
-                       _trapezoid_weights(ys.size, grid.h)).ravel()
+    weights = np.outer(_trapezoid_weights(xs.size, ax_x.step)[cols],
+                       _trapezoid_weights(ys.size, ax_y.step)).ravel()
     block_sums = np.empty((batch, xs_band.size, ys.size))
     loo = np.empty(n_blocks)
     with closing(_built(chunks + batches)) as built:
         re, im = _sum_chunks(built, len(chunks), xs, ys, work)
         field = _wigner_field(re, im, n, grid)
         delta = wigner_negativity(field)
-        outside = np.trapezoid(np.maximum(-field.values, 0.0), dx=grid.h)
+        outside = np.trapezoid(np.maximum(-field.values, 0.0), dx=ax_y.step)
         outside[cols] = 0.0
         full_done = time.perf_counter()
 
@@ -540,14 +500,15 @@ def negativity_with_error(results, grid: WignerGrid, n_blocks: int = 100,
     loo *= 2.0 / (math.pi * (n - sizes))
     se = math.sqrt((n_blocks - 1) / n_blocks * float(np.sum((loo - np.mean(loo)) ** 2)))
     return {"negativity": delta, "jackknife_se": se, "n_blocks": n_blocks,
-            "negativity_outside_band": float(np.trapezoid(outside, dx=grid.h)),
+            "negativity_outside_band": float(np.trapezoid(outside, dx=ax_x.step)),
             "field": field,
             "max_imag_residual_4th_node": field.meta["max_imag_residual_4th_node"],
             "wigner_s": full_done - start, "jackknife_s": time.perf_counter() - full_done}
 
 
-def reconstruct_density(results, a_grid: np.ndarray, b_grid: np.ndarray) -> GridField:
-    """Modulus of coherent-basis matrix elements |<a|rho|b>| on real grids.
+def reconstruct_density(results, axis: GridAxis) -> GridField:
+    """Modulus of coherent-basis matrix elements |<a|rho|b>| for real a and
+    b on the points of axis.
 
     The sample constant is split evenly between the two grid factors to
     keep both exponents moderate for large cats.
@@ -556,8 +517,7 @@ def reconstruct_density(results, a_grid: np.ndarray, b_grid: np.ndarray) -> Grid
     n = u.size
     if n == 0:
         raise ValueError("empty ensemble")
-    a = np.asarray(a_grid, dtype=float)
-    b = np.asarray(b_grid, dtype=float)
+    a = b = axis.points()
     total = np.zeros((a.size, b.size), dtype=np.complex128)
     for lo in range(0, n, _CHUNK):
         sl = slice(lo, min(lo + _CHUNK, n))
@@ -568,10 +528,7 @@ def reconstruct_density(results, a_grid: np.ndarray, b_grid: np.ndarray) -> Grid
                     + half_const[:, None])
         total += fa.T @ fb
     total /= n
-    step_a = float(a[1] - a[0])
-    step_b = float(b[1] - b[0])
-    axes = (GridAxis(float(a[0]), float(a[-1]), step_a, "coherent_a"),
-            GridAxis(float(b[0]), float(b[-1]), step_b, "coherent_b"))
+    axes = (replace(axis, tag="coherent_a"), replace(axis, tag="coherent_b"))
     return GridField(axes=axes, values=np.abs(total),
                      meta={"kind": "density_modulus",
                            "max_imag_residual": float(np.max(np.abs(np.imag(total))))})

@@ -176,7 +176,7 @@ def test_run_point_at_alpha0_bound_matches_protocol_reference():
     # beyond the bound the kernel and oracle exponentials overflow against an
     # underflowed weight, and the Wigner scalars turn NaN
     cfg = ExperimentConfig(alpha0=ALPHA0_MAX, signatures=("negativity",))
-    scalars = run_point(cfg, want_fields=False).scalars
+    scalars = run_point(cfg).scalars
     assert abs(scalars["wigner_norm"] - 1.0) <= WIGNER_NORM_TOL
     reference = protocol_negativity(ALPHA0_MAX,
                                     *protocol_channel(cfg.system_params(), cfg.schedule()),
@@ -199,7 +199,7 @@ def test_time_step_error_is_the_channel_richardson_estimate():
     # negativity s, on the schedule snapped at dt
     cfg = ExperimentConfig(alpha0=2.0, n_bar=2.0, n_samples=400, jackknife_blocks=10,
                            signatures=("negativity",))
-    scalars = run_point(cfg, want_fields=False).scalars
+    scalars = run_point(cfg).scalars
     fine = _channel_negativity_at(cfg, cfg.dt)
     assert scalars["negativity_protocol"] == fine
     assert scalars["time_step_error"] > 0.0
@@ -216,7 +216,7 @@ def test_time_step_error_brackets_the_direct_difference():
     # depends on the channel alone, so a small ensemble gives the same value.
     for _, sub in sweep_points(preset("fig10")):
         sub = replace(sub, n_samples=400, jackknife_blocks=10)
-        estimate = run_point(sub, want_fields=False).scalars["time_step_error"]
+        estimate = run_point(sub).scalars["time_step_error"]
         direct = abs(_channel_negativity_at(sub, sub.dt)
                      - _channel_negativity_at(sub, sub.dt / 16.0))
         if direct == 0.0:
@@ -237,6 +237,20 @@ def test_noiseless_rows_match_the_protocol_reference(tmp_path):
                                                     rel=1e-8, abs=0.0)
 
 
+def test_large_noiseless_cats_match_the_protocol_reference_to_ulps():
+    # at alpha0 = 4 and 5 the off-diagonal weight carries no rounding of
+    # 2 - w_diag, and the estimate and the closed form are evaluated at the
+    # same points, so the two agree to a few ulps of the negativity
+    points = [sub for labels, sub in sweep_points(preset("fig9"))
+              if labels["alpha0"] in (4.0, 5.0)
+              and round(labels["t_store"] * sub.gamma_m, 4) in (0.02, 0.10, 0.20)]
+    assert len(points) == 6
+    for sub in points:
+        s = run_point(sub).scalars
+        assert abs(s["negativity"] - s["negativity_protocol"]) <= \
+            2e-15 * s["negativity_protocol"]
+
+
 def test_run_point_evaluates_each_channel_once(monkeypatch):
     # the run's channel serves its ensemble and its protocol reference; the
     # time-step error adds one channel at dt/2
@@ -250,7 +264,7 @@ def test_run_point_evaluates_each_channel_once(monkeypatch):
     monkeypatch.setattr(engine, "protocol_channel", counted)
     cfg = ExperimentConfig(alpha0=2.0, n_bar=2.0, n_samples=400, jackknife_blocks=10,
                            signatures=("negativity",))
-    scalars = run_point(cfg, want_fields=False).scalars
+    scalars = run_point(cfg).scalars
     assert "negativity_protocol" in scalars and "time_step_error" in scalars
     assert calls == [cfg.dt, cfg.dt / 2.0]
 
@@ -258,7 +272,7 @@ def test_run_point_evaluates_each_channel_once(monkeypatch):
 def test_noisy_manifest_records_the_band_guard(tmp_path):
     cfg = ExperimentConfig(alpha0=2.0, n_bar=2.0, n_samples=4000, jackknife_blocks=100,
                            signatures=("negativity",))
-    point = run_point(cfg, want_fields=False)
+    point = run_point(cfg)
     manifest = write_run_artifacts(cfg, point, tmp_path, 0.0)
     saved = json.loads((tmp_path / "manifest.json").read_text())["scalars"]
     assert manifest["scalars"]["negativity_outside_band"] == \

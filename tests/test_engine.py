@@ -547,5 +547,5 @@ def test_corrected_ensemble_is_exactly_real(n_bar):
         assert np.all(mu_x.imag == 0.0)
         rows = slice(None, None, 16)  # every branch, off-diagonal ones included
         _, _, phased, _ = _kernel_tables(ens.alpha_out[rows], ens.alpha_out_plus[rows],
-                                         ens.weight[rows], grid.x, grid.y)
+                                         ens.weight[rows], *(ax.points() for ax in grid))
         assert phased.size > 0

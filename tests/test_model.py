@@ -2,7 +2,9 @@
 
 import copy
 import csv
+import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import tempfile
@@ -96,6 +98,31 @@ def test_grid_axis_points():
     assert np.allclose(np.diff(pts), 0.25)
 
 
+def test_grid_axis_points_are_step_times_integers():
+    # the points come from the integers start / step and stop / step, so
+    # every one is step * k as the kernels form it, and an axis rebuilt
+    # from its fields has the same points
+    ax = GridAxis(start=0.05 * -97, stop=0.05 * 97, step=0.05, tag="re_alpha")
+    assert np.array_equal(ax.points(), 0.05 * np.arange(-97, 98))
+    assert ax.size == 195
+    assert np.array_equal(GridAxis(**dataclasses.asdict(ax)).points(), ax.points())
+    assert GridAxis(0.1, 0.3, 0.1, "x").points().tolist() == [0.1, 0.2, 0.1 * 3]
+
+
+@pytest.mark.parametrize("start,stop,step", [
+    (0.0, 1.0, 0.3),      # stop off the lattice
+    (0.01, 1.0, 0.25),    # start off the lattice
+    (1.0, 0.0, 0.5),      # ends out of order
+    (0.0, 1.0, 0.0),
+    (0.0, 1.0, -0.5),
+    (0.0, math.inf, 0.5),
+    (math.nan, 1.0, 0.5),
+])
+def test_grid_axis_rejects_ends_off_its_lattice(start, stop, step):
+    with pytest.raises(ValueError):
+        GridAxis(start, stop, step, "x")
+
+
 def test_grid_field_shape_checked():
     ax = GridAxis(0.0, 1.0, 0.5, "x")
     with pytest.raises(ValueError):
@@ -174,11 +201,11 @@ SPECIAL_VALUES = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
 def grid_fields(draw):
     def axis(tag):
         n = draw(st.integers(1, 9))
-        start = draw(st.floats(-5.0, 5.0))
         step = draw(st.sampled_from([0.05, 0.1, 0.25, 1.0]))
-        return GridAxis(start, start + step * (n - 1), step, tag)
+        first = draw(st.integers(-100, 100))
+        return GridAxis(step * first, step * (first + n - 1), step, tag)
 
-    tags = st.sampled_from(["x", "re_alpha", "a,b", 'q"t'])
+    tags = st.sampled_from(["x", "re_alpha", "x_theta_quadrature", "coherent_b"])
     axes = tuple(axis(draw(tags)) for _ in range(draw(st.integers(1, 2))))
     size = math.prod(ax.size for ax in axes)
     value = st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats())
@@ -216,6 +243,22 @@ def test_write_csv_matches_reference_on_run_fields(fig5_run):
     assert set(fields) == {"p_distribution", "wigner", "density"}
     for fld in fields.values():
         assert_write_csv_matches_reference(fld, "cd" * 32)
+
+
+def test_manifest_axes_give_the_csv_coordinates(fig5_run, tmp_path):
+    # each field's axes in the manifest rebuild the coordinate columns of
+    # its CSV as text: the points the values were evaluated at
+    config, point = fig5_run
+    manifest = write_run_artifacts(config, point, tmp_path, 0.0)
+    assert set(manifest["artifacts"]) == {"p_distribution", "wigner", "density"}
+    for name, info in manifest["artifacts"].items():
+        axes = [GridAxis(**entry) for entry in info["axes"]]
+        assert tuple(axes) == point.fields[name].axes
+        with tmp_path.joinpath(info["csv"]).open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[2:]
+        texts = [[repr(v) for v in ax.points().tolist()] for ax in axes]
+        assert [row[:-1] for row in rows] == [list(c) for c in itertools.product(*texts)]
+        assert all(ax.step in (0.01, 0.05, 0.1) for ax in axes)
 
 
 def test_write_run_artifacts_leaves_meta_alone(fig5_run, tmp_path):

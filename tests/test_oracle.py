@@ -10,7 +10,7 @@ from scipy.special import gammaln
 
 from catmem.engine import protocol_channel
 from catmem.experiments import ALPHA0_MAX, preset, sweep_points
-from catmem.model import ProtocolSchedule
+from catmem.model import GridAxis, ProtocolSchedule
 from catmem.oracle import (DecoherenceParams, _negativity_edge, cat_char_normal,
                            cat_variance, channel_negativity, channel_wigner,
                            channel_wigner_field, damping_channel, decohered_density,
@@ -18,6 +18,11 @@ from catmem.oracle import (DecoherenceParams, _negativity_edge, cat_char_normal,
                            negativity_band, q_channel, q_parameter, t_p_bound,
                            t_positive)
 from catmem.signatures import default_wigner_grid, wigner_negativity
+
+
+def square_axes(n, h=0.05):
+    """(Re alpha, Im alpha) axes h * k for |k| <= n."""
+    return GridAxis(-n * h, n * h, h, "re_alpha"), GridAxis(-n * h, n * h, h, "im_alpha")
 
 
 def fock_occupation(alpha0, cutoff=60):
@@ -46,8 +51,7 @@ def test_p_distribution_fringes():
 
 @pytest.mark.parametrize("t,n_bar", [(0.0, 0.0), (0.2, 0.0), (0.1, 2.0), (0.7, 1.0)])
 def test_evolved_wigner_normalised(t, n_bar):
-    x = np.arange(-161, 162) * 0.05
-    field = channel_wigner_field(x, x, 2.0, *damping_channel(t, n_bar, 1.0))
+    field = channel_wigner_field(*square_axes(161), 2.0, *damping_channel(t, n_bar, 1.0))
     norm = np.trapezoid(np.trapezoid(field.values, dx=0.05), dx=0.05)
     assert norm == pytest.approx(1.0, abs=1e-6)
 
@@ -85,23 +89,25 @@ def complex_channel_wigner(alpha, alpha0, gain, noise_var):
 def test_channel_wigner_matches_complex_form(alpha0, gain, noise_var):
     # exponents reach 2 alpha0^2 ~ 700 at the alpha0 bound, so both forms
     # carry about 700 ulp of relative error there
-    x = 0.05 * np.arange(-math.ceil((alpha0 + 4.0) / 0.05), math.ceil((alpha0 + 4.0) / 0.05) + 1)
+    grid = default_wigner_grid(alpha0)
+    x = grid[0].points()
+    assert np.array_equal(x, 0.05 * np.arange(-math.ceil((alpha0 + 4.0) / 0.05),
+                                              math.ceil((alpha0 + 4.0) / 0.05) + 1))
     alpha = x[:, None] + 1j * x[None, :]
     ref = complex_channel_wigner(alpha, alpha0, gain, noise_var)
     peak = np.max(np.abs(ref))
     assert np.all(np.isfinite(ref))
     got = channel_wigner(alpha, alpha0, gain, noise_var)
     assert np.max(np.abs(got - ref)) <= 1e-12 * peak
-    field = channel_wigner_field(x, x, alpha0, gain, noise_var)
-    alpha = field.axes[0].points()[:, None] + 1j * field.axes[1].points()[None, :]
-    ref = complex_channel_wigner(alpha, alpha0, gain, noise_var)
+    field = channel_wigner_field(*grid, alpha0, gain, noise_var)
+    assert field.axes == grid
     assert np.max(np.abs(field.values - ref)) <= 1e-12 * peak
     assert channel_wigner(0.3 - 0.2j, alpha0, gain, noise_var) == pytest.approx(
         complex_channel_wigner(0.3 - 0.2j, alpha0, gain, noise_var), rel=1e-12)
 
 
-def field_negativity(x, y, alpha0, gain, noise_var):
-    return wigner_negativity(channel_wigner_field(x, y, alpha0, gain, noise_var))
+def field_negativity(ax_x, ax_y, alpha0, gain, noise_var):
+    return wigner_negativity(channel_wigner_field(ax_x, ax_y, alpha0, gain, noise_var))
 
 
 @pytest.mark.parametrize("name", ["fig5", "fig6", "fig9", "fig10", "fig11", "fig12"])
@@ -119,8 +125,8 @@ def test_channel_negativity_is_field_negativity_on_preset_grids(name):
                 sub.system_params(), ProtocolSchedule(schedule.t_write, schedule.t_store, dt))
             channels.append((abs(gain), noise_var))
         for gain, noise_var in channels:
-            assert channel_negativity(grid.x, grid.y, sub.alpha0, gain, noise_var) == \
-                field_negativity(grid.x, grid.y, sub.alpha0, gain, noise_var)
+            assert channel_negativity(*grid, sub.alpha0, gain, noise_var) == \
+                field_negativity(*grid, sub.alpha0, gain, noise_var)
 
 
 @settings(max_examples=40, deadline=None)
@@ -129,8 +135,8 @@ def test_channel_negativity_is_field_negativity_on_preset_grids(name):
 def test_channel_negativity_is_field_negativity(alpha0, gain, noise_var):
     # noise past gain^2 - 1/2 (the lifetime bound) leaves no negative volume
     grid = default_wigner_grid(alpha0)
-    band = channel_negativity(grid.x, grid.y, alpha0, gain, noise_var)
-    assert band == field_negativity(grid.x, grid.y, alpha0, gain, noise_var)
+    band = channel_negativity(*grid, alpha0, gain, noise_var)
+    assert band == field_negativity(*grid, alpha0, gain, noise_var)
     if noise_var >= gain * gain - 0.5:
         assert band == 0.0
 
@@ -139,8 +145,9 @@ def test_channel_negativity_is_field_negativity(alpha0, gain, noise_var):
 def test_evolved_wigner_second_moment(t, n_bar):
     # symmetric-ordering moment: int W |alpha|^2 = <n>(t) + 1/2
     alpha0, gamma = 1.5, 1.0
-    x = np.arange(-241, 242) * 0.05
-    field = channel_wigner_field(x, x, alpha0, *damping_channel(t, n_bar, gamma))
+    grid = square_axes(241)
+    field = channel_wigner_field(*grid, alpha0, *damping_channel(t, n_bar, gamma))
+    x = grid[0].points()
     xx, yy = np.meshgrid(x, x, indexing="ij")
     moment = np.trapezoid(np.trapezoid(field.values * (xx ** 2 + yy ** 2),
                                        dx=0.05), dx=0.05)
@@ -212,9 +219,11 @@ def assert_positive_past_edge(alpha0, gain, noise_var, h=0.01):
     """
     broad = 1.0 + 2.0 * noise_var
     b = gain * alpha0
-    x = h * np.arange(math.ceil((b + 3.0 * math.sqrt(broad)) / h) + 1)
-    y = np.linspace(0.0, math.pi * broad / (4.0 * b), 201)
-    values = channel_wigner_field(x, y, alpha0, gain, noise_var).values
+    ax_x = GridAxis(0.0, h * math.ceil((b + 3.0 * math.sqrt(broad)) / h), h, "re_alpha")
+    half_period = math.pi * broad / (4.0 * b)
+    ax_y = GridAxis(0.0, half_period, half_period / 200, "im_alpha")
+    x = ax_x.points()
+    values = channel_wigner_field(ax_x, ax_y, alpha0, gain, noise_var).values
     edge = _negativity_edge(alpha0, gain, noise_var)
     assert np.all(values[x > edge] >= 0.0)
     return x, values, edge
@@ -299,8 +308,9 @@ def test_characteristic_matches_wigner_transform():
     # characteristic value from the damping map
     alpha0, t, n_bar, gamma = 1.5, 0.25, 0.8, 1.0
     lam = 0.7 + 0.3j
-    x = np.arange(-201, 202) * 0.05
-    field = channel_wigner_field(x, x, alpha0, *damping_channel(t, n_bar, gamma))
+    grid = square_axes(201)
+    field = channel_wigner_field(*grid, alpha0, *damping_channel(t, n_bar, gamma))
+    x = grid[0].points()
     xx, yy = np.meshgrid(x, x, indexing="ij")
     alpha = xx + 1j * yy
     wave = np.exp(lam * np.conj(alpha) - np.conj(lam) * alpha)

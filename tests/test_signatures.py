@@ -15,8 +15,7 @@ from catmem.model import BRANCHES, EnsembleResult, GridAxis, GridField
 from catmem.oracle import (cat_variance, channel_wigner_field, ideal_P_p,
                            ideal_P_x, negativity_band, q_channel)
 from catmem.sampling import sample_cat
-from catmem.signatures import (QuadratureGrid, WignerGrid,
-                               default_density_axis, default_quadrature_grid,
+from catmem.signatures import (default_density_axis, default_quadrature_axis,
                                default_wigner_grid, fringe_visibility, is_mixture_falsified,
                                negativity_with_error, p_distribution, quadrature_moments,
                                reconstruct_density, wigner_estimate,
@@ -32,53 +31,53 @@ def input_ensemble(alpha0, n=4):
     return sample_cat(alpha0, n)
 
 
-def test_quadrature_grid_rejects_nonuniform():
-    with pytest.raises(ValueError):
-        QuadratureGrid(theta=0.0, points=np.array([0.0, 0.1, 0.3]))
-    grid = QuadratureGrid(theta=0.0, points=np.linspace(-1.0, 1.0, 21))
-    assert grid.step == pytest.approx(0.1)
-
-
-def test_wigner_grid_spacing_cap():
-    axis = np.arange(-10, 11) * 0.06
-    with pytest.raises(ValueError):
-        WignerGrid(x=axis, y=axis, h=0.06)
+def wigner_axes(nx, ny=None, h=0.05):
+    """(Re alpha, Im alpha) axes h * k for |k| <= nx and |k| <= ny."""
+    ny = nx if ny is None else ny
+    return (GridAxis(-nx * h, nx * h, h, "re_alpha"), GridAxis(-ny * h, ny * h, h, "im_alpha"))
 
 
 def test_default_grid_extents():
-    quad = default_quadrature_grid(6.0, theta=0.0)
-    assert quad.points[-1] >= math.sqrt(2.0) * 6.0 + 5.0
-    assert default_quadrature_grid(1.0, theta=0.0).points[-1] >= 12.0
+    quad = default_quadrature_axis(6.0)
+    assert quad.stop >= math.sqrt(2.0) * 6.0 + 5.0 and quad.step == 0.01
+    assert default_quadrature_axis(1.0).stop >= 12.0
     wig = default_wigner_grid(2.0)
-    assert wig.x[-1] >= 6.0 and wig.h == 0.05
+    assert [ax.tag for ax in wig] == ["re_alpha", "im_alpha"]
+    assert all(ax.stop >= 6.0 and ax.step == 0.05 for ax in wig)
     dens = default_density_axis(3.0)
-    assert dens[-1] >= 5.0
+    assert dens.stop >= 5.0 and dens.step == 0.1
+    # the kernels evaluate at step * k; the axes list those very points
+    for ax in (quad, *wig, dens):
+        n = round(ax.stop / ax.step)
+        assert ax.start == -ax.stop
+        assert np.array_equal(ax.points(), ax.step * np.arange(-n, n + 1))
 
 
 @pytest.mark.parametrize("alpha0", [1.0, 2.0, 3.0])
 def test_p_distribution_matches_ideal(alpha0):
     # four stratified samples carry the exact cat, so the estimator must
     # reproduce the closed-form fringe pattern pointwise
-    grid = default_quadrature_grid(alpha0, theta=math.pi / 2)
-    field = p_distribution(input_ensemble(alpha0), grid)
-    assert field.axes[0].tag == "x_theta_quadrature"
-    ideal = ideal_P_p(grid.points, alpha0)
+    axis = default_quadrature_axis(alpha0)
+    field = p_distribution(input_ensemble(alpha0), axis, math.pi / 2)
+    assert field.axes == (axis,) and axis.tag == "x_theta_quadrature"
+    assert field.meta["theta"] == math.pi / 2
+    ideal = ideal_P_p(axis.points(), alpha0)
     assert np.max(np.abs(field.values - ideal)) < 1e-8
     assert field.meta["norm"] == pytest.approx(1.0, abs=1e-6)
     assert field.meta["max_imag_residual"] < 1e-8
 
 
 def test_x_distribution_matches_ideal():
-    grid = default_quadrature_grid(2.0, theta=0.0)
-    field = p_distribution(input_ensemble(2.0), grid)
-    assert np.max(np.abs(field.values - ideal_P_x(grid.points, 2.0))) < 1e-10
+    axis = default_quadrature_axis(2.0)
+    field = p_distribution(input_ensemble(2.0), axis, 0.0)
+    assert np.max(np.abs(field.values - ideal_P_x(axis.points(), 2.0))) < 1e-10
 
 
 def test_wigner_matches_ideal():
     grid = default_wigner_grid(2.0)
     field = wigner_estimate(input_ensemble(2.0), grid)
-    assert [ax.tag for ax in field.axes] == ["re_alpha", "im_alpha"]
-    oracle = channel_wigner_field(grid.x, grid.y, 2.0, 1.0, 0.0)
+    assert field.axes == grid
+    oracle = channel_wigner_field(*grid, 2.0, 1.0, 0.0)
     assert np.max(np.abs(field.values - oracle.values)) < 1e-10
     assert field.meta["norm"] == pytest.approx(1.0, abs=1e-6)
 
@@ -87,9 +86,7 @@ def test_negativity_baselines():
     ens = input_ensemble(2.0)
     default = wigner_negativity(wigner_estimate(ens, default_wigner_grid(2.0)))
     assert default == pytest.approx(0.2926461056, abs=1e-8)
-    fine_axis = np.arange(-800, 801) * 0.01
-    fine = wigner_negativity(
-        wigner_estimate(ens, WignerGrid(x=fine_axis, y=fine_axis, h=0.01)))
+    fine = wigner_negativity(wigner_estimate(ens, wigner_axes(800, h=0.01)))
     assert fine == pytest.approx(FINE_NEGATIVITY, abs=1e-8)
     assert abs(default - fine) < 2e-3
 
@@ -97,7 +94,7 @@ def test_negativity_baselines():
 def test_negativity_matches_oracle_field_on_same_grid():
     grid = default_wigner_grid(2.0)
     sim = wigner_negativity(wigner_estimate(input_ensemble(2.0), grid))
-    ora = wigner_negativity(channel_wigner_field(grid.x, grid.y, 2.0, 1.0, 0.0))
+    ora = wigner_negativity(channel_wigner_field(*grid, 2.0, 1.0, 0.0))
     assert sim == pytest.approx(ora, abs=1e-10)
 
 
@@ -140,10 +137,11 @@ def test_negativity_invariant_under_permutation():
 @pytest.mark.parametrize("alpha0,tol", [(1.0, 1e-12), (2.0, 1e-10), (3.0, 1e-8)])
 def test_density_matches_closed_form(alpha0, tol):
     axis = default_density_axis(alpha0)
-    field = reconstruct_density(input_ensemble(alpha0), axis, axis)
+    field = reconstruct_density(input_ensemble(alpha0), axis)
     assert [ax.tag for ax in field.axes] == ["coherent_a", "coherent_b"]
+    assert all(np.array_equal(ax.points(), axis.points()) for ax in field.axes)
     q = math.exp(-2.0 * alpha0 ** 2)
-    aa, bb = np.meshgrid(axis, axis, indexing="ij")
+    aa, bb = np.meshgrid(axis.points(), axis.points(), indexing="ij")
     closed = (4.0 * np.cosh(aa * alpha0) * np.cosh(bb * alpha0)
               * np.exp(-0.5 * (aa ** 2 + bb ** 2) - alpha0 ** 2)
               / (2.0 * (1.0 + q)))
@@ -177,12 +175,10 @@ def test_fringe_visibility_full_for_ideal_cat():
     # trough snaps to the nearest grid point, so full contrast is only
     # approached; picking alpha0 with the trough exactly on the grid
     # recovers machine-precision unity
-    grid = default_quadrature_grid(5.0, theta=math.pi / 2)
-    field = p_distribution(input_ensemble(5.0), grid)
+    field = p_distribution(input_ensemble(5.0), default_quadrature_axis(5.0), math.pi / 2)
     assert fringe_visibility(field, alpha_bar=5.0) == pytest.approx(1.0, abs=1e-3)
     a_snap = math.pi / (2.0 * math.sqrt(2.0) * 0.25)
-    grid = default_quadrature_grid(a_snap, theta=math.pi / 2)
-    field = p_distribution(input_ensemble(a_snap), grid)
+    field = p_distribution(input_ensemble(a_snap), default_quadrature_axis(a_snap), math.pi / 2)
     assert fringe_visibility(field, alpha_bar=a_snap) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -205,9 +201,9 @@ def test_chunked_sums_match_small_ensemble():
                          alpha_out_plus=np.tile(base.alpha_out_plus, reps),
                          weight=np.tile(base.weight, reps),
                          branch=np.tile(base.branch, reps))
-    grid = default_quadrature_grid(2.0, theta=math.pi / 2)
-    small_f = p_distribution(base, grid)
-    big_f = p_distribution(big, grid)
+    axis = default_quadrature_axis(2.0)
+    small_f = p_distribution(base, axis, math.pi / 2)
+    big_f = p_distribution(big, axis, math.pi / 2)
     assert np.max(np.abs(small_f.values - big_f.values)) < 1e-12
     wgrid = default_wigner_grid(2.0)
     assert np.max(np.abs(wigner_estimate(base, wgrid).values
@@ -215,14 +211,14 @@ def test_chunked_sums_match_small_ensemble():
 
 
 def test_field_norm_and_validation():
-    grid = default_quadrature_grid(2.0, theta=math.pi / 2)
-    field = p_distribution(input_ensemble(2.0), grid)
+    axis = default_quadrature_axis(2.0)
+    field = p_distribution(input_ensemble(2.0), axis, math.pi / 2)
     empty = EnsembleResult(np.zeros(0, complex), np.zeros(0, complex), np.zeros(0),
                            np.zeros(0, dtype="<U2"))
     with pytest.raises(ValueError):
-        p_distribution(empty, grid)
+        p_distribution(empty, axis, math.pi / 2)
     with pytest.raises(TypeError):
-        p_distribution([], grid)
+        p_distribution([], axis, math.pi / 2)
     with pytest.raises(ValueError):
         wigner_negativity(field)
     with pytest.raises(ValueError):
@@ -263,8 +259,7 @@ def kernel_ensembles(draw):
 def test_real_kernel_matches_complex_sum(ensemble):
     u, v, w = ensemble
     axis = 0.05 * np.arange(-60, 61)
-    grid = WignerGrid(x=axis, y=axis, h=0.05)
-    field = wigner_estimate(EnsembleResult(u, v, w, np.array(["+-"] * u.size)), grid)
+    field = wigner_estimate(EnsembleResult(u, v, w, np.array(["+-"] * u.size)), wigner_axes(60))
     ref = complex_wigner_sum(u, v, w, axis, axis) * (2.0 / (math.pi * u.size))
     scale = np.max(np.abs(ref))
     assert np.max(np.abs(field.values - ref.real)) <= 1e-12 * scale
@@ -292,14 +287,13 @@ def loop_jackknife(ens, grid, n_blocks):
     """Reference: one complex kernel sum and one negativity per deleted block."""
     u, v, w = ens.alpha_out, ens.alpha_out_plus, ens.weight
     n = u.size
-    total = complex_wigner_sum(u, v, w, grid.x, grid.y).real
-    axes = (GridAxis(float(grid.x[0]), float(grid.x[-1]), grid.h, "re_alpha"),
-            GridAxis(float(grid.y[0]), float(grid.y[-1]), grid.h, "im_alpha"))
+    xs, ys = (ax.points() for ax in grid)
+    total = complex_wigner_sum(u, v, w, xs, ys).real
     loo = []
     for idx in _reference_blocks(n, ens.branch, n_blocks):
-        part = complex_wigner_sum(u[idx], v[idx], w[idx], grid.x, grid.y).real
+        part = complex_wigner_sum(u[idx], v[idx], w[idx], xs, ys).real
         values = (total - part) * (2.0 / (math.pi * (n - idx.size)))
-        loo.append(wigner_negativity(GridField(axes=axes, values=values)))
+        loo.append(wigner_negativity(GridField(axes=grid, values=values)))
     loo = np.array(loo)
     return math.sqrt((n_blocks - 1) / n_blocks * float(np.sum((loo - loo.mean()) ** 2)))
 
@@ -381,8 +375,8 @@ def test_sampling_error_does_not_depend_on_divisibility():
     # contiguous blocks inside one branch once read 8x too large
     from catmem.experiments import ExperimentConfig, run_point
     se = {n: run_point(ExperimentConfig(alpha0=2.0, n_bar=2.0, n_samples=n,
-                                        jackknife_blocks=100, signatures=("negativity",)),
-                       want_fields=False).scalars["sampling_error"]
+                                        jackknife_blocks=100, signatures=("negativity",))
+                       ).scalars["sampling_error"]
           for n in (24000, 24004)}
     assert 0.8 <= se[24004] / se[24000] <= 1.25
 
@@ -416,7 +410,7 @@ def test_rates_a_few_ulps_apart_share_one_column_pair(monkeypatch, signs):
     monkeypatch.setattr(signatures, "_RATE_TOL", 0.0)  # a column pair per row
     assert not np.array_equal(signatures._kernel_tables(u, v, w, axis, axis)[1], shared[1])
     monkeypatch.undo()
-    field = wigner_estimate(ens, WignerGrid(x=axis, y=axis, h=0.05))
+    field = wigner_estimate(ens, wigner_axes(60))
     ref = complex_wigner_sum(ens.alpha_out, ens.alpha_out_plus, ens.weight, axis, axis) \
         * (2.0 / (math.pi * b.size))
     scale = np.max(np.abs(ref))
@@ -494,22 +488,23 @@ def _alloc_negativity_with_error(ens, grid, n_blocks, band):
     u, v, w = ens.alpha_out, ens.alpha_out_plus, ens.weight
     n = u.size
     rows, sizes = signatures._jackknife_blocks(ens.branch, n_blocks)
-    inside = np.abs(grid.x) <= band
-    xs = grid.x[inside]
-    re, im = _alloc_wigner_sum(u, v, w, grid.x, grid.y)
+    (xs_all, ys), (hx, hy) = [ax.points() for ax in grid], [ax.step for ax in grid]
+    inside = np.abs(xs_all) <= band
+    xs = xs_all[inside]
+    re, im = _alloc_wigner_sum(u, v, w, xs_all, ys)
     values = re * (2.0 / (math.pi * n))
-    columns = np.trapezoid(np.maximum(-values, 0.0), dx=grid.h)
-    delta = float(np.trapezoid(columns, dx=grid.h))
-    outside = float(np.trapezoid(np.where(inside, 0.0, columns), dx=grid.h))
+    columns = np.trapezoid(np.maximum(-values, 0.0), dx=hy)
+    delta = float(np.trapezoid(columns, dx=hx))
+    outside = float(np.trapezoid(np.where(inside, 0.0, columns), dx=hx))
     u_pad, v_pad = np.append(u, 0.0), np.append(v, 0.0)
     w_pad = np.append(w, 0.0)
-    weights = np.outer(signatures._trapezoid_weights(grid.x.size, grid.h)[inside],
-                       signatures._trapezoid_weights(grid.y.size, grid.h)).ravel()
-    chunk = max(1, signatures._TABLE_CELLS // max(grid.x.size, grid.y.size))
+    weights = np.outer(signatures._trapezoid_weights(xs_all.size, hx)[inside],
+                       signatures._trapezoid_weights(ys.size, hy)).ravel()
+    chunk = max(1, signatures._TABLE_CELLS // max(xs_all.size, ys.size))
     batch = max(1, min(signatures._FIELD_CELLS // re.size, chunk // rows.shape[1]))
     loo = np.empty(n_blocks)
     for lo in range(0, n_blocks, batch):
-        sums = _alloc_block_sums(u_pad, v_pad, w_pad, xs, grid.y, rows[lo:lo + batch])
+        sums = _alloc_block_sums(u_pad, v_pad, w_pad, xs, ys, rows[lo:lo + batch])
         sums -= re[inside]
         np.maximum(sums, 0.0, out=sums)
         loo[lo:lo + batch] = sums.reshape(sums.shape[0], -1) @ weights
@@ -553,12 +548,13 @@ def assert_kernel_is_the_allocating_kernel(monkeypatch, part, grid, n_blocks):
     0.8 band, with the helper thread and without it: every array and scalar
     bitwise equal to the allocating reference."""
     u, v, w = part.alpha_out, part.alpha_out_plus, part.weight
-    ref = _alloc_wigner_sum(u, v, w, grid.x, grid.y)
+    xs, ys = (ax.points() for ax in grid)
+    ref = _alloc_wigner_sum(u, v, w, xs, ys)
     refs = {band: _alloc_negativity_with_error(part, grid, n_blocks, band)
             for band in (math.inf, 0.8)}
     for on in (True, False):
         started = force_pipeline(monkeypatch, on)
-        got = signatures._wigner_sum(u, v, w, grid.x, grid.y)
+        got = signatures._wigner_sum(u, v, w, xs, ys)
         assert np.array_equal(got[0], ref[0])
         assert np.array_equal(got[1], ref[1])
         for band, (delta, se, outside, values, im) in refs.items():
@@ -587,8 +583,7 @@ def test_buffered_kernel_is_bitwise_the_allocating_kernel(monkeypatch, kind):
     monkeypatch.setattr(signatures, "_FIELD_CELLS", 15_000)
     ens = corrected_channel_ensemble(192) if kind == "corrected" \
         else noisy_channel_ensemble(192)
-    grids = [WignerGrid(x=0.05 * np.arange(-60, 61), y=0.05 * np.arange(-60, 61), h=0.05),
-             WignerGrid(x=0.05 * np.arange(-30, 31), y=0.05 * np.arange(-40, 41), h=0.05)]
+    grids = [wigner_axes(60), wigner_axes(30, 40)]
     for n in (192, 190):
         part = EnsembleResult(ens.alpha_out[:n], ens.alpha_out_plus[:n], ens.weight[:n],
                               ens.branch[:n])
@@ -605,13 +600,13 @@ def test_kernel_layouts_are_bitwise_the_allocating_kernel(monkeypatch, layout):
     # the 4 blocks of 48 rows each outgrow the 24-row chunks of 3000 cells,
     # so every batch holds one block.
     ens = corrected_channel_ensemble(192)
-    grid = WignerGrid(x=0.05 * np.arange(-60, 61), y=0.05 * np.arange(-60, 61), h=0.05)
+    grid = wigner_axes(60)
     cells, n_blocks = (3000, 4) if layout == "one_block_per_batch" else (5000, 16)
     monkeypatch.setattr(signatures, "_TABLE_CELLS", cells)
     if layout == "permuted":
         ens = permuted(ens)
     b = 0.5 * (ens.alpha_out_plus - ens.alpha_out).real  # Im mu_y
-    chunk = signatures._table_rows(grid.x, grid.y)
+    chunk = signatures._table_rows(*(ax.points() for ax in grid))
     mixed = [np.any(b[lo:lo + chunk] == 0.0) and np.any(b[lo:lo + chunk] != 0.0)
              for lo in range(0, 192, chunk)]
     assert sum(mixed) == {"straddle": 1, "permuted": 5, "one_block_per_batch": 0}[layout]
@@ -628,7 +623,7 @@ def test_concurrent_calls_with_fast_switching_are_bitwise(monkeypatch):
     monkeypatch.setattr(signatures, "_TABLE_CELLS", 5000)
     monkeypatch.setattr(signatures, "_FIELD_CELLS", 15_000)
     ens = permuted(corrected_channel_ensemble(192))
-    grid = WignerGrid(x=0.05 * np.arange(-60, 61), y=0.05 * np.arange(-60, 61), h=0.05)
+    grid = wigner_axes(60)
     force_pipeline(monkeypatch, False)
     ref = negativity_with_error(ens, grid, n_blocks=16)
     started = force_pipeline(monkeypatch, True)
@@ -670,7 +665,7 @@ def test_complex_mu_x_in_the_last_chunk_reaches_the_caller(monkeypatch, on):
     # caller still sums earlier chunks, and its ValueError is raised to the
     # caller; no thread is left running after the call, failed or not
     monkeypatch.setattr(signatures, "_TABLE_CELLS", 3000)
-    grid = WignerGrid(x=0.05 * np.arange(-60, 61), y=0.05 * np.arange(-60, 61), h=0.05)
+    grid = wigner_axes(60)
     before = threading.active_count()
     started = force_pipeline(monkeypatch, on)
     bad = complex_mu_x_at_the_end()
