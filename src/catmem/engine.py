@@ -11,7 +11,7 @@ step is one affine map of (alpha, beta) and the drive (``_step``), and
 ``protocol_channel`` walks the weights of the output projection back
 through it once to get both the gain G and the variance E|N|^2, without
 sampling and with the RK4 discretisation included.  ``run_ensemble``
-samples the ensemble from that channel in O(n), one normal pair per
+samples the ensemble from a given channel in O(n), one normal pair per
 trajectory, in the frame where the gain is real and positive.  No
 trajectory is stepped here; the test suite keeps the one stepped
 integrator, the reference that the channel and the sampled ensemble are
@@ -82,31 +82,33 @@ def _step(params: SystemParams, dt: float) -> tuple[list, list, list, list]:
     return m.tolist(), m0.tolist(), mh.tolist(), [dt / 6.0 + 0j, 0j]
 
 
-def run_ensemble(inputs: EnsembleResult, params: SystemParams,
-                 schedule: ProtocolSchedule, master_seed: int) -> EnsembleResult:
+def run_ensemble(inputs: EnsembleResult, gain: complex, noise_var: float,
+                 master_seed: int) -> EnsembleResult:
     """Sample every trajectory of a weighted input ensemble from the protocol
-    channel, phase-corrected.
+    channel (gain, noise_var), phase-corrected.
 
     inputs is the ensemble before evolution (``sampling.sample_cat``), so
     its alpha_out and alpha_out_plus columns hold alpha_in and
-    alpha_in_plus.  With (G, noise_var) from one ``protocol_channel``
-    evaluation, the stepped process gives alpha_out = G alpha_in + N in
-    distribution, RK4 discretisation included, with N = sqrt(noise_var)
-    (x + iy)/sqrt(2) and one standard normal pair (x, y) per trajectory.
-    The ensemble is returned in the frame where the coherent-input gain is
-    real and positive: alpha_out = |G| alpha_in + e^{-i arg G} N and
-    alpha_out_plus = |G| alpha_in_plus + conj(e^{-i arg G} N).  Formed this
-    way, a real input keeps mu_x = (alpha_out + alpha_out_plus)/2 exactly
-    real on every row, so the Wigner kernel takes its real path.  The weight
-    and branch columns are the input's, and the channel travels with the
-    result (``gain``, ``noise_var``).  The pairs come in blocks of
+    alpha_in_plus.  The channel is the ``protocol_channel`` pair of the
+    run's parameters and schedule; the caller evaluates it, so that runs on
+    one channel share one evaluation (``experiments.run_sweep`` does, for
+    the duration of one sweep).  The stepped process gives alpha_out =
+    G alpha_in + N in distribution, RK4 discretisation included, with
+    N = sqrt(noise_var) (x + iy)/sqrt(2) and one standard normal pair (x, y)
+    per trajectory.  The ensemble is returned in the frame where the
+    coherent-input gain is real and positive: alpha_out = |G| alpha_in +
+    e^{-i arg G} N and alpha_out_plus = |G| alpha_in_plus +
+    conj(e^{-i arg G} N).  Formed this way, a real input keeps mu_x =
+    (alpha_out + alpha_out_plus)/2 exactly real on every row, so the Wigner
+    kernel takes its real path.  The weight and branch columns are the
+    input's, and the channel travels with the result (``gain``,
+    ``noise_var``).  The pairs come in blocks of
     RNG_BLOCK_SIZE trajectories, each from the counter-based stream keyed
     by (master_seed, block index), so a trajectory's noise depends only on
     the seed and its position; the time step changes the scale, not the
     draw.  A noiseless channel consumes no randomness.
     """
     n = len(inputs)
-    gain, noise_var = protocol_channel(params, schedule)
     if not (cmath.isfinite(gain) and math.isfinite(noise_var)):
         raise FloatingPointError("non-finite protocol channel; check parameters")
     if gain == 0:

@@ -348,13 +348,26 @@ class PointResult:
     timings: dict = field(default_factory=dict)
 
 
-def _corrected_ensemble(config: ExperimentConfig) -> tuple[EnsembleResult, EnsembleResult]:
+def _channel(channels: dict, params: SystemParams,
+             schedule: ProtocolSchedule) -> tuple[complex, float]:
+    """The ``engine.protocol_channel`` pair of (params, schedule), evaluated
+    on its first request and kept in channels for the next ones."""
+    key = (params, schedule)
+    if key not in channels:
+        channels[key] = engine.protocol_channel(params, schedule)
+    return channels[key]
+
+
+def _corrected_ensemble(config: ExperimentConfig,
+                        channels: dict | None = None) -> tuple[EnsembleResult, EnsembleResult]:
     """Sample the input cat and send it through the protocol channel,
     phase-corrected: (input ensemble, output ensemble).  The one place a run
-    forms its ensemble; the channel rides on the ensemble."""
+    forms its ensemble.  The channel comes from channels (``_channel``; a
+    new dict when None) and rides on the ensemble."""
+    gain, noise_var = _channel({} if channels is None else channels,
+                               config.system_params(), config.schedule())
     inputs = sample_cat(config.alpha0, config.n_samples)
-    return inputs, run_ensemble(inputs, config.system_params(), config.schedule(),
-                                config.master_seed)
+    return inputs, run_ensemble(inputs, gain, noise_var, config.master_seed)
 
 
 def _point_core(config: ExperimentConfig, inputs: EnsembleResult, ens: EnsembleResult,
@@ -425,25 +438,32 @@ def _point_core(config: ExperimentConfig, inputs: EnsembleResult, ens: EnsembleR
 
 
 def _add_references(config: ExperimentConfig, ens: EnsembleResult,
-                    wgrid: tuple[GridAxis, GridAxis], scalars: dict) -> None:
+                    wgrid: tuple[GridAxis, GridAxis], scalars: dict,
+                    channels: dict, timings: dict) -> None:
     """Closed-form negativities at the points of the run's Wigner axes
     wgrid, the z-score against the protocol reference, and the time-step
     error of that reference.
 
     ``negativity_protocol`` is s(dt), the negativity of the input cat sent
-    through the channel the ensemble was sampled from.  The channel is
-    evaluated once more on the same schedule at half the step (its grid
-    holds the snapped t_write and t_store), and the time-step error is the
-    first-order Richardson estimate 2 |s(dt) - s(dt/2)|.
+    through the channel the ensemble was sampled from.  The channel on the
+    same schedule at half the step (its grid holds the snapped t_write and
+    t_store) comes from channels (``_channel``), and the time-step error is
+    the first-order Richardson estimate 2 |s(dt) - s(dt/2)|.  timings gets
+    the seconds of the references (``references_s``) and of the time-step
+    error (``time_step_s``: the dt/2 channel and its negativity).
     """
     schedule = config.schedule()
+    start = time.perf_counter()
     if config.gamma_int == 0 and config.n_init == 0:
         scalars["negativity_oracle"] = oracle_negativity(
             config.alpha0, schedule.t_store, config.n_bar, config.gamma_m, wgrid)
     reference = protocol_negativity(config.alpha0, ens.gain, ens.noise_var, wgrid)
+    half_start = time.perf_counter()
     half_step = ProtocolSchedule(schedule.t_write, schedule.t_store, schedule.dt / 2.0)
     ts_err = 2.0 * abs(reference - protocol_negativity(
-        config.alpha0, *engine.protocol_channel(config.system_params(), half_step), wgrid))
+        config.alpha0, *_channel(channels, config.system_params(), half_step), wgrid))
+    timings["references_s"] = half_start - start
+    timings["time_step_s"] = time.perf_counter() - half_start
     se = scalars["sampling_error"]
     scalars["negativity_protocol"] = reference
     scalars["time_step_error"] = ts_err
@@ -452,9 +472,17 @@ def _add_references(config: ExperimentConfig, ens: EnsembleResult,
         scalars["z_protocol"] = (scalars["negativity"] - reference) / se
 
 
-def run_point(config: ExperimentConfig) -> PointResult:
+def run_point(config: ExperimentConfig, channels: dict | None = None) -> PointResult:
     """Run one point: sample the input cat, send it through the protocol
     channel and estimate the requested signatures.
+
+    This layer evaluates the point's protocol channels: the run's, and with
+    "negativity" the one at half the step.  channels maps (SystemParams,
+    ProtocolSchedule) to a channel already evaluated (``_channel``).  None
+    gives a new dict, so a point run alone evaluates its own channels;
+    ``run_sweep`` passes one dict to all of its points, so points that
+    differ only in alpha0 share theirs.  The channel does not depend on
+    alpha0, and a shared one gives the same bits.
 
     With "negativity" requested the scalars also hold the closed-form
     references and the error budget (``_add_references``): the sampling
@@ -473,21 +501,23 @@ def run_point(config: ExperimentConfig) -> PointResult:
     draws the same noise, so it would differ from this one by a fixed
     function of the two channels.
 
-    ``timings`` holds the seconds of the ensemble (sampling and channel),
-    of the Wigner full pass and the jackknife when they run, and of the
-    references.
+    ``timings`` holds the seconds of the channel (``channel_s``, about 0
+    when channels already held it), of the sampling, of the Wigner full
+    pass and the jackknife when they run, and with "negativity" of the
+    references and of the time-step error.
     """
     config.validate()
+    channels = {} if channels is None else channels
     start = time.perf_counter()
-    inputs, ens = _corrected_ensemble(config)
-    ensemble_s = time.perf_counter() - start
+    _channel(channels, config.system_params(), config.schedule())  # timed apart from sampling
+    sampled = time.perf_counter()
+    inputs, ens = _corrected_ensemble(config, channels)
+    timings = {"channel_s": sampled - start, "sampling_s": time.perf_counter() - sampled}
     wgrid = sig.default_wigner_grid(config.alpha0)
     point = _point_core(config, inputs, ens, wgrid)
-    point.timings["ensemble_s"] = ensemble_s
+    point.timings.update(timings)
     if "negativity" in config.signatures:
-        start = time.perf_counter()
-        _add_references(config, ens, wgrid, point.scalars)
-        point.timings["references_s"] = time.perf_counter() - start
+        _add_references(config, ens, wgrid, point.scalars, channels, point.timings)
     return point
 
 
@@ -512,7 +542,7 @@ def _write_atomic(path: Path, text: str) -> str:
 
 
 def _row_digest(row: dict) -> str:
-    """SHA-256 of a sweep row's canonical JSON: every entry but its timing
+    """SHA-256 of a sweep row's canonical JSON: every entry but its timings
     and the digest itself."""
     payload = {k: row[k] for k in ("index", "labels", "scalars", "config_sha256")}
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -528,7 +558,7 @@ def _read_checkpoint(path: Path, expected: dict) -> dict | None:
     except (OSError, UnicodeDecodeError, json.JSONDecodeError):
         return None
     if not isinstance(row, dict) or row.keys() != expected.keys() | {
-            "scalars", "row_sha256", "wall_time_s"}:
+            "scalars", "row_sha256", "wall_time_s", "timings"}:
         return None
     if any(row[k] != v for k, v in expected.items()) or row["row_sha256"] != _row_digest(row):
         return None
@@ -652,11 +682,21 @@ def run_sweep(config: ExperimentConfig, out_dir, progress=None) -> list[dict]:
     edits to the config (or a new engine version) invalidate stale points
     automatically, and an unreadable, incomplete or edited checkpoint is
     recomputed.  Checkpoints and outputs are written atomically.
+
+    Each distinct (SystemParams, ProtocolSchedule) channel is evaluated
+    once per call: ``run_point`` fills one dict that every point of this
+    sweep reads, so the alpha0 points of a storage time share its dt and
+    dt/2 channels.  The dict lives for this call only; a second sweep
+    evaluates its channels again, and a resumed sweep evaluates only those
+    of the points it recomputes.  A row's ``timings`` (``run_point``'s,
+    rounded to the microsecond) and ``wall_time_s`` stay outside its
+    scalars and ``row_sha256``.
     """
     out = Path(out_dir)
     ckpt_dir = out / "checkpoints"
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     points = sweep_points(config)
+    channels: dict = {}
     rows = []
     for index, (labels, sub) in enumerate(points):
         expected = {"index": index,
@@ -666,11 +706,12 @@ def run_sweep(config: ExperimentConfig, out_dir, progress=None) -> list[dict]:
         row = _read_checkpoint(ckpt, expected)
         if row is None:
             start = time.perf_counter()
-            point = run_point(sub)
+            point = run_point(sub, channels)
             row = expected | {
                 "scalars": {k: _json_safe(v) for k, v in point.scalars.items()}}
             row["row_sha256"] = _row_digest(row)
             row["wall_time_s"] = round(time.perf_counter() - start, 3)
+            row["timings"] = {k: round(v, 6) for k, v in point.timings.items()}
             _write_atomic(ckpt, json.dumps(row, sort_keys=True))
         if progress is not None:
             progress(f"point {index + 1}/{len(points)} "

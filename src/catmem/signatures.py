@@ -345,7 +345,7 @@ def _wigner_field(re: np.ndarray, im: np.ndarray, count: int,
     values = re * scale
     ax_x, ax_y = grid
     return GridField(axes=grid, values=values,
-                     meta={"kind": "wigner", "h": ax_x.step,
+                     meta={"kind": "wigner",
                            "norm": float(np.trapezoid(np.trapezoid(values, dx=ax_y.step),
                                                       dx=ax_x.step)),
                            "max_imag_residual_4th_node": float(np.max(np.abs(im))) * scale})

@@ -269,6 +269,62 @@ def test_run_point_evaluates_each_channel_once(monkeypatch):
     assert calls == [cfg.dt, cfg.dt / 2.0]
 
 
+def _count_channel_walks(monkeypatch) -> list:
+    """Record the step of every true protocol-channel evaluation: each one
+    walks the write window once."""
+    calls = []
+    original = engine._write_walk
+
+    def counted(params, schedule, *rest):
+        calls.append(schedule.dt)
+        return original(params, schedule, *rest)
+
+    monkeypatch.setattr(engine, "_write_walk", counted)
+    return calls
+
+
+def _exact(scalars: dict) -> str:
+    # floats as their shortest repr, which tells every bit pattern apart
+    return json.dumps({k: experiments._json_safe(v) for k, v in scalars.items()},
+                      sort_keys=True)
+
+
+@pytest.mark.parametrize("name, distinct", [("fig9", 8), ("table1", 1)])
+def test_sweep_evaluates_each_channel_once_per_call(tmp_path, monkeypatch, name, distinct):
+    # the alpha0 points of one storage time share its dt channel and, with
+    # the negativity, its dt/2 channel: fig9 has 4 storage times, table1
+    # one and no negativity.  The channels live for one run_sweep call, so
+    # a second sweep evaluates them again.  A point run alone evaluates its
+    # own and gives the row's scalars bit for bit.
+    config = preset(name)
+    calls = _count_channel_walks(monkeypatch)
+    first = run_sweep(config, tmp_path / "first")
+    assert len(calls) == distinct
+    second = run_sweep(config, tmp_path / "second")
+    assert len(calls) == 2 * distinct
+    assert [_exact(r["scalars"]) for r in second] == [_exact(r["scalars"]) for r in first]
+    calls.clear()
+    per_point = 2 if "negativity" in config.signatures else 1
+    for row, (_, sub) in zip(first, sweep_points(config)):
+        assert _exact(run_point(sub).scalars) == _exact(row["scalars"])
+    assert len(calls) == per_point * len(first)
+
+
+def test_resumed_sweep_writes_the_same_csv(tmp_path, monkeypatch):
+    # with every other checkpoint gone, the resumed fig9 sweep fills its
+    # channels from the points it recomputes: two of each storage time's
+    # four, so all eight channels again
+    out = tmp_path / "fig9"
+    run_sweep(preset("fig9"), out)
+    first_csv = (out / "sweep.csv").read_bytes()
+    for ckpt in sorted((out / "checkpoints").glob("point_*.json"))[::2]:
+        ckpt.unlink()
+    calls = _count_channel_walks(monkeypatch)
+    run_sweep(preset("fig9"), out)
+    assert len(calls) == 8
+    assert (out / "sweep.csv").read_bytes() == first_csv
+
+
 def test_noisy_manifest_records_the_band_guard(tmp_path):
     cfg = ExperimentConfig(alpha0=2.0, n_bar=2.0, n_samples=4000, jackknife_blocks=100,
                            signatures=("negativity",))
@@ -290,8 +346,8 @@ def test_manifest_timings_stay_out_of_the_results(tmp_path):
     assert first["scalars"] == second["scalars"]
     for manifest in (first, second):
         timings = manifest["timings"]
-        assert set(timings) == {"ensemble_s", "wigner_s", "jackknife_s", "references_s",
-                                "artifact_io_s"}
+        assert set(timings) == {"channel_s", "sampling_s", "wigner_s", "jackknife_s",
+                                "references_s", "time_step_s", "artifact_io_s"}
         assert all(isinstance(t, float) and math.isfinite(t) and t >= 0.0
                    for t in timings.values())
         assert not set(timings) & set(manifest["scalars"])
@@ -299,11 +355,18 @@ def test_manifest_timings_stay_out_of_the_results(tmp_path):
         (tmp_path / "second" / "wigner.csv").read_bytes()
     saved = json.loads((tmp_path / "first" / "manifest.json").read_text())
     assert saved["timings"] == first["timings"]
+    # sweep rows carry each point's timings beside its scalars, outside
+    # them and outside the row digest
+    noiseless = {"channel_s", "sampling_s", "wigner_s", "references_s", "time_step_s"}
     rows = run_sweep(replace(cfg, signatures=("negativity",),
                              sweep=(("n_bar", (0.0, 2.0)),)), tmp_path / "sweep")
-    assert all("timings" not in row and "wigner_s" not in row["scalars"] for row in rows)
-    assert run_point(replace(cfg, n_bar=0.0)).timings.keys() == {
-        "ensemble_s", "wigner_s", "references_s"}
+    assert [set(row["timings"]) for row in rows] == [noiseless, noiseless | {"jackknife_s"}]
+    assert all(not set(row["timings"]) & set(row["scalars"]) for row in rows)
+    assert all(row["row_sha256"] == experiments._row_digest(dict(row, timings={}))
+               for row in rows)
+    saved = json.loads((tmp_path / "sweep" / "sweep_manifest.json").read_text())
+    assert [row["timings"] for row in saved["rows"]] == [row["timings"] for row in rows]
+    assert run_point(replace(cfg, n_bar=0.0)).timings.keys() == noiseless
 
 
 def test_sweep_column_of_the_band_guard(tmp_path):
@@ -610,7 +673,8 @@ def test_sweep_recomputes_bad_checkpoint(tmp_path, damage):
         ckpt.write_text(text[:len(text) // 2])
     rows = run_sweep(config, out)
     assert rows[0]["scalars"] == first[0]["scalars"]
-    assert json.loads(ckpt.read_text()) == first[0] | {"wall_time_s": rows[0]["wall_time_s"]}
+    assert json.loads(ckpt.read_text()) == first[0] | {"wall_time_s": rows[0]["wall_time_s"],
+                                                       "timings": rows[0]["timings"]}
     assert sorted(p.name for p in (out / "checkpoints").iterdir()) == [
         "point_0000.json", "point_0001.json"]
 
@@ -628,6 +692,28 @@ def test_sweep_recomputes_edited_checkpoint(tmp_path):
     rows = run_sweep(config, out)
     assert rows[0]["scalars"]["negativity"] != 123.0
     assert (out / "sweep.csv").read_bytes() == first_csv
+
+
+def test_sweep_recomputes_checkpoint_without_timings(tmp_path, monkeypatch):
+    # a row written before rows carried their timings has a valid digest
+    # but not the row keys: it is recomputed, not trusted
+    config = parse_config_text(TINY_SWEEP)
+    out = tmp_path / "sweep_out"
+    first = run_sweep(config, out)
+    ckpt = out / "checkpoints" / "point_0001.json"
+    ckpt.write_text(json.dumps({k: v for k, v in first[1].items() if k != "timings"}))
+    recomputed = []
+    original = experiments.run_point
+
+    def counted(sub, channels=None):
+        recomputed.append(sub.alpha0)
+        return original(sub, channels)
+
+    monkeypatch.setattr(experiments, "run_point", counted)
+    rows = run_sweep(config, out)
+    assert recomputed == [2.0]
+    assert rows[1]["scalars"] == first[1]["scalars"]
+    assert set(json.loads(ckpt.read_text())) == set(first[1])
 
 
 def test_sweep_recomputes_incomplete_checkpoint(tmp_path):

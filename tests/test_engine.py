@@ -257,6 +257,11 @@ def test_thermal_validation():
 
 # -- the engine --------------------------------------------------------------
 
+def sampled_ensemble(inputs, p, sched, master_seed):
+    # the package's ensemble: sampled from the channel of (p, sched)
+    return run_ensemble(inputs, *protocol_channel(p, sched), master_seed)
+
+
 def test_step_matches_matrix_exponential():
     # constant g, no drive: the RK4 step matrix of (alpha, beta) against expm
     # of the generator
@@ -321,8 +326,8 @@ def test_trajectory_conjugacy_by_branch():
 def test_output_linear_in_input():
     p = default_params()
     sched = schedule_for(p, 10.0)
-    res = run_ensemble(inputs_of([1.0, 2.5], [1.0, 2.5], ["++", "++"]), p, sched,
-                       master_seed=0)
+    res = sampled_ensemble(inputs_of([1.0, 2.5], [1.0, 2.5], ["++", "++"]), p, sched,
+                           master_seed=0)
     assert res.alpha_out[1] == pytest.approx(2.5 * res.alpha_out[0], rel=1e-12)
 
 
@@ -331,7 +336,7 @@ def test_batch_matches_stepwise_integration():
     p = default_params()
     sched = schedule_for(p, 10.0)
     inputs = sample_cat(2.0, 8)
-    batch = run_ensemble(inputs, p, sched, master_seed=0)
+    batch = sampled_ensemble(inputs, p, sched, master_seed=0)
     stepped = stepped_ensemble(inputs, p, sched, master_seed=0)
     assert batch.alpha_out == pytest.approx(stepped.alpha_out, rel=1e-10)
     assert batch.alpha_out_plus == pytest.approx(stepped.alpha_out_plus, rel=1e-10)
@@ -385,9 +390,9 @@ def test_seed_determinism_and_sensitivity():
     p = default_params(n_th_mech=2.0)
     sched = schedule_for(p, 10.0)
     inputs = sample_cat(2.0, 64)
-    a = run_ensemble(inputs, p, sched, master_seed=5)
-    b = run_ensemble(inputs, p, sched, master_seed=5)
-    c = run_ensemble(inputs, p, sched, master_seed=6)
+    a = sampled_ensemble(inputs, p, sched, master_seed=5)
+    b = sampled_ensemble(inputs, p, sched, master_seed=5)
+    c = sampled_ensemble(inputs, p, sched, master_seed=6)
     assert np.array_equal(a.alpha_out, b.alpha_out)
     assert not np.array_equal(a.alpha_out, c.alpha_out)
 
@@ -397,7 +402,7 @@ def test_protocol_adds_expected_thermal_occupation():
     p = default_params(n_th_mech=2.0)
     t_store = 0.02 / GM
     sched = schedule_for(p, t_store)
-    res = run_ensemble(sample_cat(1e-6, 8192), p, sched, master_seed=9)
+    res = sampled_ensemble(sample_cat(1e-6, 8192), p, sched, master_seed=9)
     n_add = float(np.average((res.alpha_out_plus * res.alpha_out).real,
                              weights=res.weight))
     assert n_add == pytest.approx(2.0 * (1.0 - math.exp(-2.0 * GM * t_store)),
@@ -428,7 +433,7 @@ def test_protocol_channel_quiet_without_occupation(monkeypatch):
     gain, noise_var = protocol_channel(p, sched)
     assert noise_var == 0.0
     inputs = sample_cat(2.0, 8)
-    res = run_ensemble(inputs, p, sched, master_seed=0)
+    res = run_ensemble(inputs, gain, noise_var, master_seed=0)
     assert np.array_equal(res.alpha_out, abs(gain) * inputs.alpha_out)
 
 
@@ -443,9 +448,9 @@ def test_run_ensemble_samples_the_channel():
     # the fig10 point again, now sampled from the channel itself
     p = default_params(n_th_mech=2.0)
     sched = schedule_for(p, 0.02 / GM)
-    assert_channel_residual(p, sched, run=run_ensemble)
+    assert_channel_residual(p, sched, run=sampled_ensemble)
     inputs = sample_cat(2.0, 64)
-    res = run_ensemble(inputs, p, sched, master_seed=3)
+    res = sampled_ensemble(inputs, p, sched, master_seed=3)
     gain = res.gain
     assert (res.gain, res.noise_var) == protocol_channel(p, sched)
     r = res.alpha_out - abs(gain) * inputs.alpha_out
@@ -489,7 +494,7 @@ def test_time_steps_share_the_noise_draw():
     for dt in (0.1, 0.2):
         sched = schedule_for(p, 10.0, dt=dt)
         gain, noise_var = protocol_channel(p, sched)
-        res = run_ensemble(inputs, p, sched, master_seed=4)
+        res = run_ensemble(inputs, gain, noise_var, master_seed=4)
         # undo the phase correction of the noise to recover the normal pairs
         rot = cmath.exp(-1j * cmath.phase(gain))
         etas.append((res.alpha_out - abs(gain) * inputs.alpha_out)
@@ -512,25 +517,21 @@ def test_unstable_step_reports_nonfinite():
     p = default_params(g_eff=40.0)
     sched = ProtocolSchedule.make(50.0, 0.0, 0.1)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError):
-        run_ensemble(sample_cat(1.0, 4), p, sched, master_seed=0)
+        sampled_ensemble(sample_cat(1.0, 4), p, sched, master_seed=0)
 
 
-def test_phase_correction(monkeypatch):
+def test_phase_correction():
     # a channel with gain 2i: the corrected frame has gain 2, and the noise
     # turns by -pi/2 (the plus column the other way, so pairs stay conjugate)
-    p = default_params(n_th_mech=2.0)
-    sched = schedule_for(p, 10.0)
     inputs = inputs_of([1j], [-1j], ["++"])
-    monkeypatch.setattr(engine, "protocol_channel", lambda params, schedule: (2j, 0.5))
-    fixed = run_ensemble(inputs, p, sched, master_seed=0)
+    fixed = run_ensemble(inputs, 2j, 0.5, master_seed=0)
     x, y = block_stream(0, 0).standard_normal((2, 1))
     noise = 0.5 * (x[0] + 1j * y[0]) * -1j
     assert fixed.alpha_out[0] == pytest.approx(2j + noise, rel=1e-15)
     assert fixed.alpha_out_plus[0] == pytest.approx(-2j + noise.conjugate(), rel=1e-15)
     assert fixed.gain == 2j and fixed.noise_var == 0.5
-    monkeypatch.setattr(engine, "protocol_channel", lambda params, schedule: (0j, 0.5))
     with pytest.raises(ValueError):
-        run_ensemble(inputs, p, sched, master_seed=0)
+        run_ensemble(inputs, 0j, 0.5, master_seed=0)
 
 
 @pytest.mark.parametrize("n_bar", [0.0, 2.0])
