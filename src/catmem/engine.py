@@ -101,9 +101,8 @@ def run_ensemble(inputs: EnsembleResult, gain: complex, noise_var: float,
     conj(e^{-i arg G} N).  Formed this way, a real input keeps mu_x =
     (alpha_out + alpha_out_plus)/2 exactly real on every row, so the Wigner
     kernel takes its real path.  The weight and branch columns are the
-    input's, and the channel travels with the result (``gain``,
-    ``noise_var``).  The pairs come in blocks of
-    RNG_BLOCK_SIZE trajectories, each from the counter-based stream keyed
+    input's; the channel stays with the caller.  The pairs come in blocks
+    of RNG_BLOCK_SIZE trajectories, each from the counter-based stream keyed
     by (master_seed, block index), so a trajectory's noise depends only on
     the seed and its position; the time step changes the scale, not the
     draw.  A noiseless channel consumes no randomness.
@@ -123,8 +122,7 @@ def run_ensemble(inputs: EnsembleResult, gain: complex, noise_var: float,
     g_abs = abs(gain)
     return EnsembleResult(alpha_out=g_abs * inputs.alpha_out + noise,
                           alpha_out_plus=g_abs * inputs.alpha_out_plus + np.conj(noise),
-                          weight=inputs.weight, branch=inputs.branch,
-                          gain=gain, noise_var=noise_var)
+                          weight=inputs.weight, branch=inputs.branch)
 
 
 def _write_walk(params: SystemParams, schedule: ProtocolSchedule,

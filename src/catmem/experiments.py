@@ -26,8 +26,8 @@ import numpy as np
 
 from . import engine, oracle
 from .engine import ENGINE_VERSION, run_ensemble
-from .model import (EnsembleResult, GridAxis, ProtocolSchedule, SystemParams,
-                    derive_rates, open_atomic, parse_storage_time)
+from .model import (EnsembleResult, ProtocolSchedule, SystemParams, derive_rates,
+                    open_atomic, parse_storage_time)
 from .modes import default_write_duration, transfer_amplitude
 from .sampling import sample_cat
 from . import signatures as sig
@@ -45,8 +45,6 @@ __all__ = [
     "write_run_artifacts",
     "run_sweep",
     "oracle_query",
-    "oracle_negativity",
-    "protocol_negativity",
 ]
 
 # Reference device: 17.5 Hz mechanical linewidth against a 170 kHz cavity.
@@ -321,22 +319,6 @@ def config_fingerprint(config: ExperimentConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def oracle_negativity(alpha0: float, t_store: float, n_bar: float, gamma_m: float,
-                      grid: tuple[GridAxis, GridAxis]) -> float:
-    """Negativity of the ideal decohered cat at the points of the Wigner
-    axes grid."""
-    return oracle.channel_negativity(*grid, alpha0,
-                                     *oracle.damping_channel(t_store, n_bar, gamma_m))
-
-
-def protocol_negativity(alpha0: float, gain: complex, noise_var: float,
-                        grid: tuple[GridAxis, GridAxis]) -> float:
-    """Negativity of the input cat sent through the protocol's exact Gaussian
-    channel (gain, noise_var) from ``engine.protocol_channel``, at the
-    points of the Wigner axes grid."""
-    return oracle.channel_negativity(*grid, alpha0, abs(gain), noise_var)
-
-
 @dataclass
 class PointResult:
     """Signature values for a single parameter point, and the seconds its
@@ -359,117 +341,16 @@ def _channel(channels: dict, params: SystemParams,
 
 
 def _corrected_ensemble(config: ExperimentConfig,
-                        channels: dict | None = None) -> tuple[EnsembleResult, EnsembleResult]:
-    """Sample the input cat and send it through the protocol channel,
-    phase-corrected: (input ensemble, output ensemble).  The one place a run
-    forms its ensemble.  The channel comes from channels (``_channel``; a
-    new dict when None) and rides on the ensemble."""
-    gain, noise_var = _channel({} if channels is None else channels,
-                               config.system_params(), config.schedule())
+                        channel: tuple[complex, float] | None = None
+                        ) -> tuple[EnsembleResult, EnsembleResult]:
+    """Sample the input cat and send it through the protocol channel
+    (gain, noise_var), phase-corrected: (input ensemble, output ensemble).
+    The one place a run forms its ensemble.  None evaluates the channel of
+    the config's parameters and schedule (``engine.protocol_channel``)."""
+    gain, noise_var = channel if channel is not None else \
+        engine.protocol_channel(config.system_params(), config.schedule())
     inputs = sample_cat(config.alpha0, config.n_samples)
     return inputs, run_ensemble(inputs, gain, noise_var, config.master_seed)
-
-
-def _point_core(config: ExperimentConfig, inputs: EnsembleResult, ens: EnsembleResult,
-                wgrid: tuple[GridAxis, GridAxis]) -> PointResult:
-    """Estimate the requested signatures of one corrected ensemble, the
-    Wigner ones on wgrid; the timings hold the seconds of the Wigner full
-    pass and the jackknife."""
-    params = config.system_params()
-    schedule = config.schedule()
-    rates = derive_rates(params)
-    gain = ens.gain
-
-    in_moments = sig.quadrature_moments(inputs)
-    scalars: dict = {
-        "mean_weight": in_moments["mean_weight"],
-        "reference_gain_abs": abs(gain),
-        "reference_gain_phase": math.atan2(gain.imag, gain.real),
-        "transfer_amplitude_analytic": transfer_amplitude(params),
-        "p_variance_in": in_moments["p_variance"],
-        "t_write_resolved": schedule.t_write,
-        "t_store_resolved": schedule.t_store,
-        "dt": schedule.dt,
-        "gamma_bar_re": rates.gamma_bar.real,
-        "noisy": bool(params.n_th_mech > 0 or params.n_init_mech > 0),
-    }
-    fields: dict = {}
-    timings: dict = {}
-
-    sigs = config.signatures
-    if "p_distribution" in sigs:
-        fields["p_distribution"] = sig.p_distribution(
-            ens, sig.default_quadrature_axis(config.alpha0), math.pi / 2.0)
-    if "wigner" in sigs or "negativity" in sigs:
-        if "negativity" in sigs and scalars["noisy"]:
-            band = oracle.negativity_band(config.alpha0, gain, ens.noise_var)
-            jack = sig.negativity_with_error(ens, wgrid, n_blocks=config.jackknife_blocks,
-                                             band=band)
-            wfield = jack.pop("field")
-            timings["wigner_s"] = jack["wigner_s"]
-            timings["jackknife_s"] = jack["jackknife_s"]
-            scalars["negativity"] = jack["negativity"]
-            scalars["sampling_error"] = jack["jackknife_se"]
-            scalars["jackknife_blocks"] = jack["n_blocks"]
-            scalars["negativity_outside_band"] = jack["negativity_outside_band"]
-        else:
-            start = time.perf_counter()
-            wfield = sig.wigner_estimate(ens, wgrid)
-            timings["wigner_s"] = time.perf_counter() - start
-            if "negativity" in sigs:
-                scalars["negativity"] = sig.wigner_negativity(wfield)
-                if not scalars["noisy"]:
-                    scalars["sampling_error"] = 0.0
-        scalars["wigner_norm"] = wfield.meta["norm"]
-        scalars["wigner_max_imag_residual_4th_node"] = \
-            wfield.meta["max_imag_residual_4th_node"]
-        if "wigner" in sigs:
-            fields["wigner"] = wfield
-    if "density" in sigs:
-        fields["density"] = sig.reconstruct_density(ens, sig.default_density_axis(config.alpha0))
-    if "p_variance" in sigs:
-        out_moments = sig.quadrature_moments(ens)
-        scalars["p_variance_out"] = out_moments["p_variance"]
-        scalars["mixture_falsified"] = sig.is_mixture_falsified(scalars["p_variance_out"])
-        scalars["p_moment_imag_residual"] = max(
-            abs(out_moments["p_mean"].imag), abs(out_moments["p_sq"].imag))
-
-    return PointResult(scalars=scalars, fields=fields, timings=timings)
-
-
-def _add_references(config: ExperimentConfig, ens: EnsembleResult,
-                    wgrid: tuple[GridAxis, GridAxis], scalars: dict,
-                    channels: dict, timings: dict) -> None:
-    """Closed-form negativities at the points of the run's Wigner axes
-    wgrid, the z-score against the protocol reference, and the time-step
-    error of that reference.
-
-    ``negativity_protocol`` is s(dt), the negativity of the input cat sent
-    through the channel the ensemble was sampled from.  The channel on the
-    same schedule at half the step (its grid holds the snapped t_write and
-    t_store) comes from channels (``_channel``), and the time-step error is
-    the first-order Richardson estimate 2 |s(dt) - s(dt/2)|.  timings gets
-    the seconds of the references (``references_s``) and of the time-step
-    error (``time_step_s``: the dt/2 channel and its negativity).
-    """
-    schedule = config.schedule()
-    start = time.perf_counter()
-    if config.gamma_int == 0 and config.n_init == 0:
-        scalars["negativity_oracle"] = oracle_negativity(
-            config.alpha0, schedule.t_store, config.n_bar, config.gamma_m, wgrid)
-    reference = protocol_negativity(config.alpha0, ens.gain, ens.noise_var, wgrid)
-    half_start = time.perf_counter()
-    half_step = ProtocolSchedule(schedule.t_write, schedule.t_store, schedule.dt / 2.0)
-    ts_err = 2.0 * abs(reference - protocol_negativity(
-        config.alpha0, *_channel(channels, config.system_params(), half_step), wgrid))
-    timings["references_s"] = half_start - start
-    timings["time_step_s"] = time.perf_counter() - half_start
-    se = scalars["sampling_error"]
-    scalars["negativity_protocol"] = reference
-    scalars["time_step_error"] = ts_err
-    scalars["error_quadrature_sum"] = math.hypot(se, ts_err)
-    if se > 0:
-        scalars["z_protocol"] = (scalars["negativity"] - reference) / se
 
 
 def run_point(config: ExperimentConfig, channels: dict | None = None) -> PointResult:
@@ -485,40 +366,116 @@ def run_point(config: ExperimentConfig, channels: dict | None = None) -> PointRe
     alpha0, and a shared one gives the same bits.
 
     With "negativity" requested the scalars also hold the closed-form
-    references and the error budget (``_add_references``): the sampling
-    error (the jackknife se, 0 on noiseless points), the time-step error and
-    their quadrature sum.  A noisy point forms the jackknife's block sums
-    only on the band of ``oracle.negativity_band`` and records the full
-    field's negative volume off that band as ``negativity_outside_band``,
-    so a band too narrow for the ensemble shows as a nonzero value.  On a
-    noiseless point the four weighted samples carry the exact cat, at the
-    points where ``negativity_protocol`` is evaluated, so the two differ by
-    rounding and by the off-diagonal weight's error, about 1e-8 relative at
-    alpha0 = 3 (``sampling.branch_weights``): they miss by 1.3e-10 there at
-    t = 0.02/Gm, by 7e-14 at alpha0 = 2 and by under 1e-15 relative at
-    alpha0 = 4 and 5.  A check of the estimator, not of the statistics.
-    The time-step error needs no second ensemble: a run at another step
-    draws the same noise, so it would differ from this one by a fixed
-    function of the two channels.
+    references, evaluated at the points of the run's Wigner grid, and the
+    error budget: the sampling error (the jackknife se, 0 on noiseless
+    points), the time-step error and their quadrature sum.
+    ``negativity_protocol`` is s(dt), the negativity of the input cat sent
+    through the channel the ensemble was sampled from, and the time-step
+    error is the first-order Richardson estimate 2 |s(dt) - s(dt/2)|, with
+    the channel on the same schedule at half the step (its grid holds the
+    snapped t_write and t_store).  It needs no second ensemble: a run at
+    another step draws the same noise, so it would differ from this one by
+    a fixed function of the two channels.  A noisy point forms the
+    jackknife's block sums only on the band of ``oracle.negativity_band``
+    and records the full field's negative volume off that band as
+    ``negativity_outside_band``, so a band too narrow for the ensemble
+    shows as a nonzero value.  On a noiseless point the four weighted
+    samples carry the exact cat, at the points where
+    ``negativity_protocol`` is evaluated, so the two differ by rounding and
+    by the error of the off-diagonal weight (``sampling.branch_weights``).
+    A check of the estimator, not of the statistics.
 
     ``timings`` holds the seconds of the channel (``channel_s``, about 0
     when channels already held it), of the sampling, of the Wigner full
     pass and the jackknife when they run, and with "negativity" of the
-    references and of the time-step error.
+    references (``references_s``) and of the time-step error
+    (``time_step_s``: the dt/2 channel and its negativity).
     """
     config.validate()
     channels = {} if channels is None else channels
+    params, schedule = config.system_params(), config.schedule()
     start = time.perf_counter()
-    _channel(channels, config.system_params(), config.schedule())  # timed apart from sampling
+    gain, noise_var = _channel(channels, params, schedule)
     sampled = time.perf_counter()
-    inputs, ens = _corrected_ensemble(config, channels)
+    inputs, ens = _corrected_ensemble(config, (gain, noise_var))
     timings = {"channel_s": sampled - start, "sampling_s": time.perf_counter() - sampled}
     wgrid = sig.default_wigner_grid(config.alpha0)
-    point = _point_core(config, inputs, ens, wgrid)
-    point.timings.update(timings)
-    if "negativity" in config.signatures:
-        _add_references(config, ens, wgrid, point.scalars, channels, point.timings)
-    return point
+    noisy = bool(params.n_th_mech > 0 or params.n_init_mech > 0)
+
+    in_moments = sig.quadrature_moments(inputs)
+    scalars: dict = {
+        "mean_weight": in_moments["mean_weight"],
+        "reference_gain_abs": abs(gain),
+        "reference_gain_phase": math.atan2(gain.imag, gain.real),
+        "transfer_amplitude_analytic": transfer_amplitude(params),
+        "p_variance_in": in_moments["p_variance"],
+        "t_write_resolved": schedule.t_write,
+        "t_store_resolved": schedule.t_store,
+        "dt": schedule.dt,
+        "gamma_bar_re": derive_rates(params).gamma_bar.real,
+        "noisy": noisy,
+    }
+    fields: dict = {}
+
+    sigs = config.signatures
+    if "p_distribution" in sigs:
+        fields["p_distribution"] = sig.p_distribution(
+            ens, sig.default_quadrature_axis(config.alpha0), math.pi / 2.0)
+    if "wigner" in sigs or "negativity" in sigs:
+        if "negativity" in sigs and noisy:
+            band = oracle.negativity_band(config.alpha0, gain, noise_var)
+            jack = sig.negativity_with_error(ens, wgrid, n_blocks=config.jackknife_blocks,
+                                             band=band)
+            wfield = jack["field"]
+            timings["wigner_s"] = jack["wigner_s"]
+            timings["jackknife_s"] = jack["jackknife_s"]
+            scalars["negativity"] = jack["negativity"]
+            scalars["sampling_error"] = jack["jackknife_se"]
+            scalars["jackknife_blocks"] = jack["n_blocks"]
+            scalars["negativity_outside_band"] = jack["negativity_outside_band"]
+        else:
+            start = time.perf_counter()
+            wfield = sig.wigner_estimate(ens, wgrid)
+            timings["wigner_s"] = time.perf_counter() - start
+            if "negativity" in sigs:
+                scalars["negativity"] = sig.wigner_negativity(wfield)
+                scalars["sampling_error"] = 0.0
+        scalars["wigner_norm"] = wfield.meta["norm"]
+        scalars["wigner_max_imag_residual_4th_node"] = \
+            wfield.meta["max_imag_residual_4th_node"]
+        if "wigner" in sigs:
+            fields["wigner"] = wfield
+    if "density" in sigs:
+        fields["density"] = sig.reconstruct_density(ens, sig.default_density_axis(config.alpha0))
+    if "p_variance" in sigs:
+        out_moments = sig.quadrature_moments(ens)
+        scalars["p_variance_out"] = out_moments["p_variance"]
+        scalars["mixture_falsified"] = sig.is_mixture_falsified(scalars["p_variance_out"])
+        scalars["p_moment_imag_residual"] = max(
+            abs(out_moments["p_mean"].imag), abs(out_moments["p_sq"].imag))
+
+    if "negativity" in sigs:
+        start = time.perf_counter()
+        if config.gamma_int == 0 and config.n_init == 0:
+            scalars["negativity_oracle"] = oracle.channel_negativity(
+                *wgrid, config.alpha0,
+                *oracle.damping_channel(schedule.t_store, config.n_bar, config.gamma_m))
+        reference = oracle.channel_negativity(*wgrid, config.alpha0, abs(gain), noise_var)
+        half_start = time.perf_counter()
+        half_gain, half_var = _channel(
+            channels, params, ProtocolSchedule(schedule.t_write, schedule.t_store,
+                                               schedule.dt / 2.0))
+        ts_err = 2.0 * abs(reference - oracle.channel_negativity(
+            *wgrid, config.alpha0, abs(half_gain), half_var))
+        timings["references_s"] = half_start - start
+        timings["time_step_s"] = time.perf_counter() - half_start
+        se = scalars["sampling_error"]
+        scalars["negativity_protocol"] = reference
+        scalars["time_step_error"] = ts_err
+        scalars["error_quadrature_sum"] = math.hypot(se, ts_err)
+        if se > 0:
+            scalars["z_protocol"] = (scalars["negativity"] - reference) / se
+    return PointResult(scalars=scalars, fields=fields, timings=timings)
 
 
 def _json_safe(value):
@@ -772,5 +729,6 @@ def oracle_query(name: str, params: dict) -> dict:
     if name == "negativity":
         t = float(params.get("t", 0.0))
         grid = sig.default_wigner_grid(alpha0)
-        return {"negativity": oracle_negativity(alpha0, t, n_bar, gamma, grid)}
+        return {"negativity": oracle.channel_negativity(
+            *grid, alpha0, *oracle.damping_channel(t, n_bar, gamma))}
     raise ConfigError(f"unknown oracle query {name!r}")

@@ -15,7 +15,6 @@ import os
 from contextlib import contextmanager
 from dataclasses import KW_ONLY, dataclass, field
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -153,16 +152,13 @@ class EnsembleResult:
     branch holds each row's label from BRANCHES.  ``sampling.sample_cat``
     returns the input ensemble in this layout (alpha_out = alpha_in, the
     ensemble before any evolution); ``engine.run_ensemble`` returns the
-    retrieved one, with the protocol channel it was sampled from in gain
-    and noise_var.  Both are None for any other ensemble.
+    retrieved one.
     """
 
     alpha_out: np.ndarray
     alpha_out_plus: np.ndarray
     weight: np.ndarray
     branch: np.ndarray
-    gain: Optional[complex] = None
-    noise_var: Optional[float] = None
 
     def __len__(self) -> int:
         return self.alpha_out.size

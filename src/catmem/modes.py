@@ -36,20 +36,17 @@ _M_FLOOR = 1e-12
 class ModeFunctionSpec:
     """Frozen description of the input/output temporal modes.
 
-    Carries the derived rates, the extraction efficiency and the storage
-    offset for the output mode, plus the cached normalisation prefactor
+    Carries the derived rates and the storage offset for the output mode,
+    plus the cached normalisation prefactor
     -2i sqrt((gamma_plus^2 - m^2) gamma_plus) / m.
     """
 
-    def __init__(self, derived: DerivedRates, gamma_ext: float, t_store: float):
+    def __init__(self, derived: DerivedRates, t_store: float):
         if abs(derived.m_rate) < _M_FLOOR:
             raise ValueError("m_rate vanishes: critically damped, mode shape undefined")
-        if gamma_ext < 0:
-            raise ValueError("gamma_ext must be non-negative")
         if t_store < 0:
             raise ValueError("t_store must be non-negative")
         self.derived = derived
-        self.gamma_ext = float(gamma_ext)
         self.t_store = float(t_store)
         gp = derived.gamma_plus
         m = derived.m_rate
@@ -57,7 +54,7 @@ class ModeFunctionSpec:
 
     @classmethod
     def for_params(cls, params: SystemParams, t_store: float) -> "ModeFunctionSpec":
-        return cls(derive_rates(params), params.gamma_ext, t_store)
+        return cls(derive_rates(params), t_store)
 
 
 def u_in(t, spec: ModeFunctionSpec):

@@ -502,7 +502,6 @@ def negativity_with_error(results, grid: tuple[GridAxis, GridAxis], n_blocks: in
     return {"negativity": delta, "jackknife_se": se, "n_blocks": n_blocks,
             "negativity_outside_band": float(np.trapezoid(outside, dx=ax_x.step)),
             "field": field,
-            "max_imag_residual_4th_node": field.meta["max_imag_residual_4th_node"],
             "wigner_s": full_done - start, "jackknife_s": time.perf_counter() - full_done}
 
 

@@ -21,10 +21,10 @@ from catmem.cli import main
 from catmem.engine import protocol_channel
 from catmem.experiments import (ALPHA0_MAX, ConfigError, ExperimentConfig,
                                 PRESETS, config_fingerprint, load_config,
-                                parse_config_text, preset, protocol_negativity,
-                                run_point, run_sweep, sweep_points,
-                                write_run_artifacts)
+                                parse_config_text, preset, run_point, run_sweep,
+                                sweep_points, write_run_artifacts)
 from catmem.model import ProtocolSchedule
+from catmem.oracle import channel_negativity
 from catmem.signatures import default_wigner_grid
 
 TINY_RUN = """\
@@ -178,9 +178,9 @@ def test_run_point_at_alpha0_bound_matches_protocol_reference():
     cfg = ExperimentConfig(alpha0=ALPHA0_MAX, signatures=("negativity",))
     scalars = run_point(cfg).scalars
     assert abs(scalars["wigner_norm"] - 1.0) <= WIGNER_NORM_TOL
-    reference = protocol_negativity(ALPHA0_MAX,
-                                    *protocol_channel(cfg.system_params(), cfg.schedule()),
-                                    default_wigner_grid(ALPHA0_MAX))
+    gain, noise_var = protocol_channel(cfg.system_params(), cfg.schedule())
+    reference = channel_negativity(*default_wigner_grid(ALPHA0_MAX), ALPHA0_MAX,
+                                   abs(gain), noise_var)
     assert reference > 0.0
     assert scalars["negativity"] == pytest.approx(reference, rel=1e-10, abs=0.0)
 
@@ -188,10 +188,10 @@ def test_run_point_at_alpha0_bound_matches_protocol_reference():
 def _channel_negativity_at(cfg, dt):
     """negativity_protocol of cfg's schedule evaluated at step dt."""
     schedule = cfg.schedule()
-    channel = protocol_channel(cfg.system_params(),
-                               ProtocolSchedule(schedule.t_write, schedule.t_store, dt))
-    grid = default_wigner_grid(cfg.alpha0)
-    return protocol_negativity(cfg.alpha0, *channel, grid)
+    gain, noise_var = protocol_channel(
+        cfg.system_params(), ProtocolSchedule(schedule.t_write, schedule.t_store, dt))
+    return channel_negativity(*default_wigner_grid(cfg.alpha0), cfg.alpha0, abs(gain),
+                              noise_var)
 
 
 def test_time_step_error_is_the_channel_richardson_estimate():

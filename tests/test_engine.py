@@ -451,8 +451,7 @@ def test_run_ensemble_samples_the_channel():
     assert_channel_residual(p, sched, run=sampled_ensemble)
     inputs = sample_cat(2.0, 64)
     res = sampled_ensemble(inputs, p, sched, master_seed=3)
-    gain = res.gain
-    assert (res.gain, res.noise_var) == protocol_channel(p, sched)
+    gain = protocol_channel(p, sched)[0]
     r = res.alpha_out - abs(gain) * inputs.alpha_out
     r_plus = res.alpha_out_plus - abs(gain) * inputs.alpha_out_plus
     # the plus column carries the conjugate noise: exactly on the diagonal
@@ -529,7 +528,6 @@ def test_phase_correction():
     noise = 0.5 * (x[0] + 1j * y[0]) * -1j
     assert fixed.alpha_out[0] == pytest.approx(2j + noise, rel=1e-15)
     assert fixed.alpha_out_plus[0] == pytest.approx(-2j + noise.conjugate(), rel=1e-15)
-    assert fixed.gain == 2j and fixed.noise_var == 0.5
     with pytest.raises(ValueError):
         run_ensemble(inputs, 0j, 0.5, master_seed=0)
 

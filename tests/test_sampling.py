@@ -84,7 +84,6 @@ def test_stratified_layout():
     sign = {"+": 1.0, "-": -1.0}
     assert inputs.alpha_out.tolist() == [sign[b[0]] * 2.0 for b in inputs.branch]
     assert inputs.alpha_out_plus.tolist() == [sign[b[1]] * 2.0 for b in inputs.branch]
-    assert inputs.gain is None and inputs.noise_var is None
 
 
 def test_stratified_needs_multiple_of_four():

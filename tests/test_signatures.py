@@ -563,8 +563,8 @@ def assert_kernel_is_the_allocating_kernel(monkeypatch, part, grid, n_blocks):
             assert out["jackknife_se"] == se and se > 0.0
             assert out["negativity_outside_band"] == outside
             assert np.array_equal(out["field"].values, values)
-            assert out["max_imag_residual_4th_node"] == float(np.max(np.abs(im))) * (
-                2.0 / (math.pi * u.size))
+            residual = out["field"].meta["max_imag_residual_4th_node"]
+            assert residual == float(np.max(np.abs(im))) * (2.0 / (math.pi * u.size))
         assert len(started) == (3 if on else 0)
 
 
@@ -647,7 +647,7 @@ def test_concurrent_calls_with_fast_switching_are_bitwise(monkeypatch):
     for out in outs:
         assert out["negativity"] == ref["negativity"]
         assert out["jackknife_se"] == ref["jackknife_se"]
-        assert out["max_imag_residual_4th_node"] == ref["max_imag_residual_4th_node"]
+        assert out["field"].meta == ref["field"].meta
         assert np.array_equal(out["field"].values, ref["field"].values)
 
 
@@ -690,13 +690,16 @@ def test_small_noiseless_run_starts_no_thread(monkeypatch):
 
 def noisy_preset_points():
     """Every point of the fig10 and fig11 presets with a thermal bath, at 4k
-    samples and 100 jackknife blocks: (config, corrected ensemble)."""
+    samples and 100 jackknife blocks: (config, its protocol channel, the
+    corrected ensemble sampled from it)."""
+    from catmem.engine import protocol_channel
     from catmem.experiments import _corrected_ensemble, preset, sweep_points
     for name in ("fig10", "fig11"):
         for _, sub in sweep_points(preset(name)):
             if sub.n_bar > 0:
                 sub = replace(sub, n_samples=4000, jackknife_blocks=100)
-                yield sub, _corrected_ensemble(sub)[1]
+                channel = protocol_channel(sub.system_params(), sub.schedule())
+                yield sub, channel, _corrected_ensemble(sub, channel)[1]
 
 
 def test_banded_jackknife_matches_the_whole_grid():
@@ -704,9 +707,9 @@ def test_banded_jackknife_matches_the_whole_grid():
     # bitwise alone and the se within its last digits; past the lifetime
     # bound the band is the whole axis, so the se is bitwise that of the
     # whole grid too
-    for cfg, ens in noisy_preset_points():
+    for cfg, (gain, noise_var), ens in noisy_preset_points():
         grid = default_wigner_grid(cfg.alpha0)
-        band = negativity_band(cfg.alpha0, ens.gain, ens.noise_var)
+        band = negativity_band(cfg.alpha0, gain, noise_var)
         whole = negativity_with_error(ens, grid, n_blocks=100)
         banded = negativity_with_error(ens, grid, n_blocks=100, band=band)
         assert banded["negativity"] == whole["negativity"]
@@ -715,14 +718,14 @@ def test_banded_jackknife_matches_the_whole_grid():
         assert abs(banded["jackknife_se"] - se) <= 1e-6 * se + 1e-15
         assert banded["negativity_outside_band"] <= 1e-15
         assert whole["negativity_outside_band"] == 0.0
-        if q_channel(ens.gain, ens.noise_var) <= 0.0:
+        if q_channel(gain, noise_var) <= 0.0:
             assert math.isinf(band) and banded["jackknife_se"] == se
 
 
 def test_too_narrow_band_shows_in_the_guard():
     # a zero-width band keeps the x = 0 column only, at fig10 t = 0.02/Gm,
     # where the negative volume reaches |x| = 0.88
-    cfg, ens = next(noisy_preset_points())
+    cfg, _, ens = next(noisy_preset_points())
     grid = default_wigner_grid(cfg.alpha0)
     out = negativity_with_error(ens, grid, n_blocks=100, band=0.0)
     assert 0.0 < out["negativity_outside_band"] < out["negativity"]
