@@ -5,9 +5,9 @@ alpha0, admits an exact positive phase-space density over four branch
 points: the two diagonal pairs at (+-alpha0, +-alpha0) and the two
 off-diagonal pairs where the plus variable flips sign.  Sampling from the
 flat four-branch reference and carrying the density ratio as a weight makes
-the diagonal weight 2/(1+e^{-2 alpha0^2}) and the off-diagonal weight its
-complement to two.  The ensemble is stratified, n/4 rows per branch, so the
-mean weight is exactly one.
+the off-diagonal weight 2q/(1+q), with the cat overlap q = e^{-2 alpha0^2},
+and the diagonal weight its complement to two.  The ensemble is stratified,
+n/4 rows per branch, so the mean weight is exactly one.
 """
 
 from __future__ import annotations
@@ -33,25 +33,18 @@ RNG_BLOCK_SIZE = 4096
 def branch_weights(alpha0: float) -> tuple[float, float]:
     """(diagonal, off-diagonal) importance weights.
 
-    For moderate cats the off-diagonal weight is 2 - w_diag, so a
-    stratified pair sums to exactly two: the subtraction is exact
-    (Sterbenz).  It carries w_diag's rounding, though, up to half an ulp of
-    2 absolute, which is large against a small weight: about 1e-8 relative
-    at alpha0 = 3, where w_off = 3.0e-8.  Where it passes 1e-6 relative,
-    as at alpha0 = 4, the difference has cancelled catastrophically, so the
-    overlap formula 2q/(1+q) is used directly;
-    the pair sum is then off by under half an ulp of one in the mean, which
-    still rounds to an exact mean weight of one.
+    One formula for every alpha0: the off-diagonal weight 2q/(1+q), with
+    the cat overlap q = exp(-2 alpha0^2), which cancels at no alpha0, and
+    the diagonal weight 2 - w_off.  That difference rounds by at most half
+    an ulp of the diagonal weight, so the
+    weights of a stratified ensemble, summed exactly (``math.fsum``), give
+    a mean weight of exactly one.
     """
     q = math.exp(-2.0 * abs(alpha0) ** 2)
     if q == 0.0:
         raise ValueError("cat overlap underflows; off-diagonal weight lost")
-    w_diag = 2.0 / (1.0 + q)
-    w_off = 2.0 - w_diag
-    w_off_direct = 2.0 * q / (1.0 + q)
-    if abs(w_off - w_off_direct) > 1e-6 * w_off_direct:
-        return 2.0 - w_off_direct, w_off_direct
-    return w_diag, w_off
+    w_off = 2.0 * q / (1.0 + q)
+    return 2.0 - w_off, w_off
 
 
 def sample_cat(alpha0: float, n_samples: int) -> EnsembleResult:

@@ -539,7 +539,8 @@ def quadrature_moments(results) -> dict:
 
     The p mean and second moment are real up to branch-cancelling residuals,
     which stay in "p_mean" and "p_sq"; "p_variance" is formed from their
-    real parts.
+    real parts.  "mean_weight" sums the weights exactly (``math.fsum``), so
+    a stratified ensemble reads exactly one (``sampling.branch_weights``).
     """
     u, v, w = _columns(results)
     n = u.size
@@ -556,7 +557,7 @@ def quadrature_moments(results) -> dict:
     return {"a": m_a, "a_plus": m_ap, "a_sq": m_aa, "a_plus_sq": m_apap,
             "adag_a": m_apa, "p_mean": p_mean, "p_sq": p_sq,
             "p_variance": float(p_sq.real - p_mean.real ** 2),
-            "mean_weight": float(np.sum(w) / n)}
+            "mean_weight": math.fsum(w) / n}
 
 
 def is_mixture_falsified(variance: float) -> bool:

@@ -56,12 +56,17 @@ def test_mean_weight_exactly_one(alpha0, n_samples):
 
 
 def test_branch_weights_small_cat_exact_difference():
-    w_diag, w_off = branch_weights(2.0)
-    q = math.exp(-8.0)
-    assert w_diag == 2.0 / (1.0 + q)
-    assert w_off == 2.0 - w_diag                      # exact float difference
-    assert w_off == pytest.approx(2.0 * q / (1.0 + q), rel=1e-9)
-    assert w_off == pytest.approx(6.707e-4, rel=1e-4)
+    # one formula for every cat: the off-diagonal weight from the overlap,
+    # the diagonal one its complement to two, and an exactly summed
+    # stratified ensemble still has mean weight one
+    for alpha0 in (2.0, 3.0):
+        w_diag, w_off = branch_weights(alpha0)
+        q = math.exp(-2.0 * alpha0 ** 2)
+        assert w_off == 2.0 * q / (1.0 + q)
+        assert w_diag == 2.0 - w_off
+        weights = sample_cat(alpha0, 4096).weight
+        assert math.fsum(weights) / weights.size == 1.0
+    assert branch_weights(2.0)[1] == pytest.approx(6.707e-4, rel=1e-4)
 
 
 def test_branch_weights_large_cat_direct_formula():
