@@ -462,9 +462,8 @@ def run_point(config: ExperimentConfig, channels: dict | None = None) -> PointRe
                 *oracle.damping_channel(schedule.t_store, config.n_bar, config.gamma_m))
         reference = oracle.channel_negativity(*wgrid, config.alpha0, abs(gain), noise_var)
         half_start = time.perf_counter()
-        half_gain, half_var = _channel(
-            channels, params, ProtocolSchedule(schedule.t_write, schedule.t_store,
-                                               schedule.dt / 2.0))
+        half_step = ProtocolSchedule(schedule.t_write, schedule.t_store, schedule.dt / 2.0)
+        half_gain, half_var = _channel(channels, params, half_step)
         ts_err = 2.0 * abs(reference - oracle.channel_negativity(
             *wgrid, config.alpha0, abs(half_gain), half_var))
         timings["references_s"] = half_start - start
