@@ -112,11 +112,11 @@ def _cmd_oracle(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for key, value in values.items():
-        print(f"{key} = {value:.6g}" if math.isfinite(value) else f"{key} = inf")
+        print(f"{key} = {value:.6g}")
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        safe = {k: (v if math.isfinite(v) else "inf") for k, v in values.items()}
+        safe = {k: (v if math.isfinite(v) else str(v)) for k, v in values.items()}
         _write_atomic(out / "oracle.json",
                       json.dumps({"query": args.query, "params": params, "values": safe},
                                  indent=2, sort_keys=True))

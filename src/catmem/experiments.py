@@ -386,10 +386,11 @@ def run_point(config: ExperimentConfig, channels: dict | None = None) -> PointRe
     check of the estimator, not of the statistics.
 
     ``timings`` holds the seconds of the channel (``channel_s``, about 0
-    when channels already held it), of the sampling, of the Wigner full
-    pass and the jackknife when they run, and with "negativity" of the
-    references (``references_s``) and of the time-step error
-    (``time_step_s``: the dt/2 channel and its negativity).
+    when channels already held it), of the sampling, of the quadrature
+    (``p_distribution_s``), Wigner full, jackknife, density (``density_s``)
+    and output-moment (``moments_s``) passes when they run, and with
+    "negativity" of the references (``references_s``) and of the time-step
+    error (``time_step_s``: the dt/2 channel and its negativity).
     """
     config.validate()
     channels = {} if channels is None else channels
@@ -419,8 +420,10 @@ def run_point(config: ExperimentConfig, channels: dict | None = None) -> PointRe
 
     sigs = config.signatures
     if "p_distribution" in sigs:
+        start = time.perf_counter()
         fields["p_distribution"] = sig.p_distribution(
             ens, sig.default_quadrature_axis(config.alpha0), math.pi / 2.0)
+        timings["p_distribution_s"] = time.perf_counter() - start
     if "wigner" in sigs or "negativity" in sigs:
         if "negativity" in sigs and noisy:
             band = oracle.negativity_band(config.alpha0, gain, noise_var)
@@ -446,9 +449,13 @@ def run_point(config: ExperimentConfig, channels: dict | None = None) -> PointRe
         if "wigner" in sigs:
             fields["wigner"] = wfield
     if "density" in sigs:
+        start = time.perf_counter()
         fields["density"] = sig.reconstruct_density(ens, sig.default_density_axis(config.alpha0))
+        timings["density_s"] = time.perf_counter() - start
     if "p_variance" in sigs:
+        start = time.perf_counter()
         out_moments = sig.quadrature_moments(ens)
+        timings["moments_s"] = time.perf_counter() - start
         scalars["p_variance_out"] = out_moments["p_variance"]
         scalars["mixture_falsified"] = sig.is_mixture_falsified(scalars["p_variance_out"])
         scalars["p_moment_imag_residual"] = max(
@@ -698,10 +705,15 @@ def run_sweep(config: ExperimentConfig, out_dir, progress=None) -> list[dict]:
 
 
 def oracle_query(name: str, params: dict) -> dict:
-    """Evaluate a named closed-form quantity; used by the oracle subcommand."""
-    gamma = float(params.get("gamma", 1.0))
-    n_bar = float(params.get("n_bar", 0.0))
-    alpha0 = float(params.get("alpha0", 2.0))
+    """Evaluate a named closed-form quantity; used by the oracle subcommand.
+
+    Every parameter must be a finite number, as in a config file
+    (``ConfigError`` otherwise); a missing one raises KeyError.
+    """
+    num = {key: _parse_number(raw, key, None) for key, raw in params.items()}
+    gamma = num.get("gamma", 1.0)
+    n_bar = num.get("n_bar", 0.0)
+    alpha0 = num.get("alpha0", 2.0)
     if name == "t_positive":
         return {"t_positive": oracle.t_positive(n_bar, gamma)}
     if name == "t_p_bound":
@@ -709,25 +721,21 @@ def oracle_query(name: str, params: dict) -> dict:
     if name == "cat_variance":
         return {"cat_variance": oracle.cat_variance(alpha0)}
     if name == "q_parameter":
-        t = float(params["t"])
-        return {"q_parameter": oracle.q_parameter(t, n_bar, gamma)}
+        return {"q_parameter": oracle.q_parameter(num["t"], n_bar, gamma)}
     if name == "q_channel":
-        return {"q_channel": oracle.q_channel(float(params["gain"]),
-                                              float(params.get("noise_var", 0.0)))}
+        return {"q_channel": oracle.q_channel(num["gain"], num.get("noise_var", 0.0))}
     if name == "decohered_density":
-        t = float(params["t"])
-        amp, coeff = oracle.decohered_density(t, alpha0, gamma)
+        amp, coeff = oracle.decohered_density(num["t"], alpha0, gamma)
         return {"amplitude": amp, "coefficient": coeff}
     if name == "transfer_amplitude":
-        gamma_int = float(params.get("gamma_int", 0.0))
-        gamma_ext = float(params.get("gamma_ext", 1.0 - gamma_int))
+        gamma_int = num.get("gamma_int", 0.0)
+        gamma_ext = num.get("gamma_ext", 1.0 - gamma_int)
         sys_params = SystemParams(gamma_ext, gamma_int,
-                                  gamma_m=float(params.get("gamma_m", DEFAULT_GAMMA_M)),
-                                  g_eff=float(params.get("g_eff", 0.6)))
+                                  gamma_m=num.get("gamma_m", DEFAULT_GAMMA_M),
+                                  g_eff=num.get("g_eff", 0.6))
         return {"transfer_amplitude": transfer_amplitude(sys_params)}
     if name == "negativity":
-        t = float(params.get("t", 0.0))
         grid = sig.default_wigner_grid(alpha0)
         return {"negativity": oracle.channel_negativity(
-            *grid, alpha0, *oracle.damping_channel(t, n_bar, gamma))}
+            *grid, alpha0, *oracle.damping_channel(num.get("t", 0.0), n_bar, gamma))}
     raise ConfigError(f"unknown oracle query {name!r}")

@@ -4,32 +4,31 @@ Every estimator is a weighted mean of an analytically continued coherent
 -state kernel over the doubled phase-space output amplitudes.  The kernels
 are evaluated by completing the square, which makes each kernel separable
 in the grid coordinates; the ensemble sums then reduce to chunked matrix
-products.  The Wigner kernel is evaluated in real arithmetic: per sample a
-real Gaussian factor in Re alpha times a Gaussian factor with a phase in
-Im alpha, so samples whose means are real (the diagonal branches) enter
-one real product only.  The phase factors come from angle addition, so
-the trigonometry runs per row and per column, not per cell.  It needs
-every mu_x = (alpha_out + alpha_out_plus)/2 real, as a real cat keeps it on
-every row in the phase-corrected frame of ``engine.run_ensemble``, and
-raises ValueError otherwise.  Each kernel-sum
-call allocates its factor tables and products once and reuses them for every
-chunk.  With two or more usable CPUs and two or more chunks, one helper
-thread builds the next chunk's (or jackknife batch's) tables, element-wise
-numpy work only, while the calling thread runs the current one's matrix
-products.  Every BLAS call stays on the caller and the chunks are added in
-the same order, so the results have the same bits for any CPU count; no
-thread outlives the call.  The delete-block jackknife forms the kernel sums
-of many blocks in one batched product, on the band of Re alpha columns where
-the Wigner function can be negative when given one
-(``oracle.negativity_band``), and reports the full field's negative volume
-off that band as its guard.
+products.  The Wigner and quadrature estimators share one real factor
+table (``_factor_table``): per sample a Gaussian times a phase whose rate
+is the imaginary part of its mean, so samples with real means (the
+diagonal branches) enter one real product only.  The phase factors come
+from angle addition, so the trigonometry runs per row and per column, not
+per cell.  The Wigner kernel multiplies the table in Im alpha by a real
+Gaussian in Re alpha, so it needs every mu_x = (alpha_out +
+alpha_out_plus)/2 real, as a real cat keeps it in the phase-corrected
+frame of ``engine.run_ensemble``, and raises ValueError otherwise.  The
+density kernel stays complex: its phase rate in a is the per-row noise, so
+its rows share no column pair.  With two or more usable CPUs and two or
+more chunks, one helper thread builds the next chunk's (or jackknife
+batch's) tables, element-wise numpy work only, while the calling thread
+runs the current one's matrix products.  Every BLAS call stays on the
+caller and the chunks are added in the same order, so the results have
+the same bits for any CPU count; no thread outlives the call.  The
+delete-block jackknife forms the kernel sums of many blocks in one
+batched product, on the band of Re alpha columns where the Wigner
+function can be negative when given one (``oracle.negativity_band``), and
+reports the full field's negative volume off that band as its guard.
 Imaginary parts cancel over symmetric branches and are reported as
-residual diagnostics rather than silently dropped; the Wigner kernel's is
-formed on every 4th node of both axes only.  The factors stay
-finite for |alpha0| up to ``experiments.ALPHA0_MAX``, where the cat overlap
-is still a normal double.  The negativity's time-step error is not
-estimated here: ``experiments.run_point`` takes it from the closed-form
-channel negativity at dt and dt/2, so no ensemble is summed twice.
+residual diagnostics, on every 4th node for the table kernels.  The
+factors stay finite for |alpha0| up to ``experiments.ALPHA0_MAX``.  The
+negativity's time-step error is ``experiments.run_point``'s, from the
+closed-form channel negativity at dt and dt/2.
 """
 
 from __future__ import annotations
@@ -61,8 +60,7 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-_CHUNK = 16384  # samples per evaluation chunk, keeps temporaries cache-sized
-# Wigner kernel tables: samples per chunk are sized so that one factor
+# Kernel tables: samples per chunk are sized so that one real factor
 # table holds about _TABLE_CELLS values (2 MB), and a batch of jackknife
 # block sums at most _FIELD_CELLS grid cells (fewer on a band of columns)
 _TABLE_CELLS = 1 << 18
@@ -100,33 +98,40 @@ def _columns(results: EnsembleResult) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 def p_distribution(results, axis: GridAxis, theta: float) -> GridField:
     """Weighted distribution of the quadrature at homodyne angle theta on
-    the axis.
+    the axis; integrates to one up to grid truncation for any
+    mean-weight-one ensemble.
 
-    Integrates to one up to grid truncation for any mean-weight-one
-    ensemble.
+    A sample's kernel exp(-(p - sqrt(2) mu)^2), mu = (e^{-i theta} u +
+    e^{i theta} v)/2, is exp(-2 (y - mu)^2) at y = p/sqrt(2): each chunk
+    adds w @ its ``_factor_table``, whose rate Im mu = sin(theta) Im mu_y
+    is one per branch.
     """
     u, v, w = _columns(results)
     n = u.size
     if n == 0:
         raise ValueError("empty ensemble")
-    xs = axis.points()
-    shift = (np.exp(-1j * theta) * u + np.exp(1j * theta) * v) / _SQRT2
-    total = np.zeros(xs.size, dtype=np.complex128)
-    for lo in range(0, n, _CHUNK):
-        sl = slice(lo, min(lo + _CHUNK, n))
-        kern = np.exp(-((xs[None, :] - shift[sl, None]) ** 2))
-        total += w[sl] @ kern
-    total /= n * math.sqrt(math.pi)
-    values = np.real(total)
-    norm = float(np.trapezoid(values, dx=axis.step))
+    ys = axis.points() / _SQRT2
+    mu = math.cos(theta) * 0.5 * (u + v) + math.sin(theta) * 0.5j * (v - u)
+    chunk = _table_rows(ys, ys)
+    work = _Workspace(min(chunk, n), ys, ys)
+    builds = [functools.partial(_factor_table, mu[lo:lo + chunk], ys, work)
+              for lo in range(0, n, chunk)]
+    re, im = np.zeros(ys.size), np.zeros(ys[::4].size)
+    with closing(_built(builds)) as built:
+        for lo, (_, (table, phased, sine)) in zip(range(0, n, chunk), built):
+            re += w[lo:lo + chunk] @ table
+            if phased.size:
+                im += w[lo:lo + chunk][phased] @ sine
+    scale = 1.0 / (n * math.sqrt(math.pi))
+    values = re * scale
     return GridField(axes=(axis,), values=values,
                      meta={"kind": "quadrature_distribution", "theta": theta,
-                           "norm": norm,
-                           "max_imag_residual": float(np.max(np.abs(np.imag(total))))})
+                           "norm": float(np.trapezoid(values, dx=axis.step)),
+                           "max_imag_residual_4th_node": float(np.max(np.abs(im))) * scale})
 
 
 class _Workspace:
-    """Work buffers of the Wigner kernel, allocated once per kernel-sum call.
+    """Work buffers of a table kernel, allocated once per kernel-sum call.
 
     Each chunk of samples, or batch of jackknife blocks, of at most `rows`
     samples writes its factor tables into the leading rows of the same flat
@@ -155,16 +160,14 @@ def _kernel_tables(u, v, w, xs, ys, work: _Workspace | None = None, slot: int = 
                    sine: bool = True):
     """Real factor tables of the Wigner kernel, one row per sample.
 
-    With a real mu_x = (u + v)/2 = c and mu_y = i (v - u)/2 = a + i b, a
-    sample's kernel is fx(x) fy(y) with fx = w exp(-2 (x - c)^2) and
-    fy = exp(-2 (y - a)^2 + 2 b^2) e^{4 i b (y - a)}.  Returns
-    (cx, cy, phased, sy): fx and the real part cy of fy on every row; the
-    indices `phased` of the rows where b is nonzero; and, with `sine`, the
-    imaginary part sy of fy on those rows and every 4th node of ys (None
-    without).  Summed over samples, the real part of the kernel is cx^T cy
-    and the imaginary part on every 4th node cx[phased][:, ::4]^T sy.
-    Raises ValueError when any mu_x is not real.  The tables are views into
-    slot `slot` of `work` (a fresh one when None), valid until its next use.
+    With a real mu_x = (u + v)/2 = c and mu_y = i (v - u)/2, a sample's
+    kernel is fx(x) fy(y) with fx = w exp(-2 (x - c)^2) and fy = exp(-2
+    (y - mu_y)^2).  Returns (cx, cy, phased, sy): fx on every row, and fy's
+    ``_factor_table`` (cy, phased, sy).  Summed over samples, the real part
+    of the kernel is cx^T cy and the imaginary part on every 4th node
+    cx[phased][:, ::4]^T sy.  Raises ValueError when any mu_x is not real.
+    The tables are views into slot `slot` of `work` (a fresh one when
+    None), valid until its next use.
     """
     n = u.size
     mu_x = 0.5 * (u + v)
@@ -173,14 +176,20 @@ def _kernel_tables(u, v, w, xs, ys, work: _Workspace | None = None, slot: int = 
                          "alpha_out_plus)/2 on every row")
     if work is None:
         work = _Workspace(n, xs, ys)
-    mu_y = 0.5j * (v - u)
     cx = _gaussian_table(mu_x, xs, work.table(f"cx{slot}", n, xs.size))
     cx *= w[:, None]
-    cy = _gaussian_table(mu_y, ys, work.table(f"cy{slot}", n, ys.size))
-    phased = np.flatnonzero(mu_y.imag)
-    sy = _rotate(cy, phased, 4.0 * mu_y.imag[phased], ys, mu_y.real[phased], work,
-                 f"sy{slot}" if sine else None)
-    return cx, cy, phased, sy
+    return (cx, *_factor_table(0.5j * (v - u), ys, work, slot, sine))
+
+
+def _factor_table(mu, axis, work: _Workspace, slot: int = 0, sine: bool = True):
+    """exp(-2 (y - mu)^2) = exp(-2 (y - a)^2 + 2 b^2) e^{4 i b (y - a)}, mu =
+    a + i b, one row per sample and y the axis: (its real part, in buffer
+    "cy{slot}" of `work`; the rows `phased` where b is nonzero; with `sine`
+    its imaginary part on those rows and every 4th node, in "sy{slot}")."""
+    table = _gaussian_table(mu, axis, work.table(f"cy{slot}", mu.size, axis.size))
+    phased = np.flatnonzero(mu.imag)
+    return table, phased, _rotate(table, phased, 4.0 * mu.imag[phased], axis,
+                                  mu.real[phased], work, f"sy{slot}" if sine else None)
 
 
 def _table_rows(xs, ys) -> int:
@@ -518,8 +527,9 @@ def reconstruct_density(results, axis: GridAxis) -> GridField:
         raise ValueError("empty ensemble")
     a = b = axis.points()
     total = np.zeros((a.size, b.size), dtype=np.complex128)
-    for lo in range(0, n, _CHUNK):
-        sl = slice(lo, min(lo + _CHUNK, n))
+    chunk = _table_rows(a, b)
+    for lo in range(0, n, chunk):
+        sl = slice(lo, lo + chunk)
         half_const = -0.5 * u[sl] * v[sl]
         fa = np.exp(-0.5 * a[None, :] ** 2 + a[None, :] * u[sl, None]
                     + half_const[:, None]) * w[sl, None]

@@ -355,6 +355,16 @@ def test_manifest_timings_stay_out_of_the_results(tmp_path):
     saved = json.loads((tmp_path / "sweep" / "sweep_manifest.json").read_text())
     assert [row["timings"] for row in saved["rows"]] == [row["timings"] for row in rows]
     assert run_point(replace(cfg, n_bar=0.0)).timings.keys() == noiseless
+    # every signature: the quadrature, density and moment passes are timed too
+    every = replace(cfg, signatures=experiments.KNOWN_SIGNATURES)
+    manifest = write_run_artifacts(every, run_point(every), tmp_path / "every", 0.0)
+    passes = noiseless | {"jackknife_s", "p_distribution_s", "density_s", "moments_s"}
+    assert set(manifest["timings"]) == passes | {"artifact_io_s"}
+    assert not set(manifest["timings"]) & set(manifest["scalars"])
+    row, = run_sweep(replace(every, sweep=(("n_bar", (2.0,)),)), tmp_path / "every_sweep")
+    assert set(row["timings"]) == passes and not set(row["timings"]) & set(row["scalars"])
+    assert row["row_sha256"] == experiments._row_digest(dict(row, timings={}))
+    assert row["scalars"] == manifest["scalars"]
 
 
 def test_sweep_column_of_the_band_guard(tmp_path):
@@ -531,6 +541,25 @@ def test_oracle_error_paths(capsys):
     capsys.readouterr()
     assert main(["oracle", "q_channel", "noise_var=0.1"]) == 2  # missing gain
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("args", [["t_positive", "n_bar=nan", "gamma=1"],
+                                  ["cat_variance", "alpha0=inf"],
+                                  ["q_channel", "gain=0.9", "noise_var=-inf"],
+                                  ["t_p_bound", "n_bar=0", "unused=nan"]])
+def test_oracle_rejects_non_finite_parameters(capsys, args):
+    # a non-finite parameter is a config error, as in a config file, not a
+    # NaN result printed as inf
+    assert main(["oracle", *args]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "must be finite" in err
+
+
+def test_oracle_prints_a_genuine_infinity(capsys, tmp_path):
+    # no noise: the p-representation stays positive for ever
+    assert main(["oracle", "t_p_bound", "n_bar=0", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "t_p_bound = inf\n"
+    assert json.loads((tmp_path / "oracle.json").read_text())["values"] == {"t_p_bound": "inf"}
 
 
 def test_bad_seed_rejected(capsys):

@@ -64,7 +64,7 @@ def test_p_distribution_matches_ideal(alpha0):
     ideal = ideal_P_p(axis.points(), alpha0)
     assert np.max(np.abs(field.values - ideal)) < 1e-8
     assert field.meta["norm"] == pytest.approx(1.0, abs=1e-6)
-    assert field.meta["max_imag_residual"] < 1e-8
+    assert field.meta["max_imag_residual_4th_node"] < 1e-8
 
 
 def test_x_distribution_matches_ideal():
@@ -274,6 +274,38 @@ def test_real_kernel_matches_complex_sum(ensemble):
         assert np.array_equal(table, ref_table)
 
 
+def complex_p_distribution(u, v, w, ps, theta):
+    """Reference: the quadrature kernel sum in complex arithmetic, one
+    complex exponential per sample and point, normalised."""
+    shift = (np.exp(-1j * theta) * u + np.exp(1j * theta) * v) / math.sqrt(2.0)
+    kern = np.exp(-((ps[None, :] - shift[:, None]) ** 2))
+    return (w @ kern) / (u.size * math.sqrt(math.pi))
+
+
+P_AXIS = GridAxis(-6.0, 6.0, 0.05, "x_theta_quadrature")
+
+
+def assert_p_distribution_is_the_complex_sum(u, v, w, theta):
+    """Values within 1e-12 of the largest |reference|; the residual is the
+    reference's largest |Im| over every 4th node."""
+    ens = EnsembleResult(u, v, w, np.array(["+-"] * u.size))
+    field = p_distribution(ens, P_AXIS, theta)
+    ref = complex_p_distribution(u, v, w, P_AXIS.points(), theta)
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(field.values - ref.real)) <= 1e-12 * scale
+    assert field.meta["max_imag_residual_4th_node"] == pytest.approx(
+        np.max(np.abs(ref.imag[::4])), rel=1e-12, abs=1e-12 * scale)
+
+
+THETAS = [0.0, math.pi / 4, math.pi / 2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel_ensembles(), st.sampled_from(THETAS))
+def test_p_distribution_matches_complex_sum(ensemble, theta):
+    assert_p_distribution_is_the_complex_sum(*ensemble, theta)
+
+
 def _reference_blocks(n, branch, n_blocks):
     """Delete-block layout: each branch's rows, in BRANCHES order, cut into
     n_blocks runs at linspace edges; block j takes run j of every branch."""
@@ -308,6 +340,13 @@ def noisy_channel_ensemble(n, seed=7):
     return EnsembleResult(alpha_out=0.9 * ens.alpha_out + noise,
                           alpha_out_plus=0.9 * ens.alpha_out_plus + np.conj(noise),
                           weight=ens.weight, branch=ens.branch)
+
+
+@pytest.mark.parametrize("theta", THETAS)
+def test_noisy_p_distribution_matches_complex_sum(theta):
+    ens = noisy_channel_ensemble(192)
+    assert_p_distribution_is_the_complex_sum(ens.alpha_out, ens.alpha_out_plus, ens.weight,
+                                             theta)
 
 
 def test_kernel_rejects_complex_mu_x():
@@ -680,12 +719,30 @@ def test_complex_mu_x_in_the_last_chunk_reaches_the_caller(monkeypatch, on):
 
 def test_small_noiseless_run_starts_no_thread(monkeypatch):
     # a 4-sample ensemble is one chunk, so even with CPUs to spare the
-    # kernel builds its tables on the caller
+    # kernels build their tables on the caller
     from catmem.experiments import ExperimentConfig, run_point
     started = force_pipeline(monkeypatch, True)
-    point = run_point(ExperimentConfig(alpha0=2.0, signatures=("wigner", "negativity")))
+    point = run_point(ExperimentConfig(alpha0=2.0, signatures=("p_distribution", "wigner",
+                                                               "negativity")))
     assert point.scalars["sampling_error"] == 0.0
+    assert set(point.fields) == {"p_distribution", "wigner"}
     assert started == []
+
+
+@pytest.mark.parametrize("theta", THETAS)
+def test_noisy_p_distribution_is_bitwise_with_and_without_the_helper(monkeypatch, theta):
+    # 5000 table cells make 20-row chunks on the 241-point axis, so 192
+    # samples end on a short chunk; the helper thread builds every chunk
+    # after the first while the caller sums the one before
+    monkeypatch.setattr(signatures, "_TABLE_CELLS", 5000)
+    ens = noisy_channel_ensemble(192)
+    fields = []
+    for on in (False, True):
+        started = force_pipeline(monkeypatch, on)
+        fields.append(p_distribution(ens, P_AXIS, theta))
+        assert len(started) == (1 if on else 0)
+    assert np.array_equal(fields[0].values, fields[1].values)
+    assert fields[0].meta == fields[1].meta
 
 
 def noisy_preset_points():
