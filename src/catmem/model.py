@@ -190,7 +190,9 @@ class GridAxis:
 
     @property
     def size(self) -> int:
-        return self.points().size
+        # the number of lattice points from end to end, which __post_init__
+        # checked; points() need not be built
+        return round(self.stop / self.step) - round(self.start / self.step) + 1
 
 
 def _distinct_texts(values) -> tuple[np.ndarray, np.ndarray]:
@@ -246,10 +248,14 @@ class GridField:
         """Write the field as CSV; return the SHA-256 hex digest of the bytes
         written.
 
-        Each distinct value is formatted once.  The file is written to a
-        temporary file and renamed into place when complete
-        (``open_atomic``).  The bytes are fixed, because run manifests hash
-        them: UTF-8 with '.' decimals and ',' separators,
+        Each distinct value is formatted once.  The rows are streamed: each
+        x row of a 2-D field, and the whole of a 1-D field, is one join of
+        its cells' tokens, then one write and one digest update (the header
+        is one more), so the text of one x row is the most the writer
+        holds.  The file is written to a temporary file and renamed into
+        place when complete (``open_atomic``).  The bytes are fixed,
+        because run manifests hash them: UTF-8 with '.' decimals and ','
+        separators,
 
         - with a ``manifest_sha256`` fingerprint given, a first line
           ``# manifest_sha256 = <hex>`` ending in LF;
@@ -269,6 +275,15 @@ class GridField:
         texts, inverse = _distinct_texts(self.values)
         header = "" if manifest_sha256 is None else f"# manifest_sha256 = {manifest_sha256}\n"
         header += ",".join([ax.tag for ax in self.axes] + ["value"]) + "\r\n"
+        # a row's tokens: per cell the x text, ",y," (or "," in 1-D), the
+        # value text and CRLF; a 1-D field is one row of every point
+        ny = len(coords[-1])
+        if len(coords) == 1:
+            mids, leads = [","] * ny, [coords[0]]
+        else:
+            mids, leads = [f",{y}," for y in coords[1]], ([x] * ny for x in coords[0])
+        tokens = [""] * (4 * ny)
+        tokens[1::4], tokens[3::4] = mids, ["\r\n"] * ny
         digest = hashlib.sha256()
         with open_atomic(path) as fh:
             def put(text: str) -> None:
@@ -277,16 +292,10 @@ class GridField:
                 digest.update(data)
 
             put(header)
-            if len(coords) == 1:
-                values = texts[inverse].tolist()
-                put("".join([f"{x},{v}\r\n" for x, v in zip(coords[0], values)]))
-            else:
-                ny = len(coords[1])
-                y_cells = [f",{y}," for y in coords[1]]
-                for i, x in enumerate(coords[0]):
-                    row = texts[inverse[i * ny:(i + 1) * ny]].tolist()
-                    cells = [y + v for y, v in zip(y_cells, row)]
-                    put(x + ("\r\n" + x).join(cells) + "\r\n")
+            for i, lead in enumerate(leads):
+                tokens[0::4] = lead
+                tokens[2::4] = texts[inverse[i * ny:(i + 1) * ny]].tolist()
+                put("".join(tokens))
         return digest.hexdigest()
 
 

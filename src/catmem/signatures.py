@@ -14,14 +14,15 @@ Gaussian in Re alpha, so it needs every mu_x = (alpha_out +
 alpha_out_plus)/2 real, as a real cat keeps it in the phase-corrected
 frame of ``engine.run_ensemble``, and raises ValueError otherwise.  The
 density kernel stays complex: its phase rate in a is the per-row noise, so
-its rows share no column pair.  With two or more usable CPUs and two or
-more chunks, one helper thread builds the next chunk's (or jackknife
-batch's) tables, element-wise numpy work only, while the calling thread
-runs the current one's matrix products.  Every BLAS call stays on the
-caller and the chunks are added in the same order, so the results have
-the same bits for any CPU count; no thread outlives the call.  The
-delete-block jackknife forms the kernel sums of many blocks in one
-batched product, on the band of Re alpha columns where the Wigner
+its rows share no column pair.  In the Wigner and jackknife passes, with
+two or more usable CPUs and two or more chunks, one helper thread builds
+the next chunk's (or jackknife batch's) tables, element-wise numpy work
+only, while the calling thread runs the current one's matrix products;
+the quadrature pass builds its tables on the caller.  Every BLAS call
+stays on the caller and the chunks are added in the same order, so the
+results have the same bits for any CPU count; no thread outlives the
+call.  The delete-block jackknife forms the kernel sums of many blocks in
+one batched product, on the band of Re alpha columns where the Wigner
 function can be negative when given one (``oracle.negativity_band``), and
 reports the full field's negative volume off that band as its guard.
 Imaginary parts cancel over symmetric branches and are reported as
@@ -104,7 +105,9 @@ def p_distribution(results, axis: GridAxis, theta: float) -> GridField:
     A sample's kernel exp(-(p - sqrt(2) mu)^2), mu = (e^{-i theta} u +
     e^{i theta} v)/2, is exp(-2 (y - mu)^2) at y = p/sqrt(2): each chunk
     adds w @ its ``_factor_table``, whose rate Im mu = sin(theta) Im mu_y
-    is one per branch.
+    is one per branch.  The tables are built on the caller, into slot 0 of
+    one workspace: the product per chunk is a vector, too small beside the
+    table build for a helper thread to gain anything by overlapping them.
     """
     u, v, w = _columns(results)
     n = u.size
@@ -114,14 +117,12 @@ def p_distribution(results, axis: GridAxis, theta: float) -> GridField:
     mu = math.cos(theta) * 0.5 * (u + v) + math.sin(theta) * 0.5j * (v - u)
     chunk = _table_rows(ys, ys)
     work = _Workspace(min(chunk, n), ys, ys)
-    builds = [functools.partial(_factor_table, mu[lo:lo + chunk], ys, work)
-              for lo in range(0, n, chunk)]
     re, im = np.zeros(ys.size), np.zeros(ys[::4].size)
-    with closing(_built(builds)) as built:
-        for lo, (_, (table, phased, sine)) in zip(range(0, n, chunk), built):
-            re += w[lo:lo + chunk] @ table
-            if phased.size:
-                im += w[lo:lo + chunk][phased] @ sine
+    for lo in range(0, n, chunk):
+        table, phased, sine = _factor_table(mu[lo:lo + chunk], ys, work)
+        re += w[lo:lo + chunk] @ table
+        if phased.size:
+            im += w[lo:lo + chunk][phased] @ sine
     scale = 1.0 / (n * math.sqrt(math.pi))
     values = re * scale
     return GridField(axes=(axis,), values=values,
@@ -139,9 +140,9 @@ class _Workspace:
     is allocated on first use.  The tables that the matrix products read,
     cx, cy and sy, come in two slots (names suffixed 0 and 1): the helper
     thread of ``_built`` fills one while the caller reads the other, and
-    without a helper only slot 0 is used.  Only the table builder writes
-    the phase scratch "angle0" and "angle1".  So a call holds at most eight
-    buffers.
+    without a helper only slot 0 is used, as ``p_distribution`` always
+    does.  Only the table builder writes the phase scratch "angle0" and
+    "angle1".  So a call holds at most eight buffers.
     """
 
     def __init__(self, rows: int, xs: np.ndarray, ys: np.ndarray):

@@ -18,9 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catmem import model
-from catmem.experiments import PointResult, preset, run_point, write_run_artifacts
+from catmem.experiments import (ALPHA0_MAX, PointResult, preset, run_point,
+                                write_run_artifacts)
 from catmem.model import (GridAxis, GridField, ProtocolSchedule, SystemParams,
                           derive_rates, parse_storage_time)
+from catmem.signatures import (default_density_axis, default_quadrature_axis,
+                               default_wigner_grid)
 
 GM = 17.5 / 170e3
 
@@ -198,15 +201,34 @@ SPECIAL_VALUES = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
 
 
 @st.composite
-def grid_fields(draw):
-    def axis(tag):
-        n = draw(st.integers(1, 9))
-        step = draw(st.sampled_from([0.05, 0.1, 0.25, 1.0]))
-        first = draw(st.integers(-100, 100))
-        return GridAxis(step * first, step * (first + n - 1), step, tag)
+def grid_axes(draw):
+    """Short axes of 1 to 9 points on a few steps, anywhere within 100
+    steps of zero."""
+    tag = draw(st.sampled_from(["x", "re_alpha", "x_theta_quadrature", "coherent_b"]))
+    n = draw(st.integers(1, 9))
+    step = draw(st.sampled_from([0.05, 0.1, 0.25, 1.0]))
+    first = draw(st.integers(-100, 100))
+    return GridAxis(step * first, step * (first + n - 1), step, tag)
 
-    tags = st.sampled_from(["x", "re_alpha", "x_theta_quadrature", "coherent_b"])
-    axes = tuple(axis(draw(tags)) for _ in range(draw(st.integers(1, 2))))
+
+@st.composite
+def default_axes(draw):
+    """An axis the signature passes use by default, for any input cat."""
+    alpha0 = draw(st.floats(0.0, ALPHA0_MAX))
+    make = draw(st.sampled_from([default_quadrature_axis, default_density_axis,
+                                 lambda a: default_wigner_grid(a)[0]]))
+    return make(alpha0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(grid_axes(), default_axes()))
+def test_grid_axis_size_counts_its_points(axis):
+    assert axis.size == axis.points().size
+
+
+@st.composite
+def grid_fields(draw):
+    axes = tuple(draw(grid_axes()) for _ in range(draw(st.integers(1, 2))))
     size = math.prod(ax.size for ax in axes)
     value = st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats())
     values = np.array(draw(st.lists(value, min_size=size, max_size=size)), dtype=float)
@@ -303,6 +325,43 @@ class _FailingDigest:
 
     def hexdigest(self):
         return self.digest.hexdigest()
+
+
+def test_writer_streams_one_digest_update_per_row(fig5_run, tmp_path, monkeypatch):
+    # the writer's granularity, which the interruption test and the memory
+    # bound rely on: one update for the header, then one per x row of a 2-D
+    # field, or one for all the rows of a 1-D field; the updates are the
+    # file's bytes in order
+    updates = []
+
+    class Counted:
+        def __init__(self):
+            self.digest = hashlib.sha256()
+            updates.append([])
+
+        def update(self, data):
+            updates[-1].append(data)
+            self.digest.update(data)
+
+        def hexdigest(self):
+            return self.digest.hexdigest()
+
+    monkeypatch.setattr(model, "hashlib", type("hashlib", (), {"sha256": Counted}))
+    fields = fig5_run[1].fields
+    assert [fld.values.ndim for fld in fields.values()] == [1, 2, 2]
+    for name, fld in fields.items():
+        path = tmp_path / f"{name}.csv"
+        digest = fld.write_csv(path, "ab" * 32)
+        header, *rows = updates[-1]
+        assert header.endswith(b",value\r\n")
+        if fld.values.ndim == 1:
+            assert len(rows) == 1
+        else:
+            nx, ny = fld.values.shape
+            assert [row.count(b"\r\n") for row in rows] == [ny] * nx
+        assert b"".join(updates[-1]) == path.read_bytes()
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert len(updates) == len(fields)
 
 
 def test_interrupted_field_write_keeps_previous_run(fig5_run, tmp_path, monkeypatch):
