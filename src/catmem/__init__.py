@@ -10,9 +10,7 @@ from .engine import protocol_channel, run_ensemble, write_gain
 from .signatures import (default_quadrature_axis, default_wigner_grid, is_mixture_falsified,
                          negativity_with_error, p_distribution, reconstruct_density,
                          wigner_estimate, wigner_negativity)
-from .oracle import (DecoherenceParams, cat_variance, decohered_density,
-                     evolve_characteristic, ideal_P_p, ideal_P_x, q_parameter,
-                     t_p_bound, t_positive)
+from .oracle import cat_variance, decohered_density, q_parameter, t_p_bound, t_positive
 from .experiments import (ExperimentConfig, PRESETS, load_config, preset,
                           run_point, run_sweep)
 

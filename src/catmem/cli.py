@@ -108,7 +108,7 @@ def _cmd_oracle(args) -> int:
         params[key.strip()] = value.strip()
     try:
         values = oracle_query(args.query, params)
-    except (ConfigError, KeyError, ValueError) as exc:
+    except ValueError as exc:  # a ConfigError, or a domain error such as gamma <= 0
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for key, value in values.items():

@@ -707,10 +707,26 @@ def run_sweep(config: ExperimentConfig, out_dir, progress=None) -> list[dict]:
 def oracle_query(name: str, params: dict) -> dict:
     """Evaluate a named closed-form quantity; used by the oracle subcommand.
 
-    Every parameter must be a finite number, as in a config file
-    (``ConfigError`` otherwise); a missing one raises KeyError.
+    Every parameter must be a finite number, as in a config file, that the
+    query reads, and one without a default must be given (``ConfigError``).
     """
     num = {key: _parse_number(raw, key, None) for key, raw in params.items()}
+    reads = {"t_positive": "n_bar gamma", "t_p_bound": "n_bar gamma", "cat_variance": "alpha0",
+             "q_parameter": "t n_bar gamma", "q_channel": "gain noise_var",
+             "decohered_density": "t alpha0 gamma", "negativity": "alpha0 n_bar t gamma",
+             "transfer_amplitude": "gamma_int gamma_ext gamma_m g_eff"}.get(name, "").split()
+    if not reads:
+        raise ConfigError(f"unknown oracle query {name!r}")
+    for key in num:
+        if key not in reads:
+            raise ConfigError(f"oracle query {name!r} reads no parameter {key!r}; "
+                              f"it reads {', '.join(reads)}")
+
+    def need(key: str) -> float:
+        if key not in num:
+            raise ConfigError(f"oracle query {name!r} needs the parameter {key!r}")
+        return num[key]
+
     gamma = num.get("gamma", 1.0)
     n_bar = num.get("n_bar", 0.0)
     alpha0 = num.get("alpha0", 2.0)
@@ -721,11 +737,11 @@ def oracle_query(name: str, params: dict) -> dict:
     if name == "cat_variance":
         return {"cat_variance": oracle.cat_variance(alpha0)}
     if name == "q_parameter":
-        return {"q_parameter": oracle.q_parameter(num["t"], n_bar, gamma)}
+        return {"q_parameter": oracle.q_parameter(need("t"), n_bar, gamma)}
     if name == "q_channel":
-        return {"q_channel": oracle.q_channel(num["gain"], num.get("noise_var", 0.0))}
+        return {"q_channel": oracle.q_channel(need("gain"), num.get("noise_var", 0.0))}
     if name == "decohered_density":
-        amp, coeff = oracle.decohered_density(num["t"], alpha0, gamma)
+        amp, coeff = oracle.decohered_density(need("t"), alpha0, gamma)
         return {"amplitude": amp, "coefficient": coeff}
     if name == "transfer_amplitude":
         gamma_int = num.get("gamma_int", 0.0)
@@ -734,8 +750,6 @@ def oracle_query(name: str, params: dict) -> dict:
                                   gamma_m=num.get("gamma_m", DEFAULT_GAMMA_M),
                                   g_eff=num.get("g_eff", 0.6))
         return {"transfer_amplitude": transfer_amplitude(sys_params)}
-    if name == "negativity":
-        grid = sig.default_wigner_grid(alpha0)
-        return {"negativity": oracle.channel_negativity(
-            *grid, alpha0, *oracle.damping_channel(num.get("t", 0.0), n_bar, gamma))}
-    raise ConfigError(f"unknown oracle query {name!r}")
+    grid = sig.default_wigner_grid(alpha0)
+    return {"negativity": oracle.channel_negativity(
+        *grid, alpha0, *oracle.damping_channel(num.get("t", 0.0), n_bar, gamma))}

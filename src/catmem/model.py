@@ -244,7 +244,7 @@ class GridField:
         if tuple(self.values.shape) != shape:
             raise ValueError(f"values shape {self.values.shape} does not match axes {shape}")
 
-    def write_csv(self, path, manifest_sha256: str | None = None) -> str:
+    def write_csv(self, path, manifest_sha256: str) -> str:
         """Write the field as CSV; return the SHA-256 hex digest of the bytes
         written.
 
@@ -257,8 +257,8 @@ class GridField:
         because run manifests hash them: UTF-8 with '.' decimals and ','
         separators,
 
-        - with a ``manifest_sha256`` fingerprint given, a first line
-          ``# manifest_sha256 = <hex>`` ending in LF;
+        - a first line ``# manifest_sha256 = <hex>`` with the run's config
+          fingerprint, ending in LF;
         - a header row of the axis tags and ``value``, unquoted;
         - one row per grid point in C order (the last axis varies fastest):
           the coordinates, then the value, each the shortest repr of the
@@ -273,8 +273,8 @@ class GridField:
             raise ValueError("only 1-D and 2-D fields are serialised")
         coords = [[repr(v) for v in ax.points().tolist()] for ax in self.axes]
         texts, inverse = _distinct_texts(self.values)
-        header = "" if manifest_sha256 is None else f"# manifest_sha256 = {manifest_sha256}\n"
-        header += ",".join([ax.tag for ax in self.axes] + ["value"]) + "\r\n"
+        header = (f"# manifest_sha256 = {manifest_sha256}\n"
+                  + ",".join([ax.tag for ax in self.axes] + ["value"]) + "\r\n")
         # a row's tokens: per cell the x text, ",y," (or "," in 1-D), the
         # value text and CRLF; a 1-D field is one row of every point
         ny = len(coords[-1])

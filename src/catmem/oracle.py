@@ -1,29 +1,25 @@
-"""Closed-form references: ideal cat signatures and damped-cat evolution.
+"""Closed-form references: the even cat sent through a Gaussian channel.
 
 Everything here is analytic; the simulator is validated against these
 expressions.  The single-mode damping channel (rate gamma, reservoir
 occupation n_bar) models the storage stage of the memory, so gamma is
 usually bound to the mechanical linewidth when comparing with protocol
-runs.  ``channel_wigner`` takes a general (gain, added noise) pair, such as
-``engine.protocol_channel`` gives for the whole write/store/read protocol;
-``q_channel`` and ``negativity_band`` say where, and whether, such a
-channel leaves the Wigner function room to be negative.
+runs.  ``channel_wigner`` takes real coordinates x + i y and a general
+(gain, added noise) pair, such as ``engine.protocol_channel`` gives for the
+whole write/store/read protocol; ``q_channel`` and ``negativity_band`` say
+where, and whether, such a channel leaves the Wigner function room to be
+negative.  References that only the tests read are in tests/references.py.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .model import GridAxis, GridField
 
 __all__ = [
-    "DecoherenceParams",
-    "ideal_P_x",
-    "ideal_P_p",
     "channel_wigner",
     "channel_wigner_field",
     "channel_negativity",
@@ -35,55 +31,7 @@ __all__ = [
     "negativity_band",
     "t_positive",
     "t_p_bound",
-    "evolve_characteristic",
-    "cat_char_normal",
 ]
-
-
-@dataclass(frozen=True)
-class DecoherenceParams:
-    """Single-mode damping channel: decay rate, bath occupation, elapsed time."""
-
-    gamma: float
-    n_bar: float
-    t: float = 0.0
-
-    def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.n_bar < 0:
-            raise ValueError("n_bar must be non-negative")
-        if self.t < 0:
-            raise ValueError("t must be non-negative")
-
-
-def _cat_norm(alpha0: float) -> float:
-    return 2.0 * (1.0 + math.exp(-2.0 * alpha0 * alpha0))
-
-
-def ideal_P_x(x, alpha0: float):
-    """x-quadrature distribution of the even cat: two hills, no fringes."""
-    x_arr = np.asarray(x, dtype=float)
-    a = float(alpha0)
-    norm = _cat_norm(a)
-    s = math.sqrt(2.0) * a
-    vals = (np.exp(-((x_arr - s) ** 2)) + np.exp(-((x_arr + s) ** 2))
-            + 2.0 * np.exp(-(x_arr ** 2) - 2.0 * a * a)) / (math.sqrt(math.pi) * norm)
-    if np.ndim(x) == 0:
-        return float(vals)
-    return vals
-
-
-def ideal_P_p(p, alpha0: float):
-    """p-quadrature distribution: Gaussian envelope times interference fringes."""
-    p_arr = np.asarray(p, dtype=float)
-    a = float(alpha0)
-    norm = _cat_norm(a)
-    vals = 2.0 * np.exp(-(p_arr ** 2)) * (1.0 + np.cos(2.0 * math.sqrt(2.0) * p_arr * a)) \
-        / (math.sqrt(math.pi) * norm)
-    if np.ndim(p) == 0:
-        return float(vals)
-    return vals
 
 
 def damping_channel(t: float, n_bar: float, gamma: float) -> tuple[float, float]:
@@ -92,23 +40,6 @@ def damping_channel(t: float, n_bar: float, gamma: float) -> tuple[float, float]
         raise ValueError("t must be non-negative")
     decay = math.exp(-gamma * t)
     return decay, n_bar * (1.0 - decay * decay)
-
-
-def channel_wigner(alpha, alpha0: float, gain: float, noise_var: float):
-    """Wigner function of the even cat sent through a phase-insensitive channel.
-
-    The channel maps alpha to gain * alpha + N with circular Gaussian noise
-    of E|N|^2 = noise_var (the ``engine.protocol_channel`` pair, gain taken
-    real after phase correction).  The hills sit at +-gain*alpha0, every
-    term is broadened by 1 + 2 noise_var, and the interference terms keep
-    the input overlap e^{-2 alpha0^2}, so the coherence coefficient is
-    exp(-2 alpha0^2 (1 - gain^2)).
-    """
-    a_arr = np.asarray(alpha, dtype=complex)
-    vals = _channel_wigner_xy(a_arr.real, a_arr.imag, alpha0, gain, noise_var)
-    if np.ndim(alpha) == 0:
-        return float(vals)
-    return vals
 
 
 def _channel_factors(x, y, alpha0: float, gain: float, noise_var: float):
@@ -127,16 +58,25 @@ def _channel_factors(x, y, alpha0: float, gain: float, noise_var: float):
     a0 = float(alpha0)
     broad = 1.0 + 2.0 * noise_var
     ab = a0 * gain
+    norm = 2.0 * (1.0 + math.exp(-2.0 * a0 * a0))
     hills_x = np.exp(-2.0 * (x - ab) ** 2 / broad) + np.exp(-2.0 * (x + ab) ** 2 / broad)
     fringe_x = np.exp(-2.0 * (x * x - ab * ab) / broad - 2.0 * a0 * a0)
     gauss_y = np.exp(-2.0 * y * y / broad)
     fringe_y = 2.0 * gauss_y * np.cos(4.0 * ab * y / broad)
-    return hills_x, fringe_x, gauss_y, fringe_y, 2.0 / (math.pi * _cat_norm(a0) * broad)
+    return hills_x, fringe_x, gauss_y, fringe_y, 2.0 / (math.pi * norm * broad)
 
 
-def _channel_wigner_xy(x, y, alpha0: float, gain: float, noise_var: float):
-    """``channel_wigner`` at alpha = x + i y for real x and y that broadcast;
-    a column x and a row y give a grid as outer products."""
+def channel_wigner(x, y, alpha0: float, gain: float, noise_var: float):
+    """Wigner function at alpha = x + i y, for real x and y that broadcast,
+    of the even cat sent through a phase-insensitive channel.
+
+    The channel maps alpha to gain * alpha + N with circular Gaussian noise
+    of E|N|^2 = noise_var (the ``engine.protocol_channel`` pair, gain taken
+    real after phase correction).  The hills sit at +-gain*alpha0, every
+    term is broadened by 1 + 2 noise_var, and the interference terms keep
+    the input overlap e^{-2 alpha0^2}, so the coherence coefficient is
+    exp(-2 alpha0^2 (1 - gain^2)).
+    """
     hills_x, fringe_x, gauss_y, fringe_y, scale = _channel_factors(
         x, y, alpha0, gain, noise_var)
     return (hills_x * gauss_y + fringe_x * fringe_y) * scale
@@ -146,8 +86,8 @@ def channel_wigner_field(ax_x: GridAxis, ax_y: GridAxis, alpha0: float, gain: fl
                          noise_var: float) -> GridField:
     """Tabulate ``channel_wigner`` at the points of the (Re alpha, Im alpha)
     axes."""
-    vals = _channel_wigner_xy(ax_x.points()[:, None], ax_y.points()[None, :],
-                              alpha0, gain, noise_var)
+    vals = channel_wigner(ax_x.points()[:, None], ax_y.points()[None, :],
+                          alpha0, gain, noise_var)
     return GridField(axes=(ax_x, ax_y), values=vals,
                      meta={"kind": "wigner_oracle", "alpha0": alpha0, "gain": gain,
                            "noise_var": noise_var})
@@ -176,10 +116,9 @@ def channel_negativity(ax_x: GridAxis, ax_y: GridAxis, alpha0: float, gain: floa
 
 
 def cat_variance(alpha0: float) -> float:
-    """p-quadrature variance of the even cat; below 1/2 for every alpha0 > 0."""
+    """p-quadrature variance of the even cat, the same state for +-alpha0;
+    below 1/2 for every alpha0 != 0."""
     a = float(alpha0)
-    if a < 0:
-        raise ValueError("alpha0 must be non-negative")
     q = math.exp(-2.0 * a * a)
     return 0.5 - 2.0 * a * a * q / (1.0 + q)
 
@@ -278,35 +217,3 @@ def t_p_bound(n_bar: float, gamma: float) -> float:
         return math.inf
     return math.log(1.0 / n_bar + 1.0) / (2.0 * gamma)
 
-
-def evolve_characteristic(chi0: Callable[[complex], complex], s_order: float,
-                          lam: complex, t: float, params: DecoherenceParams) -> complex:
-    """Damping map on an s-ordered characteristic function.
-
-    chi0 must be the initial characteristic function at the same ordering
-    s_order; the map multiplies a Gaussian factor controlled by
-    s_bar - s = 2 n_bar + 1 - s and rescales the argument by e^{-gamma t}.
-    """
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    s_bar = 2.0 * params.n_bar + 1.0
-    decay = math.exp(-params.gamma * t)
-    lam_c = complex(lam)
-    factor = math.exp(-(s_bar - s_order) * (abs(lam_c) ** 2 / 2.0) * (1.0 - decay * decay))
-    return factor * complex(chi0(lam_c * decay))
-
-
-def cat_char_normal(alpha0: float) -> Callable[[complex], complex]:
-    """Normally ordered (s = 1) characteristic function of the even cat."""
-    a0 = float(alpha0)
-    norm = _cat_norm(a0)
-    overlap = math.exp(-2.0 * a0 * a0)
-
-    def chi(lam: complex) -> complex:
-        lam = complex(lam)
-        edge = lam * a0 - lam.conjugate() * a0  # alpha0 real
-        ridge = lam * a0 + lam.conjugate() * a0
-        return (np.exp(edge) + np.exp(-edge)
-                + overlap * (np.exp(ridge) + np.exp(-ridge))) / norm
-
-    return chi

@@ -157,8 +157,7 @@ class _Workspace:
         return flat[:rows * cols].reshape(rows, cols)
 
 
-def _kernel_tables(u, v, w, xs, ys, work: _Workspace | None = None, slot: int = 0,
-                   sine: bool = True):
+def _kernel_tables(u, v, w, xs, ys, work: _Workspace, slot: int = 0, sine: bool = True):
     """Real factor tables of the Wigner kernel, one row per sample.
 
     With a real mu_x = (u + v)/2 = c and mu_y = i (v - u)/2, a sample's
@@ -167,17 +166,13 @@ def _kernel_tables(u, v, w, xs, ys, work: _Workspace | None = None, slot: int = 
     ``_factor_table`` (cy, phased, sy).  Summed over samples, the real part
     of the kernel is cx^T cy and the imaginary part on every 4th node
     cx[phased][:, ::4]^T sy.  Raises ValueError when any mu_x is not real.
-    The tables are views into slot `slot` of `work` (a fresh one when
-    None), valid until its next use.
+    The tables are views into slot `slot` of `work` until its next use.
     """
-    n = u.size
     mu_x = 0.5 * (u + v)
     if np.any(mu_x.imag):
         raise ValueError("the Wigner kernel needs a real mu_x = (alpha_out + "
                          "alpha_out_plus)/2 on every row")
-    if work is None:
-        work = _Workspace(n, xs, ys)
-    cx = _gaussian_table(mu_x, xs, work.table(f"cx{slot}", n, xs.size))
+    cx = _gaussian_table(mu_x, xs, work.table(f"cx{slot}", u.size, xs.size))
     cx *= w[:, None]
     return (cx, *_factor_table(0.5j * (v - u), ys, work, slot, sine))
 

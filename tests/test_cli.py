@@ -534,13 +534,37 @@ def test_interrupted_oracle_write_keeps_previous_json(tmp_path, capsys, monkeypa
 
 def test_oracle_error_paths(capsys):
     assert main(["oracle", "no_such_quantity"]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: unknown oracle query 'no_such_quantity'\n"
     assert main(["oracle", "q_parameter", "gamma=1"]) == 2  # missing t
-    capsys.readouterr()
+    assert capsys.readouterr().err == \
+        "error: oracle query 'q_parameter' needs the parameter 't'\n"
     assert main(["oracle", "t_positive", "gamma"]) == 2  # not key=value
-    capsys.readouterr()
+    assert capsys.readouterr().err == "error: expected key=value, got 'gamma'\n"
     assert main(["oracle", "q_channel", "noise_var=0.1"]) == 2  # missing gain
-    capsys.readouterr()
+    assert capsys.readouterr().err == \
+        "error: oracle query 'q_channel' needs the parameter 'gain'\n"
+
+
+@pytest.mark.parametrize("args, key, reads", [
+    (["t_positive", "nbar=2", "gamma=1"], "nbar", "n_bar, gamma"),
+    (["negativity", "alpha0=2", "nbar=2", "t=0.02"], "nbar", "alpha0, n_bar, t, gamma"),
+    (["cat_variance", "alpha0=2", "gamma=1"], "gamma", "alpha0"),
+    (["q_channel", "gain=0.9", "noise=0.1"], "noise", "gain, noise_var")])
+def test_oracle_rejects_a_parameter_the_query_does_not_read(capsys, args, key, reads):
+    # a misspelled key is an error, not a silent default: nbar=2 would
+    # otherwise print the n_bar = 0 bound
+    assert main(["oracle", *args]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: oracle query {args[0]!r} reads no parameter {key!r}; it reads {reads}\n"
+
+
+def test_oracle_cat_variance_of_a_negative_amplitude(capsys):
+    # the even cat of -alpha0 is the same state
+    assert main(["oracle", "cat_variance", "alpha0=-2"]) == 0
+    negative = capsys.readouterr().out
+    assert main(["oracle", "cat_variance", "alpha0=2"]) == 0
+    assert negative == capsys.readouterr().out == "cat_variance = 0.497317\n"
 
 
 @pytest.mark.parametrize("args", [["t_positive", "n_bar=nan", "gamma=1"],

@@ -168,8 +168,7 @@ def reference_csv(fld, path, fingerprint):
     """The CSV writer as first written: csv.writer, repr(float(.)) per cell."""
     coords = [ax.points() for ax in fld.axes]
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        if fingerprint is not None:
-            fh.write(f"# manifest_sha256 = {fingerprint}\n")
+        fh.write(f"# manifest_sha256 = {fingerprint}\n")
         writer = csv.writer(fh)
         writer.writerow([ax.tag for ax in fld.axes] + ["value"])
         if len(fld.axes) == 1:
@@ -182,7 +181,7 @@ def reference_csv(fld, path, fingerprint):
                                      repr(float(fld.values[i, j]))])
 
 
-def assert_write_csv_matches_reference(fld, fingerprint=None):
+def assert_write_csv_matches_reference(fld, fingerprint):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         digest = fld.write_csv(out / "new.csv", fingerprint)
@@ -233,7 +232,7 @@ def grid_fields(draw):
     value = st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats())
     values = np.array(draw(st.lists(value, min_size=size, max_size=size)), dtype=float)
     meta = {"kind": "demo", "norm": draw(st.floats(allow_nan=False))}
-    fingerprint = "ab" * 32 if draw(st.booleans()) else None
+    fingerprint = draw(st.text("0123456789abcdef", min_size=64, max_size=64))
     fld = GridField(axes=axes, values=values.reshape([ax.size for ax in axes]), meta=meta)
     return fld, fingerprint
 
@@ -247,10 +246,12 @@ def test_write_csv_matches_reference_bytes(case):
 def test_signed_zero_and_non_finite_text(tmp_path):
     ax = GridAxis(0.0, 4.0, 1.0, "x")
     fld = GridField(axes=(ax,), values=np.array([0.0, -0.0, math.nan, math.inf, 0.0]))
-    fld.write_csv(tmp_path / "f.csv")
-    rows = tmp_path.joinpath("f.csv").read_bytes().split(b"\r\n")
+    fld.write_csv(tmp_path / "f.csv", "ab" * 32)
+    fingerprint_line, table = tmp_path.joinpath("f.csv").read_bytes().split(b"\n", 1)
+    assert fingerprint_line == b"# manifest_sha256 = " + b"ab" * 32
+    rows = table.split(b"\r\n")
     assert [r.split(b",")[1] for r in rows[1:-1]] == [b"0.0", b"-0.0", b"nan", b"inf", b"0.0"]
-    assert_write_csv_matches_reference(fld)
+    assert_write_csv_matches_reference(fld, "ab" * 32)
 
 
 @pytest.fixture(scope="module")
@@ -302,7 +303,7 @@ def test_writer_memory_stays_below_file_sizes(fig5_run, tmp_path):
     csv_path = tmp_path / "w.csv"
     tracemalloc.start()
     try:
-        fld.write_csv(csv_path)
+        fld.write_csv(csv_path, "ab" * 32)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -390,7 +391,7 @@ def test_three_dimensional_csv_rejected_before_writing(tmp_path):
     ax = GridAxis(0.0, 1.0, 1.0, "x")
     fld = GridField(axes=(ax, ax, ax), values=np.zeros((2, 2, 2)))
     with pytest.raises(ValueError):
-        fld.write_csv(tmp_path / "cube.csv")
+        fld.write_csv(tmp_path / "cube.csv", "ab" * 32)
     assert list(tmp_path.iterdir()) == []
 
 

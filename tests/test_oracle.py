@@ -11,13 +11,13 @@ from scipy.special import gammaln
 from catmem.engine import protocol_channel
 from catmem.experiments import ALPHA0_MAX, preset, sweep_points
 from catmem.model import GridAxis, ProtocolSchedule
-from catmem.oracle import (DecoherenceParams, _negativity_edge, cat_char_normal,
-                           cat_variance, channel_negativity, channel_wigner,
-                           channel_wigner_field, damping_channel, decohered_density,
-                           evolve_characteristic, ideal_P_p, ideal_P_x,
-                           negativity_band, q_channel, q_parameter, t_p_bound,
-                           t_positive)
+from catmem.oracle import (_negativity_edge, cat_variance, channel_negativity,
+                           channel_wigner, channel_wigner_field, damping_channel,
+                           decohered_density, negativity_band, q_channel, q_parameter,
+                           t_p_bound, t_positive)
 from catmem.signatures import default_wigner_grid, wigner_negativity
+from references import (DecoherenceParams, cat_char_normal, evolve_characteristic,
+                        ideal_P_p, ideal_P_x)
 
 
 def square_axes(n, h=0.05):
@@ -62,9 +62,9 @@ def test_channel_wigner_generalises_damping(t, n_bar):
     gamma = 1.3
     x = np.arange(-161, 162) * 0.05
     alpha = x[:, None] + 1j * x[None, :]
-    got = channel_wigner(alpha, 2.0, math.exp(-gamma * t),
+    got = channel_wigner(alpha.real, alpha.imag, 2.0, math.exp(-gamma * t),
                          n_bar * (1.0 - math.exp(-2.0 * gamma * t)))
-    damped = channel_wigner(alpha, 2.0, *damping_channel(t, n_bar, gamma))
+    damped = channel_wigner(alpha.real, alpha.imag, 2.0, *damping_channel(t, n_bar, gamma))
     assert np.max(np.abs(got - damped)) < 1e-12
     assert np.trapezoid(np.trapezoid(got, dx=0.05), dx=0.05) == pytest.approx(1.0, abs=1e-6)
 
@@ -97,12 +97,12 @@ def test_channel_wigner_matches_complex_form(alpha0, gain, noise_var):
     ref = complex_channel_wigner(alpha, alpha0, gain, noise_var)
     peak = np.max(np.abs(ref))
     assert np.all(np.isfinite(ref))
-    got = channel_wigner(alpha, alpha0, gain, noise_var)
+    got = channel_wigner(alpha.real, alpha.imag, alpha0, gain, noise_var)
     assert np.max(np.abs(got - ref)) <= 1e-12 * peak
     field = channel_wigner_field(*grid, alpha0, gain, noise_var)
     assert field.axes == grid
     assert np.max(np.abs(field.values - ref)) <= 1e-12 * peak
-    assert channel_wigner(0.3 - 0.2j, alpha0, gain, noise_var) == pytest.approx(
+    assert channel_wigner(0.3, -0.2, alpha0, gain, noise_var) == pytest.approx(
         complex_channel_wigner(0.3 - 0.2j, alpha0, gain, noise_var), rel=1e-12)
 
 
@@ -160,7 +160,7 @@ def test_evolved_wigner_long_time_thermal():
     n_bar = 1.2
     broad = 1.0 + 2.0 * n_bar
     alpha = np.array([0.0, 0.4 + 0.2j, -1.0j])
-    got = channel_wigner(alpha, 2.0, *damping_channel(50.0, n_bar, 1.0))
+    got = channel_wigner(alpha.real, alpha.imag, 2.0, *damping_channel(50.0, n_bar, 1.0))
     want = 2.0 / (math.pi * broad) * np.exp(-2.0 * np.abs(alpha) ** 2 / broad)
     assert np.allclose(got, want, rtol=1e-10)
 
@@ -175,6 +175,12 @@ def test_cat_variance_values():
     # squeezing is deepest near alpha0 ~ 0.75, then relaxes back toward 1/2
     assert cat_variance(1.0) < cat_variance(0.5)
     assert values[1:] == sorted(values[1:])
+
+
+@pytest.mark.parametrize("alpha0", [0.3, 1.0, 2.0, 5.0, 18.8])
+def test_cat_variance_is_even_in_alpha0(alpha0):
+    # the even cat of -alpha0 is the same state, bit for bit
+    assert cat_variance(-alpha0) == cat_variance(alpha0)
 
 
 def test_decohered_density_invariant():
@@ -331,7 +337,7 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         DecoherenceParams(gamma=1.0, n_bar=-0.1)
     with pytest.raises(ValueError):
-        channel_wigner(0.0, 2.0, *damping_channel(-0.1, 0.0, 1.0))
+        damping_channel(-0.1, 0.0, 1.0)
     with pytest.raises(ValueError):
         t_positive(-1.0, 1.0)
     with pytest.raises(ValueError):

@@ -12,14 +12,14 @@ from hypothesis import strategies as st
 
 from catmem import signatures
 from catmem.model import BRANCHES, EnsembleResult, GridAxis, GridField
-from catmem.oracle import (cat_variance, channel_wigner_field, ideal_P_p,
-                           ideal_P_x, negativity_band, q_channel)
+from catmem.oracle import cat_variance, channel_wigner_field, negativity_band, q_channel
 from catmem.sampling import sample_cat
 from catmem.signatures import (default_density_axis, default_quadrature_axis,
                                default_wigner_grid, fringe_visibility, is_mixture_falsified,
                                negativity_with_error, p_distribution, quadrature_moments,
                                reconstruct_density, wigner_estimate,
                                wigner_negativity)
+from references import ideal_P_p, ideal_P_x
 
 # negative volume of the alpha0 = 2 cat on an h = 0.01, +-8 grid; the
 # default h = 0.05 grid undershoots this by about 1.1e-3
@@ -268,7 +268,7 @@ def test_real_kernel_matches_complex_sum(ensemble):
         np.max(np.abs(ref.imag[::4, ::4])), rel=1e-12, abs=1e-12 * scale)
     # unrelated rates take a column pair per row; the tables are bitwise
     # those of the allocating reference
-    got = signatures._kernel_tables(u, v, w, axis, axis)
+    got = signatures._kernel_tables(u, v, w, axis, axis, fresh_workspace(u, axis))
     want = _alloc_kernel_tables(u, v, w, axis, axis)
     for table, ref_table in zip(got, want[:3] if got[3] is None else want):
         assert np.array_equal(table, ref_table)
@@ -443,11 +443,12 @@ def test_rates_a_few_ulps_apart_share_one_column_pair(monkeypatch, signs):
     u, v, w = ens.alpha_out, ens.alpha_out_plus, ens.weight
     assert np.array_equal((0.5j * (v - u)).imag, b)
     axis = 0.05 * np.arange(-60, 61)
-    shared = signatures._kernel_tables(u, v, w, axis, axis)
+    shared = signatures._kernel_tables(u, v, w, axis, axis, fresh_workspace(u, axis))
     for table, ref_table in zip(shared, _alloc_kernel_tables(u, v, w, axis, axis)):
         assert np.array_equal(table, ref_table)
     monkeypatch.setattr(signatures, "_RATE_TOL", 0.0)  # a column pair per row
-    assert not np.array_equal(signatures._kernel_tables(u, v, w, axis, axis)[1], shared[1])
+    assert not np.array_equal(
+        signatures._kernel_tables(u, v, w, axis, axis, fresh_workspace(u, axis))[1], shared[1])
     monkeypatch.undo()
     field = wigner_estimate(ens, wigner_axes(60))
     ref = complex_wigner_sum(ens.alpha_out, ens.alpha_out_plus, ens.weight, axis, axis) \
@@ -461,6 +462,12 @@ def test_rates_a_few_ulps_apart_share_one_column_pair(monkeypatch, signs):
 # -- the kernel as it was before its work buffers were reused: every chunk
 # allocates fresh tables and products.  The buffered kernel must give the
 # same bits.
+
+def fresh_workspace(u, axis):
+    """Work buffers for one ``_kernel_tables`` call on every row of u over a
+    square grid of `axis`, so its tables outlive later calls."""
+    return signatures._Workspace(u.size, axis, axis)
+
 
 def _alloc_gaussian_table(mu, axis):
     dev = axis[None, :] - mu.real[:, None]
