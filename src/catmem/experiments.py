@@ -382,8 +382,12 @@ def run_point(config: ExperimentConfig, channels: dict | None = None) -> PointRe
     shows as a nonzero value.  On a noiseless point the four weighted
     samples carry the exact cat (``sampling.branch_weights``), at the
     points where ``negativity_protocol`` is evaluated, so the two differ by
-    rounding: at most 8.1e-16 relative over the fig9 and fig12 presets.  A
+    rounding: at most 3.3e-16 relative over the fig9 and fig12 presets.  A
     check of the estimator, not of the statistics.
+
+    With "wigner" or "negativity" the scalars also hold the Wigner field's
+    norm and imaginary residual, and the rank and truncation bound of its
+    Hermite expansion (``wigner_kernel_rank``, ``wigner_truncation_bound``).
 
     ``timings`` holds the seconds of the channel (``channel_s``, about 0
     when channels already held it), of the sampling, of the quadrature
@@ -446,6 +450,8 @@ def run_point(config: ExperimentConfig, channels: dict | None = None) -> PointRe
         scalars["wigner_norm"] = wfield.meta["norm"]
         scalars["wigner_max_imag_residual_4th_node"] = \
             wfield.meta["max_imag_residual_4th_node"]
+        scalars["wigner_kernel_rank"] = wfield.meta["kernel_rank"]
+        scalars["wigner_truncation_bound"] = wfield.meta["truncation_bound"]
         if "wigner" in sigs:
             fields["wigner"] = wfield
     if "density" in sigs:

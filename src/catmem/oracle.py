@@ -141,8 +141,13 @@ def q_parameter(t: float, n_bar: float, gamma: float) -> float:
     """Gaussian-smoothing margin 1/2 - (1+n_bar)(1-e^{-2 gamma t}).
 
     Positive while the evolved Wigner function can still be negative; its
-    root is the negativity-lifetime bound.
+    root is the negativity-lifetime bound.  A negative t or n_bar raises
+    ValueError, as in ``damping_channel`` and ``t_positive``.
     """
+    if t < 0:
+        raise ValueError("t must be non-negative")
+    if n_bar < 0:
+        raise ValueError("n_bar must be non-negative")
     return 0.5 - (1.0 + n_bar) * (1.0 - math.exp(-2.0 * gamma * t))
 
 
@@ -154,8 +159,11 @@ def q_channel(gain: complex, noise_var: float) -> float:
     once that reaches |gain|^2/2 the output Wigner function is a Gaussian
     smoothing of the scaled input's Q function, so the Wigner function of
     any input stays non-negative exactly while this margin is <= 0.  For
-    the damping channel it is ``q_parameter``.
+    the damping channel it is ``q_parameter``.  A negative noise_var is no
+    channel and raises ValueError.
     """
+    if noise_var < 0:
+        raise ValueError("noise_var must be non-negative")
     return abs(gain) ** 2 - 0.5 - noise_var
 
 
@@ -191,8 +199,6 @@ def negativity_band(alpha0: float, gain: complex, noise_var: float) -> float:
     noise in the low tails of the field, which reach every column of a
     grid, so the band is the whole axis.
     """
-    if noise_var < 0:
-        raise ValueError("noise_var must be non-negative")
     if q_channel(gain, noise_var) <= 0.0:
         return math.inf
     return _negativity_edge(alpha0, gain, noise_var) + math.sqrt(1.0 + 2.0 * noise_var)

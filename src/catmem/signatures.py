@@ -1,45 +1,66 @@
 """Cat-state signatures estimated from weighted trajectory ensembles.
 
 Every estimator is a weighted mean of an analytically continued coherent
--state kernel over the doubled phase-space output amplitudes.  The kernels
-are evaluated by completing the square, which makes each kernel separable
-in the grid coordinates; the ensemble sums then reduce to chunked matrix
-products.  The Wigner and quadrature estimators share one real factor
-table (``_factor_table``): per sample a Gaussian times a phase whose rate
-is the imaginary part of its mean, so samples with real means (the
-diagonal branches) enter one real product only.  The phase factors come
-from angle addition, so the trigonometry runs per row and per column, not
-per cell.  The Wigner kernel multiplies the table in Im alpha by a real
-Gaussian in Re alpha, so it needs every mu_x = (alpha_out +
-alpha_out_plus)/2 real, as a real cat keeps it in the phase-corrected
-frame of ``engine.run_ensemble``, and raises ValueError otherwise.  The
-density kernel stays complex: its phase rate in a is the per-row noise, so
-its rows share no column pair.  In the Wigner and jackknife passes, with
-two or more usable CPUs and two or more chunks, one helper thread builds
-the next chunk's (or jackknife batch's) tables, element-wise numpy work
-only, while the calling thread runs the current one's matrix products;
-the quadrature pass builds its tables on the caller.  Every BLAS call
-stays on the caller and the chunks are added in the same order, so the
-results have the same bits for any CPU count; no thread outlives the
-call.  The delete-block jackknife forms the kernel sums of many blocks in
-one batched product, on the band of Re alpha columns where the Wigner
-function can be negative when given one (``oracle.negativity_band``), and
-reports the full field's negative volume off that band as its guard.
-Imaginary parts cancel over symmetric branches and are reported as
-residual diagnostics, on every 4th node for the table kernels.  The
-factors stay finite for |alpha0| up to ``experiments.ALPHA0_MAX``.  The
-negativity's time-step error is ``experiments.run_point``'s, from the
-closed-form channel negativity at dt and dt/2.
+-state kernel over the doubled phase-space output amplitudes.  The Wigner
+kernel of a sample is exp(-2 (x - c)^2) exp(-2 (y - mu)^2), with c = mu_x =
+(alpha_out + alpha_out_plus)/2 and mu = mu_y = a + i b: a real Gaussian in
+x, and in y a Gaussian of height e^{2 b^2} times the phase e^{4 i b (y -
+a)}.  It needs every mu_x real, as a real cat keeps it in the
+phase-corrected frame of ``engine.run_ensemble``, and raises ValueError
+otherwise.  The quadrature kernel is the y factor alone, at y = p/sqrt(2)
+and mu = cos(theta) mu_x + sin(theta) mu_y.
+
+The full kernel sums (``wigner_estimate``, the first pass of
+``negativity_with_error`` and ``p_distribution``) are Hermite expansions:
+the fast Gauss transform of Greengard and Strain (SIAM J. Sci. Stat.
+Comput. 12, 79 (1991)).  The rows are grouped by their signed rate b, rows
+within ``_RATE_TOL`` of a group's least |b| taking that rate, and each
+group into clusters that span less than ``_CLUSTER_SPAN`` per axis.  About
+a cluster's centre, exp(-2 (u - delta)^2) = sum_j phi_j(u) delta^j with
+phi_0 = e^{-2 u^2} and phi_{j+1} = 4 (u phi_j - phi_{j-1})/(j + 1), so a
+cluster enters through its moments sum w e^{2 b^2} e^{-4 i b delta_y}
+delta_x^j delta_y^l, accumulated over row chunks, and through the tables
+phi_j on the grid.  Cramer's inequality bounds |phi_j(u) delta^j| by
+k (2 |delta|)^j / sqrt(j!), k = 1.0865, and each axis of a cluster takes
+the least order J whose tail from J is at most 2^-60 of the cluster's
+kernel mass sum |w| e^{2 b^2} (``_expansion_order``).  A one-row cluster,
+as in a noiseless ensemble, takes J = 1.  Every rate group is at least one
+cluster, so the work grows with the number of distinct rates; a real cat
+has one per off-diagonal branch.  All clusters are summed in one
+real matrix product, whose rank K (the clusters' x orders added up) and
+largest relative truncation bound the Wigner field's meta records as
+"kernel_rank" and "truncation_bound".
+
+The delete-block jackknife stays direct: the few hundred rows of a block
+at most cost no more as tables than as moments and the product of every
+cluster they fall in.  It forms the kernel sums of many blocks in one
+batched product of real factor tables (``_kernel_tables``), on the band of
+Re alpha columns where the Wigner function can be negative when given one
+(``oracle.negativity_band``), and reports the full field's negative volume
+off that band as its guard.  The tables take their phase factors by angle
+addition with one column pair per rate group, so the trigonometry runs per
+row and per column, not per cell.  With two or more usable CPUs and two or
+more batches, one helper thread builds the batches' tables, element-wise
+numpy work only, the first while the calling thread runs the expansion and
+each next one while it runs the current batch's matrix product.  Every
+BLAS call stays on the caller and the batches are taken in order, so the
+results have the same bits for any CPU count; no thread outlives the call.
+The density kernel stays direct and complex: its phase rate in a is Im u,
+the per-row noise, so its rows share no rate.  Imaginary parts cancel over
+symmetric branches and are reported as residual diagnostics, on every 4th
+node for the expansions.  The factors stay finite for |alpha0| up to
+``experiments.ALPHA0_MAX``.  The negativity's time-step error is
+``experiments.run_point``'s, from the closed-form channel negativity at dt
+and dt/2.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 import time
-from contextlib import closing
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -61,11 +82,18 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-# Kernel tables: samples per chunk are sized so that one real factor
+# Direct kernel tables: samples per chunk are sized so that one real factor
 # table holds about _TABLE_CELLS values (2 MB), and a batch of jackknife
-# block sums at most _FIELD_CELLS grid cells (fewer on a band of columns)
+# block sums at most _FIELD_CELLS grid cells (fewer on a band of columns).
+# A chunk of expansion moments holds about _TABLE_CELLS row powers per axis.
 _TABLE_CELLS = 1 << 18
 _FIELD_CELLS = 1 << 20
+# Expansion clusters span less than this per axis: every |delta| < 1
+_CLUSTER_SPAN = 2.0
+# Cramer's constant, |H_n(t)| <= k 2^{n/2} sqrt(n!) e^{t^2/2}, and the
+# truncation bound of each axis of a cluster, relative to its kernel mass
+_CRAMER_K = 1.0865
+_TRUNCATION = 2.0 ** -60
 
 
 def _symmetric_axis(extent: float, step: float, tag: str) -> GridAxis:
@@ -97,17 +125,195 @@ def _columns(results: EnsembleResult) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return results.alpha_out, results.alpha_out_plus, results.weight
 
 
+def _real_mu_x(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """mu_x = (u + v)/2 as a real array; ValueError when any is not real."""
+    if np.any(0.5 * (u.imag + v.imag)):
+        raise ValueError("the Wigner kernel needs a real mu_x = (alpha_out + "
+                         "alpha_out_plus)/2 on every row")
+    return 0.5 * (u.real + v.real)
+
+
+# Rates share a group when they lie within this relative distance of the
+# group's least: four ulps of 1, where one branch's rates spread by one ulp
+# at the fig10 and fig11 points
+_RATE_TOL = 2.0 ** -50
+
+
+def _rate_groups(rate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group nonzero rates: (the group of each row, the rate each group
+    takes).  From the least |rate| up, a rate joins the open group of its
+    sign while it lies within ``_RATE_TOL`` of that group's rate, the least
+    in it, and opens a new group otherwise.  One branch's rates, equal up to
+    rounding, form one group, found without a sort."""
+    mag = np.abs(rate)
+    if mag.max() <= mag.min() * (1.0 + _RATE_TOL) and np.all((rate > 0) == (rate[0] > 0)):
+        return np.zeros(rate.size, dtype=np.intp), rate[np.argmin(mag)][None]
+    keys, inverse = np.unique(rate, return_inverse=True)
+    group, least, open_group = np.empty(keys.size, dtype=np.intp), [], {}
+    for k in np.argsort(np.abs(keys), kind="stable"):
+        g = open_group.get(keys[k] > 0)
+        if g is None or abs(keys[k]) > abs(least[g]) * (1.0 + _RATE_TOL):
+            g = open_group[keys[k] > 0] = len(least)
+            least.append(keys[k])
+        group[k] = g
+    return group[inverse], np.array(least)
+
+
+def _expansion_order(spread: float) -> tuple[int, float]:
+    """(J, T_J) for a cluster whose rows lie within `spread` of its centre
+    on one axis: the least J >= 1 with T_J = k sum_{j >= J} (2 spread)^j /
+    sqrt(j!) <= ``_TRUNCATION``, Cramer's bound on the terms an expansion of
+    order J leaves out, relative to the cluster's kernel mass.
+
+    The terms are summed until each is at most half the one before and
+    below 2^-113; the last one bounds the rest."""
+    ratio = 2.0 * spread
+    terms = [1.0]
+    while len(terms) <= 4.0 * ratio * ratio or terms[-1] > 2.0 ** -113:
+        terms.append(terms[-1] * ratio / math.sqrt(len(terms)))
+    tail = terms[-1]
+    best = len(terms), _CRAMER_K * tail
+    for order in range(len(terms) - 1, 0, -1):
+        tail += terms[order]
+        if _CRAMER_K * tail > _TRUNCATION:
+            break
+        best = order, _CRAMER_K * tail
+    return best
+
+
+def _hermite_table(u: np.ndarray, order: int) -> np.ndarray:
+    """phi_j(u) for j < order, one row each: phi_0 = e^{-2 u^2}, phi_1 = 4 u
+    phi_0 and phi_{j+1} = 4 (u phi_j - phi_{j-1})/(j + 1), so that
+    exp(-2 (u - delta)^2) = sum_j phi_j(u) delta^j."""
+    table = np.empty((order, u.size))
+    np.exp(-2.0 * u * u, out=table[0])
+    if order > 1:
+        np.multiply(table[0], 4.0 * u, out=table[1])
+    for j in range(1, order - 1):
+        row = np.multiply(u, table[j], out=table[j + 1])
+        row -= table[j - 1]
+        row *= 4.0 / (j + 1)
+    return table
+
+
+def _cover(rows: np.ndarray, values: np.ndarray) -> list:
+    """rows cut into runs of increasing value, each spanning less than
+    ``_CLUSTER_SPAN``: every run starts at the least value not yet taken.
+    Rows that span less already are one run, in their order."""
+    if np.ptp(values[rows]) < _CLUSTER_SPAN:  # one run, without a sort
+        return [rows]
+    rows = rows[np.argsort(values[rows], kind="stable")]
+    ordered = values[rows]
+    runs, i = [], 0
+    while i < rows.size:
+        end = max(i + 1, int(np.searchsorted(ordered, ordered[i] + _CLUSTER_SPAN)))
+        runs.append(rows[i:end])
+        i = end
+    return runs
+
+
+def _clusters(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> list:
+    """The expansion's clusters, (rows, rate): the rows of rate b = 0 and
+    each rate group of ``_rate_groups``, cut along c into runs of
+    ``_cover`` and each run along a."""
+    phased = np.flatnonzero(b)
+    groups = [(np.flatnonzero(b == 0.0), 0.0)]
+    if phased.size:
+        label, least = _rate_groups(b[phased])
+        groups += [(phased if least.size == 1 else phased[label == g], rate)
+                   for g, rate in enumerate(least.tolist())]
+    return [(cell, rate) for rows, rate in groups if rows.size
+            for run in _cover(rows, c) for cell in _cover(run, a)]
+
+
+def _centred(values: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """(centre, values - centre, largest |values - centre|), the centre
+    midway between the least and the largest value."""
+    lo, hi = values.min(), values.max()
+    centre = 0.5 * (lo + hi)
+    return centre, values - centre, float(max(hi - centre, centre - lo))
+
+
+def _moments(dx: np.ndarray, dy: np.ndarray, mass: np.ndarray, phase, orders: tuple):
+    """A cluster's moments sum mass e^{-i phase} dx^j dy^l, j < Jx and l < Jy
+    for orders (Jx, Jy), accumulated over chunks of rows: (real part,
+    imaginary part), the latter None when phase is None (a zero phase).
+    Each chunk, of about _TABLE_CELLS values, forms the powers as running
+    products, those of dx from the weights mass cos(phase) and -mass
+    sin(phase)."""
+    parts = 1 if phase is None else 2
+    total = np.zeros((orders[0] * parts, orders[1]))
+    step = max(1, _TABLE_CELLS // (parts * max(orders)))
+    for lo in range(0, mass.size, step):
+        sl = slice(lo, lo + step)
+        lead = np.empty((orders[0], parts, mass[sl].size))
+        if phase is None:
+            lead[0, 0] = mass[sl]
+        else:
+            np.multiply(mass[sl], np.cos(phase[sl]), out=lead[0, 0])
+            np.multiply(mass[sl], -np.sin(phase[sl]), out=lead[0, 1])
+        for j in range(1, orders[0]):
+            np.multiply(lead[j - 1], dx[sl], out=lead[j])
+        powers = np.empty((orders[1], lead.shape[2]))
+        powers[0] = 1.0
+        for j in range(1, orders[1]):
+            np.multiply(powers[j - 1], dy[sl], out=powers[j])
+        total += lead.reshape(-1, lead.shape[2]) @ powers.T
+    return total[0::parts], (total[1::parts] if parts == 2 else None)
+
+
+def _kernel_sum(c, a, b, w, xs: np.ndarray, ys: np.ndarray):
+    """Sum over rows of w exp(-2 (x - c)^2) exp(-2 (y - a - i b)^2) on the
+    grid xs x ys, for real columns c, a and b: (real part, imaginary part
+    on every 4th node of both axes, rank K, truncation bound).
+
+    A cluster (``_clusters``) of rate r and centre (x0, y0) has, with u =
+    x - x0, v = y - y0 and its ``_moments`` M = Mr + i Mi of mass w e^{2
+    b^2} and phase 4 r delta_y, the kernel sum phi(u)^T M phi(v) e^{4 i r
+    v}.  So it adds its Jx rows phi(u) to the x factor of one real matrix
+    product, and Mr (phi(v) cos 4rv) - Mi (phi(v) sin 4rv) to its y factor;
+    K counts those rows.  Each row keeps its own e^{2 b^2} and takes the
+    group's rate in its phase.  As |exp(-2 (u - delta)^2)| <= 1, a cluster
+    whose axes leave out Tx and Ty (``_expansion_order``) is within Tx + (1
+    + Tx) Ty of its kernel mass sum |w| e^{2 b^2}; the bound returned is
+    the largest over the clusters.
+    """
+    mass = w * np.exp(2.0 * b * b)
+    x_rows, y_rows, x_im, y_im = [], [], [], []
+    bound = 0.0
+    for rows, rate in _clusters(c, a, b):
+        x0, dx, spread_x = _centred(c[rows])
+        y0, dy, spread_y = _centred(a[rows])
+        (jx, tx), (jy, ty) = _expansion_order(spread_x), _expansion_order(spread_y)
+        bound = max(bound, tx + (1.0 + tx) * ty)
+        phi_x, phi_y = _hermite_table(xs - x0, jx), _hermite_table(ys - y0, jy)
+        m_re, m_im = _moments(dx, dy, mass[rows], 4.0 * rate * dy if rate else None, (jx, jy))
+        x_rows.append(phi_x)
+        if not rate:
+            y_rows.append(m_re @ phi_y)
+            continue
+        phase = 4.0 * rate * (ys - y0)
+        cos_y, sin_y = phi_y * np.cos(phase), phi_y * np.sin(phase)
+        y_rows.append(m_re @ cos_y - m_im @ sin_y)
+        x_im.append(phi_x[:, ::4])
+        y_im.append(m_re @ sin_y[:, ::4] + m_im @ cos_y[:, ::4])
+    x_factor = np.vstack(x_rows)
+    re = x_factor.T @ np.vstack(y_rows)
+    im = (np.vstack(x_im).T @ np.vstack(y_im) if x_im
+          else np.zeros((xs[::4].size, ys[::4].size)))
+    return re, im, x_factor.shape[0], bound
+
+
 def p_distribution(results, axis: GridAxis, theta: float) -> GridField:
     """Weighted distribution of the quadrature at homodyne angle theta on
     the axis; integrates to one up to grid truncation for any
     mean-weight-one ensemble.
 
     A sample's kernel exp(-(p - sqrt(2) mu)^2), mu = (e^{-i theta} u +
-    e^{i theta} v)/2, is exp(-2 (y - mu)^2) at y = p/sqrt(2): each chunk
-    adds w @ its ``_factor_table``, whose rate Im mu = sin(theta) Im mu_y
-    is one per branch.  The tables are built on the caller, into slot 0 of
-    one workspace: the product per chunk is a vector, too small beside the
-    table build for a helper thread to gain anything by overlapping them.
+    e^{i theta} v)/2, is exp(-2 (y - mu)^2) at y = p/sqrt(2): the y factor
+    of ``_kernel_sum``, taken on a one-point x axis where every c is 0.  Its
+    rate Im mu = sin(theta) Im mu_y is one per branch.  The meta holds the
+    expansion's "truncation_bound".
     """
     u, v, w = _columns(results)
     n = u.size
@@ -115,34 +321,27 @@ def p_distribution(results, axis: GridAxis, theta: float) -> GridField:
         raise ValueError("empty ensemble")
     ys = axis.points() / _SQRT2
     mu = math.cos(theta) * 0.5 * (u + v) + math.sin(theta) * 0.5j * (v - u)
-    chunk = _table_rows(ys, ys)
-    work = _Workspace(min(chunk, n), ys, ys)
-    re, im = np.zeros(ys.size), np.zeros(ys[::4].size)
-    for lo in range(0, n, chunk):
-        table, phased, sine = _factor_table(mu[lo:lo + chunk], ys, work)
-        re += w[lo:lo + chunk] @ table
-        if phased.size:
-            im += w[lo:lo + chunk][phased] @ sine
+    re, im, _, bound = _kernel_sum(np.zeros(n), mu.real, mu.imag, w, np.zeros(1), ys)
     scale = 1.0 / (n * math.sqrt(math.pi))
-    values = re * scale
+    values = re[0] * scale
     return GridField(axes=(axis,), values=values,
                      meta={"kind": "quadrature_distribution", "theta": theta,
                            "norm": float(np.trapezoid(values, dx=axis.step)),
-                           "max_imag_residual_4th_node": float(np.max(np.abs(im))) * scale})
+                           "max_imag_residual_4th_node": float(np.max(np.abs(im))) * scale,
+                           "truncation_bound": bound})
 
 
 class _Workspace:
-    """Work buffers of a table kernel, allocated once per kernel-sum call.
+    """Work buffers of the jackknife's table kernel, allocated once per call.
 
-    Each chunk of samples, or batch of jackknife blocks, of at most `rows`
-    samples writes its factor tables into the leading rows of the same flat
-    buffers, so a call allocates them once however many it takes; a buffer
-    is allocated on first use.  The tables that the matrix products read,
-    cx, cy and sy, come in two slots (names suffixed 0 and 1): the helper
-    thread of ``_built`` fills one while the caller reads the other, and
-    without a helper only slot 0 is used, as ``p_distribution`` always
-    does.  Only the table builder writes the phase scratch "angle0" and
-    "angle1".  So a call holds at most eight buffers.
+    Each batch of jackknife blocks, of at most `rows` samples, writes its
+    factor tables into the leading rows of the same flat buffers, so a call
+    allocates them once however many batches it takes; a buffer is
+    allocated on first use.  The tables that the matrix products read, cx
+    and cy, come in two slots (names suffixed 0 and 1): the helper thread of
+    ``_built`` fills one while the caller reads the other, and without a
+    helper only slot 0 is used.  Only the table builder writes the phase
+    scratch "angle0" and "angle1".  So a call holds at most six buffers.
     """
 
     def __init__(self, rows: int, xs: np.ndarray, ys: np.ndarray):
@@ -157,35 +356,24 @@ class _Workspace:
         return flat[:rows * cols].reshape(rows, cols)
 
 
-def _kernel_tables(u, v, w, xs, ys, work: _Workspace, slot: int = 0, sine: bool = True):
-    """Real factor tables of the Wigner kernel, one row per sample.
+def _kernel_tables(u, v, w, xs, ys, work: _Workspace, slot: int = 0):
+    """Real factor tables of the Wigner kernel, one row per sample, for the
+    direct block sums.
 
-    With a real mu_x = (u + v)/2 = c and mu_y = i (v - u)/2, a sample's
-    kernel is fx(x) fy(y) with fx = w exp(-2 (x - c)^2) and fy = exp(-2
-    (y - mu_y)^2).  Returns (cx, cy, phased, sy): fx on every row, and fy's
-    ``_factor_table`` (cy, phased, sy).  Summed over samples, the real part
-    of the kernel is cx^T cy and the imaginary part on every 4th node
-    cx[phased][:, ::4]^T sy.  Raises ValueError when any mu_x is not real.
-    The tables are views into slot `slot` of `work` until its next use.
+    A sample's kernel has the real part fx(x) fy(y), with fx = w exp(-2 (x
+    - c)^2) and fy = exp(-2 (y - a)^2 + 2 b^2) cos(4 b (y - a)), mu_y = a +
+    i b.  Returns (cx, cy), fx and fy on every row, so that the sum over
+    samples of the real part is cx^T cy.  Raises ValueError when any mu_x
+    is not real.  The tables are views into slot `slot` of `work` until its
+    next use.
     """
-    mu_x = 0.5 * (u + v)
-    if np.any(mu_x.imag):
-        raise ValueError("the Wigner kernel needs a real mu_x = (alpha_out + "
-                         "alpha_out_plus)/2 on every row")
-    cx = _gaussian_table(mu_x, xs, work.table(f"cx{slot}", u.size, xs.size))
+    cx = _gaussian_table(_real_mu_x(u, v), xs, work.table(f"cx{slot}", u.size, xs.size))
     cx *= w[:, None]
-    return (cx, *_factor_table(0.5j * (v - u), ys, work, slot, sine))
-
-
-def _factor_table(mu, axis, work: _Workspace, slot: int = 0, sine: bool = True):
-    """exp(-2 (y - mu)^2) = exp(-2 (y - a)^2 + 2 b^2) e^{4 i b (y - a)}, mu =
-    a + i b, one row per sample and y the axis: (its real part, in buffer
-    "cy{slot}" of `work`; the rows `phased` where b is nonzero; with `sine`
-    its imaginary part on those rows and every 4th node, in "sy{slot}")."""
-    table = _gaussian_table(mu, axis, work.table(f"cy{slot}", mu.size, axis.size))
-    phased = np.flatnonzero(mu.imag)
-    return table, phased, _rotate(table, phased, 4.0 * mu.imag[phased], axis,
-                                  mu.real[phased], work, f"sy{slot}" if sine else None)
+    mu_y = 0.5j * (v - u)
+    cy = _gaussian_table(mu_y, ys, work.table(f"cy{slot}", u.size, ys.size))
+    phased = np.flatnonzero(mu_y.imag)
+    _rotate(cy, phased, 4.0 * mu_y.imag[phased], ys, mu_y.real[phased], work)
+    return cx, cy
 
 
 def _table_rows(xs, ys) -> int:
@@ -203,61 +391,40 @@ def _gaussian_table(mu: np.ndarray, axis: np.ndarray, out: np.ndarray) -> np.nda
     return out
 
 
-# The phased rows of one table share one column pair when every |rate|
-# lies within this relative distance of the least: four ulps of 1, where
-# one branch's rates spread by one ulp at the fig10 and fig11 points
-_RATE_TOL = 2.0 ** -50
-
-
 def _angle_sum(first, second, f_row, s_row, work: _Workspace, shape) -> np.ndarray:
     """first * f_row - second * s_row in scratch buffer "angle0", for column
-    tables first and second (one row, or one per row) and f_row, s_row one
-    value per row."""
+    tables first and second and f_row, s_row one value per row."""
     out = np.multiply(first, f_row[:, None], out=work.table("angle0", *shape))
     out -= np.multiply(second, s_row[:, None], out=work.table("angle1", *shape))
     return out
 
 
 def _rotate(table: np.ndarray, rows: np.ndarray, rate: np.ndarray, axis: np.ndarray,
-            centre: np.ndarray, work: _Workspace, name: str | None) -> np.ndarray | None:
-    """Multiply table[rows] by e^{i phase}, phase = rate (axis - centre) (one
-    rate and centre per row): the cosine part in place and, given a buffer
-    `name`, the sine part on every 4th node of axis returned in it.
+            centre: np.ndarray, work: _Workspace) -> None:
+    """Multiply table[rows] in place by cos(rate (axis - centre)), one rate
+    and centre per row.
 
-    By angle addition with rho = |rate|, cos(phase) = cos(rho y) cos(rho a)
-    + sin(rho y) sin(rho a) and sin(phase) = sign(rate) (sin(rho y)
-    cos(rho a) - cos(rho y) sin(rho a)), y the axis and a the centre, so
-    the trigonometry runs per row and per column, not per cell, when the
-    rows share one rho.  They do when every rho lies within ``_RATE_TOL`` of
-    the least, as one branch's rates do up to rounding: the least then
-    serves every row, each row keeping its own cos(rho a) and sin(rho a).
-    Otherwise each row takes its own rho and column pair.  The buffers
-    "angle0" and "angle1" are scratch, free again on return.
+    By angle addition with rho = |rate|, cos(rho (y - a)) = cos(rho y)
+    cos(rho a) + sin(rho y) sin(rho a), y the axis and a the centre, so the
+    trigonometry runs per row and per column, not per cell: the rows are
+    grouped by rho (``_rate_groups``), and the least rho of a group serves
+    every row of it through one column pair, each row keeping its own
+    cos(rho a) and sin(rho a).  The buffers "angle0" and "angle1" are
+    scratch, free again on return.
     """
     if rows.size == 0:
-        return None
-    rho = np.abs(rate)
-    if rho.max() <= rho.min() * (1.0 + _RATE_TOL):
-        rho = rho.min()[None]
-    angle = rho[:, None] * axis[None, :]
-    cos_y, sin_y = np.cos(angle), np.sin(angle)
-    angle = rho * centre
-    cos_a, sin_a = np.cos(angle), np.sin(angle)
-    sine = None
-    if name is not None:  # before the cosine part overwrites the Gaussian
-        sign = np.sign(rate)
-        sine = np.take(table[:, ::4], rows, axis=0, mode="clip",
-                       out=work.table(name, rows.size, axis[::4].size))
-        sine *= _angle_sum(sin_y[:, ::4], cos_y[:, ::4], sign * cos_a, sign * sin_a, work,
-                           sine.shape)
-    shape = (rows.size, table.shape[1])
-    cosine = _angle_sum(cos_y, -sin_y, cos_a, sin_a, work, shape)
-    if rows[-1] - rows[0] + 1 == rows.size:  # a contiguous run of rows
-        table[rows[0]:rows[-1] + 1] *= cosine
-    else:
-        cosine *= np.take(table, rows, axis=0, mode="clip", out=work.table("angle1", *shape))
-        table[rows] = cosine
-    return sine
+        return
+    group, least = _rate_groups(np.abs(rate))
+    for g, rho in enumerate(least):
+        part, angle = rows[group == g], rho * centre[group == g]
+        shape = (part.size, table.shape[1])
+        cosine = _angle_sum(np.cos(rho * axis), -np.sin(rho * axis), np.cos(angle),
+                            np.sin(angle), work, shape)
+        if part[-1] - part[0] + 1 == part.size:  # a contiguous run of rows
+            table[part[0]:part[-1] + 1] *= cosine
+        else:
+            cosine *= np.take(table, part, axis=0, mode="clip", out=work.table("angle1", *shape))
+            table[part] = cosine
 
 
 def _usable_cpus() -> int:
@@ -268,23 +435,25 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+@contextmanager
 def _built(builds: list):
-    """Yield (slot, build(slot)) for each build in `builds`, in order.
+    """A context whose value yields (slot, build(slot)) for each build in
+    `builds`, in order.
 
     With two or more builds and two or more usable CPUs, one helper thread
-    runs the builds, each into the slot the caller is not reading: build
-    k + 1 runs while the caller works on the tables of build k, which stay
-    valid until the caller asks for the next.  The helper does element-wise
-    numpy work only, which releases the GIL, so it overlaps the caller's
-    matrix products.  An exception in a build is raised to the caller when
-    it asks for that build's tables.  With one build or one usable CPU,
-    every build runs on the caller, into slot 0, when its tables are asked
-    for.  Close the generator (``contextlib.closing``) so that the helper is
-    joined however the caller's loop ends.
+    runs the builds, each into the slot the caller is not reading.  The
+    first starts on entry, so it runs while the caller works inside the
+    context before it asks for tables; build k + 1 runs while the caller
+    works on the tables of build k, which stay valid until the caller asks
+    for the next.  The helper does element-wise numpy work only, which
+    releases the GIL, so it overlaps the caller's work.  An exception in a
+    build is raised to the caller when it asks for that build's tables.
+    With one build or one usable CPU, every build runs on the caller, into
+    slot 0, when its tables are asked for.  However the context exits, the
+    helper is joined.
     """
     if len(builds) < 2 or _usable_cpus() < 2:
-        for build in builds:
-            yield 0, build(0)
+        yield ((0, build(0)) for build in builds)
         return
     # imported here, not at module level: the import takes milliseconds,
     # which runs that start no helper need not pay
@@ -292,60 +461,23 @@ def _built(builds: list):
 
     with ThreadPoolExecutor(1, thread_name_prefix="catmem-kernel-tables") as helper:
         pending = helper.submit(builds[0], 0)
-        for k in range(len(builds)):
-            tables = pending.result()
-            if k + 1 < len(builds):
-                pending = helper.submit(builds[k + 1], (k + 1) % 2)
-            yield k % 2, tables
+
+        def tables():
+            nonlocal pending
+            for k in range(len(builds)):
+                ready = pending.result()
+                if k + 1 < len(builds):
+                    pending = helper.submit(builds[k + 1], (k + 1) % 2)
+                yield k % 2, ready
+
+        yield tables()
 
 
-def _chunk_builds(u, v, w, xs, ys, work: _Workspace) -> list:
-    """One table build per chunk of `_table_rows` samples."""
-    chunk = _table_rows(xs, ys)
-    return [functools.partial(_kernel_tables, u[lo:lo + chunk], v[lo:lo + chunk],
-                              w[lo:lo + chunk], xs, ys, work)
-            for lo in range(0, u.size, chunk)]
-
-
-def _sum_chunks(built, count: int, xs, ys, work: _Workspace):
-    """Unnormalised kernel sum of the next `count` chunk tables of `built`:
-    (real part, imaginary part), the chunks added in order.
-
-    The Gaussian kernel factorises into complete squares along Re alpha and
-    Im alpha, so the sum over samples is two real matrix products of the
-    factor tables; rows whose means are real (the diagonal branches) enter
-    only the one for the real part.  The imaginary part, a diagnostic that
-    vanishes in expectation, is formed on every 4th node of both axes only:
-    a chunk's phased rows of cx on every 4th column are gathered into its
-    slot's cy buffer, free again once the real part is formed.  Every chunk
-    shares one product buffer per part.
-    """
-    re = np.zeros((xs.size, ys.size))
-    im = np.zeros((xs[::4].size, ys[::4].size))
-    prod = np.empty(re.shape)
-    prod4 = np.empty(im.shape)
-    for slot, (cx, cy, phased, sy) in itertools.islice(built, count):
-        re += np.matmul(cx.T, cy, out=prod)
-        if phased.size:
-            cx4 = np.take(cx[:, ::4], phased, axis=0, mode="clip",
-                          out=work.table(f"cy{slot}", phased.size, im.shape[0]))
-            im += np.matmul(cx4.T, sy, out=prod4)
-    return re, im
-
-
-def _wigner_sum(u, v, w, xs, ys):
-    """Unnormalised kernel sum over the ensemble: (real part, imaginary part
-    on every 4th node)."""
-    work = _Workspace(min(_table_rows(xs, ys), u.size), xs, ys)
-    chunks = _chunk_builds(u, v, w, xs, ys, work)
-    with closing(_built(chunks)) as built:
-        return _sum_chunks(built, len(chunks), xs, ys, work)
-
-
-def _wigner_field(re: np.ndarray, im: np.ndarray, count: int,
-                  grid: tuple[GridAxis, GridAxis]) -> GridField:
-    """Normalised Wigner field on the axes grid of a kernel sum over `count`
-    samples; its meta holds the largest |Im W| over every 4th node of both axes."""
+def _wigner_field(sums: tuple, count: int, grid: tuple[GridAxis, GridAxis]) -> GridField:
+    """Normalised Wigner field on the axes grid of a ``_kernel_sum`` over
+    `count` samples; its meta holds the largest |Im W| over every 4th node
+    of both axes and the expansion's rank and truncation bound."""
+    re, im, rank, bound = sums
     scale = 2.0 / (math.pi * count)
     values = re * scale
     ax_x, ax_y = grid
@@ -353,7 +485,14 @@ def _wigner_field(re: np.ndarray, im: np.ndarray, count: int,
                      meta={"kind": "wigner",
                            "norm": float(np.trapezoid(np.trapezoid(values, dx=ax_y.step),
                                                       dx=ax_x.step)),
-                           "max_imag_residual_4th_node": float(np.max(np.abs(im))) * scale})
+                           "max_imag_residual_4th_node": float(np.max(np.abs(im))) * scale,
+                           "kernel_rank": rank, "truncation_bound": bound})
+
+
+def _wigner_sum(u, v, w, xs, ys):
+    """The Wigner kernel's ``_kernel_sum`` over the ensemble."""
+    return _kernel_sum(_real_mu_x(u, v), 0.5 * (u.imag - v.imag), 0.5 * (v.real - u.real), w,
+                       xs, ys)
 
 
 def wigner_estimate(results, grid: tuple[GridAxis, GridAxis]) -> GridField:
@@ -361,8 +500,7 @@ def wigner_estimate(results, grid: tuple[GridAxis, GridAxis]) -> GridField:
     u, v, w = _columns(results)
     if u.size == 0:
         raise ValueError("empty ensemble")
-    re, im = _wigner_sum(u, v, w, grid[0].points(), grid[1].points())
-    return _wigner_field(re, im, u.size, grid)
+    return _wigner_field(_wigner_sum(u, v, w, grid[0].points(), grid[1].points()), u.size, grid)
 
 
 def wigner_negativity(field: GridField) -> float:
@@ -389,7 +527,7 @@ def _jackknife_blocks(branch: np.ndarray, n_blocks: int) -> tuple[np.ndarray, np
     for equal branches the mean weight of what is left stays one, for any
     sample count and row order.  n_blocks is cut to the smallest branch's
     row count, so that every block takes rows of every branch.  Shorter
-    rows are padded with the index n, which the caller maps to a
+    rows are padded with the index n, which ``_batch_tables`` takes as a
     zero-weight sample.
     """
     members = [np.flatnonzero(branch == label) for label in BRANCHES]
@@ -412,11 +550,15 @@ def _jackknife_blocks(branch: np.ndarray, n_blocks: int) -> tuple[np.ndarray, np
 
 
 def _batch_tables(u, v, w, xs, ys, work: _Workspace, rows: np.ndarray, slot: int):
-    """Kernel cosine tables of a batch of blocks, block after block: the
-    samples of the (blocks, size) index matrix rows, built into `slot` of
-    `work`."""
+    """Kernel tables of a batch of blocks, block after block: the samples
+    of the (blocks, size) index matrix rows, built into `slot` of `work`.
+    The index n that pads short blocks takes the last sample at weight 0,
+    so its row of cx is zero."""
     flat = rows.ravel()
-    return _kernel_tables(u[flat], v[flat], w[flat], xs, ys, work, slot, sine=False)
+    weight = w.take(flat, mode="clip")
+    weight[flat == w.size] = 0.0
+    return _kernel_tables(u.take(flat, mode="clip"), v.take(flat, mode="clip"), weight, xs, ys,
+                          work, slot)
 
 
 def _block_sums(cx: np.ndarray, cy: np.ndarray, blocks: int, out: np.ndarray) -> np.ndarray:
@@ -440,16 +582,16 @@ def negativity_with_error(results, grid: tuple[GridAxis, GridAxis], n_blocks: in
                           band: float = math.inf) -> dict:
     """Negativity plus delete-block jackknife standard error.
 
-    Two passes over the ensemble: the first accumulates the full kernel
-    sum on the whole grid, which gives the field and the negativity; the
-    second the real kernel sums of every block, in batches of blocks by one
-    batched matrix product each.  A leave-one-block-out negativity is then
-    the trapezoid-weighted sum of max(block - full, 0), scaled to the
-    remaining sample count.  Both passes share the table buffers of one
-    workspace, and every batch one block-sum buffer.  The tables of the
-    chunks and then of the batches are built one task ahead on the helper
-    thread of ``_built``, when one starts, so the first batch's tables are
-    ready as the full pass ends.  "wigner_s" and "jackknife_s" hold the
+    Two passes over the ensemble: the first is the full kernel sum on the
+    whole grid, a Hermite expansion (``_kernel_sum``), which gives the field
+    and the negativity; the second the direct real kernel sums of every
+    block, in batches of blocks by one batched matrix product each.  A
+    leave-one-block-out negativity is then the trapezoid-weighted sum of
+    max(block - full, 0), scaled to the remaining sample count.  Every
+    batch's tables share the buffers of one workspace, and every batch one
+    block-sum buffer.  They are built one task ahead on the helper thread
+    of ``_built``, when one starts, so the first batch's tables are built
+    while the expansion runs.  "wigner_s" and "jackknife_s" hold the
     seconds from the call's start to the field and the negativity, and from
     there to its end.  The blocks are stratified by branch
     (``_jackknife_blocks``).
@@ -467,41 +609,37 @@ def negativity_with_error(results, grid: tuple[GridAxis, GridAxis], n_blocks: in
     n = u.size
     if n == 0:
         raise ValueError("empty ensemble")
+    _real_mu_x(u, v)  # raises before a helper starts
     rows, sizes = _jackknife_blocks(results.branch, n_blocks)
     n_blocks = rows.shape[0]
     ax_x, ax_y = grid
     xs, ys = ax_x.points(), ax_y.points()
     cols = _band_columns(xs, band)
     xs_band = xs[cols]
-    chunk = _table_rows(xs, ys)
     batch = min(n_blocks, max(1, min(_FIELD_CELLS // (xs.size * ys.size),
-                                     chunk // rows.shape[1])))
-    work = _Workspace(max(min(chunk, n), batch * rows.shape[1]), xs, ys)
+                                     _table_rows(xs, ys) // rows.shape[1])))
+    work = _Workspace(batch * rows.shape[1], xs, ys)
 
-    # index n is the zero-weight padding sample of short blocks
-    u_pad, v_pad = np.append(u, 0.0), np.append(v, 0.0)
-    w_pad = np.append(w, 0.0)
-    chunks = _chunk_builds(u, v, w, xs, ys, work)
-    batches = [functools.partial(_batch_tables, u_pad, v_pad, w_pad, xs_band, ys, work,
-                                 rows[lo:lo + batch])
+    batches = [functools.partial(_batch_tables, u, v, w, xs_band, ys, work, rows[lo:lo + batch])
                for lo in range(0, n_blocks, batch)]
     weights = np.outer(_trapezoid_weights(xs.size, ax_x.step)[cols],
                        _trapezoid_weights(ys.size, ax_y.step)).ravel()
     block_sums = np.empty((batch, xs_band.size, ys.size))
     loo = np.empty(n_blocks)
-    with closing(_built(chunks + batches)) as built:
-        re, im = _sum_chunks(built, len(chunks), xs, ys, work)
-        field = _wigner_field(re, im, n, grid)
+    with _built(batches) as built:
+        sums = _wigner_sum(u, v, w, xs, ys)
+        re = sums[0]
+        field = _wigner_field(sums, n, grid)
         delta = wigner_negativity(field)
         outside = np.trapezoid(np.maximum(-field.values, 0.0), dx=ax_y.step)
         outside[cols] = 0.0
         full_done = time.perf_counter()
 
-        for lo, (_, (cx, cy, _, _)) in zip(range(0, n_blocks, batch), built):
-            sums = _block_sums(cx, cy, min(batch, n_blocks - lo), block_sums)
-            sums -= re[cols]
-            np.maximum(sums, 0.0, out=sums)
-            loo[lo:lo + batch] = sums.reshape(sums.shape[0], -1) @ weights
+        for lo, (_, (cx, cy)) in zip(range(0, n_blocks, batch), built):
+            block = _block_sums(cx, cy, min(batch, n_blocks - lo), block_sums)
+            block -= re[cols]
+            np.maximum(block, 0.0, out=block)
+            loo[lo:lo + batch] = block.reshape(block.shape[0], -1) @ weights
     loo *= 2.0 / (math.pi * (n - sizes))
     se = math.sqrt((n_blocks - 1) / n_blocks * float(np.sum((loo - np.mean(loo)) ** 2)))
     return {"negativity": delta, "jackknife_se": se, "n_blocks": n_blocks,

@@ -324,6 +324,24 @@ def test_noisy_manifest_records_the_band_guard(tmp_path):
     assert 0.0 <= saved["negativity_outside_band"] <= 1e-15
 
 
+def test_manifests_record_the_kernel_expansion(tmp_path):
+    # the Wigner expansion's rank K and truncation bound sit in the scalars
+    # and in the field's meta of a run manifest, and in sweep rows: one term
+    # per row on the noiseless point, clusters of many terms on noisy ones
+    cfg = ExperimentConfig(alpha0=2.0, n_bar=2.0, n_samples=400, jackknife_blocks=10,
+                           signatures=("wigner", "negativity"))
+    write_run_artifacts(cfg, run_point(cfg), tmp_path / "run", 0.0)
+    saved = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    scalars, meta = saved["scalars"], saved["artifacts"]["wigner"]["meta"]
+    rank, bound = scalars["wigner_kernel_rank"], scalars["wigner_truncation_bound"]
+    assert (meta["kernel_rank"], meta["truncation_bound"]) == (rank, bound)
+    assert 4 < rank < 400 and 0.0 < bound <= 2.0 ** -59
+    rows = run_sweep(replace(cfg, signatures=("negativity",), sweep=(("n_bar", (0.0, 2.0)),)),
+                     tmp_path / "sweep")
+    assert [(row["scalars"]["wigner_kernel_rank"], row["scalars"]["wigner_truncation_bound"])
+            for row in rows] == [(4, 0.0), (rank, bound)]
+
+
 def test_manifest_timings_stay_out_of_the_results(tmp_path):
     # two runs of one config repeat their scalars bit for bit; the seconds of
     # each pass go to the manifest's timings only
@@ -482,6 +500,17 @@ def test_oracle_queries(capsys):
 
     assert main(["oracle", "q_channel", "gain=0.9", "noise_var=0.1"]) == 0
     assert "q_channel = 0.21\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args,message", [
+    (["q_channel", "gain=0.9", "noise_var=-1"], "noise_var must be non-negative"),
+    (["q_parameter", "t=-1"], "t must be non-negative"),
+    (["q_parameter", "t=0.1", "n_bar=-0.5"], "n_bar must be non-negative")])
+def test_oracle_margins_reject_negative_parameters(capsys, args, message):
+    # they printed q_channel = 1.31 and q_parameter = 6.88906 with exit code 0
+    assert main(["oracle", *args]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
 
 
 def test_oracle_negativity_defaults_to_unit_gamma(capsys):

@@ -342,3 +342,17 @@ def test_parameter_validation():
         t_positive(-1.0, 1.0)
     with pytest.raises(ValueError):
         t_p_bound(0.0, 0.0)
+
+
+def test_margins_reject_what_no_channel_has():
+    # a negative added noise is no channel and a negative time or occupation
+    # no damping, as damping_channel, t_positive and negativity_band say
+    with pytest.raises(ValueError, match="noise_var must be non-negative"):
+        q_channel(0.9, -1.0)
+    with pytest.raises(ValueError, match="noise_var must be non-negative"):
+        negativity_band(2.0, 0.9, -1.0)
+    with pytest.raises(ValueError, match="t must be non-negative"):
+        q_parameter(-1.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="n_bar must be non-negative"):
+        q_parameter(0.1, -0.5, 1.0)
+    assert q_channel(0.9, 0.0) == pytest.approx(0.31) and q_parameter(0.0, 0.0, 1.0) == 0.5

@@ -266,11 +266,10 @@ def test_real_kernel_matches_complex_sum(ensemble):
     # the imaginary residual is taken on every 4th node of both axes
     assert field.meta["max_imag_residual_4th_node"] == pytest.approx(
         np.max(np.abs(ref.imag[::4, ::4])), rel=1e-12, abs=1e-12 * scale)
-    # unrelated rates take a column pair per row; the tables are bitwise
-    # those of the allocating reference
+    # the jackknife's direct tables: unrelated rates take a column pair per
+    # rate group, bitwise those of the allocating reference
     got = signatures._kernel_tables(u, v, w, axis, axis, fresh_workspace(u, axis))
-    want = _alloc_kernel_tables(u, v, w, axis, axis)
-    for table, ref_table in zip(got, want[:3] if got[3] is None else want):
+    for table, ref_table in zip(got, _alloc_kernel_tables(u, v, w, axis, axis), strict=True):
         assert np.array_equal(table, ref_table)
 
 
@@ -459,9 +458,15 @@ def test_rates_a_few_ulps_apart_share_one_column_pair(monkeypatch, signs):
         np.max(np.abs(ref.imag[::4, ::4])), rel=1e-12, abs=1e-12 * scale)
 
 
-# -- the kernel as it was before its work buffers were reused: every chunk
-# allocates fresh tables and products.  The buffered kernel must give the
-# same bits.
+# -- the direct kernel as it was before its work buffers were reused: every
+# table is allocated fresh.  The jackknife's buffered tables must give the
+# same bits; the full pass, an expansion, must stay within EXPANSION_REL of
+# the direct sum.
+
+# |expansion - direct sum| <= EXPANSION_REL * max |direct sum|; the fig10
+# and fig11 preset points at 4k samples reach 1.4e-14
+EXPANSION_REL = 2e-14
+
 
 def fresh_workspace(u, axis):
     """Work buffers for one ``_kernel_tables`` call on every row of u over a
@@ -480,21 +485,21 @@ def _alloc_gaussian_table(mu, axis):
 
 def _alloc_rotate(table, rows, rate, axis, centre):
     """Angle addition: cos(rate (y - a)) = cos(rho y) cos(rho a) + sin(rho y)
-    sin(rho a), with rho the least |rate| when every |rate| is within
-    _RATE_TOL of it and each row's own |rate| otherwise; the sine, on every
-    4th node, takes the sign of the rate."""
-    rho = np.abs(rate)
-    if rho.size and rho.max() <= rho.min() * (1.0 + signatures._RATE_TOL):
-        rho = np.full(rho.size, rho.min())
+    sin(rho a), with rho the least |rate| of the row's group: from the least
+    |rate| up, a group takes every |rate| within _RATE_TOL of its least."""
+    mag = np.abs(rate)
+    rho = np.empty_like(mag)
+    left = np.ones(mag.size, dtype=bool)
+    while left.any():
+        least = mag[left].min()
+        group = left & (mag <= least * (1.0 + signatures._RATE_TOL))
+        rho[group] = least
+        left &= ~group
     angle = rho[:, None] * axis[None, :]
     cos_y, sin_y = np.cos(angle), np.sin(angle)
     angle = rho * centre
     cos_a, sin_a = np.cos(angle)[:, None], np.sin(angle)[:, None]
-    sign = np.sign(rate)[:, None]
-    gauss = table[rows]
-    sine = gauss[:, ::4] * (sin_y[:, ::4] * (sign * cos_a) - cos_y[:, ::4] * (sign * sin_a))
-    table[rows] = gauss * (cos_y * cos_a + sin_y * sin_a)
-    return sine
+    table[rows] = table[rows] * (cos_y * cos_a + sin_y * sin_a)
 
 
 def _alloc_kernel_tables(u, v, w, xs, ys):
@@ -505,39 +510,41 @@ def _alloc_kernel_tables(u, v, w, xs, ys):
     _, cy = _alloc_gaussian_table(mu_y, ys)
     b = mu_y.imag
     phased = np.flatnonzero(b != 0.0)
-    sy = _alloc_rotate(cy, phased, 4.0 * b[phased], ys, mu_y.real[phased])
-    return cx, cy, phased, sy
+    _alloc_rotate(cy, phased, 4.0 * b[phased], ys, mu_y.real[phased])
+    return cx, cy
 
 
-def _alloc_wigner_sum(u, v, w, xs, ys):
+def direct_wigner_sum(u, v, w, xs, ys):
+    """The real part of the Wigner kernel sum from direct tables, in chunks."""
     re = np.zeros((xs.size, ys.size))
-    im = np.zeros((xs[::4].size, ys[::4].size))
-    chunk = max(1, signatures._TABLE_CELLS // max(xs.size, ys.size))
-    for lo in range(0, u.size, chunk):
-        sl = slice(lo, lo + chunk)
-        cx, cy, phased, sy = _alloc_kernel_tables(u[sl], v[sl], w[sl], xs, ys)
+    for lo in range(0, u.size, 1000):
+        cx, cy = _alloc_kernel_tables(u[lo:lo + 1000], v[lo:lo + 1000], w[lo:lo + 1000], xs, ys)
         re += cx.T @ cy
-        if phased.size:
-            im += np.ascontiguousarray(cx[phased][:, ::4]).T @ sy
-    return re, im
+    return re
+
+
+def assert_within_expansion_bound(re, u, v, w, xs, ys):
+    direct = direct_wigner_sum(u, v, w, xs, ys)
+    assert np.max(np.abs(re - direct)) <= EXPANSION_REL * np.max(np.abs(direct))
 
 
 def _alloc_block_sums(u, v, w, xs, ys, rows):
     n_b, size = rows.shape
     flat = rows.ravel()
-    cx, cy, _, _ = _alloc_kernel_tables(u[flat], v[flat], w[flat], xs, ys)
+    cx, cy = _alloc_kernel_tables(u[flat], v[flat], w[flat], xs, ys)
     return np.matmul(cx.reshape(n_b, size, -1).transpose(0, 2, 1),
                      cy.reshape(n_b, size, -1))
 
 
-def _alloc_negativity_with_error(ens, grid, n_blocks, band):
+def _alloc_negativity_with_error(ens, grid, n_blocks, band, re):
+    """negativity_with_error from allocating tables, given the full kernel
+    sum re: (negativity, se, negativity off the band, field values)."""
     u, v, w = ens.alpha_out, ens.alpha_out_plus, ens.weight
     n = u.size
     rows, sizes = signatures._jackknife_blocks(ens.branch, n_blocks)
     (xs_all, ys), (hx, hy) = [ax.points() for ax in grid], [ax.step for ax in grid]
     inside = np.abs(xs_all) <= band
     xs = xs_all[inside]
-    re, im = _alloc_wigner_sum(u, v, w, xs_all, ys)
     values = re * (2.0 / (math.pi * n))
     columns = np.trapezoid(np.maximum(-values, 0.0), dx=hy)
     delta = float(np.trapezoid(columns, dx=hx))
@@ -556,7 +563,7 @@ def _alloc_negativity_with_error(ens, grid, n_blocks, band):
         loo[lo:lo + batch] = sums.reshape(sums.shape[0], -1) @ weights
     loo *= 2.0 / (math.pi * (n - sizes))
     se = math.sqrt((n_blocks - 1) / n_blocks * float(np.sum((loo - np.mean(loo)) ** 2)))
-    return delta, se, outside, values, im
+    return delta, se, outside, values
 
 
 def corrected_channel_ensemble(n):
@@ -590,41 +597,44 @@ def permuted(ens: EnsembleResult) -> EnsembleResult:
 
 
 def assert_kernel_is_the_allocating_kernel(monkeypatch, part, grid, n_blocks):
-    """The kernel sum and negativity_with_error, on the whole grid and on a
-    0.8 band, with the helper thread and without it: every array and scalar
-    bitwise equal to the allocating reference."""
+    """The full kernel sum within EXPANSION_REL of the direct sum, and
+    negativity_with_error, on the whole grid and on a 0.8 band, with the
+    helper thread and without it: every array and scalar bitwise equal to
+    the allocating reference fed the same full sum."""
     u, v, w = part.alpha_out, part.alpha_out_plus, part.weight
     xs, ys = (ax.points() for ax in grid)
-    ref = _alloc_wigner_sum(u, v, w, xs, ys)
-    refs = {band: _alloc_negativity_with_error(part, grid, n_blocks, band)
+    re, im, rank, bound = signatures._wigner_sum(u, v, w, xs, ys)
+    assert_within_expansion_bound(re, u, v, w, xs, ys)
+    refs = {band: _alloc_negativity_with_error(part, grid, n_blocks, band, re)
             for band in (math.inf, 0.8)}
     for on in (True, False):
         started = force_pipeline(monkeypatch, on)
         got = signatures._wigner_sum(u, v, w, xs, ys)
-        assert np.array_equal(got[0], ref[0])
-        assert np.array_equal(got[1], ref[1])
-        for band, (delta, se, outside, values, im) in refs.items():
+        assert np.array_equal(got[0], re) and np.array_equal(got[1], im)
+        for band, (delta, se, outside, values) in refs.items():
             out = negativity_with_error(part, grid, n_blocks=n_blocks, band=band)
             assert out["negativity"] == delta
             assert out["jackknife_se"] == se and se > 0.0
             assert out["negativity_outside_band"] == outside
             assert np.array_equal(out["field"].values, values)
-            residual = out["field"].meta["max_imag_residual_4th_node"]
-            assert residual == float(np.max(np.abs(im))) * (2.0 / (math.pi * u.size))
-        assert len(started) == (3 if on else 0)
+            meta = out["field"].meta
+            assert meta["max_imag_residual_4th_node"] == \
+                float(np.max(np.abs(im))) * (2.0 / (math.pi * u.size))
+            assert (meta["kernel_rank"], meta["truncation_bound"]) == (rank, bound)
+        assert len(started) == (2 if on else 0)  # one helper per jackknife
 
 
 @pytest.mark.parametrize("kind", ["corrected", "noisy"])
 def test_buffered_kernel_is_bitwise_the_allocating_kernel(monkeypatch, kind):
-    # 3000 table cells make 24-row chunks on the 121-point grid and 37-row
-    # chunks on the 61 x 81 one, so n = 190 (and n = 192 on the second grid)
-    # ends on a short chunk.  n = 192 keeps the four branch runs, whose 16
-    # jackknife blocks take 3 rows of each; at n = 190 the last branch has
-    # 46 rows, so the blocks take 2 or 3 of them and are padded to 12.
-    # 15 000 field cells batch the blocks one at a time on the first grid
-    # and three at a time on the second, the last batch holding one block.
-    # The 0.8 band keeps 33 columns of each grid and the same batches.  Each
-    # case runs with the helper thread that builds the tables and without it.
+    # 3000 table cells make moment chunks of 3000 // J rows, so every
+    # cluster's moments are added over several chunks.  n = 192 keeps the
+    # four branch runs, whose 16 jackknife blocks take 3 rows of each; at
+    # n = 190 the last branch has 46 rows, so the blocks take 2 or 3 of
+    # them and are padded to 12.  15 000 field cells batch the blocks one
+    # at a time on the 121-point grid and three at a time on the 61 x 81
+    # one, the last batch holding one block.  The 0.8 band keeps 33 columns
+    # of each grid and the same batches.  Each case runs with the helper
+    # thread that builds the tables and without it.
     monkeypatch.setattr(signatures, "_TABLE_CELLS", 3000)
     monkeypatch.setattr(signatures, "_FIELD_CELLS", 15_000)
     ens = corrected_channel_ensemble(192) if kind == "corrected" \
@@ -639,12 +649,12 @@ def test_buffered_kernel_is_bitwise_the_allocating_kernel(monkeypatch, kind):
 
 @pytest.mark.parametrize("layout", ["straddle", "permuted", "one_block_per_batch"])
 def test_kernel_layouts_are_bitwise_the_allocating_kernel(monkeypatch, layout):
-    # straddle: 5000 table cells make 41-row chunks on the 121-point grid, so
-    # the chunk of rows 82-122 holds the last diagonal rows (0-95) and the
-    # first phased ones, and its phased rows of cx are gathered.  permuted:
-    # every chunk mixes the two.  one_block_per_batch: like a fig11 point,
-    # the 4 blocks of 48 rows each outgrow the 24-row chunks of 3000 cells,
-    # so every batch holds one block.
+    # straddle: 5000 table cells batch three 12-row blocks, so the phased
+    # rows of a batch are three runs and _rotate gathers them.  permuted:
+    # the same batches, and every cluster of the expansion takes its rows
+    # in another order.  one_block_per_batch: like a fig11 point, the 4
+    # blocks of 48 rows each outgrow the 24-row tables of 3000 cells, so
+    # every batch holds one block, whose phased rows are one run.
     ens = corrected_channel_ensemble(192)
     grid = wigner_axes(60)
     cells, n_blocks = (3000, 4) if layout == "one_block_per_batch" else (5000, 16)
@@ -652,20 +662,20 @@ def test_kernel_layouts_are_bitwise_the_allocating_kernel(monkeypatch, layout):
     if layout == "permuted":
         ens = permuted(ens)
     b = 0.5 * (ens.alpha_out_plus - ens.alpha_out).real  # Im mu_y
+    blocks = signatures._jackknife_blocks(ens.branch, n_blocks)[0]
     chunk = signatures._table_rows(*(ax.points() for ax in grid))
-    mixed = [np.any(b[lo:lo + chunk] == 0.0) and np.any(b[lo:lo + chunk] != 0.0)
-             for lo in range(0, 192, chunk)]
-    assert sum(mixed) == {"straddle": 1, "permuted": 5, "one_block_per_batch": 0}[layout]
-    if layout == "one_block_per_batch":
-        assert signatures._jackknife_blocks(ens.branch, n_blocks)[0].shape[1] > chunk
+    batch = max(1, chunk // blocks.shape[1])
+    runs = [np.count_nonzero(np.diff(np.flatnonzero(b[blocks[lo:lo + batch].ravel()])) > 1) + 1
+            for lo in range(0, n_blocks, batch)]
+    assert runs == ([1] * 4 if layout == "one_block_per_batch" else [3] * 5 + [1])
     assert_kernel_is_the_allocating_kernel(monkeypatch, ens, grid, n_blocks)
 
 
 def test_concurrent_calls_with_fast_switching_are_bitwise(monkeypatch):
     # four callers at once, each with its own helper thread, while the
     # interpreter switches threads every microsecond: every call gives the
-    # bits of the kernel without a helper.  Permuted rows make every chunk
-    # gather its phased rows of cx while the helper builds the next one.
+    # bits of the kernel without a helper.  Each helper builds the first
+    # batch's tables while its caller runs the expansion.
     monkeypatch.setattr(signatures, "_TABLE_CELLS", 5000)
     monkeypatch.setattr(signatures, "_FIELD_CELLS", 15_000)
     ens = permuted(corrected_channel_ensemble(192))
@@ -706,10 +716,11 @@ def complex_mu_x_at_the_end(n=192):
 
 
 @pytest.mark.parametrize("on", [True, False], ids=["pipelined", "serial"])
-def test_complex_mu_x_in_the_last_chunk_reaches_the_caller(monkeypatch, on):
-    # eight 24-row chunks: the helper thread builds the last one while the
-    # caller still sums earlier chunks, and its ValueError is raised to the
-    # caller; no thread is left running after the call, failed or not
+def test_complex_mu_x_in_the_last_row_reaches_the_caller(monkeypatch, on):
+    # a complex mu_x in the last row raises before any helper thread
+    # starts; an error in the expansion, which runs while the helper builds
+    # the first batch, reaches the caller too, and the helper is joined: no
+    # thread is left running after a call, failed or not
     monkeypatch.setattr(signatures, "_TABLE_CELLS", 3000)
     grid = wigner_axes(60)
     before = threading.active_count()
@@ -719,9 +730,19 @@ def test_complex_mu_x_in_the_last_chunk_reaches_the_caller(monkeypatch, on):
         with pytest.raises(ValueError, match="real mu_x"):
             estimate(bad, grid)
         assert threading.active_count() == before
-    negativity_with_error(corrected_channel_ensemble(192), grid, n_blocks=16)
+    assert started == []
+    good = corrected_channel_ensemble(192)
+    negativity_with_error(good, grid, n_blocks=16)
     assert threading.active_count() == before
-    assert len(started) == (3 if on else 0)
+
+    def failing(*args):
+        raise RuntimeError("expansion failed")
+
+    monkeypatch.setattr(signatures, "_kernel_sum", failing)
+    with pytest.raises(RuntimeError, match="expansion failed"):
+        negativity_with_error(good, grid, n_blocks=16)
+    assert threading.active_count() == before
+    assert len(started) == (2 if on else 0)
 
 
 def test_small_noiseless_run_starts_no_thread(monkeypatch):
@@ -738,9 +759,9 @@ def test_small_noiseless_run_starts_no_thread(monkeypatch):
 
 @pytest.mark.parametrize("theta", THETAS)
 def test_noisy_p_distribution_is_bitwise_with_and_without_the_helper(monkeypatch, theta):
-    # 5000 table cells make 20-row chunks on the 241-point axis, so 192
-    # samples end on a short chunk; with CPUs to spare or not, the caller
-    # builds every chunk's tables and starts no thread
+    # 5000 table cells make moment chunks of 5000 // (2 J) rows, so every
+    # cluster ends on a short chunk; with CPUs to spare or not, the caller
+    # runs the expansion and starts no thread
     monkeypatch.setattr(signatures, "_TABLE_CELLS", 5000)
     ens = noisy_channel_ensemble(192)
     fields = []
@@ -795,3 +816,90 @@ def test_too_narrow_band_shows_in_the_guard():
     assert 0.0 < out["negativity_outside_band"] < out["negativity"]
     with pytest.raises(ValueError, match="band"):
         negativity_with_error(ens, grid, n_blocks=100, band=-0.1)
+
+
+@pytest.mark.parametrize("spread", [0.0, 1e-12, 1e-3, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0, 1.5])
+def test_expansion_order_is_the_least_within_the_tail_bound(spread):
+    # J is the least order whose Cramér tail k sum_{j >= J} (2 s)^j / sqrt(j!)
+    # is at most 2^-60, the tail summed here term by term to j = 400
+    def tail(order):
+        if spread == 0.0:
+            return 0.0
+        return 1.0865 * math.fsum(math.exp(j * math.log(2.0 * spread) - 0.5 * math.lgamma(j + 1))
+                                  for j in range(order, 400))
+
+    order, bound = signatures._expansion_order(spread)
+    assert tail(order) <= 2.0 ** -60
+    assert order == 1 or tail(order - 1) > 2.0 ** -60
+    assert bound == pytest.approx(tail(order), rel=1e-9, abs=0.0)
+    assert (order == 1) == (spread == 0.0)
+
+
+def test_expansion_is_within_its_pinned_bound_at_every_noisy_preset_point():
+    # the full kernel sum against the direct real sum at every fig10 and
+    # fig11 point with a thermal bath, n_bar = 4 at t = 0.3466/Gm included;
+    # the a-priori bound is at most 2^-60 per axis of every cluster
+    for cfg, _, ens in noisy_preset_points():
+        u, v, w = ens.alpha_out, ens.alpha_out_plus, ens.weight
+        xs, ys = (ax.points() for ax in default_wigner_grid(cfg.alpha0))
+        re, _, rank, bound = signatures._wigner_sum(u, v, w, xs, ys)
+        assert_within_expansion_bound(re, u, v, w, xs, ys)
+        assert 0.0 < bound <= 2.0 ** -60 * (2.0 + 2.0 ** -60)
+        assert 0 < rank < u.size
+
+
+def test_noiseless_expansion_takes_one_term_per_row():
+    # the four atoms of a noiseless ensemble are one-row clusters: J = 1 and
+    # nothing is truncated
+    field = wigner_estimate(input_ensemble(2.0), default_wigner_grid(2.0))
+    assert (field.meta["kernel_rank"], field.meta["truncation_bound"]) == (4, 0.0)
+    assert p_distribution(input_ensemble(2.0), default_quadrature_axis(2.0),
+                          0.0).meta["truncation_bound"] == 0.0
+
+
+def test_fig5_wigner_field_keeps_its_distinct_values():
+    # the noiseless fig5 field is symmetric in x and in y: 181^2 = 32,761
+    # distinct values on 361^2 cells, each one repr in wigner.csv
+    from catmem.experiments import preset, run_point
+    field = run_point(replace(preset("fig5"), signatures=("wigner",))).fields["wigner"]
+    assert field.values.shape == (361, 361)
+    assert abs(np.unique(field.values).size - 32_761) <= 0.01 * 32_761
+
+
+def test_two_rates_take_one_column_pair_each(monkeypatch):
+    # the -+ rows' rates scaled by 1.1, so every jackknife batch holds two
+    # rates: the tables and the jackknife are bitwise the allocating
+    # reference fed the same full sum, and no cos or sin runs on a per-cell
+    # array
+    ens = corrected_channel_ensemble(192)
+    mu_x = 0.5 * (ens.alpha_out + ens.alpha_out_plus)
+    mu_y = 0.5j * (ens.alpha_out_plus - ens.alpha_out)
+    mu_y = np.where(ens.branch == "-+", mu_y.real + 1.1j * mu_y.imag, mu_y)
+    scaled = EnsembleResult(mu_x + 1j * mu_y, mu_x - 1j * mu_y, ens.weight, ens.branch)
+    u, v, w = scaled.alpha_out, scaled.alpha_out_plus, scaled.weight
+    rates = np.abs(0.5 * (v - u).real)
+    assert np.unique(rates[rates > 0]).size >= 2
+    grid = wigner_axes(60)
+    axis = grid[0].points()
+    want = _alloc_kernel_tables(u, v, w, axis, axis)
+    re = signatures._wigner_sum(u, v, w, axis, axis)[0]
+    assert_within_expansion_bound(re, u, v, w, axis, axis)
+    delta, se, _, values = _alloc_negativity_with_error(scaled, grid, 16, math.inf, re)
+    ndims = []
+
+    def spy(ufunc):
+        def call(x, *args, **kwargs):
+            ndims.append(np.ndim(x))
+            return ufunc(x, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np, "cos", spy(np.cos))
+    monkeypatch.setattr(np, "sin", spy(np.sin))
+    got = signatures._kernel_tables(u, v, w, axis, axis, fresh_workspace(u, axis))
+    out = negativity_with_error(scaled, grid, n_blocks=16)
+    monkeypatch.undo()
+    assert ndims and max(ndims) == 1
+    for table, ref_table in zip(got, want, strict=True):
+        assert np.array_equal(table, ref_table)
+    assert (out["negativity"], out["jackknife_se"]) == (delta, se)
+    assert np.array_equal(out["field"].values, values)
