@@ -23,8 +23,9 @@ delta_x^j delta_y^l, accumulated over row chunks, and through the tables
 phi_j on the grid.  Cramer's inequality bounds |phi_j(u) delta^j| by
 k (2 |delta|)^j / sqrt(j!), k = 1.0865, and each axis of a cluster takes
 the least order J whose tail from J is at most 2^-60 of the cluster's
-kernel mass sum |w| e^{2 b^2} (``_expansion_order``).  A one-row cluster,
-as in a noiseless ensemble, takes J = 1.  Every rate group is at least one
+kernel mass sum |w| e^{2 b^2} (``_expansion_order``).  A cluster of equal
+rows, as in a noiseless ensemble, takes J = 1; ensembles of at most
+``_DIRECT_ROWS`` rows are summed directly.  Every rate group is at least one
 cluster, so the work grows with the number of distinct rates; a real cat
 has one per off-diagonal branch.  All clusters are summed in one
 real matrix product, whose rank K (the clusters' x orders added up) and
@@ -90,6 +91,10 @@ _TABLE_CELLS = 1 << 18
 _FIELD_CELLS = 1 << 20
 # Expansion clusters span less than this per axis: every |delta| < 1
 _CLUSTER_SPAN = 2.0
+# Ensembles of at most this many rows, such as a noiseless cat's four
+# branch points, are summed directly: a few rows' own terms cost less than
+# clustering them
+_DIRECT_ROWS = 4
 # Cramer's constant, |H_n(t)| <= k 2^{n/2} sqrt(n!) e^{t^2/2}, and the
 # truncation bound of each axis of a cluster, relative to its kernel mass
 _CRAMER_K = 1.0865
@@ -276,9 +281,17 @@ def _kernel_sum(c, a, b, w, xs: np.ndarray, ys: np.ndarray):
     group's rate in its phase.  As |exp(-2 (u - delta)^2)| <= 1, a cluster
     whose axes leave out Tx and Ty (``_expansion_order``) is within Tx + (1
     + Tx) Ty of its kernel mass sum |w| e^{2 b^2}; the bound returned is
-    the largest over the clusters.
+    the largest over the clusters.  Up to ``_DIRECT_ROWS`` rows are summed
+    directly instead, each row its own term: rank n, bound 0.
     """
     mass = w * np.exp(2.0 * b * b)
+    if c.size <= _DIRECT_ROWS:
+        fx = np.exp(-2.0 * (xs - c[:, None]) ** 2)
+        dy = ys - a[:, None]
+        fy = mass[:, None] * np.exp(-2.0 * dy * dy)
+        phase = 4.0 * b[:, None] * dy
+        return (fx.T @ (fy * np.cos(phase)), fx[:, ::4].T @ (fy * np.sin(phase))[:, ::4],
+                c.size, 0.0)
     x_rows, y_rows, x_im, y_im = [], [], [], []
     bound = 0.0
     for rows, rate in _clusters(c, a, b):

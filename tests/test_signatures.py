@@ -848,13 +848,15 @@ def test_expansion_is_within_its_pinned_bound_at_every_noisy_preset_point():
         assert 0 < rank < u.size
 
 
-def test_noiseless_expansion_takes_one_term_per_row():
-    # the four atoms of a noiseless ensemble are one-row clusters: J = 1 and
-    # nothing is truncated
-    field = wigner_estimate(input_ensemble(2.0), default_wigner_grid(2.0))
-    assert (field.meta["kernel_rank"], field.meta["truncation_bound"]) == (4, 0.0)
-    assert p_distribution(input_ensemble(2.0), default_quadrature_axis(2.0),
-                          0.0).meta["truncation_bound"] == 0.0
+def test_noiseless_expansion_takes_one_term_per_atom():
+    # a 64-row noiseless ensemble is four clusters of equal rows: J = 1 and
+    # nothing is truncated; the four rows of a preset's noiseless ensemble
+    # are summed directly, one term each
+    for n in (64, 4):
+        field = wigner_estimate(input_ensemble(2.0, n), default_wigner_grid(2.0))
+        assert (field.meta["kernel_rank"], field.meta["truncation_bound"]) == (4, 0.0)
+        assert p_distribution(input_ensemble(2.0, n), default_quadrature_axis(2.0),
+                              0.0).meta["truncation_bound"] == 0.0
 
 
 def test_fig5_wigner_field_keeps_its_distinct_values():
