@@ -86,7 +86,7 @@ _SQRT2 = math.sqrt(2.0)
 # Direct kernel tables: samples per chunk are sized so that one real factor
 # table holds about _TABLE_CELLS values (2 MB), and a batch of jackknife
 # block sums at most _FIELD_CELLS grid cells (fewer on a band of columns).
-# A chunk of expansion moments holds about _TABLE_CELLS row powers per axis.
+# A chunk of expansion moments holds about _TABLE_CELLS powers.
 _TABLE_CELLS = 1 << 18
 _FIELD_CELLS = 1 << 20
 # Expansion clusters span less than this per axis: every |delta| < 1
