@@ -374,7 +374,7 @@ def _check_estimator_sanity() -> tuple[bool, list, dict]:
     quad = replace(ax_x, start=root2 * ax_x.start, stop=root2 * ax_x.stop,
                    step=root2 * ax_x.step)
     p_x = sig.p_distribution(ens, quad, 0.0)
-    marginal = np.trapezoid(wfield.values, dx=ax_y.step, axis=1) / root2
+    marginal = ax_y.integrate(wfield.values) / root2
     worst = float(np.max(np.abs(p_x.values - marginal)))
     measured["marginal_mismatch"] = worst
     passed &= _record(lines, worst <= MARGINAL_TOL,

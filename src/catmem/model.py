@@ -26,6 +26,7 @@ __all__ = [
     "GridAxis",
     "GridField",
     "derive_rates",
+    "negative_columns",
     "open_atomic",
     "parse_storage_time",
 ]
@@ -193,6 +194,42 @@ class GridAxis:
         # the number of lattice points from end to end, which __post_init__
         # checked; points() need not be built
         return round(self.stop / self.step) - round(self.start / self.step) + 1
+
+    def trapezoid_weights(self) -> np.ndarray:
+        """The trapezoid rule's weight of each point: step, and step/2 at
+        both ends; the one point of an axis with start == stop spans no
+        interval and weighs 0."""
+        weights = np.full(self.size, self.step)
+        weights[[0, -1]] = 0.5 * self.step if self.size > 1 else 0.0
+        return weights
+
+    def integrate(self, values: np.ndarray) -> np.ndarray:
+        """The trapezoid rule on this axis along the last axis of values: one
+        contraction with ``trapezoid_weights``, which forms no temporary of
+        the size of values.  Each row's integral is one einsum reduction
+        over that row alone, so it has the same bits whichever rows, and
+        however many, come with it; a BLAS matrix-vector product does not
+        promise that."""
+        return np.einsum("...j,j->...", values, self.trapezoid_weights())
+
+
+def negative_columns(values: np.ndarray, axis: GridAxis) -> np.ndarray:
+    """The integral of max(-values, 0) on `axis`, the last axis of the 2-D
+    values, for each row: +0.0 on a row with no negative value.
+
+    Only the run of rows from the first to the last with a negative (or
+    nan) value is passed over again, as 0.0 - ``axis.integrate``(min(values,
+    0)).  That is the integral of max(-values, 0) to the bit, since negation
+    is exact, and 0.0 - 0.0 keeps a row without negative volume at +0.0.
+    Each row's integral depends on that row alone (``GridAxis.integrate``),
+    so a caller that passes only the rows where values can be negative gets
+    the bits of the whole field's rows."""
+    columns = np.zeros(values.shape[0])
+    rows = np.flatnonzero(~(values.min(axis=1) >= 0.0))
+    if rows.size:
+        run = slice(int(rows[0]), int(rows[-1]) + 1)
+        columns[run] = 0.0 - axis.integrate(np.minimum(values[run], 0.0))
+    return columns
 
 
 def _distinct_texts(values) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .model import GridAxis, GridField
+from .model import GridAxis, GridField, negative_columns
 
 __all__ = [
     "channel_wigner",
@@ -102,8 +102,10 @@ def channel_negativity(ax_x: GridAxis, ax_y: GridAxis, alpha0: float, gain: floa
     Since |fringe_y| <= 2 gauss_y, W >= gauss_y (hills_x - 2 fringe_x) scale,
     so on every x column with hills_x >= 4 fringe_x W is positive and the
     column adds exactly 0.  W is tabulated on the other columns only, the
-    band where it can be negative, and their y integrals are scattered into
-    the full column vector before the x integral.
+    band where it can be negative, and their y integrals
+    (``model.negative_columns``, which give each column the bits it has in
+    the whole field) are scattered into the full column vector before the x
+    integral.
     """
     hills_x, fringe_x, gauss_y, fringe_y, scale = _channel_factors(
         ax_x.points(), ax_y.points(), alpha0, gain, noise_var)
@@ -111,8 +113,8 @@ def channel_negativity(ax_x: GridAxis, ax_y: GridAxis, alpha0: float, gain: floa
     vals = (hills_x[band, None] * gauss_y[None, :]
             + fringe_x[band, None] * fringe_y[None, :]) * scale
     columns = np.zeros(hills_x.size)
-    columns[band] = np.trapezoid(np.maximum(-vals, 0.0), dx=ax_y.step)
-    return float(np.trapezoid(columns, dx=ax_x.step))
+    columns[band] = negative_columns(vals, ax_y)
+    return float(ax_x.integrate(columns))
 
 
 def cat_variance(alpha0: float) -> float:

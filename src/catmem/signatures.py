@@ -53,6 +53,20 @@ node for the expansions.  The factors stay finite for |alpha0| up to
 ``experiments.ALPHA0_MAX``.  The negativity's time-step error is
 ``experiments.run_point``'s, from the closed-form channel negativity at dt
 and dt/2.
+
+Every field integral is one quadrature, the trapezoid rule as contractions
+with the per-axis weights of ``GridAxis.trapezoid_weights``: the Wigner and
+quadrature norms, the negativity and its off-band guard, and the
+leave-one-out negativities of the jackknife.  A 2-D integral takes the
+column integrals first, over Im alpha for each Re alpha
+(``GridAxis.integrate``, ``model.negative_columns`` for max(-W, 0)), and
+then the Re alpha integral of that column vector.  Each column's integral
+is one einsum reduction over that column alone, so a band of columns has
+the bits of the same columns of the whole grid, and
+``oracle.channel_negativity``, which tabulates its band only, those of
+``wigner_negativity`` of the whole closed-form field.  The jackknife
+contracts each block's band with the outer product of the two weight
+vectors in one matrix-vector product.
 """
 
 from __future__ import annotations
@@ -66,7 +80,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .model import BRANCHES, EnsembleResult, GridAxis, GridField
+from .model import BRANCHES, EnsembleResult, GridAxis, GridField, negative_columns
 
 __all__ = [
     "default_quadrature_axis",
@@ -339,7 +353,7 @@ def p_distribution(results, axis: GridAxis, theta: float) -> GridField:
     values = re[0] * scale
     return GridField(axes=(axis,), values=values,
                      meta={"kind": "quadrature_distribution", "theta": theta,
-                           "norm": float(np.trapezoid(values, dx=axis.step)),
+                           "norm": float(axis.integrate(values)),
                            "max_imag_residual_4th_node": float(np.max(np.abs(im))) * scale,
                            "truncation_bound": bound})
 
@@ -496,8 +510,7 @@ def _wigner_field(sums: tuple, count: int, grid: tuple[GridAxis, GridAxis]) -> G
     ax_x, ax_y = grid
     return GridField(axes=grid, values=values,
                      meta={"kind": "wigner",
-                           "norm": float(np.trapezoid(np.trapezoid(values, dx=ax_y.step),
-                                                      dx=ax_x.step)),
+                           "norm": float(ax_x.integrate(ax_y.integrate(values))),
                            "max_imag_residual_4th_node": float(np.max(np.abs(im))) * scale,
                            "kernel_rank": rank, "truncation_bound": bound})
 
@@ -517,18 +530,12 @@ def wigner_estimate(results, grid: tuple[GridAxis, GridAxis]) -> GridField:
 
 
 def wigner_negativity(field: GridField) -> float:
-    """Integrated negative volume: trapezoidal quadrature of max(-W, 0)."""
+    """Integrated negative volume: trapezoidal quadrature of max(-W, 0),
+    the column integrals (``model.negative_columns``) first."""
     if len(field.axes) != 2:
         raise ValueError("negativity needs a 2-D field")
-    neg = np.maximum(-field.values, 0.0)
-    return float(np.trapezoid(np.trapezoid(neg, dx=field.axes[1].step),
-                              dx=field.axes[0].step))
-
-
-def _trapezoid_weights(size: int, step: float) -> np.ndarray:
-    weights = np.full(size, step)
-    weights[[0, -1]] = 0.5 * step
-    return weights
+    ax_x, ax_y = field.axes
+    return float(ax_x.integrate(negative_columns(field.values, ax_y)))
 
 
 def _jackknife_blocks(branch: np.ndarray, n_blocks: int) -> tuple[np.ndarray, np.ndarray]:
@@ -598,8 +605,10 @@ def negativity_with_error(results, grid: tuple[GridAxis, GridAxis], n_blocks: in
     Two passes over the ensemble: the first is the full kernel sum on the
     whole grid, a Hermite expansion (``_kernel_sum``), which gives the field
     and the negativity; the second the direct real kernel sums of every
-    block, in batches of blocks by one batched matrix product each.  A
-    leave-one-block-out negativity is then the trapezoid-weighted sum of
+    block, in batches of blocks by one batched matrix product each.  The
+    negativity and "negativity_outside_band" are x integrals of one set of
+    column integrals of the field (``model.negative_columns``).  A
+    leave-one-block-out negativity is the trapezoid-weighted sum of
     max(block - full, 0), scaled to the remaining sample count.  Every
     batch's tables share the buffers of one workspace, and every batch one
     block-sum buffer.  They are built one task ahead on the helper thread
@@ -635,17 +644,17 @@ def negativity_with_error(results, grid: tuple[GridAxis, GridAxis], n_blocks: in
 
     batches = [functools.partial(_batch_tables, u, v, w, xs_band, ys, work, rows[lo:lo + batch])
                for lo in range(0, n_blocks, batch)]
-    weights = np.outer(_trapezoid_weights(xs.size, ax_x.step)[cols],
-                       _trapezoid_weights(ys.size, ax_y.step)).ravel()
+    weights = np.outer(ax_x.trapezoid_weights()[cols], ax_y.trapezoid_weights()).ravel()
     block_sums = np.empty((batch, xs_band.size, ys.size))
     loo = np.empty(n_blocks)
     with _built(batches) as built:
         sums = _wigner_sum(u, v, w, xs, ys)
         re = sums[0]
         field = _wigner_field(sums, n, grid)
-        delta = wigner_negativity(field)
-        outside = np.trapezoid(np.maximum(-field.values, 0.0), dx=ax_y.step)
-        outside[cols] = 0.0
+        columns = negative_columns(field.values, ax_y)
+        delta = float(ax_x.integrate(columns))
+        columns[cols] = 0.0
+        outside = float(ax_x.integrate(columns))
         full_done = time.perf_counter()
 
         for lo, (_, (cx, cy)) in zip(range(0, n_blocks, batch), built):
@@ -656,7 +665,7 @@ def negativity_with_error(results, grid: tuple[GridAxis, GridAxis], n_blocks: in
     loo *= 2.0 / (math.pi * (n - sizes))
     se = math.sqrt((n_blocks - 1) / n_blocks * float(np.sum((loo - np.mean(loo)) ** 2)))
     return {"negativity": delta, "jackknife_se": se, "n_blocks": n_blocks,
-            "negativity_outside_band": float(np.trapezoid(outside, dx=ax_x.step)),
+            "negativity_outside_band": outside,
             "field": field,
             "wigner_s": full_done - start, "jackknife_s": time.perf_counter() - full_done}
 

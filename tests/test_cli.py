@@ -24,7 +24,7 @@ from catmem.experiments import (ALPHA0_MAX, ConfigError, ExperimentConfig,
                                 parse_config_text, preset, run_point, run_sweep,
                                 sweep_points, write_run_artifacts)
 from catmem.model import ProtocolSchedule
-from catmem.oracle import channel_negativity
+from catmem.oracle import channel_negativity, q_channel
 from catmem.signatures import default_wigner_grid
 
 TINY_RUN = """\
@@ -237,6 +237,21 @@ def test_noiseless_rows_match_the_protocol_reference(tmp_path):
             assert s["sampling_error"] == 0.0
             assert abs(s["negativity"] - s["negativity_protocol"]) <= \
                 2e-15 * s["negativity_protocol"]
+
+
+@pytest.mark.parametrize("name", ["fig9", "fig12"])
+def test_noiseless_points_past_the_bound_read_plus_zero(name):
+    # past the lifetime bound (q_channel <= 0) the channel leaves no
+    # negative volume: the estimate and both closed forms read +0.0, never
+    # -0.0, which would print as "-0"
+    past = [sub for _, sub in sweep_points(preset(name))
+            if q_channel(*protocol_channel(sub.system_params(), sub.schedule())) <= 0.0]
+    assert past
+    for sub in past:
+        scalars = run_point(sub).scalars
+        for key in ("negativity", "negativity_protocol", "negativity_oracle"):
+            if key in scalars:
+                assert scalars[key] == 0.0 and math.copysign(1.0, scalars[key]) == 1.0, key
 
 
 def test_run_point_evaluates_each_channel_once(monkeypatch):

@@ -126,6 +126,36 @@ def test_grid_axis_rejects_ends_off_its_lattice(start, stop, step):
         GridAxis(start, stop, step, "x")
 
 
+def test_trapezoid_weights_span_the_axis():
+    axis = GridAxis(-0.2, 0.3, 0.1, "x")
+    assert np.array_equal(axis.trapezoid_weights(), [0.05, 0.1, 0.1, 0.1, 0.1, 0.05])
+    values = np.random.default_rng(5).standard_normal((3, axis.size))
+    assert np.allclose(axis.integrate(values), np.trapezoid(values, dx=0.1), rtol=0, atol=1e-15)
+    # one point spans no interval: the rule gives 0, as np.trapezoid does
+    point = GridAxis(0.3, 0.3, 0.1, "x")
+    assert np.array_equal(point.trapezoid_weights(), [0.0])
+    assert point.integrate(np.array([2.5])) == np.trapezoid([2.5], dx=0.1) == 0.0
+    assert np.array_equal(point.integrate(np.ones((3, 1))), np.zeros(3))
+
+
+@pytest.mark.parametrize("ny", [1, 2, 7, 241, 361])
+def test_column_integrals_of_any_rows_are_those_of_the_whole_field(ny):
+    # each row's integral depends on that row alone, so a band or any other
+    # choice of rows has the bits of the same rows of the whole field
+    rng = np.random.default_rng(ny)
+    ax_y = GridAxis(0.0, 0.05 * (ny - 1), 0.05, "im_alpha")
+    values = rng.standard_normal((300, ny))
+    values[::3] = np.abs(values[::3])  # rows with no negative value
+    whole, negative = ax_y.integrate(values), model.negative_columns(values, ax_y)
+    assert np.array_equal(negative, ax_y.integrate(np.maximum(-values, 0.0)))
+    assert np.all(np.copysign(1.0, negative[::3]) == 1.0) and not np.any(negative[::3])
+    for count in (1, 2, 3, 5, 16, 64, 299):
+        for rows in (slice(0, count), slice(300 - count, 300),
+                     np.sort(rng.choice(300, count, replace=False))):
+            assert np.array_equal(ax_y.integrate(values[rows]), whole[rows])
+            assert np.array_equal(model.negative_columns(values[rows], ax_y), negative[rows])
+
+
 def test_grid_field_shape_checked():
     ax = GridAxis(0.0, 1.0, 0.5, "x")
     with pytest.raises(ValueError):

@@ -225,6 +225,40 @@ def test_field_norm_and_validation():
         negativity_with_error(input_ensemble(2.0), default_wigner_grid(2.0), n_blocks=1)
 
 
+def assert_within_ulps(got, want, ulps=8):
+    assert abs(got - want) <= ulps * np.spacing(abs(want)), (got, want)
+
+
+@pytest.mark.parametrize("name", ["table1", "fig5", "fig6", "fig9", "fig10", "fig11", "fig12"])
+def test_weight_contractions_agree_with_numpy_trapezoid_on_preset_grids(name):
+    # the field of the protocol channel at every point of the preset: its
+    # norm and negative volume, and the p-distribution's norm, a few ulps
+    # from np.trapezoid's sums of pairwise means
+    from catmem.engine import protocol_channel
+    from catmem.experiments import preset, sweep_points
+    cfg = preset(name)
+    points = sweep_points(cfg) if cfg.sweep else [({}, cfg)]
+    for _, sub in points:
+        grid = default_wigner_grid(sub.alpha0)
+        (hx, hy), (ax_x, ax_y) = (ax.step for ax in grid), grid
+        gain, noise_var = protocol_channel(sub.system_params(), sub.schedule())
+        field = channel_wigner_field(*grid, sub.alpha0, abs(gain), noise_var)
+        values = field.values
+        assert_within_ulps(float(ax_x.integrate(ax_y.integrate(values))),
+                           float(np.trapezoid(np.trapezoid(values, dx=hy), dx=hx)))
+        assert_within_ulps(wigner_negativity(field), float(np.trapezoid(
+            np.trapezoid(np.maximum(-values, 0.0), dx=hy), dx=hx)))
+    axis = default_quadrature_axis(cfg.alpha0)
+    quad = p_distribution(input_ensemble(cfg.alpha0), axis, math.pi / 2)
+    assert_within_ulps(quad.meta["norm"], float(np.trapezoid(quad.values, dx=axis.step)))
+
+
+def test_one_point_field_has_zero_norm():
+    axis = GridAxis(0.0, 0.0, 0.01, "x_theta_quadrature")
+    field = p_distribution(input_ensemble(2.0), axis, math.pi / 2)
+    assert field.values[0] > 0.0 and field.meta["norm"] == 0.0
+
+
 def complex_wigner_sum(u, v, w, xs, ys):
     """Reference: the kernel sum in complex arithmetic, one table per factor."""
     mu_x = 0.5 * (u + v)
@@ -542,17 +576,17 @@ def _alloc_negativity_with_error(ens, grid, n_blocks, band, re):
     u, v, w = ens.alpha_out, ens.alpha_out_plus, ens.weight
     n = u.size
     rows, sizes = signatures._jackknife_blocks(ens.branch, n_blocks)
-    (xs_all, ys), (hx, hy) = [ax.points() for ax in grid], [ax.step for ax in grid]
+    xs_all, ys = (ax.points() for ax in grid)
+    wx, wy = (ax.trapezoid_weights() for ax in grid)
     inside = np.abs(xs_all) <= band
     xs = xs_all[inside]
     values = re * (2.0 / (math.pi * n))
-    columns = np.trapezoid(np.maximum(-values, 0.0), dx=hy)
-    delta = float(np.trapezoid(columns, dx=hx))
-    outside = float(np.trapezoid(np.where(inside, 0.0, columns), dx=hx))
+    columns = np.einsum("ij,j->i", np.maximum(-values, 0.0), wy)
+    delta = float(np.einsum("i,i->", columns, wx))
+    outside = float(np.einsum("i,i->", np.where(inside, 0.0, columns), wx))
     u_pad, v_pad = np.append(u, 0.0), np.append(v, 0.0)
     w_pad = np.append(w, 0.0)
-    weights = np.outer(signatures._trapezoid_weights(xs_all.size, hx)[inside],
-                       signatures._trapezoid_weights(ys.size, hy)).ravel()
+    weights = np.outer(wx[inside], wy).ravel()
     chunk = max(1, signatures._TABLE_CELLS // max(xs_all.size, ys.size))
     batch = max(1, min(signatures._FIELD_CELLS // re.size, chunk // rows.shape[1]))
     loo = np.empty(n_blocks)
@@ -816,6 +850,23 @@ def test_too_narrow_band_shows_in_the_guard():
     assert 0.0 < out["negativity_outside_band"] < out["negativity"]
     with pytest.raises(ValueError, match="band"):
         negativity_with_error(ens, grid, n_blocks=100, band=-0.1)
+
+
+def test_negativity_in_and_off_the_band_add_up():
+    # the band's part, from np.trapezoid on the columns of the field, plus
+    # the guard is the negativity to rounding, for bands from the x = 0
+    # column alone to the whole axis
+    cfg, (gain, noise_var), ens = next(noisy_preset_points())
+    grid = default_wigner_grid(cfg.alpha0)
+    (hx, hy), xs = (ax.step for ax in grid), grid[0].points()
+    for band in (0.0, 0.5, negativity_band(cfg.alpha0, gain, noise_var), math.inf):
+        out = negativity_with_error(ens, grid, n_blocks=100, band=band)
+        columns = np.trapezoid(np.maximum(-out["field"].values, 0.0), dx=hy)
+        in_band = float(np.trapezoid(np.where(np.abs(xs) <= band, columns, 0.0), dx=hx))
+        assert in_band + out["negativity_outside_band"] == \
+            pytest.approx(out["negativity"], rel=1e-13)
+        assert math.copysign(1.0, out["negativity_outside_band"]) == 1.0
+    assert out["negativity_outside_band"] == 0.0
 
 
 @pytest.mark.parametrize("spread", [0.0, 1e-12, 1e-3, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0, 1.5])
