@@ -3,9 +3,9 @@
 Each criterion is a function returning a CheckResult with pass/fail, the
 measured numbers and the pinned tolerances, so the validate subcommand and
 the test suite share one implementation.  Criteria are independent and may
-be run individually; the thermal consistency check is the slow one (about
-25 s of Wigner sums and jackknives over 200k- and 800k-trajectory
-ensembles on two cores).
+be run individually; the thermal consistency check is the slow one (7 to
+8 s of Wigner sums and jackknives over 200k- and 800k-trajectory
+ensembles on two cores, with OPENBLAS_NUM_THREADS=1 or unset).
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from .engine import protocol_channel, write_gain
 from .experiments import (DEFAULT_GAMMA_M, ExperimentConfig, _corrected_ensemble,
                           oracle_query, run_point, write_run_artifacts)
 from .model import EnsembleResult, ProtocolSchedule, SystemParams, derive_rates
-from .modes import (ModeFunctionSpec, coupler_ode_residual, kappa_source,
-                    transfer_amplitude, u_exp_approx, u_in)
+from .modes import (ModeFunctionSpec, coupler_ode_residual, default_write_duration,
+                    kappa_source, transfer_amplitude, u_exp_approx, u_in)
 from .oracle import decohered_density
 from .sampling import sample_cat
 
@@ -204,8 +204,7 @@ def _check_transfer() -> tuple[bool, list, dict]:
     lines: list = []
     passed = True
     params = SystemParams(0.95, 0.05, gamma_m=DEFAULT_GAMMA_M, g_eff=0.6)
-    t_w = 10.0 / derive_rates(params).gamma_bar.real
-    schedule = ProtocolSchedule.make(t_w, 0.0, 0.1)
+    schedule = ProtocolSchedule.make(default_write_duration(params), 0.0, 0.1)
     single = abs(write_gain(params, schedule))
     full = abs(protocol_channel(params, schedule)[0])
     passed &= _record(lines, abs(single - TRANSFER_SINGLE) <= TRANSFER_SINGLE_TOL,

@@ -32,20 +32,29 @@ real matrix product, whose rank K (the clusters' x orders added up) and
 largest relative truncation bound the Wigner field's meta records as
 "kernel_rank" and "truncation_bound".
 
-The delete-block jackknife stays direct: the few hundred rows of a block
-at most cost no more as tables than as moments and the product of every
-cluster they fall in.  It forms the kernel sums of many blocks in one
-batched product of real factor tables (``_kernel_tables``), on the band of
-Re alpha columns where the Wigner function can be negative when given one
-(``oracle.negativity_band``), and reports the full field's negative volume
-off that band as its guard.  The tables take their phase factors by angle
-addition with one column pair per rate group, so the trigonometry runs per
-row and per column, not per cell.  With two or more usable CPUs and two or
-more batches, one helper thread builds the batches' tables, element-wise
-numpy work only, the first while the calling thread runs the expansion and
-each next one while it runs the current batch's matrix product.  Every
-BLAS call stays on the caller and the batches are taken in order, so the
-results have the same bits for any CPU count; no thread outlives the call.
+The delete-block jackknife stays direct.  At fig10's points, 24k rows or
+200k rows in 1000 blocks, a block holds 24 or 200 rows, about as many as
+the expansion's rank K (170 to 192) or fewer, so its moments and the
+product of every cluster it falls in would cost no less than its own
+tables.  fig11's 100 blocks of 2,000 rows at 200k are where per-block
+moments would pay (ROADMAP item 11).  The jackknife forms the kernel sums
+of many blocks in one batched product of real factor tables
+(``_kernel_tables``), on the band of Re alpha columns where the Wigner
+function can be negative when given one (``oracle.negativity_band``), and
+reports the full field's negative volume off that band as its guard.  The
+tables are built from the same real centre columns as the expansion
+(``_centres``), formed once per call, and take their phase factors by
+angle addition with one column pair per rate group, so the trigonometry
+runs per row and per column, not per cell.  Every batch writes its tables
+into the leading rows of one of two table slots, allocated once per call
+at the largest batch.  With two or more usable CPUs and two or more
+batches, one helper thread builds the batches' tables into the slot the
+caller is not reading, element-wise numpy work only, the first while the
+calling thread runs the expansion and each next one while it runs the
+current batch's matrix product; otherwise every batch takes slot 0 on
+the caller.  Every BLAS call stays on the caller and the batches are
+taken in order, so the results have the same bits for any CPU count; no
+thread outlives the call.
 The density kernel stays direct and complex: its phase rate in a is Im u,
 the per-row noise, so its rows share no rate.  Imaginary parts cancel over
 symmetric branches and are reported as residual diagnostics, on every 4th
@@ -144,12 +153,14 @@ def _columns(results: EnsembleResult) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return results.alpha_out, results.alpha_out_plus, results.weight
 
 
-def _real_mu_x(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """mu_x = (u + v)/2 as a real array; ValueError when any is not real."""
+def _centres(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Wigner kernel's real centre columns (c, a, b) = (mu_x, Re mu_y,
+    Im mu_y), mu_x = (u + v)/2 and mu_y = i (v - u)/2; ValueError when any
+    mu_x is not real."""
     if np.any(0.5 * (u.imag + v.imag)):
         raise ValueError("the Wigner kernel needs a real mu_x = (alpha_out + "
                          "alpha_out_plus)/2 on every row")
-    return 0.5 * (u.real + v.real)
+    return 0.5 * (u.real + v.real), 0.5 * (u.imag - v.imag), 0.5 * (v.real - u.real)
 
 
 # Rates share a group when they lie within this relative distance of the
@@ -358,48 +369,21 @@ def p_distribution(results, axis: GridAxis, theta: float) -> GridField:
                            "truncation_bound": bound})
 
 
-class _Workspace:
-    """Work buffers of the jackknife's table kernel, allocated once per call.
-
-    Each batch of jackknife blocks, of at most `rows` samples, writes its
-    factor tables into the leading rows of the same flat buffers, so a call
-    allocates them once however many batches it takes; a buffer is
-    allocated on first use.  The tables that the matrix products read, cx
-    and cy, come in two slots (names suffixed 0 and 1): the helper thread of
-    ``_built`` fills one while the caller reads the other, and without a
-    helper only slot 0 is used.  Only the table builder writes the phase
-    scratch "angle0" and "angle1".  So a call holds at most six buffers.
-    """
-
-    def __init__(self, rows: int, xs: np.ndarray, ys: np.ndarray):
-        self._cells = rows * max(xs.size, ys.size)
-        self._flat: dict = {}
-
-    def table(self, name: str, rows: int, cols: int) -> np.ndarray:
-        """The C-contiguous (rows, cols) head of buffer `name`."""
-        flat = self._flat.get(name)
-        if flat is None:
-            flat = self._flat[name] = np.empty(self._cells)
-        return flat[:rows * cols].reshape(rows, cols)
-
-
-def _kernel_tables(u, v, w, xs, ys, work: _Workspace, slot: int = 0):
+def _kernel_tables(c, a, b, w, xs, ys, out: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Real factor tables of the Wigner kernel, one row per sample, for the
-    direct block sums.
+    direct block sums, from the real centres of ``_centres``.
 
     A sample's kernel has the real part fx(x) fy(y), with fx = w exp(-2 (x
-    - c)^2) and fy = exp(-2 (y - a)^2 + 2 b^2) cos(4 b (y - a)), mu_y = a +
-    i b.  Returns (cx, cy), fx and fy on every row, so that the sum over
-    samples of the real part is cx^T cy.  Raises ValueError when any mu_x
-    is not real.  The tables are views into slot `slot` of `work` until its
-    next use.
+    - c)^2) and fy = exp(-2 (y - a)^2 + 2 b^2) cos(4 b (y - a)).  Returns
+    (cx, cy), fx and fy on every row, so that the sum over samples of the
+    real part is cx^T cy.  They are the leading rows of the (cx, cy) table
+    slot `out`, and stay valid until its next use.
     """
-    cx = _gaussian_table(_real_mu_x(u, v), xs, work.table(f"cx{slot}", u.size, xs.size))
+    cx = _gaussian_table(c, xs, out[0][:c.size])
     cx *= w[:, None]
-    mu_y = 0.5j * (v - u)
-    cy = _gaussian_table(mu_y, ys, work.table(f"cy{slot}", u.size, ys.size))
-    phased = np.flatnonzero(mu_y.imag)
-    _rotate(cy, phased, 4.0 * mu_y.imag[phased], ys, mu_y.real[phased], work)
+    cy = _gaussian_table(a, ys, out[1][:c.size], lift=b)
+    phased = np.flatnonzero(b)
+    _rotate(cy, phased, 4.0 * b[phased], ys, a[phased])
     return cx, cy
 
 
@@ -407,27 +391,21 @@ def _table_rows(xs, ys) -> int:
     return max(1, _TABLE_CELLS // max(xs.size, ys.size))
 
 
-def _gaussian_table(mu: np.ndarray, axis: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """|exp(-2 (axis - mu)^2)| with one row per sample, computed in out."""
-    np.subtract(axis[None, :], mu.real[:, None], out=out)
+def _gaussian_table(centre: np.ndarray, axis: np.ndarray, out: np.ndarray,
+                    lift: np.ndarray | None = None) -> np.ndarray:
+    """exp(-2 (axis - centre)^2 + 2 lift^2) with one row per sample,
+    computed in out."""
+    np.subtract(axis[None, :], centre[:, None], out=out)
     np.multiply(out, out, out=out)
-    if np.any(mu.imag):  # x - 0.0 is x: real means skip the pass
-        out -= (mu.imag * mu.imag)[:, None]
+    if lift is not None:
+        out -= (lift * lift)[:, None]
     out *= -2.0
     np.exp(out, out=out)
     return out
 
 
-def _angle_sum(first, second, f_row, s_row, work: _Workspace, shape) -> np.ndarray:
-    """first * f_row - second * s_row in scratch buffer "angle0", for column
-    tables first and second and f_row, s_row one value per row."""
-    out = np.multiply(first, f_row[:, None], out=work.table("angle0", *shape))
-    out -= np.multiply(second, s_row[:, None], out=work.table("angle1", *shape))
-    return out
-
-
 def _rotate(table: np.ndarray, rows: np.ndarray, rate: np.ndarray, axis: np.ndarray,
-            centre: np.ndarray, work: _Workspace) -> None:
+            centre: np.ndarray) -> None:
     """Multiply table[rows] in place by cos(rate (axis - centre)), one rate
     and centre per row.
 
@@ -436,21 +414,19 @@ def _rotate(table: np.ndarray, rows: np.ndarray, rate: np.ndarray, axis: np.ndar
     trigonometry runs per row and per column, not per cell: the rows are
     grouped by rho (``_rate_groups``), and the least rho of a group serves
     every row of it through one column pair, each row keeping its own
-    cos(rho a) and sin(rho a).  The buffers "angle0" and "angle1" are
-    scratch, free again on return.
+    cos(rho a) and sin(rho a).
     """
     if rows.size == 0:
         return
     group, least = _rate_groups(np.abs(rate))
     for g, rho in enumerate(least):
         part, angle = rows[group == g], rho * centre[group == g]
-        shape = (part.size, table.shape[1])
-        cosine = _angle_sum(np.cos(rho * axis), -np.sin(rho * axis), np.cos(angle),
-                            np.sin(angle), work, shape)
+        cosine = np.cos(rho * axis) * np.cos(angle)[:, None]
+        cosine += np.sin(rho * axis) * np.sin(angle)[:, None]
         if part[-1] - part[0] + 1 == part.size:  # a contiguous run of rows
             table[part[0]:part[-1] + 1] *= cosine
         else:
-            cosine *= np.take(table, part, axis=0, mode="clip", out=work.table("angle1", *shape))
+            cosine *= table[part]
             table[part] = cosine
 
 
@@ -515,18 +491,13 @@ def _wigner_field(sums: tuple, count: int, grid: tuple[GridAxis, GridAxis]) -> G
                            "kernel_rank": rank, "truncation_bound": bound})
 
 
-def _wigner_sum(u, v, w, xs, ys):
-    """The Wigner kernel's ``_kernel_sum`` over the ensemble."""
-    return _kernel_sum(_real_mu_x(u, v), 0.5 * (u.imag - v.imag), 0.5 * (v.real - u.real), w,
-                       xs, ys)
-
-
 def wigner_estimate(results, grid: tuple[GridAxis, GridAxis]) -> GridField:
     """Weighted Wigner-function estimate on the (Re alpha, Im alpha) axes."""
     u, v, w = _columns(results)
     if u.size == 0:
         raise ValueError("empty ensemble")
-    return _wigner_field(_wigner_sum(u, v, w, grid[0].points(), grid[1].points()), u.size, grid)
+    return _wigner_field(_kernel_sum(*_centres(u, v), w, grid[0].points(), grid[1].points()),
+                         u.size, grid)
 
 
 def wigner_negativity(field: GridField) -> float:
@@ -569,16 +540,15 @@ def _jackknife_blocks(branch: np.ndarray, n_blocks: int) -> tuple[np.ndarray, np
     return blocks, sizes
 
 
-def _batch_tables(u, v, w, xs, ys, work: _Workspace, rows: np.ndarray, slot: int):
+def _batch_tables(centres: tuple, w, xs, ys, slots: list, rows: np.ndarray, slot: int):
     """Kernel tables of a batch of blocks, block after block: the samples
-    of the (blocks, size) index matrix rows, built into `slot` of `work`.
-    The index n that pads short blocks takes the last sample at weight 0,
-    so its row of cx is zero."""
+    of the (blocks, size) index matrix rows, built into table slot `slot`
+    of `slots`.  The index n that pads short blocks takes the last sample
+    at weight 0, so its row of cx is zero."""
     flat = rows.ravel()
-    weight = w.take(flat, mode="clip")
+    c, a, b, weight = (column.take(flat, mode="clip") for column in (*centres, w))
     weight[flat == w.size] = 0.0
-    return _kernel_tables(u.take(flat, mode="clip"), v.take(flat, mode="clip"), weight, xs, ys,
-                          work, slot)
+    return _kernel_tables(c, a, b, weight, xs, ys, slots[slot])
 
 
 def _block_sums(cx: np.ndarray, cy: np.ndarray, blocks: int, out: np.ndarray) -> np.ndarray:
@@ -609,14 +579,15 @@ def negativity_with_error(results, grid: tuple[GridAxis, GridAxis], n_blocks: in
     negativity and "negativity_outside_band" are x integrals of one set of
     column integrals of the field (``model.negative_columns``).  A
     leave-one-block-out negativity is the trapezoid-weighted sum of
-    max(block - full, 0), scaled to the remaining sample count.  Every
-    batch's tables share the buffers of one workspace, and every batch one
-    block-sum buffer.  They are built one task ahead on the helper thread
-    of ``_built``, when one starts, so the first batch's tables are built
-    while the expansion runs.  "wigner_s" and "jackknife_s" hold the
-    seconds from the call's start to the field and the negativity, and from
-    there to its end.  The blocks are stratified by branch
-    (``_jackknife_blocks``).
+    max(block - full, 0), scaled to the remaining sample count.  Both
+    passes take the kernel's real centres from one ``_centres`` call.
+    Every batch's tables go into one of two table slots, and every batch's
+    sums into one block-sum buffer.  The tables are built one task ahead
+    on the helper thread of ``_built``, when one starts, so the first
+    batch's tables are built while the expansion runs.  "wigner_s" and
+    "jackknife_s" hold the seconds from the call's start to the field and
+    the negativity, and from there to its end.  The blocks are stratified
+    by branch (``_jackknife_blocks``).
 
     With a band (``oracle.negativity_band``) the block sums, their
     max(block - full, 0) and their weights are formed only on the columns
@@ -631,7 +602,7 @@ def negativity_with_error(results, grid: tuple[GridAxis, GridAxis], n_blocks: in
     n = u.size
     if n == 0:
         raise ValueError("empty ensemble")
-    _real_mu_x(u, v)  # raises before a helper starts
+    centres = _centres(u, v)  # raises before a helper starts
     rows, sizes = _jackknife_blocks(results.branch, n_blocks)
     n_blocks = rows.shape[0]
     ax_x, ax_y = grid
@@ -640,15 +611,16 @@ def negativity_with_error(results, grid: tuple[GridAxis, GridAxis], n_blocks: in
     xs_band = xs[cols]
     batch = min(n_blocks, max(1, min(_FIELD_CELLS // (xs.size * ys.size),
                                      _table_rows(xs, ys) // rows.shape[1])))
-    work = _Workspace(batch * rows.shape[1], xs, ys)
+    size = batch * rows.shape[1]
+    slots = [(np.empty((size, xs_band.size)), np.empty((size, ys.size))) for _ in range(2)]
 
-    batches = [functools.partial(_batch_tables, u, v, w, xs_band, ys, work, rows[lo:lo + batch])
-               for lo in range(0, n_blocks, batch)]
+    batches = [functools.partial(_batch_tables, centres, w, xs_band, ys, slots,
+                                 rows[lo:lo + batch]) for lo in range(0, n_blocks, batch)]
     weights = np.outer(ax_x.trapezoid_weights()[cols], ax_y.trapezoid_weights()).ravel()
     block_sums = np.empty((batch, xs_band.size, ys.size))
     loo = np.empty(n_blocks)
     with _built(batches) as built:
-        sums = _wigner_sum(u, v, w, xs, ys)
+        sums = _kernel_sum(*centres, w, xs, ys)
         re = sums[0]
         field = _wigner_field(sums, n, grid)
         columns = negative_columns(field.values, ax_y)

@@ -302,7 +302,8 @@ def test_real_kernel_matches_complex_sum(ensemble):
         np.max(np.abs(ref.imag[::4, ::4])), rel=1e-12, abs=1e-12 * scale)
     # the jackknife's direct tables: unrelated rates take a column pair per
     # rate group, bitwise those of the allocating reference
-    got = signatures._kernel_tables(u, v, w, axis, axis, fresh_workspace(u, axis))
+    got = signatures._kernel_tables(*signatures._centres(u, v), w, axis, axis,
+                                    fresh_tables(u, axis))
     for table, ref_table in zip(got, _alloc_kernel_tables(u, v, w, axis, axis), strict=True):
         assert np.array_equal(table, ref_table)
 
@@ -476,12 +477,14 @@ def test_rates_a_few_ulps_apart_share_one_column_pair(monkeypatch, signs):
     u, v, w = ens.alpha_out, ens.alpha_out_plus, ens.weight
     assert np.array_equal((0.5j * (v - u)).imag, b)
     axis = 0.05 * np.arange(-60, 61)
-    shared = signatures._kernel_tables(u, v, w, axis, axis, fresh_workspace(u, axis))
+    shared = signatures._kernel_tables(*signatures._centres(u, v), w, axis, axis,
+                                       fresh_tables(u, axis))
     for table, ref_table in zip(shared, _alloc_kernel_tables(u, v, w, axis, axis)):
         assert np.array_equal(table, ref_table)
     monkeypatch.setattr(signatures, "_RATE_TOL", 0.0)  # a column pair per row
     assert not np.array_equal(
-        signatures._kernel_tables(u, v, w, axis, axis, fresh_workspace(u, axis))[1], shared[1])
+        signatures._kernel_tables(*signatures._centres(u, v), w, axis, axis,
+                                  fresh_tables(u, axis))[1], shared[1])
     monkeypatch.undo()
     field = wigner_estimate(ens, wigner_axes(60))
     ref = complex_wigner_sum(ens.alpha_out, ens.alpha_out_plus, ens.weight, axis, axis) \
@@ -502,10 +505,10 @@ def test_rates_a_few_ulps_apart_share_one_column_pair(monkeypatch, signs):
 EXPANSION_REL = 2e-14
 
 
-def fresh_workspace(u, axis):
-    """Work buffers for one ``_kernel_tables`` call on every row of u over a
+def fresh_tables(u, axis):
+    """A table slot for one ``_kernel_tables`` call on every row of u over a
     square grid of `axis`, so its tables outlive later calls."""
-    return signatures._Workspace(u.size, axis, axis)
+    return np.empty((u.size, axis.size)), np.empty((u.size, axis.size))
 
 
 def _alloc_gaussian_table(mu, axis):
@@ -637,13 +640,13 @@ def assert_kernel_is_the_allocating_kernel(monkeypatch, part, grid, n_blocks):
     the allocating reference fed the same full sum."""
     u, v, w = part.alpha_out, part.alpha_out_plus, part.weight
     xs, ys = (ax.points() for ax in grid)
-    re, im, rank, bound = signatures._wigner_sum(u, v, w, xs, ys)
+    re, im, rank, bound = signatures._kernel_sum(*signatures._centres(u, v), w, xs, ys)
     assert_within_expansion_bound(re, u, v, w, xs, ys)
     refs = {band: _alloc_negativity_with_error(part, grid, n_blocks, band, re)
             for band in (math.inf, 0.8)}
     for on in (True, False):
         started = force_pipeline(monkeypatch, on)
-        got = signatures._wigner_sum(u, v, w, xs, ys)
+        got = signatures._kernel_sum(*signatures._centres(u, v), w, xs, ys)
         assert np.array_equal(got[0], re) and np.array_equal(got[1], im)
         for band, (delta, se, outside, values) in refs.items():
             out = negativity_with_error(part, grid, n_blocks=n_blocks, band=band)
@@ -703,6 +706,39 @@ def test_kernel_layouts_are_bitwise_the_allocating_kernel(monkeypatch, layout):
             for lo in range(0, n_blocks, batch)]
     assert runs == ([1] * 4 if layout == "one_block_per_batch" else [3] * 5 + [1])
     assert_kernel_is_the_allocating_kernel(monkeypatch, ens, grid, n_blocks)
+
+
+def _root(table: np.ndarray) -> np.ndarray:
+    while table.base is not None:
+        table = table.base
+    return table
+
+
+def test_batches_reuse_two_table_slots(monkeypatch):
+    # 5000 table cells batch three 12-row blocks, the last batch one: six
+    # batches, whose cx and cy are the leading rows of two buffers each with
+    # the helper thread, which fills one slot while the caller reads the
+    # other, and of one buffer each without it; allocating fresh tables per
+    # batch costs more than the kernel's element-wise work on large blocks
+    monkeypatch.setattr(signatures, "_TABLE_CELLS", 5000)
+    ens = corrected_channel_ensemble(192)
+    grid = wigner_axes(60)
+    kernel_tables = signatures._kernel_tables
+    for on, slots in ((True, 2), (False, 1)):
+        built = []
+
+        def spy(*args):
+            built.append(kernel_tables(*args))
+            return built[-1]
+
+        force_pipeline(monkeypatch, on)
+        monkeypatch.setattr(signatures, "_kernel_tables", spy)
+        negativity_with_error(ens, grid, n_blocks=16)
+        assert [cx.shape[0] for cx, _ in built] == [36] * 5 + [12]
+        roots = [{id(_root(pair[k])) for pair in built} for k in (0, 1)]
+        assert [len(ids) for ids in roots] == [slots, slots]
+        assert not roots[0] & roots[1]
+        assert all(cx.flags.c_contiguous and cy.flags.c_contiguous for cx, cy in built)
 
 
 def test_concurrent_calls_with_fast_switching_are_bitwise(monkeypatch):
@@ -893,7 +929,7 @@ def test_expansion_is_within_its_pinned_bound_at_every_noisy_preset_point():
     for cfg, _, ens in noisy_preset_points():
         u, v, w = ens.alpha_out, ens.alpha_out_plus, ens.weight
         xs, ys = (ax.points() for ax in default_wigner_grid(cfg.alpha0))
-        re, _, rank, bound = signatures._wigner_sum(u, v, w, xs, ys)
+        re, _, rank, bound = signatures._kernel_sum(*signatures._centres(u, v), w, xs, ys)
         assert_within_expansion_bound(re, u, v, w, xs, ys)
         assert 0.0 < bound <= 2.0 ** -60 * (2.0 + 2.0 ** -60)
         assert 0 < rank < u.size
@@ -935,7 +971,7 @@ def test_two_rates_take_one_column_pair_each(monkeypatch):
     grid = wigner_axes(60)
     axis = grid[0].points()
     want = _alloc_kernel_tables(u, v, w, axis, axis)
-    re = signatures._wigner_sum(u, v, w, axis, axis)[0]
+    re = signatures._kernel_sum(*signatures._centres(u, v), w, axis, axis)[0]
     assert_within_expansion_bound(re, u, v, w, axis, axis)
     delta, se, _, values = _alloc_negativity_with_error(scaled, grid, 16, math.inf, re)
     ndims = []
@@ -948,7 +984,8 @@ def test_two_rates_take_one_column_pair_each(monkeypatch):
 
     monkeypatch.setattr(np, "cos", spy(np.cos))
     monkeypatch.setattr(np, "sin", spy(np.sin))
-    got = signatures._kernel_tables(u, v, w, axis, axis, fresh_workspace(u, axis))
+    got = signatures._kernel_tables(*signatures._centres(u, v), w, axis, axis,
+                                    fresh_tables(u, axis))
     out = negativity_with_error(scaled, grid, n_blocks=16)
     monkeypatch.undo()
     assert ndims and max(ndims) == 1
