@@ -105,13 +105,16 @@ def run_ensemble(inputs: EnsembleResult, gain: complex, noise_var: float,
     of RNG_BLOCK_SIZE trajectories, each from the counter-based stream keyed
     by (master_seed, block index), so a trajectory's noise depends only on
     the seed and its position; the time step changes the scale, not the
-    draw.  A noiseless channel consumes no randomness.
+    draw.  A noiseless channel consumes no randomness; a negative
+    noise_var is no channel and raises ValueError.
     """
     n = len(inputs)
     if not (cmath.isfinite(gain) and math.isfinite(noise_var)):
         raise FloatingPointError("non-finite protocol channel; check parameters")
     if gain == 0:
         raise ValueError("zero protocol gain; cannot fix the output phase")
+    if noise_var < 0:
+        raise ValueError("noise_var must be non-negative")
     noise = np.zeros(n, dtype=np.complex128)
     if noise_var > 0:
         scale = math.sqrt(noise_var / 2.0) * cmath.exp(-1j * cmath.phase(gain))

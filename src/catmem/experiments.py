@@ -18,6 +18,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -490,16 +491,6 @@ def run_point(config: ExperimentConfig, channels: dict | None = None) -> PointRe
     return PointResult(scalars=scalars, fields=fields, timings=timings)
 
 
-def _json_safe(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    return value
-
-
 def _write_atomic(path: Path, text: str) -> str:
     """Write text as UTF-8 through ``open_atomic``, so that an interrupted
     write never leaves a partial file; returns the SHA-256 hex digest of
@@ -534,6 +525,14 @@ def _read_checkpoint(path: Path, expected: dict) -> dict | None:
     return row
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _blas_setup() -> dict:
     """The BLAS library numpy was built with, its thread count now and the
     CPUs this process may use.  The thread count moves the last bits of
@@ -554,13 +553,13 @@ def _blas_setup() -> dict:
         threads = get()
     return {"library": f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}",
             "threads": threads,
-            "usable_cpus": sig._usable_cpus()}
+            "usable_cpus": _usable_cpus()}
 
 
 def _manifest_head(config: ExperimentConfig, fingerprint: str) -> dict:
     """The manifest entries of runs and sweeps alike: the configuration,
     its fingerprint, the engine version and the BLAS setup."""
-    return {"config": {k: _json_safe(v) for k, v in dataclasses.asdict(config).items()},
+    return {"config": dataclasses.asdict(config),
             "config_sha256": fingerprint,
             "engine_version": ENGINE_VERSION,
             "blas": _blas_setup()}
@@ -592,12 +591,12 @@ def write_run_artifacts(config: ExperimentConfig, point: PointResult,
             "csv": f"{name}.csv",
             "sha256": fld.write_csv(out / f"{name}.csv", fingerprint),
             "axes": [dataclasses.asdict(ax) for ax in fld.axes],
-            "meta": {k: _json_safe(v) for k, v in fld.meta.items()}}
+            "meta": fld.meta}
     timings = {**point.timings, "artifact_io_s": time.perf_counter() - start}
 
     manifest = {
         **_manifest_head(config, fingerprint),
-        "scalars": {k: _json_safe(v) for k, v in point.scalars.items()},
+        "scalars": point.scalars,
         "artifacts": artifacts,
         "wall_time_s": round(wall_time_s, 3),
         "timings": {k: round(v, 6) for k, v in timings.items()},
@@ -669,15 +668,14 @@ def run_sweep(config: ExperimentConfig, out_dir, progress=None) -> list[dict]:
     rows = []
     for index, (labels, sub) in enumerate(points):
         expected = {"index": index,
-                    "labels": {k: _json_safe(v) for k, v in labels.items()},
+                    "labels": labels,
                     "config_sha256": config_fingerprint(sub)}
         ckpt = ckpt_dir / f"point_{index:04d}.json"
         row = _read_checkpoint(ckpt, expected)
         if row is None:
             start = time.perf_counter()
             point = run_point(sub, channels)
-            row = expected | {
-                "scalars": {k: _json_safe(v) for k, v in point.scalars.items()}}
+            row = expected | {"scalars": point.scalars}
             row["row_sha256"] = _row_digest(row)
             row["wall_time_s"] = round(time.perf_counter() - start, 3)
             row["timings"] = {k: round(v, 6) for k, v in point.timings.items()}

@@ -17,11 +17,10 @@ import math
 
 import numpy as np
 
-from .model import GridAxis, GridField, negative_columns
+from .model import GridAxis, negative_columns
 
 __all__ = [
     "channel_wigner",
-    "channel_wigner_field",
     "channel_negativity",
     "damping_channel",
     "cat_variance",
@@ -82,22 +81,12 @@ def channel_wigner(x, y, alpha0: float, gain: float, noise_var: float):
     return (hills_x * gauss_y + fringe_x * fringe_y) * scale
 
 
-def channel_wigner_field(ax_x: GridAxis, ax_y: GridAxis, alpha0: float, gain: float,
-                         noise_var: float) -> GridField:
-    """Tabulate ``channel_wigner`` at the points of the (Re alpha, Im alpha)
-    axes."""
-    vals = channel_wigner(ax_x.points()[:, None], ax_y.points()[None, :],
-                          alpha0, gain, noise_var)
-    return GridField(axes=(ax_x, ax_y), values=vals,
-                     meta={"kind": "wigner_oracle", "alpha0": alpha0, "gain": gain,
-                           "noise_var": noise_var})
-
-
 def channel_negativity(ax_x: GridAxis, ax_y: GridAxis, alpha0: float, gain: float,
                        noise_var: float) -> float:
     """Negative volume of ``channel_wigner`` on the (Re alpha, Im alpha)
     axes: the trapezoidal quadrature of max(-W, 0), bit for bit that of
-    ``signatures.wigner_negativity(channel_wigner_field(...))``.
+    ``signatures.wigner_negativity`` of ``channel_wigner`` tabulated on the
+    whole grid.
 
     Since |fringe_y| <= 2 gauss_y, W >= gauss_y (hills_x - 2 fringe_x) scale,
     so on every x column with hills_x >= 4 fringe_x W is positive and the

@@ -47,14 +47,13 @@ tables are built from the same real centre columns as the expansion
 angle addition with one column pair per rate group, so the trigonometry
 runs per row and per column, not per cell.  Every batch writes its tables
 into the leading rows of one of two table slots, allocated once per call
-at the largest batch.  With two or more usable CPUs and two or more
-batches, one helper thread builds the batches' tables into the slot the
-caller is not reading, element-wise numpy work only, the first while the
-calling thread runs the expansion and each next one while it runs the
-current batch's matrix product; otherwise every batch takes slot 0 on
-the caller.  Every BLAS call stays on the caller and the batches are
-taken in order, so the results have the same bits for any CPU count; no
-thread outlives the call.
+at the largest batch.  One helper thread per call builds every batch's
+tables into the slot the caller is not reading, element-wise numpy work
+only: the first while the calling thread runs the expansion, and each
+next one while it runs the current batch's matrix product.  Every BLAS
+call stays on the caller and the batches are taken in order, so the
+results have the same bits for any CPU count; no thread outlives the
+call.
 The density kernel stays direct and complex: its phase rate in a is Im u,
 the per-row noise, so its rows share no rate.  Imaginary parts cancel over
 symmetric branches and are reported as residual diagnostics, on every 4th
@@ -80,11 +79,8 @@ vectors in one matrix-vector product.
 
 from __future__ import annotations
 
-import functools
 import math
-import os
 import time
-from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -430,52 +426,6 @@ def _rotate(table: np.ndarray, rows: np.ndarray, rate: np.ndarray, axis: np.ndar
             table[part] = cosine
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-@contextmanager
-def _built(builds: list):
-    """A context whose value yields (slot, build(slot)) for each build in
-    `builds`, in order.
-
-    With two or more builds and two or more usable CPUs, one helper thread
-    runs the builds, each into the slot the caller is not reading.  The
-    first starts on entry, so it runs while the caller works inside the
-    context before it asks for tables; build k + 1 runs while the caller
-    works on the tables of build k, which stay valid until the caller asks
-    for the next.  The helper does element-wise numpy work only, which
-    releases the GIL, so it overlaps the caller's work.  An exception in a
-    build is raised to the caller when it asks for that build's tables.
-    With one build or one usable CPU, every build runs on the caller, into
-    slot 0, when its tables are asked for.  However the context exits, the
-    helper is joined.
-    """
-    if len(builds) < 2 or _usable_cpus() < 2:
-        yield ((0, build(0)) for build in builds)
-        return
-    # imported here, not at module level: the import takes milliseconds,
-    # which runs that start no helper need not pay
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(1, thread_name_prefix="catmem-kernel-tables") as helper:
-        pending = helper.submit(builds[0], 0)
-
-        def tables():
-            nonlocal pending
-            for k in range(len(builds)):
-                ready = pending.result()
-                if k + 1 < len(builds):
-                    pending = helper.submit(builds[k + 1], (k + 1) % 2)
-                yield k % 2, ready
-
-        yield tables()
-
-
 def _wigner_field(sums: tuple, count: int, grid: tuple[GridAxis, GridAxis]) -> GridField:
     """Normalised Wigner field on the axes grid of a ``_kernel_sum`` over
     `count` samples; its meta holds the largest |Im W| over every 4th node
@@ -540,15 +490,15 @@ def _jackknife_blocks(branch: np.ndarray, n_blocks: int) -> tuple[np.ndarray, np
     return blocks, sizes
 
 
-def _batch_tables(centres: tuple, w, xs, ys, slots: list, rows: np.ndarray, slot: int):
+def _batch_tables(centres: tuple, w, xs, ys, rows: np.ndarray, out: tuple):
     """Kernel tables of a batch of blocks, block after block: the samples
-    of the (blocks, size) index matrix rows, built into table slot `slot`
-    of `slots`.  The index n that pads short blocks takes the last sample
-    at weight 0, so its row of cx is zero."""
+    of the (blocks, size) index matrix rows, built into the table slot
+    `out`.  The index n that pads short blocks takes the last sample at
+    weight 0, so its row of cx is zero."""
     flat = rows.ravel()
     c, a, b, weight = (column.take(flat, mode="clip") for column in (*centres, w))
     weight[flat == w.size] = 0.0
-    return _kernel_tables(c, a, b, weight, xs, ys, slots[slot])
+    return _kernel_tables(c, a, b, weight, xs, ys, out)
 
 
 def _block_sums(cx: np.ndarray, cy: np.ndarray, blocks: int, out: np.ndarray) -> np.ndarray:
@@ -581,13 +531,17 @@ def negativity_with_error(results, grid: tuple[GridAxis, GridAxis], n_blocks: in
     leave-one-block-out negativity is the trapezoid-weighted sum of
     max(block - full, 0), scaled to the remaining sample count.  Both
     passes take the kernel's real centres from one ``_centres`` call.
-    Every batch's tables go into one of two table slots, and every batch's
-    sums into one block-sum buffer.  The tables are built one task ahead
-    on the helper thread of ``_built``, when one starts, so the first
-    batch's tables are built while the expansion runs.  "wigner_s" and
-    "jackknife_s" hold the seconds from the call's start to the field and
-    the negativity, and from there to its end.  The blocks are stratified
-    by branch (``_jackknife_blocks``).
+    Every batch's sums go into one block-sum buffer.  One helper thread
+    builds every batch's tables, batch k into table slot k % 2: the first
+    while the caller runs the expansion, and batch k + 1 while the caller
+    runs batch k's matrix product on the other slot.  The helper does
+    element-wise numpy work only, which releases the GIL; every BLAS call
+    stays on the caller and the batches are taken in order, so the results
+    have the same bits for any CPU count.  An error in a build reaches the
+    caller when it takes that batch, and however the call ends the helper
+    is joined.  "wigner_s" and "jackknife_s" hold the seconds from the
+    call's start to the field and the negativity, and from there to its
+    end.  The blocks are stratified by branch (``_jackknife_blocks``).
 
     With a band (``oracle.negativity_band``) the block sums, their
     max(block - full, 0) and their weights are formed only on the columns
@@ -614,12 +568,19 @@ def negativity_with_error(results, grid: tuple[GridAxis, GridAxis], n_blocks: in
     size = batch * rows.shape[1]
     slots = [(np.empty((size, xs_band.size)), np.empty((size, ys.size))) for _ in range(2)]
 
-    batches = [functools.partial(_batch_tables, centres, w, xs_band, ys, slots,
-                                 rows[lo:lo + batch]) for lo in range(0, n_blocks, batch)]
     weights = np.outer(ax_x.trapezoid_weights()[cols], ax_y.trapezoid_weights()).ravel()
     block_sums = np.empty((batch, xs_band.size, ys.size))
     loo = np.empty(n_blocks)
-    with _built(batches) as built:
+    # imported here, not at module level: the import takes milliseconds,
+    # which runs without a jackknife need not pay
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(1, thread_name_prefix="catmem-kernel-tables") as helper:
+        def build(lo: int):  # the tables of the batch from block lo
+            return helper.submit(_batch_tables, centres, w, xs_band, ys, rows[lo:lo + batch],
+                                 slots[lo // batch % 2])
+
+        pending = build(0)
         sums = _kernel_sum(*centres, w, xs, ys)
         re = sums[0]
         field = _wigner_field(sums, n, grid)
@@ -629,7 +590,10 @@ def negativity_with_error(results, grid: tuple[GridAxis, GridAxis], n_blocks: in
         outside = float(ax_x.integrate(columns))
         full_done = time.perf_counter()
 
-        for lo, (_, (cx, cy)) in zip(range(0, n_blocks, batch), built):
+        for lo in range(0, n_blocks, batch):
+            cx, cy = pending.result()
+            if lo + batch < n_blocks:
+                pending = build(lo + batch)
             block = _block_sums(cx, cy, min(batch, n_blocks - lo), block_sums)
             block -= re[cols]
             np.maximum(block, 0.0, out=block)

@@ -2,8 +2,10 @@
 
 The damped cat's characteristic function and the ideal quadrature
 distributions check the package's Wigner closed form and its quadrature
-estimator from outside: the package itself never evaluates them.  The file
-name has no ``test_`` prefix, so pytest does not collect it.
+estimator from outside: the package itself never evaluates them.
+``channel_wigner_field`` tabulates the package's closed form on a grid,
+for tests that compare fields.  The file name has no ``test_`` prefix, so
+pytest does not collect it.
 """
 
 import math
@@ -11,6 +13,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from catmem.model import GridAxis, GridField
+from catmem.oracle import channel_wigner
 
 
 @dataclass(frozen=True)
@@ -87,3 +92,14 @@ def cat_char_normal(alpha0: float) -> Callable[[complex], complex]:
                 + overlap * (np.exp(ridge) + np.exp(-ridge))) / norm
 
     return chi
+
+
+def channel_wigner_field(ax_x: GridAxis, ax_y: GridAxis, alpha0: float, gain: float,
+                         noise_var: float) -> GridField:
+    """Tabulate ``channel_wigner`` at the points of the (Re alpha, Im alpha)
+    axes."""
+    vals = channel_wigner(ax_x.points()[:, None], ax_y.points()[None, :],
+                          alpha0, gain, noise_var)
+    return GridField(axes=(ax_x, ax_y), values=vals,
+                     meta={"kind": "wigner_oracle", "alpha0": alpha0, "gain": gain,
+                           "noise_var": noise_var})

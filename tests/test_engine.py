@@ -530,6 +530,9 @@ def test_phase_correction():
     assert fixed.alpha_out_plus[0] == pytest.approx(-2j + noise.conjugate(), rel=1e-15)
     with pytest.raises(ValueError):
         run_ensemble(inputs, 0j, 0.5, master_seed=0)
+    # a negative added noise is no channel, not a noiseless one
+    with pytest.raises(ValueError, match="noise_var must be non-negative"):
+        run_ensemble(sample_cat(2.0, 8), 0.9, -0.5, master_seed=0)
 
 
 @pytest.mark.parametrize("n_bar", [0.0, 2.0])

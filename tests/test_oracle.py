@@ -12,12 +12,11 @@ from catmem.engine import protocol_channel
 from catmem.experiments import ALPHA0_MAX, preset, sweep_points
 from catmem.model import GridAxis, ProtocolSchedule
 from catmem.oracle import (_negativity_edge, cat_variance, channel_negativity,
-                           channel_wigner, channel_wigner_field, damping_channel,
-                           decohered_density, negativity_band, q_channel, q_parameter,
-                           t_p_bound, t_positive)
+                           channel_wigner, damping_channel, decohered_density,
+                           negativity_band, q_channel, q_parameter, t_p_bound, t_positive)
 from catmem.signatures import default_wigner_grid, wigner_negativity
-from references import (DecoherenceParams, cat_char_normal, evolve_characteristic,
-                        ideal_P_p, ideal_P_x)
+from references import (DecoherenceParams, cat_char_normal, channel_wigner_field,
+                        evolve_characteristic, ideal_P_p, ideal_P_x)
 
 
 def square_axes(n, h=0.05):

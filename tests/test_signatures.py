@@ -1,6 +1,7 @@
 """Estimator checks against closed-form quantum signatures of the cat."""
 
 import math
+import os
 import sys
 import threading
 from dataclasses import replace
@@ -12,14 +13,14 @@ from hypothesis import strategies as st
 
 from catmem import signatures
 from catmem.model import BRANCHES, EnsembleResult, GridAxis, GridField
-from catmem.oracle import cat_variance, channel_wigner_field, negativity_band, q_channel
+from catmem.oracle import cat_variance, negativity_band, q_channel
 from catmem.sampling import sample_cat
 from catmem.signatures import (default_density_axis, default_quadrature_axis,
                                default_wigner_grid, fringe_visibility, is_mixture_falsified,
                                negativity_with_error, p_distribution, quadrature_moments,
                                reconstruct_density, wigner_estimate,
                                wigner_negativity)
-from references import ideal_P_p, ideal_P_x
+from references import channel_wigner_field, ideal_P_p, ideal_P_x
 
 # negative volume of the alpha0 = 2 cat on an h = 0.01, +-8 grid; the
 # default h = 0.05 grid undershoots this by about 1.1e-3
@@ -612,10 +613,9 @@ def corrected_channel_ensemble(n):
 _THREAD = threading.Thread
 
 
-def force_pipeline(monkeypatch, on: bool) -> list:
-    """Make the kernel see two usable CPUs (its helper thread may start) or
-    one (no helper); returns the list of names of the threads started."""
-    monkeypatch.setattr(signatures, "_usable_cpus", lambda: 2 if on else 1)
+def count_threads(monkeypatch) -> list:
+    """Count the threads started from here on: returns the list of their
+    names."""
     started = []
 
     class Counted(_THREAD):
@@ -633,32 +633,36 @@ def permuted(ens: EnsembleResult) -> EnsembleResult:
                           ens.weight[order], ens.branch[order])
 
 
+def assert_is_the_allocating_reference(out, ens, grid, n_blocks, band=math.inf):
+    """negativity_with_error's output `out`: every array and scalar bitwise
+    equal to the allocating reference fed the same full kernel sum."""
+    u, v, w = ens.alpha_out, ens.alpha_out_plus, ens.weight
+    re, im, rank, bound = signatures._kernel_sum(*signatures._centres(u, v), w,
+                                                 *(ax.points() for ax in grid))
+    delta, se, outside, values = _alloc_negativity_with_error(ens, grid, n_blocks, band, re)
+    assert out["negativity"] == delta
+    assert out["jackknife_se"] == se and se > 0.0
+    assert out["negativity_outside_band"] == outside
+    assert np.array_equal(out["field"].values, values)
+    meta = out["field"].meta
+    assert meta["max_imag_residual_4th_node"] == \
+        float(np.max(np.abs(im))) * (2.0 / (math.pi * u.size))
+    assert (meta["kernel_rank"], meta["truncation_bound"]) == (rank, bound)
+
+
 def assert_kernel_is_the_allocating_kernel(monkeypatch, part, grid, n_blocks):
     """The full kernel sum within EXPANSION_REL of the direct sum, and
-    negativity_with_error, on the whole grid and on a 0.8 band, with the
-    helper thread and without it: every array and scalar bitwise equal to
-    the allocating reference fed the same full sum."""
+    negativity_with_error, on the whole grid and on a 0.8 band, bitwise the
+    allocating reference, each call with its one helper thread."""
     u, v, w = part.alpha_out, part.alpha_out_plus, part.weight
     xs, ys = (ax.points() for ax in grid)
-    re, im, rank, bound = signatures._kernel_sum(*signatures._centres(u, v), w, xs, ys)
+    re = signatures._kernel_sum(*signatures._centres(u, v), w, xs, ys)[0]
     assert_within_expansion_bound(re, u, v, w, xs, ys)
-    refs = {band: _alloc_negativity_with_error(part, grid, n_blocks, band, re)
-            for band in (math.inf, 0.8)}
-    for on in (True, False):
-        started = force_pipeline(monkeypatch, on)
-        got = signatures._kernel_sum(*signatures._centres(u, v), w, xs, ys)
-        assert np.array_equal(got[0], re) and np.array_equal(got[1], im)
-        for band, (delta, se, outside, values) in refs.items():
-            out = negativity_with_error(part, grid, n_blocks=n_blocks, band=band)
-            assert out["negativity"] == delta
-            assert out["jackknife_se"] == se and se > 0.0
-            assert out["negativity_outside_band"] == outside
-            assert np.array_equal(out["field"].values, values)
-            meta = out["field"].meta
-            assert meta["max_imag_residual_4th_node"] == \
-                float(np.max(np.abs(im))) * (2.0 / (math.pi * u.size))
-            assert (meta["kernel_rank"], meta["truncation_bound"]) == (rank, bound)
-        assert len(started) == (2 if on else 0)  # one helper per jackknife
+    started = count_threads(monkeypatch)
+    for band in (math.inf, 0.8):
+        out = negativity_with_error(part, grid, n_blocks=n_blocks, band=band)
+        assert_is_the_allocating_reference(out, part, grid, n_blocks, band)
+    assert len(started) == 2  # one helper per jackknife
 
 
 @pytest.mark.parametrize("kind", ["corrected", "noisy"])
@@ -670,8 +674,7 @@ def test_buffered_kernel_is_bitwise_the_allocating_kernel(monkeypatch, kind):
     # them and are padded to 12.  15 000 field cells batch the blocks one
     # at a time on the 121-point grid and three at a time on the 61 x 81
     # one, the last batch holding one block.  The 0.8 band keeps 33 columns
-    # of each grid and the same batches.  Each case runs with the helper
-    # thread that builds the tables and without it.
+    # of each grid and the same batches.
     monkeypatch.setattr(signatures, "_TABLE_CELLS", 3000)
     monkeypatch.setattr(signatures, "_FIELD_CELLS", 15_000)
     ens = corrected_channel_ensemble(192) if kind == "corrected" \
@@ -716,43 +719,39 @@ def _root(table: np.ndarray) -> np.ndarray:
 
 def test_batches_reuse_two_table_slots(monkeypatch):
     # 5000 table cells batch three 12-row blocks, the last batch one: six
-    # batches, whose cx and cy are the leading rows of two buffers each with
-    # the helper thread, which fills one slot while the caller reads the
-    # other, and of one buffer each without it; allocating fresh tables per
-    # batch costs more than the kernel's element-wise work on large blocks
+    # batches, whose cx and cy are the leading rows of two buffers each, as
+    # the helper thread fills one slot while the caller reads the other;
+    # allocating fresh tables per batch costs more than the kernel's
+    # element-wise work on large blocks
     monkeypatch.setattr(signatures, "_TABLE_CELLS", 5000)
     ens = corrected_channel_ensemble(192)
     grid = wigner_axes(60)
     kernel_tables = signatures._kernel_tables
-    for on, slots in ((True, 2), (False, 1)):
-        built = []
+    built = []
 
-        def spy(*args):
-            built.append(kernel_tables(*args))
-            return built[-1]
+    def spy(*args):
+        built.append(kernel_tables(*args))
+        return built[-1]
 
-        force_pipeline(monkeypatch, on)
-        monkeypatch.setattr(signatures, "_kernel_tables", spy)
-        negativity_with_error(ens, grid, n_blocks=16)
-        assert [cx.shape[0] for cx, _ in built] == [36] * 5 + [12]
-        roots = [{id(_root(pair[k])) for pair in built} for k in (0, 1)]
-        assert [len(ids) for ids in roots] == [slots, slots]
-        assert not roots[0] & roots[1]
-        assert all(cx.flags.c_contiguous and cy.flags.c_contiguous for cx, cy in built)
+    monkeypatch.setattr(signatures, "_kernel_tables", spy)
+    negativity_with_error(ens, grid, n_blocks=16)
+    assert [cx.shape[0] for cx, _ in built] == [36] * 5 + [12]
+    roots = [{id(_root(pair[k])) for pair in built} for k in (0, 1)]
+    assert [len(ids) for ids in roots] == [2, 2]
+    assert not roots[0] & roots[1]
+    assert all(cx.flags.c_contiguous and cy.flags.c_contiguous for cx, cy in built)
 
 
 def test_concurrent_calls_with_fast_switching_are_bitwise(monkeypatch):
     # four callers at once, each with its own helper thread, while the
     # interpreter switches threads every microsecond: every call gives the
-    # bits of the kernel without a helper.  Each helper builds the first
+    # bits of the allocating reference.  Each helper builds the first
     # batch's tables while its caller runs the expansion.
     monkeypatch.setattr(signatures, "_TABLE_CELLS", 5000)
     monkeypatch.setattr(signatures, "_FIELD_CELLS", 15_000)
     ens = permuted(corrected_channel_ensemble(192))
     grid = wigner_axes(60)
-    force_pipeline(monkeypatch, False)
-    ref = negativity_with_error(ens, grid, n_blocks=16)
-    started = force_pipeline(monkeypatch, True)
+    started = count_threads(monkeypatch)
     outs = [None] * 4
 
     def call(i):
@@ -771,10 +770,7 @@ def test_concurrent_calls_with_fast_switching_are_bitwise(monkeypatch):
     assert not any(caller.is_alive() for caller in callers)
     assert len(started) == 8  # four callers and their four helpers
     for out in outs:
-        assert out["negativity"] == ref["negativity"]
-        assert out["jackknife_se"] == ref["jackknife_se"]
-        assert out["field"].meta == ref["field"].meta
-        assert np.array_equal(out["field"].values, ref["field"].values)
+        assert_is_the_allocating_reference(out, ens, grid, 16)
 
 
 def complex_mu_x_at_the_end(n=192):
@@ -785,8 +781,7 @@ def complex_mu_x_at_the_end(n=192):
     return EnsembleResult(u, ens.alpha_out_plus, ens.weight, ens.branch)
 
 
-@pytest.mark.parametrize("on", [True, False], ids=["pipelined", "serial"])
-def test_complex_mu_x_in_the_last_row_reaches_the_caller(monkeypatch, on):
+def test_complex_mu_x_in_the_last_row_reaches_the_caller(monkeypatch):
     # a complex mu_x in the last row raises before any helper thread
     # starts; an error in the expansion, which runs while the helper builds
     # the first batch, reaches the caller too, and the helper is joined: no
@@ -794,7 +789,7 @@ def test_complex_mu_x_in_the_last_row_reaches_the_caller(monkeypatch, on):
     monkeypatch.setattr(signatures, "_TABLE_CELLS", 3000)
     grid = wigner_axes(60)
     before = threading.active_count()
-    started = force_pipeline(monkeypatch, on)
+    started = count_threads(monkeypatch)
     bad = complex_mu_x_at_the_end()
     for estimate in (wigner_estimate, negativity_with_error):
         with pytest.raises(ValueError, match="real mu_x"):
@@ -812,14 +807,42 @@ def test_complex_mu_x_in_the_last_row_reaches_the_caller(monkeypatch, on):
     with pytest.raises(RuntimeError, match="expansion failed"):
         negativity_with_error(good, grid, n_blocks=16)
     assert threading.active_count() == before
-    assert len(started) == (2 if on else 0)
+    assert len(started) == 2
+
+
+@pytest.mark.parametrize("case", ["one_batch", "one_cpu"])
+def test_every_noisy_call_starts_one_helper(monkeypatch, case):
+    # with the default table sizes the 16 blocks of 12 rows fit one batch on
+    # the 121-point grid; with 5000 table cells they take six, on a process
+    # allowed one CPU.  Either call builds its tables on one helper thread,
+    # joins it and gives the allocating reference's bits.
+    if case == "one_cpu":
+        monkeypatch.setattr(signatures, "_TABLE_CELLS", 5000)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    ens = corrected_channel_ensemble(192)
+    grid = wigner_axes(60)
+    kernel_tables = signatures._kernel_tables
+    batches = []
+
+    def spy(*args):
+        batches.append(args[0].size)
+        return kernel_tables(*args)
+
+    monkeypatch.setattr(signatures, "_kernel_tables", spy)
+    before = threading.active_count()
+    started = count_threads(monkeypatch)
+    out = negativity_with_error(ens, grid, n_blocks=16)
+    assert len(started) == 1
+    assert threading.active_count() == before
+    assert batches == ([192] if case == "one_batch" else [36] * 5 + [12])
+    assert_is_the_allocating_reference(out, ens, grid, 16)
 
 
 def test_small_noiseless_run_starts_no_thread(monkeypatch):
-    # a 4-sample ensemble is one chunk, so even with CPUs to spare the
-    # kernels build their tables on the caller
+    # a noiseless point takes no jackknife (its sampling error is 0), and
+    # the expansions run on the caller
     from catmem.experiments import ExperimentConfig, run_point
-    started = force_pipeline(monkeypatch, True)
+    started = count_threads(monkeypatch)
     point = run_point(ExperimentConfig(alpha0=2.0, signatures=("p_distribution", "wigner",
                                                                "negativity")))
     assert point.scalars["sampling_error"] == 0.0
@@ -830,15 +853,14 @@ def test_small_noiseless_run_starts_no_thread(monkeypatch):
 @pytest.mark.parametrize("theta", THETAS)
 def test_noisy_p_distribution_is_bitwise_with_and_without_the_helper(monkeypatch, theta):
     # 5000 table cells make moment chunks of 5000 // (2 J) rows, so every
-    # cluster ends on a short chunk; with CPUs to spare or not, the caller
-    # runs the expansion and starts no thread
+    # cluster ends on a short chunk; the caller runs the expansion and
+    # starts no helper thread, so its bits cannot depend on one: two calls
+    # give the same bits
     monkeypatch.setattr(signatures, "_TABLE_CELLS", 5000)
     ens = noisy_channel_ensemble(192)
-    fields = []
-    for on in (False, True):
-        started = force_pipeline(monkeypatch, on)
-        fields.append(p_distribution(ens, P_AXIS, theta))
-        assert started == []
+    started = count_threads(monkeypatch)
+    fields = [p_distribution(ens, P_AXIS, theta) for _ in range(2)]
+    assert started == []
     assert np.array_equal(fields[0].values, fields[1].values)
     assert fields[0].meta == fields[1].meta
 
