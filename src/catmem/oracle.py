@@ -33,10 +33,21 @@ __all__ = [
 ]
 
 
-def damping_channel(t: float, n_bar: float, gamma: float) -> tuple[float, float]:
-    """(gain, added noise) of damping at rate gamma into a bath of n_bar for t."""
+def _check_damping(t: float, n_bar: float, gamma: float) -> None:
+    """ValueError on a negative t, n_bar or gamma: no damping has one."""
     if t < 0:
         raise ValueError("t must be non-negative")
+    if n_bar < 0:
+        raise ValueError("n_bar must be non-negative")
+    if gamma < 0:
+        raise ValueError("gamma must be non-negative")
+
+
+def damping_channel(t: float, n_bar: float, gamma: float) -> tuple[float, float]:
+    """(gain, added noise) of damping at rate gamma into a bath of n_bar for
+    t; gamma = 0 is the identity channel.  A negative t, n_bar or gamma is
+    no damping and raises ValueError."""
+    _check_damping(t, n_bar, gamma)
     decay = math.exp(-gamma * t)
     return decay, n_bar * (1.0 - decay * decay)
 
@@ -118,12 +129,11 @@ def decohered_density(t: float, alpha0: float, gamma: float) -> tuple[float, flo
     """Zero-temperature damped cat: (shrunken amplitude, coherence coefficient).
 
     The off-diagonal coefficient decays as exp(-2|alpha0|^2 (1 - e^{-2 gamma t}))
-    and saturates at the cat overlap rather than vanishing.
+    and saturates at the cat overlap rather than vanishing.  The gain is
+    ``damping_channel``'s, so a negative t or gamma raises ValueError.
     """
-    if t < 0:
-        raise ValueError("t must be non-negative")
     a = float(alpha0)
-    decay = math.exp(-gamma * t)
+    decay = damping_channel(t, 0.0, gamma)[0]
     coefficient = math.exp(-2.0 * a * a * (1.0 - decay * decay))
     return a * decay, coefficient
 
@@ -132,13 +142,10 @@ def q_parameter(t: float, n_bar: float, gamma: float) -> float:
     """Gaussian-smoothing margin 1/2 - (1+n_bar)(1-e^{-2 gamma t}).
 
     Positive while the evolved Wigner function can still be negative; its
-    root is the negativity-lifetime bound.  A negative t or n_bar raises
-    ValueError, as in ``damping_channel`` and ``t_positive``.
+    root is the negativity-lifetime bound.  A negative t, n_bar or gamma
+    raises ValueError, as in ``damping_channel``.
     """
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    if n_bar < 0:
-        raise ValueError("n_bar must be non-negative")
+    _check_damping(t, n_bar, gamma)
     return 0.5 - (1.0 + n_bar) * (1.0 - math.exp(-2.0 * gamma * t))
 
 

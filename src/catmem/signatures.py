@@ -38,16 +38,16 @@ the expansion's rank K (170 to 192) or fewer, so its moments and the
 product of every cluster it falls in would cost no less than its own
 tables.  fig11's 100 blocks of 2,000 rows at 200k are where per-block
 moments would pay (ROADMAP item 11).  The jackknife forms the kernel sums
-of many blocks in one batched product of real factor tables
-(``_kernel_tables``), on the band of Re alpha columns where the Wigner
-function can be negative when given one (``oracle.negativity_band``), and
-reports the full field's negative volume off that band as its guard.  The
-tables are built from the same real centre columns as the expansion
-(``_centres``), formed once per call, and take their phase factors by
-angle addition with one column pair per rate group, so the trigonometry
-runs per row and per column, not per cell.  Every batch writes its tables
-into the leading rows of one of two table slots, allocated once per call
-at the largest batch.  One helper thread per call builds every batch's
+of many blocks in one batched product of real factor tables, on the band
+of Re alpha columns where the Wigner function can be negative when given
+one (``oracle.negativity_band``), and reports the full field's negative
+volume off that band as its guard.  One builder, ``_kernel_tables``,
+gathers a batch's rows of the real centre columns that the expansion
+reads too (``_centres``, formed once per call) and writes the batch's
+tables into the leading rows of one of two table slots, allocated once
+per call at the largest batch; its phase factors take angle addition with
+one column pair per rate group, so the trigonometry runs per row and per
+column, not per cell.  One helper thread per call builds every batch's
 tables into the slot the caller is not reading, element-wise numpy work
 only: the first while the calling thread runs the expansion, and each
 next one while it runs the current batch's matrix product.  Every BLAS
@@ -365,65 +365,55 @@ def p_distribution(results, axis: GridAxis, theta: float) -> GridField:
                            "truncation_bound": bound})
 
 
-def _kernel_tables(c, a, b, w, xs, ys, out: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Real factor tables of the Wigner kernel, one row per sample, for the
-    direct block sums, from the real centres of ``_centres``.
+def _kernel_tables(centres: tuple, w, rows: np.ndarray, xs, ys,
+                   out: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Real factor tables of the Wigner kernel for the direct block sums,
+    one row per entry of the index vector `rows` into the real centres (c,
+    a, b) of ``_centres`` and the weights w; the index w.size, which pads
+    short blocks (``_jackknife_blocks``), takes the last sample at weight 0.
 
     A sample's kernel has the real part fx(x) fy(y), with fx = w exp(-2 (x
     - c)^2) and fy = exp(-2 (y - a)^2 + 2 b^2) cos(4 b (y - a)).  Returns
     (cx, cy), fx and fy on every row, so that the sum over samples of the
-    real part is cx^T cy.  They are the leading rows of the (cx, cy) table
-    slot `out`, and stay valid until its next use.
+    real part is cx^T cy: the leading rows of the (cx, cy) table slot
+    `out`, valid until its next use.  The cosine takes angle addition, with
+    rho = |4 b|, cos(rho (y - a)) = cos(rho y) cos(rho a) + sin(rho y)
+    sin(rho a), so the trigonometry runs per row and per column, not per
+    cell: the least rho of each ``_rate_groups`` group serves every row of
+    it through one column pair, each row keeping its own cos(rho a) and
+    sin(rho a).
     """
-    cx = _gaussian_table(c, xs, out[0][:c.size])
-    cx *= w[:, None]
-    cy = _gaussian_table(a, ys, out[1][:c.size], lift=b)
+    c, a, b, weight = (column.take(rows, mode="clip") for column in (*centres, w))
+    weight[rows == w.size] = 0.0
+    cx = np.subtract(xs[None, :], c[:, None], out=out[0][:rows.size])
+    cx *= cx
+    cx *= -2.0
+    np.exp(cx, out=cx)
+    cx *= weight[:, None]
+    cy = np.subtract(ys[None, :], a[:, None], out=out[1][:rows.size])
+    cy *= cy
+    cy -= (b * b)[:, None]
+    cy *= -2.0
+    np.exp(cy, out=cy)
     phased = np.flatnonzero(b)
-    _rotate(cy, phased, 4.0 * b[phased], ys, a[phased])
+    if phased.size == 0:
+        return cx, cy
+    group, least = _rate_groups(np.abs(4.0 * b[phased]))
+    for g, rho in enumerate(least):
+        part = phased[group == g]
+        angle = rho * a[part]
+        cosine = np.cos(rho * ys) * np.cos(angle)[:, None]
+        cosine += np.sin(rho * ys) * np.sin(angle)[:, None]
+        if part[-1] - part[0] + 1 == part.size:  # a contiguous run of rows
+            cy[part[0]:part[-1] + 1] *= cosine
+        else:
+            cosine *= cy[part]
+            cy[part] = cosine
     return cx, cy
 
 
 def _table_rows(xs, ys) -> int:
     return max(1, _TABLE_CELLS // max(xs.size, ys.size))
-
-
-def _gaussian_table(centre: np.ndarray, axis: np.ndarray, out: np.ndarray,
-                    lift: np.ndarray | None = None) -> np.ndarray:
-    """exp(-2 (axis - centre)^2 + 2 lift^2) with one row per sample,
-    computed in out."""
-    np.subtract(axis[None, :], centre[:, None], out=out)
-    np.multiply(out, out, out=out)
-    if lift is not None:
-        out -= (lift * lift)[:, None]
-    out *= -2.0
-    np.exp(out, out=out)
-    return out
-
-
-def _rotate(table: np.ndarray, rows: np.ndarray, rate: np.ndarray, axis: np.ndarray,
-            centre: np.ndarray) -> None:
-    """Multiply table[rows] in place by cos(rate (axis - centre)), one rate
-    and centre per row.
-
-    By angle addition with rho = |rate|, cos(rho (y - a)) = cos(rho y)
-    cos(rho a) + sin(rho y) sin(rho a), y the axis and a the centre, so the
-    trigonometry runs per row and per column, not per cell: the rows are
-    grouped by rho (``_rate_groups``), and the least rho of a group serves
-    every row of it through one column pair, each row keeping its own
-    cos(rho a) and sin(rho a).
-    """
-    if rows.size == 0:
-        return
-    group, least = _rate_groups(np.abs(rate))
-    for g, rho in enumerate(least):
-        part, angle = rows[group == g], rho * centre[group == g]
-        cosine = np.cos(rho * axis) * np.cos(angle)[:, None]
-        cosine += np.sin(rho * axis) * np.sin(angle)[:, None]
-        if part[-1] - part[0] + 1 == part.size:  # a contiguous run of rows
-            table[part[0]:part[-1] + 1] *= cosine
-        else:
-            cosine *= table[part]
-            table[part] = cosine
 
 
 def _wigner_field(sums: tuple, count: int, grid: tuple[GridAxis, GridAxis]) -> GridField:
@@ -468,7 +458,7 @@ def _jackknife_blocks(branch: np.ndarray, n_blocks: int) -> tuple[np.ndarray, np
     for equal branches the mean weight of what is left stays one, for any
     sample count and row order.  n_blocks is cut to the smallest branch's
     row count, so that every block takes rows of every branch.  Shorter
-    rows are padded with the index n, which ``_batch_tables`` takes as a
+    rows are padded with the index n, which ``_kernel_tables`` takes as a
     zero-weight sample.
     """
     members = [np.flatnonzero(branch == label) for label in BRANCHES]
@@ -488,17 +478,6 @@ def _jackknife_blocks(branch: np.ndarray, n_blocks: int) -> tuple[np.ndarray, np
         block = np.repeat(np.arange(n_blocks), run)
         blocks[block, offset[block] + np.arange(rows.size) - edge[block]] = rows
     return blocks, sizes
-
-
-def _batch_tables(centres: tuple, w, xs, ys, rows: np.ndarray, out: tuple):
-    """Kernel tables of a batch of blocks, block after block: the samples
-    of the (blocks, size) index matrix rows, built into the table slot
-    `out`.  The index n that pads short blocks takes the last sample at
-    weight 0, so its row of cx is zero."""
-    flat = rows.ravel()
-    c, a, b, weight = (column.take(flat, mode="clip") for column in (*centres, w))
-    weight[flat == w.size] = 0.0
-    return _kernel_tables(c, a, b, weight, xs, ys, out)
 
 
 def _block_sums(cx: np.ndarray, cy: np.ndarray, blocks: int, out: np.ndarray) -> np.ndarray:
@@ -577,8 +556,8 @@ def negativity_with_error(results, grid: tuple[GridAxis, GridAxis], n_blocks: in
 
     with ThreadPoolExecutor(1, thread_name_prefix="catmem-kernel-tables") as helper:
         def build(lo: int):  # the tables of the batch from block lo
-            return helper.submit(_batch_tables, centres, w, xs_band, ys, rows[lo:lo + batch],
-                                 slots[lo // batch % 2])
+            return helper.submit(_kernel_tables, centres, w, rows[lo:lo + batch].ravel(),
+                                 xs_band, ys, slots[lo // batch % 2])
 
         pending = build(0)
         sums = _kernel_sum(*centres, w, xs, ys)

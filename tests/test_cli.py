@@ -519,9 +519,15 @@ def test_oracle_queries(capsys):
 @pytest.mark.parametrize("args,message", [
     (["q_channel", "gain=0.9", "noise_var=-1"], "noise_var must be non-negative"),
     (["q_parameter", "t=-1"], "t must be non-negative"),
-    (["q_parameter", "t=0.1", "n_bar=-0.5"], "n_bar must be non-negative")])
+    (["q_parameter", "t=0.1", "n_bar=-0.5"], "n_bar must be non-negative"),
+    (["q_parameter", "t=0.1", "gamma=-1"], "gamma must be non-negative"),
+    (["decohered_density", "t=0.1", "alpha0=2", "gamma=-1"], "gamma must be non-negative"),
+    (["negativity", "alpha0=2", "t=0.02", "gamma=-1"], "gamma must be non-negative"),
+    (["negativity", "alpha0=2", "n_bar=-1", "t=0.02"], "n_bar must be non-negative")])
 def test_oracle_margins_reject_negative_parameters(capsys, args, message):
-    # they printed q_channel = 1.31 and q_parameter = 6.88906 with exit code 0
+    # they printed q_channel = 1.31, q_parameter = 6.88906 or 0.721403, a
+    # coherence of 5.87803 and a negativity of 0.414996 with exit code 0;
+    # n_bar = -1 failed naming noise_var, which the query does not read
     assert main(["oracle", *args]) == 2
     out, err = capsys.readouterr()
     assert out == "" and message in err

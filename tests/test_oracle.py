@@ -341,6 +341,19 @@ def test_parameter_validation():
         t_positive(-1.0, 1.0)
     with pytest.raises(ValueError):
         t_p_bound(0.0, 0.0)
+    # a negative rate or occupation is no damping; a zero rate is the
+    # identity channel
+    with pytest.raises(ValueError, match="gamma must be non-negative"):
+        damping_channel(0.02, 0.0, -1.0)
+    with pytest.raises(ValueError, match="n_bar must be non-negative"):
+        damping_channel(0.02, -1.0, 1.0)
+    with pytest.raises(ValueError, match="gamma must be non-negative"):
+        decohered_density(0.1, 2.0, -1.0)
+    with pytest.raises(ValueError, match="gamma must be non-negative"):
+        q_parameter(0.1, 0.0, -1.0)
+    assert damping_channel(0.5, 2.0, 0.0) == (1.0, 0.0)
+    assert decohered_density(0.5, 2.0, 0.0) == (2.0, 1.0)
+    assert q_parameter(0.5, 2.0, 0.0) == 0.5
 
 
 def test_margins_reject_what_no_channel_has():

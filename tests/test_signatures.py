@@ -303,8 +303,7 @@ def test_real_kernel_matches_complex_sum(ensemble):
         np.max(np.abs(ref.imag[::4, ::4])), rel=1e-12, abs=1e-12 * scale)
     # the jackknife's direct tables: unrelated rates take a column pair per
     # rate group, bitwise those of the allocating reference
-    got = signatures._kernel_tables(*signatures._centres(u, v), w, axis, axis,
-                                    fresh_tables(u, axis))
+    got = fresh_tables(u, v, w, axis)
     for table, ref_table in zip(got, _alloc_kernel_tables(u, v, w, axis, axis), strict=True):
         assert np.array_equal(table, ref_table)
 
@@ -478,14 +477,11 @@ def test_rates_a_few_ulps_apart_share_one_column_pair(monkeypatch, signs):
     u, v, w = ens.alpha_out, ens.alpha_out_plus, ens.weight
     assert np.array_equal((0.5j * (v - u)).imag, b)
     axis = 0.05 * np.arange(-60, 61)
-    shared = signatures._kernel_tables(*signatures._centres(u, v), w, axis, axis,
-                                       fresh_tables(u, axis))
+    shared = fresh_tables(u, v, w, axis)
     for table, ref_table in zip(shared, _alloc_kernel_tables(u, v, w, axis, axis)):
         assert np.array_equal(table, ref_table)
     monkeypatch.setattr(signatures, "_RATE_TOL", 0.0)  # a column pair per row
-    assert not np.array_equal(
-        signatures._kernel_tables(*signatures._centres(u, v), w, axis, axis,
-                                  fresh_tables(u, axis))[1], shared[1])
+    assert not np.array_equal(fresh_tables(u, v, w, axis)[1], shared[1])
     monkeypatch.undo()
     field = wigner_estimate(ens, wigner_axes(60))
     ref = complex_wigner_sum(ens.alpha_out, ens.alpha_out_plus, ens.weight, axis, axis) \
@@ -506,10 +502,12 @@ def test_rates_a_few_ulps_apart_share_one_column_pair(monkeypatch, signs):
 EXPANSION_REL = 2e-14
 
 
-def fresh_tables(u, axis):
-    """A table slot for one ``_kernel_tables`` call on every row of u over a
-    square grid of `axis`, so its tables outlive later calls."""
-    return np.empty((u.size, axis.size)), np.empty((u.size, axis.size))
+def fresh_tables(u, v, w, axis):
+    """``_kernel_tables`` on every row of u, in order, over a square grid of
+    `axis`, in a table slot of its own, so its tables outlive later calls."""
+    slot = np.empty((u.size, axis.size)), np.empty((u.size, axis.size))
+    return signatures._kernel_tables(signatures._centres(u, v), w, np.arange(u.size),
+                                     axis, axis, slot)
 
 
 def _alloc_gaussian_table(mu, axis):
@@ -690,7 +688,7 @@ def test_buffered_kernel_is_bitwise_the_allocating_kernel(monkeypatch, kind):
 @pytest.mark.parametrize("layout", ["straddle", "permuted", "one_block_per_batch"])
 def test_kernel_layouts_are_bitwise_the_allocating_kernel(monkeypatch, layout):
     # straddle: 5000 table cells batch three 12-row blocks, so the phased
-    # rows of a batch are three runs and _rotate gathers them.  permuted:
+    # rows of a batch are three runs and _kernel_tables gathers them.  permuted:
     # the same batches, and every cluster of the expansion takes its rows
     # in another order.  one_block_per_batch: like a fig11 point, the 4
     # blocks of 48 rows each outgrow the 24-row tables of 3000 cells, so
@@ -740,6 +738,29 @@ def test_batches_reuse_two_table_slots(monkeypatch):
     assert [len(ids) for ids in roots] == [2, 2]
     assert not roots[0] & roots[1]
     assert all(cx.flags.c_contiguous and cy.flags.c_contiguous for cx, cy in built)
+
+
+def test_kernel_tables_gather_rows_and_zero_the_pads():
+    # the builder's own gather: a permuted index vector holding the pad
+    # index n, on a band of columns, into a slot with spare rows.  Its
+    # tables are the slot's leading rows, bitwise the allocating tables of
+    # the gathered rows with the pads' weight zeroed, and cx is all zero on
+    # the pad rows (which take the last sample's cy).
+    ens = corrected_channel_ensemble(192)
+    u, v, w = ens.alpha_out, ens.alpha_out_plus, ens.weight
+    n = w.size
+    rows = np.random.default_rng(5).permutation(np.append(np.arange(n), [n] * 7))
+    axis = wigner_axes(60)[0].points()
+    xs = axis[30:91]
+    slot = np.full((rows.size + 3, xs.size), np.nan), np.full((rows.size + 3, axis.size), np.nan)
+    cx, cy = signatures._kernel_tables(signatures._centres(u, v), w, rows, xs, axis, slot)
+    assert all(np.shares_memory(table, buf) and table.shape[0] == rows.size
+               for table, buf in zip((cx, cy), slot))
+    clip = np.minimum(rows, n - 1)
+    want = _alloc_kernel_tables(u[clip], v[clip], np.where(rows == n, 0.0, w[clip]), xs, axis)
+    for table, ref_table in zip((cx, cy), want, strict=True):
+        assert np.array_equal(table, ref_table)
+    assert not np.any(cx[rows == n])
 
 
 def test_concurrent_calls_with_fast_switching_are_bitwise(monkeypatch):
@@ -825,7 +846,7 @@ def test_every_noisy_call_starts_one_helper(monkeypatch, case):
     batches = []
 
     def spy(*args):
-        batches.append(args[0].size)
+        batches.append(args[2].size)
         return kernel_tables(*args)
 
     monkeypatch.setattr(signatures, "_kernel_tables", spy)
@@ -1006,8 +1027,7 @@ def test_two_rates_take_one_column_pair_each(monkeypatch):
 
     monkeypatch.setattr(np, "cos", spy(np.cos))
     monkeypatch.setattr(np, "sin", spy(np.sin))
-    got = signatures._kernel_tables(*signatures._centres(u, v), w, axis, axis,
-                                    fresh_tables(u, axis))
+    got = fresh_tables(u, v, w, axis)
     out = negativity_with_error(scaled, grid, n_blocks=16)
     monkeypatch.undo()
     assert ndims and max(ndims) == 1
