@@ -231,20 +231,27 @@ def _parse_number(raw: str, key: str, line: int, gamma_m: float | None = None) -
 def parse_config_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
     """Parse 'key = value' lines into a configuration.
 
-    Unknown keys fail with the line number.  Storage times accept the
-    '/Gm' suffix form; since gamma_m may itself appear in the file, storage
-    entries are resolved after every plain scalar.
+    Unknown keys fail with the line number, and so does a key given twice
+    in the text, naming both lines; the text may still refine any key of
+    `base`.  Storage times accept the '/Gm' suffix form; since gamma_m may
+    itself appear in the file, storage entries are resolved after every
+    plain scalar.
     """
     config = base if base is not None else ExperimentConfig()
     entries: list[tuple[int, str, str]] = []
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise ConfigError(f"expected 'key = value', got {stripped!r}", lineno)
-        key, value = stripped.split("=", 1)
-        entries.append((lineno, key.strip(), value.strip()))
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key in first_line:
+            raise ConfigError(f"key {key!r} is given twice, on lines {first_line[key]} "
+                              f"and {lineno}", lineno)
+        first_line[key] = lineno
+        entries.append((lineno, key, value))
 
     updates: dict = {}
     storage_entries: list[tuple[int, str, str]] = []

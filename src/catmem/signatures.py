@@ -43,17 +43,19 @@ of Re alpha columns where the Wigner function can be negative when given
 one (``oracle.negativity_band``), and reports the full field's negative
 volume off that band as its guard.  One builder, ``_kernel_tables``,
 gathers a batch's rows of the real centre columns that the expansion
-reads too (``_centres``, formed once per call) and writes the batch's
-tables into the leading rows of one of two table slots, allocated once
-per call at the largest batch; its phase factors take angle addition with
-one column pair per rate group, so the trigonometry runs per row and per
-column, not per cell.  One helper thread per call builds every batch's
-tables into the slot the caller is not reading, element-wise numpy work
-only: the first while the calling thread runs the expansion, and each
-next one while it runs the current batch's matrix product.  Every BLAS
-call stays on the caller and the batches are taken in order, so the
-results have the same bits for any CPU count; no thread outlives the
-call.
+reads too (``_centres``) and of their rates (``_table_rates``), both
+formed once per call, and writes the batch's tables into the leading rows
+of one of two table slots, allocated once per call at the largest batch.
+A row's rate is the least |4 b| of its rate group over all rows, so its
+tables do not depend on the batch it falls in; its phase factor takes
+angle addition with one column pair per rate, so the trigonometry runs
+per row and per column, not per cell.  One helper thread per call
+builds every batch's tables into the slot the caller is not reading,
+element-wise numpy work only: the first while the calling thread runs
+the expansion, and each next one while it runs the current batch's
+matrix product.  Every BLAS call stays on the caller and the batches are
+taken in order, so the results have the same bits for any CPU count; no
+thread outlives the call.
 The density kernel stays direct and complex: its phase rate in a is Im u,
 the per-row noise, so its rows share no rate.  Imaginary parts cancel over
 symmetric branches and are reported as residual diagnostics, on every 4th
@@ -73,8 +75,10 @@ is one einsum reduction over that column alone, so a band of columns has
 the bits of the same columns of the whole grid, and
 ``oracle.channel_negativity``, which tabulates its band only, those of
 ``wigner_negativity`` of the whole closed-form field.  The jackknife
-contracts each block's band with the outer product of the two weight
-vectors in one matrix-vector product.
+takes each block's column integrals on its band the same way, then
+contracts them with the band's slice of the Re alpha weights, so a
+leave-one-out negativity depends on its block alone: no jackknife number
+depends on the batch sizes that ``_TABLE_CELLS`` and ``_FIELD_CELLS`` set.
 """
 
 from __future__ import annotations
@@ -105,9 +109,12 @@ _SQRT2 = math.sqrt(2.0)
 # Direct kernel tables: samples per chunk are sized so that one real factor
 # table holds about _TABLE_CELLS values (2 MB), and a batch of jackknife
 # block sums at most _FIELD_CELLS grid cells (fewer on a band of columns).
-# A chunk of expansion moments holds about _TABLE_CELLS powers.
+# Neither moves a jackknife number, only its speed and memory.  A chunk of
+# expansion moments holds about _MOMENT_CELLS powers; the chunks set the
+# order of the moments' sums, so this one sets the field's last bits.
 _TABLE_CELLS = 1 << 18
 _FIELD_CELLS = 1 << 20
+_MOMENT_CELLS = 1 << 18
 # Expansion clusters span less than this per axis: every |delta| < 1
 _CLUSTER_SPAN = 2.0
 # Ensembles of at most this many rows, such as a noiseless cat's four
@@ -264,12 +271,12 @@ def _moments(dx: np.ndarray, dy: np.ndarray, mass: np.ndarray, phase, orders: tu
     """A cluster's moments sum mass e^{-i phase} dx^j dy^l, j < Jx and l < Jy
     for orders (Jx, Jy), accumulated over chunks of rows: (real part,
     imaginary part), the latter None when phase is None (a zero phase).
-    Each chunk, of about _TABLE_CELLS values, forms the powers as running
+    Each chunk, of about _MOMENT_CELLS values, forms the powers as running
     products, those of dx from the weights mass cos(phase) and -mass
     sin(phase)."""
     parts = 1 if phase is None else 2
     total = np.zeros((orders[0] * parts, orders[1]))
-    step = max(1, _TABLE_CELLS // (parts * max(orders)))
+    step = max(1, _MOMENT_CELLS // (parts * max(orders)))
     for lo in range(0, mass.size, step):
         sl = slice(lo, lo + step)
         lead = np.empty((orders[0], parts, mass[sl].size))
@@ -365,25 +372,39 @@ def p_distribution(results, axis: GridAxis, theta: float) -> GridField:
                            "truncation_bound": bound})
 
 
-def _kernel_tables(centres: tuple, w, rows: np.ndarray, xs, ys,
+def _table_rates(b: np.ndarray) -> np.ndarray:
+    """The rate rho each row takes in the direct tables' phase factor cos(rho
+    (y - a)): over all rows at once, the least |4 b| of its ``_rate_groups``
+    group, and 0 where b = 0.  As cos is even, rows of either sign share a
+    group."""
+    rho = np.zeros(b.size)
+    phased = np.flatnonzero(b)
+    if phased.size:
+        group, least = _rate_groups(np.abs(4.0 * b[phased]))
+        rho[phased] = least[group]
+    return rho
+
+
+def _kernel_tables(centres: tuple, rho: np.ndarray, w, rows: np.ndarray, xs, ys,
                    out: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Real factor tables of the Wigner kernel for the direct block sums,
     one row per entry of the index vector `rows` into the real centres (c,
-    a, b) of ``_centres`` and the weights w; the index w.size, which pads
-    short blocks (``_jackknife_blocks``), takes the last sample at weight 0.
+    a, b) of ``_centres``, the rates rho of ``_table_rates`` and the
+    weights w; the index w.size, which pads short blocks
+    (``_jackknife_blocks``), takes the last sample at weight 0.
 
     A sample's kernel has the real part fx(x) fy(y), with fx = w exp(-2 (x
-    - c)^2) and fy = exp(-2 (y - a)^2 + 2 b^2) cos(4 b (y - a)).  Returns
+    - c)^2) and fy = exp(-2 (y - a)^2 + 2 b^2) cos(rho (y - a)).  Returns
     (cx, cy), fx and fy on every row, so that the sum over samples of the
     real part is cx^T cy: the leading rows of the (cx, cy) table slot
-    `out`, valid until its next use.  The cosine takes angle addition, with
-    rho = |4 b|, cos(rho (y - a)) = cos(rho y) cos(rho a) + sin(rho y)
-    sin(rho a), so the trigonometry runs per row and per column, not per
-    cell: the least rho of each ``_rate_groups`` group serves every row of
-    it through one column pair, each row keeping its own cos(rho a) and
-    sin(rho a).
+    `out`, valid until its next use.  The cosine takes angle addition,
+    cos(rho (y - a)) = cos(rho y) cos(rho a) + sin(rho y) sin(rho a), so
+    the trigonometry runs per row and per column, not per cell: the rows of
+    one rate share one column pair, each keeping its own cos(rho a) and
+    sin(rho a).  A row's tables depend on that row alone, whichever rows
+    come with it.
     """
-    c, a, b, weight = (column.take(rows, mode="clip") for column in (*centres, w))
+    c, a, b, rate, weight = (column.take(rows, mode="clip") for column in (*centres, rho, w))
     weight[rows == w.size] = 0.0
     cx = np.subtract(xs[None, :], c[:, None], out=out[0][:rows.size])
     cx *= cx
@@ -395,15 +416,13 @@ def _kernel_tables(centres: tuple, w, rows: np.ndarray, xs, ys,
     cy -= (b * b)[:, None]
     cy *= -2.0
     np.exp(cy, out=cy)
-    phased = np.flatnonzero(b)
-    if phased.size == 0:
-        return cx, cy
-    group, least = _rate_groups(np.abs(4.0 * b[phased]))
-    for g, rho in enumerate(least):
-        part = phased[group == g]
-        angle = rho * a[part]
-        cosine = np.cos(rho * ys) * np.cos(angle)[:, None]
-        cosine += np.sin(rho * ys) * np.sin(angle)[:, None]
+    phased = np.flatnonzero(rate)
+    keys = rate[phased]
+    for r in np.unique(keys):
+        part = phased[keys == r]
+        angle = r * a[part]
+        cosine = np.cos(r * ys) * np.cos(angle)[:, None]
+        cosine += np.sin(r * ys) * np.sin(angle)[:, None]
         if part[-1] - part[0] + 1 == part.size:  # a contiguous run of rows
             cy[part[0]:part[-1] + 1] *= cosine
         else:
@@ -418,11 +437,12 @@ def _table_rows(xs, ys) -> int:
 
 def _wigner_field(sums: tuple, count: int, grid: tuple[GridAxis, GridAxis]) -> GridField:
     """Normalised Wigner field on the axes grid of a ``_kernel_sum`` over
-    `count` samples; its meta holds the largest |Im W| over every 4th node
-    of both axes and the expansion's rank and truncation bound."""
+    `count` samples, scaled in place: its values are the sums' real part.
+    Its meta holds the largest |Im W| over every 4th node of both axes and
+    the expansion's rank and truncation bound."""
     re, im, rank, bound = sums
     scale = 2.0 / (math.pi * count)
-    values = re * scale
+    values = np.multiply(re, scale, out=re)
     ax_x, ax_y = grid
     return GridField(axes=grid, values=values,
                      meta={"kind": "wigner",
@@ -507,23 +527,25 @@ def negativity_with_error(results, grid: tuple[GridAxis, GridAxis], n_blocks: in
     block, in batches of blocks by one batched matrix product each.  The
     negativity and "negativity_outside_band" are x integrals of one set of
     column integrals of the field (``model.negative_columns``).  A
-    leave-one-block-out negativity is the trapezoid-weighted sum of
-    max(block - full, 0), scaled to the remaining sample count.  Both
-    passes take the kernel's real centres from one ``_centres`` call.
-    Every batch's sums go into one block-sum buffer.  One helper thread
-    builds every batch's tables, batch k into table slot k % 2: the first
-    while the caller runs the expansion, and batch k + 1 while the caller
-    runs batch k's matrix product on the other slot.  The helper does
-    element-wise numpy work only, which releases the GIL; every BLAS call
-    stays on the caller and the batches are taken in order, so the results
-    have the same bits for any CPU count.  An error in a build reaches the
+    leave-one-block-out negativity is the trapezoid rule's integral of
+    max(block - full, 0), its column integrals first, scaled to the
+    remaining sample count.  Both passes take the kernel's real centres
+    from one ``_centres`` call, and every batch takes its rows' rates from
+    one ``_table_rates`` call, so the results do not depend on the batch
+    sizes.  Every batch's sums go into one block-sum buffer.  One helper
+    thread builds every batch's tables, batch k into table slot k % 2: the
+    first while the caller runs the expansion, and batch k + 1 while the
+    caller runs batch k's matrix product on the other slot.  The helper
+    does element-wise numpy work only, which releases the GIL; every BLAS
+    call stays on the caller and the batches are taken in order, so the
+    results have the same bits for any CPU count.  An error in a build reaches the
     caller when it takes that batch, and however the call ends the helper
     is joined.  "wigner_s" and "jackknife_s" hold the seconds from the
     call's start to the field and the negativity, and from there to its
     end.  The blocks are stratified by branch (``_jackknife_blocks``).
 
     With a band (``oracle.negativity_band``) the block sums, their
-    max(block - full, 0) and their weights are formed only on the columns
+    max(block - full, 0) and their integrals are formed only on the columns
     with |Re alpha| <= band, where the Wigner function can be negative;
     the default, inf, keeps the whole grid.  Off the band the
     leave-one-out fields are taken as positive, so
@@ -547,7 +569,8 @@ def negativity_with_error(results, grid: tuple[GridAxis, GridAxis], n_blocks: in
     size = batch * rows.shape[1]
     slots = [(np.empty((size, xs_band.size)), np.empty((size, ys.size))) for _ in range(2)]
 
-    weights = np.outer(ax_x.trapezoid_weights()[cols], ax_y.trapezoid_weights()).ravel()
+    wx = ax_x.trapezoid_weights()[cols]
+    rho = _table_rates(centres[2])
     block_sums = np.empty((batch, xs_band.size, ys.size))
     loo = np.empty(n_blocks)
     # imported here, not at module level: the import takes milliseconds,
@@ -556,12 +579,12 @@ def negativity_with_error(results, grid: tuple[GridAxis, GridAxis], n_blocks: in
 
     with ThreadPoolExecutor(1, thread_name_prefix="catmem-kernel-tables") as helper:
         def build(lo: int):  # the tables of the batch from block lo
-            return helper.submit(_kernel_tables, centres, w, rows[lo:lo + batch].ravel(),
+            return helper.submit(_kernel_tables, centres, rho, w, rows[lo:lo + batch].ravel(),
                                  xs_band, ys, slots[lo // batch % 2])
 
         pending = build(0)
         sums = _kernel_sum(*centres, w, xs, ys)
-        re = sums[0]
+        full = sums[0][cols].copy()  # the field is scaled in place
         field = _wigner_field(sums, n, grid)
         columns = negative_columns(field.values, ax_y)
         delta = float(ax_x.integrate(columns))
@@ -574,9 +597,9 @@ def negativity_with_error(results, grid: tuple[GridAxis, GridAxis], n_blocks: in
             if lo + batch < n_blocks:
                 pending = build(lo + batch)
             block = _block_sums(cx, cy, min(batch, n_blocks - lo), block_sums)
-            block -= re[cols]
+            block -= full
             np.maximum(block, 0.0, out=block)
-            loo[lo:lo + batch] = block.reshape(block.shape[0], -1) @ weights
+            loo[lo:lo + batch] = np.einsum("bi,i->b", ax_y.integrate(block), wx)
     loo *= 2.0 / (math.pi * (n - sizes))
     se = math.sqrt((n_blocks - 1) / n_blocks * float(np.sum((loo - np.mean(loo)) ** 2)))
     return {"negativity": delta, "jackknife_se": se, "n_blocks": n_blocks,

@@ -79,6 +79,28 @@ def test_parse_errors_carry_line_numbers(text, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("command,text,key,lines", [
+    ("run", "n_samples = 8\nn_bar = 1\nn_bar = 2\n", "n_bar", (2, 3)),
+    ("run", "t_store = 0.02/Gm\n# a comment\nt_store = 0.04/Gm\n", "t_store", (1, 3)),
+    ("sweep", "sweep.alpha0 = 1, 2\nn_bar = 1\nsweep.alpha0 = 3\n", "sweep.alpha0", (1, 3)),
+], ids=["plain", "storage", "sweep"])
+def test_a_key_given_twice_is_a_config_error(tmp_path, capsys, command, text, key, lines):
+    # plain, storage and sweep keys alike: the last value used to win
+    # silently (n_bar = 2, one alpha0, 0.04/Gm).  Refining a preset's value
+    # is no repeat.
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text)
+    assert err.value.line == lines[1]
+    assert f"key {key!r} is given twice, on lines {lines[0]} and {lines[1]}" in str(err.value)
+    path = tmp_path / "twice.cfg"
+    path.write_text(text)
+    assert main([command, "--preset", "fig10", "--config", str(path), "--dry-run"]) == 2
+    assert f"key {key!r} is given twice" in capsys.readouterr().err
+    once = "".join(text.splitlines(keepends=True)[lines[1] - 1:])
+    path.write_text(once)
+    assert main([command, "--preset", "fig10", "--config", str(path), "--dry-run"]) == 0
+
+
 @pytest.mark.parametrize("command,text", [
     ("run", "n_samples = 6"),
     ("run", "n_samples = 2"),

@@ -503,11 +503,13 @@ EXPANSION_REL = 2e-14
 
 
 def fresh_tables(u, v, w, axis):
-    """``_kernel_tables`` on every row of u, in order, over a square grid of
-    `axis`, in a table slot of its own, so its tables outlive later calls."""
+    """``_kernel_tables`` on every row of u, in order, with the rates of
+    ``_table_rates`` over those rows, over a square grid of `axis`, in a
+    table slot of its own, so its tables outlive later calls."""
+    centres = signatures._centres(u, v)
     slot = np.empty((u.size, axis.size)), np.empty((u.size, axis.size))
-    return signatures._kernel_tables(signatures._centres(u, v), w, np.arange(u.size),
-                                     axis, axis, slot)
+    return signatures._kernel_tables(centres, signatures._table_rates(centres[2]), w,
+                                     np.arange(u.size), axis, axis, slot)
 
 
 def _alloc_gaussian_table(mu, axis):
@@ -574,7 +576,9 @@ def _alloc_block_sums(u, v, w, xs, ys, rows):
 
 def _alloc_negativity_with_error(ens, grid, n_blocks, band, re):
     """negativity_with_error from allocating tables, given the full kernel
-    sum re: (negativity, se, negativity off the band, field values)."""
+    sum re: (negativity, se, negativity off the band, field values).  All
+    blocks are summed at once: the rates are grouped over every row, and
+    each leave-one-out negativity is its column integrals' x integral."""
     u, v, w = ens.alpha_out, ens.alpha_out_plus, ens.weight
     n = u.size
     rows, sizes = signatures._jackknife_blocks(ens.branch, n_blocks)
@@ -588,15 +592,10 @@ def _alloc_negativity_with_error(ens, grid, n_blocks, band, re):
     outside = float(np.einsum("i,i->", np.where(inside, 0.0, columns), wx))
     u_pad, v_pad = np.append(u, 0.0), np.append(v, 0.0)
     w_pad = np.append(w, 0.0)
-    weights = np.outer(wx[inside], wy).ravel()
-    chunk = max(1, signatures._TABLE_CELLS // max(xs_all.size, ys.size))
-    batch = max(1, min(signatures._FIELD_CELLS // re.size, chunk // rows.shape[1]))
-    loo = np.empty(n_blocks)
-    for lo in range(0, n_blocks, batch):
-        sums = _alloc_block_sums(u_pad, v_pad, w_pad, xs, ys, rows[lo:lo + batch])
-        sums -= re[inside]
-        np.maximum(sums, 0.0, out=sums)
-        loo[lo:lo + batch] = sums.reshape(sums.shape[0], -1) @ weights
+    sums = _alloc_block_sums(u_pad, v_pad, w_pad, xs, ys, rows)
+    sums -= re[inside]
+    np.maximum(sums, 0.0, out=sums)
+    loo = np.einsum("bi,i->b", np.einsum("bij,j->bi", sums, wy), wx[inside])
     loo *= 2.0 / (math.pi * (n - sizes))
     se = math.sqrt((n_blocks - 1) / n_blocks * float(np.sum((loo - np.mean(loo)) ** 2)))
     return delta, se, outside, values
@@ -665,7 +664,7 @@ def assert_kernel_is_the_allocating_kernel(monkeypatch, part, grid, n_blocks):
 
 @pytest.mark.parametrize("kind", ["corrected", "noisy"])
 def test_buffered_kernel_is_bitwise_the_allocating_kernel(monkeypatch, kind):
-    # 3000 table cells make moment chunks of 3000 // J rows, so every
+    # 3000 moment cells make moment chunks of 3000 // J rows, so every
     # cluster's moments are added over several chunks.  n = 192 keeps the
     # four branch runs, whose 16 jackknife blocks take 3 rows of each; at
     # n = 190 the last branch has 46 rows, so the blocks take 2 or 3 of
@@ -673,6 +672,7 @@ def test_buffered_kernel_is_bitwise_the_allocating_kernel(monkeypatch, kind):
     # at a time on the 121-point grid and three at a time on the 61 x 81
     # one, the last batch holding one block.  The 0.8 band keeps 33 columns
     # of each grid and the same batches.
+    monkeypatch.setattr(signatures, "_MOMENT_CELLS", 3000)
     monkeypatch.setattr(signatures, "_TABLE_CELLS", 3000)
     monkeypatch.setattr(signatures, "_FIELD_CELLS", 15_000)
     ens = corrected_channel_ensemble(192) if kind == "corrected" \
@@ -753,7 +753,9 @@ def test_kernel_tables_gather_rows_and_zero_the_pads():
     axis = wigner_axes(60)[0].points()
     xs = axis[30:91]
     slot = np.full((rows.size + 3, xs.size), np.nan), np.full((rows.size + 3, axis.size), np.nan)
-    cx, cy = signatures._kernel_tables(signatures._centres(u, v), w, rows, xs, axis, slot)
+    centres = signatures._centres(u, v)
+    cx, cy = signatures._kernel_tables(centres, signatures._table_rates(centres[2]), w, rows,
+                                       xs, axis, slot)
     assert all(np.shares_memory(table, buf) and table.shape[0] == rows.size
                for table, buf in zip((cx, cy), slot))
     clip = np.minimum(rows, n - 1)
@@ -846,7 +848,7 @@ def test_every_noisy_call_starts_one_helper(monkeypatch, case):
     batches = []
 
     def spy(*args):
-        batches.append(args[2].size)
+        batches.append(args[3].size)
         return kernel_tables(*args)
 
     monkeypatch.setattr(signatures, "_kernel_tables", spy)
@@ -873,11 +875,11 @@ def test_small_noiseless_run_starts_no_thread(monkeypatch):
 
 @pytest.mark.parametrize("theta", THETAS)
 def test_noisy_p_distribution_is_bitwise_with_and_without_the_helper(monkeypatch, theta):
-    # 5000 table cells make moment chunks of 5000 // (2 J) rows, so every
+    # 5000 moment cells make moment chunks of 5000 // (2 J) rows, so every
     # cluster ends on a short chunk; the caller runs the expansion and
     # starts no helper thread, so its bits cannot depend on one: two calls
     # give the same bits
-    monkeypatch.setattr(signatures, "_TABLE_CELLS", 5000)
+    monkeypatch.setattr(signatures, "_MOMENT_CELLS", 5000)
     ens = noisy_channel_ensemble(192)
     started = count_threads(monkeypatch)
     fields = [p_distribution(ens, P_AXIS, theta) for _ in range(2)]
@@ -1035,3 +1037,57 @@ def test_two_rates_take_one_column_pair_each(monkeypatch):
         assert np.array_equal(table, ref_table)
     assert (out["negativity"], out["jackknife_se"]) == (delta, se)
     assert np.array_equal(out["field"].values, values)
+
+
+def _output_bits(out) -> tuple:
+    """Every output of negativity_with_error but its timings, floats as
+    their bits."""
+    bits = lambda x: x.hex() if isinstance(x, float) else x  # noqa: E731
+    field = out["field"]
+    return (tuple(bits(out[key]) for key in ("negativity", "jackknife_se",
+                                             "negativity_outside_band", "n_blocks")),
+            field.values.tobytes(), {key: bits(value) for key, value in field.meta.items()})
+
+
+def test_jackknife_does_not_depend_on_the_batch_size(monkeypatch):
+    # every table row takes the rate of its group over all rows, and each
+    # leave-one-out negativity is the x integral of its block's column
+    # integrals, so the table and field cells, which set the batches (one
+    # block each up to the whole ensemble), move no bit of any output.  On
+    # the 192-row ensembles, 16 blocks, and their first 190 rows, whose
+    # blocks are padded; and on a fig10 t = 0.02/Gm run of 4004 rows, 100
+    # blocks of 40 or 41 rows; each with the run's band and the whole grid.
+    from catmem.engine import protocol_channel
+    from catmem.experiments import ExperimentConfig
+    cfg = ExperimentConfig(alpha0=2.0, n_bar=2.0)
+    band = negativity_band(2.0, *protocol_channel(cfg.system_params(), cfg.schedule()))
+    cases = []
+    for ens in (corrected_channel_ensemble(192), noisy_channel_ensemble(192)):
+        for n in (192, 190):
+            part = EnsembleResult(ens.alpha_out[:n], ens.alpha_out_plus[:n], ens.weight[:n],
+                                  ens.branch[:n])
+            cases.append((part, wigner_axes(60), 16))
+    cases.append((corrected_channel_ensemble(4004), default_wigner_grid(2.0), 100))
+    for ens, grid, n_blocks in cases:
+        for edge in (band, math.inf):
+            seen = set()
+            for table_cells in (3000, 5000, 1 << 18):
+                for field_cells in (15_000, 1 << 20, 1 << 26):
+                    monkeypatch.setattr(signatures, "_TABLE_CELLS", table_cells)
+                    monkeypatch.setattr(signatures, "_FIELD_CELLS", field_cells)
+                    out = negativity_with_error(ens, grid, n_blocks=n_blocks, band=edge)
+                    seen.add(repr(_output_bits(out)))
+            assert len(seen) == 1
+
+
+def test_wigner_field_is_scaled_in_place():
+    # the field's values are the kernel sums' real part, scaled in place:
+    # no second full-grid array
+    ens = noisy_channel_ensemble(192)
+    grid = wigner_axes(60)
+    sums = signatures._kernel_sum(*signatures._centres(ens.alpha_out, ens.alpha_out_plus),
+                                  ens.weight, *(ax.points() for ax in grid))
+    want = sums[0] * (2.0 / (math.pi * 192))
+    field = signatures._wigner_field(sums, 192, grid)
+    assert np.shares_memory(field.values, sums[0])
+    assert np.array_equal(field.values, want)
