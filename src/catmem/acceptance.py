@@ -336,8 +336,7 @@ def _check_density_persistence() -> tuple[bool, list, dict]:
     # by n_sub/n to keep the full ensemble's normalisation.
     _, ens = _corrected_ensemble(cfg)
     off = np.isin(ens.branch, ("+-", "-+"))
-    coh = EnsembleResult(alpha_out=ens.alpha_out[off],
-                         alpha_out_plus=ens.alpha_out_plus[off],
+    coh = EnsembleResult(c=ens.c[off], a=ens.a[off], b=ens.b[off],
                          weight=ens.weight[off] * (np.count_nonzero(off) / len(ens)),
                          branch=ens.branch[off])
     coh_anti = np.diagonal(np.fliplr(sig.reconstruct_density(coh, fld.axes[0]).values))

@@ -105,6 +105,9 @@ def _cmd_oracle(args) -> int:
             print(f"error: expected key=value, got {token!r}", file=sys.stderr)
             return 2
         key, value = token.split("=", 1)
+        if key.strip() in params:
+            print(f"error: parameter {key.strip()!r} is given twice", file=sys.stderr)
+            return 2
         params[key.strip()] = value.strip()
     try:
         values = oracle_query(args.query, params)

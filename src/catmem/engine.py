@@ -39,7 +39,7 @@ __all__ = [
 # Names the random numbers a configuration draws; part of every config
 # fingerprint, so it changes whenever the same configuration would give
 # different results.
-ENGINE_VERSION = "gaussian-channel-8"
+ENGINE_VERSION = "gaussian-channel-9"
 
 
 def _rk4_increment(x: float) -> float:
@@ -87,22 +87,21 @@ def run_ensemble(inputs: EnsembleResult, gain: complex, noise_var: float,
     """Sample every trajectory of a weighted input ensemble from the protocol
     channel (gain, noise_var), phase-corrected.
 
-    inputs is the ensemble before evolution (``sampling.sample_cat``), so
-    its alpha_out and alpha_out_plus columns hold alpha_in and
-    alpha_in_plus.  The channel is the ``protocol_channel`` pair of the
-    run's parameters and schedule; the caller evaluates it, so that runs on
-    one channel share one evaluation (``experiments.run_sweep`` does, for
-    the duration of one sweep).  The stepped process gives alpha_out =
-    G alpha_in + N in distribution, RK4 discretisation included, with
-    N = sqrt(noise_var) (x + iy)/sqrt(2) and one standard normal pair (x, y)
-    per trajectory.  The ensemble is returned in the frame where the
-    coherent-input gain is real and positive: alpha_out = |G| alpha_in +
-    e^{-i arg G} N and alpha_out_plus = |G| alpha_in_plus +
-    conj(e^{-i arg G} N).  Formed this way, a real input keeps mu_x =
-    (alpha_out + alpha_out_plus)/2 exactly real on every row, so the Wigner
-    kernel takes its real path.  The weight and branch columns are the
-    input's; the channel stays with the caller.  The pairs come in blocks
-    of RNG_BLOCK_SIZE trajectories, each from the counter-based stream keyed
+    inputs is the ensemble before evolution (``sampling.sample_cat``).  The
+    channel is the ``protocol_channel`` pair of the run's parameters and
+    schedule; the caller evaluates it, so that runs on one channel share
+    one evaluation (``experiments.run_sweep`` does, for the duration of one
+    sweep).  The stepped process gives alpha_out = G alpha_in + N in
+    distribution, RK4 discretisation included, with N = sqrt(noise_var) (x
+    + iy)/sqrt(2) and one standard normal pair (x, y) per trajectory.  The
+    ensemble is returned in the frame where the coherent-input gain is real
+    and positive: alpha_out = |G| alpha_in + N' and its plus partner |G|
+    alpha_in_plus + conj N', with N' = e^{-i arg G} N.  Its kernel centres
+    follow without forming either amplitude: c = |G| c_in + Re N', a = |G|
+    a_in + Im N' and b = |G| b_in, so mu_x = c stays real and each branch
+    keeps one exact rate.  The weight and branch columns are the input's;
+    the channel stays with the caller.  The pairs come in blocks of
+    RNG_BLOCK_SIZE trajectories, each from the counter-based stream keyed
     by (master_seed, block index), so a trajectory's noise depends only on
     the seed and its position; the time step changes the scale, not the
     draw.  A noiseless channel consumes no randomness; a negative
@@ -115,17 +114,19 @@ def run_ensemble(inputs: EnsembleResult, gain: complex, noise_var: float,
         raise ValueError("zero protocol gain; cannot fix the output phase")
     if noise_var < 0:
         raise ValueError("noise_var must be non-negative")
-    noise = np.zeros(n, dtype=np.complex128)
+    g_abs = abs(gain)
+    c, a = g_abs * inputs.c, g_abs * inputs.a
     if noise_var > 0:
+        noise = np.empty(n, dtype=np.complex128)
         scale = math.sqrt(noise_var / 2.0) * cmath.exp(-1j * cmath.phase(gain))
         for block, lo in enumerate(range(0, n, RNG_BLOCK_SIZE)):
             hi = min(lo + RNG_BLOCK_SIZE, n)
             xy = block_stream(master_seed, block).standard_normal((2, hi - lo))
             noise[lo:hi] = scale * (xy[0] + 1j * xy[1])
-    g_abs = abs(gain)
-    return EnsembleResult(alpha_out=g_abs * inputs.alpha_out + noise,
-                          alpha_out_plus=g_abs * inputs.alpha_out_plus + np.conj(noise),
-                          weight=inputs.weight, branch=inputs.branch)
+        c += noise.real
+        a += noise.imag
+    return EnsembleResult(c=c, a=a, b=g_abs * inputs.b, weight=inputs.weight,
+                          branch=inputs.branch)
 
 
 def _write_walk(params: SystemParams, schedule: ProtocolSchedule,

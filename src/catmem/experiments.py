@@ -719,9 +719,12 @@ def oracle_query(name: str, params: dict) -> dict:
     """Evaluate a named closed-form quantity; used by the oracle subcommand.
 
     Every parameter must be a finite number, as in a config file, that the
-    query reads, and one without a default must be given (``ConfigError``).
+    query reads, and one without a default must be given; alpha0 takes the
+    bounds of ``_check_alpha0`` (``ConfigError``).
     """
     num = {key: _parse_number(raw, key, None) for key, raw in params.items()}
+    if "alpha0" in num:
+        _check_alpha0(num["alpha0"])
     reads = {"t_positive": "n_bar gamma", "t_p_bound": "n_bar gamma", "cat_variance": "alpha0",
              "q_parameter": "t n_bar gamma", "q_channel": "gain noise_var",
              "decohered_density": "t alpha0 gamma", "negativity": "alpha0 n_bar t gamma",

@@ -14,6 +14,7 @@ import hashlib
 import os
 from contextlib import contextmanager
 from dataclasses import KW_ONLY, dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -150,19 +151,55 @@ BRANCHES = ("++", "--", "+-", "-+")
 class EnsembleResult:
     """Weighted trajectory ensemble as columns, one row per trajectory.
 
-    branch holds each row's label from BRANCHES.  ``sampling.sample_cat``
-    returns the input ensemble in this layout (alpha_out = alpha_in, the
-    ensemble before any evolution); ``engine.run_ensemble`` returns the
-    retrieved one.
+    A row is held by the real centres of its Wigner kernel: c = mu_x and
+    mu_y = a + i b, with mu_x = (alpha + alpha+)/2 and mu_y = i (alpha+ -
+    alpha)/2 of its doubled amplitudes, so that mu_x is real by
+    construction.  b is the row's rate, one value per branch; weight and
+    branch (labels from BRANCHES) complete the row.  ``sampling.sample_cat``
+    returns the input ensemble in this layout, the ensemble before any
+    evolution, and ``engine.run_ensemble`` the retrieved one.  ValueError
+    when the columns differ in length, c, a or b is complex, a label is not
+    in BRANCHES, or a branch's rows carry two rates.  branch_rows holds
+    each label's row indices, in BRANCHES order.
     """
 
-    alpha_out: np.ndarray
-    alpha_out_plus: np.ndarray
+    c: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
     weight: np.ndarray
     branch: np.ndarray
 
+    def __post_init__(self):
+        if not self.c.shape == self.a.shape == self.b.shape == self.weight.shape \
+                == self.branch.shape:
+            raise ValueError("the ensemble's columns must have one length")
+        if "c" in (self.c.dtype.kind, self.a.dtype.kind, self.b.dtype.kind):
+            raise ValueError("the centre columns c, a and b must be real")
+        masks = self.branch == np.array(BRANCHES)[:, None]
+        if np.count_nonzero(masks) != self.branch.size:
+            raise ValueError(f"branch labels must come from {BRANCHES}")
+        if self.b.size:
+            # every row against the rate of its label's first row
+            stray = masks & (self.b != self.b[masks.argmax(axis=1)][:, None])
+            if np.count_nonzero(stray):
+                label = BRANCHES[stray.any(axis=1).argmax()]
+                raise ValueError(f"the {label} rows carry more than one rate b")
+
+    @cached_property
+    def branch_rows(self) -> tuple:
+        """Each label's row indices, in BRANCHES order."""
+        return tuple(np.flatnonzero(self.branch == label) for label in BRANCHES)
+
     def __len__(self) -> int:
-        return self.alpha_out.size
+        return self.c.size
+
+    def amplitudes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The doubled amplitudes (alpha, alpha+) = (c - b + i a, c + b - i a)."""
+        u = np.empty(self.c.size, dtype=np.complex128)
+        u.real, u.imag = self.c - self.b, self.a
+        v = np.empty_like(u)
+        v.real, v.imag = self.c + self.b, -self.a
+        return u, v
 
 
 @dataclass(frozen=True)

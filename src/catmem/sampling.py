@@ -50,12 +50,14 @@ def branch_weights(alpha0: float) -> tuple[float, float]:
 def sample_cat(alpha0: float, n_samples: int) -> EnsembleResult:
     """Draw the weighted input ensemble as columns.
 
-    The result is the ensemble before any evolution: alpha_out holds
-    alpha_in = +-alpha0 and alpha_out_plus holds alpha_in_plus =
-    conj(+-alpha0), each row with the diagonal or off-diagonal weight of
-    its branch.  Exactly n/4 rows go to each branch, ordered as the ++
-    block, then --, +-, -+ (``BRANCHES``).  alpha0 must be real, finite and
-    nonzero, and n_samples a positive multiple of 4.
+    The result is the ensemble before any evolution: branch (ket, bra) sits
+    at alpha_in = ket alpha0 and alpha_in_plus = bra alpha0, so its kernel
+    centres are c = (alpha_in + alpha_in_plus)/2, a = 0 and the rate b =
+    (alpha_in_plus - alpha_in)/2: c = +-alpha0 and b = 0 on ++ and --, c = 0
+    and b = -+alpha0 on +- and -+.  Each row carries the diagonal or
+    off-diagonal weight of its branch.  Exactly n/4 rows go to each branch,
+    ordered as the ++ block, then --, +-, -+ (``BRANCHES``).  alpha0 must be
+    real, finite and nonzero, and n_samples a positive multiple of 4.
     """
     if isinstance(alpha0, (complex, np.complexfloating)) or not (
             math.isfinite(alpha0) and alpha0 != 0):
@@ -63,16 +65,16 @@ def sample_cat(alpha0: float, n_samples: int) -> EnsembleResult:
     if n_samples < 4 or n_samples % 4 != 0:
         raise ValueError(f"n_samples must be a positive multiple of 4, got {n_samples!r}")
     w_diag, w_off = branch_weights(alpha0)
-    a0 = complex(alpha0)
-    amp = {"+": a0, "-": -a0}
-    picks = np.repeat(np.arange(4), n_samples // 4)
-    # the four branch atoms in BRANCHES order, indexed by each row's branch;
-    # the plus variable is the conjugate of the bra amplitude
-    return EnsembleResult(
-        alpha_out=np.array([amp[b[0]] for b in BRANCHES])[picks],
-        alpha_out_plus=np.array([amp[b[1]].conjugate() for b in BRANCHES])[picks],
-        weight=np.array([w_diag if b[0] == b[1] else w_off for b in BRANCHES])[picks],
-        branch=np.array(BRANCHES)[picks])
+    amp = {"+": float(alpha0), "-": -float(alpha0)}
+    atoms = [(amp[k], amp[p]) for k, p in BRANCHES]  # (ket, bra)
+    # the (c, b, weight) of the four branch atoms in BRANCHES order, each
+    # repeated over its branch's rows
+    c, b, weight = np.repeat([[0.5 * (ket + bra) for ket, bra in atoms],
+                              [0.5 * (bra - ket) for ket, bra in atoms],
+                              [w_diag if ket == bra else w_off for ket, bra in atoms]],
+                             n_samples // 4, axis=1)
+    return EnsembleResult(c=c, a=np.zeros(n_samples), b=b, weight=weight,
+                          branch=np.array(BRANCHES).repeat(n_samples // 4))
 
 
 def block_stream(master_seed: int, block_index: int) -> np.random.Generator:

@@ -2,20 +2,18 @@
 
 Every estimator is a weighted mean of an analytically continued coherent
 -state kernel over the doubled phase-space output amplitudes.  The Wigner
-kernel of a sample is exp(-2 (x - c)^2) exp(-2 (y - mu)^2), with c = mu_x =
-(alpha_out + alpha_out_plus)/2 and mu = mu_y = a + i b: a real Gaussian in
-x, and in y a Gaussian of height e^{2 b^2} times the phase e^{4 i b (y -
-a)}.  It needs every mu_x real, as a real cat keeps it in the
-phase-corrected frame of ``engine.run_ensemble``, and raises ValueError
-otherwise.  The quadrature kernel is the y factor alone, at y = p/sqrt(2)
-and mu = cos(theta) mu_x + sin(theta) mu_y.
+kernel of a sample is exp(-2 (x - c)^2) exp(-2 (y - mu)^2), with the real
+centre c = mu_x and mu = mu_y = a + i b, the columns an ``EnsembleResult``
+holds: a real Gaussian in x, and in y a Gaussian of height e^{2 b^2} times
+the phase e^{4 i b (y - a)}.  The rate b is one exact value per branch.
+The quadrature kernel is the y factor alone, at y = p/sqrt(2) and mu =
+cos(theta) mu_x + sin(theta) mu_y.
 
 The full kernel sums (``wigner_estimate``, the first pass of
 ``negativity_with_error`` and ``p_distribution``) are Hermite expansions:
 the fast Gauss transform of Greengard and Strain (SIAM J. Sci. Stat.
-Comput. 12, 79 (1991)).  The rows are grouped by their signed rate b, rows
-within ``_RATE_TOL`` of a group's least |b| taking that rate, and each
-group into clusters that span less than ``_CLUSTER_SPAN`` per axis.  About
+Comput. 12, 79 (1991)).  Each branch's rows, which share its rate b, are
+cut into clusters that span less than ``_CLUSTER_SPAN`` per axis.  About
 a cluster's centre, exp(-2 (u - delta)^2) = sum_j phi_j(u) delta^j with
 phi_0 = e^{-2 u^2} and phi_{j+1} = 4 (u phi_j - phi_{j-1})/(j + 1), so a
 cluster enters through its moments sum w e^{2 b^2} e^{-4 i b delta_y}
@@ -25,12 +23,11 @@ k (2 |delta|)^j / sqrt(j!), k = 1.0865, and each axis of a cluster takes
 the least order J whose tail from J is at most 2^-60 of the cluster's
 kernel mass sum |w| e^{2 b^2} (``_expansion_order``).  A cluster of equal
 rows, as in a noiseless ensemble, takes J = 1; ensembles of at most
-``_DIRECT_ROWS`` rows are summed directly.  Every rate group is at least one
-cluster, so the work grows with the number of distinct rates; a real cat
-has one per off-diagonal branch.  All clusters are summed in one
-real matrix product, whose rank K (the clusters' x orders added up) and
-largest relative truncation bound the Wigner field's meta records as
-"kernel_rank" and "truncation_bound".
+``_DIRECT_ROWS`` rows are summed directly.  Every branch is at least one
+cluster, and at fig10's small storage times exactly one.  All clusters
+are summed in one real matrix product, whose rank K (the clusters' x
+orders added up) and largest relative truncation bound the Wigner
+field's meta records as "kernel_rank" and "truncation_bound".
 
 The delete-block jackknife stays direct.  At fig10's points, 24k rows or
 200k rows in 1000 blocks, a block holds 24 or 200 rows, about as many as
@@ -42,27 +39,26 @@ of many blocks in one batched product of real factor tables, on the band
 of Re alpha columns where the Wigner function can be negative when given
 one (``oracle.negativity_band``), and reports the full field's negative
 volume off that band as its guard.  One builder, ``_kernel_tables``,
-gathers a batch's rows of the real centre columns that the expansion
-reads too (``_centres``) and of their rates (``_table_rates``), both
-formed once per call, and writes the batch's tables into the leading rows
-of one of two table slots, allocated once per call at the largest batch.
-A row's rate is the least |4 b| of its rate group over all rows, so its
-tables do not depend on the batch it falls in; its phase factor takes
-angle addition with one column pair per rate, so the trigonometry runs
-per row and per column, not per cell.  One helper thread per call
-builds every batch's tables into the slot the caller is not reading,
-element-wise numpy work only: the first while the calling thread runs
-the expansion, and each next one while it runs the current batch's
-matrix product.  Every BLAS call stays on the caller and the batches are
-taken in order, so the results have the same bits for any CPU count; no
-thread outlives the call.
-The density kernel stays direct and complex: its phase rate in a is Im u,
-the per-row noise, so its rows share no rate.  Imaginary parts cancel over
-symmetric branches and are reported as residual diagnostics, on every 4th
-node for the expansions.  The factors stay finite for |alpha0| up to
-``experiments.ALPHA0_MAX``.  The negativity's time-step error is
-``experiments.run_point``'s, from the closed-form channel negativity at dt
-and dt/2.
+gathers a batch's rows of the ensemble's centre columns, the ones the
+expansion reads, and writes the batch's tables into the leading rows of
+one of two table slots, allocated once per call at the largest batch.  A
+row's phase rate is its own |4 b|, so its tables do not depend on the
+batch it falls in; its phase factor takes angle addition with one column
+pair per rate, so the trigonometry runs per row and per column, not per
+cell.  One helper thread per call builds every batch's tables into the
+slot the caller is not reading, element-wise numpy work only: the first
+while the calling thread runs the expansion, and each next one while it
+runs the current batch's matrix product.  Every BLAS call stays on the
+caller and the batches are taken in order, so the results have the same
+bits for any CPU count; no thread outlives the call.
+The density kernel stays direct and complex, on the amplitudes (u, v) =
+(c - b + i a, c + b - i a) (``EnsembleResult.amplitudes``): its phase
+rate in a is Im u, the per-row noise, so its rows share no rate.
+Imaginary parts cancel over symmetric branches and are reported as
+residual diagnostics, on every 4th node for the expansions.  The factors
+stay finite for |alpha0| up to ``experiments.ALPHA0_MAX``.  The
+negativity's time-step error is ``experiments.run_point``'s, from the
+closed-form channel negativity at dt and dt/2.
 
 Every field integral is one quadrature, the trapezoid rule as contractions
 with the per-axis weights of ``GridAxis.trapezoid_weights``: the Wigner and
@@ -89,7 +85,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .model import BRANCHES, EnsembleResult, GridAxis, GridField, negative_columns
+from .model import EnsembleResult, GridAxis, GridField, negative_columns
 
 __all__ = [
     "default_quadrature_axis",
@@ -149,47 +145,14 @@ def default_density_axis(alpha0: float) -> GridAxis:
     return _symmetric_axis(abs(alpha0) + 2.0, 0.1, "coherent_a")
 
 
-def _columns(results: EnsembleResult) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (u, v, w) = (alpha_out, alpha_out_plus, weight) columns."""
+def _rows(results: EnsembleResult) -> int:
+    """The ensemble's row count; TypeError for another type, ValueError when
+    it is empty."""
     if not isinstance(results, EnsembleResult):
         raise TypeError("results must be an EnsembleResult")
-    return results.alpha_out, results.alpha_out_plus, results.weight
-
-
-def _centres(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Wigner kernel's real centre columns (c, a, b) = (mu_x, Re mu_y,
-    Im mu_y), mu_x = (u + v)/2 and mu_y = i (v - u)/2; ValueError when any
-    mu_x is not real."""
-    if np.any(0.5 * (u.imag + v.imag)):
-        raise ValueError("the Wigner kernel needs a real mu_x = (alpha_out + "
-                         "alpha_out_plus)/2 on every row")
-    return 0.5 * (u.real + v.real), 0.5 * (u.imag - v.imag), 0.5 * (v.real - u.real)
-
-
-# Rates share a group when they lie within this relative distance of the
-# group's least: four ulps of 1, where one branch's rates spread by one ulp
-# at the fig10 and fig11 points
-_RATE_TOL = 2.0 ** -50
-
-
-def _rate_groups(rate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group nonzero rates: (the group of each row, the rate each group
-    takes).  From the least |rate| up, a rate joins the open group of its
-    sign while it lies within ``_RATE_TOL`` of that group's rate, the least
-    in it, and opens a new group otherwise.  One branch's rates, equal up to
-    rounding, form one group, found without a sort."""
-    mag = np.abs(rate)
-    if mag.max() <= mag.min() * (1.0 + _RATE_TOL) and np.all((rate > 0) == (rate[0] > 0)):
-        return np.zeros(rate.size, dtype=np.intp), rate[np.argmin(mag)][None]
-    keys, inverse = np.unique(rate, return_inverse=True)
-    group, least, open_group = np.empty(keys.size, dtype=np.intp), [], {}
-    for k in np.argsort(np.abs(keys), kind="stable"):
-        g = open_group.get(keys[k] > 0)
-        if g is None or abs(keys[k]) > abs(least[g]) * (1.0 + _RATE_TOL):
-            g = open_group[keys[k] > 0] = len(least)
-            least.append(keys[k])
-        group[k] = g
-    return group[inverse], np.array(least)
+    if len(results) == 0:
+        raise ValueError("empty ensemble")
+    return len(results)
 
 
 def _expansion_order(spread: float) -> tuple[int, float]:
@@ -245,17 +208,11 @@ def _cover(rows: np.ndarray, values: np.ndarray) -> list:
     return runs
 
 
-def _clusters(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> list:
-    """The expansion's clusters, (rows, rate): the rows of rate b = 0 and
-    each rate group of ``_rate_groups``, cut along c into runs of
-    ``_cover`` and each run along a."""
-    phased = np.flatnonzero(b)
-    groups = [(np.flatnonzero(b == 0.0), 0.0)]
-    if phased.size:
-        label, least = _rate_groups(b[phased])
-        groups += [(phased if least.size == 1 else phased[label == g], rate)
-                   for g, rate in enumerate(least.tolist())]
-    return [(cell, rate) for rows, rate in groups if rows.size
+def _clusters(c: np.ndarray, a: np.ndarray, b: np.ndarray, branch_rows) -> list:
+    """The expansion's clusters, (rows, rate): the rows of each branch, which
+    share its one rate b, cut along c into runs of ``_cover`` and each run
+    along a."""
+    return [(cell, float(b[rows[0]])) for rows in branch_rows if rows.size
             for run in _cover(rows, c) for cell in _cover(run, a)]
 
 
@@ -295,18 +252,18 @@ def _moments(dx: np.ndarray, dy: np.ndarray, mass: np.ndarray, phase, orders: tu
     return total[0::parts], (total[1::parts] if parts == 2 else None)
 
 
-def _kernel_sum(c, a, b, w, xs: np.ndarray, ys: np.ndarray):
+def _kernel_sum(c, a, b, w, branch_rows, xs: np.ndarray, ys: np.ndarray):
     """Sum over rows of w exp(-2 (x - c)^2) exp(-2 (y - a - i b)^2) on the
-    grid xs x ys, for real columns c, a and b: (real part, imaginary part
-    on every 4th node of both axes, rank K, truncation bound).
+    grid xs x ys, for real columns c, a and b, b one value on the rows of
+    each entry of branch_rows: (real part, imaginary part on every 4th node
+    of both axes, rank K, truncation bound).
 
     A cluster (``_clusters``) of rate r and centre (x0, y0) has, with u =
     x - x0, v = y - y0 and its ``_moments`` M = Mr + i Mi of mass w e^{2
     b^2} and phase 4 r delta_y, the kernel sum phi(u)^T M phi(v) e^{4 i r
     v}.  So it adds its Jx rows phi(u) to the x factor of one real matrix
     product, and Mr (phi(v) cos 4rv) - Mi (phi(v) sin 4rv) to its y factor;
-    K counts those rows.  Each row keeps its own e^{2 b^2} and takes the
-    group's rate in its phase.  As |exp(-2 (u - delta)^2)| <= 1, a cluster
+    K counts those rows.  As |exp(-2 (u - delta)^2)| <= 1, a cluster
     whose axes leave out Tx and Ty (``_expansion_order``) is within Tx + (1
     + Tx) Ty of its kernel mass sum |w| e^{2 b^2}; the bound returned is
     the largest over the clusters.  Up to ``_DIRECT_ROWS`` rows are summed
@@ -322,7 +279,7 @@ def _kernel_sum(c, a, b, w, xs: np.ndarray, ys: np.ndarray):
                 c.size, 0.0)
     x_rows, y_rows, x_im, y_im = [], [], [], []
     bound = 0.0
-    for rows, rate in _clusters(c, a, b):
+    for rows, rate in _clusters(c, a, b, branch_rows):
         x0, dx, spread_x = _centred(c[rows])
         y0, dy, spread_y = _centred(a[rows])
         (jx, tx), (jy, ty) = _expansion_order(spread_x), _expansion_order(spread_y)
@@ -352,17 +309,16 @@ def p_distribution(results, axis: GridAxis, theta: float) -> GridField:
 
     A sample's kernel exp(-(p - sqrt(2) mu)^2), mu = (e^{-i theta} u +
     e^{i theta} v)/2, is exp(-2 (y - mu)^2) at y = p/sqrt(2): the y factor
-    of ``_kernel_sum``, taken on a one-point x axis where every c is 0.  Its
-    rate Im mu = sin(theta) Im mu_y is one per branch.  The meta holds the
-    expansion's "truncation_bound".
+    of ``_kernel_sum``, taken on a one-point x axis where every c is 0: Re mu
+    = cos(theta) c + sin(theta) a, and the rate Im mu = sin(theta) b is one
+    per branch.  The meta holds the expansion's "truncation_bound".
     """
-    u, v, w = _columns(results)
-    n = u.size
-    if n == 0:
-        raise ValueError("empty ensemble")
+    n = _rows(results)
     ys = axis.points() / _SQRT2
-    mu = math.cos(theta) * 0.5 * (u + v) + math.sin(theta) * 0.5j * (v - u)
-    re, im, _, bound = _kernel_sum(np.zeros(n), mu.real, mu.imag, w, np.zeros(1), ys)
+    cos, sin = math.cos(theta), math.sin(theta)
+    re, im, _, bound = _kernel_sum(np.zeros(n), cos * results.c + sin * results.a,
+                                   sin * results.b, results.weight, results.branch_rows,
+                                   np.zeros(1), ys)
     scale = 1.0 / (n * math.sqrt(math.pi))
     values = re[0] * scale
     return GridField(axes=(axis,), values=values,
@@ -372,40 +328,27 @@ def p_distribution(results, axis: GridAxis, theta: float) -> GridField:
                            "truncation_bound": bound})
 
 
-def _table_rates(b: np.ndarray) -> np.ndarray:
-    """The rate rho each row takes in the direct tables' phase factor cos(rho
-    (y - a)): over all rows at once, the least |4 b| of its ``_rate_groups``
-    group, and 0 where b = 0.  As cos is even, rows of either sign share a
-    group."""
-    rho = np.zeros(b.size)
-    phased = np.flatnonzero(b)
-    if phased.size:
-        group, least = _rate_groups(np.abs(4.0 * b[phased]))
-        rho[phased] = least[group]
-    return rho
-
-
-def _kernel_tables(centres: tuple, rho: np.ndarray, w, rows: np.ndarray, xs, ys,
+def _kernel_tables(results: EnsembleResult, rows: np.ndarray, xs, ys,
                    out: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Real factor tables of the Wigner kernel for the direct block sums,
-    one row per entry of the index vector `rows` into the real centres (c,
-    a, b) of ``_centres``, the rates rho of ``_table_rates`` and the
-    weights w; the index w.size, which pads short blocks
-    (``_jackknife_blocks``), takes the last sample at weight 0.
+    one row per entry of the index vector `rows` into the ensemble's
+    columns; the index n, which pads short blocks (``_jackknife_blocks``),
+    takes the last sample at weight 0.
 
     A sample's kernel has the real part fx(x) fy(y), with fx = w exp(-2 (x
-    - c)^2) and fy = exp(-2 (y - a)^2 + 2 b^2) cos(rho (y - a)).  Returns
-    (cx, cy), fx and fy on every row, so that the sum over samples of the
-    real part is cx^T cy: the leading rows of the (cx, cy) table slot
-    `out`, valid until its next use.  The cosine takes angle addition,
-    cos(rho (y - a)) = cos(rho y) cos(rho a) + sin(rho y) sin(rho a), so
-    the trigonometry runs per row and per column, not per cell: the rows of
-    one rate share one column pair, each keeping its own cos(rho a) and
-    sin(rho a).  A row's tables depend on that row alone, whichever rows
-    come with it.
+    - c)^2) and fy = exp(-2 (y - a)^2 + 2 b^2) cos(rho (y - a)), rho = |4
+    b|.  Returns (cx, cy), fx and fy on every row, so that the sum over
+    samples of the real part is cx^T cy: the leading rows of the (cx, cy)
+    table slot `out`, valid until its next use.  The cosine takes angle
+    addition, cos(rho (y - a)) = cos(rho y) cos(rho a) + sin(rho y) sin(rho
+    a), so the trigonometry runs per row and per column, not per cell: the
+    rows of one rate share one column pair, each keeping its own cos(rho a)
+    and sin(rho a).  A row's tables depend on that row alone, whichever
+    rows come with it.
     """
-    c, a, b, rate, weight = (column.take(rows, mode="clip") for column in (*centres, rho, w))
-    weight[rows == w.size] = 0.0
+    c, a, b, weight = (column.take(rows, mode="clip")
+                       for column in (results.c, results.a, results.b, results.weight))
+    weight[rows == len(results)] = 0.0
     cx = np.subtract(xs[None, :], c[:, None], out=out[0][:rows.size])
     cx *= cx
     cx *= -2.0
@@ -416,6 +359,7 @@ def _kernel_tables(centres: tuple, rho: np.ndarray, w, rows: np.ndarray, xs, ys,
     cy -= (b * b)[:, None]
     cy *= -2.0
     np.exp(cy, out=cy)
+    rate = 4.0 * np.abs(b)
     phased = np.flatnonzero(rate)
     keys = rate[phased]
     for r in np.unique(keys):
@@ -453,11 +397,10 @@ def _wigner_field(sums: tuple, count: int, grid: tuple[GridAxis, GridAxis]) -> G
 
 def wigner_estimate(results, grid: tuple[GridAxis, GridAxis]) -> GridField:
     """Weighted Wigner-function estimate on the (Re alpha, Im alpha) axes."""
-    u, v, w = _columns(results)
-    if u.size == 0:
-        raise ValueError("empty ensemble")
-    return _wigner_field(_kernel_sum(*_centres(u, v), w, grid[0].points(), grid[1].points()),
-                         u.size, grid)
+    n = _rows(results)
+    return _wigner_field(_kernel_sum(results.c, results.a, results.b, results.weight,
+                                     results.branch_rows, grid[0].points(), grid[1].points()),
+                         n, grid)
 
 
 def wigner_negativity(field: GridField) -> float:
@@ -469,11 +412,12 @@ def wigner_negativity(field: GridField) -> float:
     return float(ax_x.integrate(negative_columns(field.values, ax_y)))
 
 
-def _jackknife_blocks(branch: np.ndarray, n_blocks: int) -> tuple[np.ndarray, np.ndarray]:
+def _jackknife_blocks(branch_rows, n_blocks: int) -> tuple[np.ndarray, np.ndarray]:
     """Delete-block index matrix, one row per block, and the block sizes.
 
-    Each branch's rows are split into n_blocks runs at ``np.linspace``
-    edges, and block b takes run b of every branch, in ``BRANCHES`` order.
+    Each branch's rows (``EnsembleResult.branch_rows``) are split into
+    n_blocks runs at ``np.linspace`` edges, and block b takes run b of
+    every branch, in ``BRANCHES`` order.
     Deleting a block then removes each branch in proportion to its rows, so
     for equal branches the mean weight of what is left stays one, for any
     sample count and row order.  n_blocks is cut to the smallest branch's
@@ -481,10 +425,8 @@ def _jackknife_blocks(branch: np.ndarray, n_blocks: int) -> tuple[np.ndarray, np
     rows are padded with the index n, which ``_kernel_tables`` takes as a
     zero-weight sample.
     """
-    members = [np.flatnonzero(branch == label) for label in BRANCHES]
-    if sum(rows.size for rows in members) != branch.size:
-        raise ValueError(f"branch labels must come from {BRANCHES}")
-    members = [rows for rows in members if rows.size]
+    n = sum(rows.size for rows in branch_rows)
+    members = [rows for rows in branch_rows if rows.size]
     n_blocks = min([n_blocks] + [rows.size for rows in members])
     if n_blocks < 2:
         raise ValueError("the jackknife needs at least two blocks, and a row of "
@@ -493,7 +435,7 @@ def _jackknife_blocks(branch: np.ndarray, n_blocks: int) -> tuple[np.ndarray, np
     runs = np.diff(edges, axis=1)  # (branch, block) run lengths
     offsets = np.cumsum(runs, axis=0) - runs  # where each run starts in its block
     sizes = runs.sum(axis=0)
-    blocks = np.full((n_blocks, sizes.max()), branch.size)
+    blocks = np.full((n_blocks, sizes.max()), n)
     for rows, edge, run, offset in zip(members, edges, runs, offsets):
         block = np.repeat(np.arange(n_blocks), run)
         blocks[block, offset[block] + np.arange(rows.size) - edge[block]] = rows
@@ -529,20 +471,19 @@ def negativity_with_error(results, grid: tuple[GridAxis, GridAxis], n_blocks: in
     column integrals of the field (``model.negative_columns``).  A
     leave-one-block-out negativity is the trapezoid rule's integral of
     max(block - full, 0), its column integrals first, scaled to the
-    remaining sample count.  Both passes take the kernel's real centres
-    from one ``_centres`` call, and every batch takes its rows' rates from
-    one ``_table_rates`` call, so the results do not depend on the batch
-    sizes.  Every batch's sums go into one block-sum buffer.  One helper
-    thread builds every batch's tables, batch k into table slot k % 2: the
-    first while the caller runs the expansion, and batch k + 1 while the
-    caller runs batch k's matrix product on the other slot.  The helper
-    does element-wise numpy work only, which releases the GIL; every BLAS
-    call stays on the caller and the batches are taken in order, so the
-    results have the same bits for any CPU count.  An error in a build reaches the
-    caller when it takes that batch, and however the call ends the helper
-    is joined.  "wigner_s" and "jackknife_s" hold the seconds from the
-    call's start to the field and the negativity, and from there to its
-    end.  The blocks are stratified by branch (``_jackknife_blocks``).
+    remaining sample count.  Both passes read the ensemble's centre
+    columns, each branch with its one rate, so the results do not depend
+    on the batch sizes.  Every batch's sums go into one block-sum buffer.
+    One helper thread builds every batch's tables, batch k into table slot
+    k % 2: the first while the caller runs the expansion, and batch k + 1
+    while the caller runs batch k's matrix product on the other slot.  The
+    helper does element-wise numpy work only, which releases the GIL; every
+    BLAS call stays on the caller and the batches are taken in order, so
+    the results have the same bits for any CPU count.  An error in a build
+    reaches the caller when it takes that batch, and however the call ends
+    the helper is joined.  "wigner_s" and "jackknife_s" hold the seconds
+    from the call's start to the field and the negativity, and from there
+    to its end.  The blocks are stratified by branch (``_jackknife_blocks``).
 
     With a band (``oracle.negativity_band``) the block sums, their
     max(block - full, 0) and their integrals are formed only on the columns
@@ -553,12 +494,8 @@ def negativity_with_error(results, grid: tuple[GridAxis, GridAxis], n_blocks: in
     the other columns: a band too narrow for the ensemble shows there.
     """
     start = time.perf_counter()
-    u, v, w = _columns(results)
-    n = u.size
-    if n == 0:
-        raise ValueError("empty ensemble")
-    centres = _centres(u, v)  # raises before a helper starts
-    rows, sizes = _jackknife_blocks(results.branch, n_blocks)
+    n = _rows(results)
+    rows, sizes = _jackknife_blocks(results.branch_rows, n_blocks)
     n_blocks = rows.shape[0]
     ax_x, ax_y = grid
     xs, ys = ax_x.points(), ax_y.points()
@@ -570,7 +507,6 @@ def negativity_with_error(results, grid: tuple[GridAxis, GridAxis], n_blocks: in
     slots = [(np.empty((size, xs_band.size)), np.empty((size, ys.size))) for _ in range(2)]
 
     wx = ax_x.trapezoid_weights()[cols]
-    rho = _table_rates(centres[2])
     block_sums = np.empty((batch, xs_band.size, ys.size))
     loo = np.empty(n_blocks)
     # imported here, not at module level: the import takes milliseconds,
@@ -579,11 +515,12 @@ def negativity_with_error(results, grid: tuple[GridAxis, GridAxis], n_blocks: in
 
     with ThreadPoolExecutor(1, thread_name_prefix="catmem-kernel-tables") as helper:
         def build(lo: int):  # the tables of the batch from block lo
-            return helper.submit(_kernel_tables, centres, rho, w, rows[lo:lo + batch].ravel(),
+            return helper.submit(_kernel_tables, results, rows[lo:lo + batch].ravel(),
                                  xs_band, ys, slots[lo // batch % 2])
 
         pending = build(0)
-        sums = _kernel_sum(*centres, w, xs, ys)
+        sums = _kernel_sum(results.c, results.a, results.b, results.weight,
+                           results.branch_rows, xs, ys)
         full = sums[0][cols].copy()  # the field is scaled in place
         field = _wigner_field(sums, n, grid)
         columns = negative_columns(field.values, ax_y)
@@ -615,10 +552,9 @@ def reconstruct_density(results, axis: GridAxis) -> GridField:
     The sample constant is split evenly between the two grid factors to
     keep both exponents moderate for large cats.
     """
-    u, v, w = _columns(results)
-    n = u.size
-    if n == 0:
-        raise ValueError("empty ensemble")
+    n = _rows(results)
+    u, v = results.amplitudes()
+    w = results.weight
     a = b = axis.points()
     total = np.zeros((a.size, b.size), dtype=np.complex128)
     chunk = _table_rows(a, b)
@@ -646,10 +582,9 @@ def quadrature_moments(results) -> dict:
     real parts.  "mean_weight" sums the weights exactly (``math.fsum``), so
     a stratified ensemble reads exactly one (``sampling.branch_weights``).
     """
-    u, v, w = _columns(results)
-    n = u.size
-    if n == 0:
-        raise ValueError("empty ensemble")
+    n = _rows(results)
+    u, v = results.amplitudes()
+    w = results.weight
     mean = lambda arr: complex(np.sum(w * arr) / n)  # noqa: E731
     m_a = mean(u)
     m_ap = mean(v)

@@ -614,6 +614,10 @@ def test_oracle_error_paths(capsys):
     assert main(["oracle", "q_channel", "noise_var=0.1"]) == 2  # missing gain
     assert capsys.readouterr().err == \
         "error: oracle query 'q_channel' needs the parameter 'gain'\n"
+    # a repeated parameter is an error, as a repeated config key is
+    assert main(["oracle", "t_positive", "n_bar=1", "n_bar=2", "gamma=1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: parameter 'n_bar' is given twice\n"
 
 
 @pytest.mark.parametrize("args, key, reads", [
@@ -636,6 +640,16 @@ def test_oracle_cat_variance_of_a_negative_amplitude(capsys):
     negative = capsys.readouterr().out
     assert main(["oracle", "cat_variance", "alpha0=2"]) == 0
     assert negative == capsys.readouterr().out == "cat_variance = 0.497317\n"
+
+
+@pytest.mark.parametrize("alpha0", ["1e300", "-18.9", "0"])
+def test_oracle_alpha0_takes_the_config_bounds(capsys, alpha0):
+    # the oracle's alpha0 takes the bounds every config applies: nonzero
+    # and |alpha0| <= 18.8
+    assert main(["oracle", "cat_variance", f"alpha0={alpha0}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "alpha0" in err
+    assert main(["oracle", "cat_variance", "alpha0=-18.8"]) == 0
 
 
 @pytest.mark.parametrize("args", [["t_positive", "n_bar=nan", "gamma=1"],

@@ -42,9 +42,12 @@ def schedule_for(params, t_store, dt=0.1):
 
 
 def inputs_of(alpha_in, alpha_in_plus, branch):
-    # a hand-built input ensemble of unit weights
-    return EnsembleResult(alpha_out=np.array(alpha_in, dtype=np.complex128),
-                          alpha_out_plus=np.array(alpha_in_plus, dtype=np.complex128),
+    # a hand-built input ensemble of unit weights, from its doubled
+    # amplitudes: mu_x = c (real here) and mu_y = a + i b
+    u = np.array(alpha_in, dtype=np.complex128)
+    v = np.array(alpha_in_plus, dtype=np.complex128)
+    mu_y = 0.5j * (v - u)
+    return EnsembleResult(c=0.5 * (u + v).real, a=mu_y.real, b=mu_y.imag,
                           weight=np.ones(len(branch)), branch=np.array(branch))
 
 
@@ -205,7 +208,7 @@ def stepped_block(a_in, a_in_p, params, schedule, tables, stream):
 def stepped_outputs(inputs, p, sched, master_seed):
     # every trajectory stepped, in RNG_BLOCK_SIZE blocks with one stream per
     # block
-    a_in, a_in_p = inputs.alpha_out, inputs.alpha_out_plus
+    a_in, a_in_p = inputs.amplitudes()
     tables = drive_tables(p, sched)
     out = np.empty_like(a_in)
     out_p = np.empty_like(a_in)
@@ -222,12 +225,12 @@ def stepped_gain(p, sched):
                                    master_seed=0)[0][0])
 
 
-def stepped_ensemble(inputs, p, sched, master_seed):
-    # the stepped reference in the phase-corrected frame
+def stepped_amplitudes(inputs, p, sched, master_seed):
+    # the stepped reference's doubled output amplitudes in the
+    # phase-corrected frame
     out, out_p = stepped_outputs(inputs, p, sched, master_seed)
     rot = cmath.exp(-1j * cmath.phase(stepped_gain(p, sched)))
-    return EnsembleResult(alpha_out=out * rot, alpha_out_plus=out_p * rot.conjugate(),
-                          weight=inputs.weight, branch=inputs.branch)
+    return out * rot, out_p * rot.conjugate()
 
 
 def test_thermal_moments():
@@ -260,6 +263,10 @@ def test_thermal_validation():
 def sampled_ensemble(inputs, p, sched, master_seed):
     # the package's ensemble: sampled from the channel of (p, sched)
     return run_ensemble(inputs, *protocol_channel(p, sched), master_seed)
+
+
+def sampled_amplitudes(inputs, p, sched, master_seed):
+    return sampled_ensemble(inputs, p, sched, master_seed).amplitudes()
 
 
 def test_step_matches_matrix_exponential():
@@ -326,9 +333,9 @@ def test_trajectory_conjugacy_by_branch():
 def test_output_linear_in_input():
     p = default_params()
     sched = schedule_for(p, 10.0)
-    res = sampled_ensemble(inputs_of([1.0, 2.5], [1.0, 2.5], ["++", "++"]), p, sched,
-                           master_seed=0)
-    assert res.alpha_out[1] == pytest.approx(2.5 * res.alpha_out[0], rel=1e-12)
+    out = sampled_amplitudes(inputs_of([1.0, 2.5], [1.0, 2.5], ["++", "++"]), p, sched,
+                             master_seed=0)[0]
+    assert out[1] == pytest.approx(2.5 * out[0], rel=1e-12)
 
 
 def test_batch_matches_stepwise_integration():
@@ -336,10 +343,10 @@ def test_batch_matches_stepwise_integration():
     p = default_params()
     sched = schedule_for(p, 10.0)
     inputs = sample_cat(2.0, 8)
-    batch = sampled_ensemble(inputs, p, sched, master_seed=0)
-    stepped = stepped_ensemble(inputs, p, sched, master_seed=0)
-    assert batch.alpha_out == pytest.approx(stepped.alpha_out, rel=1e-10)
-    assert batch.alpha_out_plus == pytest.approx(stepped.alpha_out_plus, rel=1e-10)
+    batch = sampled_amplitudes(inputs, p, sched, master_seed=0)
+    stepped = stepped_amplitudes(inputs, p, sched, master_seed=0)
+    for got, want in zip(batch, stepped, strict=True):
+        assert got == pytest.approx(want, rel=1e-10)
 
 
 def test_reference_gain_closed_form():
@@ -393,8 +400,8 @@ def test_seed_determinism_and_sensitivity():
     a = sampled_ensemble(inputs, p, sched, master_seed=5)
     b = sampled_ensemble(inputs, p, sched, master_seed=5)
     c = sampled_ensemble(inputs, p, sched, master_seed=6)
-    assert np.array_equal(a.alpha_out, b.alpha_out)
-    assert not np.array_equal(a.alpha_out, c.alpha_out)
+    assert np.array_equal(a.c, b.c) and np.array_equal(a.a, b.a)
+    assert not np.array_equal(a.c, c.c)
 
 
 def test_protocol_adds_expected_thermal_occupation():
@@ -403,20 +410,19 @@ def test_protocol_adds_expected_thermal_occupation():
     t_store = 0.02 / GM
     sched = schedule_for(p, t_store)
     res = sampled_ensemble(sample_cat(1e-6, 8192), p, sched, master_seed=9)
-    n_add = float(np.average((res.alpha_out_plus * res.alpha_out).real,
-                             weights=res.weight))
+    out, out_p = res.amplitudes()
+    n_add = float(np.average((out_p * out).real, weights=res.weight))
     assert n_add == pytest.approx(2.0 * (1.0 - math.exp(-2.0 * GM * t_store)),
                                   abs=0.01)
 
 
-def assert_channel_residual(p, sched, run=stepped_ensemble, n=16384, seed=11):
+def assert_channel_residual(p, sched, run=stepped_amplitudes, n=16384, seed=11):
     # a phase-corrected ensemble against the channel: alpha_out - |G| alpha_in
     # is circular Gaussian noise with variance noise_var, each moment within
     # 4 se
     gain, noise_var = protocol_channel(p, sched)
     inputs = sample_cat(2.0, n)
-    res = run(inputs, p, sched, seed)
-    r = res.alpha_out - abs(gain) * inputs.alpha_out
+    r = run(inputs, p, sched, seed)[0] - abs(gain) * inputs.amplitudes()[0]
     mean = np.mean(r)
     assert abs(mean) <= 4.0 * math.sqrt(np.mean(np.abs(r - mean) ** 2) / n)
     pseudo = np.mean(r * r)
@@ -434,7 +440,8 @@ def test_protocol_channel_quiet_without_occupation(monkeypatch):
     assert noise_var == 0.0
     inputs = sample_cat(2.0, 8)
     res = run_ensemble(inputs, gain, noise_var, master_seed=0)
-    assert np.array_equal(res.alpha_out, abs(gain) * inputs.alpha_out)
+    for column, column_in in zip((res.c, res.a, res.b), (inputs.c, inputs.a, inputs.b)):
+        assert np.array_equal(column, abs(gain) * column_in)
 
 
 def test_protocol_channel_matches_stepped_ensemble():
@@ -448,18 +455,20 @@ def test_run_ensemble_samples_the_channel():
     # the fig10 point again, now sampled from the channel itself
     p = default_params(n_th_mech=2.0)
     sched = schedule_for(p, 0.02 / GM)
-    assert_channel_residual(p, sched, run=sampled_ensemble)
+    assert_channel_residual(p, sched, run=sampled_amplitudes)
     inputs = sample_cat(2.0, 64)
     res = sampled_ensemble(inputs, p, sched, master_seed=3)
     gain = protocol_channel(p, sched)[0]
-    r = res.alpha_out - abs(gain) * inputs.alpha_out
-    r_plus = res.alpha_out_plus - abs(gain) * inputs.alpha_out_plus
-    # the plus column carries the conjugate noise: exactly on the diagonal
-    # branches; on the off-diagonal ones |G| a_in enters with the opposite
-    # sign, so the two sums round differently, by at most one ulp of alpha_out
+    (out, out_p), (a_in, a_in_p) = res.amplitudes(), inputs.amplitudes()
+    r = out - abs(gain) * a_in
+    r_plus = out_p - abs(gain) * a_in_p
+    # the plus amplitude carries the conjugate noise: exactly on the
+    # diagonal branches; on the off-diagonal ones |G| a_in enters with the
+    # opposite sign, so the two sums round differently, by at most one ulp
+    # of alpha_out
     diag = res.branch == np.array([b[0] + b[0] for b in res.branch])
     assert np.array_equal(r_plus[diag], np.conj(r[diag]))
-    ulp = np.spacing(np.abs(gain * inputs.alpha_out) + np.abs(r))
+    ulp = np.spacing(np.abs(gain * a_in) + np.abs(r))
     assert np.all(np.abs(r_plus - np.conj(r)) <= 2.0 * ulp)
 
 
@@ -496,7 +505,7 @@ def test_time_steps_share_the_noise_draw():
         res = run_ensemble(inputs, gain, noise_var, master_seed=4)
         # undo the phase correction of the noise to recover the normal pairs
         rot = cmath.exp(-1j * cmath.phase(gain))
-        etas.append((res.alpha_out - abs(gain) * inputs.alpha_out)
+        etas.append((res.amplitudes()[0] - abs(gain) * inputs.amplitudes()[0])
                     / (math.sqrt(noise_var) * rot))
     assert np.allclose(etas[0], etas[1], rtol=0.0, atol=1e-12)
     assert np.std(etas[0]) == pytest.approx(1.0, abs=0.05)
@@ -526,8 +535,9 @@ def test_phase_correction():
     fixed = run_ensemble(inputs, 2j, 0.5, master_seed=0)
     x, y = block_stream(0, 0).standard_normal((2, 1))
     noise = 0.5 * (x[0] + 1j * y[0]) * -1j
-    assert fixed.alpha_out[0] == pytest.approx(2j + noise, rel=1e-15)
-    assert fixed.alpha_out_plus[0] == pytest.approx(-2j + noise.conjugate(), rel=1e-15)
+    out, out_p = fixed.amplitudes()
+    assert out[0] == pytest.approx(2j + noise, rel=1e-15)
+    assert out_p[0] == pytest.approx(-2j + noise.conjugate(), rel=1e-15)
     with pytest.raises(ValueError):
         run_ensemble(inputs, 0j, 0.5, master_seed=0)
     # a negative added noise is no channel, not a noiseless one
@@ -537,15 +547,51 @@ def test_phase_correction():
 
 @pytest.mark.parametrize("n_bar", [0.0, 2.0])
 def test_corrected_ensemble_is_exactly_real(n_bar):
-    # for real alpha0 mu_x = (alpha_out + alpha_out_plus)/2 is real on every
-    # row, at dt and 2 dt, so the Wigner kernel accepts the ensemble
-    from catmem.signatures import _centres
-
+    # for real alpha0 the ensemble holds mu_x = c as a real column, at dt
+    # and 2 dt, so the Wigner kernel takes every row; the rows with a
+    # complex mu_y = a + i b are the off-diagonal ones
     base = experiments.ExperimentConfig(alpha0=2.0, n_bar=n_bar, n_samples=8192)
     for config in (base, dataclasses.replace(base, dt=2.0 * base.dt)):
         _, ens = experiments._corrected_ensemble(config)
-        mu_x = 0.5 * (ens.alpha_out + ens.alpha_out_plus)
-        assert np.all(mu_x.imag == 0.0)
-        c, _, b = _centres(ens.alpha_out, ens.alpha_out_plus)
-        assert np.array_equal(c, mu_x.real)
-        assert np.any(b)  # rows with a complex mu_y = i (v - u)/2
+        out, out_p = ens.amplitudes()
+        mu_x = 0.5 * (out + out_p)
+        assert np.array_equal(mu_x.imag, np.zeros(8192))
+        # exactly c on the diagonal; on the off-diagonal rows, where c is the
+        # noise alone, the amplitudes round |G| alpha0 +- Re N'
+        diag = np.isin(ens.branch, ("++", "--"))
+        assert np.array_equal(mu_x.real[diag], ens.c[diag])
+        assert np.all(np.abs(mu_x.real - ens.c) <= np.spacing(4.0))
+        assert np.array_equal(ens.b != 0.0, np.isin(ens.branch, ("+-", "-+")))
+
+
+def test_run_ensemble_gives_one_exact_rate_per_branch():
+    # the fig10 channel at t = 0.02/Gm, 24k rows: the rate column carries
+    # no noise, so each branch holds one rate, bitwise 0 on ++ and -- and
+    # -+|G| alpha0 on +- and -+, and the noise lands in c and a, each a
+    # C-contiguous float64 column
+    config = experiments.ExperimentConfig(alpha0=2.0, n_bar=2.0, n_samples=24_000)
+    gain = protocol_channel(config.system_params(), config.schedule())[0]
+    ens = experiments._corrected_ensemble(config)[1]
+    rate = abs(gain) * 2.0
+    for label, rows in zip(("++", "--", "+-", "-+"), ens.branch_rows, strict=True):
+        assert np.array_equal(rows, np.flatnonzero(ens.branch == label)) and rows.size == 6000
+        want = {"++": 0.0, "--": 0.0, "+-": -rate, "-+": rate}[label]
+        assert np.unique(ens.b[rows]).tolist() == [want]
+    for column in (ens.c, ens.a, ens.b):
+        assert column.dtype == np.float64 and column.flags.c_contiguous
+    assert np.unique(ens.c).size == ens.c.size and np.unique(ens.a).size == ens.a.size
+
+
+def test_ensemble_rejects_unequal_columns_and_two_rates_in_a_branch():
+    ens = sample_cat(2.0, 8)
+    columns = dict(c=ens.c, a=ens.a, b=ens.b, weight=ens.weight, branch=ens.branch)
+    with pytest.raises(ValueError, match="one length"):
+        EnsembleResult(**{**columns, "a": ens.a[:-1]})
+    b = ens.b.copy()
+    b[-1] = np.nextafter(b[-1], 3.0)  # one ulp off on the last -+ row
+    with pytest.raises(ValueError, match="-\\+ rows carry more than one rate"):
+        EnsembleResult(**{**columns, "b": b})
+    with pytest.raises(ValueError, match="branch labels"):
+        EnsembleResult(**{**columns, "branch": np.array(["++"] * 7 + ["+0"])})
+    with pytest.raises(ValueError, match="must be real"):
+        EnsembleResult(**{**columns, "c": ens.c + 0j})

@@ -27,7 +27,7 @@ def fock_cat_moments(alpha0, cutoff=60):
 
 def verify_cat_moments(inputs):
     """Weighted input moments, for cross-checks against Fock-space values."""
-    w, a, ap = inputs.weight, inputs.alpha_out, inputs.alpha_out_plus
+    w, (a, ap) = inputs.weight, inputs.amplitudes()
     n = len(inputs)
     return {
         "a": complex(np.sum(w * a) / n),
@@ -87,8 +87,14 @@ def test_stratified_layout():
     inputs = sample_cat(2.0, 8)
     assert inputs.branch.tolist() == ["++", "++", "--", "--", "+-", "+-", "-+", "-+"]
     sign = {"+": 1.0, "-": -1.0}
-    assert inputs.alpha_out.tolist() == [sign[b[0]] * 2.0 for b in inputs.branch]
-    assert inputs.alpha_out_plus.tolist() == [sign[b[1]] * 2.0 for b in inputs.branch]
+    a, ap = inputs.amplitudes()
+    assert a.tolist() == [sign[b[0]] * 2.0 for b in inputs.branch]
+    assert ap.tolist() == [sign[b[1]] * 2.0 for b in inputs.branch]
+    # the kernel centres: mu_x = c on the diagonal branches, the rate b on
+    # the off-diagonal ones, and mu_y real part a = 0 everywhere
+    assert inputs.c.tolist() == [2.0] * 2 + [-2.0] * 2 + [0.0] * 4
+    assert inputs.b.tolist() == [0.0] * 4 + [-2.0] * 2 + [2.0] * 2
+    assert not np.any(inputs.a)
 
 
 def test_stratified_needs_multiple_of_four():
@@ -107,30 +113,29 @@ def test_sample_cat_needs_real_finite_nonzero_alpha0(alpha0):
 
 
 def list_sampler(alpha0, n_samples):
-    """Reference sampler: one (alpha_in, alpha_in_plus, weight, branch) tuple
-    per row in Python complex arithmetic, stacked into columns.  The column
-    sampler must match it bit for bit, signed zeros included."""
+    """Reference sampler: one (c, a, b, weight, branch) tuple per row in
+    Python float arithmetic, stacked into columns, with c = (ket + bra)/2,
+    a = 0 and b = (bra - ket)/2 of the branch's real amplitudes.  The
+    column sampler must match it bit for bit, signed zeros included."""
     w_diag, w_off = branch_weights(alpha0)
 
     def row(branch):
-        a0 = complex(alpha0)
-        ket = a0 if branch[0] == "+" else -a0
-        bra = a0 if branch[1] == "+" else -a0
-        return ket, bra.conjugate(), w_diag if branch[0] == branch[1] else w_off, branch
+        ket = alpha0 if branch[0] == "+" else -alpha0
+        bra = alpha0 if branch[1] == "+" else -alpha0
+        return (0.5 * (ket + bra), 0.0, 0.5 * (bra - ket),
+                w_diag if branch[0] == branch[1] else w_off, branch)
 
     rows = [row(b) for b in BRANCHES for _ in range(n_samples // 4)]
-    a, ap, w, branch = zip(*rows)
-    return (np.array(a, dtype=np.complex128), np.array(ap, dtype=np.complex128),
-            np.array(w), np.array(branch))
+    c, a, b, w, branch = zip(*rows)
+    return np.array(c), np.array(a), np.array(b), np.array(w), np.array(branch)
 
 
 @pytest.mark.parametrize("alpha0", [2.0, 5.0, 18.8, -3.0])
 def test_columns_match_list_sampler_bitwise(alpha0):
     got = sample_cat(alpha0, 16)
-    a, ap, w, branch = list_sampler(alpha0, 16)
-    assert np.array_equal(got.alpha_out.view(np.uint64), a.view(np.uint64))
-    assert np.array_equal(got.alpha_out_plus.view(np.uint64), ap.view(np.uint64))
-    assert np.array_equal(got.weight.view(np.uint64), w.view(np.uint64))
+    *columns, branch = list_sampler(alpha0, 16)
+    for got_column, column in zip((got.c, got.a, got.b, got.weight), columns, strict=True):
+        assert np.array_equal(got_column.view(np.uint64), column.view(np.uint64))
     assert got.branch.dtype == branch.dtype and np.array_equal(got.branch, branch)
 
 

@@ -32,6 +32,17 @@ def input_ensemble(alpha0, n=4):
     return sample_cat(alpha0, n)
 
 
+def take(ens, rows):
+    """The ensemble's rows `rows`, in that order."""
+    return EnsembleResult(ens.c[rows], ens.a[rows], ens.b[rows], ens.weight[rows],
+                          ens.branch[rows])
+
+
+def kernel_columns(ens):
+    """The columns (c, a, b, w) that the kernel reads."""
+    return ens.c, ens.a, ens.b, ens.weight
+
+
 def wigner_axes(nx, ny=None, h=0.05):
     """(Re alpha, Im alpha) axes h * k for |k| <= nx and |k| <= ny."""
     ny = nx if ny is None else ny
@@ -112,8 +123,7 @@ def test_jackknife_zero_for_atomic_ensemble():
 def test_jackknife_positive_for_noisy_weights():
     rng = np.random.default_rng(5)
     ens = input_ensemble(2.0, n=4096)
-    noisy = EnsembleResult(alpha_out=ens.alpha_out,
-                           alpha_out_plus=ens.alpha_out_plus,
+    noisy = EnsembleResult(ens.c, ens.a, ens.b,
                            weight=ens.weight * (1.0 + 0.1 * rng.standard_normal(4096)),
                            branch=ens.branch)
     out = negativity_with_error(noisy, default_wigner_grid(2.0), n_blocks=16)
@@ -125,10 +135,7 @@ def test_jackknife_positive_for_noisy_weights():
 def test_negativity_invariant_under_permutation():
     ens = input_ensemble(2.0, n=64)
     order = np.random.default_rng(3).permutation(64)
-    mixed = EnsembleResult(alpha_out=ens.alpha_out[order],
-                           alpha_out_plus=ens.alpha_out_plus[order],
-                           weight=ens.weight[order],
-                           branch=ens.branch[order])
+    mixed = take(ens, order)
     grid = default_wigner_grid(2.0)
     a = negativity_with_error(ens, grid, n_blocks=8)
     b = negativity_with_error(mixed, grid, n_blocks=8)
@@ -198,10 +205,7 @@ def test_fringe_visibility_reads_off_coherence():
 def test_chunked_sums_match_small_ensemble():
     base = input_ensemble(2.0)
     reps = 6000  # pushes the ensemble well past one processing chunk
-    big = EnsembleResult(alpha_out=np.tile(base.alpha_out, reps),
-                         alpha_out_plus=np.tile(base.alpha_out_plus, reps),
-                         weight=np.tile(base.weight, reps),
-                         branch=np.tile(base.branch, reps))
+    big = take(base, np.tile(np.arange(4), reps))
     axis = default_quadrature_axis(2.0)
     small_f = p_distribution(base, axis, math.pi / 2)
     big_f = p_distribution(big, axis, math.pi / 2)
@@ -214,7 +218,7 @@ def test_chunked_sums_match_small_ensemble():
 def test_field_norm_and_validation():
     axis = default_quadrature_axis(2.0)
     field = p_distribution(input_ensemble(2.0), axis, math.pi / 2)
-    empty = EnsembleResult(np.zeros(0, complex), np.zeros(0, complex), np.zeros(0),
+    empty = EnsembleResult(np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0),
                            np.zeros(0, dtype="<U2"))
     with pytest.raises(ValueError):
         p_distribution(empty, axis, math.pi / 2)
@@ -261,7 +265,8 @@ def test_one_point_field_has_zero_norm():
 
 
 def complex_wigner_sum(u, v, w, xs, ys):
-    """Reference: the kernel sum in complex arithmetic, one table per factor."""
+    """Reference: the kernel sum in complex arithmetic, one table per factor,
+    from the doubled amplitudes (u, v) (``EnsembleResult.amplitudes``)."""
     mu_x = 0.5 * (u + v)
     mu_y = 0.5j * (v - u)
     fx = np.exp(-2.0 * (xs[None, :] - mu_x[:, None]) ** 2) * w[:, None]
@@ -275,36 +280,36 @@ def _column(n, elements):
 
 @st.composite
 def kernel_ensembles(draw):
-    """Samples with real means mu_x = c and complex mu_y = a + i b; some rows
-    with a real mu_y, so that real and phased rows share a chunk."""
+    """Samples with real means mu_x = c and complex mu_y = a + i b, each
+    branch with its one rate b, some of them 0, so that real and phased
+    rows share a chunk."""
     n = draw(st.integers(1, 24))
     centre = st.floats(-3.0, 3.0)
     c, a = draw(_column(n, centre)), draw(_column(n, centre))
-    b = draw(_column(n, st.floats(-2.5, 2.5).filter(lambda x: x != 0.0)))
-    b[draw(_column(n, st.booleans()))] = 0.0
+    rates = draw(_column(4, st.floats(-2.5, 2.5).filter(lambda x: x != 0.0)))
+    rates[draw(_column(4, st.booleans()))] = 0.0
+    labels = draw(_column(n, st.sampled_from(range(4))))
     w = draw(_column(n, st.floats(0.01, 2.0)))
-    mu_y = a + 1j * b
-    u, v = c + 1j * mu_y, c - 1j * mu_y
-    assert not np.any((u + v).imag)  # mu_x exactly real, as the kernel needs
-    return u, v, w
+    return EnsembleResult(c, a, rates[labels], w, np.array(BRANCHES)[labels])
 
 
 @settings(max_examples=60, deadline=None)
 @given(kernel_ensembles())
-def test_real_kernel_matches_complex_sum(ensemble):
-    u, v, w = ensemble
+def test_real_kernel_matches_complex_sum(ens):
+    u, v = ens.amplitudes()
     axis = 0.05 * np.arange(-60, 61)
-    field = wigner_estimate(EnsembleResult(u, v, w, np.array(["+-"] * u.size)), wigner_axes(60))
-    ref = complex_wigner_sum(u, v, w, axis, axis) * (2.0 / (math.pi * u.size))
+    field = wigner_estimate(ens, wigner_axes(60))
+    ref = complex_wigner_sum(u, v, ens.weight, axis, axis) * (2.0 / (math.pi * u.size))
     scale = np.max(np.abs(ref))
     assert np.max(np.abs(field.values - ref.real)) <= 1e-12 * scale
     # the imaginary residual is taken on every 4th node of both axes
     assert field.meta["max_imag_residual_4th_node"] == pytest.approx(
         np.max(np.abs(ref.imag[::4, ::4])), rel=1e-12, abs=1e-12 * scale)
     # the jackknife's direct tables: unrelated rates take a column pair per
-    # rate group, bitwise those of the allocating reference
-    got = fresh_tables(u, v, w, axis)
-    for table, ref_table in zip(got, _alloc_kernel_tables(u, v, w, axis, axis), strict=True):
+    # rate, bitwise those of the allocating reference
+    got = fresh_tables(ens, axis)
+    for table, ref_table in zip(got, _alloc_kernel_tables(*kernel_columns(ens), axis, axis),
+                                strict=True):
         assert np.array_equal(table, ref_table)
 
 
@@ -319,12 +324,11 @@ def complex_p_distribution(u, v, w, ps, theta):
 P_AXIS = GridAxis(-6.0, 6.0, 0.05, "x_theta_quadrature")
 
 
-def assert_p_distribution_is_the_complex_sum(u, v, w, theta):
+def assert_p_distribution_is_the_complex_sum(ens, theta):
     """Values within 1e-12 of the largest |reference|; the residual is the
     reference's largest |Im| over every 4th node."""
-    ens = EnsembleResult(u, v, w, np.array(["+-"] * u.size))
     field = p_distribution(ens, P_AXIS, theta)
-    ref = complex_p_distribution(u, v, w, P_AXIS.points(), theta)
+    ref = complex_p_distribution(*ens.amplitudes(), ens.weight, P_AXIS.points(), theta)
     scale = np.max(np.abs(ref))
     assert np.max(np.abs(field.values - ref.real)) <= 1e-12 * scale
     assert field.meta["max_imag_residual_4th_node"] == pytest.approx(
@@ -337,7 +341,7 @@ THETAS = [0.0, math.pi / 4, math.pi / 2]
 @settings(max_examples=40, deadline=None)
 @given(kernel_ensembles(), st.sampled_from(THETAS))
 def test_p_distribution_matches_complex_sum(ensemble, theta):
-    assert_p_distribution_is_the_complex_sum(*ensemble, theta)
+    assert_p_distribution_is_the_complex_sum(ensemble, theta)
 
 
 def _reference_blocks(n, branch, n_blocks):
@@ -351,7 +355,7 @@ def _reference_blocks(n, branch, n_blocks):
 
 def loop_jackknife(ens, grid, n_blocks):
     """Reference: one complex kernel sum and one negativity per deleted block."""
-    u, v, w = ens.alpha_out, ens.alpha_out_plus, ens.weight
+    (u, v), w = ens.amplitudes(), ens.weight
     n = u.size
     xs, ys = (ax.points() for ax in grid)
     total = complex_wigner_sum(u, v, w, xs, ys).real
@@ -366,35 +370,31 @@ def loop_jackknife(ens, grid, n_blocks):
 
 def noisy_channel_ensemble(n, seed=7):
     """Input cat through a real gain and circular noise, like a thermal run in
-    its phase-corrected frame: mu_x is real on every row, and the off-diagonal
-    rows have a complex mu_y."""
+    its phase-corrected frame: the noise N enters c and a as Re N and Im N,
+    and the off-diagonal rows keep their branch's rate 0.9 b_in."""
     ens = input_ensemble(2.0, n=n)
     rng = np.random.default_rng(seed)
     noise = 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    return EnsembleResult(alpha_out=0.9 * ens.alpha_out + noise,
-                          alpha_out_plus=0.9 * ens.alpha_out_plus + np.conj(noise),
+    return EnsembleResult(0.9 * ens.c + noise.real, 0.9 * ens.a + noise.imag, 0.9 * ens.b,
                           weight=ens.weight, branch=ens.branch)
 
 
 @pytest.mark.parametrize("theta", THETAS)
 def test_noisy_p_distribution_matches_complex_sum(theta):
-    ens = noisy_channel_ensemble(192)
-    assert_p_distribution_is_the_complex_sum(ens.alpha_out, ens.alpha_out_plus, ens.weight,
-                                             theta)
+    assert_p_distribution_is_the_complex_sum(noisy_channel_ensemble(192), theta)
 
 
 def test_kernel_rejects_complex_mu_x():
     # a complex gain leaves mu_x complex on the off-diagonal rows; the real
-    # kernel has no term for it, so every estimator built on it refuses
+    # kernel has no term for it, and the ensemble, which every estimator
+    # reads, holds mu_x as a real column: it refuses a complex one
     ens = input_ensemble(2.0, n=8)
+    u, v = ens.amplitudes()
     gain = 0.9 * np.exp(0.3j)
-    turned = EnsembleResult(alpha_out=gain * ens.alpha_out,
-                            alpha_out_plus=np.conj(gain) * ens.alpha_out_plus,
-                            weight=ens.weight, branch=ens.branch)
-    grid = default_wigner_grid(2.0)
-    for estimate in (wigner_estimate, negativity_with_error):
-        with pytest.raises(ValueError, match="real mu_x"):
-            estimate(turned, grid)
+    mu_x = 0.5 * (gain * u + np.conj(gain) * v)
+    assert np.any(mu_x.imag)
+    with pytest.raises(ValueError, match="must be real"):
+        EnsembleResult(mu_x, ens.a, ens.b, ens.weight, ens.branch)
 
 
 @pytest.mark.parametrize("layout", ["branch_major", "permuted", "unequal_contiguous"])
@@ -404,8 +404,7 @@ def test_jackknife_matches_block_loop(layout):
         order = np.random.default_rng(3).permutation(192)
     else:
         order = np.arange(190 if layout == "unequal_contiguous" else 192)
-    ens = EnsembleResult(ens.alpha_out[order], ens.alpha_out_plus[order],
-                         ens.weight[order], ens.branch[order])
+    ens = take(ens, order)
     grid = default_wigner_grid(2.0)
     out = negativity_with_error(ens, grid, n_blocks=12)
     assert out["n_blocks"] == 12
@@ -419,8 +418,7 @@ def test_divisible_counts_keep_the_branch_major_blocks(n, n_blocks):
     # when n/4 is a multiple of the block count, block j takes the j-th
     # equal slice of each branch-major run, as before the layout admitted
     # any sample count, so those runs keep the blocks they had
-    branch = sample_cat(2.0, n).branch
-    rows, sizes = signatures._jackknife_blocks(branch, n_blocks)
+    rows, sizes = signatures._jackknife_blocks(sample_cat(2.0, n).branch_rows, n_blocks)
     quarter = n // 4
     per = quarter // n_blocks
     expected = (quarter * np.arange(4)[None, :, None] + per * np.arange(n_blocks)[:, None, None]
@@ -432,9 +430,9 @@ def test_divisible_counts_keep_the_branch_major_blocks(n, n_blocks):
 def test_jackknife_blocks_take_every_branch_for_any_count():
     # 24004 rows: 6001 per branch in runs of 60 or 61, so every block loses
     # the same count of each branch and the padding index only pads
-    branch = sample_cat(2.0, 24004).branch
-    members = [np.flatnonzero(branch == label) for label in BRANCHES]
-    rows, sizes = signatures._jackknife_blocks(branch, 100)
+    ens = sample_cat(2.0, 24004)
+    members = [np.flatnonzero(ens.branch == label) for label in BRANCHES]
+    rows, sizes = signatures._jackknife_blocks(ens.branch_rows, 100)
     for row, size in zip(rows, sizes):
         taken = [np.intersect1d(row, branch_rows).size for branch_rows in members]
         assert len(set(taken)) == 1 and sum(taken) == size
@@ -454,44 +452,6 @@ def test_sampling_error_does_not_depend_on_divisibility():
     assert 0.8 <= se[24004] / se[24000] <= 1.25
 
 
-def rate_ensemble(b, seed=11):
-    """Rows with mu_x = 0, mu_y = a + i b (b given) and unit-scale weights;
-    mu_x = 0 keeps every b exact in the kernel's mu_y = i (v - u)/2."""
-    rng = np.random.default_rng(seed)
-    mu_y = rng.uniform(-1.5, 1.5, b.size) + 1j * b
-    w = rng.uniform(0.5, 1.5, b.size)
-    return EnsembleResult(1j * mu_y, -1j * mu_y, w, np.array(["+-"] * b.size))
-
-
-@pytest.mark.parametrize("signs", ["one_sign", "both_signs"])
-def test_rates_a_few_ulps_apart_share_one_column_pair(monkeypatch, signs):
-    # one branch's rates differ by rounding: rows 1-2 ulps apart, with one
-    # sign or both in one chunk, share one column pair cos(rho y), sin(rho y)
-    # and still match the complex kernel sum
-    b0 = 1.7
-    up = np.nextafter(b0, 2.0)
-    b = np.array([b0, up, np.nextafter(up, 2.0), 0.0] * 6)
-    if signs == "both_signs":
-        b[::2] *= -1.0
-    ens = rate_ensemble(b)
-    u, v, w = ens.alpha_out, ens.alpha_out_plus, ens.weight
-    assert np.array_equal((0.5j * (v - u)).imag, b)
-    axis = 0.05 * np.arange(-60, 61)
-    shared = fresh_tables(u, v, w, axis)
-    for table, ref_table in zip(shared, _alloc_kernel_tables(u, v, w, axis, axis)):
-        assert np.array_equal(table, ref_table)
-    monkeypatch.setattr(signatures, "_RATE_TOL", 0.0)  # a column pair per row
-    assert not np.array_equal(fresh_tables(u, v, w, axis)[1], shared[1])
-    monkeypatch.undo()
-    field = wigner_estimate(ens, wigner_axes(60))
-    ref = complex_wigner_sum(ens.alpha_out, ens.alpha_out_plus, ens.weight, axis, axis) \
-        * (2.0 / (math.pi * b.size))
-    scale = np.max(np.abs(ref))
-    assert np.max(np.abs(field.values - ref.real)) <= 1e-12 * scale
-    assert field.meta["max_imag_residual_4th_node"] == pytest.approx(
-        np.max(np.abs(ref.imag[::4, ::4])), rel=1e-12, abs=1e-12 * scale)
-
-
 # -- the direct kernel as it was before its work buffers were reused: every
 # table is allocated fresh.  The jackknife's buffered tables must give the
 # same bits; the full pass, an expansion, must stay within EXPANSION_REL of
@@ -502,37 +462,27 @@ def test_rates_a_few_ulps_apart_share_one_column_pair(monkeypatch, signs):
 EXPANSION_REL = 2e-14
 
 
-def fresh_tables(u, v, w, axis):
-    """``_kernel_tables`` on every row of u, in order, with the rates of
-    ``_table_rates`` over those rows, over a square grid of `axis`, in a
-    table slot of its own, so its tables outlive later calls."""
-    centres = signatures._centres(u, v)
-    slot = np.empty((u.size, axis.size)), np.empty((u.size, axis.size))
-    return signatures._kernel_tables(centres, signatures._table_rates(centres[2]), w,
-                                     np.arange(u.size), axis, axis, slot)
+def fresh_tables(ens, axis):
+    """``_kernel_tables`` on every row of the ensemble, in order, over a
+    square grid of `axis`, in a table slot of its own, so its tables
+    outlive later calls."""
+    slot = np.empty((len(ens), axis.size)), np.empty((len(ens), axis.size))
+    return signatures._kernel_tables(ens, np.arange(len(ens)), axis, axis, slot)
 
 
-def _alloc_gaussian_table(mu, axis):
-    dev = axis[None, :] - mu.real[:, None]
+def _alloc_gaussian_table(centre, height, axis):
+    dev = axis[None, :] - centre[:, None]
     mag = dev * dev
-    mag -= (mu.imag * mu.imag)[:, None]
+    mag -= (height * height)[:, None]
     mag *= -2.0
     np.exp(mag, out=mag)
-    return dev, mag
+    return mag
 
 
 def _alloc_rotate(table, rows, rate, axis, centre):
     """Angle addition: cos(rate (y - a)) = cos(rho y) cos(rho a) + sin(rho y)
-    sin(rho a), with rho the least |rate| of the row's group: from the least
-    |rate| up, a group takes every |rate| within _RATE_TOL of its least."""
-    mag = np.abs(rate)
-    rho = np.empty_like(mag)
-    left = np.ones(mag.size, dtype=bool)
-    while left.any():
-        least = mag[left].min()
-        group = left & (mag <= least * (1.0 + signatures._RATE_TOL))
-        rho[group] = least
-        left &= ~group
+    sin(rho a), with rho = |rate|."""
+    rho = np.abs(rate)
     angle = rho[:, None] * axis[None, :]
     cos_y, sin_y = np.cos(angle), np.sin(angle)
     angle = rho * centre
@@ -540,36 +490,34 @@ def _alloc_rotate(table, rows, rate, axis, centre):
     table[rows] = table[rows] * (cos_y * cos_a + sin_y * sin_a)
 
 
-def _alloc_kernel_tables(u, v, w, xs, ys):
-    mu_x = 0.5 * (u + v)
-    mu_y = 0.5j * (v - u)
-    _, cx = _alloc_gaussian_table(mu_x, xs)
+def _alloc_kernel_tables(c, a, b, w, xs, ys):
+    cx = _alloc_gaussian_table(c, np.zeros(c.size), xs)
     cx *= w[:, None]
-    _, cy = _alloc_gaussian_table(mu_y, ys)
-    b = mu_y.imag
+    cy = _alloc_gaussian_table(a, b, ys)
     phased = np.flatnonzero(b != 0.0)
-    _alloc_rotate(cy, phased, 4.0 * b[phased], ys, mu_y.real[phased])
+    _alloc_rotate(cy, phased, 4.0 * b[phased], ys, a[phased])
     return cx, cy
 
 
-def direct_wigner_sum(u, v, w, xs, ys):
+def direct_wigner_sum(c, a, b, w, xs, ys):
     """The real part of the Wigner kernel sum from direct tables, in chunks."""
     re = np.zeros((xs.size, ys.size))
-    for lo in range(0, u.size, 1000):
-        cx, cy = _alloc_kernel_tables(u[lo:lo + 1000], v[lo:lo + 1000], w[lo:lo + 1000], xs, ys)
+    for lo in range(0, c.size, 1000):
+        chunk = slice(lo, lo + 1000)
+        cx, cy = _alloc_kernel_tables(c[chunk], a[chunk], b[chunk], w[chunk], xs, ys)
         re += cx.T @ cy
     return re
 
 
-def assert_within_expansion_bound(re, u, v, w, xs, ys):
-    direct = direct_wigner_sum(u, v, w, xs, ys)
+def assert_within_expansion_bound(re, ens, xs, ys):
+    direct = direct_wigner_sum(*kernel_columns(ens), xs, ys)
     assert np.max(np.abs(re - direct)) <= EXPANSION_REL * np.max(np.abs(direct))
 
 
-def _alloc_block_sums(u, v, w, xs, ys, rows):
+def _alloc_block_sums(c, a, b, w, xs, ys, rows):
     n_b, size = rows.shape
     flat = rows.ravel()
-    cx, cy = _alloc_kernel_tables(u[flat], v[flat], w[flat], xs, ys)
+    cx, cy = _alloc_kernel_tables(c[flat], a[flat], b[flat], w[flat], xs, ys)
     return np.matmul(cx.reshape(n_b, size, -1).transpose(0, 2, 1),
                      cy.reshape(n_b, size, -1))
 
@@ -577,11 +525,10 @@ def _alloc_block_sums(u, v, w, xs, ys, rows):
 def _alloc_negativity_with_error(ens, grid, n_blocks, band, re):
     """negativity_with_error from allocating tables, given the full kernel
     sum re: (negativity, se, negativity off the band, field values).  All
-    blocks are summed at once: the rates are grouped over every row, and
-    each leave-one-out negativity is its column integrals' x integral."""
-    u, v, w = ens.alpha_out, ens.alpha_out_plus, ens.weight
-    n = u.size
-    rows, sizes = signatures._jackknife_blocks(ens.branch, n_blocks)
+    blocks are summed at once, and each leave-one-out negativity is its
+    column integrals' x integral."""
+    n = len(ens)
+    rows, sizes = signatures._jackknife_blocks(ens.branch_rows, n_blocks)
     xs_all, ys = (ax.points() for ax in grid)
     wx, wy = (ax.trapezoid_weights() for ax in grid)
     inside = np.abs(xs_all) <= band
@@ -590,9 +537,8 @@ def _alloc_negativity_with_error(ens, grid, n_blocks, band, re):
     columns = np.einsum("ij,j->i", np.maximum(-values, 0.0), wy)
     delta = float(np.einsum("i,i->", columns, wx))
     outside = float(np.einsum("i,i->", np.where(inside, 0.0, columns), wx))
-    u_pad, v_pad = np.append(u, 0.0), np.append(v, 0.0)
-    w_pad = np.append(w, 0.0)
-    sums = _alloc_block_sums(u_pad, v_pad, w_pad, xs, ys, rows)
+    padded = (np.append(column, 0.0) for column in kernel_columns(ens))
+    sums = _alloc_block_sums(*padded, xs, ys, rows)
     sums -= re[inside]
     np.maximum(sums, 0.0, out=sums)
     loo = np.einsum("bi,i->b", np.einsum("bij,j->bi", sums, wy), wx[inside])
@@ -625,16 +571,13 @@ def count_threads(monkeypatch) -> list:
 
 
 def permuted(ens: EnsembleResult) -> EnsembleResult:
-    order = np.random.default_rng(3).permutation(ens.weight.size)
-    return EnsembleResult(ens.alpha_out[order], ens.alpha_out_plus[order],
-                          ens.weight[order], ens.branch[order])
+    return take(ens, np.random.default_rng(3).permutation(len(ens)))
 
 
 def assert_is_the_allocating_reference(out, ens, grid, n_blocks, band=math.inf):
     """negativity_with_error's output `out`: every array and scalar bitwise
     equal to the allocating reference fed the same full kernel sum."""
-    u, v, w = ens.alpha_out, ens.alpha_out_plus, ens.weight
-    re, im, rank, bound = signatures._kernel_sum(*signatures._centres(u, v), w,
+    re, im, rank, bound = signatures._kernel_sum(*kernel_columns(ens), ens.branch_rows,
                                                  *(ax.points() for ax in grid))
     delta, se, outside, values = _alloc_negativity_with_error(ens, grid, n_blocks, band, re)
     assert out["negativity"] == delta
@@ -643,7 +586,7 @@ def assert_is_the_allocating_reference(out, ens, grid, n_blocks, band=math.inf):
     assert np.array_equal(out["field"].values, values)
     meta = out["field"].meta
     assert meta["max_imag_residual_4th_node"] == \
-        float(np.max(np.abs(im))) * (2.0 / (math.pi * u.size))
+        float(np.max(np.abs(im))) * (2.0 / (math.pi * len(ens)))
     assert (meta["kernel_rank"], meta["truncation_bound"]) == (rank, bound)
 
 
@@ -651,10 +594,9 @@ def assert_kernel_is_the_allocating_kernel(monkeypatch, part, grid, n_blocks):
     """The full kernel sum within EXPANSION_REL of the direct sum, and
     negativity_with_error, on the whole grid and on a 0.8 band, bitwise the
     allocating reference, each call with its one helper thread."""
-    u, v, w = part.alpha_out, part.alpha_out_plus, part.weight
     xs, ys = (ax.points() for ax in grid)
-    re = signatures._kernel_sum(*signatures._centres(u, v), w, xs, ys)[0]
-    assert_within_expansion_bound(re, u, v, w, xs, ys)
+    re = signatures._kernel_sum(*kernel_columns(part), part.branch_rows, xs, ys)[0]
+    assert_within_expansion_bound(re, part, xs, ys)
     started = count_threads(monkeypatch)
     for band in (math.inf, 0.8):
         out = negativity_with_error(part, grid, n_blocks=n_blocks, band=band)
@@ -679,8 +621,7 @@ def test_buffered_kernel_is_bitwise_the_allocating_kernel(monkeypatch, kind):
         else noisy_channel_ensemble(192)
     grids = [wigner_axes(60), wigner_axes(30, 40)]
     for n in (192, 190):
-        part = EnsembleResult(ens.alpha_out[:n], ens.alpha_out_plus[:n], ens.weight[:n],
-                              ens.branch[:n])
+        part = take(ens, np.arange(n))
         for grid in grids:  # consecutive calls on two grid sizes
             assert_kernel_is_the_allocating_kernel(monkeypatch, part, grid, 16)
 
@@ -699,12 +640,12 @@ def test_kernel_layouts_are_bitwise_the_allocating_kernel(monkeypatch, layout):
     monkeypatch.setattr(signatures, "_TABLE_CELLS", cells)
     if layout == "permuted":
         ens = permuted(ens)
-    b = 0.5 * (ens.alpha_out_plus - ens.alpha_out).real  # Im mu_y
-    blocks = signatures._jackknife_blocks(ens.branch, n_blocks)[0]
+    blocks = signatures._jackknife_blocks(ens.branch_rows, n_blocks)[0]
     chunk = signatures._table_rows(*(ax.points() for ax in grid))
     batch = max(1, chunk // blocks.shape[1])
-    runs = [np.count_nonzero(np.diff(np.flatnonzero(b[blocks[lo:lo + batch].ravel()])) > 1) + 1
-            for lo in range(0, n_blocks, batch)]
+    phased = [np.flatnonzero(ens.b[blocks[lo:lo + batch].ravel()])
+              for lo in range(0, n_blocks, batch)]
+    runs = [np.count_nonzero(np.diff(rows) > 1) + 1 for rows in phased]
     assert runs == ([1] * 4 if layout == "one_block_per_batch" else [3] * 5 + [1])
     assert_kernel_is_the_allocating_kernel(monkeypatch, ens, grid, n_blocks)
 
@@ -747,19 +688,18 @@ def test_kernel_tables_gather_rows_and_zero_the_pads():
     # the gathered rows with the pads' weight zeroed, and cx is all zero on
     # the pad rows (which take the last sample's cy).
     ens = corrected_channel_ensemble(192)
-    u, v, w = ens.alpha_out, ens.alpha_out_plus, ens.weight
+    c, a, b, w = kernel_columns(ens)
     n = w.size
     rows = np.random.default_rng(5).permutation(np.append(np.arange(n), [n] * 7))
     axis = wigner_axes(60)[0].points()
     xs = axis[30:91]
     slot = np.full((rows.size + 3, xs.size), np.nan), np.full((rows.size + 3, axis.size), np.nan)
-    centres = signatures._centres(u, v)
-    cx, cy = signatures._kernel_tables(centres, signatures._table_rates(centres[2]), w, rows,
-                                       xs, axis, slot)
+    cx, cy = signatures._kernel_tables(ens, rows, xs, axis, slot)
     assert all(np.shares_memory(table, buf) and table.shape[0] == rows.size
                for table, buf in zip((cx, cy), slot))
     clip = np.minimum(rows, n - 1)
-    want = _alloc_kernel_tables(u[clip], v[clip], np.where(rows == n, 0.0, w[clip]), xs, axis)
+    want = _alloc_kernel_tables(c[clip], a[clip], b[clip], np.where(rows == n, 0.0, w[clip]),
+                                xs, axis)
     for table, ref_table in zip((cx, cy), want, strict=True):
         assert np.array_equal(table, ref_table)
     assert not np.any(cx[rows == n])
@@ -799,25 +739,24 @@ def test_concurrent_calls_with_fast_switching_are_bitwise(monkeypatch):
 def complex_mu_x_at_the_end(n=192):
     """A corrected ensemble whose last row has a complex mu_x."""
     ens = corrected_channel_ensemble(n)
-    u = ens.alpha_out.copy()
-    u[-1] += 0.1j
-    return EnsembleResult(u, ens.alpha_out_plus, ens.weight, ens.branch)
+    c = ens.c.astype(complex)
+    c[-1] += 0.1j
+    return EnsembleResult(c, ens.a, ens.b, ens.weight, ens.branch)
 
 
 def test_complex_mu_x_in_the_last_row_reaches_the_caller(monkeypatch):
-    # a complex mu_x in the last row raises before any helper thread
-    # starts; an error in the expansion, which runs while the helper builds
-    # the first batch, reaches the caller too, and the helper is joined: no
-    # thread is left running after a call, failed or not
+    # a complex mu_x in the last row raises when the ensemble is formed,
+    # before any estimator or helper thread starts; an error in the
+    # expansion, which runs while the helper builds the first batch,
+    # reaches the caller too, and the helper is joined: no thread is left
+    # running after a call, failed or not
     monkeypatch.setattr(signatures, "_TABLE_CELLS", 3000)
     grid = wigner_axes(60)
     before = threading.active_count()
     started = count_threads(monkeypatch)
-    bad = complex_mu_x_at_the_end()
-    for estimate in (wigner_estimate, negativity_with_error):
-        with pytest.raises(ValueError, match="real mu_x"):
-            estimate(bad, grid)
-        assert threading.active_count() == before
+    with pytest.raises(ValueError, match="must be real"):
+        complex_mu_x_at_the_end()
+    assert threading.active_count() == before
     assert started == []
     good = corrected_channel_ensemble(192)
     negativity_with_error(good, grid, n_blocks=16)
@@ -848,7 +787,7 @@ def test_every_noisy_call_starts_one_helper(monkeypatch, case):
     batches = []
 
     def spy(*args):
-        batches.append(args[3].size)
+        batches.append(args[1].size)
         return kernel_tables(*args)
 
     monkeypatch.setattr(signatures, "_kernel_tables", spy)
@@ -972,12 +911,11 @@ def test_expansion_is_within_its_pinned_bound_at_every_noisy_preset_point():
     # fig11 point with a thermal bath, n_bar = 4 at t = 0.3466/Gm included;
     # the a-priori bound is at most 2^-60 per axis of every cluster
     for cfg, _, ens in noisy_preset_points():
-        u, v, w = ens.alpha_out, ens.alpha_out_plus, ens.weight
         xs, ys = (ax.points() for ax in default_wigner_grid(cfg.alpha0))
-        re, _, rank, bound = signatures._kernel_sum(*signatures._centres(u, v), w, xs, ys)
-        assert_within_expansion_bound(re, u, v, w, xs, ys)
+        re, _, rank, bound = signatures._kernel_sum(*kernel_columns(ens), ens.branch_rows, xs, ys)
+        assert_within_expansion_bound(re, ens, xs, ys)
         assert 0.0 < bound <= 2.0 ** -60 * (2.0 + 2.0 ** -60)
-        assert 0 < rank < u.size
+        assert 0 < rank < len(ens)
 
 
 def test_noiseless_expansion_takes_one_term_per_atom():
@@ -1006,18 +944,15 @@ def test_two_rates_take_one_column_pair_each(monkeypatch):
     # reference fed the same full sum, and no cos or sin runs on a per-cell
     # array
     ens = corrected_channel_ensemble(192)
-    mu_x = 0.5 * (ens.alpha_out + ens.alpha_out_plus)
-    mu_y = 0.5j * (ens.alpha_out_plus - ens.alpha_out)
-    mu_y = np.where(ens.branch == "-+", mu_y.real + 1.1j * mu_y.imag, mu_y)
-    scaled = EnsembleResult(mu_x + 1j * mu_y, mu_x - 1j * mu_y, ens.weight, ens.branch)
-    u, v, w = scaled.alpha_out, scaled.alpha_out_plus, scaled.weight
-    rates = np.abs(0.5 * (v - u).real)
-    assert np.unique(rates[rates > 0]).size >= 2
+    scaled = EnsembleResult(ens.c, ens.a, np.where(ens.branch == "-+", 1.1 * ens.b, ens.b),
+                            ens.weight, ens.branch)
+    rates = np.abs(scaled.b)
+    assert np.unique(rates[rates > 0]).size == 2
     grid = wigner_axes(60)
     axis = grid[0].points()
-    want = _alloc_kernel_tables(u, v, w, axis, axis)
-    re = signatures._kernel_sum(*signatures._centres(u, v), w, axis, axis)[0]
-    assert_within_expansion_bound(re, u, v, w, axis, axis)
+    want = _alloc_kernel_tables(*kernel_columns(scaled), axis, axis)
+    re = signatures._kernel_sum(*kernel_columns(scaled), scaled.branch_rows, axis, axis)[0]
+    assert_within_expansion_bound(re, scaled, axis, axis)
     delta, se, _, values = _alloc_negativity_with_error(scaled, grid, 16, math.inf, re)
     ndims = []
 
@@ -1029,7 +964,7 @@ def test_two_rates_take_one_column_pair_each(monkeypatch):
 
     monkeypatch.setattr(np, "cos", spy(np.cos))
     monkeypatch.setattr(np, "sin", spy(np.sin))
-    got = fresh_tables(u, v, w, axis)
+    got = fresh_tables(scaled, axis)
     out = negativity_with_error(scaled, grid, n_blocks=16)
     monkeypatch.undo()
     assert ndims and max(ndims) == 1
@@ -1050,7 +985,7 @@ def _output_bits(out) -> tuple:
 
 
 def test_jackknife_does_not_depend_on_the_batch_size(monkeypatch):
-    # every table row takes the rate of its group over all rows, and each
+    # every table row takes its own branch's rate, and each
     # leave-one-out negativity is the x integral of its block's column
     # integrals, so the table and field cells, which set the batches (one
     # block each up to the whole ensemble), move no bit of any output.  On
@@ -1064,8 +999,7 @@ def test_jackknife_does_not_depend_on_the_batch_size(monkeypatch):
     cases = []
     for ens in (corrected_channel_ensemble(192), noisy_channel_ensemble(192)):
         for n in (192, 190):
-            part = EnsembleResult(ens.alpha_out[:n], ens.alpha_out_plus[:n], ens.weight[:n],
-                                  ens.branch[:n])
+            part = take(ens, np.arange(n))
             cases.append((part, wigner_axes(60), 16))
     cases.append((corrected_channel_ensemble(4004), default_wigner_grid(2.0), 100))
     for ens, grid, n_blocks in cases:
@@ -1085,8 +1019,8 @@ def test_wigner_field_is_scaled_in_place():
     # no second full-grid array
     ens = noisy_channel_ensemble(192)
     grid = wigner_axes(60)
-    sums = signatures._kernel_sum(*signatures._centres(ens.alpha_out, ens.alpha_out_plus),
-                                  ens.weight, *(ax.points() for ax in grid))
+    sums = signatures._kernel_sum(*kernel_columns(ens), ens.branch_rows,
+                                  *(ax.points() for ax in grid))
     want = sums[0] * (2.0 / (math.pi * 192))
     field = signatures._wigner_field(sums, 192, grid)
     assert np.shares_memory(field.values, sums[0])
