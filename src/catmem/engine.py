@@ -39,7 +39,7 @@ __all__ = [
 # Names the random numbers a configuration draws; part of every config
 # fingerprint, so it changes whenever the same configuration would give
 # different results.
-ENGINE_VERSION = "gaussian-channel-9"
+ENGINE_VERSION = "gaussian-channel-10"
 
 
 def _rk4_increment(x: float) -> float:

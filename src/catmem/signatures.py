@@ -41,16 +41,14 @@ one (``oracle.negativity_band``), and reports the full field's negative
 volume off that band as its guard.  One builder, ``_kernel_tables``,
 gathers a batch's rows of the ensemble's centre columns, the ones the
 expansion reads, and writes the batch's tables into the leading rows of
-one of two table slots, allocated once per call at the largest batch.  A
-row's phase rate is its own |4 b|, so its tables do not depend on the
-batch it falls in; its phase factor takes angle addition with one column
-pair per rate, so the trigonometry runs per row and per column, not per
-cell.  One helper thread per call builds every batch's tables into the
-slot the caller is not reading, element-wise numpy work only: the first
-while the calling thread runs the expansion, and each next one while it
-runs the current batch's matrix product.  Every BLAS call stays on the
-caller and the batches are taken in order, so the results have the same
-bits for any CPU count; no thread outlives the call.
+one table slot, allocated once per call at the largest batch.  Each
+exponent is one matrix product of a rank-3 row factor with a per-call
+axis factor, then one exp; the phase factor is a rank-2 product by angle
+addition, against one column pair per rate formed once per call, so the
+trigonometry runs per row and per column, not per cell.  A row's phase
+rate is its own |4 b|, and a one-row product goes through two rows, so
+a row's tables do not depend on the batch it falls in.  Every estimator
+runs on the calling thread, and the batches are taken in order.
 The density kernel stays direct and complex, on the amplitudes (u, v) =
 (c - b + i a, c + b - i a) (``EnsembleResult.amplitudes``): its phase
 rate in a is Im u, the per-row noise, so its rows share no rate.
@@ -328,7 +326,32 @@ def p_distribution(results, axis: GridAxis, theta: float) -> GridField:
                            "truncation_bound": bound})
 
 
-def _kernel_tables(results: EnsembleResult, rows: np.ndarray, xs, ys,
+def _product_rows(left: np.ndarray, right: np.ndarray, out=None) -> np.ndarray:
+    """left @ right, in the leading rows of `out` when given, each row with
+    the bits it has in a product of many rows: numpy's matmul takes a
+    matrix-vector path for a one-row left factor, which rounds otherwise,
+    so one row goes through a product of two (`out` holds at least two)."""
+    m = left.shape[0]
+    if m == 1:
+        left = np.repeat(left, 2, axis=0)
+    return np.matmul(left, right, out=None if out is None else out[:left.shape[0]])[:m]
+
+
+def _table_factors(results: EnsembleResult, xs, ys) -> tuple:
+    """The right factors of ``_kernel_tables``, formed once per call:
+    [x; 1; -2 x^2] and [y; 1; -2 y^2], and a pair (rho, [cos rho y; sin rho
+    y]) for each distinct nonzero phase rate rho = |4 b| of the ensemble's
+    branches."""
+    def powers(u):
+        return np.stack([u, np.ones_like(u), -2.0 * u * u])
+
+    rates = sorted({4.0 * abs(float(results.b[rows[0]]))
+                    for rows in results.branch_rows if rows.size} - {0.0})
+    return powers(xs), powers(ys), [(r, np.stack([np.cos(r * ys), np.sin(r * ys)]))
+                                    for r in rates]
+
+
+def _kernel_tables(results: EnsembleResult, rows: np.ndarray, factors: tuple,
                    out: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Real factor tables of the Wigner kernel for the direct block sums,
     one row per entry of the index vector `rows` into the ensemble's
@@ -339,34 +362,34 @@ def _kernel_tables(results: EnsembleResult, rows: np.ndarray, xs, ys,
     - c)^2) and fy = exp(-2 (y - a)^2 + 2 b^2) cos(rho (y - a)), rho = |4
     b|.  Returns (cx, cy), fx and fy on every row, so that the sum over
     samples of the real part is cx^T cy: the leading rows of the (cx, cy)
-    table slot `out`, valid until its next use.  The cosine takes angle
-    addition, cos(rho (y - a)) = cos(rho y) cos(rho a) + sin(rho y) sin(rho
-    a), so the trigonometry runs per row and per column, not per cell: the
-    rows of one rate share one column pair, each keeping its own cos(rho a)
-    and sin(rho a).  A row's tables depend on that row alone, whichever
-    rows come with it.
+    table slot `out`, valid until its next use.  Each exponent is one
+    matrix product of a rank-3 left factor with the call's axis factors
+    (``_table_factors``), then one exp: -2 (x - c)^2 = [4 c, -2 c^2, 1] .
+    [x; 1; -2 x^2] and -2 ((y - a)^2 - b^2) = [4 a, 2 (b^2 - a^2), 1] . [y;
+    1; -2 y^2].  The cosine is a rank-2 product by angle addition,
+    cos(rho (y - a)) = [cos rho a, sin rho a] . [cos rho y; sin rho y],
+    so the trigonometry runs per row and per column, not per cell.  A
+    row's tables depend on that row alone, whichever rows come with it
+    (``_product_rows``).
     """
+    x_powers, y_powers, phases = factors
     c, a, b, weight = (column.take(rows, mode="clip")
                        for column in (results.c, results.a, results.b, results.weight))
     weight[rows == len(results)] = 0.0
-    cx = np.subtract(xs[None, :], c[:, None], out=out[0][:rows.size])
-    cx *= cx
-    cx *= -2.0
+    ones = np.ones(rows.size)
+    cx = _product_rows(np.stack([4.0 * c, -2.0 * (c * c), ones], axis=1), x_powers, out[0])
     np.exp(cx, out=cx)
     cx *= weight[:, None]
-    cy = np.subtract(ys[None, :], a[:, None], out=out[1][:rows.size])
-    cy *= cy
-    cy -= (b * b)[:, None]
-    cy *= -2.0
+    cy = _product_rows(np.stack([4.0 * a, 2.0 * (b * b - a * a), ones], axis=1), y_powers,
+                       out[1])
     np.exp(cy, out=cy)
     rate = 4.0 * np.abs(b)
-    phased = np.flatnonzero(rate)
-    keys = rate[phased]
-    for r in np.unique(keys):
-        part = phased[keys == r]
+    for r, table in phases:
+        part = np.flatnonzero(rate == r)
+        if not part.size:
+            continue
         angle = r * a[part]
-        cosine = np.cos(r * ys) * np.cos(angle)[:, None]
-        cosine += np.sin(r * ys) * np.sin(angle)[:, None]
+        cosine = _product_rows(np.stack([np.cos(angle), np.sin(angle)], axis=1), table)
         if part[-1] - part[0] + 1 == part.size:  # a contiguous run of rows
             cy[part[0]:part[-1] + 1] *= cosine
         else:
@@ -473,17 +496,12 @@ def negativity_with_error(results, grid: tuple[GridAxis, GridAxis], n_blocks: in
     max(block - full, 0), its column integrals first, scaled to the
     remaining sample count.  Both passes read the ensemble's centre
     columns, each branch with its one rate, so the results do not depend
-    on the batch sizes.  Every batch's sums go into one block-sum buffer.
-    One helper thread builds every batch's tables, batch k into table slot
-    k % 2: the first while the caller runs the expansion, and batch k + 1
-    while the caller runs batch k's matrix product on the other slot.  The
-    helper does element-wise numpy work only, which releases the GIL; every
-    BLAS call stays on the caller and the batches are taken in order, so
-    the results have the same bits for any CPU count.  An error in a build
-    reaches the caller when it takes that batch, and however the call ends
-    the helper is joined.  "wigner_s" and "jackknife_s" hold the seconds
-    from the call's start to the field and the negativity, and from there
-    to its end.  The blocks are stratified by branch (``_jackknife_blocks``).
+    on the batch sizes.  Each batch's tables (``_kernel_tables``) go into
+    one table slot and its sums into one block-sum buffer, on the calling
+    thread, batch after batch.  "wigner_s" and "jackknife_s" hold the
+    seconds from the call's start to the field and the negativity, and
+    from there to its end.  The blocks are stratified by branch
+    (``_jackknife_blocks``).
 
     With a band (``oracle.negativity_band``) the block sums, their
     max(block - full, 0) and their integrals are formed only on the columns
@@ -501,42 +519,31 @@ def negativity_with_error(results, grid: tuple[GridAxis, GridAxis], n_blocks: in
     xs, ys = ax_x.points(), ax_y.points()
     cols = _band_columns(xs, band)
     xs_band = xs[cols]
+    sums = _kernel_sum(results.c, results.a, results.b, results.weight,
+                       results.branch_rows, xs, ys)
+    full = sums[0][cols].copy()  # the field is scaled in place
+    field = _wigner_field(sums, n, grid)
+    columns = negative_columns(field.values, ax_y)
+    delta = float(ax_x.integrate(columns))
+    columns[cols] = 0.0
+    outside = float(ax_x.integrate(columns))
+    full_done = time.perf_counter()
+
     batch = min(n_blocks, max(1, min(_FIELD_CELLS // (xs.size * ys.size),
                                      _table_rows(xs, ys) // rows.shape[1])))
-    size = batch * rows.shape[1]
-    slots = [(np.empty((size, xs_band.size)), np.empty((size, ys.size))) for _ in range(2)]
+    size = max(2, batch * rows.shape[1])  # _product_rows takes two rows at least
+    slot = np.empty((size, xs_band.size)), np.empty((size, ys.size))
+    factors = _table_factors(results, xs_band, ys)
 
     wx = ax_x.trapezoid_weights()[cols]
     block_sums = np.empty((batch, xs_band.size, ys.size))
     loo = np.empty(n_blocks)
-    # imported here, not at module level: the import takes milliseconds,
-    # which runs without a jackknife need not pay
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(1, thread_name_prefix="catmem-kernel-tables") as helper:
-        def build(lo: int):  # the tables of the batch from block lo
-            return helper.submit(_kernel_tables, results, rows[lo:lo + batch].ravel(),
-                                 xs_band, ys, slots[lo // batch % 2])
-
-        pending = build(0)
-        sums = _kernel_sum(results.c, results.a, results.b, results.weight,
-                           results.branch_rows, xs, ys)
-        full = sums[0][cols].copy()  # the field is scaled in place
-        field = _wigner_field(sums, n, grid)
-        columns = negative_columns(field.values, ax_y)
-        delta = float(ax_x.integrate(columns))
-        columns[cols] = 0.0
-        outside = float(ax_x.integrate(columns))
-        full_done = time.perf_counter()
-
-        for lo in range(0, n_blocks, batch):
-            cx, cy = pending.result()
-            if lo + batch < n_blocks:
-                pending = build(lo + batch)
-            block = _block_sums(cx, cy, min(batch, n_blocks - lo), block_sums)
-            block -= full
-            np.maximum(block, 0.0, out=block)
-            loo[lo:lo + batch] = np.einsum("bi,i->b", ax_y.integrate(block), wx)
+    for lo in range(0, n_blocks, batch):
+        cx, cy = _kernel_tables(results, rows[lo:lo + batch].ravel(), factors, slot)
+        block = _block_sums(cx, cy, min(batch, n_blocks - lo), block_sums)
+        block -= full
+        np.maximum(block, 0.0, out=block)
+        loo[lo:lo + batch] = np.einsum("bi,i->b", ax_y.integrate(block), wx)
     loo *= 2.0 / (math.pi * (n - sizes))
     se = math.sqrt((n_blocks - 1) / n_blocks * float(np.sum((loo - np.mean(loo)) ** 2)))
     return {"negativity": delta, "jackknife_se": se, "n_blocks": n_blocks,

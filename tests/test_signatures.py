@@ -453,9 +453,12 @@ def test_sampling_error_does_not_depend_on_divisibility():
 
 
 # -- the direct kernel as it was before its work buffers were reused: every
-# table is allocated fresh.  The jackknife's buffered tables must give the
-# same bits; the full pass, an expansion, must stay within EXPANSION_REL of
-# the direct sum.
+# table is allocated fresh, in the kernel's arithmetic.  The jackknife's
+# buffered tables must give the same bits; the full pass, an expansion, must
+# stay within EXPANSION_REL of the direct sum.  That direct sum takes the
+# subtract-square tables, exp(-2 ((u - centre)^2 - height^2)) cell by cell,
+# an independent reference that the kernel's tables are pinned against
+# within TABLE_ULPS.
 
 # |expansion - direct sum| <= EXPANSION_REL * max |direct sum|; the fig10
 # and fig11 preset points at 4k samples reach 1.4e-14
@@ -466,28 +469,36 @@ def fresh_tables(ens, axis):
     """``_kernel_tables`` on every row of the ensemble, in order, over a
     square grid of `axis`, in a table slot of its own, so its tables
     outlive later calls."""
-    slot = np.empty((len(ens), axis.size)), np.empty((len(ens), axis.size))
-    return signatures._kernel_tables(ens, np.arange(len(ens)), axis, axis, slot)
+    slot = np.empty((max(2, len(ens)), axis.size)), np.empty((max(2, len(ens)), axis.size))
+    factors = signatures._table_factors(ens, axis, axis)
+    return signatures._kernel_tables(ens, np.arange(len(ens)), factors, slot)
+
+
+def _alloc_product(left, right):
+    """left @ right through one spare zero row, so that a one-row left
+    factor takes the many-row path of numpy's matmul, as every row of the
+    kernel's products does."""
+    return np.matmul(np.vstack([left, np.zeros((1, left.shape[1]))]), right)[:-1]
 
 
 def _alloc_gaussian_table(centre, height, axis):
-    dev = axis[None, :] - centre[:, None]
-    mag = dev * dev
-    mag -= (height * height)[:, None]
-    mag *= -2.0
-    np.exp(mag, out=mag)
-    return mag
+    """exp(-2 ((u - centre)^2 - height^2)), the exponent one product
+    [4 centre, 2 (height^2 - centre^2), 1] . [u; 1; -2 u^2]."""
+    left = np.stack([4.0 * centre, 2.0 * (height * height - centre * centre),
+                     np.ones(centre.size)], axis=1)
+    return np.exp(_alloc_product(left, np.stack([axis, np.ones(axis.size), -2.0 * axis * axis])))
 
 
 def _alloc_rotate(table, rows, rate, axis, centre):
-    """Angle addition: cos(rate (y - a)) = cos(rho y) cos(rho a) + sin(rho y)
-    sin(rho a), with rho = |rate|."""
+    """Angle addition as one product per distinct rho = |rate|:
+    cos(rho (y - a)) = [cos rho a, sin rho a] . [cos rho y; sin rho y]."""
     rho = np.abs(rate)
-    angle = rho[:, None] * axis[None, :]
-    cos_y, sin_y = np.cos(angle), np.sin(angle)
-    angle = rho * centre
-    cos_a, sin_a = np.cos(angle)[:, None], np.sin(angle)[:, None]
-    table[rows] = table[rows] * (cos_y * cos_a + sin_y * sin_a)
+    for r in np.unique(rho):
+        part = rho == r
+        angle = r * centre[part]
+        cosine = _alloc_product(np.stack([np.cos(angle), np.sin(angle)], axis=1),
+                                np.stack([np.cos(r * axis), np.sin(r * axis)]))
+        table[rows[part]] = table[rows[part]] * cosine
 
 
 def _alloc_kernel_tables(c, a, b, w, xs, ys):
@@ -499,12 +510,36 @@ def _alloc_kernel_tables(c, a, b, w, xs, ys):
     return cx, cy
 
 
+def _subtracted_gaussian_table(centre, height, axis):
+    dev = axis[None, :] - centre[:, None]
+    mag = dev * dev
+    mag -= (height * height)[:, None]
+    mag *= -2.0
+    np.exp(mag, out=mag)
+    return mag
+
+
+def _subtracted_kernel_tables(c, a, b, w, xs, ys):
+    """The kernel's tables cell by cell: (x - c)^2 and (y - a)^2 - b^2
+    subtracted and squared per cell, the cosine by angle addition per cell."""
+    cx = _subtracted_gaussian_table(c, np.zeros(c.size), xs)
+    cx *= w[:, None]
+    cy = _subtracted_gaussian_table(a, b, ys)
+    phased = np.flatnonzero(b != 0.0)
+    rho = np.abs(4.0 * b[phased])[:, None]
+    angle = rho[:, 0] * a[phased]
+    cy[phased] *= (np.cos(rho * ys) * np.cos(angle)[:, None]
+                   + np.sin(rho * ys) * np.sin(angle)[:, None])
+    return cx, cy
+
+
 def direct_wigner_sum(c, a, b, w, xs, ys):
-    """The real part of the Wigner kernel sum from direct tables, in chunks."""
+    """The real part of the Wigner kernel sum from the subtract-square
+    tables, in chunks."""
     re = np.zeros((xs.size, ys.size))
     for lo in range(0, c.size, 1000):
         chunk = slice(lo, lo + 1000)
-        cx, cy = _alloc_kernel_tables(c[chunk], a[chunk], b[chunk], w[chunk], xs, ys)
+        cx, cy = _subtracted_kernel_tables(c[chunk], a[chunk], b[chunk], w[chunk], xs, ys)
         re += cx.T @ cy
     return re
 
@@ -593,7 +628,7 @@ def assert_is_the_allocating_reference(out, ens, grid, n_blocks, band=math.inf):
 def assert_kernel_is_the_allocating_kernel(monkeypatch, part, grid, n_blocks):
     """The full kernel sum within EXPANSION_REL of the direct sum, and
     negativity_with_error, on the whole grid and on a 0.8 band, bitwise the
-    allocating reference, each call with its one helper thread."""
+    allocating reference, each call on the calling thread alone."""
     xs, ys = (ax.points() for ax in grid)
     re = signatures._kernel_sum(*kernel_columns(part), part.branch_rows, xs, ys)[0]
     assert_within_expansion_bound(re, part, xs, ys)
@@ -601,7 +636,7 @@ def assert_kernel_is_the_allocating_kernel(monkeypatch, part, grid, n_blocks):
     for band in (math.inf, 0.8):
         out = negativity_with_error(part, grid, n_blocks=n_blocks, band=band)
         assert_is_the_allocating_reference(out, part, grid, n_blocks, band)
-    assert len(started) == 2  # one helper per jackknife
+    assert started == []
 
 
 @pytest.mark.parametrize("kind", ["corrected", "noisy"])
@@ -656,12 +691,12 @@ def _root(table: np.ndarray) -> np.ndarray:
     return table
 
 
-def test_batches_reuse_two_table_slots(monkeypatch):
+def test_batches_reuse_one_table_slot(monkeypatch):
     # 5000 table cells batch three 12-row blocks, the last batch one: six
-    # batches, whose cx and cy are the leading rows of two buffers each, as
-    # the helper thread fills one slot while the caller reads the other;
-    # allocating fresh tables per batch costs more than the kernel's
-    # element-wise work on large blocks
+    # batches, whose cx and cy are the leading rows of one buffer each,
+    # filled and read in turn on the calling thread; allocating fresh
+    # tables per batch costs more than the kernel's element-wise work on
+    # large blocks
     monkeypatch.setattr(signatures, "_TABLE_CELLS", 5000)
     ens = corrected_channel_ensemble(192)
     grid = wigner_axes(60)
@@ -676,7 +711,7 @@ def test_batches_reuse_two_table_slots(monkeypatch):
     negativity_with_error(ens, grid, n_blocks=16)
     assert [cx.shape[0] for cx, _ in built] == [36] * 5 + [12]
     roots = [{id(_root(pair[k])) for pair in built} for k in (0, 1)]
-    assert [len(ids) for ids in roots] == [2, 2]
+    assert [len(ids) for ids in roots] == [1, 1]
     assert not roots[0] & roots[1]
     assert all(cx.flags.c_contiguous and cy.flags.c_contiguous for cx, cy in built)
 
@@ -694,7 +729,7 @@ def test_kernel_tables_gather_rows_and_zero_the_pads():
     axis = wigner_axes(60)[0].points()
     xs = axis[30:91]
     slot = np.full((rows.size + 3, xs.size), np.nan), np.full((rows.size + 3, axis.size), np.nan)
-    cx, cy = signatures._kernel_tables(ens, rows, xs, axis, slot)
+    cx, cy = signatures._kernel_tables(ens, rows, signatures._table_factors(ens, xs, axis), slot)
     assert all(np.shares_memory(table, buf) and table.shape[0] == rows.size
                for table, buf in zip((cx, cy), slot))
     clip = np.minimum(rows, n - 1)
@@ -705,11 +740,69 @@ def test_kernel_tables_gather_rows_and_zero_the_pads():
     assert not np.any(cx[rows == n])
 
 
+def test_kernel_table_rows_do_not_depend_on_the_row_count():
+    # every run of rows, from one row up, gets the bits those rows have in
+    # the tables of the whole ensemble: a one-row product goes through two
+    # rows, since numpy's matmul rounds a one-row left factor otherwise.
+    # On the whole fig10 grid, on a band of 41 columns and on one column,
+    # the last a matrix-vector product for every row count.
+    ens = permuted(corrected_channel_ensemble(400))
+    ys = default_wigner_grid(2.0)[1].points()
+    for xs in (ys, ys[100:141], ys[120:121]):
+        slot = np.empty((400, xs.size)), np.empty((400, ys.size))
+        factors = signatures._table_factors(ens, xs, ys)
+        whole = [table.copy() for table in
+                 signatures._kernel_tables(ens, np.arange(400), factors, slot)]
+        for start in (0, 1, 7, 150):
+            for m in (1, 2, 3, 4, 5, 8, 13, 64, 97):
+                got = signatures._kernel_tables(ens, np.arange(start, start + m), factors, slot)
+                for table, ref in zip(got, whole, strict=True):
+                    assert np.array_equal(table, ref[start:start + m])
+        # the allocating reference's one-row tables have these bits too
+        for table, ref in zip(_alloc_kernel_tables(*(col[:1] for col in kernel_columns(ens)),
+                                                   xs, ys), whole, strict=True):
+            assert np.array_equal(table, ref[:1])
+
+
+# The kernel's tables against the subtract-square ones: an exponent formed
+# as a product rounds its terms, up to 4 max(u^2, centre^2) + 2 height^2,
+# so a table entry may move by TABLE_ULPS ulps of that size, relative.
+TABLE_ULPS = 8.0
+
+
+@pytest.mark.parametrize("point", ["fig10", "fig5", "alpha0_max"])
+def test_kernel_tables_are_the_subtract_square_tables(point):
+    # fig10 t = 0.02/Gm (alpha0 = 2) and fig5 (alpha0 = 5), each with a
+    # thermal bath, and the largest alpha0 a config takes on its whole grid,
+    # whose edges are where the product cancels most.  Entries whose scale
+    # is below 2^-969 are compared absolutely: exp rounds to the subnormal
+    # spacing 2^-1074 near there, more than the relative bound allows.
+    from catmem.experiments import ALPHA0_MAX, ExperimentConfig, _corrected_ensemble, preset
+    cfg = {"fig10": ExperimentConfig(alpha0=2.0),
+           "fig5": preset("fig5"),
+           "alpha0_max": ExperimentConfig(alpha0=ALPHA0_MAX)}[point]
+    ens = _corrected_ensemble(replace(cfg, n_bar=2.0, n_samples=400))[1]
+    xs, ys = (ax.points() for ax in default_wigner_grid(cfg.alpha0))
+    c, a, b, w = kernel_columns(ens)
+    slot = np.empty((400, xs.size)), np.empty((400, ys.size))
+    cx, cy = signatures._kernel_tables(ens, np.arange(400), signatures._table_factors(ens, xs, ys),
+                                       slot)
+    ref_x, ref_y = _subtracted_kernel_tables(c, a, b, w, xs, ys)
+    envelope = np.abs(_subtracted_gaussian_table(a, b, ys))
+    eps, floor = np.finfo(float).eps, 2.0 ** -969
+    for got, ref, size, scale in ((cx, ref_x, np.maximum(c[:, None] ** 2, xs ** 2), np.abs(ref_x)),
+                                  (cy, ref_y, np.maximum(a[:, None] ** 2, ys ** 2)
+                                   + 0.5 * (b * b)[:, None], envelope)):
+        normal = scale > floor
+        bound = TABLE_ULPS * eps * (1.0 + 4.0 * size) * scale
+        assert np.all(np.abs(got - ref)[normal] <= bound[normal])
+        assert np.all(np.abs(got - ref)[~normal] <= floor)
+
+
 def test_concurrent_calls_with_fast_switching_are_bitwise(monkeypatch):
-    # four callers at once, each with its own helper thread, while the
-    # interpreter switches threads every microsecond: every call gives the
-    # bits of the allocating reference.  Each helper builds the first
-    # batch's tables while its caller runs the expansion.
+    # four callers at once, while the interpreter switches threads every
+    # microsecond: every call gives the bits of the allocating reference,
+    # and none starts a thread of its own.
     monkeypatch.setattr(signatures, "_TABLE_CELLS", 5000)
     monkeypatch.setattr(signatures, "_FIELD_CELLS", 15_000)
     ens = permuted(corrected_channel_ensemble(192))
@@ -731,7 +824,7 @@ def test_concurrent_calls_with_fast_switching_are_bitwise(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(caller.is_alive() for caller in callers)
-    assert len(started) == 8  # four callers and their four helpers
+    assert len(started) == 4  # the four callers alone
     for out in outs:
         assert_is_the_allocating_reference(out, ens, grid, 16)
 
@@ -746,10 +839,8 @@ def complex_mu_x_at_the_end(n=192):
 
 def test_complex_mu_x_in_the_last_row_reaches_the_caller(monkeypatch):
     # a complex mu_x in the last row raises when the ensemble is formed,
-    # before any estimator or helper thread starts; an error in the
-    # expansion, which runs while the helper builds the first batch,
-    # reaches the caller too, and the helper is joined: no thread is left
-    # running after a call, failed or not
+    # before any estimator starts; an error in the expansion reaches the
+    # caller too.  No call, failed or not, starts a thread.
     monkeypatch.setattr(signatures, "_TABLE_CELLS", 3000)
     grid = wigner_axes(60)
     before = threading.active_count()
@@ -769,18 +860,20 @@ def test_complex_mu_x_in_the_last_row_reaches_the_caller(monkeypatch):
     with pytest.raises(RuntimeError, match="expansion failed"):
         negativity_with_error(good, grid, n_blocks=16)
     assert threading.active_count() == before
-    assert len(started) == 2
+    assert started == []
 
 
-@pytest.mark.parametrize("case", ["one_batch", "one_cpu"])
-def test_every_noisy_call_starts_one_helper(monkeypatch, case):
+@pytest.mark.parametrize("case", ["two_cpus", "one_cpu"])
+def test_no_estimator_starts_a_thread(monkeypatch, case):
     # with the default table sizes the 16 blocks of 12 rows fit one batch on
     # the 121-point grid; with 5000 table cells they take six, on a process
-    # allowed one CPU.  Either call builds its tables on one helper thread,
-    # joins it and gives the allocating reference's bits.
+    # allowed one CPU.  Either way every estimator runs on the calling
+    # thread, and the jackknife builds its batches in order and gives the
+    # allocating reference's bits.
     if case == "one_cpu":
         monkeypatch.setattr(signatures, "_TABLE_CELLS", 5000)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    cpus = {"two_cpus": {0, 1}, "one_cpu": {0}}[case]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
     ens = corrected_channel_ensemble(192)
     grid = wigner_axes(60)
     kernel_tables = signatures._kernel_tables
@@ -794,9 +887,13 @@ def test_every_noisy_call_starts_one_helper(monkeypatch, case):
     before = threading.active_count()
     started = count_threads(monkeypatch)
     out = negativity_with_error(ens, grid, n_blocks=16)
-    assert len(started) == 1
+    wigner_estimate(ens, grid)
+    p_distribution(ens, P_AXIS, 0.0)
+    reconstruct_density(ens, default_density_axis(2.0))
+    quadrature_moments(ens)
+    assert started == []
     assert threading.active_count() == before
-    assert batches == ([192] if case == "one_batch" else [36] * 5 + [12])
+    assert batches == ([192] if case == "two_cpus" else [36] * 5 + [12])
     assert_is_the_allocating_reference(out, ens, grid, 16)
 
 
@@ -816,8 +913,8 @@ def test_small_noiseless_run_starts_no_thread(monkeypatch):
 def test_noisy_p_distribution_is_bitwise_with_and_without_the_helper(monkeypatch, theta):
     # 5000 moment cells make moment chunks of 5000 // (2 J) rows, so every
     # cluster ends on a short chunk; the caller runs the expansion and
-    # starts no helper thread, so its bits cannot depend on one: two calls
-    # give the same bits
+    # starts no thread, so its bits cannot depend on one: two calls give
+    # the same bits
     monkeypatch.setattr(signatures, "_MOMENT_CELLS", 5000)
     ens = noisy_channel_ensemble(192)
     started = count_threads(monkeypatch)
@@ -992,6 +1089,8 @@ def test_jackknife_does_not_depend_on_the_batch_size(monkeypatch):
     # the 192-row ensembles, 16 blocks, and their first 190 rows, whose
     # blocks are padded; and on a fig10 t = 0.02/Gm run of 4004 rows, 100
     # blocks of 40 or 41 rows; each with the run's band and the whole grid.
+    # The -+ rows alone, 48 blocks of one row, make one-row batches at
+    # 15 000 field cells, whose tables go through two-row products.
     from catmem.engine import protocol_channel
     from catmem.experiments import ExperimentConfig
     cfg = ExperimentConfig(alpha0=2.0, n_bar=2.0)
@@ -1001,6 +1100,8 @@ def test_jackknife_does_not_depend_on_the_batch_size(monkeypatch):
         for n in (192, 190):
             part = take(ens, np.arange(n))
             cases.append((part, wigner_axes(60), 16))
+    ens = corrected_channel_ensemble(192)
+    cases.append((take(ens, np.flatnonzero(ens.branch == "-+")), wigner_axes(60), 48))
     cases.append((corrected_channel_ensemble(4004), default_wigner_grid(2.0), 100))
     for ens, grid, n_blocks in cases:
         for edge in (band, math.inf):
